@@ -50,17 +50,6 @@ the perf trajectory is visible across PRs:
   point is baseline-gated; the *completed-ops speedup* of 4 shards
   over 1 is simulated time, hence deterministic and exactly
   host-independent, and must reach ``MGR_SHARD_SPEEDUP_FLOOR``.
-* ``shard_replay_serial_s`` / ``shard_replay_4w_s`` — a 64-node,
-  64-process trace replayed serially vs split across 4 conservative
-  parallel engine shards in worker processes (DESIGN.md §17).  The
-  host-independent gate is the *event split*: the sharded run's total
-  event count divided by its busiest shard's count must reach
-  ``SHARD_EVENT_SPLIT_FLOOR`` — the deterministic upper bound on
-  parallel speedup, which round-robin sharding must keep well above
-  half the shard count.  When this host has the cores to exploit the
-  split (``os.cpu_count() >= 4``), the wall clock itself is gated
-  too: the 4-worker replay must run ``SHARD_WALLCLOCK_FLOOR``x faster
-  than the serial one.
 
 If the baseline file is missing — or ``REPRO_BENCH_UPDATE=1`` is set —
 the current numbers are written as the new baseline and the test is
@@ -85,9 +74,7 @@ import pytest
 from repro.cluster.config import (
     DISK_MODEL_ENV_VAR,
     ENGINE_MACRO_ENV_VAR,
-    ENGINE_SHARDS_ENV_VAR,
     NET_MODEL_ENV_VAR,
-    SHARD_BACKEND_ENV_VAR,
 )
 from repro.experiments.parallel import WORKERS_ENV_VAR
 from repro.sim import Environment
@@ -134,25 +121,12 @@ MACRO_EVENT_RATIO_FLOOR = 2.5
 #: did, minus the generator's own bookkeeping).
 TRACE_REPLAY_EVENT_OVERHEAD = 1.5
 
-#: A 4-shard replay must spread the event budget so that
-#: total / busiest-shard reaches this floor.  Event counts are
-#: deterministic, so the ratio is exactly host-independent; it bounds
-#: the achievable parallel speedup from above (observed ~3.8x on the
-#: 64-node bench trace — round-robin keeps the shards balanced).
-SHARD_EVENT_SPLIT_FLOOR = 2.0
-
 #: Four metadata shards must complete at least this many times the
 #: ops/s of the single mgr at the 256-node open-loop knee.  Completed
 #: throughput is simulated time — deterministic, so this ratio is
 #: exactly host-independent; observed ~2.5x (the single mgr pins at
 #: its ~6.6k opens/s service capacity).
 MGR_SHARD_SPEEDUP_FLOOR = 2.0
-
-#: With at least 4 real cores the wall clock must follow the split:
-#: the 4-worker replay at least this many times faster than serial.
-#: Only checked when ``os.cpu_count() >= 4`` — on fewer cores the
-#: workers time-slice one CPU and the barrier pipes are pure overhead.
-SHARD_WALLCLOCK_FLOOR = 2.0
 
 
 def _measure_events_per_sec(n_events: int = 200_000, rounds: int = 3) -> float:
@@ -433,72 +407,6 @@ def _measure_trace_replay(rounds: int = 3) -> tuple[float, int, int]:
     return min(r[0] for r in results), results[0][1], source_events
 
 
-def _measure_shard_replay(rounds: int = 2) -> tuple[float, float, float]:
-    """A 64-node trace replay, serial vs 4 process-backed shards.
-
-    64 closed-loop processes share one striped file across a
-    64-compute / 64-iod cluster — the scale regime the conservative
-    parallel engine targets (DESIGN.md §17).  Returns (best serial
-    seconds, best 4-worker seconds, event-split ratio); the split is
-    deterministic across rounds and hosts.
-    """
-    from repro.cluster.config import ClusterConfig
-    from repro.sim.parallel import run_sharded_replay
-    from repro.workload.trace import Trace, TraceEvent
-
-    procs, per = 64, 12
-    events = []
-    for i in range(procs):
-        process = f"app-{i:02d}"
-        for j in range(per):
-            t = (j * procs + i) * 1e-4
-            if j % 3 == 2:
-                events.append(
-                    TraceEvent(
-                        time=t,
-                        process=process,
-                        path="/shared",
-                        op="write",
-                        offset=((i * per + j) % 64) * 4096,
-                        nbytes=4096,
-                    )
-                )
-            else:
-                events.append(
-                    TraceEvent(
-                        time=t,
-                        process=process,
-                        path="/shared",
-                        op="read",
-                        offset=((j * 17 + i) % 128) * 4096,
-                        nbytes=65536,
-                    )
-                )
-    trace = Trace(events=events)
-    config = ClusterConfig(compute_nodes=64, iod_nodes=64, caching=True)
-
-    def serial() -> float:
-        t0 = time.perf_counter()
-        run_sharded_replay(config, trace, shards=1, hash_enabled=False)
-        return time.perf_counter() - t0
-
-    def sharded() -> tuple[float, float]:
-        t0 = time.perf_counter()
-        out = run_sharded_replay(
-            config, trace, shards=4, backend="process", hash_enabled=False
-        )
-        elapsed = time.perf_counter() - t0
-        return elapsed, out.events_processed / max(1, out.max_shard_events)
-
-    serial_s = min(serial() for _ in range(rounds))
-    results = [sharded() for _ in range(rounds)]
-    splits = {round(split, 6) for _, split in results}
-    assert len(splits) == 1, (
-        f"shard event split not deterministic: {splits}"
-    )
-    return serial_s, min(r[0] for r in results), results[0][1]
-
-
 def _measure_openloop_knee() -> tuple[float, float]:
     """The 256-node open-loop knee point, 1 vs 4 mgr shards.
 
@@ -522,8 +430,6 @@ def test_engine_regression(monkeypatch):
     monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
     monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
     monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
-    monkeypatch.delenv(ENGINE_SHARDS_ENV_VAR, raising=False)
-    monkeypatch.delenv(SHARD_BACKEND_ENV_VAR, raising=False)
     wire_frames = _measure_fig4_wire_sweep_s("frames")
     wire_fluid = _measure_fig4_wire_sweep_s("fluid")
     disk_mech = _measure_disk_replay_s("mech")
@@ -533,7 +439,6 @@ def test_engine_regression(monkeypatch):
     macro_off_s, macro_off_events = _measure_macro_replay(False)
     macro_on_s, macro_on_events = _measure_macro_replay(True)
     replay_s, replay_events, source_events = _measure_trace_replay()
-    shard_serial_s, shard_4w_s, shard_split = _measure_shard_replay()
     knee_s, mgr_speedup = _measure_openloop_knee()
     fig4_frames = _measure_fig4_quick_sweep_s()
     monkeypatch.setenv(NET_MODEL_ENV_VAR, "fluid")
@@ -556,8 +461,6 @@ def test_engine_regression(monkeypatch):
         "macro_replay_off_s": round(macro_off_s, 4),
         "macro_replay_on_s": round(macro_on_s, 4),
         "trace_replay_s": round(replay_s, 4),
-        "shard_replay_serial_s": round(shard_serial_s, 4),
-        "shard_replay_4w_s": round(shard_4w_s, 4),
         "openloop_knee_256_s": round(knee_s, 3),
         "mgr_shard_speedup": round(mgr_speedup, 3),
     }
@@ -606,13 +509,6 @@ def test_engine_regression(monkeypatch):
         f"({macro_off_events} -> {macro_on_events}; floor "
         f"{MACRO_EVENT_RATIO_FLOOR}x)"
     )
-    # Host-independent gate: sharding bounds parallel speedup by how
-    # evenly the (deterministic) event budget splits across shards.
-    assert shard_split >= SHARD_EVENT_SPLIT_FLOOR, (
-        f"4-shard replay split only {shard_split:.2f}x "
-        f"(floor {SHARD_EVENT_SPLIT_FLOOR}x): the busiest shard holds "
-        "too much of the event budget"
-    )
     # Host-independent gate: at the 256-node knee the single mgr is
     # the serialization point; hash-partitioning it across 4 shards
     # must move completed throughput by at least the floor.  Simulated
@@ -622,14 +518,6 @@ def test_engine_regression(monkeypatch):
         f"mgr's ops/s at the 256-node open-loop knee "
         f"(floor {MGR_SHARD_SPEEDUP_FLOOR}x)"
     )
-    if (os.cpu_count() or 1) >= 4:
-        shard_speedup = shard_serial_s / shard_4w_s
-        assert shard_speedup >= SHARD_WALLCLOCK_FLOOR, (
-            f"4-worker shard replay only {shard_speedup:.2f}x faster "
-            f"than serial ({shard_serial_s:.3f}s -> {shard_4w_s:.3f}s; "
-            f"floor {SHARD_WALLCLOCK_FLOOR}x on a "
-            f"{os.cpu_count()}-core host)"
-        )
     if os.environ.get(UPDATE_ENV_VAR) or not BASELINE_PATH.exists():
         payload = {
             "comment": (

@@ -31,15 +31,6 @@ This lint walks the source tree and flags exactly those hazards:
     heap-manages simulation timestamps itself bypasses the engine's
     ordering, stats, and compaction.  Schedule through
     ``Environment``/``Timer`` instead.
-``RPL007``
-    Reaching into another shard's objects outside ``repro.sim``:
-    attribute access through a subscripted ``*shards[...]`` container
-    (``runner.shards[0].env``, ``self._shards[i].cluster``...)
-    touches state owned by a different shard's event loop, which the
-    conservative parallel engine (DESIGN.md §17) only keeps coherent
-    at lookahead barriers.  Cross-shard effects must travel as
-    :class:`repro.sim.mailbox.Envelope` objects through the
-    ``InterShardMailbox`` API.
 
 Yielding helpers are resolved in three tiers: module-local generator
 functions (including names imported from scanned modules),
@@ -460,38 +451,6 @@ class _ModuleLinter(ast.NodeVisitor):
         "event-queue seam (ordering, stats, timer compaction); "
         "schedule via Environment/Timer instead"
     )
-
-    # -- RPL007 ----------------------------------------------------------
-    #: Attributes that are part of the inter-shard mailbox API and
-    #: therefore legitimate to touch on a shard handle.
-    _SHARD_API_ATTRS = frozenset({"mailbox"})
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        posix_path = str(self.info.path).replace("\\", "/")
-        if "repro/sim/" not in posix_path:
-            value = node.value
-            if isinstance(value, ast.Subscript):
-                base = value.value
-                base_name = None
-                if isinstance(base, ast.Name):
-                    base_name = base.id
-                elif isinstance(base, ast.Attribute):
-                    base_name = base.attr
-                if (
-                    base_name is not None
-                    and base_name.lower().endswith("shards")
-                    and node.attr not in self._SHARD_API_ATTRS
-                ):
-                    self._emit(
-                        node,
-                        "RPL007",
-                        f"reaching into shard object attribute "
-                        f"{node.attr!r} via {base_name}[...] bypasses "
-                        "the inter-shard mailbox; cross-shard effects "
-                        "must travel as Envelopes through the "
-                        "InterShardMailbox API (DESIGN.md §17)",
-                    )
-        self.generic_visit(node)
 
     # -- RPL004 ----------------------------------------------------------
     def check_module_state(self) -> None:

@@ -2,7 +2,7 @@
 
 One instance per node, shared by every process on the node.  The
 module owns the node's connections to the iods (multiplexed over
-:class:`~repro.net.rpc.RpcChannel`, since responses for different
+:class:`~repro.svc.rpc.RpcChannel`, since responses for different
 processes interleave), the buffer manager, the flusher and harvester
 kernel threads, and the invalidation listener used by ``sync_write``
 coherence.

@@ -40,18 +40,10 @@ class Cluster:
         self,
         config: ClusterConfig | None = None,
         env: Environment | None = None,
-        shard_plan: "_t.Any | None" = None,
-        shard_id: int = 0,
     ) -> None:
         self.config = config if config is not None else ClusterConfig()
         self.env = env if env is not None else Environment()
         self.metrics = Metrics()
-        #: Parallel-engine partition this cluster is one shard of
-        #: (:class:`repro.sim.mailbox.ShardPlan`), or ``None`` for the
-        #: ordinary whole-cluster serial build (DESIGN.md §17).
-        self.shard_plan = shard_plan
-        self.shard_id = shard_id
-        sharded = shard_plan is not None and shard_plan.shards > 1
         costs = self.config.costs
 
         # ``costs.fabric`` picks the topology (hub vs switch);
@@ -87,11 +79,9 @@ class Cluster:
         #: §18).  Resolved once, like the net/disk models.
         self.mgr_shards = self.config.resolved_mgr_shards
         #: Where each mgr shard lives: shard ``k`` on iod node
-        #: ``k % n_iods`` (round-robin over the same order
-        #: ``plan_shards`` partitions nodes, so a shard's mgr stays
-        #: co-located with its parallel-DES partition), on port
-        #: ``MGR_PORT + k // n_iods`` so shards beyond the node count
-        #: stack onto fresh ports instead of colliding.
+        #: ``k % n_iods``, on port ``MGR_PORT + k // n_iods`` so shards
+        #: beyond the node count stack onto fresh ports instead of
+        #: colliding.
         self.mgr_placements: list[tuple[str, int]] = [
             (
                 iod_names[k % len(iod_names)],
@@ -99,34 +89,8 @@ class Cluster:
             )
             for k in range(self.mgr_shards)
         ]
-        #: Shard 0's node name, derivable without the Node object —
-        #: in a sharded build the mgr may live in another shard.
-        self.mgr_node_name = iod_names[0]
-        self.mailbox = None
-        if sharded:
-            if self.config.caching and self.config.cache.global_cache:
-                raise ValueError(
-                    "global_cache needs a shared directory object and "
-                    "cannot run under engine shards > 1"
-                )
-            from repro.sim.mailbox import InterShardMailbox
-
-            self.mailbox = InterShardMailbox(
-                self.env,
-                shard_id,
-                shard_plan,
-                self.network,
-                latency=fabric.transfer_time_unloaded,
-            )
-            self.network.shard_router = self.mailbox
-
-        def _local(name: str) -> bool:
-            return not sharded or shard_plan.shard_of(name) == shard_id
-
         self.nodes: dict[str, Node] = {}
         for name in dict.fromkeys([*compute_names, *iod_names]):
-            if not _local(name):
-                continue
             self.nodes[name] = Node(
                 self.env,
                 name,
@@ -140,15 +104,11 @@ class Cluster:
             n_iods=len(iod_names), stripe_size=self.config.stripe_size
         )
 
-        #: The metadata shards, indexed by shard number (``None`` for
-        #: shards owned by another engine shard).  The default single
-        #: shard lives on the first iod node (the usual PVFS
+        #: The metadata shards, indexed by shard number.  The default
+        #: single shard lives on the first iod node (the usual PVFS
         #: deployment).
-        self.mgr_servers: list[MetadataServer | None] = []
+        self.mgr_servers: list[MetadataServer] = []
         for k, (mgr_node, mgr_port) in enumerate(self.mgr_placements):
-            if not _local(mgr_node):
-                self.mgr_servers.append(None)
-                continue
             server = MetadataServer(
                 self.nodes[mgr_node],
                 iod_nodes=iod_names,
@@ -161,12 +121,10 @@ class Cluster:
             server.start()
             self.mgr_servers.append(server)
         #: Shard 0, the whole service when ``mgr_shards == 1``.
-        self.mgr: MetadataServer | None = self.mgr_servers[0]
+        self.mgr = self.mgr_servers[0]
 
         self.iods: list[Iod] = []
         for idx, name in enumerate(iod_names):
-            if not _local(name):
-                continue
             iod = Iod(
                 self.nodes[name],
                 layout=self.layout,
@@ -191,8 +149,6 @@ class Cluster:
 
                 gcache_directory = GlobalCacheDirectory(compute_names)
             for name in compute_names:
-                if not _local(name):
-                    continue
                 module = CacheModule(
                     self.nodes[name],
                     layout=self.layout,
@@ -215,13 +171,11 @@ class Cluster:
         #: Every top-level service in start order (children — flusher,
         #: harvester, gcache — are reached through their parents).
         self.services: list[Service] = [
-            *(s for s in self.mgr_servers if s is not None),
+            *self.mgr_servers,
             *self.iods,
             *(
                 node.writeback
-                for node in (
-                    self.nodes[n] for n in iod_names if n in self.nodes
-                )
+                for node in (self.nodes[n] for n in iod_names)
                 if node.writeback is not None
             ),
             *self.cache_modules.values(),
@@ -247,7 +201,7 @@ class Cluster:
         """A fresh libpvfs instance (one per application process)."""
         return PVFSClient(
             self.nodes[node_name],
-            mgr_node=self.mgr_node_name,
+            mgr_node=self.mgr_placements[0][0],
             metrics=self.metrics,
             mgr_port=self.config.MGR_PORT,
             iod_port=self.config.IOD_PORT,

@@ -55,24 +55,6 @@ ENGINE_MACRO_ENV_VAR = "REPRO_ENGINE_MACRO"
 #: all be pointed at one recorded workload.
 TRACE_ENV_VAR = "REPRO_TRACE"
 
-#: Environment variable selecting how many shards the conservative
-#: parallel engine (DESIGN.md §17) splits a replay across, for configs
-#: whose ``engine_shards`` is unset.  ``1`` (or unset) runs the
-#: ordinary serial engine; like ``REPRO_NET_MODEL``, this is how
-#: ``--engine-shards`` reaches clusters built inside parallel sweep
-#: workers.
-ENGINE_SHARDS_ENV_VAR = "REPRO_ENGINE_SHARDS"
-
-#: Environment variable selecting the shard execution backend for
-#: configs whose ``shard_backend`` is unset: ``process`` (one worker
-#: process per shard, the default) or ``inline`` (every shard
-#: environment in this process — for tests, CI runners, and
-#: free-threaded builds).
-SHARD_BACKEND_ENV_VAR = "REPRO_ENGINE_SHARD_BACKEND"
-
-#: Recognised shard execution backends.
-SHARD_BACKENDS = ("process", "inline")
-
 #: Environment variable selecting how many hash-partitioned metadata
 #: server shards a cluster runs, for configs whose ``mgr_shards`` is
 #: unset.  ``1`` (or unset) keeps the paper's single mgr — and the
@@ -253,15 +235,6 @@ class ClusterConfig:
     #: or ``None`` to defer to ``REPRO_TRACE`` falling back to the
     #: synthetic workload.  See ``repro.workload.runner``.
     trace_source: str | None = None
-    #: Conservative parallel engine shards (DESIGN.md §17): how many
-    #: worker environments a trace replay is partitioned across, or
-    #: ``None`` to defer to ``REPRO_ENGINE_SHARDS`` falling back to 1
-    #: (serial).  Only trace replays honor shards > 1.
-    engine_shards: int | None = None
-    #: Shard execution backend: ``"process"`` (default), ``"inline"``
-    #: (same-process multi-environment mode), or ``None`` to defer to
-    #: ``REPRO_ENGINE_SHARD_BACKEND``.
-    shard_backend: str | None = None
     #: Hash-partitioned metadata server shards (DESIGN.md §18): how
     #: many mgr daemons the file namespace is split across, or
     #: ``None`` to defer to ``REPRO_MGR_SHARDS`` falling back to 1
@@ -280,18 +253,6 @@ class ClusterConfig:
         if self.disk_model is not None and self.disk_model not in DISK_MODELS:
             raise ValueError(
                 f"unknown disk_model {self.disk_model!r}; have {DISK_MODELS}"
-            )
-        if self.engine_shards is not None and self.engine_shards < 1:
-            raise ValueError(
-                f"engine_shards must be >= 1, got {self.engine_shards}"
-            )
-        if (
-            self.shard_backend is not None
-            and self.shard_backend not in SHARD_BACKENDS
-        ):
-            raise ValueError(
-                f"unknown shard_backend {self.shard_backend!r}; "
-                f"have {SHARD_BACKENDS}"
             )
         if self.mgr_shards is not None and self.mgr_shards < 1:
             raise ValueError(
@@ -357,51 +318,6 @@ class ClusterConfig:
         return self.trace_source or os.environ.get(TRACE_ENV_VAR) or None
 
     @property
-    def resolved_engine_shards(self) -> int:
-        """How many parallel-engine shards this config asks for.
-
-        An explicit ``engine_shards`` wins; otherwise a non-empty
-        ``REPRO_ENGINE_SHARDS`` chooses, and with neither set the
-        serial engine (one shard) runs.
-        """
-        if self.engine_shards is not None:
-            return self.engine_shards
-        raw = os.environ.get(ENGINE_SHARDS_ENV_VAR, "")
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ENGINE_SHARDS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
-        if shards < 1:
-            raise ValueError(
-                f"{ENGINE_SHARDS_ENV_VAR}={raw!r} must be >= 1"
-            )
-        return shards
-
-    @property
-    def resolved_shard_backend(self) -> str:
-        """The effective shard execution backend.
-
-        An explicit ``shard_backend`` wins; otherwise
-        ``REPRO_ENGINE_SHARD_BACKEND`` chooses, and with neither set
-        each shard runs in its own worker process.
-        """
-        backend = (
-            self.shard_backend
-            or os.environ.get(SHARD_BACKEND_ENV_VAR)
-            or "process"
-        )
-        if backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"{SHARD_BACKEND_ENV_VAR}={backend!r} is not one of "
-                f"{SHARD_BACKENDS}"
-            )
-        return backend
-
-    @property
     def resolved_mgr_shards(self) -> int:
         """How many metadata server shards this config asks for.
 
@@ -436,6 +352,11 @@ class ClusterConfig:
         # Co-located (paper's testbed): iods run on node0, node1, ...,
         # overlapping the compute nodes where the ranges intersect.
         return [f"node{i}" for i in range(self.iod_nodes)]
+
+    #: Read only by the frozen ``bench/workloads.py`` provenance block;
+    #: there is one engine (DESIGN.md §17).  The next benchmark PR
+    #: should drop this constant and that reader together.
+    resolved_engine_shards = 1
 
     #: Well-known ports.
     MGR_PORT = 3000

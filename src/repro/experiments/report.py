@@ -17,7 +17,6 @@ from repro.cluster.config import (
     DISK_MODEL_ENV_VAR,
     DISK_MODELS,
     ENGINE_MACRO_ENV_VAR,
-    ENGINE_SHARDS_ENV_VAR,
     MGR_SHARDS_ENV_VAR,
     NET_MODEL_ENV_VAR,
     NET_MODELS,
@@ -136,9 +135,7 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
         "[scheduler: {events_processed} events, depth hw "
         "{queue_depth_hw}, {timers_cancelled} timers cancelled, "
         "{timer_entries_purged} entries purged, {bursts_coalesced} "
-        "bursts coalesced, {barriers_crossed} barriers, "
-        "{cross_shard_msgs} cross-shard msgs, shard skew "
-        "{max_shard_skew_us}us]".format(**sched),
+        "bursts coalesced]".format(**sched),
         file=stream,
     )
     monitor.close()
@@ -229,17 +226,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--engine-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "split each trace replay across N conservative parallel "
-            "engine shards (DESIGN.md §17); only replayed runs "
-            "(--trace / REPRO_TRACE) honor shards > 1"
-        ),
-    )
-    parser.add_argument(
         "--mgr-shards",
         type=int,
         default=None,
@@ -284,8 +270,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         os.environ[DISK_MODEL_ENV_VAR] = args.disk_model
     if args.engine_macro:
         os.environ[ENGINE_MACRO_ENV_VAR] = "1"
-    if args.engine_shards:
-        os.environ[ENGINE_SHARDS_ENV_VAR] = str(args.engine_shards)
     if args.mgr_shards:
         os.environ[MGR_SHARDS_ENV_VAR] = str(args.mgr_shards)
     if args.trace:

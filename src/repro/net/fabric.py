@@ -32,17 +32,6 @@ class Fabric:
     env: Environment
     bytes_transferred: int
 
-    @property
-    def lookahead_s(self) -> float:
-        """Conservative lookahead window of this fabric (DESIGN.md §17).
-
-        No message handed to the fabric can take effect at its
-        destination sooner than this — the fixed per-message latency —
-        so shard environments may safely advance this far past the
-        global frontier between barriers.
-        """
-        return float(getattr(self, "base_latency_s", 0.0))
-
     def stats_snapshot(self) -> dict[str, _t.Any]:
         """Contention counters for metrics export.
 
@@ -86,11 +75,6 @@ class SharedHubFabric(Fabric):
     def bytes_transferred(self) -> int:
         """Bytes that crossed the medium."""
         return self.hub.bytes_transferred
-
-    @property
-    def lookahead_s(self) -> float:
-        """Conservative lookahead window (the hub's fixed latency)."""
-        return float(self.hub.base_latency_s)
 
     @property
     def utilization_queue(self) -> int:

@@ -24,12 +24,6 @@ class Network:
             fabric if fabric is not None else SwitchedFabric(env)
         )
         self._endpoints: dict[tuple[str, int], Store] = {}
-        #: Inter-shard mailbox of the conservative parallel engine
-        #: (:class:`repro.sim.mailbox.InterShardMailbox`), or ``None``
-        #: when every node of the cluster lives in this environment.
-        #: ``SocketAPI.connect`` consults it to route cross-shard
-        #: connections.
-        self.shard_router: _t.Any = None
         self.messages_delivered = 0
         #: Loopback messages never touch the fabric but still pay a
         #: small local protocol cost (localhost TCP is not free).

@@ -201,15 +201,6 @@ class SocketAPI:
         Yields until the handshake completes; returns the *client*
         :class:`Endpoint` of the new connection.
         """
-        router = self.network.shard_router
-        if router is not None and not router.is_local(server_node):
-            # Cross-shard connect (DESIGN.md §17): the server lives in
-            # another shard's environment.  Pay the handshake cost
-            # locally, then hand addressing to the inter-shard mailbox
-            # — the SYN envelope creates the server half (and fails
-            # loudly if nothing listens) one lookahead quantum later.
-            yield self.env.timeout(self.CONNECT_COST_S)
-            return router.open_connection(self.node, server_node, port)
         registry = getattr(self.network, "_listeners", {})
         try:
             queue: ListenQueue = registry[(server_node, port)]

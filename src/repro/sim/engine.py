@@ -101,9 +101,6 @@ class Environment:
         "_timer_compactions",
         "_bursts_coalesced",
         "_burst_events_saved",
-        "_barriers_crossed",
-        "_cross_shard_msgs",
-        "_max_shard_skew_us",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -153,9 +150,6 @@ class Environment:
         self._timer_compactions = 0
         self._bursts_coalesced = 0
         self._burst_events_saved = 0
-        self._barriers_crossed = 0
-        self._cross_shard_msgs = 0
-        self._max_shard_skew_us = 0
         self._active_process: Process | None = None
         #: Callables invoked (with this env) after every processed
         #: event.  Empty in normal runs; the run loop only takes the
@@ -453,22 +447,6 @@ class Environment:
         self._bursts_coalesced += 1
         self._burst_events_saved += events_saved
 
-    def note_barrier(self, skew_s: float = 0.0) -> None:
-        """Record one parallel-engine lookahead barrier (DESIGN.md §17).
-
-        ``skew_s`` is the spread between the earliest and latest shard
-        frontier at the barrier; the high-water mark is kept in integer
-        microseconds so it folds into metrics counters.
-        """
-        self._barriers_crossed += 1
-        skew_us = int(skew_s * 1e6)
-        if skew_us > self._max_shard_skew_us:
-            self._max_shard_skew_us = skew_us
-
-    def note_cross_shard_msg(self, n: int = 1) -> None:
-        """Record ``n`` messages routed through the inter-shard mailbox."""
-        self._cross_shard_msgs += n
-
     def sched_stats(self) -> dict[str, int]:
         """Point-in-time scheduler counters (all monotone except depth)."""
         return {
@@ -480,9 +458,6 @@ class Environment:
             "timer_compactions": self._timer_compactions,
             "bursts_coalesced": self._bursts_coalesced,
             "burst_events_saved": self._burst_events_saved,
-            "barriers_crossed": self._barriers_crossed,
-            "cross_shard_msgs": self._cross_shard_msgs,
-            "max_shard_skew_us": self._max_shard_skew_us,
         }
 
     # -- instrumentation -------------------------------------------------
@@ -738,62 +713,3 @@ class Environment:
             pop()
             self._events_processed += 1
             self._dispatch(entry[0], entry[2], entry[3])
-
-    def run_horizon(
-        self, horizon: float, stop_event: Event | None = None
-    ) -> bool:
-        """Process every event strictly *before* ``horizon``.
-
-        The conservative parallel engine's quantum step (DESIGN.md
-        §17).  Unlike ``run(until=t)`` — which is inclusive at ``t`` —
-        this never touches an event at or past the horizon: a
-        cross-shard message sent at the quantum's earliest event time
-        ``T_min`` with the minimum lookahead latency ``L`` lands
-        exactly at the next horizon ``T_min + L``, so the exclusive
-        bound is what guarantees injections never arrive in an
-        already-executed quantum.
-
-        On a normal quantum end the clock advances to ``horizon``.
-        With ``stop_event`` set the loop additionally stops the moment
-        that event has processed — returning ``True`` and leaving the
-        clock at the stop event's time, exactly like
-        ``run(until=event)`` (single-shard runs use this so their
-        schedule stays bit-identical to a serial ``run``).  Returns
-        whether ``stop_event`` has processed.
-        """
-        h = float(horizon)
-        if h < self._now:
-            raise ValueError(f"horizon={h} is in the past (now={self._now})")
-        pop = self._pop_entry
-        peek = self._peek_entry
-        n = 0
-        instrumented = bool(self._step_hooks) or self._trace is not None
-        try:
-            if stop_event is not None:
-                while stop_event.callbacks is not None:
-                    entry = peek()
-                    if entry is None or entry[0] >= h:
-                        self._now = h
-                        return False
-                    pop()
-                    n += 1
-                    if instrumented:
-                        self._dispatch(entry[0], entry[2], entry[3])
-                    else:
-                        self._now = entry[0]
-                        entry[3]._process()
-                return True
-            while True:
-                entry = peek()
-                if entry is None or entry[0] >= h:
-                    self._now = h
-                    return False
-                pop()
-                n += 1
-                if instrumented:
-                    self._dispatch(entry[0], entry[2], entry[3])
-                else:
-                    self._now = entry[0]
-                    entry[3]._process()
-        finally:
-            self._events_processed += n

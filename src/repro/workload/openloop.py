@@ -11,8 +11,8 @@ serialization point becomes visible as a throughput knee.
 Everything is emitted as ordinary Trace IR with absolute timestamps
 (``meta["open_loop"] = True``), so an open-loop workload composes with
 :class:`~repro.workload.replay.TraceReplayer` (``preserve_timing=True``
-holds each arrival to its stamp), the transform passes, the parallel
-engine shards, and the analytic models for free.
+holds each arrival to its stamp), the transform passes, and the
+analytic models for free.
 
 Structure of a generated workload:
 
@@ -45,6 +45,9 @@ import typing as _t
 
 import numpy as np
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig
+from repro.workload.replay import TraceReplayer
 from repro.workload.trace import Trace, TraceEvent
 
 #: Recognised arrival processes.
@@ -469,11 +472,11 @@ _LATENCY_SERIES = (
 )
 
 
-def _percentile(data: list[float], q: float) -> float:
-    """Nearest-rank percentile (matching ``Metrics.percentile``)."""
-    if not data:
+def _percentile(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending list (matching
+    ``Metrics.percentile``)."""
+    if not ordered:
         return math.nan
-    ordered = sorted(data)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
 
@@ -487,6 +490,7 @@ def report_from_series(
     latencies: list[float] = []
     for name in _LATENCY_SERIES:
         latencies.extend(series.get(name, ()))
+    latencies.sort()
     duration = float(trace.meta.get("duration_s") or 0.0)
     if duration <= 0.0 and trace.events:
         duration = trace.events[-1].time
@@ -501,19 +505,15 @@ def report_from_series(
 
 
 def run_open_loop(
-    config: _t.Any, params: OpenLoopParams
+    config: ClusterConfig, params: OpenLoopParams
 ) -> OpenLoopReport:
     """Generate and replay one open-loop workload against ``config``.
 
-    Runs through :func:`repro.sim.parallel.run_sharded_replay`, which
-    degenerates to the exact serial engine at one shard — so the same
-    call measures serial and ``--engine-shards`` execution.
     ``preserve_timing=True`` is what makes the replay open loop: every
     request waits for its scheduled arrival, never for its
     predecessor's completion on another stream.
     """
-    from repro.sim.parallel import run_sharded_replay
-
     trace = generate(params)
-    outcome = run_sharded_replay(config, trace, preserve_timing=True)
-    return report_from_series(trace, outcome.total_time, outcome.series)
+    cluster = Cluster(config)
+    makespan = TraceReplayer(cluster, trace, preserve_timing=True).run()
+    return report_from_series(trace, makespan, cluster.metrics.series)

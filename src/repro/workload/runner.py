@@ -43,9 +43,8 @@ class RunOutcome:
     mean_read_latency: float
     mean_write_latency: float
     counters: dict[str, int]
-    #: The live cluster, or ``None`` for sharded replays (each
-    #: shard's cluster lives and dies inside its worker).
-    cluster: Cluster | None
+    #: The live cluster the run executed on.
+    cluster: Cluster
     #: The run's recorded trace (``record=True`` only).
     trace: "Trace | None" = None
 
@@ -146,25 +145,6 @@ def _run_replay(
     from repro.workload.trace import load_path
 
     trace = load_path(trace_source)
-    shards = config.resolved_engine_shards
-    if shards > 1:
-        if record:
-            raise ValueError(
-                "record=True taps one live cluster and cannot observe a "
-                "sharded replay; record with engine_shards=1"
-            )
-        from repro.sim.parallel import run_sharded_replay
-
-        outcome = run_sharded_replay(config, trace, shards=shards)
-        return RunOutcome(
-            instances=_replay_instances(trace, outcome.completion),
-            total_time=outcome.total_time,
-            mean_read_latency=outcome.mean_series("client.read_latency"),
-            mean_write_latency=outcome.mean_series("client.write_latency"),
-            counters=dict(outcome.counters),
-            cluster=None,
-            trace=None,
-        )
     cluster = Cluster(config)
     recorder = _tap(cluster) if record else None
     replayer = TraceReplayer(cluster, trace, preserve_timing=False)

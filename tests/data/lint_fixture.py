@@ -40,8 +40,3 @@ def swallows_kill(env):
         yield env.timeout(1.0)
     except GeneratorExit:  # RPL005: no re-raise
         pass
-
-
-def peek_other_shard(runner):
-    """Cross-shard reach-through the mailbox API is meant to prevent."""
-    return runner.shards[0].env  # RPL007: bypasses the inter-shard mailbox

@@ -8,9 +8,7 @@ from repro.analysis.lint import lint_paths, main
 FIXTURE = Path(__file__).parent / "data" / "lint_fixture.py"
 SRC_TREE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-ALL_CODES = {
-    "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007",
-}
+ALL_CODES = {"RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006"}
 
 
 def test_fixture_trips_every_rule():
@@ -92,39 +90,3 @@ def test_rpl006_exempts_the_engine_package(tmp_path):
     engine = simdir / "engine.py"
     engine.write_text("import heapq\nheapq.heapify([])\n")
     assert lint_paths([engine]) == []
-
-
-def test_rpl007_flags_shard_reach_through(tmp_path):
-    mod = tmp_path / "harness.py"
-    mod.write_text(
-        "def poke(runner, i):\n"
-        "    runner.shards[i].env.schedule(None)\n"
-        "    return self_shards_alias(runner)\n"
-        "\n"
-        "\n"
-        "def self_shards_alias(runner):\n"
-        "    return runner._shards[0].cluster\n"
-    )
-    findings = [f for f in lint_paths([mod]) if f.code == "RPL007"]
-    assert len(findings) == 2
-    assert "mailbox" in findings[0].message
-
-
-def test_rpl007_allows_the_mailbox_api(tmp_path):
-    mod = tmp_path / "harness.py"
-    mod.write_text(
-        "def route(runner, i, envelopes):\n"
-        "    return runner.shards[i].mailbox\n"
-    )
-    assert [f.code for f in lint_paths([mod])] == []
-
-
-def test_rpl007_exempts_the_engine_package(tmp_path):
-    simdir = tmp_path / "repro" / "sim"
-    simdir.mkdir(parents=True)
-    par = simdir / "parallel.py"
-    par.write_text(
-        "def drive(shards):\n"
-        "    return shards[0].env\n"
-    )
-    assert lint_paths([par]) == []

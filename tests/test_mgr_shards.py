@@ -9,11 +9,70 @@ sequence, bit-identical schedule hashes.
 
 import pytest
 
-from repro.cluster.config import ClusterConfig, MGR_SHARDS_ENV_VAR
+from repro.analysis.reset import reset_all
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import (
+    MGR_SHARDS_ENV_VAR,
+    CacheConfig,
+    ClusterConfig,
+)
 from repro.pvfs import protocol
-from repro.sim.parallel import run_sharded_replay
+from repro.sim import Environment
+from repro.workload.replay import TraceReplayer
+from repro.workload.trace import Trace, TraceEvent
 from tests.conftest import make_cluster, run_app
-from tests.test_engine_shards import make_trace, small_config
+
+
+def make_trace(procs: int = 4, events_per: int = 6) -> Trace:
+    """A small deterministic multi-process workload with sharing."""
+    events = []
+    for i in range(procs):
+        process = f"app-{i:02d}"
+        for j in range(events_per):
+            t = (j * procs + i) * 1e-4
+            if j % 3 == 2:
+                events.append(
+                    TraceEvent(
+                        time=t,
+                        process=process,
+                        path="/shared",
+                        op="write",
+                        offset=((i * events_per + j) % 8) * 4096,
+                        nbytes=4096,
+                    )
+                )
+            else:
+                events.append(
+                    TraceEvent(
+                        time=t,
+                        process=process,
+                        path="/shared",
+                        op="read",
+                        offset=((j * 7 + i) % 16) * 4096,
+                        nbytes=8192,
+                    )
+                )
+    return Trace(events=events)
+
+
+def small_config(**overrides) -> ClusterConfig:
+    return ClusterConfig(
+        compute_nodes=4,
+        iod_nodes=4,
+        caching=True,
+        cache=CacheConfig(size_bytes=64 * 4096),
+        **overrides,
+    )
+
+
+def replay_hash(config: ClusterConfig, trace: Trace) -> str:
+    """Schedule hash of a serial closed-loop replay of ``trace``."""
+    reset_all()  # message/connection ids reach process names
+    env = Environment()
+    env.enable_trace_hash()
+    TraceReplayer(Cluster(config, env=env), trace).run()
+    return env.trace_hash()
+
 
 # -- routing -----------------------------------------------------------------
 
@@ -108,19 +167,13 @@ def test_shards_round_robin_over_iod_nodes():
     ]
 
 
-def test_placement_matches_parallel_partitions():
-    """Shard k's node is partition (k % n) of plan_shards' order."""
-    from repro.sim.mailbox import plan_shards
-
-    config = ClusterConfig(compute_nodes=4, iod_nodes=4, mgr_shards=4)
-    from repro.cluster.cluster import Cluster
-
-    cluster = Cluster(config)
-    plan = plan_shards(
-        config.compute_node_names(), config.iod_node_names(), shards=4
-    )
-    for k, (node, _port) in enumerate(cluster.mgr_placements):
-        assert plan.shard_of(node) == k % 4
+def test_placement_is_round_robin_over_iods_then_ports():
+    """Shard k lives on iod ``k % n`` at port ``MGR_PORT + k // n``."""
+    config = ClusterConfig(compute_nodes=4, iod_nodes=4, mgr_shards=6)
+    iods = config.iod_node_names()
+    assert Cluster(config).mgr_placements == [
+        (iods[k % 4], config.MGR_PORT + k // 4) for k in range(6)
+    ]
 
 
 # -- end-to-end routing --------------------------------------------------------
@@ -223,74 +276,29 @@ def test_iod_directory_view_merges_partitions():
 def test_explicit_single_shard_hash_matches_default():
     """mgr_shards=1 is bit-identical to the unset default."""
     trace = make_trace()
-    default = run_sharded_replay(
-        small_config(), trace, shards=1, hash_enabled=True
+    assert replay_hash(small_config(), trace) == replay_hash(
+        small_config(mgr_shards=1), trace
     )
-    explicit = run_sharded_replay(
-        small_config(mgr_shards=1), trace, shards=1, hash_enabled=True
-    )
-    assert default.trace_hash == explicit.trace_hash
 
 
 def test_sharded_mgr_changes_the_schedule():
     trace = make_trace()
-    one = run_sharded_replay(
-        small_config(), trace, shards=1, hash_enabled=True
+    assert replay_hash(small_config(), trace) != replay_hash(
+        small_config(mgr_shards=4), trace
     )
-    four = run_sharded_replay(
-        small_config(mgr_shards=4), trace, shards=1, hash_enabled=True
-    )
-    assert one.trace_hash != four.trace_hash
 
 
 def test_sharded_mgr_is_run_to_run_deterministic():
     trace = make_trace()
-    first = run_sharded_replay(
-        small_config(mgr_shards=4), trace, shards=1, hash_enabled=True
+    assert replay_hash(small_config(mgr_shards=4), trace) == replay_hash(
+        small_config(mgr_shards=4), trace
     )
-    second = run_sharded_replay(
-        small_config(mgr_shards=4), trace, shards=1, hash_enabled=True
-    )
-    assert first.trace_hash == second.trace_hash
 
 
-def test_sharded_mgr_composes_with_engine_shards():
-    """mgr shards compose with the conservative parallel engine:
-    both backends agree bit-for-bit and runs repeat exactly.  (The
-    engine's conservative timing differs from serial by design, so
-    serial-vs-sharded equality is *not* the contract — backend
-    equivalence and determinism are.)"""
-    trace = make_trace()
-    inline = run_sharded_replay(
-        small_config(mgr_shards=2),
-        trace,
-        shards=2,
-        backend="inline",
-        hash_enabled=True,
-    )
-    process = run_sharded_replay(
-        small_config(mgr_shards=2),
-        trace,
-        shards=2,
-        backend="process",
-        hash_enabled=True,
-    )
-    again = run_sharded_replay(
-        small_config(mgr_shards=2),
-        trace,
-        shards=2,
-        backend="inline",
-        hash_enabled=True,
-    )
-    assert inline.shards == 2
-    assert inline.trace_hash == process.trace_hash == again.trace_hash
-    assert inline.completion == process.completion
-
-
-def test_open_loop_knee_moves_serially_and_under_engine_shards():
+def test_open_loop_knee_moves_with_mgr_shards():
     """A saturating open-loop workload completes measurably more
-    ops/s with a sharded mgr — under both execution modes (the p=256
-    version with the ≥2x floor is the bench gate)."""
+    ops/s with a sharded mgr (the p=256 version with the ≥2x floor is
+    the bench gate)."""
     from repro.workload.openloop import OpenLoopParams, generate
 
     params = OpenLoopParams(
@@ -310,19 +318,8 @@ def test_open_loop_knee_moves_serially_and_under_engine_shards():
         config = ClusterConfig(
             compute_nodes=16, iod_nodes=16, mgr_shards=mgr_shards
         )
-        serial = run_sharded_replay(
-            config, trace, shards=1, preserve_timing=True
-        )
-        engine = run_sharded_replay(
-            config, trace, shards=2, preserve_timing=True
-        )
-        again = run_sharded_replay(
-            config, trace, shards=2, preserve_timing=True
-        )
-        assert engine.total_time == again.total_time  # deterministic
-        rates[mgr_shards] = (
-            len(trace) / serial.total_time,
-            len(trace) / engine.total_time,
-        )
-    assert rates[4][0] > 1.5 * rates[1][0]  # serial
-    assert rates[4][1] > 1.5 * rates[1][1]  # engine-sharded
+        makespan = TraceReplayer(
+            Cluster(config), trace, preserve_timing=True
+        ).run()
+        rates[mgr_shards] = len(trace) / makespan
+    assert rates[4] > 1.5 * rates[1]

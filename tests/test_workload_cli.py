@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.config import TRACE_ENV_VAR
 from repro.workload.__main__ import SUBCOMMANDS, main
 from repro.workload.trace import load_path
 
@@ -94,3 +95,13 @@ def test_legacy_invocation_unchanged(capsys):
     capsys.readouterr()
     assert main(["--d", "4096", "--p", "2", "--iterations", "2"]) == 0
     assert "micro-benchmark (caching version)" in capsys.readouterr().out
+
+
+def test_legacy_invocation_replays_under_repro_trace(
+    tmp_path, capsys, monkeypatch
+):
+    out = _record(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+    assert main(RECORD_ARGS) == 0
+    assert "bytes over the wire" in capsys.readouterr().out

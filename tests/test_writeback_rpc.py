@@ -5,8 +5,8 @@ import pytest
 from repro.disk import DiskModel
 from repro.disk.writeback import WritebackDaemon, WritebackItem
 from repro.net import Message, Network, SocketAPI
-from repro.net.rpc import RpcChannel
 from repro.sim import Environment
+from repro.svc.rpc import RpcChannel
 
 
 # -- WritebackDaemon -----------------------------------------------------------
