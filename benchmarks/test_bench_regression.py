@@ -105,14 +105,18 @@ DISK_SPEEDUP_FLOOR = 2.0
 
 #: The macro-event fast path must keep the hit-burst replay at least
 #: this many times faster than the event-level path.  Live same-run
-#: ratio; observed ~3.5-4x (one event per fully-hit read vs the
-#: syscall-compute + lookup-compute + copy-compute event train).
-MACRO_SPEEDUP_FLOOR = 2.0
+#: ratio; observed 2.0-2.2x (one event per fully-hit read vs the
+#: syscall-compute + lookup-compute + copy-compute train, which the
+#: analytic node CPU cut from six events to three — 3.6-4.0x before
+#: that, all of the difference from the event-level side getting
+#: cheaper: 0.085 s -> 0.044 s against 0.022 s -> 0.021 s).
+MACRO_SPEEDUP_FLOOR = 1.5
 
 #: ...and must process at least this many times fewer events for the
 #: same simulated reads.  Event counts are deterministic, so this
-#: ratio is exactly host-independent; observed ~5.9x.
-MACRO_EVENT_RATIO_FLOOR = 2.5
+#: ratio is exactly host-independent; observed 2.97x (9043 -> 3044;
+#: 18044 -> 3046, 5.9x, while a compute cost a grant and a timeout).
+MACRO_EVENT_RATIO_FLOOR = 2.9
 
 #: Replaying a recorded run may process at most this many times the
 #: events of the run it was recorded from.  Event counts are
@@ -265,8 +269,9 @@ def _measure_disk_replay_s(disk_model: str, rounds: int = 3) -> float:
     return min(replay() for _ in range(rounds))
 
 
-def _measure_disk_cold_sweep_s(disk_model: str, rounds: int = 2) -> float:
-    """A quick fig5/fig8-style cold-cache sweep, end to end (best of 2).
+def _measure_disk_cold_sweep_s(disk_model: str, rounds: int = 6) -> float:
+    """A quick fig5/fig8-style cold-cache sweep, end to end (best of 6:
+    the two models end 4-13 % apart, inside the spread of best-of-2).
 
     Four uncached compute nodes stream reads through the full PVFS
     stack with the iod page caches disabled, so every request reaches

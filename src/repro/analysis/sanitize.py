@@ -53,8 +53,9 @@ SANITIZE_ENV_VAR = "REPRO_SANITIZE"
 #: ``1`` checks at every scheduler step.
 EVERY_ENV_VAR = "REPRO_SANITIZE_EVERY"
 
-#: When set to a file path, every executed ``atomic_section`` appends
-#: its label there (first hit per label per reset).  ``python -m
+#: When set to a file path (before import, or before a
+#: ``reset_all()``), every executed ``atomic_section`` appends its
+#: label there (first hit per label per reset).  ``python -m
 #: repro.analysis flow --runtime-coverage FILE`` then reports the
 #: statically known sections the run never reached.
 COVERAGE_ENV_VAR = "REPRO_ATOMIC_COVERAGE_FILE"
@@ -65,19 +66,24 @@ DEFAULT_CHECK_EVERY = 32
 #: only (duplicates in the file are harmless; the reader de-dups).
 _covered_labels: set[str] = set()
 
+#: ``COVERAGE_ENV_VAR`` as of import or the last ``reset_all()``:
+#: ``atomic_section`` sits on the miss path, too hot for an
+#: ``os.environ`` read per call.
+_coverage_path = os.environ.get(COVERAGE_ENV_VAR)
+
 
 @register_reset
-def _reset_covered_labels() -> None:
-    global _covered_labels
+def _reset_coverage() -> None:
+    global _covered_labels, _coverage_path
     _covered_labels = set()
+    _coverage_path = os.environ.get(COVERAGE_ENV_VAR)
 
 
 def _record_coverage(label: str) -> None:
-    path = os.environ.get(COVERAGE_ENV_VAR)
-    if not path or label in _covered_labels:
+    if not _coverage_path or label in _covered_labels:
         return
     _covered_labels.add(label)
-    with open(path, "a") as fh:
+    with open(_coverage_path, "a") as fh:
         fh.write(label + "\n")
 
 
@@ -457,7 +463,9 @@ class CacheSanitizer:
                     f"in-flight reservation for {key} but the key is "
                     "already resident"
                 )
-            if reservation.triggered:
+            # ``None``: no rival has asked to wait yet (the first
+            # waiter materialises the event).
+            if reservation is not None and reservation.triggered:
                 self._fail(
                     f"in-flight reservation for {key} already fired but "
                     "was not removed"

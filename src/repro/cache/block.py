@@ -24,7 +24,7 @@ import typing as _t
 from repro.cache.ranges import ByteRanges
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.sim import Event
+    from repro.sim import Environment, Event
 
 
 class BlockState(enum.Enum):
@@ -74,7 +74,9 @@ class CacheBlock:
         #: Bumped on every dirtying write; the flusher only marks a
         #: block clean if the epoch it captured is still current.
         self.dirty_epoch = 0
-        #: Set while PENDING; fires when the fetch lands.
+        #: Fires when the fetch lands.  Created by the first *waiter*
+        #: (:meth:`ready`), so a PENDING block nobody waits on costs
+        #: no event; ``None`` otherwise.
         self.ready_event: "Event | None" = None
         #: Invalidated while pinned: dropped as soon as the last pin
         #: releases (deferred coherence eviction).
@@ -84,14 +86,25 @@ class CacheBlock:
         self.sweep_mark = 0
 
     # -- state transitions ---------------------------------------------------
-    def assign(self, key: BlockKey, ready_event: "Event") -> None:
+    def assign(self, key: BlockKey) -> None:
         """FREE -> PENDING under ``key``."""
         if self.state is not BlockState.FREE:
             raise RuntimeError(f"assign on non-free block {self!r}")
         self.key = key
         self.state = BlockState.PENDING
-        self.ready_event = ready_event
         self.refbit = True
+
+    def ready(self, env: "Environment") -> "Event":
+        """The event a waiter yields while the block is PENDING.
+
+        Waiters register before :meth:`make_ready`/:meth:`reset` run
+        (both are synchronous), so an event that was never asked for
+        here is provably unobserved and need not exist.
+        """
+        event = self.ready_event
+        if event is None:
+            event = self.ready_event = env.event()
+        return event
 
     def merge_fetch(self, start: int, end: int, data: bytes | None) -> None:
         """Merge a fetched range without clobbering dirty bytes."""

@@ -34,7 +34,7 @@ class FreeList:
         for block in blocks:
             if block.state is not BlockState.FREE:
                 raise ValueError(f"{block!r} is not free")
-            self._store.put(block)
+            self._store.put_nowait(block)
             self._count += 1
         #: Called (synchronously) whenever the free count drops below
         #: the low watermark; the harvester hooks this to wake up.
@@ -74,5 +74,5 @@ class FreeList:
         """Return a reset block to the pool."""
         if block.state is not BlockState.FREE:
             raise ValueError(f"release of non-free block {block!r}")
-        self._store.put(block)
+        self._store.put_nowait(block)
         self._count += 1

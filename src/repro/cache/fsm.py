@@ -30,20 +30,30 @@ class FSMState(enum.Enum):
     COPY = "copy"
     DONE = "done"
 
+    #: Legal next states (an annotation, not a member; filled in from
+    #: ``TRANSITIONS`` below).
+    successors: "tuple[FSMState, ...]"
+
 
 #: Legal transitions.  A fully-hit request jumps LOOKUP -> COPY; a
 #: request with misses walks the full chain.
-TRANSITIONS: dict[FSMState, frozenset[FSMState]] = {
-    FSMState.IDLE: frozenset({FSMState.LOOKUP}),
-    FSMState.LOOKUP: frozenset(
-        {FSMState.REQUESTS_ISSUED, FSMState.COPY, FSMState.DONE}
+TRANSITIONS: dict[FSMState, tuple[FSMState, ...]] = {
+    FSMState.IDLE: (FSMState.LOOKUP,),
+    FSMState.LOOKUP: (
+        FSMState.REQUESTS_ISSUED, FSMState.COPY, FSMState.DONE
     ),
-    FSMState.REQUESTS_ISSUED: frozenset({FSMState.ACK_FAKED}),
-    FSMState.ACK_FAKED: frozenset({FSMState.AWAIT_DATA}),
-    FSMState.AWAIT_DATA: frozenset({FSMState.COPY}),
-    FSMState.COPY: frozenset({FSMState.DONE}),
-    FSMState.DONE: frozenset(),
+    FSMState.REQUESTS_ISSUED: (FSMState.ACK_FAKED,),
+    FSMState.ACK_FAKED: (FSMState.AWAIT_DATA,),
+    FSMState.AWAIT_DATA: (FSMState.COPY,),
+    FSMState.COPY: (FSMState.DONE,),
+    FSMState.DONE: (),
 }
+
+# Mirrored onto the members so the per-transition check is an attribute
+# load and an identity scan: hashing an Enum (dict key, frozenset
+# member) runs the Python-level ``Enum.__hash__`` every time.
+for _state, _successors in TRANSITIONS.items():
+    _state.successors = _successors
 
 
 class IllegalTransition(RuntimeError):
@@ -69,7 +79,7 @@ class RequestFSM:
 
     def to(self, state: FSMState) -> None:
         """Transition to ``state`` (raises IllegalTransition)."""
-        if state not in TRANSITIONS[self.state]:
+        if state not in self.state.successors:
             raise IllegalTransition(
                 f"illegal transition {self.state.value} -> {state.value}"
             )

@@ -15,7 +15,7 @@ from repro.cache.freelist import FreeList
 from repro.cache.hashtable import BlockHashTable
 from repro.cluster.config import CacheConfig
 from repro.metrics import Metrics
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 
 @shared_state("table", "freelist", "dirtylist", "policy", "_inflight")
@@ -57,7 +57,9 @@ class BufferManager:
             self.policy: _t.Any = ClockPolicy()
         else:
             self.policy = ExactLRUPolicy()
-        self._inflight: dict[BlockKey, _t.Any] = {}
+        #: Keys being allocated -> the event rivals wait on, or None
+        #: while no rival has shown up.
+        self._inflight: dict[BlockKey, Event | None] = {}
         #: Opt-in runtime checker (REPRO_SANITIZE=1): validates the
         #: block-accounting invariant at scheduler-step granularity
         #: and arms the atomic_section race detector.  None in
@@ -99,22 +101,23 @@ class BufferManager:
             if block is not None:
                 self.policy.touch(block)
                 return block, True
-            pending = self._inflight.get(key)
-            if pending is not None:
-                # Someone else is allocating this key: wait, then
+            if key in self._inflight:
+                # Someone else is allocating this key: wait on their
+                # reservation (materialised by its first waiter), then
                 # re-probe (their block may even be gone again).
+                pending = self._inflight[key]
+                if pending is None:
+                    pending = self._inflight[key] = self.env.event()
                 yield pending
                 continue
-            reservation = self.env.event()
             # The flow analyzer's linear model cannot see that waiting
             # on a rival's reservation loops back to a fresh re-probe
             # (the `continue` above) before reaching this write.
-            self._inflight[key] = reservation  # noqa: RPL100 - re-probed after wait
+            self._inflight[key] = None  # noqa: RPL100 - re-probed after wait
             try:
                 block = yield from self.freelist.acquire()
             except BaseException:
-                del self._inflight[key]
-                reservation.succeed(None)
+                self._resolve_reservation(key, None)
                 raise
             # The allocation commit must stay atomic (no yields): a
             # second requester probing between insert and the
@@ -122,17 +125,24 @@ class BufferManager:
             with atomic_section(
                 self.table, self.policy, label="get_or_allocate.commit"
             ):
-                block.assign(key, self.env.event())
+                block.assign(key)
                 # The miss-probe of `table` happened before the
                 # freelist wait, but a rival insert of this key is
                 # impossible: our _inflight reservation (registered
                 # with no intervening yield) makes rivals wait.
                 self.table.insert(block)  # noqa: RPL100 - guarded by reservation
                 self.policy.admit(block)
-                del self._inflight[key]
-                reservation.succeed(block)
+                self._resolve_reservation(key, block)
             self.metrics.inc(f"{self.name}.allocations")
             return block, False
+
+    def _resolve_reservation(
+        self, key: BlockKey, block: CacheBlock | None
+    ) -> None:
+        """Drop ``key``'s reservation, waking whoever waited on it."""
+        reservation = self._inflight.pop(key)
+        if reservation is not None:
+            reservation.succeed(block)
 
     # -- dirty tracking ------------------------------------------------------------
     def note_write(self, block: CacheBlock) -> None:

@@ -71,6 +71,8 @@ class CacheModule(Service):
         self.iod_port = iod_port
         self.invalidate_port = invalidate_port
         self.block_size = config.block_size
+        #: Bytes per request segment (see :meth:`_segments`).
+        self._seg_bytes = config.effective_segment_blocks * config.block_size
         self.manager = BufferManager(node.env, config, metrics)
         self.flusher = self.adopt(
             Flusher(
@@ -155,7 +157,7 @@ class CacheModule(Service):
     ) -> _t.Iterator[tuple[int, int]]:
         """Split a request into block-bounded segments of at most
         ``effective_segment_blocks`` blocks."""
-        seg_bytes = self.config.effective_segment_blocks * self.block_size
+        seg_bytes = self._seg_bytes
         pos = offset
         end = offset + nbytes
         while pos < end:
@@ -199,9 +201,7 @@ class CacheModule(Service):
                 return served
         buf = bytearray(nbytes) if want_data else None
         yield from self._pipeline_segments(
-            offset,
-            nbytes,
-            lambda so, sn: self._read_segment(handle, so, sn, buf, offset),
+            offset, nbytes, self._read_segment, handle, buf, offset
         )
         self.metrics.inc("cache.read_requests")
         if self.readahead is not None:
@@ -237,9 +237,8 @@ class CacheModule(Service):
         ``2 x segment_blocks``; acceptable because nothing can evict
         mid-event.  See DESIGN.md §14 for the validity envelope.
         """
-        cpu = self.node.cpu
-        grant = cpu.acquire_now()
-        if grant is None:
+        node = self.node
+        if not node.cpu_idle:
             return MACRO_MISS
         manager = self.manager
         file_id = handle.file_id
@@ -257,8 +256,8 @@ class CacheModule(Service):
                 block.pin()
                 pinned.append((block, block_no, start, end))
             n = len(block_nos)
-            costs = self.node.costs
-            yield self.env.timeout(
+            costs = node.costs
+            yield from node.compute(
                 pre_compute_s
                 + (costs.cache_lookup_s + costs.cache_copy_block_s) * n
             )
@@ -272,7 +271,7 @@ class CacheModule(Service):
                         buf[dst : dst + (end - start)] = piece
             # Mirror the per-segment counters so fig4/fig5 hit ratios
             # stay comparable across the seam, plus macro-only ones.
-            seg_bytes = self.config.effective_segment_blocks * bs
+            seg_bytes = self._seg_bytes
             n_segs = (offset + nbytes - 1) // seg_bytes - offset // seg_bytes + 1
             metrics = self.metrics
             metrics.inc("cache.hits", n)
@@ -280,16 +279,15 @@ class CacheModule(Service):
             metrics.inc("cache.fully_hit_segments", n_segs)
             metrics.inc("cache.read_requests")
             metrics.inc("cache.macro_reads")
-            # Estimated: each avoided segment costs ~2 computes (grant +
+            # Estimated: each avoided segment costs 2 computes (one
             # timeout each) on the event-level path; we spent one event.
-            self.env.note_coalesced_burst(events_saved=4 * n_segs - 1)
+            self.env.note_coalesced_burst(events_saved=2 * n_segs - 1)
             if self.readahead is not None:
                 self.readahead.observe_read(handle, block_nos[0], n)
             return bytes(buf) if buf is not None else None
         finally:
             for block, _block_no, _start, _end in pinned:
                 manager.unpin(block)
-            cpu.release(grant)
 
     #: How many segments of one request may be in flight at once.
     #: Depth 2 keeps the wire busy across segment boundaries while
@@ -300,19 +298,33 @@ class CacheModule(Service):
         self,
         offset: int,
         nbytes: int,
-        run_segment: _t.Callable[[int, int], _t.Generator],
+        run_segment: _t.Callable[..., _t.Generator],
+        *args: _t.Any,
     ) -> _t.Generator:
-        """Run a request's segments with bounded overlap."""
-        segments = list(self._segments(offset, nbytes))
-        if len(segments) == 1:
-            yield from run_segment(*segments[0])
-            return
+        """Run a request's segments with bounded overlap: the generator
+        of ``run_segment(seg_offset, seg_nbytes, *args)`` itself when
+        the request fits one segment (the common case), else a
+        pipelining one."""
+        seg_bytes = self._seg_bytes
+        if offset // seg_bytes == (offset + nbytes - 1) // seg_bytes:
+            return run_segment(offset, nbytes, *args)
+        return self._run_pipelined(
+            list(self._segments(offset, nbytes)), run_segment, args
+        )
+
+    def _run_pipelined(
+        self,
+        segments: list[tuple[int, int]],
+        run_segment: _t.Callable[..., _t.Generator],
+        args: tuple,
+    ) -> _t.Generator:
+        """Process body: at most ``PIPELINE_DEPTH`` segments in flight."""
         if len(segments) <= self.PIPELINE_DEPTH:
             # Few enough segments that the depth limit cannot bind:
             # skip the slot Resource entirely (its request/grant events
             # are pure overhead when every grant is immediate).
             procs = [
-                self.env.process(run_segment(so, sn), name=f"seg-{so}")
+                self.env.process(run_segment(so, sn, *args), name=f"seg-{so}")
                 for so, sn in segments
             ]
             yield self.env.all_of(procs)
@@ -324,7 +336,7 @@ class CacheModule(Service):
         def runner(so: int, sn: int) -> _t.Generator:
             with slots.request() as req:
                 yield req
-                yield from run_segment(so, sn)
+                yield from run_segment(so, sn, *args)
 
         procs = [
             self.env.process(runner(so, sn), name=f"seg-{so}")
@@ -334,9 +346,9 @@ class CacheModule(Service):
 
     def _read_segment(
         self,
-        handle: FileHandle,
         offset: int,
         nbytes: int,
+        handle: FileHandle,
         buf: bytearray | None,
         request_base: int,
     ) -> _t.Generator:
@@ -426,14 +438,13 @@ class CacheModule(Service):
                 # data instead of issuing a duplicate request.  This is
                 # the inter-application de-duplication path.
                 self.metrics.inc("cache.pending_waits")
-                if block.ready_event is not None:
-                    try:
-                        yield block.ready_event
-                    except RuntimeError:
-                        # Fetch owner disappeared; retry from scratch.
-                        self.manager.unpin(block)
-                        pinned.remove(block)
-                        continue
+                try:
+                    yield block.ready(self.env)
+                except RuntimeError:
+                    # Fetch owner disappeared; retry from scratch.
+                    self.manager.unpin(block)
+                    pinned.remove(block)
+                    continue
             if block.valid.covers(start, end):
                 self.metrics.inc("cache.hits")
                 return
@@ -584,11 +595,7 @@ class CacheModule(Service):
         if nbytes == 0:
             return
         yield from self._pipeline_segments(
-            offset,
-            nbytes,
-            lambda so, sn: self._write_segment(
-                handle, so, sn, data, offset, sync=False
-            ),
+            offset, nbytes, self._write_segment, handle, data, offset, False
         )
         self.metrics.inc("cache.write_requests")
 
@@ -603,19 +610,15 @@ class CacheModule(Service):
         if nbytes == 0:
             return
         yield from self._pipeline_segments(
-            offset,
-            nbytes,
-            lambda so, sn: self._write_segment(
-                handle, so, sn, data, offset, sync=True
-            ),
+            offset, nbytes, self._write_segment, handle, data, offset, True
         )
         self.metrics.inc("cache.sync_write_requests")
 
     def _write_segment(
         self,
-        handle: FileHandle,
         offset: int,
         nbytes: int,
+        handle: FileHandle,
         data: bytes | None,
         request_base: int,
         sync: bool,

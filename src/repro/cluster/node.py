@@ -8,7 +8,7 @@ from repro.cluster.config import ClusterConfig, CostModel
 from repro.disk import DiskModel, LocalFileStore, PageCache, QueuedDiskModel
 from repro.disk.writeback import WritebackDaemon
 from repro.net import Network, SocketAPI
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Timeout
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.cache.module import CacheModule
@@ -17,8 +17,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 class Node:
     """One box of the cluster.
 
-    Every node has a CPU (a unit resource — processes time-share it
-    FIFO, which is how the multiprogramming cost of Section 4.2.4
+    Every node has a CPU (one FIFO server — processes time-share it in
+    call order, which is how the multiprogramming cost of Section 4.2.4
     arises) and a socket API.  Nodes hosting an iod additionally carry
     the disk stack; compute nodes may carry the kernel cache module.
     """
@@ -36,7 +36,14 @@ class Node:
         self.name = name
         self.costs = costs
         self.config = config
-        self.cpu = Resource(env, capacity=1)
+        #: Instant the CPU finishes everything granted so far.  Every
+        #: hold is a fixed, non-preemptive duration served in call
+        #: order, so this one float *is* the FIFO queue (the busy-until
+        #: idiom of :mod:`repro.disk.queued`; DESIGN.md §14).
+        self.cpu_free_at = 0.0
+        #: Completion event of the last slice granted.  Busy means it
+        #: has not been processed yet.
+        self._cpu_tail: Timeout | None = None
         self.sockets = SocketAPI(network, name)
         self.disk: DiskModel | None = None
         self.filestore: LocalFileStore | None = None
@@ -71,15 +78,28 @@ class Node:
         """Process body: occupy this node's CPU for ``seconds``.
 
         Queueing behind other runnable work on the node is how CPU
-        time-sharing costs appear.
+        time-sharing costs appear.  The slice is reserved at call time:
+        a process killed while it waits leaves its slice on the CPU
+        (nothing in the tree preempts a hold, so nothing reclaims one).
         """
         if seconds < 0:
             raise ValueError(f"negative compute time {seconds}")
         if seconds == 0:
             return
-        with self.cpu.request() as req:
-            yield req
-            yield self.env.timeout(seconds)
+        env = self.env
+        start = env.now if self.cpu_idle else self.cpu_free_at
+        self.cpu_free_at = done = start + seconds
+        # Queued behind a running slice, the completion goes on the
+        # event queue when that slice completes, which is when a
+        # hand-over would have drawn its tie-break sequence number.
+        self._cpu_tail = event = env.timeout_at(done, after=self._cpu_tail)
+        yield event
+
+    @property
+    def cpu_idle(self) -> bool:
+        """True when nothing granted is still running (or queued)."""
+        tail = self._cpu_tail
+        return tail is None or tail.callbacks is None
 
     def __repr__(self) -> str:
         roles = []

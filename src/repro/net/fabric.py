@@ -191,8 +191,10 @@ class SwitchedFabric(Fabric):
         rx = self._channel(self._rx, dst)
         if tx._holders or tx._waiting or rx._holders or rx._waiting:
             return False
-        tx_req = tx.request()  # grants synchronously: channel is idle
-        rx_req = rx.request()
+        # Idle channels: claim both without grant events nobody yields.
+        tx_req = tx.acquire_now()
+        rx_req = rx.acquire_now()
+        assert tx_req is not None and rx_req is not None
         env = self.env
 
         wire_s = self.frame_time(max(size_bytes, 1))

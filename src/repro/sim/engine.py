@@ -180,6 +180,50 @@ class Environment:
         """An event firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(
+        self, when: float, value: _t.Any = None, after: Event | None = None
+    ) -> Timeout:
+        """An event firing at the *absolute* instant ``when`` (>= now).
+
+        Not ``timeout(when - now)``: that fires at ``now + (when -
+        now)``, which need not be the float ``when``.  Analytic servers
+        (:meth:`repro.cluster.node.Node.compute`) chain completion
+        times as ``start + seconds`` and need exactly that float on the
+        queue.
+
+        With ``after`` (an event not yet processed) the timeout is
+        queued — and draws the sequence number that breaks ties among
+        same-instant events — only when ``after`` is processed, as if
+        whoever waits on it had been handed over to at that moment.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when} is in the past (now={self._now})")
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event.delay = when - self._now
+        event._ok = True
+        event._value = value
+        if after is None or after.callbacks is None:
+            self._queue_at(when, event)
+        else:
+            after.callbacks.append(lambda _ev: self._queue_at(when, event))
+        return event
+
+    def _queue_at(self, when: float, event: Event) -> None:
+        self._seq += 1
+        entry = (when, 1, self._seq, event)
+        if when == self._now:
+            self._due.append(entry)
+        elif self._nf is None:
+            self._nf = entry
+        else:
+            self._push_future(entry)
+        d = self._depth + 1
+        self._depth = d
+        if d > self._depth_hw:
+            self._depth_hw = d
+
     def timer(self, on_fire: _t.Callable[[Timer], None]) -> Timer:
         """A reschedulable timer calling ``on_fire(timer)`` when it fires.
 

@@ -1,8 +1,8 @@
 """Shared-resource primitives: counting resources, locks, FIFO stores.
 
-These model contention points in the simulated cluster: a node's CPU is
-a :class:`Resource`, the cache module's per-bucket locks are
-:class:`Lock` objects, and every daemon's request queue is a
+These model contention points in the simulated cluster: a switch port
+or a disk arm is a :class:`Resource`, the cache module's per-bucket
+locks are :class:`Lock` objects, and every daemon's request queue is a
 :class:`Store`.
 """
 
@@ -79,13 +79,13 @@ class Resource:
     def acquire_now(self) -> Request | None:
         """Claim one unit synchronously, or ``None`` if it would queue.
 
-        The macro-event fast path (DESIGN.md §14) uses this to grab an
-        idle CPU without a request/grant event round-trip.  The
-        returned request is born granted and processed — nothing is
-        scheduled, so the grant leaves no trace-visible events — and
-        is released via :meth:`release` (or ``with``) exactly like an
-        ordinary request.  Refused whenever anyone is waiting, so FIFO
-        fairness against queued requests is preserved.
+        The switched fabric's single-frame fast path (DESIGN.md §14)
+        uses this to take idle ports without a grant event nobody
+        yields.  The returned request is born granted and processed —
+        nothing is scheduled, so the grant leaves no trace-visible
+        events — and is released via :meth:`release` (or ``with``)
+        exactly like an ordinary request.  Refused whenever anyone is
+        waiting, so FIFO fairness against queued requests is preserved.
         """
         if self._waiting or len(self._holders) >= self.capacity:
             return None
@@ -191,6 +191,22 @@ class Store:
         self._putters.append((event, item))
         self._dispatch()
         return event
+
+    def put_nowait(self, item: _t.Any) -> None:
+        """Queue an item without an admission event.
+
+        For producers that never wait on the :class:`StorePut` (the
+        cache free list): the item is admitted and handed to a waiting
+        getter exactly as :meth:`put` would, minus the event nobody
+        observes.  Only legal while the store has room.
+        """
+        if self._putters or len(self._items) >= self.capacity:
+            raise RuntimeError("put_nowait on a full store")
+        if self._getters:
+            # Getters only queue on an empty store, so FIFO order holds.
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
 
     def get(self) -> StoreGet:
         """Request an item; the event fires with it."""

@@ -51,8 +51,10 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
+import sys
 import typing as _t
 import warnings
 
@@ -89,9 +91,13 @@ def canonical_op(op: str) -> str:
     return op
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One I/O request of a workload trace."""
+    """One I/O request of a workload trace.
+
+    Slotted: long traces hold hundreds of thousands of these, and a
+    per-event ``__dict__`` more than doubles their footprint.
+    """
 
     time: float
     process: str
@@ -114,7 +120,8 @@ class TraceEvent:
     count: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "op", canonical_op(self.op))
+        if self.op not in CANONICAL_OPS:  # legacy alias, or unknown (raises)
+            object.__setattr__(self, "op", canonical_op(self.op))
         if not math.isfinite(self.time):
             raise TraceFormatError(f"non-finite event time {self.time!r}")
         if self.offset < 0 or self.nbytes < 0:
@@ -159,29 +166,37 @@ class TraceEvent:
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict[str, _t.Any]:
-        """The event as a JSON-ready dict (defaults omitted)."""
-        obj: dict[str, _t.Any] = {
-            "time": self.time,
-            "process": self.process,
-            "path": self.path,
-            "op": self.op,
-            "offset": self.offset,
-            "nbytes": self.nbytes,
-        }
+        """The event as a JSON-ready dict (defaults omitted).
+
+        Keys are inserted in sorted order, so serializers need no
+        ``sort_keys`` pass to produce the canonical bytes.
+        """
+        obj: dict[str, _t.Any] = {}
         if self.app:
             obj["app"] = self.app
+        if self.count > 1:
+            obj["count"] = self.count
         if self.instance:
             obj["instance"] = self.instance
-        if self.think_s:
-            obj["think_s"] = self.think_s
+        obj["nbytes"] = self.nbytes
+        obj["offset"] = self.offset
+        obj["op"] = self.op
+        obj["path"] = self.path
+        obj["process"] = self.process
         if self.count > 1:
             obj["stride"] = self.stride
-            obj["count"] = self.count
+        if self.think_s:
+            obj["think_s"] = self.think_s
+        obj["time"] = self.time
         return obj
 
     @classmethod
     def from_json(cls, obj: _t.Any, line_no: int | None = None) -> "TraceEvent":
-        """Parse one event object (strict on required fields/types)."""
+        """Parse one event object (strict on required fields/types).
+
+        Strings are interned: a decoded trace would otherwise carry a
+        private copy of every process, path, op and app name per event.
+        """
         where = f" (line {line_no})" if line_no is not None else ""
         if not isinstance(obj, dict):
             raise TraceFormatError(f"event is not an object{where}: {obj!r}")
@@ -189,15 +204,16 @@ class TraceEvent:
                    if k not in obj]
         if missing:
             raise TraceFormatError(f"event missing fields {missing}{where}")
+        intern = sys.intern
         try:
             return cls(
                 time=float(obj["time"]),
-                process=str(obj["process"]),
-                path=str(obj["path"]),
-                op=str(obj["op"]),
+                process=intern(str(obj["process"])),
+                path=intern(str(obj["path"])),
+                op=intern(str(obj["op"])),
                 offset=int(obj["offset"]),
                 nbytes=int(obj["nbytes"]),
-                app=str(obj.get("app", "")),
+                app=intern(str(obj.get("app", ""))),
                 instance=int(obj.get("instance", 0)),
                 think_s=float(obj.get("think_s", 0.0)),
                 stride=int(obj.get("stride", 0)),
@@ -229,7 +245,12 @@ class Trace:
     version: int = TRACE_VERSION
 
     def __post_init__(self) -> None:
-        self.events = sorted(self.events, key=_sort_key)
+        # Always a fresh list; the sort (and its list of key tuples)
+        # only when one pass finds it out of canonical order.
+        self.events = events = list(self.events)
+        keys = map(_sort_key, events)
+        if not all(a <= b for a, b in itertools.pairwise(keys)):
+            events.sort(key=_sort_key)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -272,9 +293,8 @@ class Trace:
         """
         acc = hashlib.blake2b(digest_size=16)
         for event in self.events:
-            acc.update(
-                json.dumps(event.to_json(), sort_keys=True).encode()
-            )
+            # to_json() keys are already sorted.
+            acc.update(json.dumps(event.to_json()).encode())
             acc.update(b"\n")
         return acc.hexdigest()
 
@@ -297,8 +317,8 @@ class Trace:
             "meta": self.meta,
         }
         fp.write(json.dumps(header, sort_keys=True) + "\n")
-        for event in self.events:
-            fp.write(json.dumps(event.to_json(), sort_keys=True) + "\n")
+        dumps = json.dumps
+        fp.writelines(dumps(e.to_json()) + "\n" for e in self.events)
         return len(self.events)
 
     def dumps(self) -> str:
@@ -338,14 +358,27 @@ def _warn_legacy_ops(n: int) -> None:
     )
 
 
-def _load_jsonl(lines: list[str]) -> Trace:
+def _iter_lines(text: str) -> _t.Iterator[str]:
+    """The ``\\n``-separated lines of ``text``, one at a time (a long
+    trace's ``splitlines()`` list is as big as the text itself)."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        yield text[pos:end]
+        pos = end + 1
+
+
+def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
+    first = next(lines, "")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"malformed trace header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise TraceFormatError(
-            f"not a {TRACE_FORMAT} header: {lines[0][:80]!r}"
+            f"not a {TRACE_FORMAT} header: {first[:80]!r}"
         )
     version = header.get("version")
     if version not in (1, TRACE_VERSION):
@@ -355,7 +388,7 @@ def _load_jsonl(lines: list[str]) -> Trace:
         )
     events: list[TraceEvent] = []
     legacy_ops = 0
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
@@ -429,11 +462,11 @@ def loads(text: str) -> Trace:
     A leading ``{`` means the native JSONL format; anything else is
     tried as the version-1 CSV dialect.
     """
-    stripped = text.lstrip()
-    if not stripped:
+    first = next((ch for ch in text if not ch.isspace()), "")
+    if not first:
         raise TraceFormatError("empty trace")
-    if stripped.startswith("{"):
-        return _load_jsonl(text.splitlines())
+    if first == "{":
+        return _load_jsonl(_iter_lines(text))
     return _load_csv(text)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 from repro.analysis import sanitize
 from repro.analysis.flow import analyze_paths, main
 from repro.analysis.lint import lint_paths
+from repro.analysis.reset import reset_all
 from repro.analysis.shared import declared_shared, shared_state
 
 DATA = Path(__file__).parent / "data"
@@ -138,7 +139,7 @@ def test_runtime_coverage_reports_unexecuted_sections(
 ):
     coverage = tmp_path / "coverage.txt"
     monkeypatch.setenv(sanitize.COVERAGE_ENV_VAR, str(coverage))
-    monkeypatch.setattr(sanitize, "_covered_labels", set())
+    reset_all()  # the variable is resolved here, not per section
     with sanitize.atomic_section(object(), label="good_section"):
         pass
     # only one of the fixture's two sections executed: a gap remains
@@ -150,6 +151,27 @@ def test_runtime_coverage_reports_unexecuted_sections(
         pass
     assert main(["--runtime-coverage", str(coverage), str(ATOMIC)]) == 0
     assert "all 2 atomic_section site(s) covered" in capsys.readouterr().out
+
+
+def test_coverage_file_is_resolved_at_reset_and_labels_recorded_once(
+    tmp_path, monkeypatch
+):
+    coverage = tmp_path / "coverage.txt"
+    monkeypatch.setenv(sanitize.COVERAGE_ENV_VAR, str(coverage))
+    with sanitize.atomic_section(object(), label="too_early"):
+        pass
+    assert not coverage.exists()  # set after import, before any reset
+    reset_all()
+    for _ in range(3):
+        for label in ("first", "second"):
+            with sanitize.atomic_section(object(), label=label):
+                pass
+    assert coverage.read_text().splitlines() == ["first", "second"]
+    monkeypatch.delenv(sanitize.COVERAGE_ENV_VAR)
+    reset_all()
+    with sanitize.atomic_section(object(), label="third"):
+        pass
+    assert coverage.read_text().splitlines() == ["first", "second"]
 
 
 def test_runtime_coverage_flags_unknown_labels(tmp_path, capsys):

@@ -21,11 +21,14 @@ def test_new_block_is_free():
 def test_assign_makes_pending():
     env = Environment()
     b = _block()
-    ev = env.event()
-    b.assign((1, 0), ev)
+    b.assign((1, 0))
     assert b.state is BlockState.PENDING
     assert b.key == (1, 0)
-    assert b.ready_event is ev
+    # Nobody waits yet, so no event exists; the first waiter makes it.
+    assert b.ready_event is None
+    ev = b.ready(env)
+    assert b.ready_event is ev and b.ready(env) is ev
+    assert not ev.triggered
     assert b.refbit
     assert not b.is_evictable  # pending blocks cannot be evicted
 
@@ -33,15 +36,15 @@ def test_assign_makes_pending():
 def test_assign_nonfree_raises():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     with pytest.raises(RuntimeError):
-        b.assign((1, 1), env.event())
+        b.assign((1, 1))
 
 
 def test_write_dirties():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.write(0, 100, b"x" * 100)
     assert b.state is BlockState.DIRTY
     assert b.dirty.covers(0, 100)
@@ -59,7 +62,7 @@ def test_write_to_free_raises():
 def test_write_sizeless_mode():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.write(0, 4096, None)
     assert b.state is BlockState.DIRTY
     assert b.data is None
@@ -69,7 +72,7 @@ def test_write_sizeless_mode():
 def test_bounds_checking():
     env = Environment()
     b = _block(size=4096)
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     with pytest.raises(ValueError):
         b.write(0, 4097, None)
     with pytest.raises(ValueError):
@@ -81,7 +84,7 @@ def test_bounds_checking():
 def test_merge_fetch_respects_dirty_bytes():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.write(100, 200, b"D" * 100)  # dirty bytes 100..200
     b.merge_fetch(0, 4096, b"F" * 4096)
     assert b.read_slice(0, 100) == b"F" * 100
@@ -92,9 +95,9 @@ def test_merge_fetch_respects_dirty_bytes():
 
 def test_make_ready_fires_event_and_becomes_clean():
     env = Environment()
-    ev = env.event()
     b = _block()
-    b.assign((1, 0), ev)
+    b.assign((1, 0))
+    ev = b.ready(env)
     b.merge_fetch(0, 4096, None)
     b.make_ready()
     assert b.state is BlockState.CLEAN
@@ -102,10 +105,20 @@ def test_make_ready_fires_event_and_becomes_clean():
     assert ev.triggered and ev.value is b
 
 
+def test_make_ready_without_waiters_schedules_nothing():
+    env = Environment()
+    b = _block()
+    b.assign((1, 0))
+    b.make_ready()
+    assert b.state is BlockState.CLEAN
+    assert b.ready_event is None
+    assert env.peek() == float("inf")
+
+
 def test_make_ready_stays_dirty_if_written_while_pending():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.write(0, 10, None)
     b.merge_fetch(0, 4096, None)
     b.make_ready()
@@ -115,7 +128,7 @@ def test_make_ready_stays_dirty_if_written_while_pending():
 def test_mark_clean_epoch_guard():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.make_ready()
     b.write(0, 10, None)
     epoch = b.dirty_epoch
@@ -135,7 +148,7 @@ def test_mark_clean_on_clean_is_false():
 def test_reset_clears_everything():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.write(0, 10, b"z" * 10)
     b.make_ready()
     b.reset()
@@ -148,9 +161,9 @@ def test_reset_clears_everything():
 
 def test_reset_pending_fails_waiters():
     env = Environment()
-    ev = env.event()
     b = _block()
-    b.assign((1, 0), ev)
+    b.assign((1, 0))
+    ev = b.ready(env)
     b.reset()
     assert ev.triggered and not ev.ok
 
@@ -158,7 +171,7 @@ def test_reset_pending_fails_waiters():
 def test_reset_pinned_raises():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.pin()
     with pytest.raises(RuntimeError):
         b.reset()
@@ -167,7 +180,7 @@ def test_reset_pinned_raises():
 def test_pin_unpin():
     env = Environment()
     b = _block()
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     b.make_ready()
     assert b.is_evictable
     b.pin()

@@ -9,7 +9,7 @@ from repro.sim import Environment
 
 def _clean_block(env, index):
     b = CacheBlock(index, 4096)
-    b.assign((1, index), env.event())
+    b.assign((1, index))
     b.make_ready()
     b.refbit = False
     return b
@@ -17,7 +17,7 @@ def _clean_block(env, index):
 
 def _dirty_block(env, index):
     b = CacheBlock(index, 4096)
-    b.assign((1, index), env.event())
+    b.assign((1, index))
     b.write(0, 10, None)
     b.refbit = False
     return b
@@ -69,7 +69,7 @@ def test_pinned_and_pending_never_selected(policy_cls):
     pinned = _clean_block(env, 0)
     pinned.pin()
     pending = CacheBlock(1, 4096)
-    pending.assign((1, 1), env.event())
+    pending.assign((1, 1))
     pending.refbit = False
     for b in (pinned, pending):
         p.admit(b)

@@ -12,7 +12,7 @@ from repro.sim import Environment
 def _resident_block(index, key):
     env = Environment()
     b = CacheBlock(index, 4096)
-    b.assign(key, env.event())
+    b.assign(key)
     return b
 
 

@@ -26,7 +26,7 @@ def test_freelist_initial_count():
 def test_freelist_requires_free_blocks():
     env = Environment()
     b = CacheBlock(0, 4096)
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     with pytest.raises(ValueError):
         FreeList(env, [b], low_blocks=1, high_blocks=2)
 
@@ -39,7 +39,7 @@ def test_freelist_acquire_release_cycle():
     def proc(env):
         blk = yield from fl.acquire()
         got.append(blk)
-        blk.assign((1, 0), env.event())
+        blk.assign((1, 0))
         blk.make_ready()
         blk.reset()
         fl.release(blk)
@@ -54,7 +54,7 @@ def test_freelist_release_nonfree_rejected():
     env = Environment()
     fl = FreeList(env, _blocks(env, 1), low_blocks=1, high_blocks=1)
     b = CacheBlock(9, 4096)
-    b.assign((1, 0), env.event())
+    b.assign((1, 0))
     with pytest.raises(ValueError):
         fl.release(b)
 
@@ -102,7 +102,7 @@ def test_freelist_low_watermark_callback():
 
 def _dirty_block(env, index):
     b = CacheBlock(index, 4096)
-    b.assign((1, index), env.event())
+    b.assign((1, index))
     b.write(0, 10, None)
     return b
 

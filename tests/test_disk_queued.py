@@ -33,11 +33,15 @@ from tests.conftest import make_cluster, run_app
 POS = 8.5e-3 + 5.6e-3
 RATE = 20e6
 
-#: Schedule digests of the seed revision's mechanical model, captured
-#: before the batched data path landed.  ``mech`` runs must reproduce
-#: them bit for bit (the refactor may not move a single event).
-GOLDEN_MECH_READ_HASH = "17999720988df8807faaae9a5137f1bc"
-GOLDEN_MECH_WRITE_HASH = "c56fb89176c984016ecf282dfb455edb"
+#: Schedule digests of the mechanical model.  ``mech`` runs must
+#: reproduce them bit for bit (a refactor may not move a single event).
+#: Re-pinned by the event diet (DESIGN.md §14), which removes events
+#: and so changes the digest by construction while the final clock of
+#: both runs stays equal to the last bit: read 1358 -> 598 events
+#: (was 17999720988df8807faaae9a5137f1bc), write 1632 -> 444 (was
+#: c56fb89176c984016ecf282dfb455edb).
+GOLDEN_MECH_READ_HASH = "17a98e9186ac5a8d3a0aee6788d6b8fb"
+GOLDEN_MECH_WRITE_HASH = "ab5d91b2acca77e0ef4c21678dffb407"
 
 
 def _xfer(nbytes: int) -> float:

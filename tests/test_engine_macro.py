@@ -92,7 +92,10 @@ def test_macro_matches_event_level_on_hit_bursts():
     assert on["bursts"] == N_READS
     assert off["macro_reads"] == 0
     assert off["bursts"] == 0
-    assert off["events"] / on["events"] >= 2.5
+    # (1231 vs 432: three timeouts per event-level hit read — syscall,
+    # lookup, copy — against one; 5.6x while each compute also cost a
+    # grant event.)
+    assert off["events"] / on["events"] >= 2.8
 
 
 def test_macro_off_is_the_default_validated_schedule(monkeypatch):

@@ -128,3 +128,55 @@ def test_atomic_section_allows_own_mutations(monkeypatch):
 
     proc = env.process(worker(env), name="worker")
     env.run(until=proc)  # must not raise
+
+
+def test_reservation_check_accepts_unmaterialised_and_rejects_fired(
+    monkeypatch,
+):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1)
+    manager = _manager(cluster)
+    # an allocator nobody waits behind reserves with None: legal
+    manager._inflight[(9, 0)] = None
+    manager.sanitizer.check()
+    # the first rival materialises the event: still legal while pending
+    reservation = manager._inflight[(9, 0)] = cluster.env.event()
+    manager.sanitizer.check()
+    # corrupt: resolved but left in the map
+    reservation.succeed(None)
+    with pytest.raises(InvariantViolation, match="already fired"):
+        manager.sanitizer.check()
+
+
+def test_freelist_release_without_put_event_is_still_tracked(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setenv("REPRO_SANITIZE_EVERY", "1000000")
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=8)
+    env = cluster.env
+    manager = _manager(cluster)
+    client = cluster.client("node0")
+
+    def app(env):
+        f = yield from client.open("/release")
+        yield from client.read(f, 0, 4096)
+
+    run_app(cluster, app(env))
+    (block,) = manager.table.blocks()
+
+    def victim(env):
+        with atomic_section(manager.freelist, label="crit"):
+            yield env.timeout(1.0)
+
+    def attacker(env):
+        yield env.timeout(0.5)
+        before = env.sched_stats()["queue_depth"]
+        manager.evict(block)  # FreeList.release -> Store.put_nowait
+        assert env.sched_stats()["queue_depth"] == before  # no StorePut
+
+    proc = env.process(victim(env), name="victim")
+    env.process(attacker(env), name="attacker")
+    with pytest.raises(RaceDiagnostic) as excinfo:
+        env.run(until=proc)
+    assert excinfo.value.holder == "victim"
+    assert excinfo.value.mutator == "attacker"
+    assert excinfo.value.structure.endswith(".freelist")

@@ -1,6 +1,7 @@
 """Tests for the versioned trace IR: serialization, import dialects,
 transforms, the strided/list request shape, and replay determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import os
 import pytest
 
 from repro.cluster.config import TRACE_ENV_VAR, ClusterConfig
+from repro.experiments.parallel import sweep
 from repro.workload import transform as tr
 from repro.workload.classify import classify_trace
 from repro.workload.record import TraceRecorder
@@ -87,6 +89,95 @@ def test_jsonl_roundtrip_preserves_everything():
     assert reloaded.content_hash() == trace.content_hash()
     # a second round trip is byte-identical
     assert reloaded.dumps() == text
+
+
+#: ``_sample_trace().dumps()`` and its content hash as the dict-backed,
+#: ``sort_keys``-serialized implementation wrote them: the slotted
+#: record with pre-sorted ``to_json()`` keys must not move a byte.
+GOLDEN_SAMPLE_JSONL = (
+    '{"events": 3, "format": "repro-trace", "meta": {"source": '
+    '"unit-test"}, "version": 2}\n'
+    '{"app": "gen", "instance": 1, "nbytes": 4096, "offset": 0, "op": '
+    '"write", "path": "/f", "process": "p0", "time": 0.0}\n'
+    '{"nbytes": 4096, "offset": 8192, "op": "sync_write", "path": "/f", '
+    '"process": "p1", "time": 0.001}\n'
+    '{"count": 4, "nbytes": 4096, "offset": 0, "op": "read", "path": '
+    '"/f", "process": "p0", "stride": 16384, "think_s": 5e-05, "time": '
+    "0.002}\n"
+)
+GOLDEN_SAMPLE_HASH = "8301c05eb7134f0914499edc1dc3f119"
+
+
+def test_jsonl_bytes_and_content_hash_are_pinned():
+    trace = _sample_trace()
+    assert trace.dumps() == GOLDEN_SAMPLE_JSONL
+    assert trace.content_hash() == GOLDEN_SAMPLE_HASH
+    for event in trace.events:
+        keys = list(event.to_json())
+        assert keys == sorted(keys)
+    reloaded = loads(GOLDEN_SAMPLE_JSONL)
+    assert reloaded.dumps() == GOLDEN_SAMPLE_JSONL
+    assert reloaded.content_hash() == GOLDEN_SAMPLE_HASH
+    # CRLF line ends and blank lines load to the same trace
+    crlf = GOLDEN_SAMPLE_JSONL.replace("\n", "\r\n\r\n")
+    assert loads(crlf).dumps() == GOLDEN_SAMPLE_JSONL
+
+
+def test_trace_event_is_a_slotted_frozen_record():
+    event = _event(app="gen")
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.offset = 1
+    moved = dataclasses.replace(event, offset=8192, op="sync-write")
+    assert (moved.offset, moved.op, moved.app) == (8192, "sync_write", "gen")
+    assert event.offset == 0
+    with pytest.raises(TraceFormatError, match="geometry"):
+        dataclasses.replace(event, offset=-1)  # replace re-validates
+    assert event == _event(app="gen") and hash(event) == hash(_event(app="gen"))
+
+
+def _shift(event: TraceEvent, by: int) -> TraceEvent:
+    return dataclasses.replace(event, offset=event.offset + by)
+
+
+def test_trace_events_pickle_through_the_parallel_sweep():
+    events = _sample_trace().events
+    points = [(e, 4096) for e in events]
+    shifted = sweep(points, _shift, max_workers=2)
+    assert shifted == sweep(points, _shift, max_workers=1)
+    assert [e.offset for e in shifted] == [e.offset + 4096 for e in events]
+    assert all(not hasattr(e, "__dict__") for e in shifted)
+
+
+def test_loaded_strings_are_interned():
+    first, _second, third = loads(GOLDEN_SAMPLE_JSONL).events
+    assert first.process is third.process
+    assert first.path is third.path
+
+
+def test_trace_copies_its_input_and_sorts_only_when_needed():
+    ordered = _sample_trace().events
+    trace = Trace(events=ordered)
+    assert trace.events == ordered and trace.events is not ordered
+    shuffled = [ordered[2], ordered[0], ordered[1]]
+    assert Trace(events=shuffled).events == ordered
+    assert shuffled[0] is ordered[2]  # caller's list untouched
+    # equal keys keep input order (the sort it skips is stable)
+    twins = [_event(nbytes=1), _event(nbytes=2)]
+    assert Trace(events=twins).events == twins
+    assert Trace(events=iter(ordered)).events == ordered
+
+
+def test_malformed_event_errors_carry_the_line_number():
+    good = (
+        '{"time": 0, "process": "p", "path": "/f", "op": "read", '
+        '"offset": 0, "nbytes": 1}\n'
+    )
+    header = '{"format": "repro-trace", "version": 2, "events": 3}\n'
+    with pytest.raises(TraceFormatError, match=r"\(line 4\)"):
+        loads(header + good + "\n" + good.replace('"read"', '"evict"'))
+    with pytest.raises(TraceFormatError, match=r"malformed event \(line 3\)"):
+        loads(header + good + "{not json\n")
 
 
 def test_csv_dialect_import_and_deprecation_note():
