@@ -32,8 +32,6 @@ from repro.workload.trace import (
     Trace,
     TraceEvent,
     TraceFormatError,
-    load_trace,
-    loads_trace,
     validate_trace,
 )
 
@@ -51,8 +49,6 @@ __all__ = [
     "TraceRecorder",
     "TraceReplayer",
     "classify_trace",
-    "load_trace",
-    "loads_trace",
     "record_microbench_trace",
     "replay_trace_hash",
     "run_instances",

@@ -318,7 +318,8 @@ def generate(params: OpenLoopParams) -> Trace:
     function of ``params``.
     """
     seeds = np.random.SeedSequence(params.seed).spawn(params.processes)
-    effective_stride = params.stride_bytes or params.request_bytes
+    strided = params.stride_count > 1
+    stride = (params.stride_bytes or params.request_bytes) if strided else 0
     span = params.request_span
     events: list[TraceEvent] = []
     for i, name in enumerate(params.process_names()):
@@ -360,18 +361,17 @@ def generate(params: OpenLoopParams) -> Trace:
                 cursors[path] = cursor + span
             events.append(
                 TraceEvent(
-                    time=t,
-                    process=name,
-                    path=path,
-                    op=op,
-                    offset=cursor,
-                    nbytes=params.request_bytes,
-                    app="openloop",
-                    instance=i,
-                    stride=(
-                        effective_stride if params.stride_count > 1 else 0
-                    ),
-                    count=params.stride_count,
+                    t,
+                    name,
+                    path,
+                    op,
+                    cursor,
+                    params.request_bytes,
+                    "openloop",
+                    i,
+                    0.0,  # think_s: arrivals are scheduled, not paced
+                    stride,
+                    params.stride_count,
                 )
             )
             t += arrivals.next_gap()

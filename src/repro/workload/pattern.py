@@ -24,7 +24,7 @@ import typing as _t
 import numpy as np
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class AccessDescriptor:
     """One generated request."""
 
@@ -32,6 +32,13 @@ class AccessDescriptor:
     offset: int
     nbytes: int
     fresh: bool  # False when this is a locality re-visit
+
+
+def _uniforms(rng: np.random.Generator) -> _t.Iterator[float]:
+    """The doubles successive ``rng.random()`` calls would return,
+    drawn a block at a time (one numpy call per block, same stream)."""
+    while True:
+        yield from rng.random(1024).tolist()
 
 
 class AccessPattern:
@@ -63,7 +70,7 @@ class AccessPattern:
         self.partition_bytes = partition_bytes
         self.locality = locality
         self.sharing = sharing
-        self._rng = np.random.default_rng(seed)
+        self._uniform = _uniforms(np.random.default_rng(seed)).__next__
         #: Both instances walk the SAME shared slots (that is what
         #: "sharing" means), but starting ``shared_start_slot`` apart:
         #: two copies of one program rarely process the dataset from
@@ -86,20 +93,13 @@ class AccessPattern:
 
     def next(self) -> AccessDescriptor:
         """Generate the next request descriptor."""
-        target = "shared" if self._rng.random() < self.sharing else "private"
+        target = "shared" if self._uniform() < self.sharing else "private"
         last = self._last[target]
-        if last is not None and self._rng.random() < self.locality:
-            return AccessDescriptor(
-                target=target,
-                offset=last,
-                nbytes=self.request_size,
-                fresh=False,
-            )
+        if last is not None and self._uniform() < self.locality:
+            return AccessDescriptor(target, last, self.request_size, False)
         offset = self._fresh_offset(target)
         self._last[target] = offset
-        return AccessDescriptor(
-            target=target, offset=offset, nbytes=self.request_size, fresh=True
-        )
+        return AccessDescriptor(target, offset, self.request_size, True)
 
     def stream(self, n: int) -> _t.Iterator[AccessDescriptor]:
         """Yield the next ``n`` request descriptors."""

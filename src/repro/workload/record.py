@@ -66,14 +66,14 @@ class TraceRecorder:
         ) -> None:
             self.events.append(
                 TraceEvent(
-                    time=time,
-                    process=process,
-                    path=self._path_of(file_id),
-                    op=op,
-                    offset=offset,
-                    nbytes=nbytes,
-                    app=client.app,
-                    instance=client.instance,
+                    time,
+                    process,
+                    self._path_of(file_id),
+                    op,
+                    offset,
+                    nbytes,
+                    client.app,
+                    client.instance,
                 )
             )
 
@@ -99,14 +99,14 @@ class TraceRecorder:
         d = record.detail
         self.events.append(
             TraceEvent(
-                time=record.time,
-                process=d["process"],
-                path=self._path_of(d["file_id"]),
-                op=d["op"],
-                offset=d["offset"],
-                nbytes=d["nbytes"],
-                app=d.get("app", ""),
-                instance=d.get("instance", 0),
+                record.time,
+                d["process"],
+                self._path_of(d["file_id"]),
+                d["op"],
+                d["offset"],
+                d["nbytes"],
+                d.get("app", ""),
+                d.get("instance", 0),
                 stride=d.get("stride", 0),
                 count=d.get("count", 1),
             )

@@ -50,7 +50,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -70,7 +69,8 @@ CANONICAL_OPS = ("read", "write", "sync_write")
 #: Deprecated spellings accepted on import and canonicalized.
 LEGACY_OP_ALIASES = {"sync-write": "sync_write"}
 
-#: CSV dialect column order (the version-1 schema).
+#: CSV dialect column order (the version-1 schema); the same six are
+#: the fields a JSONL event must carry.
 CSV_COLUMNS = ("time", "process", "path", "op", "offset", "nbytes")
 
 
@@ -91,7 +91,10 @@ def canonical_op(op: str) -> str:
     return op
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+_INF = math.inf
+
+
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class TraceEvent:
     """One I/O request of a workload trace.
 
@@ -119,7 +122,48 @@ class TraceEvent:
     stride: int = 0
     count: int = 1
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        time: float,
+        process: str,
+        path: str,
+        op: str,
+        offset: int,
+        nbytes: int,
+        app: str = "",
+        instance: int = 0,
+        think_s: float = 0.0,
+        stride: int = 0,
+        count: int = 1,
+    ) -> None:
+        # Hand-written: the generated one pays a second frame, for
+        # ``__post_init__``, on every request generated or loaded.
+        put = object.__setattr__
+        put(self, "time", time)
+        put(self, "process", process)
+        put(self, "path", path)
+        put(self, "op", op)
+        put(self, "offset", offset)
+        put(self, "nbytes", nbytes)
+        put(self, "app", app)
+        put(self, "instance", instance)
+        put(self, "think_s", think_s)
+        put(self, "stride", stride)
+        put(self, "count", count)
+        if (
+            op in CANONICAL_OPS
+            and -_INF < time < _INF
+            and offset >= 0
+            and nbytes >= 0
+            and 0 <= think_s < _INF
+            and (count == 1 or (count > 1 and stride >= nbytes))
+        ):
+            return
+        self._validate()
+
+    def _validate(self) -> None:
+        """The checks one at a time, for the precise message (and the
+        legacy op spelling, which is valid once canonicalized)."""
         if self.op not in CANONICAL_OPS:  # legacy alias, or unknown (raises)
             object.__setattr__(self, "op", canonical_op(self.op))
         if not math.isfinite(self.time):
@@ -130,6 +174,8 @@ class TraceEvent:
             )
         if self.think_s < 0:
             raise TraceFormatError(f"negative think_s {self.think_s}")
+        if not math.isfinite(self.think_s):
+            raise TraceFormatError(f"non-finite think_s {self.think_s!r}")
         if self.count < 1:
             raise TraceFormatError(f"count must be >= 1, got {self.count}")
         if self.count > 1 and self.stride < self.nbytes:
@@ -194,41 +240,112 @@ class TraceEvent:
     def from_json(cls, obj: _t.Any, line_no: int | None = None) -> "TraceEvent":
         """Parse one event object (strict on required fields/types).
 
-        Strings are interned: a decoded trace would otherwise carry a
-        private copy of every process, path, op and app name per event.
+        Integer fields take an ``int`` or an integral-valued ``float``
+        (``4096.0``); a ``bool``, a fractional float or a string is an
+        error, never a silent truncation.  Strings are interned: a
+        decoded trace would otherwise carry a private copy of every
+        process, path, op and app name per event.
         """
-        where = f" (line {line_no})" if line_no is not None else ""
-        if not isinstance(obj, dict):
-            raise TraceFormatError(f"event is not an object{where}: {obj!r}")
-        missing = [k for k in ("time", "process", "path", "op", "offset", "nbytes")
-                   if k not in obj]
-        if missing:
-            raise TraceFormatError(f"event missing fields {missing}{where}")
         intern = sys.intern
         try:
+            time = obj["time"]
+            process = obj["process"]
+            path = obj["path"]
+            op = obj["op"]
+            offset = obj["offset"]
+            nbytes = obj["nbytes"]
+            get = obj.get
+            app = get("app", "")
+            instance = get("instance", 0)
+            think_s = get("think_s", 0.0)
+            stride = get("stride", 0)
+            count = get("count", 1)
+            # Convert only what the scanner did not already make of its type.
             return cls(
-                time=float(obj["time"]),
-                process=intern(str(obj["process"])),
-                path=intern(str(obj["path"])),
-                op=intern(str(obj["op"])),
-                offset=int(obj["offset"]),
-                nbytes=int(obj["nbytes"]),
-                app=intern(str(obj.get("app", ""))),
-                instance=int(obj.get("instance", 0)),
-                think_s=float(obj.get("think_s", 0.0)),
-                stride=int(obj.get("stride", 0)),
-                count=int(obj.get("count", 1)),
+                time if type(time) is float else float(time),
+                intern(process if type(process) is str else str(process)),
+                intern(path if type(path) is str else str(path)),
+                intern(op if type(op) is str else str(op)),
+                offset if type(offset) is int else _int("offset", offset),
+                nbytes if type(nbytes) is int else _int("nbytes", nbytes),
+                intern(app if type(app) is str else str(app)),
+                instance if type(instance) is int else _int("instance", instance),
+                think_s if type(think_s) is float else float(think_s),
+                stride if type(stride) is int else _int("stride", stride),
+                count if type(count) is int else _int("count", count),
             )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, TraceFormatError):
-                raise TraceFormatError(f"{exc}{where}") from exc
-            raise TraceFormatError(f"malformed event{where}: {exc}") from exc
+        except (TypeError, ValueError, KeyError) as exc:
+            where = f" (line {line_no})" if line_no is not None else ""
+            if not isinstance(obj, dict):
+                what = f"event is not an object{where}: {obj!r}"
+            elif missing := [k for k in CSV_COLUMNS if k not in obj]:
+                what = f"event missing fields {missing}{where}"
+            elif isinstance(exc, TraceFormatError):
+                what = f"{exc}{where}"
+            else:
+                what = f"malformed event{where}: {exc}"
+            raise TraceFormatError(what) from exc
+
+
+def _int(name: str, value: _t.Any) -> int:
+    """``value`` as the integer it denotes, for :meth:`TraceEvent.from_json`."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _sort_key(event: TraceEvent) -> tuple[float, str, int]:
     # Total order so a trace's canonical event order (and hence its
     # content hash and replay schedule) never depends on input order.
     return (event.time, event.process, event.offset)
+
+
+def _canonical_lines(events: _t.Iterable[TraceEvent]) -> _t.Iterator[str]:
+    """Each event's canonical line, ``json.dumps(event.to_json())`` plus
+    a newline: what JSONL files hold and what ``content_hash`` digests.
+
+    That expression is the definition; this writes the same bytes from
+    a template (``to_json()``'s key order, ``json``'s separators and
+    its ``float.__repr__``/``int.__repr__`` numbers), quoting each
+    distinct string once per call.  An event holding a field that is
+    not of its declared type (an ``int`` time, say) falls out of the
+    template with ``TypeError`` and is encoded by the definition.
+    """
+    dumps = json.dumps
+    of_float = float.__repr__
+    of_int = int.__repr__
+    quoted: dict[str, str] = {}
+    seen = quoted.get
+
+    def quote(text: str) -> str:
+        quoted[text] = out = dumps(text)
+        return out
+
+    for e in events:
+        try:
+            app, count, instance, think_s = e.app, e.count, e.instance, e.think_s
+            op, path, process = e.op, e.path, e.process
+            head = tail = ""
+            if app:
+                head = f'"app": {seen(app) or quote(app)}, '
+            if count > 1:
+                head += f'"count": {of_int(count)}, '
+                tail = f'"stride": {of_int(e.stride)}, '
+            if instance:
+                head += f'"instance": {of_int(instance)}, '
+            if think_s:
+                tail += f'"think_s": {of_float(think_s)}, '
+            line = (
+                f'{{{head}"nbytes": {of_int(e.nbytes)}, '
+                f'"offset": {of_int(e.offset)}, '
+                f'"op": {seen(op) or quote(op)}, '
+                f'"path": {seen(path) or quote(path)}, '
+                f'"process": {seen(process) or quote(process)}, '
+                f'{tail}"time": {of_float(e.time)}}}\n'
+            )
+        except TypeError:
+            line = dumps(e.to_json()) + "\n"
+        yield line
 
 
 @dataclasses.dataclass
@@ -292,10 +409,8 @@ class Trace:
         identity of a replay is the engine's trace hash.
         """
         acc = hashlib.blake2b(digest_size=16)
-        for event in self.events:
-            # to_json() keys are already sorted.
-            acc.update(json.dumps(event.to_json()).encode())
-            acc.update(b"\n")
+        for line in _canonical_lines(self.events):
+            acc.update(line.encode())
         return acc.hexdigest()
 
     def derive(
@@ -308,24 +423,24 @@ class Trace:
         return Trace(events=list(events), meta=meta)
 
     # -- JSONL serialization ---------------------------------------------
-    def dump_jsonl(self, fp: _t.TextIO) -> int:
-        """Write the trace as versioned JSONL; returns event count."""
+    def _jsonl_lines(self) -> _t.Iterator[str]:
         header = {
             "format": TRACE_FORMAT,
             "version": self.version,
             "events": len(self.events),
             "meta": self.meta,
         }
-        fp.write(json.dumps(header, sort_keys=True) + "\n")
-        dumps = json.dumps
-        fp.writelines(dumps(e.to_json()) + "\n" for e in self.events)
+        yield json.dumps(header, sort_keys=True) + "\n"
+        yield from _canonical_lines(self.events)
+
+    def dump_jsonl(self, fp: _t.TextIO) -> int:
+        """Write the trace as versioned JSONL; returns event count."""
+        fp.writelines(self._jsonl_lines())
         return len(self.events)
 
     def dumps(self) -> str:
         """The trace as a JSONL string."""
-        buf = io.StringIO()
-        self.dump_jsonl(buf)
-        return buf.getvalue()
+        return "".join(self._jsonl_lines())
 
     # -- CSV export (legacy dialect) -------------------------------------
     def dump_csv(self, fp: _t.TextIO) -> int:
@@ -359,23 +474,34 @@ def _warn_legacy_ops(n: int) -> None:
 
 
 def _iter_lines(text: str) -> _t.Iterator[str]:
-    """The ``\\n``-separated lines of ``text``, one at a time (a long
-    trace's ``splitlines()`` list is as big as the text itself)."""
+    """The lines of ``text`` as a file would yield them, ``\\n`` kept,
+    one at a time (a long trace's ``splitlines()`` list is as big as
+    the text itself)."""
     pos = 0
     while pos < len(text):
-        end = text.find("\n", pos)
-        if end < 0:
-            end = len(text)
+        end = text.find("\n", pos) + 1 or len(text)
         yield text[pos:end]
-        pos = end + 1
+        pos = end
+
+
+#: The C scanner behind ``json.loads``, called on a line directly.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str, line_no: int | None = None) -> _t.Any:
+    """``json.loads`` of one line less its newline, with the loader's
+    diagnosis: the header, and any event line the scanner did not take
+    whole (padded, or malformed)."""
+    try:
+        return json.loads(line.removesuffix("\n"))
+    except json.JSONDecodeError as exc:
+        what = "trace header" if line_no is None else f"event (line {line_no})"
+        raise TraceFormatError(f"malformed {what}: {exc}") from exc
 
 
 def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
-    first = next(lines, "")
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"malformed trace header: {exc}") from exc
+    first = next(lines, "").removesuffix("\n")
+    header = _decode_line(first)
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise TraceFormatError(
             f"not a {TRACE_FORMAT} header: {first[:80]!r}"
@@ -389,17 +515,19 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
     events: list[TraceEvent] = []
     legacy_ops = 0
     for line_no, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
+        # One value, from the first character of the line to its last:
+        # exactly what ``json.loads(line)`` accepts, less padding.
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"malformed event (line {line_no}): {exc}"
-            ) from exc
-        if isinstance(obj, dict) and obj.get("op") in LEGACY_OP_ALIASES:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end < 0 or line[end:].strip(" \t\n\r"):
+            if not line.strip():
+                continue
+            obj = _decode_line(line, line_no)
+        events.append(TraceEvent.from_json(obj, line_no))
+        if obj["op"] in LEGACY_OP_ALIASES:  # a str: from_json took it as an op
             legacy_ops += 1
-        events.append(TraceEvent.from_json(obj, line_no=line_no))
     declared = header.get("events")
     if isinstance(declared, int) and declared != len(events):
         raise TraceFormatError(
@@ -414,8 +542,8 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
     return Trace(events=events, meta=meta, version=TRACE_VERSION)
 
 
-def _load_csv(text: str) -> Trace:
-    reader = csv.DictReader(io.StringIO(text))
+def _load_csv(lines: _t.Iterable[str]) -> Trace:
+    reader = csv.DictReader(lines)
     required = set(CSV_COLUMNS)
     if reader.fieldnames is None or not required <= set(reader.fieldnames):
         raise TraceFormatError(
@@ -456,23 +584,31 @@ def _load_csv(text: str) -> Trace:
     return Trace(events=events, meta={"dialect": "csv"})
 
 
-def loads(text: str) -> Trace:
-    """Parse a trace from a string, sniffing the dialect.
+def load(fp: _t.Iterable[str]) -> Trace:
+    """Parse a trace from a file object (JSONL or CSV dialect).
 
-    A leading ``{`` means the native JSONL format; anything else is
+    The file is streamed a line at a time (only iteration is asked of
+    ``fp``) and the dialect sniffed from its first non-blank line: a
+    leading ``{`` means the native JSONL format; anything else is
     tried as the version-1 CSV dialect.
     """
-    first = next((ch for ch in text if not ch.isspace()), "")
-    if not first:
+    lines = iter(fp)
+    blank: list[str] = []
+    for line in lines:
+        if line.strip():
+            break
+        blank.append(line)
+    else:
         raise TraceFormatError("empty trace")
-    if first == "{":
-        return _load_jsonl(_iter_lines(text))
-    return _load_csv(text)
+    lines = itertools.chain(blank, (line,), lines)
+    if line.lstrip()[0] == "{":
+        return _load_jsonl(lines)
+    return _load_csv(lines)
 
 
-def load(fp: _t.TextIO) -> Trace:
-    """Parse a trace from a file object (JSONL or CSV dialect)."""
-    return loads(fp.read())
+def loads(text: str) -> Trace:
+    """Parse a trace from a string (JSONL or CSV dialect)."""
+    return load(_iter_lines(text))
 
 
 def load_path(path: str) -> Trace:
@@ -531,17 +667,6 @@ def validate_trace(trace: Trace) -> list[str]:
     return issues
 
 
-# -- legacy API (pre-IR call sites) ----------------------------------------
-def load_trace(fp: _t.TextIO) -> list[TraceEvent]:
-    """Parse a trace and return its events (legacy list-based API)."""
-    return load(fp).events
-
-
-def loads_trace(text: str) -> list[TraceEvent]:
-    """Parse a trace string and return its events (legacy API)."""
-    return loads(text).events
-
-
 # Recorder/replayer re-exports keep the historical import surface
 # (``repro.workload.trace.TraceRecorder`` / ``TraceReplayer``)
 # working; the implementations live in their own modules now.  Lazy
@@ -572,8 +697,6 @@ __all__ = [
     "canonical_op",
     "load",
     "load_path",
-    "load_trace",
     "loads",
-    "loads_trace",
     "validate_trace",
 ]

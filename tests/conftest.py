@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import typing as _t
 
+import hypothesis
 import pytest
 
 import repro.net.message  # noqa: F401  (registers its reset hook)
@@ -11,6 +13,12 @@ import repro.net.sockets  # noqa: F401  (registers its reset hook)
 from repro.analysis.reset import reset_all
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
+
+# ``HYPOTHESIS_PROFILE=ci`` (every CI step that runs ``tests/``): the
+# same examples on every rerun, and no per-example deadline for a slow
+# shared runner to miss.
+hypothesis.settings.register_profile("ci", derandomize=True, deadline=None)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)

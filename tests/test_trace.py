@@ -8,8 +8,8 @@ from repro.workload.trace import (
     TraceEvent,
     TraceRecorder,
     TraceReplayer,
-    load_trace,
-    loads_trace,
+    load,
+    loads,
 )
 from tests.conftest import make_cluster
 
@@ -55,7 +55,7 @@ def test_recorder_captures_all_calls():
 def test_csv_roundtrip():
     _, recorder = _record_small_run()
     text = recorder.dumps()
-    events = loads_trace(text)
+    events = loads(text).events
     assert len(events) == len(recorder.events)
     original = sorted(recorder.events, key=lambda e: e.time)
     for got, want in zip(events, original):
@@ -67,12 +67,12 @@ def test_csv_roundtrip():
 
 def test_load_trace_rejects_bad_header():
     with pytest.raises(ValueError, match="columns"):
-        load_trace(io.StringIO("a,b\n1,2\n"))
+        load(io.StringIO("a,b\n1,2\n"))
 
 
 def test_replay_runs_same_workload_elsewhere():
     _, recorder = _record_small_run()
-    events = loads_trace(recorder.dumps())
+    events = loads(recorder.dumps()).events
     target = make_cluster(caching=False)
     replayer = TraceReplayer(target, events)
     makespan = replayer.run()
@@ -124,7 +124,7 @@ def test_replay_closed_loop_faster_than_open_loop():
 def test_replay_comparing_policies_on_identical_workload():
     """The intended use: same trace, caching on vs off."""
     _, recorder = _record_small_run()
-    events = loads_trace(recorder.dumps())
+    events = loads(recorder.dumps()).events
     with_cache = TraceReplayer(
         make_cluster(caching=True), events, preserve_timing=False
     ).run()

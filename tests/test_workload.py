@@ -1,5 +1,7 @@
 """Tests for the micro-benchmark access pattern and application."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,26 @@ def test_deterministic_given_seed():
     a = [(d.target, d.offset) for d in pat().stream(50)]
     b = [(d.target, d.offset) for d in pat().stream(50)]
     assert a == b
+
+
+def test_descriptor_sequence_is_pinned():
+    """Digest taken when ``next()`` made one scalar ``rng.random()``
+    call per coin: drawing the uniforms in blocks must not move it."""
+    acc = hashlib.blake2b(digest_size=16)
+    for locality in (0.0, 0.5, 0.9, 1.0):
+        for sharing in (0.0, 0.8, 1.0):
+            pattern = _pattern(
+                partition_start=1 << 20, partition_bytes=64 * 4096,
+                locality=locality, sharing=sharing, seed=1234,
+                shared_start_slot=2,
+            )
+            # 3000 requests draw 3000-6000 coins: several blocks' worth
+            for d in pattern.stream(3000):
+                acc.update(
+                    f"{d.target},{d.offset},{d.nbytes},{d.fresh};".encode()
+                )
+                assert not hasattr(d, "__dict__")
+    assert acc.hexdigest() == "f1d37717f31ea18441dfac6850ccf3b8"
 
 
 def test_per_target_cursors_independent():
