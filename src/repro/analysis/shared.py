@@ -2,9 +2,10 @@
 
 A structure is *shared state* when more than one simulation process
 mutates it: the block hash table, the CLOCK ring and hand, the dirty
-and free lists, the iods' per-block sharer directories, the writeback
-throttle counter.  The runtime sanitizer already guards some of these
-dynamically (``repro.analysis.sanitize``); the static flow analyzer
+and free lists, the iods' sharer directory (runs of blocks per file
+and node), the writeback throttle counter.  The runtime sanitizer
+already guards some of these dynamically
+(``repro.analysis.sanitize``); the static flow analyzer
 (``repro.analysis.flow``) needs to know *which attribute names* to
 track without executing anything, so classes declare them here:
 
@@ -46,8 +47,10 @@ MUTATING_METHODS = frozenset(
         "extend",
         "forget",
         "insert",
+        "invalidate",
         "mark_clean",
         "mark_dirty",
+        "note",
         "pop",
         "popitem",
         "popleft",

@@ -14,6 +14,21 @@ from __future__ import annotations
 import typing as _t
 from collections import OrderedDict
 
+#: Keys are ``file_id << _BLOCK_BITS | block_no``: one int per resident
+#: block instead of a tuple of two (4 PB per file at 4 KB blocks).
+_BLOCK_BITS = 40
+
+
+def _bad_block(block_no: int) -> ValueError:
+    return ValueError(f"block number {block_no} outside [0, 2**{_BLOCK_BITS})")
+
+
+def _key(file_id: int, block_no: int) -> int:
+    """Packed key of one block: loud, rather than aliasing another file."""
+    if block_no >> _BLOCK_BITS:
+        raise _bad_block(block_no)
+    return file_id << _BLOCK_BITS | block_no
+
 
 class PageCache:
     """Exact-LRU set of ``(file_id, block_no)`` keys."""
@@ -22,7 +37,7 @@ class PageCache:
         if capacity_blocks < 0:
             raise ValueError(f"negative capacity {capacity_blocks}")
         self.capacity_blocks = capacity_blocks
-        self._lru: OrderedDict[tuple[int, int], None] = OrderedDict()
+        self._lru: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -31,7 +46,7 @@ class PageCache:
 
     def lookup(self, file_id: int, block_no: int) -> bool:
         """Check residency and update recency; counts hit/miss."""
-        key = (file_id, block_no)
+        key = _key(file_id, block_no)
         if key in self._lru:
             self._lru.move_to_end(key)
             self.hits += 1
@@ -59,8 +74,11 @@ class PageCache:
         runs: list[tuple[int, int]] = []
         run_start: int | None = None
         prev = 0
+        base = file_id << _BLOCK_BITS
         for block in block_nos:
-            key = (file_id, block)
+            if block >> _BLOCK_BITS:
+                raise _bad_block(block)
+            key = base | block
             if key in lru:
                 move(key)
                 hits += 1
@@ -83,7 +101,7 @@ class PageCache:
         """Make a block resident, evicting the LRU block if full."""
         if self.capacity_blocks == 0:
             return
-        key = (file_id, block_no)
+        key = _key(file_id, block_no)
         if key in self._lru:
             self._lru.move_to_end(key)
             return
@@ -106,8 +124,9 @@ class PageCache:
             return
         lru = self._lru
         capacity = self.capacity_blocks
-        for block in range(first_block, first_block + n_blocks):
-            key = (file_id, block)
+        first = _key(file_id, first_block)
+        _key(file_id, first_block + n_blocks - 1)  # the far end fits too
+        for key in range(first, first + n_blocks):
             if key in lru:
                 lru.move_to_end(key)
                 continue
@@ -117,12 +136,11 @@ class PageCache:
 
     def contains(self, file_id: int, block_no: int) -> bool:
         """Residency probe without recency update or counters."""
-        return (file_id, block_no) in self._lru
+        return _key(file_id, block_no) in self._lru
 
     def invalidate(self, file_id: int, block_no: int) -> bool:
         """Drop a block (e.g. on file deletion); True if it was present."""
-        sentinel = object()
-        return self._lru.pop((file_id, block_no), sentinel) is not sentinel
+        return self._lru.pop(_key(file_id, block_no), False) is None
 
     @property
     def hit_ratio(self) -> float:

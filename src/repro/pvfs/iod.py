@@ -4,8 +4,7 @@ One per storage node.  Serves striped file data from the local disk
 stack, answers flush batches from client-side flusher threads on a
 separate port (the paper: "a server version of this flusher thread
 runs on the iod nodes, which listens on a separate socket"), and keeps
-the per-block *directory* of caching nodes used by ``sync_write``
-invalidations.
+the *directory* of caching nodes used by ``sync_write`` invalidations.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from repro.disk.writeback import WritebackItem
 from repro.metrics import Metrics
 from repro.net import Message
 from repro.pvfs import protocol
+from repro.pvfs.directory import SharerDirectory
 from repro.pvfs.protocol import (
     FlushBatch,
     InvalidateRequest,
@@ -30,7 +30,7 @@ from repro.pvfs.striping import StripeLayout
 from repro.svc import Service, handles
 
 
-@shared_state("directories")
+@shared_state("directory")
 class Iod(Service):
     """One I/O daemon bound to a storage node."""
 
@@ -56,47 +56,25 @@ class Iod(Service):
         self.invalidate_port = invalidate_port
         self.request_cpu_s = node.costs.iod_request_cpu_s
         self.mgr_shards = mgr_shards
-        #: sync_write directories, partitioned by the mgr shard that
-        #: owns each file (DESIGN.md §18): element ``k`` maps
-        #: (file_id, block_no) -> set of client node names whose cache
-        #: module may hold a copy, for files allocated by mgr shard
-        #: ``k``.  One partition at the default, so ``directory`` below
-        #: is the classic flat table.
-        self.directories: list[dict[tuple[int, int], set[str]]] = [
-            {} for _ in range(mgr_shards)
-        ]
+        #: Which client nodes' cache modules may hold a copy of which
+        #: blocks.  Keyed by file id, so the partition by owning mgr
+        #: shard (DESIGN.md §18) is implicit.
+        self.directory = SharerDirectory()
         self._invalidate_pool = self.pool(
             invalidate_port, label=f"{self.name}-inval"
         )
         self.block_size = node.filestore.block_size
 
-    def _directory_for(self, file_id: int) -> dict[tuple[int, int], set[str]]:
-        """The directory partition of the mgr shard owning ``file_id``."""
-        return self.directories[
-            protocol.owning_mgr_shard(file_id, self.mgr_shards)
-        ]
-
-    @property
-    def directory(self) -> dict[tuple[int, int], set[str]]:
-        """The sharer directory as one flat table.
-
-        With one mgr shard this *is* the single partition (mutations
-        through it are live, as tests expect); with several it is a
-        merged snapshot for inspection.
-        """
-        if self.mgr_shards == 1:
-            return self.directories[0]
-        merged: dict[tuple[int, int], set[str]] = {}
-        for partition in self.directories:
-            merged.update(partition)
-        return merged
-
-    @directory.setter
-    def directory(self, entries: dict[tuple[int, int], set[str]]) -> None:
-        for partition in self.directories:
-            partition.clear()
-        for (file_id, block), sharers in entries.items():
-            self._directory_for(file_id)[(file_id, block)] = sharers
+    def stats(self) -> dict[str, _t.Any]:
+        """Point-in-time snapshot of this iod's bookkeeping state."""
+        pagecache = self.node.pagecache
+        assert pagecache is not None
+        return {
+            "node": self.node.name,
+            **self.directory.stats(),
+            "pagecache_blocks": len(pagecache),
+            "pagecache_capacity": pagecache.capacity_blocks,
+        }
 
     def _on_start(self) -> None:
         self.serve(self.port, label="data")
@@ -118,12 +96,11 @@ class Iod(Service):
         )
         yield from self._ensure_resident(req.file_id, req.ranges)
         if req.from_cache and req.requester_node:
-            directory = self._directory_for(req.file_id)
             for off, n in req.ranges:
-                for block in blocks_spanned(off, n, self.block_size):
-                    directory.setdefault(
-                        (req.file_id, block), set()
-                    ).add(req.requester_node)
+                spanned = blocks_spanned(off, n, self.block_size)
+                self.directory.note(
+                    req.file_id, spanned.start, spanned.stop, req.requester_node
+                )
         chunks = [
             self._read_range(req.file_id, off, n) if req.want_data else None
             for off, n in req.ranges
@@ -264,51 +241,37 @@ class Iod(Service):
     def _invalidate_sharers(self, req: WriteRequest) -> _t.Generator:
         """Invalidate every cache holding a written block, except the
         writer's own node (its cache was updated by the write itself)."""
-        victims: dict[str, list[tuple[int, int]]] = {}
-        mgr_shard = protocol.owning_mgr_shard(req.file_id, self.mgr_shards)
-        directory = self.directories[mgr_shard]
+        # First-seen order over (range, block ascending, sharer name):
+        # the order nodes enter ``victims`` is the order their channels
+        # are set up and their invalidations hit the wire.
+        victims: dict[str, list[int]] = {}
         for off, n in req.ranges:
-            for block in blocks_spanned(off, n, self.block_size):
-                key = (req.file_id, block)
-                # Sorted: the directory entry is a set, and the order
-                # sharers are visited here decides the order their
-                # invalidation messages hit the wire — iterating the
-                # raw set would tie the packet schedule (and thus every
-                # downstream event) to the string hash seed.
-                for sharer in sorted(directory.get(key, ())):
-                    if sharer != req.requester_node:
-                        victims.setdefault(sharer, []).append(key)
-                # After a sync write only the writer's copy is current.
-                if key in directory:
-                    keep = (
-                        {req.requester_node}
-                        if req.requester_node in directory[key]
-                        else set()
-                    )
-                    directory[key] = keep
+            spanned = blocks_spanned(off, n, self.block_size)
+            held = self.directory.invalidate(
+                req.file_id, spanned.start, spanned.stop, req.requester_node
+            )
+            for node_name, blocks in held.items():
+                victims.setdefault(node_name, []).extend(blocks)
+        mgr_shard = protocol.owning_mgr_shard(req.file_id, self.mgr_shards)
         pending = []
-        for node_name, keys in victims.items():
+        for node_name, blocks in victims.items():
             channel = yield from self._invalidate_pool.channel(node_name)
-            by_file: dict[int, list[int]] = {}
-            for file_id, block in keys:
-                by_file.setdefault(file_id, []).append(block)
-            for file_id, blocks in by_file.items():
-                inval = InvalidateRequest(file_id=file_id, block_nos=blocks)
-                call = channel.call(
-                    Message(
-                        kind=protocol.INVALIDATE,
-                        size_bytes=inval.wire_size(),
-                        payload=inval,
-                    )
+            inval = InvalidateRequest(file_id=req.file_id, block_nos=blocks)
+            call = channel.call(
+                Message(
+                    kind=protocol.INVALIDATE,
+                    size_bytes=inval.wire_size(),
+                    payload=inval,
                 )
-                pending.append(call)
-                self.metrics.inc("iod.invalidations_sent", len(blocks))
-                self._emit(
-                    "invalidation",
-                    peer=node_name,
-                    blocks=len(blocks),
-                    mgr_shard=mgr_shard,
-                )
+            )
+            pending.append(call)
+            self.metrics.inc("iod.invalidations_sent", len(blocks))
+            self._emit(
+                "invalidation",
+                peer=node_name,
+                blocks=len(blocks),
+                mgr_shard=mgr_shard,
+            )
         for call in pending:
             yield call.response()
             call.close()

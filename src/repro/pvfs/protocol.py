@@ -73,8 +73,9 @@ def owning_mgr_shard(file_id: int, n_shards: int) -> int:
 
     Shard ``k`` hands out ids from ``count(k + 1, step=n_shards)``,
     so ownership is recoverable from the id alone — iods use this to
-    partition their invalidation directories without extra wire
-    fields.
+    name the owning shard on their invalidation records without extra
+    wire fields (their sharer directory is keyed by file id, which
+    partitions it by shard implicitly).
     """
     if n_shards < 1:
         raise ValueError(f"need at least one mgr shard, got {n_shards}")

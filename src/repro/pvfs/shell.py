@@ -127,8 +127,9 @@ class PVFSShell:
     def rm(self, path: str) -> int:
         """Drop a file's blocks from every iod; returns blocks freed.
 
-        (Metadata entry is retained — PVFS 1.x unlink semantics with
-        open handles are out of scope.)
+        The iods' page-cache entries and sharer-directory state for the
+        file go with them.  (Metadata entry is retained — PVFS 1.x
+        unlink semantics with open handles are out of scope.)
         """
         handle = self.cluster.mgr.lookup(path)
         if handle is None:
@@ -143,6 +144,7 @@ class PVFSShell:
             assert pagecache is not None
             for block in blocks:
                 pagecache.invalidate(handle.file_id, block)
+            iod.directory.forget(handle.file_id)
         return freed
 
     def dd(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import types
 import typing as _t
 
 import hypothesis
@@ -13,6 +14,8 @@ import repro.net.sockets  # noqa: F401  (registers its reset hook)
 from repro.analysis.reset import reset_all
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
+from repro.pvfs.directory import SharerDirectory
+from repro.pvfs.iod import Iod
 
 # ``HYPOTHESIS_PROFILE=ci`` (every CI step that runs ``tests/``): the
 # same examples on every rerun, and no per-example deadline for a slow
@@ -57,6 +60,42 @@ def make_cluster(
         **overrides,
     )
     return Cluster(config)
+
+
+def bare_iod() -> Iod:
+    """An ``Iod`` with just enough attached to drive
+    ``_invalidate_sharers`` off the simulator: ``iod.sent`` collects
+    ``(node, block_nos)`` in the order invalidations would hit the wire."""
+    iod = object.__new__(Iod)
+    iod.block_size = 4096
+    iod.mgr_shards = 1
+    iod.directory = SharerDirectory()
+    iod.metrics = types.SimpleNamespace(inc=lambda *a, **k: None)
+    iod._emit = lambda *a, **k: None
+    iod.sent = sent = []
+
+    class _Call:
+        def response(self):
+            return None
+
+        def close(self):
+            return None
+
+    class _Channel:
+        def __init__(self, node_name):
+            self.node_name = node_name
+
+        def call(self, message):
+            sent.append((self.node_name, message.payload.block_nos))
+            return _Call()
+
+    class _Pool:
+        def channel(self, node_name):
+            return _Channel(node_name)
+            yield  # pragma: no cover - makes this a generator
+
+    iod._invalidate_pool = _Pool()
+    return iod
 
 
 def run_app(cluster: Cluster, generator) -> _t.Any:

@@ -7,13 +7,19 @@
 2. The iod's ``_invalidate_sharers`` used to iterate the raw sharer
    set, tying the invalidation packet order (and every downstream
    event) to the string hash seed.
+
+And, pinned as expected failures until the coherence PR (ROADMAP item
+1(a)): the iod registers a sharer only on a cache-originated *read*,
+so a node whose copy came from its own write is invisible to the
+next ``sync_write``.
 """
 
 import types
 
+import pytest
+
 from repro.cache.block import BlockState
-from repro.pvfs.iod import Iod
-from tests.conftest import make_cluster, run_app
+from tests.conftest import bare_iod, make_cluster, run_app
 
 
 def test_pending_invalidate_discards_in_flight_fetch(monkeypatch):
@@ -58,47 +64,64 @@ def test_pending_invalidate_discards_in_flight_fetch(monkeypatch):
 
 
 def test_invalidation_fanout_order_is_hash_independent():
-    """Sharers must be invalidated in sorted order, whatever the
-    iteration order of the directory's sharer set."""
-    sharers = {f"node-{c}" for c in "zyxwvutsrqponmlkjihgfedcba"}
-    iod = object.__new__(Iod)
-    iod.block_size = 4096
-    iod.mgr_shards = 1
-    iod.directories = [{}]
-    iod.directory = {(7, 0): set(sharers) | {"writer"}}
-    contacted = []
-
-    class _Call:
-        def response(self):
-            return None
-
-        def close(self):
-            return None
-
-    class _Channel:
-        def call(self, message):
-            return _Call()
-
-    class _Pool:
-        def channel(self, node_name):
-            contacted.append(node_name)
-            return _Channel()
-            yield  # pragma: no cover - makes this a generator
-
-    iod._invalidate_pool = _Pool()
-    iod.metrics = types.SimpleNamespace(inc=lambda *a, **k: None)
-    iod._emit = lambda *a, **k: None
-
+    """Sharers must be invalidated in sorted order, whatever order
+    the directory met them in (it iterates a dict, and a set before
+    that)."""
+    sharers = [f"node-{c}" for c in "zyxwvutsrqponmlkjihgfedcba"]
+    iod = bare_iod()
+    for name in ["node-m", "writer", *sharers]:
+        iod.directory.note(7, 0, 1, name)
     req = types.SimpleNamespace(
         file_id=7, ranges=[(0, 4096)], requester_node="writer"
     )
-    gen = iod._invalidate_sharers(req)
-    try:
-        while True:
-            gen.send(None)
-    except StopIteration:
+    for _ in iod._invalidate_sharers(req):
         pass
-
-    assert contacted == sorted(sharers)
+    assert iod.sent == [(name, [0]) for name in sorted(sharers)]
     # the writer's own (current) copy survives in the directory
-    assert iod.directory[(7, 0)] == {"writer"}
+    assert iod.directory.sharers(7, 0) == {"writer"}
+
+
+# -- a copy that came from a write is not in the directory ----------------
+
+
+def _block(byte):
+    return byte * 4096
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="iod never registers the node of a flushed write as a sharer "
+    "(ROADMAP 1(a): SharerDirectory.note in Iod._handle_flush)",
+)
+def test_sync_write_invalidates_a_copy_made_by_a_buffered_write():
+    cluster = make_cluster()
+    writer, syncer = cluster.client("node0"), cluster.client("node1")
+
+    def app(env):
+        f = yield from writer.open("/f")
+        yield from writer.write(f, 0, 4096, _block(b"A"))
+        yield from cluster.drain_caches()
+        g = yield from syncer.open("/f")
+        yield from syncer.sync_write(g, 0, 4096, _block(b"B"))
+        return (yield from writer.read(f, 0, 4096, want_data=True))
+
+    assert run_app(cluster, app(cluster.env)) == _block(b"B")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="iod never registers a sync_write's own node as a sharer "
+    "(ROADMAP 1(a): SharerDirectory.note in Iod._invalidate_sharers)",
+)
+def test_sync_write_invalidates_a_copy_made_by_an_earlier_sync_write():
+    cluster = make_cluster()
+    first, second = cluster.client("node1"), cluster.client("node0")
+
+    def app(env):
+        f = yield from first.open("/f")
+        yield from first.sync_write(f, 0, 4096, _block(b"A"))
+        g = yield from second.open("/f")
+        yield from second.sync_write(g, 0, 4096, _block(b"B"))
+        return (yield from first.read(f, 0, 4096, want_data=True))
+
+    assert run_app(cluster, app(cluster.env)) == _block(b"B")

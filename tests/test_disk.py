@@ -397,6 +397,32 @@ def test_pagecache_hit_ratio_empty():
     assert pc.hit_ratio == 0.0
 
 
+def test_pagecache_packed_keys_keep_files_apart_and_reject_overflow():
+    """Keys are ``file_id << 40 | block``: the top block of one file is
+    not block 0 of the next, and a block number that would alias
+    another file is an error on every entry point."""
+    top = (1 << 40) - 1
+    pc = PageCache(capacity_blocks=8)
+    pc.insert(1, top)
+    pc.insert_many(2, top - 1, 2)
+    assert pc.contains(1, top) and not pc.contains(2, 0)
+    assert pc.lookup_many(2, [top - 1, top]) == (2, [])
+    assert pc.invalidate(1, top) and not pc.invalidate(1, top)
+    for bad in (top + 1, -1):
+        for call in (
+            lambda: pc.lookup(1, bad),
+            lambda: pc.lookup_many(1, [0, bad]),
+            lambda: pc.insert(1, bad),
+            lambda: pc.insert_many(1, bad, 1),
+            lambda: pc.insert_many(1, top, 2) if bad > 0 else pc.insert(1, bad),
+            lambda: pc.contains(1, bad),
+            lambda: pc.invalidate(1, bad),
+        ):
+            with pytest.raises(ValueError, match="block number"):
+                call()
+    assert len(pc) == 2
+
+
 # -- PageCache bulk APIs (the batched miss path) ----------------------------
 
 

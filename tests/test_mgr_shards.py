@@ -258,16 +258,22 @@ def test_sync_write_invalidates_across_shard_directories():
 
 
 def test_iod_directory_view_merges_partitions():
+    """One directory answers for files of every mgr shard: the
+    partition is a function of the file id, not a second table."""
     cluster = make_cluster(compute_nodes=2, iod_nodes=2, mgr_shards=2)
     iod = cluster.iods[0]
-    iod.directories[0][(1, 0)] = {"node0"}
-    iod.directories[1][(2, 0)] = {"node1"}
-    merged = iod.directory
-    assert merged == {(1, 0): {"node0"}, (2, 0): {"node1"}}
-    # Re-assignment re-routes entries by owning shard of the file id.
-    iod.directory = {(1, 5): {"node0"}, (2, 7): {"node1"}}
-    assert iod.directories[0] == {(1, 5): {"node0"}}
-    assert iod.directories[1] == {(2, 7): {"node1"}}
+    assert protocol.owning_mgr_shard(1, 2) == 0
+    assert protocol.owning_mgr_shard(2, 2) == 1
+    iod.directory.note(1, 0, 1, "node0")
+    iod.directory.note(2, 0, 1, "node1")
+    assert iod.directory.sharers(1, 0) == {"node0"}
+    assert iod.directory.sharers(2, 0) == {"node1"}
+    assert iod.stats()["directory_files"] == 2
+    # Same block number, different files (and shards): no cross-talk.
+    assert iod.directory.invalidate(1, 0, 1, "node1") == {"node0": [0]}
+    assert iod.directory.sharers(1, 0) == set()
+    assert iod.directory.sharers(2, 0) == {"node1"}
+    assert iod.stats()["directory_files"] == 1
 
 
 # -- determinism -----------------------------------------------------------------

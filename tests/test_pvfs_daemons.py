@@ -129,7 +129,8 @@ def test_iod_directory_tracks_cache_readers():
         f = yield from client.open("/f")
         yield from client.read(f, 0, 4096)
         iod = cluster.iods[0]
-        assert iod.directory.get((f.file_id, 0)) == {"node0"}
+        assert iod.directory.sharers(f.file_id, 0) == {"node0"}
+        assert iod.directory.sharers(f.file_id, 1) == set()
 
     run_app(cluster, app(cluster.env))
 
@@ -141,7 +142,9 @@ def test_iod_directory_ignores_raw_readers():
     def app(env):
         f = yield from client.open("/f")
         yield from client.read(f, 0, 4096)
-        assert cluster.iods[0].directory == {}
+        for iod in cluster.iods:
+            assert iod.directory.sharers(f.file_id, 0) == set()
+            assert iod.stats()["directory_files"] == 0
 
     run_app(cluster, app(cluster.env))
 

@@ -75,6 +75,19 @@ def test_rm_frees_blocks():
         shell.rm("/ghost")
 
 
+def test_rm_forgets_the_files_sharers():
+    cluster = make_cluster()
+    shell = PVFSShell(cluster)
+    shell.cp_in("/victim", b"v" * (40 * 4096))  # spans both iods
+    shell.dd("/victim", 4096, 40)  # cached reads register node0
+    file_id = shell.stat("/victim").file_id
+    assert all(iod.stats()["directory_files"] == 1 for iod in cluster.iods)
+    shell.rm("/victim")
+    for iod in cluster.iods:
+        assert iod.stats()["directory_files"] == 0
+        assert not any(iod.directory.sharers(file_id, b) for b in range(40))
+
+
 def test_dd_read_and_write():
     cluster = make_cluster()
     shell = PVFSShell(cluster)
