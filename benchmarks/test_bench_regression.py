@@ -25,17 +25,6 @@ the perf trajectory is visible across PRs:
   fig5/fig8-style cold-cache read sweep through the full cluster with
   the page cache disabled (disk-bound end to end), per disk model;
   the queued model must beat the mechanical one outright.
-* ``macro_replay_off_s`` / ``macro_replay_on_s`` — a hit-burst read
-  stream (one node re-reading a cache-resident region) with the
-  macro-event fast path off vs on (DESIGN.md §14).  Gated live like
-  the wire/disk replays: macro-on must be at least
-  ``MACRO_SPEEDUP_FLOOR``x faster in wall-clock *and* process at
-  least ``MACRO_EVENT_RATIO_FLOOR``x fewer events (the event count
-  is deterministic, so that ratio is exactly host-independent).
-* ``fig4_quick_sweep_macro_s`` — the serial quick fig4 sweep with
-  the macro path on.  Fig4 is the zero-locality *overhead* figure —
-  every read misses, the macro path only ever declines — so this
-  entry guards the probe-and-bail overhead, not a speedup.
 * ``trace_replay_s`` — a recorded fig4-style microbench trace
   replayed closed-loop through :class:`TraceReplayer`.  Two
   host-independent gates ride along: the replay's event count must be
@@ -73,7 +62,6 @@ import pytest
 
 from repro.cluster.config import (
     DISK_MODEL_ENV_VAR,
-    ENGINE_MACRO_ENV_VAR,
     NET_MODEL_ENV_VAR,
 )
 from repro.experiments.parallel import WORKERS_ENV_VAR
@@ -102,21 +90,6 @@ FLUID_SPEEDUP_FLOOR = 2.0
 #: round-trip per coalesced run, the queued model two heap events per
 #: batch).
 DISK_SPEEDUP_FLOOR = 2.0
-
-#: The macro-event fast path must keep the hit-burst replay at least
-#: this many times faster than the event-level path.  Live same-run
-#: ratio; observed 2.0-2.2x (one event per fully-hit read vs the
-#: syscall-compute + lookup-compute + copy-compute train, which the
-#: analytic node CPU cut from six events to three — 3.6-4.0x before
-#: that, all of the difference from the event-level side getting
-#: cheaper: 0.085 s -> 0.044 s against 0.022 s -> 0.021 s).
-MACRO_SPEEDUP_FLOOR = 1.5
-
-#: ...and must process at least this many times fewer events for the
-#: same simulated reads.  Event counts are deterministic, so this
-#: ratio is exactly host-independent; observed 2.97x (9043 -> 3044;
-#: 18044 -> 3046, 5.9x, while a compute cost a grant and a timeout).
-MACRO_EVENT_RATIO_FLOOR = 2.9
 
 #: Replaying a recorded run may process at most this many times the
 #: events of the run it was recorded from.  Event counts are
@@ -311,62 +284,6 @@ def _measure_disk_cold_sweep_s(disk_model: str, rounds: int = 6) -> float:
     return min(one_sweep() for _ in range(rounds))
 
 
-def _measure_macro_replay(
-    engine_macro: bool, rounds: int = 3
-) -> tuple[float, int]:
-    """A hit-burst read stream against one resident region.
-
-    One compute node writes a 256 KB region into its cache module,
-    then re-reads it in 4 KB requests — every read a full hit, the
-    regime the macro-event fast path coalesces.  Returns (best
-    wall-clock seconds, events processed during the read phase); the
-    event count is deterministic across rounds and hosts.
-    """
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.config import ClusterConfig
-
-    n_reads = 3000
-    read_bytes = 4096
-    region = 256 * 1024
-
-    def replay() -> tuple[float, int]:
-        cluster = Cluster(
-            ClusterConfig(
-                compute_nodes=1, iod_nodes=1, engine_macro=engine_macro
-            )
-        )
-        env = cluster.env
-        client = cluster.client("node0")
-
-        def setup(env):
-            handle = yield from client.open("/hot")
-            yield from client.write(handle, 0, region)
-            return handle
-
-        setup_proc = env.process(setup(env))
-        env.run(until=setup_proc)
-        handle = setup_proc.value
-
-        def reader(env):
-            for i in range(n_reads):
-                yield from client.read(
-                    handle, (i * read_bytes) % region, read_bytes
-                )
-
-        before = env.sched_stats()["events_processed"]
-        read_proc = env.process(reader(env))
-        t0 = time.perf_counter()
-        env.run(until=read_proc)
-        elapsed = time.perf_counter() - t0
-        events = env.sched_stats()["events_processed"] - before
-        hits = cluster.metrics.counters.get("cache.hits", 0)
-        assert hits >= n_reads, f"replay not hit-dominated: {hits} hits"
-        return elapsed, events
-
-    results = [replay() for _ in range(rounds)]
-    return min(r[0] for r in results), results[0][1]
-
-
 def _measure_trace_replay(rounds: int = 3) -> tuple[float, int, int]:
     """A recorded microbench trace replayed closed-loop, best of 3.
 
@@ -434,37 +351,28 @@ def test_engine_regression(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV_VAR, "1")  # comparable across hosts
     monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
     monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
     wire_frames = _measure_fig4_wire_sweep_s("frames")
     wire_fluid = _measure_fig4_wire_sweep_s("fluid")
     disk_mech = _measure_disk_replay_s("mech")
     disk_queued = _measure_disk_replay_s("queued")
     cold_mech = _measure_disk_cold_sweep_s("mech")
     cold_queued = _measure_disk_cold_sweep_s("queued")
-    macro_off_s, macro_off_events = _measure_macro_replay(False)
-    macro_on_s, macro_on_events = _measure_macro_replay(True)
     replay_s, replay_events, source_events = _measure_trace_replay()
     knee_s, mgr_speedup = _measure_openloop_knee()
     fig4_frames = _measure_fig4_quick_sweep_s()
     monkeypatch.setenv(NET_MODEL_ENV_VAR, "fluid")
     fig4_fluid = _measure_fig4_quick_sweep_s()
     monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
-    monkeypatch.setenv(ENGINE_MACRO_ENV_VAR, "1")
-    fig4_macro = _measure_fig4_quick_sweep_s()
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
     current = {
         "events_per_sec": round(_measure_events_per_sec(), 1),
         "fig4_quick_sweep_s": round(fig4_frames, 3),
         "fig4_quick_sweep_fluid_s": round(fig4_fluid, 3),
-        "fig4_quick_sweep_macro_s": round(fig4_macro, 3),
         "fig4_wire_hub_frames_s": round(wire_frames, 4),
         "fig4_wire_hub_fluid_s": round(wire_fluid, 4),
         "disk_replay_mech_s": round(disk_mech, 4),
         "disk_replay_queued_s": round(disk_queued, 4),
         "disk_cold_sweep_mech_s": round(cold_mech, 3),
         "disk_cold_sweep_queued_s": round(cold_queued, 3),
-        "macro_replay_off_s": round(macro_off_s, 4),
-        "macro_replay_on_s": round(macro_on_s, 4),
         "trace_replay_s": round(replay_s, 4),
         "openloop_knee_256_s": round(knee_s, 3),
         "mgr_shard_speedup": round(mgr_speedup, 3),
@@ -499,20 +407,6 @@ def test_engine_regression(monkeypatch):
     assert cold_queued < cold_mech, (
         f"queued cold-cache sweep ({cold_queued:.3f}s) not faster than "
         f"mech ({cold_mech:.3f}s)"
-    )
-    # And one layer up again: coalescing fully-hit read bursts into a
-    # single event each must pay off in wall-clock AND in the
-    # (deterministic) event budget.
-    macro_speedup = macro_off_s / macro_on_s
-    assert macro_speedup >= MACRO_SPEEDUP_FLOOR, (
-        f"macro hit-burst replay only {macro_speedup:.2f}x faster than "
-        f"the event-level path (floor {MACRO_SPEEDUP_FLOOR}x)"
-    )
-    event_ratio = macro_off_events / macro_on_events
-    assert event_ratio >= MACRO_EVENT_RATIO_FLOOR, (
-        f"macro path only cut events by {event_ratio:.2f}x "
-        f"({macro_off_events} -> {macro_on_events}; floor "
-        f"{MACRO_EVENT_RATIO_FLOOR}x)"
     )
     # Host-independent gate: at the 256-node knee the single mgr is
     # the serialization point; hash-partitioning it across 4 shards

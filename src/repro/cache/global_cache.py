@@ -109,9 +109,6 @@ class GlobalCacheClient(Service):
         """Serve peer lookups on this node."""
         self.serve(self.port)
 
-    # Back-compat name from before the service runtime.
-    start_listener = Service.start
-
     @handles(protocol.GCACHE_LOOKUP)
     def _handle_lookup(self, msg: Message, endpoint) -> _t.Generator:
         manager = self.module.manager

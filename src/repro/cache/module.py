@@ -40,10 +40,6 @@ from repro.pvfs.protocol import (
 from repro.pvfs.striping import StripeLayout
 from repro.svc import Service, handles
 
-#: Sentinel distinguishing "macro path declined" from a served read
-#: whose return value is legitimately ``None`` (``want_data=False``).
-MACRO_MISS = object()
-
 
 class CacheModule(Service):
     """The per-node kernel-level shared I/O cache."""
@@ -58,12 +54,8 @@ class CacheModule(Service):
         iod_port: int = 7000,
         flush_port: int = 7001,
         invalidate_port: int = 7002,
-        engine_macro: bool = False,
     ) -> None:
         super().__init__(node.env, f"cache-{node.name}", node=node)
-        #: Macro-event fast path (DESIGN.md §14): service fully-resident
-        #: uncontended read bursts under a single scheduled event.
-        self.engine_macro = engine_macro
         self.layout = layout
         self.iod_nodes = tuple(iod_nodes)
         self.metrics = metrics
@@ -193,12 +185,6 @@ class CacheModule(Service):
         """Process body: serve a read through the cache."""
         if nbytes == 0:
             return b"" if want_data else None
-        if self.engine_macro:
-            served = yield from self.macro_read(
-                handle, offset, nbytes, want_data
-            )
-            if served is not MACRO_MISS:
-                return served
         buf = bytearray(nbytes) if want_data else None
         yield from self._pipeline_segments(
             offset, nbytes, self._read_segment, handle, buf, offset
@@ -208,86 +194,6 @@ class CacheModule(Service):
             blocks = blocks_spanned(offset, nbytes, self.block_size)
             self.readahead.observe_read(handle, blocks[0], len(blocks))
         return bytes(buf) if buf is not None else None
-
-    def macro_read(
-        self,
-        handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        want_data: bool,
-        pre_compute_s: float = 0.0,
-    ) -> _t.Generator:
-        """One-event service of a fully-resident, uncontended read.
-
-        Synchronously probes every spanned block (the same
-        ``manager.lookup`` the per-segment path uses, so replacement
-        policy touches are identical); if all are resident with valid
-        coverage and the node CPU is idle, the whole burst is charged
-        as a single timeout of the same total compute the per-segment
-        path would accrue (lookup + copy-out per block), plus the
-        caller's ``pre_compute_s`` (libpvfs folds the syscall cost in
-        so the whole read costs one event).  Declines — returning
-        ``MACRO_MISS`` before any yield, so no event is scheduled and
-        no simulated time passes — on a miss, a PENDING block, a
-        coverage gap, or CPU contention; the caller then falls through
-        to the validated per-segment path.
-
-        Unlike that path, all spanned blocks stay pinned at once for
-        the (single-event) service interval rather than at most
-        ``2 x segment_blocks``; acceptable because nothing can evict
-        mid-event.  See DESIGN.md §14 for the validity envelope.
-        """
-        node = self.node
-        if not node.cpu_idle:
-            return MACRO_MISS
-        manager = self.manager
-        file_id = handle.file_id
-        bs = self.block_size
-        block_nos = blocks_spanned(offset, nbytes, bs)
-        pinned: list[tuple[CacheBlock, int, int, int]] = []
-        try:
-            for block_no in block_nos:
-                block = manager.lookup((file_id, block_no))
-                if block is None or block.state is BlockState.PENDING:
-                    return MACRO_MISS
-                start, end = self._block_slice(offset, nbytes, block_no)
-                if not block.valid.covers(start, end):
-                    return MACRO_MISS
-                block.pin()
-                pinned.append((block, block_no, start, end))
-            n = len(block_nos)
-            costs = node.costs
-            yield from node.compute(
-                pre_compute_s
-                + (costs.cache_lookup_s + costs.cache_copy_block_s) * n
-            )
-            buf = None
-            if want_data:
-                buf = bytearray(nbytes)
-                for block, block_no, start, end in pinned:
-                    piece = block.read_slice(start, end)
-                    if piece is not None:
-                        dst = block_no * bs + start - offset
-                        buf[dst : dst + (end - start)] = piece
-            # Mirror the per-segment counters so fig4/fig5 hit ratios
-            # stay comparable across the seam, plus macro-only ones.
-            seg_bytes = self._seg_bytes
-            n_segs = (offset + nbytes - 1) // seg_bytes - offset // seg_bytes + 1
-            metrics = self.metrics
-            metrics.inc("cache.hits", n)
-            metrics.inc("cache.read_segments", n_segs)
-            metrics.inc("cache.fully_hit_segments", n_segs)
-            metrics.inc("cache.read_requests")
-            metrics.inc("cache.macro_reads")
-            # Estimated: each avoided segment costs 2 computes (one
-            # timeout each) on the event-level path; we spent one event.
-            self.env.note_coalesced_burst(events_saved=2 * n_segs - 1)
-            if self.readahead is not None:
-                self.readahead.observe_read(handle, block_nos[0], n)
-            return bytes(buf) if buf is not None else None
-        finally:
-            for block, _block_no, _start, _end in pinned:
-                manager.unpin(block)
 
     #: How many segments of one request may be in flight at once.
     #: Depth 2 keeps the wire busy across segment boundaries while

@@ -139,9 +139,6 @@ class Cluster:
             self.iods.append(iod)
 
         self.cache_modules: dict[str, CacheModule] = {}
-        # Resolved once, like the net/disk models: the macro-event fast
-        # path is a per-cluster decision (DESIGN.md §14).
-        self.engine_macro = self.config.resolved_engine_macro
         if self.config.caching:
             gcache_directory = None
             if self.config.cache.global_cache:
@@ -158,7 +155,6 @@ class Cluster:
                     iod_port=self.config.IOD_PORT,
                     flush_port=self.config.FLUSH_PORT,
                     invalidate_port=self.INVALIDATE_PORT,
-                    engine_macro=self.engine_macro,
                 )
                 if gcache_directory is not None:
                     from repro.cache.global_cache import GlobalCacheClient
@@ -237,9 +233,8 @@ class Cluster:
         Mirrors :meth:`record_network_metrics`: every counter from
         ``Environment.sched_stats`` lands as a ``sim.*`` metric so
         experiment harnesses can report event-loop behaviour (events
-        processed, timer garbage collected, bursts coalesced, queue
-        depth high-water) next to cache statistics.  Returns the raw
-        snapshot.
+        processed, timer garbage collected, queue depth high-water)
+        next to cache statistics.  Returns the raw snapshot.
         """
         snap = self.env.sched_stats()
         for key, value in snap.items():

@@ -38,15 +38,6 @@ DISK_MODEL_ENV_VAR = "REPRO_DISK_MODEL"
 #: (DESIGN.md §13).
 DISK_MODELS = ("mech", "queued")
 
-#: Environment variable enabling the cache module's macro-event fast
-#: path for clusters whose config leaves ``engine_macro`` unset
-#: (DESIGN.md §14): fully-resident read bursts are serviced under one
-#: scheduled event instead of one generator round-trip per block.
-#: Any value other than ``""``/``"0"`` enables it; like
-#: ``REPRO_NET_MODEL`` this is how ``--engine-macro`` reaches clusters
-#: built inside parallel sweep workers.
-ENGINE_MACRO_ENV_VAR = "REPRO_ENGINE_MACRO"
-
 #: Environment variable naming a workload trace file (JSONL or CSV
 #: dialect) to replay *instead of* the synthetic micro-benchmark, for
 #: configs whose ``trace_source`` is unset.  Like ``REPRO_NET_MODEL``,
@@ -224,12 +215,6 @@ class ClusterConfig:
     #: see DESIGN.md §13), or ``None`` to defer to
     #: ``REPRO_DISK_MODEL`` falling back to mech.
     disk_model: str | None = None
-    #: Macro-event fast path (DESIGN.md §14): ``True``/``False`` to
-    #: force, or ``None`` to defer to ``REPRO_ENGINE_MACRO`` falling
-    #: back to off.  Off is bit-identical to the validated event-level
-    #: schedule; on trades exact event interleaving inside fully-hit
-    #: read bursts for speed.
-    engine_macro: bool | None = None
     #: Path of a workload trace (JSONL or CSV dialect) to replay
     #: instead of the synthetic benchmark the driver would generate,
     #: or ``None`` to defer to ``REPRO_TRACE`` falling back to the
@@ -296,18 +281,6 @@ class ClusterConfig:
         return model
 
     @property
-    def resolved_engine_macro(self) -> bool:
-        """Whether the macro-event fast path is on for this cluster.
-
-        An explicit ``engine_macro`` wins; otherwise a non-empty,
-        non-``"0"`` ``REPRO_ENGINE_MACRO`` enables it, and with
-        neither set the validated event-level path runs.
-        """
-        if self.engine_macro is not None:
-            return self.engine_macro
-        return os.environ.get(ENGINE_MACRO_ENV_VAR, "") not in ("", "0")
-
-    @property
     def resolved_trace_source(self) -> str | None:
         """The trace file to replay, or ``None`` for synthetic runs.
 
@@ -354,9 +327,11 @@ class ClusterConfig:
         return [f"node{i}" for i in range(self.iod_nodes)]
 
     #: Read only by the frozen ``bench/workloads.py`` provenance block;
-    #: there is one engine (DESIGN.md §17).  The next benchmark PR
-    #: should drop this constant and that reader together.
+    #: there is one engine (DESIGN.md §17) and one read path (§14).
+    #: The next benchmark PR should drop these constants and that
+    #: reader together.
     resolved_engine_shards = 1
+    resolved_engine_macro = False
 
     #: Well-known ports.
     MGR_PORT = 3000

@@ -16,7 +16,6 @@ import typing as _t
 from repro.cluster.config import (
     DISK_MODEL_ENV_VAR,
     DISK_MODELS,
-    ENGINE_MACRO_ENV_VAR,
     MGR_SHARDS_ENV_VAR,
     NET_MODEL_ENV_VAR,
     NET_MODELS,
@@ -134,8 +133,7 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
     print(
         "[scheduler: {events_processed} events, depth hw "
         "{queue_depth_hw}, {timers_cancelled} timers cancelled, "
-        "{timer_entries_purged} entries purged, {bursts_coalesced} "
-        "bursts coalesced]".format(**sched),
+        "{timer_entries_purged} entries purged]".format(**sched),
         file=stream,
     )
     monitor.close()
@@ -217,15 +215,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--engine-macro",
-        action="store_true",
-        help=(
-            "coalesce fully-resident cache-hit read bursts into one "
-            "scheduled event each (DESIGN.md §14); off preserves the "
-            "validated event-level schedule bit-for-bit"
-        ),
-    )
-    parser.add_argument(
         "--mgr-shards",
         type=int,
         default=None,
@@ -268,9 +257,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         os.environ[NET_MODEL_ENV_VAR] = args.net_model
     if args.disk_model:
         os.environ[DISK_MODEL_ENV_VAR] = args.disk_model
-    if args.engine_macro:
-        os.environ[ENGINE_MACRO_ENV_VAR] = "1"
-    if args.mgr_shards:
+    if args.mgr_shards is not None:
+        if args.mgr_shards < 1:
+            parser.error(f"--mgr-shards must be >= 1, got {args.mgr_shards}")
         os.environ[MGR_SHARDS_ENV_VAR] = str(args.mgr_shards)
     if args.trace:
         os.environ[TRACE_ENV_VAR] = args.trace

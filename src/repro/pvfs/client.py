@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.cache.module import MACRO_MISS
 from repro.cluster.node import Node
 from repro.metrics import Metrics
 from repro.net import Message
@@ -256,27 +255,6 @@ class PVFSClient:
         cache = self._cache
         start = self.env.now
         self._trace(handle.file_id, offset, nbytes, "read")
-        if cache is not None and cache.engine_macro and nbytes > 0:
-            # Macro-event fast path (DESIGN.md §14): a fully-resident
-            # uncontended read is charged as one event covering the
-            # syscall, lookup, and copy-out costs together.  A decline
-            # schedules nothing, so falling through is side-effect
-            # free.
-            result = yield from cache.macro_read(
-                handle,
-                offset,
-                nbytes,
-                want_data,
-                pre_compute_s=self.node.costs.syscall_s,
-            )
-            if result is not MACRO_MISS:
-                if self.record_metrics:
-                    self.metrics.record(
-                        "client.read_latency", self.env.now - start
-                    )
-                    self.metrics.inc("client.reads")
-                    self.metrics.inc("client.read_bytes", nbytes)
-                return result
         yield from self.node.compute(self.node.costs.syscall_s)
         if cache is not None:
             result = yield from cache.read(handle, offset, nbytes, want_data)
@@ -347,8 +325,8 @@ class PVFSClient:
         (cf. listio in PVFS): the raw path aggregates every range into
         one request per iod — the iods' handlers are range-list native
         — and the cached path serves each range through the cache
-        module (the macro fast path engages per range).  Returns a
-        list of per-range byte strings when ``want_data``.
+        module.  Returns a list of per-range byte strings when
+        ``want_data``.
         """
         ranges = self._check_ranges(ranges)
         cache = self._cache
@@ -359,13 +337,6 @@ class PVFSClient:
         if cache is not None:
             parts = []
             for offset, nbytes in ranges:
-                if cache.engine_macro and nbytes > 0:
-                    result = yield from cache.macro_read(
-                        handle, offset, nbytes, want_data
-                    )
-                    if result is not MACRO_MISS:
-                        parts.append(result)
-                        continue
                 part = yield from cache.read(handle, offset, nbytes, want_data)
                 parts.append(part)
         else:

@@ -99,8 +99,6 @@ class Environment:
         "_stale_timers",
         "_timer_entries_purged",
         "_timer_compactions",
-        "_bursts_coalesced",
-        "_burst_events_saved",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -148,8 +146,6 @@ class Environment:
         self._stale_timers = 0
         self._timer_entries_purged = 0
         self._timer_compactions = 0
-        self._bursts_coalesced = 0
-        self._burst_events_saved = 0
         self._active_process: Process | None = None
         #: Callables invoked (with this env) after every processed
         #: event.  Empty in normal runs; the run loop only takes the
@@ -486,11 +482,6 @@ class Environment:
             push(entry)
 
     # -- statistics -------------------------------------------------------
-    def note_coalesced_burst(self, events_saved: int = 0) -> None:
-        """Record one macro-event burst (see DESIGN.md §14)."""
-        self._bursts_coalesced += 1
-        self._burst_events_saved += events_saved
-
     def sched_stats(self) -> dict[str, int]:
         """Point-in-time scheduler counters (all monotone except depth)."""
         return {
@@ -500,8 +491,6 @@ class Environment:
             "timers_cancelled": self._timers_cancelled,
             "timer_entries_purged": self._timer_entries_purged,
             "timer_compactions": self._timer_compactions,
-            "bursts_coalesced": self._bursts_coalesced,
-            "burst_events_saved": self._burst_events_saved,
         }
 
     # -- instrumentation -------------------------------------------------

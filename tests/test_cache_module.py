@@ -315,6 +315,40 @@ def test_fully_hit_segment_counter():
     run_app(cluster, app(cluster.env))
 
 
+def test_resident_read_costs_three_events():
+    """What the paper's hit path costs the scheduler: three timeouts
+    per resident 4 KB read (syscall, lookup, copy-out) and nothing
+    else.  Literals taken at the validated models, which the config
+    pins: the write-behind flush of the region overlaps the reads and
+    the queued disk model spends two events fewer on it."""
+    cluster = make_cluster(
+        compute_nodes=1, iod_nodes=1, net_model="frames", disk_model="mech"
+    )
+    env = cluster.env
+    client = cluster.client("node0")
+    region, n_reads = 128 * 1024, 400
+
+    def setup(env):
+        f = yield from client.open("/hot")
+        yield from client.write(f, 0, region)
+        return f
+
+    f = run_app(cluster, setup(env))
+
+    def reader(env):
+        for i in range(n_reads):
+            yield from client.read(f, (i * 4096) % region, 4096)
+
+    events_before = env.sched_stats()["events_processed"]
+    run_app(cluster, reader(env))
+    events = env.sched_stats()["events_processed"] - events_before
+    # 3 x 400 reads + 31 for the reader process and the flusher.
+    assert events == 1231
+    assert env.now == 0.04345000000000072
+    m = cluster.metrics
+    assert m.count("cache.hits") == m.count("cache.read_requests") == n_reads
+
+
 def test_faked_acks_recorded():
     cluster = make_cluster()
     client = cluster.client("node0")

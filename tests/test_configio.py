@@ -53,6 +53,18 @@ def test_unknown_keys_rejected():
         loads_config('{"costs": {"fabrik": "hub"}}')
 
 
+def test_removed_macro_knob_is_rejected():
+    """The macro read path is gone (DESIGN.md §14): asking for it must
+    fail, not run the event-level path under a config that says
+    otherwise — e.g. a config dumped by an older revision."""
+    with pytest.raises(TypeError, match="engine_macro"):
+        ClusterConfig(engine_macro=True)  # type: ignore[call-arg]
+    with pytest.raises(
+        ValueError, match=r"unknown cluster keys: \['engine_macro'\]"
+    ):
+        loads_config('{"engine_macro": true}')
+
+
 def test_validation_still_applies():
     with pytest.raises(ValueError):
         loads_config('{"compute_nodes": 0}')

@@ -288,6 +288,15 @@ def test_mech_trace_hash_bit_identical_to_seed(monkeypatch):
     )
 
 
+def test_removed_macro_env_var_is_inert(monkeypatch):
+    """The variable selected a read path that no longer exists
+    (DESIGN.md §14); nothing reads it now."""
+    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
+    monkeypatch.setenv("REPRO_ENGINE_MACRO", "1")
+    assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
+
+
 def test_trace_hash_stable_per_disk_model(monkeypatch):
     monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
     hashes = {}

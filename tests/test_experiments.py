@@ -15,7 +15,7 @@ from repro.experiments.overhead import (
     measure_hit_cost,
     run_overhead,
 )
-from repro.experiments.report import RUNNERS, run_all
+from repro.experiments.report import RUNNERS, main, run_all
 
 
 # -- Series / ExperimentResult --------------------------------------------
@@ -124,3 +124,19 @@ def test_run_all_with_charts():
     run_all(only=["overhead"], stream=stream, charts=True)
     out = stream.getvalue()
     assert "legend:" in out  # the chart rendered
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mgr-shards", "0"], "--mgr-shards must be >= 1, got 0"),
+        (["--mgr-shards", "-2"], "--mgr-shards must be >= 1, got -2"),
+        # Removed with the macro read path (DESIGN.md §14).
+        (["--engine-macro"], "unrecognized arguments: --engine-macro"),
+    ],
+)
+def test_cli_rejects_bad_flags_at_parse_time(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err

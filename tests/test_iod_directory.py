@@ -311,7 +311,6 @@ def _coherent_scenario():
         iod_nodes=2,
         net_model="frames",
         disk_model="mech",
-        engine_macro=False,
         mgr_shards=1,
     )
     env = cluster.env

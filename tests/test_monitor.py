@@ -148,7 +148,6 @@ def test_daemon_summary_scheduler_line_fields():
         "depth hw",
         "timers cancelled",
         "entries purged",
-        "bursts coalesced",
     ):
         assert field in line
 
