@@ -51,8 +51,8 @@ def main() -> None:
     print("\nThe single mgr flattens near its ~6.6k ops/s service")
     print("capacity; 4 shards keep completed == offered through the")
     print("top of the sweep — the knee moved right by more than 2x,")
-    print("which is exactly what benchmarks/test_bench_regression.py")
-    print("gates as `mgr_shard_speedup`.")
+    print("which is exactly what the `mgr-shards-knee` row of")
+    print("`python -m repro.experiments.validate` holds at p=256.")
 
 
 if __name__ == "__main__":

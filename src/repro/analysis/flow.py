@@ -144,11 +144,11 @@ def _fingerprint_path(path: str) -> str:
     """Normalise a finding path so fingerprints match regardless of
     whether the analyzer was invoked with absolute or relative paths."""
     posix = path.replace("\\", "/")
-    for marker in ("/src/", "/tests/", "/benchmarks/"):
+    for marker in ("/src/", "/tests/"):
         idx = posix.rfind(marker)
         if idx >= 0:
             return posix[idx + 1 :]
-    if posix.startswith(("src/", "tests/", "benchmarks/")):
+    if posix.startswith(("src/", "tests/")):
         return posix
     return posix.rsplit("/", 1)[-1]
 

@@ -6,6 +6,9 @@ import dataclasses
 import math
 import typing as _t
 
+from repro.cluster.config import CacheConfig, ClusterConfig, CostModel
+from repro.workload import MicroBenchParams, RunOutcome, run_instances
+
 
 @dataclasses.dataclass
 class SeriesPoint:
@@ -126,3 +129,79 @@ QUICK_SIZES = [4096, 65536, 262144]
 def sweep_sizes(quick: bool) -> list[int]:
     """The request-size sweep (quick or full)."""
     return QUICK_SIZES if quick else FULL_SIZES
+
+
+def single_point(
+    d: int,
+    mode: str,
+    caching: bool,
+    locality: float,
+    p: int = 4,
+    iterations: int = 16,
+    cache: CacheConfig | None = None,
+    costs: CostModel | None = None,
+    measure: _t.Callable[[RunOutcome], _t.Any] | None = None,
+) -> _t.Any:
+    """One micro-benchmark instance on its own p-node cluster: the mean
+    time per request (the y value of Figs 4/5), or ``measure(outcome)``
+    for a row that reads something else off the run."""
+    config = ClusterConfig(
+        compute_nodes=p,
+        iod_nodes=p,
+        caching=caching,
+        cache=cache or CacheConfig(),
+        costs=costs or CostModel(),
+    )
+    params = MicroBenchParams(
+        nodes=config.compute_node_names(),
+        request_size=d,
+        iterations=iterations,
+        mode=mode,
+        locality=locality,
+        partition_bytes=4 * 2**20,
+        warmup=(mode == "read"),
+    )
+    out = run_instances(config, [params])
+    if measure is not None:
+        return measure(out)
+    return out.mean_read_latency if mode == "read" else out.mean_write_latency
+
+
+def pair_point(
+    d: int,
+    locality: float,
+    sharing: float,
+    caching: bool,
+    p: int = 4,
+    total_bytes: int = 2 * 2**20,
+    cluster_nodes: int | None = None,
+    spread: bool = False,
+) -> float:
+    """Makespan of two concurrent reading instances: the y value of
+    Figs 6-8.
+
+    Both instances time-share the first ``p`` nodes of a
+    ``cluster_nodes``-node cluster (default ``p``); with ``spread`` the
+    second runs on the next ``p`` nodes instead (Fig 8's placements).
+    Total data per process is held constant at ``total_bytes``.
+    """
+    n = cluster_nodes or p
+    config = ClusterConfig(compute_nodes=n, iod_nodes=n, caching=caching)
+    nodes = config.compute_node_names()
+    node_sets = [nodes[:p], nodes[p : 2 * p] if spread else nodes[:p]]
+    instances = [
+        MicroBenchParams(
+            nodes=node_sets[i],
+            request_size=d,
+            iterations=max(1, total_bytes // d),
+            mode="read",
+            locality=locality,
+            sharing=sharing,
+            instance=i,
+            partition_bytes=4 * 2**20,
+            warmup=True,
+            seed=42,
+        )
+        for i in range(2)
+    ]
+    return run_instances(config, instances).makespan

@@ -9,29 +9,8 @@ small request sizes (8 KB or less).
 
 from __future__ import annotations
 
-from repro.cluster.config import ClusterConfig
-from repro.experiments.common import ExperimentResult, sweep_sizes
+from repro.experiments.common import ExperimentResult, single_point, sweep_sizes
 from repro.experiments.parallel import sweep
-from repro.workload import MicroBenchParams, run_instances
-
-
-def _one_point(
-    d: int, mode: str, caching: bool, p: int, iterations: int
-) -> float:
-    config = ClusterConfig(compute_nodes=p, iod_nodes=p, caching=caching)
-    params = MicroBenchParams(
-        nodes=config.compute_node_names(),
-        request_size=d,
-        iterations=iterations,
-        mode=mode,
-        locality=1.0,
-        partition_bytes=4 * 2**20,
-        warmup=(mode == "read"),
-    )
-    out = run_instances(config, [params])
-    return (
-        out.mean_read_latency if mode == "read" else out.mean_write_latency
-    )
 
 
 def run_fig5(
@@ -44,8 +23,8 @@ def run_fig5(
         for d in sizes:
             iterations = 32 if d <= 262144 else 16
             for caching in (True, False):
-                points.append((d, mode, caching, p, iterations))
-    values = iter(sweep(points, _one_point))
+                points.append((d, mode, caching, 1.0, p, iterations))
+    values = iter(sweep(points, single_point))
     results = []
     for panel, mode in (("fig5a", "read"), ("fig5b", "write")):
         result = ExperimentResult(

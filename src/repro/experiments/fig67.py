@@ -17,43 +17,11 @@ Paper's findings to reproduce:
 
 from __future__ import annotations
 
-from repro.cluster.config import ClusterConfig
-from repro.experiments.common import ExperimentResult, sweep_sizes
+from repro.experiments.common import ExperimentResult, pair_point, sweep_sizes
 from repro.experiments.parallel import sweep
-from repro.workload import MicroBenchParams, run_instances
 
 SHARING_LEVELS = (0.25, 0.50, 0.75, 1.00)
 LOCALITY_PANELS = ((0.0, "a"), (0.5, "b"), (1.0, "c"))
-
-
-def _run_pair(
-    p: int,
-    d: int,
-    locality: float,
-    sharing: float,
-    caching: bool,
-    total_bytes: int,
-) -> float:
-    config = ClusterConfig(compute_nodes=p, iod_nodes=p, caching=caching)
-    nodes = config.compute_node_names()
-    iterations = max(1, total_bytes // d)
-    instances = [
-        MicroBenchParams(
-            nodes=nodes,
-            request_size=d,
-            iterations=iterations,
-            mode="read",
-            locality=locality,
-            sharing=sharing,
-            instance=i,
-            partition_bytes=4 * 2**20,
-            warmup=True,
-            seed=42,
-        )
-        for i in range(2)
-    ]
-    out = run_instances(config, instances)
-    return out.makespan
 
 
 def _run_figure(
@@ -64,11 +32,11 @@ def _run_figure(
     for locality, _panel in LOCALITY_PANELS:
         for d in sizes:
             for s in SHARING_LEVELS:
-                points.append((p, d, locality, s, True, total_bytes))
+                points.append((d, locality, s, True, p, total_bytes))
             # The no-caching version is insensitive to s ("the original
             # version will always issue network requests"): one line.
-            points.append((p, d, locality, 0.5, False, total_bytes))
-    values = iter(sweep(points, _run_pair))
+            points.append((d, locality, 0.5, False, p, total_bytes))
+    values = iter(sweep(points, pair_point))
     results = []
     for locality, panel in LOCALITY_PANELS:
         result = ExperimentResult(

@@ -22,49 +22,11 @@ Paper's findings to reproduce:
 
 from __future__ import annotations
 
-from repro.cluster.config import ClusterConfig
-from repro.experiments.common import ExperimentResult, sweep_sizes
+from repro.experiments.common import ExperimentResult, pair_point, sweep_sizes
 from repro.experiments.parallel import sweep
-from repro.workload import MicroBenchParams, run_instances
 
 SHARING_LEVELS = (0.25, 0.50, 0.75, 1.00)
 LOCALITY_PANELS = ((0.0, "a"), (0.5, "b"), (1.0, "c"))
-
-
-def _run_variant(
-    variant: str,
-    d: int,
-    locality: float,
-    sharing: float,
-    total_bytes: int,
-) -> float:
-    config = ClusterConfig(
-        compute_nodes=6,
-        iod_nodes=6,
-        caching=(variant == "cache-colocated"),
-    )
-    iterations = max(1, total_bytes // d)
-    if variant == "nocache-spread":
-        node_sets = [["node0", "node1", "node2"], ["node3", "node4", "node5"]]
-    else:
-        node_sets = [["node0", "node1", "node2"]] * 2
-    instances = [
-        MicroBenchParams(
-            nodes=node_sets[i],
-            request_size=d,
-            iterations=iterations,
-            mode="read",
-            locality=locality,
-            sharing=sharing,
-            instance=i,
-            partition_bytes=4 * 2**20,
-            warmup=True,
-            seed=42,
-        )
-        for i in range(2)
-    ]
-    out = run_instances(config, instances)
-    return out.makespan
 
 
 def run_fig8(
@@ -76,11 +38,13 @@ def run_fig8(
     points = []
     for locality, _panel in LOCALITY_PANELS:
         for d in sizes:
+            # pair_point(d, l, s, caching, p, total_bytes, cluster_nodes,
+            # spread): 3-node instances on the 6-node cluster.
             for s in sharings:
-                points.append(("cache-colocated", d, locality, s, total_bytes))
-            points.append(("nocache-spread", d, locality, 0.5, total_bytes))
-            points.append(("nocache-colocated", d, locality, 0.5, total_bytes))
-    values = iter(sweep(points, _run_variant))
+                points.append((d, locality, s, True, 3, total_bytes, 6, False))
+            points.append((d, locality, 0.5, False, 3, total_bytes, 6, True))
+            points.append((d, locality, 0.5, False, 3, total_bytes, 6, False))
+    values = iter(sweep(points, pair_point))
     results = []
     for locality, panel in LOCALITY_PANELS:
         result = ExperimentResult(

@@ -1,4 +1,5 @@
-"""Documentation quality gate: every public item carries a docstring.
+"""Documentation quality gate: every public item carries a docstring,
+and the prose names only files that exist.
 
 Deliverable (e) of the reproduction requires doc comments on every
 public item; this test enforces it structurally so regressions fail CI
@@ -7,7 +8,9 @@ rather than review.
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -76,3 +79,35 @@ def test_public_methods_documented():
 def test_packages_importable():
     for name in MODULES:
         importlib.import_module(name)
+
+
+# -- the docs name only files that exist --------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+
+#: A back-ticked word that is a repo path: ``dir/``, ``dir/.../file.ext``
+#: or a root ``*.json``/``*.md``/``*.txt``, optionally followed by a
+#: ``:line`` / ``::test`` locator and closing punctuation.
+_REPO_PATH = re.compile(
+    r"((?:[\w.-]+/)+(?:[\w.-]+\.(?:py|md|json|jsonl|txt|yml|toml))?"
+    r"|[\w.-]+\.(?:json|md|txt))"
+    r"(?:::[\w\[\].-]+|:\d+(?:[-–,]\d+)*)?[.,;)]*$"
+)
+
+
+@pytest.mark.parametrize("doc", [d for d in DOCS if (ROOT / d).exists()])
+def test_docs_name_only_paths_that_exist(doc):
+    """Paths may be written from the root, from ``src/`` or from
+    ``src/repro/`` (``cache/module.py``)."""
+    stale = []
+    for lineno, line in enumerate((ROOT / doc).read_text().splitlines(), 1):
+        for span in re.findall(r"`([^`\n]+)`", line):
+            for word in span.split():
+                match = _REPO_PATH.match(word)
+                if match and not any(
+                    (ROOT / base / match.group(1)).exists()
+                    for base in ("", "src", "src/repro")
+                ):
+                    stale.append(f"{doc}:{lineno}: {word}")
+    assert not stale, "docs name paths that do not exist:\n" + "\n".join(stale)

@@ -5,16 +5,20 @@ import io
 import pytest
 
 from repro.experiments.common import (
+    QUICK_SIZES,
     ExperimentResult,
     Series,
     SeriesPoint,
+    single_point,
     sweep_sizes,
 )
+from repro.experiments.fig4 import run_fig4
 from repro.experiments.overhead import (
     PAPER_BOUND_S,
     measure_hit_cost,
     run_overhead,
 )
+from repro.experiments.parallel import WORKERS_ENV_VAR
 from repro.experiments.report import RUNNERS, main, run_all
 
 
@@ -86,6 +90,27 @@ def test_overhead_experiment_result_shape():
     series = result.get("hit service time / block")
     assert series.xs == [1, 2]
     assert all(y < PAPER_BOUND_S for y in series.ys)
+
+
+# -- figure drivers -----------------------------------------------------------
+
+
+def test_run_fig4_quick_panels_and_shared_point(monkeypatch):
+    """The driver sweeps the shared point function: a cell of the
+    figure equals a direct call with the same arguments."""
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")  # same process as the calls below
+    panels = run_fig4(quick=True)
+    assert [r.experiment_id for r in panels] == ["fig4a", "fig4b"]
+    for result in panels:
+        assert [s.label for s in result.series] == ["Caching", "No Caching"]
+        assert all(s.xs == QUICK_SIZES for s in result.series)
+    reads, writes = panels
+    assert reads.get("No Caching").y_at(4096) == single_point(
+        4096, "read", False, 0.0, 4, 32
+    )
+    assert writes.get("Caching").y_at(65536) == single_point(
+        65536, "write", True, 0.0, 4, 32
+    )
 
 
 # -- report runner -----------------------------------------------------------

@@ -304,7 +304,7 @@ def test_sharded_mgr_is_run_to_run_deterministic():
 def test_open_loop_knee_moves_with_mgr_shards():
     """A saturating open-loop workload completes measurably more
     ops/s with a sharded mgr (the p=256 version with the ≥2x floor is
-    the bench gate)."""
+    the ``mgr-shards-knee`` row of ``repro.experiments.validate``)."""
     from repro.workload.openloop import OpenLoopParams, generate
 
     params = OpenLoopParams(

@@ -1,4 +1,4 @@
-"""Tests for the resource monitor and the reproduction validator."""
+"""Tests for the resource monitor."""
 
 import math
 
@@ -256,24 +256,3 @@ def test_daemon_summary_prints_mgr_shard_rows():
     out = stream.getvalue()
     assert "metadata shards:" in out
     assert "inval-out" in out
-
-
-# -- validator ---------------------------------------------------------------
-
-
-def test_validator_check_dataclass():
-    from repro.experiments.validate import Check
-
-    c = Check(claim="x", passed=True, detail="d")
-    assert c.passed
-
-
-def test_validator_main_smoke(capsys):
-    """The full checklist runs and reports (slow-ish: ~1 min)."""
-    from repro.experiments.validate import main
-
-    rc = main()
-    out = capsys.readouterr().out
-    assert "claims reproduced" in out
-    assert rc == 0
-    assert "FAIL" not in out.replace("FAILED", "")

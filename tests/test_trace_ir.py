@@ -520,3 +520,33 @@ def test_trace_env_var_reaches_run_instances(tmp_path, monkeypatch):
     outcome = run_instances(ClusterConfig(compute_nodes=2, iod_nodes=2), [])
     assert outcome.total_time > 0
     assert outcome.counter("client.reads") == len(loads(text))
+
+
+def test_replay_event_budget_is_deterministic_and_bounded():
+    """Replaying a recorded run drives the client calls the generator
+    did, so it may not inflate the event budget of the run it
+    reproduces (ceiling 1.5x), and repeats process the same events."""
+    from repro.workload.microbench import MicroBenchParams
+
+    config = ClusterConfig(compute_nodes=2, iod_nodes=2)
+    params = MicroBenchParams(
+        nodes=config.compute_node_names(),
+        request_size=4096,
+        iterations=64,
+        mode="read",
+        locality=0.0,
+        partition_bytes=2 * 2**20,
+        seed=1234,
+    )
+    outcome = run_instances(config, [params], record=True)
+    recorded = outcome.cluster.env.sched_stats()["events_processed"]
+    assert len(outcome.trace) == 2 * 64
+
+    def replay() -> int:
+        cluster = make_cluster()
+        TraceReplayer(cluster, outcome.trace, preserve_timing=False).run()
+        return cluster.env.sched_stats()["events_processed"]
+
+    replays = {replay() for _ in range(3)}
+    assert len(replays) == 1, replays
+    assert replays.pop() <= 1.5 * recorded

@@ -1,0 +1,84 @@
+"""The claim table of ``repro.experiments.validate``, row by row.
+
+Rows run at whatever network/disk model the environment resolves, so
+each CI run of tier-1 judges every claim under its model.
+"""
+
+from operator import lt
+
+import pytest
+
+from repro.cluster.config import ClusterConfig
+from repro.experiments import validate
+from repro.experiments.validate import CLAIMS, Check, Claim, Points
+
+#: Rows known to fail under a non-default model, with the numbers
+#: measured when they were recorded: ``row id -> (seam, model, measured)``.
+#: Strict, so a model change that repairs one shows up as XPASS.
+KNOWN_FLIPS = {
+    "fig6a-s25": (
+        "disk_model",
+        "queued",
+        "caching 0.5732s vs no-caching 0.5673s (mech: 0.4244s vs 0.4764s)",
+    ),
+    "apps-mix": (
+        "net_model",
+        "fluid",
+        "caching 0.9670s vs no-caching 0.9390s (frames: 0.9739s vs 1.0427s)",
+    ),
+}
+
+
+#: One memo for the whole table: rows share their points.
+POINTS = Points()
+
+
+def _row(claim: Claim):
+    marks = []
+    if claim.id in KNOWN_FLIPS:
+        seam, model, measured = KNOWN_FLIPS[claim.id]
+        if getattr(ClusterConfig(), f"resolved_{seam}") == model:
+            marks.append(
+                pytest.mark.xfail(
+                    strict=True, reason=f"flips under {seam}={model}: {measured}"
+                )
+            )
+    return pytest.param(claim, id=claim.id, marks=marks)
+
+
+@pytest.mark.parametrize("claim", [_row(claim) for claim in CLAIMS])
+def test_claim(claim):
+    check = claim.check(POINTS)
+    assert check.passed, f"{check.claim}: {check.detail}"
+
+
+def test_claim_ids_are_unique_and_flips_name_rows():
+    ids = [claim.id for claim in CLAIMS]
+    assert len(set(ids)) == len(ids)
+    assert set(KNOWN_FLIPS) <= set(ids)
+
+
+def test_validator_check_dataclass():
+    claim = Claim("x", "the claim", lambda points: (1, 2), lt, "{} vs {}".format)
+    assert claim.check(POINTS) == Check(
+        id="x", claim="the claim", passed=True, detail="1 vs 2"
+    )
+
+
+def test_validator_main_smoke(capsys, monkeypatch):
+    """``main`` prints one line per row and exits by the failure count."""
+    rows = [claim for claim in CLAIMS if claim.id in ("hit-cost", "hit-cost-flat")]
+    monkeypatch.setattr(validate, "CLAIMS", rows)
+    assert validate.main() == 0
+    out = capsys.readouterr().out
+    assert "[PASS] hit-cost " in out
+    assert "2/2 claims reproduced" in out
+    assert "FAIL" not in out
+
+    rows.append(
+        Claim("broken", "never holds", lambda points: (2, 1), lt, "{} vs {}".format)
+    )
+    assert validate.main() == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] broken" in out and "(2 vs 1)" in out
+    assert "2/3 claims reproduced — 1 FAILED" in out
