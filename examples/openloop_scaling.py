@@ -5,7 +5,7 @@ trip to the single mgr daemon, which saturates at ~6.6k requests/s no
 matter how many compute nodes offer load.  A closed-loop benchmark
 can't see that ceiling (a saturated system is simply offered less),
 so this example drives a churn-heavy *open-loop* arrival schedule
-(DESIGN.md §18) at increasing offered rates and plots completed
+(DESIGN.md §17) at increasing offered rates and plots completed
 against offered: completed tracks offered until the mgr saturates,
 then flattens.  Hash-partitioning the namespace across 4 metadata
 shards (``ClusterConfig(mgr_shards=4)``) moves the knee right past

@@ -24,7 +24,7 @@ from repro.cache.module import CacheModule
 from repro.cluster.config import ClusterConfig
 from repro.cluster.node import Node
 from repro.metrics import Metrics
-from repro.net import FluidFabric, Network, SharedHubFabric, SwitchedFabric
+from repro.net import Network, SharedHubFabric, SwitchedFabric
 from repro.pvfs.client import PVFSClient
 from repro.pvfs.iod import Iod
 from repro.pvfs.mgr import MetadataServer
@@ -46,37 +46,22 @@ class Cluster:
         self.metrics = Metrics()
         costs = self.config.costs
 
-        # ``costs.fabric`` picks the topology (hub vs switch);
-        # ``net_model`` picks how contention on it is simulated
-        # (frame-by-frame vs analytic fluid sharing, DESIGN.md §12).
-        self.net_model = self.config.resolved_net_model
         # Resolved once here (not per node) so a mid-run env-var change
         # cannot split a cluster across disk models.
         self.disk_model = self.config.resolved_disk_model
-        if self.net_model == "fluid":
-            fabric = FluidFabric(
-                self.env,
-                mode=costs.fabric,
-                bandwidth_bps=costs.bandwidth_bps,
-                frame_bytes=costs.frame_bytes,
-                base_latency_s=costs.net_latency_s,
-            )
-        else:
-            fabric_cls = (
-                SharedHubFabric if costs.fabric == "hub" else SwitchedFabric
-            )
-            fabric = fabric_cls(
-                self.env,
-                bandwidth_bps=costs.bandwidth_bps,
-                frame_bytes=costs.frame_bytes,
-                base_latency_s=costs.net_latency_s,
-            )
+        fabric_cls = SharedHubFabric if costs.fabric == "hub" else SwitchedFabric
+        fabric = fabric_cls(
+            self.env,
+            bandwidth_bps=costs.bandwidth_bps,
+            frame_bytes=costs.frame_bytes,
+            base_latency_s=costs.net_latency_s,
+        )
         self.network = Network(self.env, fabric=fabric)
 
         compute_names = self.config.compute_node_names()
         iod_names = self.config.iod_node_names()
         #: How many hash-partitioned metadata shards run (DESIGN.md
-        #: §18).  Resolved once, like the net/disk models.
+        #: §17).  Resolved once, like the disk model.
         self.mgr_shards = self.config.resolved_mgr_shards
         #: Where each mgr shard lives: shard ``k`` on iod node
         #: ``k % n_iods``, on port ``MGR_PORT + k // n_iods`` so shards

@@ -15,21 +15,10 @@ from __future__ import annotations
 import dataclasses
 import os
 
-#: Environment variable selecting the default network model for
-#: clusters whose config leaves ``net_model`` unset (``frames`` or
-#: ``fluid``).  Lets ``python -m repro.experiments --net-model fluid``
-#: reach every cluster built inside parallel sweep workers.
-NET_MODEL_ENV_VAR = "REPRO_NET_MODEL"
-
-#: Recognised network models: ``frames`` simulates every frame on the
-#: wire (the validated default), ``fluid`` shares bandwidth
-#: analytically and only generates events on flow churn.
-NET_MODELS = ("frames", "fluid")
-
 #: Environment variable selecting the default disk model for clusters
 #: whose config leaves ``disk_model`` unset (``mech`` or ``queued``).
-#: Like ``REPRO_NET_MODEL``, this is how ``--disk-model`` reaches
-#: clusters built inside parallel sweep workers.
+#: Lets ``python -m repro.experiments --disk-model queued`` reach every
+#: cluster built inside parallel sweep workers.
 DISK_MODEL_ENV_VAR = "REPRO_DISK_MODEL"
 
 #: Recognised disk models: ``mech`` simulates each request against a
@@ -40,7 +29,7 @@ DISK_MODELS = ("mech", "queued")
 
 #: Environment variable naming a workload trace file (JSONL or CSV
 #: dialect) to replay *instead of* the synthetic micro-benchmark, for
-#: configs whose ``trace_source`` is unset.  Like ``REPRO_NET_MODEL``,
+#: configs whose ``trace_source`` is unset.  Like ``REPRO_DISK_MODEL``,
 #: this is how ``--trace`` reaches every ``run_instances`` call,
 #: including inside parallel sweep workers — so the fig4-8 drivers can
 #: all be pointed at one recorded workload.
@@ -49,7 +38,7 @@ TRACE_ENV_VAR = "REPRO_TRACE"
 #: Environment variable selecting how many hash-partitioned metadata
 #: server shards a cluster runs, for configs whose ``mgr_shards`` is
 #: unset.  ``1`` (or unset) keeps the paper's single mgr — and the
-#: schedule bit-identical to it; like ``REPRO_NET_MODEL``, this is
+#: schedule bit-identical to it; like ``REPRO_DISK_MODEL``, this is
 #: how ``--mgr-shards`` reaches clusters built inside parallel sweep
 #: workers.
 MGR_SHARDS_ENV_VAR = "REPRO_MGR_SHARDS"
@@ -203,13 +192,6 @@ class ClusterConfig:
     pagecache_blocks: int = 16384
     #: Whether compute nodes run the kernel cache module.
     caching: bool = True
-    #: Network model: ``"frames"`` (frame-by-frame, the validated
-    #: default), ``"fluid"`` (analytic max-min bandwidth sharing, see
-    #: DESIGN.md §12), or ``None`` to defer to ``REPRO_NET_MODEL``
-    #: falling back to frames.  Orthogonal to ``CostModel.fabric``:
-    #: that picks the topology (hub/switch), this picks how contention
-    #: on it is simulated.
-    net_model: str | None = None
     #: Disk model: ``"mech"`` (per-request spindle simulation, the
     #: validated default), ``"queued"`` (analytic FIFO batch service,
     #: see DESIGN.md §13), or ``None`` to defer to
@@ -220,7 +202,7 @@ class ClusterConfig:
     #: or ``None`` to defer to ``REPRO_TRACE`` falling back to the
     #: synthetic workload.  See ``repro.workload.runner``.
     trace_source: str | None = None
-    #: Hash-partitioned metadata server shards (DESIGN.md §18): how
+    #: Hash-partitioned metadata server shards (DESIGN.md §17): how
     #: many mgr daemons the file namespace is split across, or
     #: ``None`` to defer to ``REPRO_MGR_SHARDS`` falling back to 1
     #: (the paper's single mgr, bit-identical schedules).
@@ -231,10 +213,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.compute_nodes < 1 or self.iod_nodes < 1:
             raise ValueError("need at least one compute and one iod node")
-        if self.net_model is not None and self.net_model not in NET_MODELS:
-            raise ValueError(
-                f"unknown net_model {self.net_model!r}; have {NET_MODELS}"
-            )
         if self.disk_model is not None and self.disk_model not in DISK_MODELS:
             raise ValueError(
                 f"unknown disk_model {self.disk_model!r}; have {DISK_MODELS}"
@@ -250,20 +228,6 @@ class ClusterConfig:
                 "stripe size must be a multiple of the cache block size "
                 f"({self.stripe_size} % {self.cache.block_size} != 0)"
             )
-
-    @property
-    def resolved_net_model(self) -> str:
-        """The effective network model for this cluster.
-
-        An explicit ``net_model`` wins; otherwise ``REPRO_NET_MODEL``
-        chooses, and with neither set the validated frame model runs.
-        """
-        model = self.net_model or os.environ.get(NET_MODEL_ENV_VAR) or "frames"
-        if model not in NET_MODELS:
-            raise ValueError(
-                f"{NET_MODEL_ENV_VAR}={model!r} is not one of {NET_MODELS}"
-            )
-        return model
 
     @property
     def resolved_disk_model(self) -> str:
@@ -327,11 +291,12 @@ class ClusterConfig:
         return [f"node{i}" for i in range(self.iod_nodes)]
 
     #: Read only by the frozen ``bench/workloads.py`` provenance block;
-    #: there is one engine (DESIGN.md §17) and one read path (§14).
-    #: The next benchmark PR should drop these constants and that
-    #: reader together.
+    #: there is one engine, one read path and one network model
+    #: (DESIGN.md appendix A).  The next benchmark PR should drop these
+    #: constants and that reader together.
     resolved_engine_shards = 1
     resolved_engine_macro = False
+    resolved_net_model = "frames"
 
     #: Well-known ports.
     MGR_PORT = 3000

@@ -1,4 +1,4 @@
-"""Analytic queued disk model: the storage-layer fluid analogue.
+"""Analytic queued disk model: service times computed, not simulated.
 
 The mechanical model (:class:`~repro.disk.model.DiskModel`) simulates
 the spindle as a capacity-1 :class:`~repro.sim.Resource`: every
@@ -6,8 +6,7 @@ request costs a process spawn, a resource acquire, a service timeout,
 and a release — four heap events plus generator round-trips, O(requests)
 in total.  Cache-aware analytic storage models (CAWL; Do et al.'s
 page-cache model) show that disk service times can be *computed*
-rather than simulated without losing accuracy, the same trade the
-fluid network model (DESIGN.md §12) makes one layer up.
+rather than simulated without losing accuracy.
 
 :class:`QueuedDiskModel` models the spindle as an analytic FIFO
 queue.  A whole coalesced run list (one :meth:`io_batch` call) becomes

@@ -17,8 +17,6 @@ from repro.cluster.config import (
     DISK_MODEL_ENV_VAR,
     DISK_MODELS,
     MGR_SHARDS_ENV_VAR,
-    NET_MODEL_ENV_VAR,
-    NET_MODELS,
     TRACE_ENV_VAR,
 )
 from repro.experiments.common import ExperimentResult
@@ -196,22 +194,14 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         help="run a small workload and print the per-daemon summary",
     )
     parser.add_argument(
-        "--net-model",
-        choices=NET_MODELS,
-        default=None,
-        help=(
-            "network contention model: 'frames' (validated default) or "
-            "'fluid' (analytic bandwidth sharing, much faster sweeps)"
-        ),
-    )
-    parser.add_argument(
         "--disk-model",
         choices=DISK_MODELS,
         default=None,
         help=(
             "disk service model: 'mech' (per-request spindle "
             "simulation, validated default) or 'queued' (analytic FIFO "
-            "batch service, much faster disk-bound sweeps)"
+            "batch service: fewer events on the iod miss path, does not "
+            "reproduce the figures, see DESIGN.md §13)"
         ),
     )
     parser.add_argument(
@@ -221,7 +211,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         metavar="N",
         help=(
             "hash-partition the PVFS metadata namespace across N mgr "
-            "shards (DESIGN.md §18); 1 (the default) is the paper's "
+            "shards (DESIGN.md §17); 1 (the default) is the paper's "
             "single mgr, bit-identical to before"
         ),
     )
@@ -251,11 +241,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.net_model:
+    if args.disk_model:
         # Via the environment so parallel sweep workers inherit it —
         # every ClusterConfig built anywhere in this run resolves it.
-        os.environ[NET_MODEL_ENV_VAR] = args.net_model
-    if args.disk_model:
         os.environ[DISK_MODEL_ENV_VAR] = args.disk_model
     if args.mgr_shards is not None:
         if args.mgr_shards < 1:

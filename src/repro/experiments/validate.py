@@ -98,14 +98,13 @@ def _interleaved(mode: str) -> tuple[float, ...]:
 
 def _knee_ops_s(mgr_shards: int) -> float:
     """Completed ops/s at the p=256 open-loop knee (``scaling_point``'s
-    workload).  Pinned to the validated models: the gate this row
-    replaces ran with both model variables unset, the claim is about the
-    mgr, and a 256-node fluid network doubles the row's 4 s."""
+    workload).  Pinned to the validated disk model: the gate this row
+    replaces ran with the model variable unset and the claim is about
+    the mgr."""
     config = ClusterConfig(
         compute_nodes=256,
         iod_nodes=256,
         mgr_shards=mgr_shards,
-        net_model="frames",
         disk_model="mech",
     )
     return run_open_loop(config, knee_params(256)).completed_ops_per_s
@@ -421,9 +420,9 @@ CLAIMS: list[Claim] = [
             lambda collective, independent:
             f"collective {collective:.4f}s vs independent {independent:.4f}s")
       for mode in ("read", "write")),
-    # -- metadata shards (DESIGN.md §18) ---------------------------------------
+    # -- metadata shards (DESIGN.md §17) ---------------------------------------
     Claim("mgr-shards-knee",
-          "DESIGN §18: 4 mgr shards complete >= 2.0x the ops/s at the p=256 knee",
+          "DESIGN §17: 4 mgr shards complete >= 2.0x the ops/s at the p=256 knee",
           lambda pt: (_knee_ops_s(1), _knee_ops_s(4)),
           lambda one, four: four / one >= 2.0,
           lambda one, four: f"{four / one:.4f}x ({one:.0f} -> {four:.0f} ops/s)"),

@@ -13,8 +13,6 @@ kernel cache module intercepts.
 """
 
 from repro.net.fabric import Fabric, SharedHubFabric, SwitchedFabric
-from repro.net.fluid import FluidFabric
-from repro.net.hub import Hub
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.sockets import Connection, Endpoint, ListenQueue, SocketAPI
@@ -23,8 +21,6 @@ __all__ = [
     "Connection",
     "Endpoint",
     "Fabric",
-    "FluidFabric",
-    "Hub",
     "ListenQueue",
     "Message",
     "Network",

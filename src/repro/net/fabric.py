@@ -1,6 +1,6 @@
 """Network fabrics: how frames contend on the wire.
 
-Two models are provided:
+Two topologies are provided:
 
 * :class:`SharedHubFabric` — one collision domain, all transfers
   serialise through a single 100 Mbps medium.  This is the paper's
@@ -22,91 +22,23 @@ from __future__ import annotations
 import math
 import typing as _t
 
-from repro.net.hub import Hub
 from repro.sim import Environment, Resource, Timeout
 
 
 class Fabric:
-    """Interface: something that carries bytes between nodes."""
+    """Frame-level wire model: what :class:`~repro.net.network.Network`
+    reads from a fabric, and what the two topologies share.
 
-    env: Environment
-    bytes_transferred: int
-
-    def stats_snapshot(self) -> dict[str, _t.Any]:
-        """Contention counters for metrics export.
-
-        Concrete fabrics override with their model's notion of queue
-        depth and wire-busy time; this default keeps third-party
-        fabrics working with the network's instrumentation hooks.
-        """
-        return {
-            "model": type(self).__name__,
-            "bytes_transferred": self.bytes_transferred,
-            "utilization_queue": getattr(self, "utilization_queue", 0),
-            "wire_busy_s": getattr(self, "wire_busy_s", 0.0),
-        }
-
-    def transmit(
-        self, src: str, dst: str, size_bytes: int
-    ) -> _t.Generator:  # pragma: no cover - interface
-        """Process body: carry ``size_bytes`` from ``src`` to ``dst``."""
-        raise NotImplementedError
-
-
-class SharedHubFabric(Fabric):
-    """All nodes share one medium (the paper's stated hub)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        bandwidth_bps: float = 100e6,
-        frame_bytes: int = 65536,
-        base_latency_s: float = 100e-6,
-    ) -> None:
-        self.env = env
-        self.hub = Hub(
-            env,
-            bandwidth_bps=bandwidth_bps,
-            frame_bytes=frame_bytes,
-            base_latency_s=base_latency_s,
-        )
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Bytes that crossed the medium."""
-        return self.hub.bytes_transferred
-
-    @property
-    def utilization_queue(self) -> int:
-        """Frames currently waiting for the medium."""
-        return self.hub.utilization_queue
-
-    @property
-    def wire_busy_s(self) -> float:
-        """Seconds the shared medium spent carrying frames."""
-        return self.hub.wire_busy_s
-
-    def transfer_time_unloaded(self, size_bytes: int) -> float:
-        """Transfer time on an idle hub (per-frame framing included)."""
-        return self.hub.transfer_time_unloaded(size_bytes)
-
-    def stats_snapshot(self) -> dict[str, _t.Any]:
-        """Contention counters for metrics export."""
-        return self.hub.stats_snapshot()
-
-    def transmit(self, src: str, dst: str, size_bytes: int) -> _t.Generator:
-        """Occupy the single shared medium."""
-        yield from self.hub.transmit(size_bytes)
-
-
-class SwitchedFabric(Fabric):
-    """Full-duplex per-port links through a non-blocking switch.
-
-    A frame from ``src`` to ``dst`` holds ``src``'s TX channel and
-    ``dst``'s RX channel for its wire time.  Holding TX while waiting
-    for RX models head-of-line blocking at the sender's port (a
-    property real output-queued NICs have).
+    A transfer of ``size`` bytes is fragmented into ``frame_bytes``
+    quanta so that concurrent flows share a channel in FIFO-fair
+    slices instead of one flow monopolising it for a whole
+    multi-megabyte message.  ``base_latency_s`` models the fixed
+    per-message cost (interrupt, protocol stack, propagation) that
+    dominates small transfers.
     """
+
+    #: The ``model`` value of :meth:`stats_snapshot`.
+    model: str
 
     def __init__(
         self,
@@ -123,49 +55,145 @@ class SwitchedFabric(Fabric):
         self.bandwidth_bps = float(bandwidth_bps)
         self.frame_bytes = int(frame_bytes)
         self.base_latency_s = float(base_latency_s)
-        self._tx: dict[str, Resource] = {}
-        self._rx: dict[str, Resource] = {}
+        #: Cumulative bytes that crossed the wire (metrics hook).
         self.bytes_transferred = 0
         self.frames_transferred = 0
-        #: Simulated seconds of frame wire time across all ports.
+        #: Simulated seconds of frame wire time across all channels.
         self.wire_busy_s = 0.0
-
-    def _channel(self, table: dict[str, Resource], node: str) -> Resource:
-        if node not in table:
-            table[node] = Resource(self.env, capacity=1)
-        return table[node]
 
     def frame_time(self, nbytes: int) -> float:
         """Wire time for one frame of ``nbytes``."""
         return nbytes * 8.0 / self.bandwidth_bps
 
     def transfer_time_unloaded(self, size_bytes: int) -> float:
-        """Transfer time on idle links.
+        """Transfer time on an idle fabric.
 
-        Includes the per-frame framing :meth:`transmit` charges: every
-        frame carries at least one byte, so a zero-byte message still
-        pays one minimum-size frame on the wire.
+        Matches what :meth:`transmit` charges frame by frame: each
+        acquisition of a channel carries at least one minimum-size
+        frame, so even a zero-byte message pays one byte of framing on
+        the wire.  (Partial final frames charge their actual bytes, so
+        for ``size_bytes >= 1`` the per-frame sum telescopes to the
+        whole message's wire time.)
         """
         return self.base_latency_s + self.frame_time(max(size_bytes, 1))
 
     @property
-    def utilization_queue(self) -> int:
-        """Frames waiting across all TX/RX ports (contention probe)."""
-        return sum(
-            ch.queue_length
-            for table in (self._tx, self._rx)
-            for ch in table.values()
-        )
+    def utilization_queue(self) -> int:  # pragma: no cover - interface
+        """Frames currently waiting for a channel (contention probe)."""
+        raise NotImplementedError
 
     def stats_snapshot(self) -> dict[str, _t.Any]:
         """Contention counters for metrics export (see DESIGN.md §12)."""
         return {
-            "model": "frames-switch",
+            "model": self.model,
             "bytes_transferred": self.bytes_transferred,
             "frames_transferred": self.frames_transferred,
             "utilization_queue": self.utilization_queue,
             "wire_busy_s": self.wire_busy_s,
         }
+
+    def fast_transmit(
+        self,
+        src: str,
+        dst: str,
+        size_bytes: int,
+        deliver: _t.Callable[[], None],
+    ) -> bool:
+        """Try a callback-driven transfer that spawns no process.
+
+        Returns False when the caller must run :meth:`transmit`
+        instead, which is always the case on a fabric without such a
+        path.
+        """
+        return False
+
+    def transmit(
+        self, src: str, dst: str, size_bytes: int
+    ) -> _t.Generator:  # pragma: no cover - interface
+        """Process body: carry ``size_bytes`` from ``src`` to ``dst``.
+
+        Yields frame by frame so concurrent transmissions interleave.
+        Completion of the generator means the last bit has left the
+        wire; the caller then delivers the message.
+        """
+        raise NotImplementedError
+
+
+class SharedHubFabric(Fabric):
+    """All nodes share one medium (the paper's stated hub)."""
+
+    model = "frames-hub"
+
+    def __init__(
+        self,
+        env: Environment,
+        bandwidth_bps: float = 100e6,
+        frame_bytes: int = 65536,
+        base_latency_s: float = 100e-6,
+    ) -> None:
+        super().__init__(env, bandwidth_bps, frame_bytes, base_latency_s)
+        self._medium = Resource(env, capacity=1)
+
+    @property
+    def utilization_queue(self) -> int:
+        """Frames currently waiting for the medium."""
+        return self._medium.queue_length
+
+    def transmit(self, src: str, dst: str, size_bytes: int) -> _t.Generator:
+        """Occupy the single shared medium, whoever the endpoints are."""
+        if size_bytes < 0:
+            raise ValueError(f"negative transfer size {size_bytes}")
+        remaining = size_bytes
+        # Even a zero-byte message occupies the wire for its framing.
+        nframes = max(1, math.ceil(size_bytes / self.frame_bytes))
+        for _ in range(nframes):
+            chunk = min(self.frame_bytes, remaining) if remaining else 0
+            remaining -= chunk
+            wire_s = self.frame_time(max(chunk, 1))
+            with self._medium.request() as req:
+                yield req
+                yield self.env.timeout(wire_s)
+            self.bytes_transferred += chunk
+            self.frames_transferred += 1
+            self.wire_busy_s += wire_s
+        yield self.env.timeout(self.base_latency_s)
+
+
+class SwitchedFabric(Fabric):
+    """Full-duplex per-port links through a non-blocking switch.
+
+    A frame from ``src`` to ``dst`` holds ``src``'s TX channel and
+    ``dst``'s RX channel for its wire time.  Holding TX while waiting
+    for RX models head-of-line blocking at the sender's port (a
+    property real output-queued NICs have).
+    """
+
+    model = "frames-switch"
+
+    def __init__(
+        self,
+        env: Environment,
+        bandwidth_bps: float = 100e6,
+        frame_bytes: int = 65536,
+        base_latency_s: float = 100e-6,
+    ) -> None:
+        super().__init__(env, bandwidth_bps, frame_bytes, base_latency_s)
+        self._tx: dict[str, Resource] = {}
+        self._rx: dict[str, Resource] = {}
+
+    def _channel(self, table: dict[str, Resource], node: str) -> Resource:
+        if node not in table:
+            table[node] = Resource(self.env, capacity=1)
+        return table[node]
+
+    @property
+    def utilization_queue(self) -> int:
+        """Frames waiting across all TX/RX ports."""
+        return sum(
+            ch.queue_length
+            for table in (self._tx, self._rx)
+            for ch in table.values()
+        )
 
     def fast_transmit(
         self,

@@ -38,10 +38,9 @@ class Network:
 
         The wire is not a :class:`~repro.svc.service.Service`, but its
         saturation belongs in the same per-daemon report: the row's
-        ``handled`` is messages delivered, ``q-high`` the deepest
-        contention the fabric ever saw (waiting frames for the frame
-        models, concurrent flows beyond the first for the fluid model),
-        and ``busy(s)`` the fabric's cumulative wire-busy time.
+        ``handled`` is messages delivered, ``q-high`` the most frames
+        the fabric ever had waiting for a channel, and ``busy(s)`` the
+        fabric's cumulative wire-busy time.
         """
         stats = bus.register("network")
         stats.state = "running"
@@ -54,7 +53,7 @@ class Network:
         stats = self._svc_stats
         if stats is not None:
             stats.messages_handled = self.messages_delivered
-            stats.busy_s = getattr(self.fabric, "wire_busy_s", 0.0)
+            stats.busy_s = self.fabric.wire_busy_s
 
     def stats_snapshot(self) -> dict[str, _t.Any]:
         """Fabric contention counters plus delivery totals."""
@@ -111,19 +110,17 @@ class Network:
         if stats is not None:
             # Sample contention as the message joins the wire — by
             # delivery time its own share of the queue has drained.
-            depth = getattr(self.fabric, "utilization_queue", 0)
+            depth = self.fabric.utilization_queue
             if depth > stats.queue_high_water:
                 stats.queue_high_water = depth
-        fast = getattr(self.fabric, "fast_transmit", None)
-        if fast is not None:
-            done = Event(env)
-            if fast(
-                message.src,
-                message.dst,
-                message.wire_bytes,
-                lambda: self._finish_delivery(message, inbox, done),
-            ):
-                return done
+        done = Event(env)
+        if self.fabric.fast_transmit(
+            message.src,
+            message.dst,
+            message.wire_bytes,
+            lambda: self._finish_delivery(message, inbox, done),
+        ):
+            return done
         return env.process(
             self._transmit(message, inbox),
             name=f"xmit-{message.kind}-{message.msg_id}",

@@ -47,7 +47,7 @@ class PVFSClient:
         self.mgr_port = mgr_port
         self.iod_port = iod_port
         #: Where each metadata shard lives, ``(node, port)`` by shard
-        #: index (DESIGN.md §18).  The default is the classic single
+        #: index (DESIGN.md §17).  The default is the classic single
         #: mgr; paths route to shards by deterministic hash.
         self.mgr_placements: tuple[tuple[str, int], ...] = tuple(
             mgr_placements

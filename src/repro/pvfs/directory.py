@@ -6,7 +6,7 @@ and client evictions are silent, so the directory only ever grows
 with what has been read; it therefore remembers, per file and per
 node, sorted runs of *logical* block numbers (the coordinate
 ``InvalidateRequest`` speaks) instead of one entry per block
-(DESIGN.md §18).
+(DESIGN.md §17).
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class Iod(Service):
         self.mgr_shards = mgr_shards
         #: Which client nodes' cache modules may hold a copy of which
         #: blocks.  Keyed by file id, so the partition by owning mgr
-        #: shard (DESIGN.md §18) is implicit.
+        #: shard (DESIGN.md §17) is implicit.
         self.directory = SharerDirectory()
         self._invalidate_pool = self.pool(
             invalidate_port, label=f"{self.name}-inval"

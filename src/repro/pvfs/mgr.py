@@ -7,7 +7,7 @@ server"), so every open pays a round trip here — which makes the mgr
 the system's serialization point under open-loop load.
 
 The namespace can be hash-partitioned across ``n_shards`` instances
-(DESIGN.md §18): shard ``k`` owns every path with
+(DESIGN.md §17): shard ``k`` owns every path with
 ``protocol.mgr_shard_of(path, n_shards) == k`` and allocates file ids
 from ``count(k + 1, step=n_shards)``, so ids stay globally unique and
 a file's owning shard is recoverable from its id alone.  The default

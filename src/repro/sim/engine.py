@@ -442,7 +442,7 @@ class Environment:
         """Physically drop stale lazily-cancelled timer entries.
 
         Without this, a timer re-armed to a new deadline on every
-        event (the fluid fabric under churn) leaves one garbage entry
+        event (an analytic model under churn) leaves one garbage entry
         per re-arm in the queue until its old deadline passes —
         unbounded state for an unbounded re-arm rate.  Dropping an
         entry also removes its deadline from the timer's ``_queued``

@@ -181,9 +181,9 @@ class Timer(Event):
     A :class:`Timeout` is single-shot — every deadline change costs a
     fresh allocation and the abandoned event still fires.  A ``Timer``
     instead supports ``cancel()`` + ``arm()`` on the same object, which
-    is what analytic (fluid) models need: the set of active flows
-    changes, the predicted completion time moves, and the one pending
-    timer follows it.
+    is what an analytic model such as ``QueuedDiskModel`` needs: the
+    queue's contents change, the predicted next completion moves, and
+    the one pending timer follows it.
 
     Cancellation is *lazy*: the heap entry of a cancelled or superseded
     arm stays queued and is discarded as a no-op when it pops (a heap

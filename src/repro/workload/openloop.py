@@ -1,4 +1,4 @@
-"""Open-loop workload generation (DESIGN.md §18).
+"""Open-loop workload generation (DESIGN.md §17).
 
 The micro-benchmark and the recorded traces are *closed loop*: each
 client issues its next request only after the previous one finishes,

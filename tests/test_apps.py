@@ -118,19 +118,10 @@ def test_analysis_cycle_mix_builds_and_runs():
 
 
 def test_app_mix_caching_beats_no_caching():
-    """The whole Figure-1-style mix benefits from the shared cache.
-
-    Pinned to the frames network model: the claim's ~3% margin on this
-    tiny mix is within the documented frames/fluid contention-model
-    tolerance, so it is only asserted under the validated model
-    (DESIGN.md §12).
-    """
+    """The whole Figure-1-style mix benefits from the shared cache."""
 
     def total(caching):
-        cluster = make_cluster(
-            compute_nodes=2, iod_nodes=2, caching=caching,
-            net_model="frames",
-        )
+        cluster = make_cluster(compute_nodes=2, iod_nodes=2, caching=caching)
         apps = analysis_cycle_mix(cluster, ["node0", "node1"])
         results = run_app_mix(cluster, apps)
         return max(r.elapsed_s for r in results)

@@ -120,12 +120,7 @@ def test_cluster_no_caching_has_no_modules():
 def test_cluster_hub_fabric_option():
     from repro.net import SharedHubFabric
 
-    # Pin the contention model: this test is about topology selection,
-    # and must hold even when REPRO_NET_MODEL=fluid (the fluid CI
-    # shard) would otherwise swap the fabric class.
-    config = ClusterConfig(
-        costs=CostModel(fabric="hub"), net_model="frames"
-    )
+    config = ClusterConfig(costs=CostModel(fabric="hub"))
     from repro.cluster.cluster import Cluster
 
     cluster = Cluster(config)

@@ -54,8 +54,8 @@ def test_unknown_keys_rejected():
 
 
 def test_removed_macro_knob_is_rejected():
-    """The macro read path is gone (DESIGN.md §14): asking for it must
-    fail, not run the event-level path under a config that says
+    """The macro read path is gone (DESIGN.md appendix A.2): asking for
+    it must fail, not run the event-level path under a config that says
     otherwise — e.g. a config dumped by an older revision."""
     with pytest.raises(TypeError, match="engine_macro"):
         ClusterConfig(engine_macro=True)  # type: ignore[call-arg]
@@ -63,6 +63,17 @@ def test_removed_macro_knob_is_rejected():
         ValueError, match=r"unknown cluster keys: \['engine_macro'\]"
     ):
         loads_config('{"engine_macro": true}')
+
+
+def test_removed_net_model_knob_is_rejected():
+    """There is one network model (DESIGN.md appendix A.3): a config
+    that names one must fail, not run ``frames`` while saying ``fluid``."""
+    with pytest.raises(TypeError, match="net_model"):
+        ClusterConfig(net_model="fluid")  # type: ignore[call-arg]
+    with pytest.raises(
+        ValueError, match=r"unknown cluster keys: \['net_model'\]"
+    ):
+        loads_config('{"net_model": "fluid"}')
 
 
 def test_validation_still_applies():

@@ -1,8 +1,7 @@
 """Queued (analytic) disk model: unit behavior, mech equivalence,
 determinism, and the ``disk_model`` seam.
 
-Mirrors what ``tests/test_net_fluid.py`` established for the network
-seam (DESIGN.md §12), one layer down (DESIGN.md §13):
+What the ``disk_model`` seam promises (DESIGN.md §13):
 
 * scenario **makespans** agree exactly whenever the two models charge
   the same seek count — both conserve service demand and serve FIFO;
@@ -22,7 +21,6 @@ import pytest
 from repro.analysis.determinism import fig4_point_trace_hash
 from repro.cluster.config import (
     DISK_MODEL_ENV_VAR,
-    NET_MODEL_ENV_VAR,
     ClusterConfig,
 )
 from repro.disk import DiskModel, QueuedDiskModel
@@ -280,7 +278,6 @@ def test_mech_trace_hash_bit_identical_to_seed(monkeypatch):
     """The batched data path must be a pure refactor for ``mech``:
     the same-seed schedule digest equals the pre-refactor golden."""
     monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
     assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
     assert (
         fig4_point_trace_hash(d=65536, mode="write", seed=7)
@@ -290,15 +287,21 @@ def test_mech_trace_hash_bit_identical_to_seed(monkeypatch):
 
 def test_removed_macro_env_var_is_inert(monkeypatch):
     """The variable selected a read path that no longer exists
-    (DESIGN.md §14); nothing reads it now."""
+    (DESIGN.md appendix A.2); nothing reads it now."""
     monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
     monkeypatch.setenv("REPRO_ENGINE_MACRO", "1")
     assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
 
 
+def test_removed_net_model_env_var_is_inert(monkeypatch):
+    """The variable selected a network model that no longer exists
+    (DESIGN.md appendix A.3); nothing reads it now."""
+    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.setenv("REPRO_NET_MODEL", "fluid")
+    assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
+
+
 def test_trace_hash_stable_per_disk_model(monkeypatch):
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
     hashes = {}
     for model in ("mech", "queued"):
         monkeypatch.setenv(DISK_MODEL_ENV_VAR, model)

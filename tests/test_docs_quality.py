@@ -111,3 +111,48 @@ def test_docs_name_only_paths_that_exist(doc):
                 ):
                     stale.append(f"{doc}:{lineno}: {word}")
     assert not stale, "docs name paths that do not exist:\n" + "\n".join(stale)
+
+
+# -- the docs name only knobs that exist ---------------------------------------
+
+KNOB_DOCS = ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml")
+
+#: Environment variables whose readers were deleted (DESIGN.md appendix
+#: A).  A doc that still offers one is stale, and so is source that
+#: still spells one.
+REMOVED = {"REPRO_ENGINE_MACRO", "REPRO_NET_MODEL"}
+
+
+def test_docs_name_only_env_vars_the_program_reads():
+    source = "\n".join(
+        path.read_text() for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    )
+    stale = []
+    for doc in KNOB_DOCS:
+        for name in set(re.findall(r"\bREPRO_[A-Z_]+\b", (ROOT / doc).read_text())):
+            # Read by the program = spelled as a string literal in it.
+            if name in REMOVED or not re.search(rf"""["']{name}["']""", source):
+                stale.append(f"{doc}: {name}")
+    assert not stale, f"docs name environment variables nothing reads: {stale}"
+    revived = sorted(name for name in REMOVED if name in source)
+    assert not revived, f"removed variables still spelled in src/repro: {revived}"
+
+
+def test_docs_name_only_cli_flags_the_parser_has(capsys):
+    from repro.experiments.report import main
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    known = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    stale = []
+    for doc in KNOB_DOCS:
+        for lineno, line in enumerate((ROOT / doc).read_text().splitlines(), 1):
+            # The flags of one command line: up to the closing back-tick
+            # of an inline span, ``.validate`` is another program.
+            for command in re.findall(
+                r"python -m repro\.experiments(?![.\w])([^`]*)", line
+            ):
+                for flag in re.findall(r"--[a-z][a-z-]*", command):
+                    if flag not in known:
+                        stale.append(f"{doc}:{lineno}: {flag}")
+    assert not stale, "docs show flags --help does not list:\n" + "\n".join(stale)

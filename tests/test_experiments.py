@@ -156,8 +156,13 @@ def test_run_all_with_charts():
     [
         (["--mgr-shards", "0"], "--mgr-shards must be >= 1, got 0"),
         (["--mgr-shards", "-2"], "--mgr-shards must be >= 1, got -2"),
-        # Removed with the macro read path (DESIGN.md §14).
+        # Removed with the macro read path (DESIGN.md appendix A.2).
         (["--engine-macro"], "unrecognized arguments: --engine-macro"),
+        # Removed with the fluid network model (DESIGN.md appendix A.3).
+        (
+            ["--net-model", "fluid"],
+            "unrecognized arguments: --net-model fluid",
+        ),
     ],
 )
 def test_cli_rejects_bad_flags_at_parse_time(argv, message, capsys):

@@ -1,4 +1,4 @@
-"""The iod's sharer directory as runs of blocks (DESIGN.md §18).
+"""The iod's sharer directory as runs of blocks (DESIGN.md §17).
 
 ``SharerDirectory`` replaced a ``{(file_id, block): set(nodes)}`` table
 that cost one tuple and one set per 4 KB block ever read through a
@@ -309,7 +309,6 @@ def _coherent_scenario():
     cluster = make_cluster(
         compute_nodes=4,
         iod_nodes=2,
-        net_model="frames",
         disk_model="mech",
         mgr_shards=1,
     )

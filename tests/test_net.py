@@ -1,9 +1,16 @@
-"""Unit tests for the network substrate: hub, network, sockets."""
+"""Unit tests for the network substrate: fabrics, network, sockets."""
 
 import pytest
 
-from repro.net import Hub, Message, Network, SocketAPI
+from repro.net import (
+    Message,
+    Network,
+    SharedHubFabric,
+    SocketAPI,
+    SwitchedFabric,
+)
 from repro.sim import Environment
+from tests.conftest import make_cluster
 
 
 # -- Message -----------------------------------------------------------------
@@ -33,24 +40,26 @@ def test_message_reply_correlates():
     assert resp.payload == b"abc"
 
 
-# -- Hub ---------------------------------------------------------------------
+# -- Shared hub ---------------------------------------------------------------
 
 
 def test_hub_validation():
     env = Environment()
     with pytest.raises(ValueError):
-        Hub(env, bandwidth_bps=0)
+        SharedHubFabric(env, bandwidth_bps=0)
     with pytest.raises(ValueError):
-        Hub(env, frame_bytes=0)
+        SharedHubFabric(env, frame_bytes=0)
 
 
 def test_hub_single_transfer_time():
     env = Environment()
-    hub = Hub(env, bandwidth_bps=100e6, frame_bytes=65536, base_latency_s=100e-6)
+    hub = SharedHubFabric(
+        env, bandwidth_bps=100e6, frame_bytes=65536, base_latency_s=100e-6
+    )
     done = []
 
     def proc(env):
-        yield from hub.transmit(65536)
+        yield from hub.transmit("a", "b", 65536)
         done.append(env.now)
 
     env.process(proc(env))
@@ -62,11 +71,13 @@ def test_hub_single_transfer_time():
 def test_hub_concurrent_transfers_share_medium():
     """Two simultaneous 1 MB transfers each take ~2x the solo time."""
     env = Environment()
-    hub = Hub(env, bandwidth_bps=100e6, frame_bytes=65536, base_latency_s=0)
+    hub = SharedHubFabric(
+        env, bandwidth_bps=100e6, frame_bytes=65536, base_latency_s=0
+    )
     finish = {}
 
     def proc(env, tag):
-        yield from hub.transmit(2**20)
+        yield from hub.transmit(tag, "sink-" + tag, 2**20)
         finish[tag] = env.now
 
     env.process(proc(env, "a"))
@@ -81,11 +92,13 @@ def test_hub_small_transfer_not_starved_by_large():
     """Frame interleaving lets a 4 KB message finish long before a
     concurrent 1 MB message completes."""
     env = Environment()
-    hub = Hub(env, bandwidth_bps=100e6, frame_bytes=65536, base_latency_s=0)
+    hub = SharedHubFabric(
+        env, bandwidth_bps=100e6, frame_bytes=65536, base_latency_s=0
+    )
     finish = {}
 
     def proc(env, tag, size):
-        yield from hub.transmit(size)
+        yield from hub.transmit(tag, "sink-" + tag, size)
         finish[tag] = env.now
 
     env.process(proc(env, "big", 2**20))
@@ -96,11 +109,11 @@ def test_hub_small_transfer_not_starved_by_large():
 
 def test_hub_zero_byte_message_still_costs():
     env = Environment()
-    hub = Hub(env, base_latency_s=100e-6)
+    hub = SharedHubFabric(env, base_latency_s=100e-6)
     done = []
 
     def proc(env):
-        yield from hub.transmit(0)
+        yield from hub.transmit("a", "b", 0)
         done.append(env.now)
 
     env.process(proc(env))
@@ -110,10 +123,10 @@ def test_hub_zero_byte_message_still_costs():
 
 def test_hub_accounting():
     env = Environment()
-    hub = Hub(env, frame_bytes=1000)
+    hub = SharedHubFabric(env, frame_bytes=1000)
 
     def proc(env):
-        yield from hub.transmit(2500)
+        yield from hub.transmit("a", "b", 2500)
 
     env.process(proc(env))
     env.run()
@@ -123,14 +136,123 @@ def test_hub_accounting():
 
 def test_hub_negative_size_rejected():
     env = Environment()
-    hub = Hub(env)
+    hub = SharedHubFabric(env)
 
     def proc(env):
-        yield from hub.transmit(-5)
+        yield from hub.transmit("a", "b", -5)
 
     p = env.process(proc(env))
     env.run()
     assert not p.ok and isinstance(p.value, ValueError)
+
+
+# -- Fabrics against closed forms ----------------------------------------------
+
+MB = 2**20
+BW = 100e6
+#: Base latency of every fabric in this section (the default).
+LAT = 100e-6
+
+
+def _wire_s(nbytes: int) -> float:
+    return max(nbytes, 1) * 8.0 / BW
+
+
+def _run_flows(fabric, flows):
+    """Run ``[(start_s, src, dst, size), ...]``; per-flow finish times."""
+    env = fabric.env
+    finish: dict[int, float] = {}
+
+    def one(i, start, src, dst, size):
+        if start:
+            yield env.timeout(start)
+        yield from fabric.transmit(src, dst, size)
+        finish[i] = env.now
+
+    for i, flow in enumerate(flows):
+        env.process(one(i, *flow))
+    env.run()
+    assert len(finish) == len(flows)
+    return [finish[i] for i in range(len(flows))]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_hub_fair_share(n):
+    """N equal flows through one port finish at N·size/bandwidth, and
+    each sustains ~C/N on the way — the closed form ROADMAP item 4(a)
+    asks the network model to be held to."""
+    size = 262144
+    finish = _run_flows(
+        SharedHubFabric(Environment()),
+        [(0, f"s{i}", f"r{i}", size) for i in range(n)],
+    )
+    for t in finish:
+        # Finishing by ~n*solo means the flow averaged >= C/n; no flow
+        # may be starved below its fair share (beyond one frame skew).
+        throughput = size * 8 / (t - LAT)
+        assert throughput >= (BW / n) * 0.95, (
+            f"flow got {throughput / 1e6:.1f} Mbps, fair share is "
+            f"{BW / n / 1e6:.1f} Mbps"
+        )
+    assert max(finish) == pytest.approx(n * _wire_s(size) + LAT, rel=0.02)
+
+
+@pytest.mark.parametrize("fabric_cls", [SharedHubFabric, SwitchedFabric])
+@pytest.mark.parametrize("size", [0, 1, 65536, 4 * 65536, MB + 1])
+def test_unloaded_formula_matches_actual_idle_transfer(fabric_cls, size):
+    """``transfer_time_unloaded`` is exact for what transmit charges,
+    per-frame framing included: a zero-byte message still pays one
+    minimum-size frame on the wire."""
+    fab = fabric_cls(Environment())
+    (finish,) = _run_flows(fab, [(0, "a", "b", size)])
+    assert finish == pytest.approx(
+        fab.transfer_time_unloaded(size), rel=1e-9
+    )
+
+
+def test_zero_byte_message_still_occupies_wire():
+    """Two zero-byte hub messages serialise their framing charges."""
+    fab = SharedHubFabric(Environment())
+    finish = _run_flows(fab, [(0, "a", "b", 0), (0, "c", "d", 0)])
+    assert max(finish) == pytest.approx(2 * _wire_s(1) + LAT, rel=1e-6)
+
+
+def test_hub_stats_snapshot_and_busy_time():
+    fab = SharedHubFabric(Environment())
+    _run_flows(fab, [(0, "a", "b", 65536)])
+    snap = fab.stats_snapshot()
+    assert snap["model"] == "frames-hub"
+    assert snap["bytes_transferred"] == 65536
+    assert snap["frames_transferred"] == 1
+    assert snap["wire_busy_s"] == pytest.approx(_wire_s(65536))
+
+
+def test_network_saturation_reaches_metrics_and_bus():
+    from repro.svc.events import get_bus
+    from repro.workload import MicroBenchmark, MicroBenchParams
+
+    cluster = make_cluster()
+    bus = get_bus(cluster.env)
+    cluster.network.attach_bus(bus)
+    params = MicroBenchParams(
+        nodes=cluster.config.compute_node_names(),
+        request_size=65536,
+        iterations=4,
+        mode="write",
+        locality=0.0,
+        partition_bytes=MB,
+    )
+    procs = MicroBenchmark(params).spawn(cluster)
+    cluster.env.run(until=cluster.env.all_of(procs))
+    snap = cluster.record_network_metrics()
+    assert snap["messages_delivered"] > 0
+    # record_network_metrics folded the snapshot into net.* counters.
+    assert cluster.metrics.counters["net.messages_delivered"] > 0
+    assert cluster.metrics.counters["net.bytes_transferred"] > 0
+    # The bus row mirrors delivery totals and wire-busy time.
+    stats = bus.stats["network"]
+    assert stats.messages_handled == snap["messages_delivered"]
+    assert stats.busy_s == pytest.approx(snap["wire_busy_s"])
 
 
 # -- Network endpoints ---------------------------------------------------------

@@ -485,6 +485,102 @@ def test_deterministic_replay():
 
 
 # ---------------------------------------------------------------------------
+# Timer primitive (sim/events.py)
+# ---------------------------------------------------------------------------
+
+
+def test_timer_starts_idle_and_fires_once():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda t: fired.append(env.now))
+    assert not timer.armed
+    timer.arm(5.0)
+    assert timer.armed and timer.deadline == 5.0
+    env.run()
+    assert fired == [5.0]
+    assert not timer.armed
+
+
+def test_timer_cancel_suppresses_fire():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda t: fired.append(env.now))
+    timer.arm(5.0)
+    timer.cancel()
+    timer.cancel()  # idempotent
+    env.run()
+    assert fired == []
+
+
+def test_timer_rearm_supersedes_without_new_event():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda t: fired.append(env.now))
+    timer.arm(10.0)
+    timer.arm(3.0)  # earlier deadline wins
+    env.run()
+    assert fired == [3.0]
+
+
+def test_timer_rearm_later_discards_stale_entry():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda t: fired.append(env.now))
+    timer.arm(2.0)
+    timer.arm_at(7.0)
+    env.run()
+    assert fired == [7.0]
+
+
+def test_timer_cancel_then_rearm_same_instant_reuses_entry():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda t: fired.append(env.now))
+    timer.arm_at(4.0)
+    timer.cancel()
+    timer.arm_at(4.0)
+    env.run()
+    assert fired == [4.0]
+
+
+def test_timer_rearm_from_inside_on_fire():
+    env = Environment()
+    fired = []
+
+    def on_fire(timer):
+        fired.append(env.now)
+        if len(fired) < 3:
+            timer.arm(1.0)
+
+    env.timer(on_fire).arm(1.0)
+    env.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
+def test_timer_rejects_negative_delay_and_past_deadline():
+    env = Environment()
+    timer = env.timer(lambda t: None)
+    with pytest.raises(ValueError):
+        timer.arm(-1.0)
+    Timeout(env, 5.0)
+    env.run()
+    assert env.now == 5.0
+    with pytest.raises(ValueError):
+        timer.arm_at(1.0)
+
+
+def test_timer_tie_break_is_schedule_order():
+    """A timer and a timeout at the same instant fire in arm order."""
+    env = Environment()
+    order = []
+    timer = env.timer(lambda t: order.append("timer"))
+    timer.arm(5.0)
+    Timeout(env, 5.0).callbacks.append(lambda _ev: order.append("timeout"))
+    env.run()
+    assert order == ["timer", "timeout"]
+
+
+# ---------------------------------------------------------------------------
 # Event-queue fast path (timer wheel + far heap + compaction, DESIGN.md §14)
 # ---------------------------------------------------------------------------
 

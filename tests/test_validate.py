@@ -1,7 +1,7 @@
 """The claim table of ``repro.experiments.validate``, row by row.
 
-Rows run at whatever network/disk model the environment resolves, so
-each CI run of tier-1 judges every claim under its model.
+Rows run at whatever disk model the environment resolves, so each CI
+run of tier-1 judges every claim under its model.
 """
 
 from operator import lt
@@ -20,11 +20,6 @@ KNOWN_FLIPS = {
         "disk_model",
         "queued",
         "caching 0.5732s vs no-caching 0.5673s (mech: 0.4244s vs 0.4764s)",
-    ),
-    "apps-mix": (
-        "net_model",
-        "fluid",
-        "caching 0.9670s vs no-caching 0.9390s (frames: 0.9739s vs 1.0427s)",
     ),
 }
 
