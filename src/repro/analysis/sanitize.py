@@ -80,7 +80,7 @@ def _reset_coverage() -> None:
 
 
 def _record_coverage(label: str) -> None:
-    if not _coverage_path or label in _covered_labels:
+    if label in _covered_labels:
         return
     _covered_labels.add(label)
     with open(_coverage_path, "a") as fh:
@@ -276,7 +276,8 @@ def atomic_section(
     it, returns a shared no-op — cheap enough for miss-path call
     sites.
     """
-    _record_coverage(label)
+    if _coverage_path:
+        _record_coverage(label)
     tracker = (
         getattr(structures[0], "_san_tracker", None) if structures else None
     )
@@ -329,7 +330,7 @@ class CacheSanitizer:
             (
                 manager.freelist,
                 f"{name}.freelist",
-                ("acquire", "release"),
+                ("acquire", "acquire_now", "release"),
             ),
             (manager.policy, f"{name}.policy", ("admit", "forget")),
         ]

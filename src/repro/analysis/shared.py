@@ -37,6 +37,7 @@ _T = _t.TypeVar("_T", bound=type)
 MUTATING_METHODS = frozenset(
     {
         "acquire",
+        "acquire_now",
         "add",
         "admit",
         "append",

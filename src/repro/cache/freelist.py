@@ -13,7 +13,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cache.block import BlockState, CacheBlock
-from repro.sim import Environment, Store
+from repro.sim import Environment, Store, StoreGet
 
 
 class FreeList:
@@ -69,6 +69,23 @@ class FreeList:
             self.on_low()
         block = yield self._store.get()
         return block
+
+    def acquire_now(self) -> CacheBlock | None:
+        """Take a FREE block in place of :meth:`acquire`, or ``None``.
+
+        Succeeds only when :meth:`acquire` could not wait and would not
+        signal the harvester — a block is free and the take stays at or
+        above the low watermark — and the engine books the satisfied
+        get's scheduler step here (``Environment.take_turn``).  On
+        ``None`` nothing changed: drive :meth:`acquire` instead.
+        """
+        count = self._count
+        if count <= 0 or (count <= self.low_blocks and self.on_low is not None):
+            return None
+        if not self.env.take_turn(StoreGet):
+            return None
+        self._count = count - 1
+        return self._store.get_nowait()
 
     def release(self, block: CacheBlock) -> None:
         """Return a reset block to the pool."""

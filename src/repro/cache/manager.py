@@ -42,6 +42,12 @@ class BufferManager:
         self.config = config
         self.metrics = metrics
         self.name = name
+        # Counter keys, formatted once (the allocation and eviction
+        # ones are bumped on every miss).
+        self._k_allocations = f"{name}.allocations"
+        self._k_evictions = f"{name}.evictions"
+        self._k_deferred = f"{name}.deferred_invalidations"
+        self._k_invalidated = f"{name}.invalidated_blocks"
         self.blocks = [
             CacheBlock(i, config.block_size) for i in range(config.n_blocks)
         ]
@@ -89,12 +95,36 @@ class BufferManager:
             self.policy.touch(block)
         return block
 
+    def probe(self, key: BlockKey) -> tuple[CacheBlock | None, bool]:
+        """Every case of :meth:`get_or_allocate` that needs no wait.
+
+        ``(block, True)`` for a resident block (policy touched, as
+        :meth:`lookup`); ``(block, False)`` for a fresh PENDING block
+        whose free frame was taken in place (DESIGN.md §14, "In-place
+        turns"); ``(None, False)`` — with nothing changed — when the
+        caller must drive :meth:`get_or_allocate`: a rival holds the
+        key's reservation, the free list is dry or the take would
+        signal the harvester, or it is not this process's turn.
+        """
+        block = self.table.get(key)
+        if block is not None:
+            self.policy.touch(block)
+            return block, True
+        if key in self._inflight:
+            return None, False
+        block = self.freelist.acquire_now()
+        if block is None:
+            return None, False
+        self._commit(key, block)
+        return block, False
+
     def get_or_allocate(self, key: BlockKey) -> _t.Generator:
         """Process body: return ``(block, was_resident)``.
 
-        Misses allocate a fresh PENDING block (waiting on the free
-        list if it is dry — the paper's blocking-for-cache-space).
-        Concurrent misses on one key coalesce onto a single block.
+        The waiting counterpart of :meth:`probe`: misses allocate a
+        fresh PENDING block, waiting on the free list if it is dry (the
+        paper's blocking-for-cache-space).  Concurrent misses on one
+        key coalesce onto a single block.
         """
         while True:
             block = self.table.get(key)
@@ -119,28 +149,35 @@ class BufferManager:
             except BaseException:
                 self._resolve_reservation(key, None)
                 raise
-            # The allocation commit must stay atomic (no yields): a
-            # second requester probing between insert and the
-            # reservation hand-off would see half-committed state.
-            with atomic_section(
-                self.table, self.policy, label="get_or_allocate.commit"
-            ):
-                block.assign(key)
-                # The miss-probe of `table` happened before the
-                # freelist wait, but a rival insert of this key is
-                # impossible: our _inflight reservation (registered
-                # with no intervening yield) makes rivals wait.
-                self.table.insert(block)  # noqa: RPL100 - guarded by reservation
-                self.policy.admit(block)
-                self._resolve_reservation(key, block)
-            self.metrics.inc(f"{self.name}.allocations")
+            # The miss-probe of `table` happened before the freelist
+            # wait, but a rival insert of this key is impossible: our
+            # _inflight reservation (registered with no intervening
+            # yield) makes rivals wait.
+            self._commit(key, block)  # noqa: RPL100 - guarded by reservation
             return block, False
+
+    def _commit(self, key: BlockKey, block: CacheBlock) -> None:
+        """Make the FREE ``block`` the PENDING frame of ``key``.
+
+        The one allocation commit of :meth:`probe` and
+        :meth:`get_or_allocate`.  It must stay atomic (no yields): a
+        second requester probing between insert and the reservation
+        hand-off would see half-committed state.
+        """
+        with atomic_section(
+            self.table, self.policy, label="get_or_allocate.commit"
+        ):
+            block.assign(key)
+            self.table.insert(block)
+            self.policy.admit(block)
+            self._resolve_reservation(key, block)
+        self.metrics.inc(self._k_allocations)
 
     def _resolve_reservation(
         self, key: BlockKey, block: CacheBlock | None
     ) -> None:
-        """Drop ``key``'s reservation, waking whoever waited on it."""
-        reservation = self._inflight.pop(key)
+        """Drop ``key``'s reservation (if any), waking whoever waited."""
+        reservation = self._inflight.pop(key, None)
         if reservation is not None:
             reservation.succeed(block)
 
@@ -184,7 +221,7 @@ class BufferManager:
             self.dirtylist.discard(block)
             block.reset()
             self.freelist.release(block)
-        self.metrics.inc(f"{self.name}.evictions")
+        self.metrics.inc(self._k_evictions)
 
     def invalidate(self, key: BlockKey) -> bool:
         """Coherence: drop ``key`` if resident (even dirty — the remote
@@ -206,14 +243,14 @@ class BufferManager:
             return False
         if block.state is BlockState.PENDING:
             block.doomed = True
-            self.metrics.inc(f"{self.name}.deferred_invalidations")
+            self.metrics.inc(self._k_deferred)
             return True
         if block.pins:
             block.doomed = True
-            self.metrics.inc(f"{self.name}.deferred_invalidations")
+            self.metrics.inc(self._k_deferred)
             return True
         self.evict(block, force=True)
-        self.metrics.inc(f"{self.name}.invalidated_blocks")
+        self.metrics.inc(self._k_invalidated)
         return True
 
     def unpin(self, block: CacheBlock) -> None:
@@ -224,7 +261,7 @@ class BufferManager:
             BlockState.DIRTY,
         ):
             self.evict(block, force=True)
-            self.metrics.inc(f"{self.name}.invalidated_blocks")
+            self.metrics.inc(self._k_invalidated)
 
     def select_victims(self, n: int) -> list[CacheBlock]:
         """Policy passthrough honouring clean preference."""

@@ -66,6 +66,7 @@ class CacheModule(Service):
         #: Bytes per request segment (see :meth:`_segments`).
         self._seg_bytes = config.effective_segment_blocks * config.block_size
         self.manager = BufferManager(node.env, config, metrics)
+        self._k_invalidated = f"{self.manager.name}.invalidated_blocks"
         self.flusher = self.adopt(
             Flusher(
                 node,
@@ -274,11 +275,23 @@ class CacheModule(Service):
         #: directly instead of re-probing the hash table.
         resolved: dict[int, CacheBlock] = {}
         try:
+            manager = self.manager
             for block_no in block_nos:
-                yield from self._classify_block(
-                    handle.file_id, block_no, offset, nbytes,
-                    pinned, owned, gappy, resolved,
-                )
+                key = (handle.file_id, block_no)
+                start, end = self._block_slice(offset, nbytes, block_no)
+                block, resident = manager.probe(key)
+                if block is None or (
+                    resident and block.state is BlockState.PENDING
+                ):
+                    yield from self._classify_block(
+                        key, start, end, block,
+                        pinned, owned, gappy, resolved,
+                    )
+                else:
+                    self._classify(
+                        block_no, start, end, block, resident,
+                        pinned, owned, gappy, resolved,
+                    )
             if owned or gappy:
                 yield from self._fetch(
                     handle, fsm, owned, gappy, buf is not None
@@ -310,53 +323,98 @@ class CacheModule(Service):
                 self.manager.unpin(block)
         self.metrics.inc("cache.read_segments")
 
+    def _classify(
+        self,
+        block_no: int,
+        start: int,
+        end: int,
+        block: CacheBlock,
+        resident: bool,
+        pinned: list[CacheBlock],
+        owned: dict[int, CacheBlock],
+        gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
+        resolved: dict[int, CacheBlock],
+    ) -> None:
+        """Pin a probed block and book it as a miss, hit or partial hit.
+
+        ``block`` is freshly allocated (``resident`` false: the segment
+        fetches it whole) or resident and not PENDING.
+        """
+        block.pin()
+        pinned.append(block)
+        resolved[block_no] = block
+        if not resident:
+            owned[block_no] = block
+            self.metrics.inc("cache.misses")
+        else:
+            self._classify_valid(block_no, start, end, block, gappy)
+
+    def _classify_valid(
+        self,
+        block_no: int,
+        start: int,
+        end: int,
+        block: CacheBlock,
+        gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
+    ) -> None:
+        """Hit or partial hit on a pinned resident block with data."""
+        if block.valid.covers(start, end):
+            self.metrics.inc("cache.hits")
+            return
+        gappy[block_no] = (block, block.valid.gaps(start, end))
+        self.metrics.inc("cache.partial_hits")
+
     def _classify_block(
         self,
-        file_id: int,
-        block_no: int,
-        offset: int,
-        nbytes: int,
+        key: tuple[int, int],
+        start: int,
+        end: int,
+        block: CacheBlock | None,
         pinned: list[CacheBlock],
         owned: dict[int, CacheBlock],
         gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
         resolved: dict[int, CacheBlock],
     ) -> _t.Generator:
-        """Decide hit / pending-wait / gap-fetch / miss for one block."""
-        key = (file_id, block_no)
-        start, end = self._block_slice(offset, nbytes, block_no)
+        """The waits of classifying one block, after the probe.
+
+        ``block`` is the probed PENDING block, or ``None`` when no free
+        frame could be taken in place.
+        """
+        block_no = key[1]
         while True:
-            block = self.manager.lookup(key)
             if block is None:
                 block, resident = yield from self.manager.get_or_allocate(key)
                 if not resident:
-                    block.pin()
-                    pinned.append(block)
-                    owned[block_no] = block
-                    resolved[block_no] = block
-                    self.metrics.inc("cache.misses")
+                    self._classify(
+                        block_no, start, end, block, False,
+                        pinned, owned, gappy, resolved,
+                    )
                     return
-                continue  # raced: re-examine the resident block
+                # Raced: re-examine the resident block.
+                block = self.manager.lookup(key)
+                continue
+            if block.state is not BlockState.PENDING:
+                self._classify(
+                    block_no, start, end, block, True,
+                    pinned, owned, gappy, resolved,
+                )
+                return
             block.pin()
             pinned.append(block)
             resolved[block_no] = block
-            if block.state is BlockState.PENDING:
-                # Another process is fetching this block: wait for its
-                # data instead of issuing a duplicate request.  This is
-                # the inter-application de-duplication path.
-                self.metrics.inc("cache.pending_waits")
-                try:
-                    yield block.ready(self.env)
-                except RuntimeError:
-                    # Fetch owner disappeared; retry from scratch.
-                    self.manager.unpin(block)
-                    pinned.remove(block)
-                    continue
-            if block.valid.covers(start, end):
-                self.metrics.inc("cache.hits")
-                return
-            gaps = block.valid.gaps(start, end)
-            gappy[block_no] = (block, gaps)
-            self.metrics.inc("cache.partial_hits")
+            # Another process is fetching this block: wait for its
+            # data instead of issuing a duplicate request.  This is the
+            # inter-application de-duplication path.
+            self.metrics.inc("cache.pending_waits")
+            try:
+                yield block.ready(self.env)
+            except RuntimeError:
+                # Fetch owner disappeared; retry from scratch.
+                self.manager.unpin(block)
+                pinned.remove(block)
+                block = self.manager.lookup(key)
+                continue
+            self._classify_valid(block_no, start, end, block, gappy)
             return
 
     def _fetch(
@@ -454,7 +512,7 @@ class CacheModule(Service):
                 # nobody is mid-copy (a prefetch), so drop the block
                 # now; pinned blocks are dropped by the last unpin.
                 self.manager.evict(block, force=True)
-                self.metrics.inc(f"{self.manager.name}.invalidated_blocks")
+                self.metrics.inc(self._k_invalidated)
         # Count what actually crossed the wire (hull mode re-fetches
         # cached middle blocks, so this can exceed the needed ranges).
         self.metrics.inc("cache.fetched_bytes", requested_bytes)
@@ -543,13 +601,9 @@ class CacheModule(Service):
             if data is not None:
                 src = block_no * self.block_size + start - request_base
                 piece = data[src : src + (end - start)]
-            # Resident fast path: a plain lookup avoids spinning up the
-            # get_or_allocate generator for write hits (the common case
-            # once a file's working set is cached).
-            block = self.manager.lookup(key)
-            if block is not None:
-                resident = True
-            else:
+            # A write needs no data, so a PENDING block serves as is.
+            block, resident = self.manager.probe(key)
+            if block is None:
                 block, resident = yield from self.manager.get_or_allocate(key)
             # CacheBlock.write is synchronous (not the yielding
             # CacheModule.write that shares its name) — no yield from.

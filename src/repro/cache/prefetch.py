@@ -109,10 +109,11 @@ class ReadAhead:
         try:
             for block_no in block_nos:
                 key = (handle.file_id, block_no)
-                block = manager.table.get(key)
-                if block is not None:
+                if manager.table.get(key) is not None:
                     continue  # demand fetch beat us to it
-                block, resident = yield from manager.get_or_allocate(key)
+                block, resident = manager.probe(key)
+                if block is None:
+                    block, resident = yield from manager.get_or_allocate(key)
                 if not resident:
                     owned[block_no] = block
             if owned:

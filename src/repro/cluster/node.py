@@ -87,12 +87,17 @@ class Node:
         if seconds == 0:
             return
         env = self.env
-        start = env.now if self.cpu_idle else self.cpu_free_at
+        tail = self._cpu_tail
+        # Inlined cpu_idle: this runs for every cache lookup and copy.
+        if tail is None or tail.callbacks is None:
+            start = env._now
+        else:
+            start = self.cpu_free_at
         self.cpu_free_at = done = start + seconds
         # Queued behind a running slice, the completion goes on the
         # event queue when that slice completes, which is when a
         # hand-over would have drawn its tie-break sequence number.
-        self._cpu_tail = event = env.timeout_at(done, after=self._cpu_tail)
+        self._cpu_tail = event = env.timeout_at(done, after=tail)
         yield event
 
     @property

@@ -129,9 +129,9 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
         file=stream,
     )
     print(
-        "[scheduler: {events_processed} events, depth hw "
-        "{queue_depth_hw}, {timers_cancelled} timers cancelled, "
-        "{timer_entries_purged} entries purged]".format(**sched),
+        "[scheduler: {events_processed} events ({turns_in_place} taken "
+        "in place), depth hw {queue_depth_hw}, {timers_cancelled} timers "
+        "cancelled, {timer_entries_purged} entries purged]".format(**sched),
         file=stream,
     )
     monitor.close()

@@ -22,7 +22,7 @@ from repro.sim.events import (
     Timer,
 )
 from repro.sim.process import Process, ProcessKilled
-from repro.sim.resources import Lock, Resource, Store
+from repro.sim.resources import Lock, Resource, Store, StoreGet
 
 __all__ = [
     "AllOf",
@@ -35,6 +35,7 @@ __all__ = [
     "ProcessKilled",
     "Resource",
     "Store",
+    "StoreGet",
     "Timeout",
     "Timer",
 ]

@@ -99,6 +99,11 @@ class Environment:
         "_stale_timers",
         "_timer_entries_purged",
         "_timer_compactions",
+        "_turns_in_place",
+        # -- in-place turn guards (see take_turn) --------------------
+        "_in_run",
+        "_stop_event",
+        "_multi",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -146,6 +151,14 @@ class Environment:
         self._stale_timers = 0
         self._timer_entries_purged = 0
         self._timer_compactions = 0
+        self._turns_in_place = 0
+        #: True while run() owns the loop (step() never books turns).
+        self._in_run = False
+        #: run(until=<Event>)'s stop event, else None.
+        self._stop_event: Event | None = None
+        #: True while an event with more than one callback is being
+        #: processed (set by Event._process).
+        self._multi = False
         self._active_process: Process | None = None
         #: Callables invoked (with this env) after every processed
         #: event.  Empty in normal runs; the run loop only takes the
@@ -268,6 +281,54 @@ class Environment:
         self._depth = d
         if d > self._depth_hw:
             self._depth_hw = d
+
+    def take_turn(self, kind: type) -> bool:
+        """Book an in-place turn (DESIGN.md §14, "In-place turns").
+
+        The running process is about to yield a zero-delay ``kind``
+        event that is already satisfied and that it alone waits on.
+        When that event would provably be the run loop's very next pop,
+        this books the step exactly as the loop would — sequence
+        number, processed-event count, depth high-water mark, step
+        hooks, trace-hash line — and returns True: the caller then
+        carries on as if resumed by the event, without queueing it.
+        Returns False (booking nothing) unless
+
+        * a process is running, resumed as the *only* callback of the
+          current event (a later callback would run before the pop);
+        * no same-instant entry is due, and the earliest future entry
+          lies after ``now``;
+        * :meth:`run` owns the loop (not :meth:`step`), and its stop
+          event has not just been processed.
+        """
+        if (
+            self._active_process is None
+            or self._multi
+            or not self._in_run
+            or self._due
+            or self._due_urgent
+        ):
+            return False
+        nf = self._nf
+        if nf is not None and nf[0] <= self._now:
+            return False
+        stop = self._stop_event
+        if stop is not None and stop.callbacks is None:
+            return False
+        self._seq += 1
+        if self._depth >= self._depth_hw:
+            self._depth_hw = self._depth + 1
+        self._turns_in_place += 1
+        if self._step_hooks or self._trace is not None:
+            # The step that resumed this process ends here.
+            for hook in self._step_hooks:
+                hook(self)
+            if self._trace is not None:
+                self._trace.update(
+                    f"{self._seq}|{self._now!r}|{kind.__name__}\n".encode()
+                )
+        self._events_processed += 1
+        return True
 
     def _push_future(self, entry: _QueueEntry) -> None:
         """Insert a future-time entry (``entry[0] >= now``).
@@ -491,6 +552,7 @@ class Environment:
             "timers_cancelled": self._timers_cancelled,
             "timer_entries_purged": self._timer_entries_purged,
             "timer_compactions": self._timer_compactions,
+            "turns_in_place": self._turns_in_place,
         }
 
     # -- instrumentation -------------------------------------------------
@@ -587,7 +649,16 @@ class Environment:
                 raise ValueError(
                     f"until={stop_at} is in the past (now={self._now})"
                 )
+        outer = self._in_run, self._stop_event
+        self._in_run = True
+        self._stop_event = stop_event
+        try:
+            return self._run(stop_at, stop_event)
+        finally:
+            self._in_run, self._stop_event = outer
 
+    def _run(self, stop_at: float | None, stop_event: Event | None) -> _t.Any:
+        """The loop of :meth:`run`, with its arguments resolved."""
         if self._step_hooks or self._trace is not None:
             return self._run_instrumented(stop_at, stop_event)
 

@@ -128,8 +128,19 @@ class Event:
         """Run callbacks.  Called exactly once by the environment."""
         callbacks, self.callbacks = self.callbacks, None
         assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
+        if len(callbacks) == 1:
+            callbacks[0](self)
+        elif callbacks:
+            # A process resumed here is not the event's only callback:
+            # the flag keeps Environment.take_turn from running it
+            # ahead of the callbacks after it.
+            env = self.env
+            env._multi = True
+            try:
+                for callback in callbacks:
+                    callback(self)
+            finally:
+                env._multi = False
 
     def __repr__(self) -> str:
         state = (

@@ -24,7 +24,7 @@ class Process(Event):
     each other: ``result = yield env.process(child(env))``.
     """
 
-    __slots__ = ("_generator", "name", "_waiting_on")
+    __slots__ = ("_generator", "name", "_waiting_on", "_resume_cb")
 
     def __init__(
         self,
@@ -42,12 +42,16 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently suspended on.
         self._waiting_on: Event | None = None
+        #: ``self._resume`` bound once: it is appended to the callbacks
+        #: of every event the process waits on.  The cycle it makes
+        #: through ``self`` is broken when the process terminates.
+        self._resume_cb: _t.Callable[[Event], None] | None = self._resume
         # Kick off on a fresh urgent event so the first body statement
         # runs at the current simulation time, after the caller returns.
         start = Event(env)
         start._ok = True
         start._value = None
-        start.callbacks.append(self._resume)
+        start.callbacks.append(self._resume_cb)
         env._seq += 1
         env._due_urgent.append((env._now, 0, env._seq, start))
         d = env._depth + 1
@@ -74,15 +78,16 @@ class Process(Event):
         waited = self._waiting_on
         # Detach from the event we were waiting on: when it fires later
         # we must not resume a second time.
-        if waited.callbacks is not None and self._resume in waited.callbacks:
-            waited.callbacks.remove(self._resume)
+        resume = self._resume_cb
+        if waited.callbacks is not None and resume in waited.callbacks:
+            waited.callbacks.remove(resume)
         self._waiting_on = None
         # Deliver the interrupt via an urgent immediate event.
         exc_event = Event(self.env)
         exc_event._ok = False
         exc_event._value = Interrupt(cause)
         self.env.schedule(exc_event, priority=self.env.PRIORITY_URGENT)
-        exc_event.add_callback(self._resume)
+        exc_event.add_callback(self._resume_cb)
 
     def kill(self) -> None:
         """Terminate the process by closing its generator.
@@ -94,9 +99,10 @@ class Process(Event):
             return
         waited = self._waiting_on
         if waited is not None and waited.callbacks is not None:
-            if self._resume in waited.callbacks:
-                waited.callbacks.remove(self._resume)
+            if self._resume_cb in waited.callbacks:
+                waited.callbacks.remove(self._resume_cb)
         self._waiting_on = None
+        self._resume_cb = None
         self._generator.close()
         self.fail(ProcessKilled(f"{self.name} was killed"))
 
@@ -124,6 +130,7 @@ class Process(Event):
                         exc = _t.cast(BaseException, event._value)
                         target = throw(exc)
                 except StopIteration as stop:
+                    self._resume_cb = None
                     self.succeed(stop.value)
                     return
                 if not isinstance(target, Event):
@@ -144,13 +151,14 @@ class Process(Event):
                     self._generator.close()
                     self.fail(err)
                     return
-                if target.processed:
+                callbacks = target.callbacks
+                if callbacks is None:
                     # Already fired: loop and feed it straight back in,
                     # no rescheduling needed.
                     event = target
                     continue
                 self._waiting_on = target
-                target.add_callback(self._resume)
+                callbacks.append(self._resume_cb)
                 return
         except BaseException as exc:
             # The generator itself raised (bug in simulated code or a
@@ -159,6 +167,7 @@ class Process(Event):
             # nice but we cannot know yet, so we always fail loudly via
             # the event. Tests assert on this.
             if not self.triggered:
+                self._resume_cb = None
                 self.fail(exc)
             else:  # pragma: no cover - double fault
                 raise

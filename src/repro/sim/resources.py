@@ -208,9 +208,25 @@ class Store:
         else:
             self._items.append(item)
 
+    def get_nowait(self) -> _t.Any:
+        """Take the head item without a :class:`StoreGet` event.
+
+        The consumer-side twin of :meth:`put_nowait`, for a caller that
+        has already accounted for the step the get would have taken
+        (:meth:`~repro.sim.engine.Environment.take_turn`).  Only legal
+        while items are queued and nobody waits.
+        """
+        if self._getters or not self._items:
+            raise RuntimeError("get_nowait on an empty store")
+        return self._items.popleft()
+
     def get(self) -> StoreGet:
         """Request an item; the event fires with it."""
         event = StoreGet(self.env)
+        if self._items and not self._getters and not self._putters:
+            # What _dispatch would do: hand over the head item.
+            event.succeed(self._items.popleft())
+            return event
         self._getters.append(event)
         self._dispatch()
         return event

@@ -262,3 +262,180 @@ def test_select_victims_passthrough():
     env.run()
     victims = m.select_victims(2)
     assert len(victims) == 2
+
+
+# -- in-place turns: the probe's synchronous allocation ----------------------
+
+
+def test_probe_allocates_in_place_inside_a_run():
+    env, m = _manager()
+    got = {}
+
+    def proc(env):
+        yield env.timeout(1)
+        got["miss"] = m.probe((1, 0))
+        got["hit"] = m.probe((1, 0))
+
+    env.process(proc(env))
+    env.run()
+    block, resident = got["miss"]
+    assert resident is False and block.state is BlockState.PENDING
+    assert got["hit"] == (block, True)
+    assert m.n_free == 7
+    assert m.metrics.count("cache.allocations") == 1
+    assert env.sched_stats()["turns_in_place"] == 1
+
+
+def test_probe_refuses_a_take_that_crosses_low_blocks():
+    env, m = _manager(8)  # low_blocks 2, high_blocks 4
+    woken = []
+    m.freelist.on_low = lambda: woken.append(env.now)
+    got = []
+
+    def proc(env):
+        for i in range(8):
+            yield env.timeout(1)
+            got.append(m.probe((1, i))[0] is not None)
+            if not got[-1]:
+                yield from m.get_or_allocate((1, i))
+
+    env.process(proc(env))
+    env.run()
+    # takes 1..6 leave >= low_blocks free; 7 and 8 would poke the
+    # harvester, so they go through acquire (signal before the get)
+    assert got == [True] * 6 + [False] * 2
+    assert woken == [7.0, 8.0]
+    assert env.sched_stats()["turns_in_place"] == 6
+    assert m.n_free == 0
+
+
+def test_probe_refuses_while_a_rival_holds_the_reservation():
+    env, m = _manager()
+    got = []
+
+    def rival(env):
+        yield from m.get_or_allocate((1, 0))
+
+    def prober(env):
+        got.append(m.probe((1, 0)))
+        block, resident = yield from m.get_or_allocate((1, 0))
+        got.append((block, resident))
+
+    env.process(rival(env))
+    env.process(prober(env))
+    env.run()
+    # the rival's reservation is pending when the prober starts
+    assert got[0] == (None, False)
+    assert got[1][1] is True
+    assert m.metrics.count("cache.allocations") == 1
+
+
+def _footprint(cluster):
+    env = cluster.env
+    stats = env.sched_stats()
+    return (
+        env.trace_hash(),
+        stats["events_processed"],
+        stats["queue_depth_hw"],
+        # every counter but the one that tells the two runs apart
+        {
+            k: v
+            for k, v in cluster.metrics.counters.items()
+            if k != "sim.turns_in_place"
+        },
+        {k: list(v) for k, v in cluster.metrics.series.items()},
+    )
+
+
+def _fig4_read_point(d):
+    from repro.cluster.config import ClusterConfig
+    from repro.workload import MicroBenchParams, run_instances
+
+    config = ClusterConfig(compute_nodes=2, iod_nodes=2, caching=True)
+    params = MicroBenchParams(
+        nodes=config.compute_node_names(),
+        request_size=d,
+        iterations=8,
+        mode="read",
+        locality=0.0,
+        partition_bytes=2 * 2**20,
+        seed=4242,
+    )
+    return run_instances(config, [params]).cluster
+
+
+def _sync_write_chain():
+    from tests.conftest import make_cluster
+
+    cluster = make_cluster()
+    writer_client = cluster.client("node0")
+    reader_client = cluster.client("node1")
+
+    def writer(env):
+        f = yield from writer_client.open("/chain")
+        yield from writer_client.write(f, 0, 64 * 1024)
+        yield from writer_client.sync_write(f, 16 * 1024, 32 * 1024)
+        yield from writer_client.read(f, 0, 64 * 1024)
+
+    def reader(env):
+        f = yield from reader_client.open("/chain")
+        for _ in range(3):
+            yield from reader_client.read(f, 0, 64 * 1024)
+
+    env = cluster.env
+    procs = [env.process(writer(env)), env.process(reader(env))]
+    env.run(until=env.all_of(procs))
+    env.run(until=env.process(cluster.drain_caches()))
+    return cluster
+
+
+def _dry_free_list():
+    from tests.conftest import make_cluster
+
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=16)
+    client = cluster.client("node0")
+
+    def app(env):
+        f = yield from client.open("/dry")
+        for rep in range(2):
+            yield from client.read(f, 0, 256 * 1024)
+            for i in range(48):
+                yield from client.read(f, i * 4096, 4096)
+
+    env = cluster.env
+    env.run(until=env.process(app(env)))
+    assert cluster.cache_modules["node0"].manager.freelist.allocation_waits
+    return cluster
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        lambda: _fig4_read_point(4096),
+        _sync_write_chain,
+        _dry_free_list,
+    ],
+    ids=["fig4-read", "write-sync-write-remote-reader", "dry-free-list"],
+)
+def test_in_place_turns_are_schedule_neutral(scenario, monkeypatch):
+    """The same run with every in-place turn refused: same schedule
+    hash, event count, depth high-water mark and Metrics, counter by
+    counter."""
+    from repro.analysis.reset import reset_all
+
+    monkeypatch.setenv("REPRO_TRACE_HASH", "1")
+    with_turns = scenario()
+    assert with_turns.env.sched_stats()["turns_in_place"] > 0
+    monkeypatch.setattr(Environment, "take_turn", lambda self, kind: False)
+    reset_all()  # message and connection ids restart, as in a new process
+    without = scenario()
+    assert without.env.sched_stats()["turns_in_place"] == 0
+    assert _footprint(with_turns) == _footprint(without)
+
+
+def test_turns_in_place_share_of_the_fig4_64k_read_point():
+    """The host-independent companion of the miss path's host time:
+    at least a fifth of the events of a fig4 d = 64 KB read point are
+    StoreGet steps taken in place."""
+    stats = _fig4_read_point(64 * 1024).env.sched_stats()
+    assert stats["turns_in_place"] >= 0.2 * stats["events_processed"]

@@ -145,6 +145,7 @@ def test_daemon_summary_scheduler_line_fields():
     )
     for field in (
         "events",
+        "taken in place",
         "depth hw",
         "timers cancelled",
         "entries purged",

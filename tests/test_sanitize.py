@@ -180,3 +180,28 @@ def test_freelist_release_without_put_event_is_still_tracked(monkeypatch):
     assert excinfo.value.holder == "victim"
     assert excinfo.value.mutator == "attacker"
     assert excinfo.value.structure.endswith(".freelist")
+
+
+def test_step_hooks_see_every_in_place_turn(monkeypatch):
+    """Under the sanitizer the booked StoreGet steps still reach the
+    step hooks — one call per processed event — and every check passes."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setenv("REPRO_SANITIZE_EVERY", "1")
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=32)
+    env = cluster.env
+    calls = []
+    env.add_step_hook(lambda e: calls.append(None))
+    client = cluster.client("node0")
+
+    def app(env):
+        f = yield from client.open("/misses")
+        for i in range(64):
+            yield from client.read(f, i * 4096, 4096)
+
+    run_app(cluster, app(env))
+    stats = env.sched_stats()
+    assert stats["turns_in_place"] > 0
+    assert len(calls) == stats["events_processed"]
+    sanitizer = _manager(cluster).sanitizer
+    assert sanitizer.checks_run == stats["events_processed"]
+    sanitizer.check()

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, ProcessKilled, Timeout
+from repro.sim import (
+    Environment,
+    Event,
+    Interrupt,
+    ProcessKilled,
+    Store,
+    StoreGet,
+    Timeout,
+)
 from repro.sim.engine import EmptySchedule
 
 
@@ -671,3 +679,126 @@ def test_compaction_preserves_the_live_deadline():
     assert env.sched_stats()["timer_compactions"] > 0
     env.run(until=5.0)
     assert fired == survivor
+
+
+# -- in-place turns (DESIGN.md §14) -----------------------------------------
+
+
+def _turn_taker(env, log, wait_on=None):
+    """A process that asks for an in-place turn once it is resumed."""
+    if wait_on is None:
+        yield env.timeout(1)
+    else:
+        yield wait_on
+    log.append(env.take_turn(StoreGet))
+
+
+def test_take_turn_books_the_step_it_skips():
+    env = Environment()
+    log = []
+    env.process(_turn_taker(env, log))
+    env.run()
+    assert log == [True]
+    stats = env.sched_stats()
+    # process start, the timeout, the booked turn, the process's exit
+    assert stats["events_processed"] == 4
+    assert stats["turns_in_place"] == 1
+
+
+def _store_run(in_place, hooks):
+    """Three timed gets from a stocked store, either yielded or taken
+    in place; returns the schedule's observable footprint."""
+    env = Environment()
+    env.enable_trace_hash()
+    calls = []
+    if hooks:
+        env.add_step_hook(lambda e: calls.append(e._events_processed))
+    store = Store(env)
+    for item in "abc":
+        store.put_nowait(item)
+    got = []
+
+    def taker(env):
+        for _ in range(3):
+            yield env.timeout(1)
+            if in_place and env.take_turn(StoreGet):
+                got.append(store.get_nowait())
+            else:
+                got.append((yield store.get()))
+        yield env.timeout(1)
+
+    env.process(taker(env))
+    env.run()
+    stats = env.sched_stats()
+    turns = stats.pop("turns_in_place")
+    return (env.trace_hash(), stats, got, len(calls)), turns
+
+
+@pytest.mark.parametrize("hooks", [False, True])
+def test_in_place_turns_leave_the_schedule_bit_identical(hooks):
+    queued, no_turns = _store_run(False, hooks)
+    in_place, turns = _store_run(True, hooks)
+    assert (no_turns, turns) == (0, 3)
+    assert in_place == queued
+    if hooks:
+        # one hook call per processed event, booked turns included
+        assert in_place[3] == in_place[1]["events_processed"]
+
+
+def test_take_turn_refuses_under_step():
+    env = Environment()
+    log = []
+    env.process(_turn_taker(env, log))
+    while not log:
+        env.step()
+    assert log == [False]
+    assert env.sched_stats()["turns_in_place"] == 0
+
+
+@pytest.mark.parametrize("stop_on_it", [True, False])
+def test_take_turn_refuses_after_the_stop_event(stop_on_it):
+    env = Environment()
+    log = []
+    ev = env.event()
+    trigger = env.timeout(1)
+    trigger.callbacks.append(lambda _t: ev.succeed())
+    env.process(_turn_taker(env, log, wait_on=ev))
+    # run(until=ev) returns the moment ev is processed: the resumed
+    # process's next step would never be popped by this run.
+    env.run(until=ev if stop_on_it else None)
+    assert log == [not stop_on_it]
+
+
+def test_take_turn_refuses_with_a_same_instant_entry_due():
+    env = Environment()
+    log = []
+
+    def proc(env):
+        yield env.timeout(1)
+        env.timeout(0)  # due now, ahead of the turn
+        log.append(env.take_turn(StoreGet))
+        yield env.timeout(1)
+        # a future-structure entry at the current instant counts too
+        env.schedule(env.event(), delay=0.0, priority=2)
+        log.append(env.take_turn(StoreGet))
+
+    env.process(proc(env))
+    env.run()
+    assert log == [False, False]
+
+
+def test_take_turn_refuses_inside_a_multi_callback_event():
+    env = Environment()
+    log = []
+    ev = env.timeout(1)
+    env.process(_turn_taker(env, log, wait_on=ev))
+    env.process(_turn_taker(env, log, wait_on=ev))
+    env.run()
+    # the first waiter would run ahead of the second; the second is
+    # refused by the same flag (it cannot see that it is the last)
+    assert log == [False, False]
+
+
+def test_take_turn_refuses_without_an_active_process():
+    env = Environment()
+    assert env.take_turn(StoreGet) is False

@@ -297,3 +297,29 @@ def test_acquire_now_respects_multi_capacity():
     assert res.acquire_now() is None
     res.release(first)
     assert res.acquire_now() is not None
+
+
+def test_store_get_nowait_takes_the_head_item():
+    env = Environment()
+    store = Store(env)
+    with pytest.raises(RuntimeError):
+        store.get_nowait()
+    store.put_nowait("a")
+    store.put_nowait("b")
+    assert store.get_nowait() == "a"
+    assert store.items == ("b",)
+
+
+def test_store_get_on_a_stocked_store_fires_without_queueing():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put_nowait("a")
+    put = store.put("b")  # full: queues behind "a"
+    got = store.get()
+    # the get takes "a" and the freed slot admits "b" at once
+    assert got.triggered and got.value == "a"
+    assert put.triggered
+    assert store.items == ("b",)
+    again = store.get()
+    assert again.value == "b"
+    assert store.items == ()
