@@ -29,8 +29,7 @@ This lint walks the source tree and flags exactly those hazards:
     Direct ``heapq`` import outside ``repro.sim``: the event queue is
     a seam (timer wheel + far heap, DESIGN.md §14), and code that
     heap-manages simulation timestamps itself bypasses the engine's
-    ordering, stats, and compaction.  Schedule through
-    ``Environment``/``Timer`` instead.
+    ordering and stats.  Schedule through ``Environment`` instead.
 
 Yielding helpers are resolved in three tiers: module-local generator
 functions (including names imported from scanned modules),
@@ -448,8 +447,8 @@ class _ModuleLinter(ast.NodeVisitor):
 
     _HEAPQ_MSG = (
         "direct heapq use outside repro.sim bypasses the engine's "
-        "event-queue seam (ordering, stats, timer compaction); "
-        "schedule via Environment/Timer instead"
+        "event-queue seam (ordering, stats); "
+        "schedule via Environment instead"
     )
 
     # -- RPL004 ----------------------------------------------------------

@@ -46,9 +46,6 @@ class Cluster:
         self.metrics = Metrics()
         costs = self.config.costs
 
-        # Resolved once here (not per node) so a mid-run env-var change
-        # cannot split a cluster across disk models.
-        self.disk_model = self.config.resolved_disk_model
         fabric_cls = SharedHubFabric if costs.fabric == "hub" else SwitchedFabric
         fabric = fabric_cls(
             self.env,
@@ -61,7 +58,8 @@ class Cluster:
         compute_names = self.config.compute_node_names()
         iod_names = self.config.iod_node_names()
         #: How many hash-partitioned metadata shards run (DESIGN.md
-        #: §17).  Resolved once, like the disk model.
+        #: §17).  Resolved once here, so a mid-run env-var change cannot
+        #: split a cluster's namespace across shard counts.
         self.mgr_shards = self.config.resolved_mgr_shards
         #: Where each mgr shard lives: shard ``k`` on iod node
         #: ``k % n_iods``, on port ``MGR_PORT + k // n_iods`` so shards

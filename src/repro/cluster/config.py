@@ -15,31 +15,19 @@ from __future__ import annotations
 import dataclasses
 import os
 
-#: Environment variable selecting the default disk model for clusters
-#: whose config leaves ``disk_model`` unset (``mech`` or ``queued``).
-#: Lets ``python -m repro.experiments --disk-model queued`` reach every
-#: cluster built inside parallel sweep workers.
-DISK_MODEL_ENV_VAR = "REPRO_DISK_MODEL"
-
-#: Recognised disk models: ``mech`` simulates each request against a
-#: capacity-1 spindle Resource (the validated default), ``queued``
-#: computes batch service times against an analytic FIFO queue
-#: (DESIGN.md §13).
-DISK_MODELS = ("mech", "queued")
-
 #: Environment variable naming a workload trace file (JSONL or CSV
 #: dialect) to replay *instead of* the synthetic micro-benchmark, for
-#: configs whose ``trace_source`` is unset.  Like ``REPRO_DISK_MODEL``,
-#: this is how ``--trace`` reaches every ``run_instances`` call,
-#: including inside parallel sweep workers — so the fig4-8 drivers can
-#: all be pointed at one recorded workload.
+#: configs whose ``trace_source`` is unset.  This is how ``--trace``
+#: reaches every ``run_instances`` call, including inside parallel
+#: sweep workers — so the fig4-8 drivers can all be pointed at one
+#: recorded workload.
 TRACE_ENV_VAR = "REPRO_TRACE"
 
 #: Environment variable selecting how many hash-partitioned metadata
 #: server shards a cluster runs, for configs whose ``mgr_shards`` is
 #: unset.  ``1`` (or unset) keeps the paper's single mgr — and the
-#: schedule bit-identical to it; like ``REPRO_DISK_MODEL``, this is
-#: how ``--mgr-shards`` reaches clusters built inside parallel sweep
+#: schedule bit-identical to it; like ``REPRO_TRACE``, this is how
+#: ``--mgr-shards`` reaches clusters built inside parallel sweep
 #: workers.
 MGR_SHARDS_ENV_VAR = "REPRO_MGR_SHARDS"
 
@@ -192,11 +180,6 @@ class ClusterConfig:
     pagecache_blocks: int = 16384
     #: Whether compute nodes run the kernel cache module.
     caching: bool = True
-    #: Disk model: ``"mech"`` (per-request spindle simulation, the
-    #: validated default), ``"queued"`` (analytic FIFO batch service,
-    #: see DESIGN.md §13), or ``None`` to defer to
-    #: ``REPRO_DISK_MODEL`` falling back to mech.
-    disk_model: str | None = None
     #: Path of a workload trace (JSONL or CSV dialect) to replay
     #: instead of the synthetic benchmark the driver would generate,
     #: or ``None`` to defer to ``REPRO_TRACE`` falling back to the
@@ -213,10 +196,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.compute_nodes < 1 or self.iod_nodes < 1:
             raise ValueError("need at least one compute and one iod node")
-        if self.disk_model is not None and self.disk_model not in DISK_MODELS:
-            raise ValueError(
-                f"unknown disk_model {self.disk_model!r}; have {DISK_MODELS}"
-            )
         if self.mgr_shards is not None and self.mgr_shards < 1:
             raise ValueError(
                 f"mgr_shards must be >= 1, got {self.mgr_shards}"
@@ -228,21 +207,6 @@ class ClusterConfig:
                 "stripe size must be a multiple of the cache block size "
                 f"({self.stripe_size} % {self.cache.block_size} != 0)"
             )
-
-    @property
-    def resolved_disk_model(self) -> str:
-        """The effective disk model for this cluster.
-
-        An explicit ``disk_model`` wins; otherwise ``REPRO_DISK_MODEL``
-        chooses, and with neither set the validated mechanical model
-        runs.
-        """
-        model = self.disk_model or os.environ.get(DISK_MODEL_ENV_VAR) or "mech"
-        if model not in DISK_MODELS:
-            raise ValueError(
-                f"{DISK_MODEL_ENV_VAR}={model!r} is not one of {DISK_MODELS}"
-            )
-        return model
 
     @property
     def resolved_trace_source(self) -> str | None:
@@ -291,12 +255,13 @@ class ClusterConfig:
         return [f"node{i}" for i in range(self.iod_nodes)]
 
     #: Read only by the frozen ``bench/workloads.py`` provenance block;
-    #: there is one engine, one read path and one network model
-    #: (DESIGN.md appendix A).  The next benchmark PR should drop these
-    #: constants and that reader together.
+    #: there is one engine, one read path, one network model and one
+    #: disk model (DESIGN.md appendix A).  The next benchmark PR should
+    #: drop these constants and that reader together.
     resolved_engine_shards = 1
     resolved_engine_macro = False
     resolved_net_model = "frames"
+    resolved_disk_model = "mech"
 
     #: Well-known ports.
     MGR_PORT = 3000

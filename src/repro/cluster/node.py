@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cluster.config import ClusterConfig, CostModel
-from repro.disk import DiskModel, LocalFileStore, PageCache, QueuedDiskModel
+from repro.disk import DiskModel, LocalFileStore, PageCache
 from repro.disk.writeback import WritebackDaemon
 from repro.net import Network, SocketAPI
 from repro.sim import Environment, Timeout
@@ -38,8 +38,7 @@ class Node:
         self.config = config
         #: Instant the CPU finishes everything granted so far.  Every
         #: hold is a fixed, non-preemptive duration served in call
-        #: order, so this one float *is* the FIFO queue (the busy-until
-        #: idiom of :mod:`repro.disk.queued`; DESIGN.md §14).
+        #: order, so this one float *is* the FIFO queue (DESIGN.md §14).
         self.cpu_free_at = 0.0
         #: Completion event of the last slice granted.  Busy means it
         #: has not been processed yet.
@@ -61,9 +60,7 @@ class Node:
         cfg = self.config
         block_size = cfg.cache.block_size if cfg else 4096
         pagecache_blocks = cfg.pagecache_blocks if cfg else 16384
-        disk_model = cfg.resolved_disk_model if cfg else "mech"
-        disk_cls = QueuedDiskModel if disk_model == "queued" else DiskModel
-        self.disk = disk_cls(
+        self.disk = DiskModel(
             self.env,
             avg_seek_s=self.costs.avg_seek_s,
             half_rotation_s=self.costs.half_rotation_s,

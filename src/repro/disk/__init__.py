@@ -8,9 +8,6 @@ that stack:
 * :class:`~repro.disk.model.DiskModel` — mechanical timing: seek +
   rotational latency for non-sequential accesses, media transfer rate,
   FIFO queueing of concurrent requests.
-* :class:`~repro.disk.queued.QueuedDiskModel` — the analytic
-  alternative: the spindle as a computed FIFO queue, O(batches) events
-  instead of O(requests); selected via ``ClusterConfig.disk_model``.
 * :class:`~repro.disk.filesystem.LocalFileStore` — the data authority:
   an in-memory block store holding the actual bytes, so end-to-end
   read-your-writes correctness is testable through every cache path.
@@ -23,6 +20,20 @@ that stack:
 from repro.disk.filesystem import LocalFileStore
 from repro.disk.model import DiskModel
 from repro.disk.pagecache import PageCache
-from repro.disk.queued import QueuedDiskModel
 
-__all__ = ["DiskModel", "LocalFileStore", "PageCache", "QueuedDiskModel"]
+__all__ = ["DiskModel", "LocalFileStore", "PageCache"]
+
+
+class QueuedDiskModel:
+    """Not a disk model: a name the frozen ``bench/trace.py`` reads.
+
+    ``bench/trace.py:33,55-56`` imports this class and wraps
+    ``vars(QueuedDiskModel)["io"]`` / ``["io_batch"]`` in its span
+    table.  Nothing instantiates it.  Its own namespace holds
+    :class:`DiskModel`'s two functions, so the wrap and the restore
+    touch only this class and ``DiskModel.io`` is wrapped exactly once.
+    It goes with that file (ROADMAP item 4(i)).
+    """
+
+    io = DiskModel.io
+    io_batch = DiskModel.io_batch

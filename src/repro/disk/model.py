@@ -17,11 +17,6 @@ class DiskModel:
     5400 RPM IDE disk (Maxtor, as in the paper's testbed).
     """
 
-    #: Whether :meth:`io_batch` services a run list as one analytic
-    #: queue entry (:class:`~repro.disk.queued.QueuedDiskModel`) or
-    #: replays the validated per-request schedule (this class).
-    batched: _t.ClassVar[bool] = False
-
     def __init__(
         self,
         env: Environment,
@@ -91,18 +86,16 @@ class DiskModel:
         """Process body: service a coalesced run list
         ``[(offset, nbytes), ...]`` against one file.
 
-        This is the model seam the iod's miss path drives
+        This is the entry point the iod's miss path drives
         (:meth:`repro.pvfs.iod.Iod._ensure_resident`):
         ``on_run_complete(i)`` is invoked as run ``i``'s data lands,
         which is where the caller populates its page cache.
 
-        The mechanical model deliberately replays the *request-level*
-        schedule it always had — one spindle acquisition per run, so
-        concurrent requests (e.g. the writeback daemon) interleave
-        between runs exactly as before and same-seed trace hashes stay
-        bit-identical to the pre-batch code.  Analytic subclasses
-        (``batched = True``) instead service the whole list as a single
-        queue entry with one computed service time.
+        It deliberately replays the *request-level* schedule the model
+        always had — one spindle acquisition per run, so concurrent
+        requests (e.g. the writeback daemon) interleave between runs
+        exactly as before and same-seed trace hashes stay bit-identical
+        to the pre-batch code.
         """
         for index, (offset, nbytes) in enumerate(runs):
             yield self.env.process(self.io(file_id, offset, nbytes, write))

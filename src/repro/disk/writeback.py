@@ -90,18 +90,9 @@ class WritebackDaemon(Service):
 
     @handles("writeback")
     def _handle_writeback(self, item: WritebackItem, endpoint=None) -> _t.Generator:
-        if self.disk.batched:
-            # Analytic models compute the wait inline — no point paying
-            # a process spawn just to wait on a computed finish time.
-            yield from self.disk.io(
-                item.file_id, item.local_offset, item.nbytes, write=True
-            )
-        else:
-            yield self.env.process(
-                self.disk.io(
-                    item.file_id, item.local_offset, item.nbytes, write=True
-                )
-            )
+        yield self.env.process(
+            self.disk.io(item.file_id, item.local_offset, item.nbytes, write=True)
+        )
         self.dirty_bytes -= item.nbytes
         self.items_written += 1
         self.bytes_written += item.nbytes

@@ -13,18 +13,14 @@ import sys
 import time
 import typing as _t
 
-from repro.cluster.config import (
-    DISK_MODEL_ENV_VAR,
-    DISK_MODELS,
-    MGR_SHARDS_ENV_VAR,
-    TRACE_ENV_VAR,
-)
+from repro.cluster.config import MGR_SHARDS_ENV_VAR, TRACE_ENV_VAR, ClusterConfig
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig67 import run_fig6, run_fig7
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.overhead import run_overhead
+from repro.experiments.parallel import resolve_workers
 from repro.experiments.sensitivity import (
     run_block_size_sweep,
     run_cache_size_sweep,
@@ -85,7 +81,6 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
     the instrumentation bus.
     """
     from repro.cluster.cluster import Cluster
-    from repro.cluster.config import ClusterConfig
     from repro.metrics import DaemonMonitor, daemon_table
     from repro.svc import get_bus
 
@@ -130,8 +125,7 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
     )
     print(
         "[scheduler: {events_processed} events ({turns_in_place} taken "
-        "in place), depth hw {queue_depth_hw}, {timers_cancelled} timers "
-        "cancelled, {timer_entries_purged} entries purged]".format(**sched),
+        "in place), depth hw {queue_depth_hw}]".format(**sched),
         file=stream,
     )
     monitor.close()
@@ -194,17 +188,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         help="run a small workload and print the per-daemon summary",
     )
     parser.add_argument(
-        "--disk-model",
-        choices=DISK_MODELS,
-        default=None,
-        help=(
-            "disk service model: 'mech' (per-request spindle "
-            "simulation, validated default) or 'queued' (analytic FIFO "
-            "batch service: fewer events on the iod miss path, does not "
-            "reproduce the figures, see DESIGN.md §13)"
-        ),
-    )
-    parser.add_argument(
         "--mgr-shards",
         type=int,
         default=None,
@@ -241,16 +224,21 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.disk_model:
-        # Via the environment so parallel sweep workers inherit it —
-        # every ClusterConfig built anywhere in this run resolves it.
-        os.environ[DISK_MODEL_ENV_VAR] = args.disk_model
     if args.mgr_shards is not None:
         if args.mgr_shards < 1:
             parser.error(f"--mgr-shards must be >= 1, got {args.mgr_shards}")
+        # Via the environment so parallel sweep workers inherit it —
+        # every ClusterConfig built anywhere in this run resolves it.
         os.environ[MGR_SHARDS_ENV_VAR] = str(args.mgr_shards)
     if args.trace:
         os.environ[TRACE_ENV_VAR] = args.trace
+    # A bad environment value fails here, naming the variable, not as
+    # a traceback from the first sweep or cluster build.
+    try:
+        resolve_workers()
+        ClusterConfig().resolved_mgr_shards
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.profile:
         import cProfile
         import pstats

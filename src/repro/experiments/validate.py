@@ -98,14 +98,9 @@ def _interleaved(mode: str) -> tuple[float, ...]:
 
 def _knee_ops_s(mgr_shards: int) -> float:
     """Completed ops/s at the p=256 open-loop knee (``scaling_point``'s
-    workload).  Pinned to the validated disk model: the gate this row
-    replaces ran with the model variable unset and the claim is about
-    the mgr."""
+    workload)."""
     config = ClusterConfig(
-        compute_nodes=256,
-        iod_nodes=256,
-        mgr_shards=mgr_shards,
-        disk_model="mech",
+        compute_nodes=256, iod_nodes=256, mgr_shards=mgr_shards
     )
     return run_open_loop(config, knee_params(256)).completed_ops_per_s
 

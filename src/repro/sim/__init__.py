@@ -13,14 +13,7 @@ whole-cluster runs deterministic and laptop-fast.
 """
 
 from repro.sim.engine import Environment
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Timeout,
-    Timer,
-)
+from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Lock, Resource, Store, StoreGet
 
@@ -37,5 +30,4 @@ __all__ = [
     "Store",
     "StoreGet",
     "Timeout",
-    "Timer",
 ]

@@ -6,8 +6,8 @@ resource grants, process starts — are by far the most common scheduling
 operation and always carry the current timestamp, so they go to plain
 FIFO deques (one per priority) that stay sorted for free: timestamps
 are non-decreasing push to push and the sequence counter is monotone.
-Future entries (timeouts, timer re-arms) go to a 256-bucket calendar
-wheel of ~244 µs buckets covering a 62.5 ms horizon — wide enough for
+Future entries (timeouts) go to a 256-bucket calendar wheel of
+~244 µs buckets covering a 62.5 ms horizon — wide enough for
 every latency constant in :class:`~repro.cluster.config.CostModel`,
 from the 5 µs block lookup to the 30 ms flush period — with a binary
 heap fallback for entries beyond the horizon.  A one-entry buffer
@@ -28,7 +28,7 @@ from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, Timer
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 #: Environment variable: when truthy, every new :class:`Environment`
@@ -41,12 +41,6 @@ TRACE_HASH_ENV_VAR = "REPRO_TRACE_HASH"
 _BUCKETS_PER_S = 4096.0
 _WHEEL_SLOTS = 256
 _WHEEL_MASK = _WHEEL_SLOTS - 1
-
-#: Compaction trigger: at least this many suspected-stale timer
-#: entries, and stale entries at least half of all queued future
-#: entries (mirrors the dynamic-array doubling argument: compaction
-#: work is amortised O(1) per cancellation).
-_COMPACT_MIN_STALE = 64
 
 _QueueEntry = _t.Tuple[float, int, int, Event]
 
@@ -95,10 +89,6 @@ class Environment:
         "_depth",
         "_depth_hw",
         "_events_processed",
-        "_timers_cancelled",
-        "_stale_timers",
-        "_timer_entries_purged",
-        "_timer_compactions",
         "_turns_in_place",
         # -- in-place turn guards (see take_turn) --------------------
         "_in_run",
@@ -128,8 +118,8 @@ class Environment:
         #: future entries exist.
         self._nf: _QueueEntry | None = None
         #: Sorted entries of the wheel bucket the cursor last drained,
-        #: consumed from ``_cur_pos`` (same bounded-garbage index
-        #: pattern as the queued disk model's FIFO).
+        #: consumed from ``_cur_pos``; the consumed prefix is trimmed
+        #: once it outgrows the remainder (see ``_refill_nf``).
         self._cur: list[_QueueEntry] = []
         self._cur_pos = 0
         self._ring: list[list[_QueueEntry]] = [
@@ -147,10 +137,6 @@ class Environment:
         self._depth = 0
         self._depth_hw = 0
         self._events_processed = 0
-        self._timers_cancelled = 0
-        self._stale_timers = 0
-        self._timer_entries_purged = 0
-        self._timer_compactions = 0
         self._turns_in_place = 0
         #: True while run() owns the loop (step() never books turns).
         self._in_run = False
@@ -232,17 +218,6 @@ class Environment:
         self._depth = d
         if d > self._depth_hw:
             self._depth_hw = d
-
-    def timer(self, on_fire: _t.Callable[[Timer], None]) -> Timer:
-        """A reschedulable timer calling ``on_fire(timer)`` when it fires.
-
-        Unlike :meth:`timeout`, the returned :class:`Timer` starts
-        idle — call :meth:`~repro.sim.events.Timer.arm` — and can be
-        cancelled and re-armed indefinitely without allocating a new
-        event per deadline change (see its docstring for the lazy
-        cancellation contract).
-        """
-        return Timer(self, on_fire)
 
     def process(self, generator: _t.Generator, name: str | None = None) -> Process:
         """Spawn ``generator`` as a new simulation process."""
@@ -339,8 +314,7 @@ class Environment:
         decision — pops re-compare heads — so a conservative fall-back
         to the far heap is always safe.
 
-        Depth accounting is the *caller's* job (compaction re-inserts
-        entries without re-counting them).
+        Depth accounting is the *caller's* job.
         """
         nf = self._nf
         if nf is None:
@@ -481,67 +455,6 @@ class Environment:
             self._refill_nf()
         return nf
 
-    # -- timer garbage compaction ----------------------------------------
-    def _note_stale_timer(self) -> None:
-        """A queued timer entry no longer matches its armed deadline."""
-        self._stale_timers += 1
-        if self._stale_timers >= _COMPACT_MIN_STALE:
-            self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        depth_future = (
-            (1 if self._nf is not None else 0)
-            + len(self._cur)
-            - self._cur_pos
-            + self._ring_count
-            + len(self._far)
-        )
-        if self._stale_timers * 2 >= depth_future:
-            self._compact_futures()
-
-    def _compact_futures(self) -> None:
-        """Physically drop stale lazily-cancelled timer entries.
-
-        Without this, a timer re-armed to a new deadline on every
-        event (an analytic model under churn) leaves one garbage entry
-        per re-arm in the queue until its old deadline passes —
-        unbounded state for an unbounded re-arm rate.  Dropping an
-        entry also removes its deadline from the timer's ``_queued``
-        list, preserving :meth:`Timer.arm_at`'s invariant of at most
-        one entry per distinct queued deadline.
-        """
-        survivors: list[_QueueEntry] = []
-        dropped = 0
-        entries: list[_QueueEntry] = []
-        if self._nf is not None:
-            entries.append(self._nf)
-        entries.extend(self._cur[self._cur_pos :])
-        for bucket in self._ring:
-            entries.extend(bucket)
-            del bucket[:]
-        entries.extend(self._far)
-        for entry in entries:
-            event = entry[3]
-            if type(event) is Timer and not (
-                event._armed and event._deadline == entry[0]
-            ):
-                event._queued.remove(entry[0])
-                dropped += 1
-            else:
-                survivors.append(entry)
-        self._nf = None
-        self._cur = []
-        self._cur_pos = 0
-        self._ring_count = 0
-        self._far = []
-        self._depth -= dropped
-        self._timer_entries_purged += dropped
-        self._timer_compactions += 1
-        self._stale_timers = 0
-        push = self._push_future
-        for entry in survivors:
-            push(entry)
-
     # -- statistics -------------------------------------------------------
     def sched_stats(self) -> dict[str, int]:
         """Point-in-time scheduler counters (all monotone except depth)."""
@@ -549,9 +462,6 @@ class Environment:
             "events_processed": self._events_processed,
             "queue_depth": self._depth,
             "queue_depth_hw": self._depth_hw,
-            "timers_cancelled": self._timers_cancelled,
-            "timer_entries_purged": self._timer_entries_purged,
-            "timer_compactions": self._timer_compactions,
             "turns_in_place": self._turns_in_place,
         }
 

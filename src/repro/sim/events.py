@@ -186,142 +186,6 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
-class Timer(Event):
-    """A reschedulable timeout: one event object, re-armed many times.
-
-    A :class:`Timeout` is single-shot — every deadline change costs a
-    fresh allocation and the abandoned event still fires.  A ``Timer``
-    instead supports ``cancel()`` + ``arm()`` on the same object, which
-    is what an analytic model such as ``QueuedDiskModel`` needs: the
-    queue's contents change, the predicted next completion moves, and
-    the one pending timer follows it.
-
-    Cancellation is *lazy*: the heap entry of a cancelled or superseded
-    arm stays queued and is discarded as a no-op when it pops (a heap
-    cannot cheaply remove an interior entry).  Correctness relies on
-    two facts: an entry only fires when the timer is currently armed
-    *for exactly the popped timestamp*, and :meth:`arm` never queues a
-    second entry for a deadline that already has one pending — so a
-    cancel + re-arm to the same instant reuses the queued entry instead
-    of racing it.  Every push goes through the environment's monotone
-    sequence counter, so tie-breaking against other same-time events is
-    deterministic run over run.
-
-    Firing calls ``on_fire(timer)``; the timer does not use the
-    ``succeed``/callback protocol of one-shot events and must not be
-    ``yield``-ed by a process (arm a fresh :class:`Timeout` instead).
-    After firing the timer is disarmed and may be re-armed immediately,
-    including from inside ``on_fire``.
-
-    One observable consequence of lazy cancellation: a stale entry
-    keeps the event heap non-empty until its old deadline, so a
-    ``run()`` to exhaustion may advance the clock past the last *real*
-    event.  Runs that stop on an event or at a time are unaffected.
-    """
-
-    __slots__ = ("on_fire", "_deadline", "_armed", "_queued")
-
-    def __init__(
-        self,
-        env: "Environment",
-        on_fire: _t.Callable[["Timer"], None],
-    ) -> None:
-        super().__init__(env)
-        self.on_fire = on_fire
-        self._deadline = 0.0
-        self._armed = False
-        #: Timestamps with a heap entry pending for this timer.  At
-        #: most one per distinct deadline; usually zero or one entries
-        #: total, so a list beats a set.
-        self._queued: list[float] = []
-
-    # -- state inspection --------------------------------------------------
-    @property
-    def armed(self) -> bool:
-        """True while a fire is scheduled."""
-        return self._armed
-
-    @property
-    def deadline(self) -> float:
-        """The pending fire time (meaningless unless :attr:`armed`)."""
-        return self._deadline
-
-    # -- arming ------------------------------------------------------------
-    def arm(self, delay: float) -> None:
-        """(Re-)schedule the fire ``delay`` time units from now.
-
-        Re-arming an armed timer supersedes the previous deadline
-        without allocating anything; the stale heap entry (if its
-        timestamp differs) is discarded when it pops.
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.arm_at(self.env._now + delay)
-
-    def arm_at(self, deadline: float) -> None:
-        """(Re-)schedule the fire at absolute time ``deadline``."""
-        env = self.env
-        if deadline < env._now:
-            raise ValueError(
-                f"deadline {deadline} is in the past (now={env._now})"
-            )
-        queued = self._queued
-        # Stale-entry accounting: a queued entry is *live* iff it is
-        # the armed deadline.  Superseding an armed deadline strands
-        # its entry; re-arming onto an already-queued (stale) deadline
-        # revives one.  The environment compacts when stale entries
-        # dominate (see Environment._compact_futures).
-        was_live = self._armed and self._deadline == deadline
-        if self._armed and self._deadline != deadline and self._deadline in queued:
-            env._note_stale_timer()
-        self._armed = True
-        self._deadline = deadline
-        if deadline in queued:
-            if not was_live and env._stale_timers > 0:
-                env._stale_timers -= 1
-        else:
-            queued.append(deadline)
-            env._seq += 1
-            if deadline == env._now:
-                env._due.append((deadline, 1, env._seq, self))
-            else:
-                env._push_future((deadline, 1, env._seq, self))
-            d = env._depth + 1
-            env._depth = d
-            if d > env._depth_hw:
-                env._depth_hw = d
-
-    def cancel(self) -> None:
-        """Unschedule the pending fire (no-op when not armed)."""
-        if self._armed:
-            env = self.env
-            env._timers_cancelled += 1
-            if self._deadline in self._queued:
-                env._note_stale_timer()
-        self._armed = False
-
-    # -- engine hook ---------------------------------------------------------
-    def _process(self) -> None:
-        # One queued entry (the one for the current instant) has
-        # popped; it fires only if it is still the armed deadline.
-        env = self.env
-        self._queued.remove(env._now)
-        if self._armed and self._deadline == env._now:
-            self._armed = False
-            self.on_fire(self)
-        elif env._stale_timers > 0:
-            # A stale entry drained on its own; it no longer counts
-            # toward the compaction trigger.  (Clamped: entries that
-            # sat in the due deque survive compactions, which only
-            # sweep the future structures, so the counter may already
-            # have been reset.)
-            env._stale_timers -= 1
-
-    def __repr__(self) -> str:
-        state = f"armed t={self._deadline}" if self._armed else "idle"
-        return f"<Timer {state} at {id(self):#x}>"
-
-
 class Interrupt(Exception):
     """Raised inside a process that another process interrupted.
 

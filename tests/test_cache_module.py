@@ -318,10 +318,8 @@ def test_fully_hit_segment_counter():
 def test_resident_read_costs_three_events():
     """What the paper's hit path costs the scheduler: three timeouts
     per resident 4 KB read (syscall, lookup, copy-out) and nothing
-    else.  Literals taken at the validated disk model, which the
-    config pins: the write-behind flush of the region overlaps the
-    reads and the queued disk model spends two events fewer on it."""
-    cluster = make_cluster(compute_nodes=1, iod_nodes=1, disk_model="mech")
+    else."""
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1)
     env = cluster.env
     client = cluster.client("node0")
     region, n_reads = 128 * 1024, 400

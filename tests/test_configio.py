@@ -76,6 +76,17 @@ def test_removed_net_model_knob_is_rejected():
         loads_config('{"net_model": "fluid"}')
 
 
+def test_removed_disk_model_knob_is_rejected():
+    """There is one disk model (DESIGN.md appendix A.5): a config that
+    names one must fail, not run ``mech`` while saying ``queued``."""
+    with pytest.raises(TypeError, match="disk_model"):
+        ClusterConfig(disk_model="queued")  # type: ignore[call-arg]
+    with pytest.raises(
+        ValueError, match=r"unknown cluster keys: \['disk_model'\]"
+    ):
+        loads_config('{"disk_model": "queued"}')
+
+
 def test_validation_still_applies():
     with pytest.raises(ValueError):
         loads_config('{"compute_nodes": 0}')

@@ -1,10 +1,23 @@
-"""Unit tests for the disk substrate."""
+"""Unit tests for the disk substrate, and the mechanical model's
+schedule pins through the full cluster stack."""
 
 import pytest
 
+from repro.analysis.determinism import fig4_point_trace_hash
 from repro.disk import DiskModel, LocalFileStore, PageCache
 from repro.disk.filesystem import blocks_spanned, slice_for_block
 from repro.sim import Environment
+from tests.conftest import make_cluster, run_app
+
+#: Schedule digests of the disk model through the fig4 point.  Runs
+#: must reproduce them bit for bit (a refactor may not move a single
+#: event).  Re-pinned by the event diet (DESIGN.md §14), which removes
+#: events and so changes the digest by construction while the final
+#: clock of both runs stays equal to the last bit: read 1358 -> 598
+#: events (was 17999720988df8807faaae9a5137f1bc), write 1632 -> 444
+#: (was c56fb89176c984016ecf282dfb455edb).
+GOLDEN_MECH_READ_HASH = "17a98e9186ac5a8d3a0aee6788d6b8fb"
+GOLDEN_MECH_WRITE_HASH = "ab5d91b2acca77e0ef4c21678dffb407"
 
 
 # -- DiskModel ------------------------------------------------------------
@@ -189,6 +202,50 @@ def test_disk_io_batch_write_counters():
     env.run()
     assert disk.writes == 2 and disk.bytes_written == 12288
     assert disk.reads == 0
+
+
+def _iod_miss_path_replay() -> tuple[int, float]:
+    """The iod miss path against the disk stack alone: (events, makespan).
+
+    Four readers sweep disjoint regions whose odd blocks are page-cache
+    resident, so every 16-block request coalesces into 8 single-block
+    runs — the pattern ``Iod._ensure_resident`` drives: one
+    ``lookup_many`` probe, one ``io_batch``, residency inserted per run.
+    """
+    readers, requests, span, block = 4, 64, 16, 4096
+    env = Environment()
+    disk = DiskModel(env)
+    pagecache = PageCache(capacity_blocks=readers * requests * span)
+    for r in range(readers):
+        base = r * requests * span
+        for resident in range(base + 1, base + requests * span, 2):
+            pagecache.insert(0, resident)
+
+    def reader(r):
+        base = r * requests * span
+        for i in range(requests):
+            first = base + i * span
+            _hits, runs = pagecache.lookup_many(0, range(first, first + span))
+            yield from disk.io_batch(
+                0,
+                [(f * block, n * block) for f, n in runs],
+                on_run_complete=lambda j, runs=runs: pagecache.insert_many(
+                    0, runs[j][0], runs[j][1]
+                ),
+            )
+
+    for r in range(readers):
+        env.process(reader(r))
+    env.run()
+    assert disk.reads == readers * requests * span // 2
+    return env.sched_stats()["events_processed"], env.now
+
+
+def test_iod_miss_path_event_budget():
+    """A host-independent guard on the miss path's scheduler cost: a
+    process spawn plus a spindle acquire/release per coalesced run,
+    8 200 events for 2 048 runs, and the makespan to the last bit."""
+    assert _iod_miss_path_replay() == (8200, 29.296230400001082)
 
 
 # -- LocalFileStore ----------------------------------------------------------
@@ -522,3 +579,104 @@ def test_pagecache_insert_many_nonpositive_count_is_noop():
     pc.insert_many(1, 0, 0)
     pc.insert_many(1, 0, -3)
     assert len(pc) == 0
+
+
+# -- the disk model through the cluster stack ---------------------------------
+
+
+def test_mech_trace_hash_bit_identical_to_seed():
+    """The batched data path must be a pure refactor: the same-seed
+    schedule digest equals the pre-refactor golden."""
+    assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
+    assert (
+        fig4_point_trace_hash(d=65536, mode="write", seed=7)
+        == GOLDEN_MECH_WRITE_HASH
+    )
+
+
+def test_removed_macro_env_var_is_inert(monkeypatch):
+    """The variable selected a read path that no longer exists
+    (DESIGN.md appendix A.2); nothing reads it now."""
+    monkeypatch.setenv("REPRO_ENGINE_MACRO", "1")
+    assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
+
+
+def test_removed_net_model_env_var_is_inert(monkeypatch):
+    """The variable selected a network model that no longer exists
+    (DESIGN.md appendix A.3); nothing reads it now."""
+    monkeypatch.setenv("REPRO_NET_MODEL", "fluid")
+    assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
+
+
+def test_removed_disk_model_env_var_is_inert(monkeypatch):
+    """The variable selected a disk model that no longer exists
+    (DESIGN.md appendix A.5); nothing reads it now."""
+    monkeypatch.setenv("REPRO_DISK_MODEL", "queued")
+    assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
+
+
+def test_cluster_defaults_to_mech():
+    cluster = make_cluster()
+    for iod in cluster.iods:
+        assert type(iod.node.disk) is DiskModel
+
+
+def test_ensure_resident_coalesces_exact_block_multiple():
+    """A cold read of an exact block multiple is one disk request."""
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, caching=False)
+    client = cluster.client("node0")
+    disk = cluster.iods[0].node.disk
+    block = cluster.iods[0].block_size
+
+    def app(env):
+        f = yield from client.open("/f")
+        yield from client.read(f, 0, 16 * block)
+        assert disk.reads == 1  # one coalesced 16-block run
+        assert disk.bytes_read == 16 * block
+        # Straddle the residency boundary: block 15 is resident,
+        # block 16 is not -> exactly one more single-block read.
+        yield from client.read(f, 16 * block - 1, 2)
+        assert disk.reads == 2
+        assert disk.bytes_read == 17 * block
+
+    run_app(cluster, app(cluster.env))
+    assert cluster.metrics.count("iod.pagecache_misses") == 17
+    assert cluster.metrics.count("iod.pagecache_hits") == 1
+
+
+def test_zero_capacity_pagecache_always_goes_to_disk():
+    """pagecache_blocks=0 must disable residency without corrupting
+    the LRU or the miss path."""
+    cluster = make_cluster(
+        compute_nodes=1, iod_nodes=1, caching=False, pagecache_blocks=0
+    )
+    client = cluster.client("node0")
+    node = cluster.iods[0].node
+    block = cluster.iods[0].block_size
+
+    def app(env):
+        f = yield from client.open("/f")
+        yield from client.read(f, 0, 4 * block)
+        yield from client.read(f, 0, 4 * block)  # no residency: re-read
+        assert node.disk.reads == 2
+        assert node.disk.bytes_read == 8 * block
+
+    run_app(cluster, app(cluster.env))
+    assert len(node.pagecache) == 0
+    assert cluster.metrics.count("iod.pagecache_hits") == 0
+    assert cluster.metrics.count("iod.pagecache_misses") == 8
+
+
+def test_end_to_end_read_your_writes():
+    """Data correctness through the full stack, striped over both iods."""
+    cluster = make_cluster(caching=False)
+    client = cluster.client("node0")
+    payload = bytes(range(256)) * 512  # 128 KB: spans both iods
+
+    def app(env):
+        f = yield from client.open("/f")
+        yield from client.write(f, 0, len(payload), payload)
+        back = yield from client.read(f, 0, len(payload), want_data=True)
+        assert back == payload
+
+    run_app(cluster, app(cluster.env))

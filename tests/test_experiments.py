@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.cluster.config import MGR_SHARDS_ENV_VAR
 from repro.experiments.common import (
     QUICK_SIZES,
     ExperimentResult,
@@ -163,6 +164,11 @@ def test_run_all_with_charts():
             ["--net-model", "fluid"],
             "unrecognized arguments: --net-model fluid",
         ),
+        # Removed with the queued disk model (DESIGN.md appendix A.5).
+        (
+            ["--disk-model", "queued"],
+            "unrecognized arguments: --disk-model queued",
+        ),
     ],
 )
 def test_cli_rejects_bad_flags_at_parse_time(argv, message, capsys):
@@ -170,3 +176,25 @@ def test_cli_rejects_bad_flags_at_parse_time(argv, message, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "var, value, message",
+    [
+        (WORKERS_ENV_VAR, "abc", "REPRO_SWEEP_WORKERS='abc' is not an integer"),
+        (MGR_SHARDS_ENV_VAR, "abc", "REPRO_MGR_SHARDS='abc' is not an integer"),
+        (MGR_SHARDS_ENV_VAR, "0", "REPRO_MGR_SHARDS='0' must be >= 1"),
+    ],
+)
+def test_cli_rejects_bad_env_values_at_parse_time(
+    var, value, message, monkeypatch, capsys
+):
+    """A bad environment value exits 2 naming the variable before any
+    sweep runs, not as a traceback from the first one."""
+    monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--only", "overhead"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

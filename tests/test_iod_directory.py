@@ -306,12 +306,7 @@ def _coherent_scenario():
     file striped over two iods; a cached ``sync_write`` across three
     stripe units; a raw list ``sync_write`` (several ranges in one
     request per iod); then everybody reads again."""
-    cluster = make_cluster(
-        compute_nodes=4,
-        iod_nodes=2,
-        disk_model="mech",
-        mgr_shards=1,
-    )
+    cluster = make_cluster(compute_nodes=4, iod_nodes=2, mgr_shards=1)
     env = cluster.env
     env.enable_trace_hash()
     unit = STRIPE_BLOCKS * BLOCK

@@ -1,56 +1,31 @@
 """The claim table of ``repro.experiments.validate``, row by row.
 
-Rows run at whatever disk model the environment resolves, so each CI
-run of tier-1 judges every claim under its model.
+Every row must pass: the program has one model of each layer, so there
+is no second configuration under which a row may be allowed to flip.
 """
 
 from operator import lt
 
 import pytest
 
-from repro.cluster.config import ClusterConfig
 from repro.experiments import validate
 from repro.experiments.validate import CLAIMS, Check, Claim, Points
-
-#: Rows known to fail under a non-default model, with the numbers
-#: measured when they were recorded: ``row id -> (seam, model, measured)``.
-#: Strict, so a model change that repairs one shows up as XPASS.
-KNOWN_FLIPS = {
-    "fig6a-s25": (
-        "disk_model",
-        "queued",
-        "caching 0.5732s vs no-caching 0.5673s (mech: 0.4244s vs 0.4764s)",
-    ),
-}
-
 
 #: One memo for the whole table: rows share their points.
 POINTS = Points()
 
 
-def _row(claim: Claim):
-    marks = []
-    if claim.id in KNOWN_FLIPS:
-        seam, model, measured = KNOWN_FLIPS[claim.id]
-        if getattr(ClusterConfig(), f"resolved_{seam}") == model:
-            marks.append(
-                pytest.mark.xfail(
-                    strict=True, reason=f"flips under {seam}={model}: {measured}"
-                )
-            )
-    return pytest.param(claim, id=claim.id, marks=marks)
-
-
-@pytest.mark.parametrize("claim", [_row(claim) for claim in CLAIMS])
+@pytest.mark.parametrize(
+    "claim", [pytest.param(claim, id=claim.id) for claim in CLAIMS]
+)
 def test_claim(claim):
     check = claim.check(POINTS)
     assert check.passed, f"{check.claim}: {check.detail}"
 
 
-def test_claim_ids_are_unique_and_flips_name_rows():
+def test_claim_ids_are_unique():
     ids = [claim.id for claim in CLAIMS]
     assert len(set(ids)) == len(ids)
-    assert set(KNOWN_FLIPS) <= set(ids)
 
 
 def test_validator_check_dataclass():
