@@ -332,7 +332,7 @@ class CacheSanitizer:
                 f"{name}.freelist",
                 ("acquire", "acquire_now", "release"),
             ),
-            (manager.policy, f"{name}.policy", ("admit", "forget")),
+            (manager.policy, f"{name}.policy", ("admit", "forget_run")),
         ]
         for structure, label, methods in structures:
             tracker.track(structure, label)

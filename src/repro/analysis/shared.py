@@ -45,8 +45,10 @@ MUTATING_METHODS = frozenset(
         "clear",
         "discard",
         "drain",
+        "evict",
         "extend",
         "forget",
+        "forget_run",
         "insert",
         "invalidate",
         "mark_clean",
@@ -55,6 +57,7 @@ MUTATING_METHODS = frozenset(
         "pop",
         "popitem",
         "popleft",
+        "probe",
         "push",
         "put",
         "release",

@@ -117,6 +117,25 @@ class CacheBlock:
             buf[lo:hi] = data[lo - start : hi - start]
         self.valid.add(start, end)
 
+    def fill(self, data: bytes | None) -> bool:
+        """Take a whole fetched block into a frame holding no bytes yet.
+
+        :meth:`merge_fetch` of ``[0, block_size)`` for a fresh miss, as
+        one assignment: there is nothing to keep, so nothing to merge.
+        False, with nothing changed, when the frame holds valid bytes
+        (its dirty bytes are among them): merge instead.
+        """
+        if not self.valid.fill(0, self.block_size):
+            return False
+        if data is not None:
+            if len(data) != self.block_size:
+                raise ValueError(
+                    f"fill of {len(data)} bytes into a block of "
+                    f"{self.block_size}"
+                )
+            self.data = bytearray(data)
+        return True
+
     def write(self, start: int, end: int, data: bytes | None) -> None:
         """Record locally written bytes; block becomes DIRTY."""
         self._check_bounds(start, end)

@@ -9,6 +9,9 @@ to clean blocks over dirty ones."
 
 from __future__ import annotations
 
+import typing as _t
+from itertools import filterfalse
+
 from repro.cache.block import BlockState, CacheBlock
 
 
@@ -19,8 +22,11 @@ class ReplacementPolicy:
         """Record a reference to a resident block."""
         raise NotImplementedError
 
-    def forget(self, block: CacheBlock) -> None:  # pragma: no cover
-        """Drop a block from the policy's tracking."""
+    def forget_run(
+        self, blocks: _t.Iterable[CacheBlock]
+    ) -> None:  # pragma: no cover
+        """Drop a batch of blocks from the policy's tracking (blocks
+        it does not track are ignored)."""
         raise NotImplementedError
 
     def select_victims(
@@ -46,7 +52,7 @@ class ClockPolicy(ReplacementPolicy):
 
     def touch(self, block: CacheBlock) -> None:
         """Set the reference bit (O(1) hot path; ring membership is
-        managed by admit()/forget(), called once per residency)."""
+        managed by admit()/forget_run(), called once per residency)."""
         block.refbit = True
 
     def admit(self, block: CacheBlock) -> None:
@@ -54,19 +60,24 @@ class ClockPolicy(ReplacementPolicy):
         self._ring.append(block)
         block.refbit = True
 
-    def forget(self, block: CacheBlock) -> None:
-        """Remove a block from the ring, fixing the hand."""
-        try:
-            idx = self._ring.index(block)
-        except ValueError:
-            return
-        self._ring.pop(idx)
-        if idx < self._hand:
-            self._hand -= 1
-        if self._ring:
-            self._hand %= len(self._ring)
-        else:
-            self._hand = 0
+    def forget_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
+        """Remove a batch of blocks from the ring in one pass.
+
+        The hand ends where removing them one at a time would leave it:
+        a removal before the hand shifts it down, and removing the
+        block under the hand passes it to that block's successor
+        (wrapping to the ring's head).  So it comes to rest on the
+        first survivor at or after its old block, cyclically — index
+        ``len(head)``, or 0 when nothing survives from the hand on.
+        """
+        ring = self._ring
+        hand = self._hand
+        gone = set(blocks).__contains__
+        head = list(filterfalse(gone, ring[:hand]))
+        tail = list(filterfalse(gone, ring[hand:]))
+        self._hand = len(head) if tail else 0
+        head += tail
+        self._ring = head
 
     def select_victims(
         self, n: int, prefer_clean: bool = True
@@ -172,9 +183,11 @@ class ExactLRUPolicy(ReplacementPolicy):
         """Register a newly resident block."""
         self.touch(block)
 
-    def forget(self, block: CacheBlock) -> None:
-        """Drop a block from the recency order."""
-        self._order.pop(block, None)
+    def forget_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
+        """Drop a batch of blocks from the recency order."""
+        pop = self._order.pop
+        for block in blocks:
+            pop(block, None)
 
     def select_victims(
         self, n: int, prefer_clean: bool = True

@@ -101,7 +101,6 @@ class Harvester(Service):
         if shortfall <= 0:
             return 0
         victims = self.manager.select_victims(shortfall)
-        freed = 0
         dirty_victims = [
             b
             for b in victims
@@ -112,10 +111,15 @@ class Harvester(Service):
             # when nothing clean remains: flush, then free later.
             yield from self.flusher.initiate_flush(dirty_victims)
             self.metrics.inc("harvester.dirty_flushes", len(dirty_victims))
-        for block in victims:
-            if block.state is BlockState.CLEAN and block.pins == 0:
-                self.manager.evict(block)
-                freed += 1
+        # Evicting one victim cannot change another synchronously, so
+        # filtering first and evicting the batch in victim order is
+        # the same as checking each victim just before evicting it.
+        clean = [
+            b for b in victims if b.state is BlockState.CLEAN and b.pins == 0
+        ]
+        if clean:
+            self.manager.evict(clean)
+        freed = len(clean)
         self.metrics.inc("harvester.freed", freed)
         if freed:
             self._emit("eviction", freed=freed)

@@ -14,6 +14,10 @@ import typing as _t
 from repro.cache.block import BlockKey, CacheBlock
 
 
+#: Multiplicative mix of the file id into the bucket index.
+_MIX = 0x9E3779B1
+
+
 def _next_prime(n: int) -> int:
     """Smallest prime >= n (n is small; trial division is fine)."""
 
@@ -46,19 +50,19 @@ class BlockHashTable:
         ]
         self._size = 0
 
-    def _bucket(self, key: BlockKey) -> list[CacheBlock]:
-        file_id, block_no = key
-        return self._buckets[(file_id * 0x9E3779B1 + block_no) % self.n_buckets]
-
     def __len__(self) -> int:
         return self._size
 
     def __contains__(self, key: BlockKey) -> bool:
         return self.get(key) is not None
 
+    # The bucket index is computed inline in get/insert/remove: they
+    # run once per block of every request, hit or miss.
+
     def get(self, key: BlockKey) -> CacheBlock | None:
         """The resident block under ``key``, or None."""
-        for block in self._bucket(key):
+        file_id, block_no = key
+        for block in self._buckets[(file_id * _MIX + block_no) % self.n_buckets]:
             if block.key == key:
                 return block
         return None
@@ -67,9 +71,12 @@ class BlockHashTable:
         """Chain a keyed block (KeyError on duplicates)."""
         if block.key is None:
             raise ValueError("cannot insert a block without a key")
-        chain = self._bucket(block.key)
-        if any(b.key == block.key for b in chain):
-            raise KeyError(f"duplicate insert for {block.key}")
+        key = block.key
+        file_id, block_no = key
+        chain = self._buckets[(file_id * _MIX + block_no) % self.n_buckets]
+        for other in chain:
+            if other.key == key:
+                raise KeyError(f"duplicate insert for {key}")
         chain.append(block)
         self._size += 1
 
@@ -77,7 +84,8 @@ class BlockHashTable:
         """Unchain a block (KeyError if absent)."""
         if block.key is None:
             raise ValueError("cannot remove a block without a key")
-        chain = self._bucket(block.key)
+        file_id, block_no = block.key
+        chain = self._buckets[(file_id * _MIX + block_no) % self.n_buckets]
         try:
             chain.remove(block)
         except ValueError:

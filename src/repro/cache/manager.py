@@ -17,6 +17,9 @@ from repro.cluster.config import CacheConfig
 from repro.metrics import Metrics
 from repro.sim import Environment, Event
 
+#: The ``fresh`` of a :meth:`BufferManager.probe` that took no frame.
+_NO_BLOCKS: tuple[CacheBlock, ...] = ()
+
 
 @shared_state("table", "freelist", "dirtylist", "policy", "_inflight")
 class BufferManager:
@@ -95,36 +98,79 @@ class BufferManager:
             self.policy.touch(block)
         return block
 
-    def probe(self, key: BlockKey) -> tuple[CacheBlock | None, bool]:
-        """Every case of :meth:`get_or_allocate` that needs no wait.
+    def probe(
+        self, file_id: int, block_nos: _t.Sequence[int], i: int = 0
+    ) -> tuple[_t.Sequence[CacheBlock], CacheBlock | None, bool]:
+        """Every case of :meth:`get_or_allocate` that needs no wait, for
+        the run of blocks ``block_nos[i:]`` of ``file_id``.
 
-        ``(block, True)`` for a resident block (policy touched, as
-        :meth:`lookup`); ``(block, False)`` for a fresh PENDING block
-        whose free frame was taken in place (DESIGN.md §14, "In-place
-        turns"); ``(None, False)`` — with nothing changed — when the
-        caller must drive :meth:`get_or_allocate`: a rival holds the
-        key's reservation, the free list is dry or the take would
-        signal the harvester, or it is not this process's turn.
+        Walks the run in order, one table probe per block, and makes
+        each absent block a fresh PENDING block, its free frame taken
+        in place (DESIGN.md §14, "In-place turns" and "Runs, not
+        blocks"), until a block cannot be.  Returns ``(fresh, block,
+        resident)``: ``fresh`` holds the new PENDING blocks of
+        ``block_nos[i : i + len(fresh)]``, and ``(block, resident)`` is
+        the probe result of the block that ended the run,
+        ``block_nos[i + len(fresh)]``:
+
+        * ``(block, True)`` for a resident block, PENDING or not
+          (policy touched, as :meth:`lookup`);
+        * ``(None, False)``, with nothing changed for that block, when
+          the caller must drive :meth:`get_or_allocate`: a rival holds
+          the key's reservation, the free list is dry or the take would
+          signal the harvester, or it is not this process's turn — and
+          when the run took every block up to the end of ``block_nos``.
         """
+        key = (file_id, block_nos[i])
         block = self.table.get(key)
         if block is not None:
             self.policy.touch(block)
-            return block, True
-        if key in self._inflight:
-            return None, False
-        block = self.freelist.acquire_now()
-        if block is None:
-            return None, False
-        self._commit(key, block)
-        return block, False
+            return _NO_BLOCKS, block, True
+        table = self.table
+        inflight = self._inflight
+        if key in inflight:
+            return _NO_BLOCKS, None, False
+        freelist = self.freelist
+        frame = freelist.acquire_now()
+        if frame is None:
+            return _NO_BLOCKS, None, False
+        policy = self.policy
+        fresh: list[CacheBlock] = []
+        n = len(block_nos)
+        # The commits stay atomic (no yields): a second requester
+        # probing between insert and admit would see half-committed
+        # state.  A run's keys hold no reservation (one would have
+        # ended the run), so there is none to resolve.
+        with atomic_section(table, policy, label="get_or_allocate.commit"):
+            while True:
+                frame.assign(key)
+                table.insert(frame)
+                policy.admit(frame)
+                fresh.append(frame)
+                i += 1
+                if i == n:
+                    break
+                key = (file_id, block_nos[i])
+                block = table.get(key)
+                if block is not None:
+                    policy.touch(block)
+                    break
+                if key in inflight:
+                    break
+                # One booked turn per frame, before its commit.
+                frame = freelist.acquire_now()
+                if frame is None:
+                    break
+        self.metrics.inc(self._k_allocations, len(fresh))
+        return fresh, block, block is not None
 
     def get_or_allocate(self, key: BlockKey) -> _t.Generator:
         """Process body: return ``(block, was_resident)``.
 
-        The waiting counterpart of :meth:`probe`: misses allocate a
-        fresh PENDING block, waiting on the free list if it is dry (the
-        paper's blocking-for-cache-space).  Concurrent misses on one
-        key coalesce onto a single block.
+        The waiting counterpart of :meth:`probe`, one key at a time:
+        misses allocate a fresh PENDING block, waiting on the free list
+        if it is dry (the paper's blocking-for-cache-space).
+        Concurrent misses on one key coalesce onto a single block.
         """
         while True:
             block = self.table.get(key)
@@ -157,12 +203,12 @@ class BufferManager:
             return block, False
 
     def _commit(self, key: BlockKey, block: CacheBlock) -> None:
-        """Make the FREE ``block`` the PENDING frame of ``key``.
+        """Make the FREE ``block`` the PENDING frame of ``key``, handing
+        the key's reservation over to it.
 
-        The one allocation commit of :meth:`probe` and
-        :meth:`get_or_allocate`.  It must stay atomic (no yields): a
-        second requester probing between insert and the reservation
-        hand-off would see half-committed state.
+        It must stay atomic (no yields): a second requester probing
+        between insert and the reservation hand-off would see
+        half-committed state.
         """
         with atomic_section(
             self.table, self.policy, label="get_or_allocate.commit"
@@ -194,34 +240,42 @@ class BufferManager:
         return False
 
     # -- eviction --------------------------------------------------------------------
-    def evict(self, block: CacheBlock, force: bool = False) -> None:
-        """Return a resident block to the free list.
+    def evict(
+        self, blocks: _t.Sequence[CacheBlock], force: bool = False
+    ) -> None:
+        """Return a batch of resident blocks to the free list.
 
         Dirty blocks may only be evicted with ``force`` (used by
         coherence invalidations, where the remote sync_write wins);
-        the harvester must flush them first instead.
+        the harvester must flush them first instead.  Every block is
+        checked before any is touched.  The policy forgets the batch
+        in one pass; the frames then reach the free list in batch
+        order, which decides which waiting allocator gets which frame.
         """
-        if block.state is BlockState.FREE:
-            raise ValueError(f"evict of free block {block!r}")
-        if block.pins:
-            raise ValueError(f"evict of pinned block {block!r}")
-        if block.state is BlockState.DIRTY and not force:
-            raise ValueError(f"evict of dirty block {block!r} without force")
+        for block in blocks:
+            if block.state is BlockState.FREE:
+                raise ValueError(f"evict of free block {block!r}")
+            if block.pins:
+                raise ValueError(f"evict of pinned block {block!r}")
+            if block.state is BlockState.DIRTY and not force:
+                raise ValueError(
+                    f"evict of dirty block {block!r} without force"
+                )
+        table = self.table
+        dirtylist = self.dirtylist
+        freelist = self.freelist
         # Eviction walks four structures; a yield between them would
         # leave a frame visible in none (or two) of them.
         with atomic_section(
-            self.table,
-            self.freelist,
-            self.dirtylist,
-            self.policy,
-            label="evict",
+            table, freelist, dirtylist, self.policy, label="evict"
         ):
-            self.policy.forget(block)
-            self.table.remove(block)
-            self.dirtylist.discard(block)
-            block.reset()
-            self.freelist.release(block)
-        self.metrics.inc(self._k_evictions)
+            self.policy.forget_run(blocks)
+            for block in blocks:
+                table.remove(block)
+                dirtylist.discard(block)
+                block.reset()
+                freelist.release(block)
+        self.metrics.inc(self._k_evictions, len(blocks))
 
     def invalidate(self, key: BlockKey) -> bool:
         """Coherence: drop ``key`` if resident (even dirty — the remote
@@ -249,7 +303,7 @@ class BufferManager:
             block.doomed = True
             self.metrics.inc(self._k_deferred)
             return True
-        self.evict(block, force=True)
+        self.evict((block,), force=True)
         self.metrics.inc(self._k_invalidated)
         return True
 
@@ -260,7 +314,7 @@ class BufferManager:
             BlockState.CLEAN,
             BlockState.DIRTY,
         ):
-            self.evict(block, force=True)
+            self.evict((block,), force=True)
             self.metrics.inc(self._k_invalidated)
 
     def select_victims(self, n: int) -> list[CacheBlock]:

@@ -276,22 +276,42 @@ class CacheModule(Service):
         resolved: dict[int, CacheBlock] = {}
         try:
             manager = self.manager
-            for block_no in block_nos:
-                key = (handle.file_id, block_no)
-                start, end = self._block_slice(offset, nbytes, block_no)
-                block, resident = manager.probe(key)
-                if block is None or (
-                    resident and block.state is BlockState.PENDING
-                ):
-                    yield from self._classify_block(
-                        key, start, end, block,
+            file_id = handle.file_id
+            bs = self.block_size
+            stop = offset + nbytes
+            n = len(block_nos)
+            i = 0
+            while i < n:
+                fresh, block, _ = manager.probe(file_id, block_nos, i)
+                if fresh:
+                    # Misses, fetched whole by this segment.
+                    for block_no, frame in zip(block_nos[i:], fresh):
+                        frame.pin()
+                        owned[block_no] = resolved[block_no] = frame
+                    pinned += fresh
+                    self.metrics.inc("cache.misses", len(fresh))
+                    i += len(fresh)
+                    if i == n:
+                        break
+                block_no = block_nos[i]
+                # _block_slice, inlined: every hit comes through here.
+                base = block_no * bs
+                start = offset - base if offset > base else 0
+                end = stop - base if stop < base + bs else bs
+                if block is None or block.state is BlockState.PENDING:
+                    # The probe's reservation check is not acted on
+                    # across the wait: get_or_allocate re-probes.
+                    yield from self._classify_block(  # noqa: RPL100
+                        (file_id, block_no), start, end, block,
                         pinned, owned, gappy, resolved,
                     )
                 else:
-                    self._classify(
-                        block_no, start, end, block, resident,
-                        pinned, owned, gappy, resolved,
-                    )
+                    # Resident with data: a hit or a partial hit.
+                    block.pin()
+                    pinned.append(block)
+                    resolved[block_no] = block
+                    self._classify_valid(block_no, start, end, block, gappy)
+                i += 1
             if owned or gappy:
                 yield from self._fetch(
                     handle, fsm, owned, gappy, buf is not None
@@ -319,35 +339,10 @@ class CacheModule(Service):
                         buf[dst : dst + (end - start)] = piece
             fsm.to(FSMState.DONE)
         finally:
+            unpin = self.manager.unpin
             for block in pinned:
-                self.manager.unpin(block)
+                unpin(block)
         self.metrics.inc("cache.read_segments")
-
-    def _classify(
-        self,
-        block_no: int,
-        start: int,
-        end: int,
-        block: CacheBlock,
-        resident: bool,
-        pinned: list[CacheBlock],
-        owned: dict[int, CacheBlock],
-        gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
-        resolved: dict[int, CacheBlock],
-    ) -> None:
-        """Pin a probed block and book it as a miss, hit or partial hit.
-
-        ``block`` is freshly allocated (``resident`` false: the segment
-        fetches it whole) or resident and not PENDING.
-        """
-        block.pin()
-        pinned.append(block)
-        resolved[block_no] = block
-        if not resident:
-            owned[block_no] = block
-            self.metrics.inc("cache.misses")
-        else:
-            self._classify_valid(block_no, start, end, block, gappy)
 
     def _classify_valid(
         self,
@@ -381,27 +376,25 @@ class CacheModule(Service):
         frame could be taken in place.
         """
         block_no = key[1]
+        manager = self.manager
         while True:
             if block is None:
-                block, resident = yield from self.manager.get_or_allocate(key)
-                if not resident:
-                    self._classify(
-                        block_no, start, end, block, False,
-                        pinned, owned, gappy, resolved,
-                    )
-                    return
-                # Raced: re-examine the resident block.
-                block = self.manager.lookup(key)
-                continue
-            if block.state is not BlockState.PENDING:
-                self._classify(
-                    block_no, start, end, block, True,
-                    pinned, owned, gappy, resolved,
-                )
+                block, resident = yield from manager.get_or_allocate(key)
+                if resident:
+                    # Raced: re-examine the resident block.
+                    block = manager.lookup(key)
+                    continue
+                block.pin()
+                pinned.append(block)
+                owned[block_no] = resolved[block_no] = block
+                self.metrics.inc("cache.misses")
                 return
             block.pin()
             pinned.append(block)
             resolved[block_no] = block
+            if block.state is not BlockState.PENDING:
+                self._classify_valid(block_no, start, end, block, gappy)
+                return
             # Another process is fetching this block: wait for its
             # data instead of issuing a duplicate request.  This is the
             # inter-application de-duplication path.
@@ -410,9 +403,9 @@ class CacheModule(Service):
                 yield block.ready(self.env)
             except RuntimeError:
                 # Fetch owner disappeared; retry from scratch.
-                self.manager.unpin(block)
+                manager.unpin(block)
                 pinned.remove(block)
-                block = self.manager.lookup(key)
+                block = manager.lookup(key)
                 continue
             self._classify_valid(block_no, start, end, block, gappy)
             return
@@ -442,10 +435,18 @@ class CacheModule(Service):
                 fsm.to(FSMState.ACK_FAKED)
                 fsm.to(FSMState.AWAIT_DATA)
                 return
-        # Absolute byte ranges to request.
-        ranges: list[tuple[int, int]] = [
-            (block_no * bs, bs) for block_no in owned
-        ]
+        # Absolute byte ranges to request: one per run of consecutive
+        # owned blocks that start in one stripe unit (so on one iod).
+        ranges: list[tuple[int, int]] = []
+        unit = self.layout.stripe_size
+        for block_no in owned:
+            off = block_no * bs
+            if ranges:
+                first, length = ranges[-1]
+                if first + length == off and first // unit == off // unit:
+                    ranges[-1] = (first, length + bs)
+                    continue
+            ranges.append((off, bs))
         for block_no, (_block, gaps) in gappy.items():
             for lo, hi in gaps:
                 ranges.append((block_no * bs + lo, hi - lo))
@@ -511,7 +512,7 @@ class CacheModule(Service):
                 # bytes just merged can be stale.  Unpinned here means
                 # nobody is mid-copy (a prefetch), so drop the block
                 # now; pinned blocks are dropped by the last unpin.
-                self.manager.evict(block, force=True)
+                self.manager.evict((block,), force=True)
                 self.metrics.inc(self._k_invalidated)
         # Count what actually crossed the wire (hull mode re-fetches
         # cached middle blocks, so this can exceed the needed ranges).
@@ -527,6 +528,7 @@ class CacheModule(Service):
         gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
     ) -> None:
         bs = self.block_size
+        rend = roff + rlen
         for block_no in blocks_spanned(roff, rlen, bs):
             block = owned.get(block_no)
             if block is None and block_no in gappy:
@@ -534,12 +536,15 @@ class CacheModule(Service):
             if block is None:
                 # Hull-mode over-fetch covering an already-valid block.
                 continue
-            lo = max(roff, block_no * bs)
-            hi = min(roff + rlen, (block_no + 1) * bs)
+            base = block_no * bs
+            lo = roff if roff > base else base
+            hi = rend if rend < base + bs else base + bs
             piece = (
                 chunk[lo - roff : hi - roff] if chunk is not None else None
             )
-            block.merge_fetch(lo - block_no * bs, hi - block_no * bs, piece)
+            if hi - lo == bs and block.fill(piece):
+                continue
+            block.merge_fetch(lo - base, hi - base, piece)
 
     # -- write --------------------------------------------------------------------
     def write(
@@ -594,29 +599,37 @@ class CacheModule(Service):
             self.node.costs.cache_lookup_s * len(block_nos)
         )
         touched: list[tuple[CacheBlock, int]] = []  # (block, epoch)
-        for block_no in block_nos:
-            key = (handle.file_id, block_no)
-            start, end = self._block_slice(offset, nbytes, block_no)
-            piece = None
-            if data is not None:
-                src = block_no * self.block_size + start - request_base
-                piece = data[src : src + (end - start)]
+        manager = self.manager
+        file_id = handle.file_id
+        n = len(block_nos)
+        i = 0
+        while i < n:
             # A write needs no data, so a PENDING block serves as is.
-            block, resident = self.manager.probe(key)
+            fresh, block, resident = manager.probe(file_id, block_nos, i)
+            # Write the run's blocks before anything can wait.
+            for block_no, frame in zip(block_nos[i:], fresh):
+                touched.append(
+                    self._write_block(
+                        frame, False, block_no, offset, nbytes, data,
+                        request_base,
+                    )
+                )
+            i += len(fresh)
+            if i == n:
+                break
             if block is None:
-                block, resident = yield from self.manager.get_or_allocate(key)
-            # CacheBlock.write is synchronous (not the yielding
-            # CacheModule.write that shares its name) — no yield from.
-            block.write(start, end, piece)
-            self.manager.note_write(block)
-            if not resident:
-                # Write-allocate: no fetch needed, the block is born
-                # dirty; wake any waiters immediately.
-                block.make_ready()
-                self.metrics.inc("cache.write_allocates")
-            else:
-                self.metrics.inc("cache.write_hits")
-            touched.append((block, block.dirty_epoch))
+                # get_or_allocate re-probes: the probe's reservation
+                # check is not acted on across its wait.
+                block, resident = yield from manager.get_or_allocate(  # noqa: RPL100
+                    (file_id, block_nos[i])
+                )
+            touched.append(
+                self._write_block(
+                    block, resident, block_nos[i], offset, nbytes, data,
+                    request_base,
+                )
+            )
+            i += 1
         # Copy user -> kernel.
         fsm.to(FSMState.COPY)
         yield from self.node.compute(
@@ -628,6 +641,35 @@ class CacheModule(Service):
                 self.manager.note_cleaned(block, epoch)
         fsm.to(FSMState.DONE)
         self.metrics.inc("cache.write_segments")
+
+    def _write_block(
+        self,
+        block: CacheBlock,
+        resident: bool,
+        block_no: int,
+        offset: int,
+        nbytes: int,
+        data: bytes | None,
+        request_base: int,
+    ) -> tuple[CacheBlock, int]:
+        """Copy a write's bytes into one probed block; ``(block, epoch)``."""
+        start, end = self._block_slice(offset, nbytes, block_no)
+        piece = None
+        if data is not None:
+            src = block_no * self.block_size + start - request_base
+            piece = data[src : src + (end - start)]
+        # CacheBlock.write is synchronous (not the yielding
+        # CacheModule.write that shares its name) — no yield from.
+        block.write(start, end, piece)
+        self.manager.note_write(block)
+        if not resident:
+            # Write-allocate: no fetch needed, the block is born
+            # dirty; wake any waiters immediately.
+            block.make_ready()
+            self.metrics.inc("cache.write_allocates")
+        else:
+            self.metrics.inc("cache.write_hits")
+        return block, block.dirty_epoch
 
     def _propagate_sync(
         self,

@@ -105,17 +105,35 @@ class ReadAhead:
     ) -> _t.Generator:
         """Background fetch of ``block_nos`` into the shared cache."""
         manager = self.module.manager
+        table_get = manager.table.get
+        file_id = handle.file_id
         owned = {}
+        n = len(block_nos)
         try:
-            for block_no in block_nos:
-                key = (handle.file_id, block_no)
-                if manager.table.get(key) is not None:
+            i = 0
+            while i < n:
+                if table_get((file_id, block_nos[i])) is not None:
+                    i += 1
                     continue  # demand fetch beat us to it
-                block, resident = manager.probe(key)
-                if block is None:
-                    block, resident = yield from manager.get_or_allocate(key)
-                if not resident:
+                # Probe the run up to the next resident block: a
+                # prefetch skips those without touching the policy.
+                end = i + 1
+                while end < n and table_get((file_id, block_nos[end])) is None:
+                    end += 1
+                run = block_nos[:end]
+                fresh, _, _ = manager.probe(file_id, run, i)
+                for block_no, block in zip(block_nos[i:], fresh):
                     owned[block_no] = block
+                i += len(fresh)
+                if i < end:
+                    # get_or_allocate re-probes: the probe's reservation
+                    # check is not acted on across its wait.
+                    block, resident = yield from manager.get_or_allocate(  # noqa: RPL100
+                        (file_id, block_nos[i])
+                    )
+                    if not resident:
+                        owned[block_nos[i]] = block
+                    i += 1
             if owned:
                 from repro.cache.fsm import FSMState, RequestFSM
 

@@ -15,6 +15,7 @@ from repro.svc.rpc import Call, ChannelPool, PendingCallLeak, RpcChannel
 from repro.svc.service import (
     Mailbox,
     Service,
+    ServiceCrashed,
     ServiceState,
     StopReport,
     handles,
@@ -28,6 +29,7 @@ __all__ = [
     "PendingCallLeak",
     "RpcChannel",
     "Service",
+    "ServiceCrashed",
     "ServiceEvent",
     "ServiceState",
     "ServiceStats",

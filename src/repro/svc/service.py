@@ -36,14 +36,25 @@ import dataclasses
 import enum
 import typing as _t
 
-from repro.sim import Store
+from repro.sim import ProcessKilled, Store
 from repro.svc.events import InstrumentationBus, ServiceStats, get_bus
 from repro.svc.rpc import ChannelPool
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.cluster.node import Node
     from repro.net.sockets import Endpoint, ListenQueue
-    from repro.sim import Environment, Process
+    from repro.sim import Environment, Event, Process
+
+
+class ServiceCrashed(RuntimeError):
+    """A service's long-lived loop ended with an exception.
+
+    Raised out of :meth:`~repro.sim.Environment.run` the moment the
+    loop's process event is processed, chained to the loop's own
+    exception.  Nobody waits on a daemon loop, so without this a dead
+    harvester or listener fails silently and the run hangs on work
+    that will never be done.
+    """
 
 
 class ServiceState(enum.Enum):
@@ -254,10 +265,24 @@ class Service:
 
     def spawn(self, generator: _t.Generator, name: str) -> "Process":
         """Run a long-lived loop owned (and killed at stop) by this
-        service.  Short-lived helpers should use ``env.process``."""
+        service.  Short-lived helpers should use ``env.process``.
+
+        A loop that ends with any exception but the
+        :class:`~repro.sim.ProcessKilled` of :meth:`stop` makes
+        ``env.run()`` raise :class:`ServiceCrashed`.
+        """
         proc = self.env.process(generator, name=name)
+        proc.add_callback(self._loop_ended)
         self._procs.append(proc)
         return proc
+
+    def _loop_ended(self, event: "Event") -> None:
+        proc = _t.cast("Process", event)
+        if proc.ok or isinstance(proc.value, ProcessKilled):
+            return
+        raise ServiceCrashed(
+            f"{self.name}: loop {proc.name!r} crashed: {proc.value!r}"
+        ) from proc.value
 
     def pool(self, port: int, label: str) -> ChannelPool:
         """A lazily-connecting RPC channel pool closed at stop()."""

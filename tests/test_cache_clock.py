@@ -1,6 +1,8 @@
 """Unit tests for the clock (approximate LRU) and exact-LRU policies."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache.block import BlockState, CacheBlock
 from repro.cache.clock import ClockPolicy, ExactLRUPolicy
@@ -58,9 +60,9 @@ def test_forget_removes(policy_cls):
     p = policy_cls()
     b = _clean_block(env, 0)
     p.admit(b)
-    p.forget(b)
+    p.forget_run([b])
     assert p.select_victims(1) == []
-    p.forget(b)  # idempotent
+    p.forget_run([b])  # idempotent
 
 
 def test_pinned_and_pending_never_selected(policy_cls):
@@ -142,7 +144,7 @@ def test_clock_forget_adjusts_hand():
         p.admit(b)
         b.refbit = False
     p.select_victims(1)  # advances hand
-    p.forget(blocks[0])
+    p.forget_run([blocks[0]])
     # remaining selections still work without index errors
     victims = p.select_victims(3)
     assert len(victims) == 3 - 1 + 1  # 3 remaining blocks
@@ -179,3 +181,50 @@ def test_exact_lru_victims_in_lru_order():
     for b in blocks:
         p.admit(b)
     assert p.select_victims(5) == blocks
+
+
+# -- the run-forget against one-at-a-time forgets ----------------------------
+
+
+def _forget_one(ring, hand, block):
+    """ClockPolicy's one-block forget as it was before batch eviction:
+    the oracle the run-forget must match."""
+    try:
+        idx = ring.index(block)
+    except ValueError:
+        return hand
+    ring.pop(idx)
+    if idx < hand:
+        hand -= 1
+    return hand % len(ring) if ring else 0
+
+
+@given(data=st.data(), n=st.integers(0, 12))
+def test_clock_forget_run_matches_sequential_forgets(data, n):
+    blocks = [CacheBlock(i, 4096) for i in range(n + 3)]  # 3 never admitted
+    ring = data.draw(st.permutations(blocks[:n]))
+    hand = data.draw(st.integers(0, max(0, n - 1)))
+    gone = data.draw(st.lists(st.sampled_from(blocks), max_size=n + 3))
+    p = ClockPolicy()
+    p._ring, p._hand = list(ring), hand
+    p.forget_run(gone)
+    want_ring, want_hand = list(ring), hand
+    for block in gone:
+        want_hand = _forget_one(want_ring, want_hand, block)
+    assert p._ring == want_ring
+    assert p._hand == want_hand
+
+
+@given(data=st.data(), n=st.integers(0, 12))
+def test_exact_lru_forget_run_matches_sequential_forgets(data, n):
+    blocks = [CacheBlock(i, 4096) for i in range(n + 3)]  # 3 never admitted
+    order = data.draw(st.permutations(blocks[:n]))
+    gone = data.draw(st.lists(st.sampled_from(blocks), max_size=n + 3))
+    p = ExactLRUPolicy()
+    for block in order:
+        p.admit(block)
+    p.forget_run(gone)
+    want = dict.fromkeys(order)
+    for block in gone:
+        want.pop(block, None)
+    assert list(p._order) == list(want)

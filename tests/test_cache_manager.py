@@ -131,7 +131,7 @@ def test_evict_clean_returns_to_freelist():
     def proc(env):
         block, _ = yield from m.get_or_allocate((1, 0))
         block.make_ready()
-        m.evict(block)
+        m.evict([block])
         assert m.n_free == 8
         assert m.lookup((1, 0)) is None
         assert block.state is BlockState.FREE
@@ -149,17 +149,17 @@ def test_evict_guards():
         block.make_ready()
         block.pin()
         with pytest.raises(ValueError):
-            m.evict(block)
+            m.evict([block])
         block.unpin()
         block.write(0, 10, None)
         m.note_write(block)
         with pytest.raises(ValueError):
-            m.evict(block)  # dirty without force
-        m.evict(block, force=True)
+            m.evict([block])  # dirty without force
+        m.evict([block], force=True)
         assert block.state is BlockState.FREE
         free = [b for b in m.blocks if b.state is BlockState.FREE][0]
         with pytest.raises(ValueError):
-            m.evict(free)
+            m.evict([free])
 
     p = env.process(proc(env))
     env.run()
@@ -222,7 +222,7 @@ def test_allocation_exhaustion_waits_for_eviction():
         b1.make_ready()
         log.append(("filled", env.now))
         yield env.timeout(10)
-        m.evict(b0)
+        m.evict([b0])
         log.append(("evicted", env.now))
 
     def late(env):
@@ -273,14 +273,15 @@ def test_probe_allocates_in_place_inside_a_run():
 
     def proc(env):
         yield env.timeout(1)
-        got["miss"] = m.probe((1, 0))
-        got["hit"] = m.probe((1, 0))
+        got["miss"] = m.probe(1, [0])
+        got["hit"] = m.probe(1, [0])
 
     env.process(proc(env))
     env.run()
-    block, resident = got["miss"]
-    assert resident is False and block.state is BlockState.PENDING
-    assert got["hit"] == (block, True)
+    (block,), none, resident = got["miss"]
+    assert none is None and resident is False
+    assert block.state is BlockState.PENDING
+    assert got["hit"] == ((), block, True)
     assert m.n_free == 7
     assert m.metrics.count("cache.allocations") == 1
     assert env.sched_stats()["turns_in_place"] == 1
@@ -295,7 +296,7 @@ def test_probe_refuses_a_take_that_crosses_low_blocks():
     def proc(env):
         for i in range(8):
             yield env.timeout(1)
-            got.append(m.probe((1, i))[0] is not None)
+            got.append(len(m.probe(1, [i])[0]) == 1)
             if not got[-1]:
                 yield from m.get_or_allocate((1, i))
 
@@ -317,7 +318,7 @@ def test_probe_refuses_while_a_rival_holds_the_reservation():
         yield from m.get_or_allocate((1, 0))
 
     def prober(env):
-        got.append(m.probe((1, 0)))
+        got.append(m.probe(1, [0]))
         block, resident = yield from m.get_or_allocate((1, 0))
         got.append((block, resident))
 
@@ -325,9 +326,77 @@ def test_probe_refuses_while_a_rival_holds_the_reservation():
     env.process(prober(env))
     env.run()
     # the rival's reservation is pending when the prober starts
-    assert got[0] == (None, False)
+    assert got[0] == ((), None, False)
     assert got[1][1] is True
     assert m.metrics.count("cache.allocations") == 1
+
+
+def test_probe_run_ends_on_a_resident_block_and_touches_it():
+    env, m = _manager(16)
+    got = {}
+
+    def proc(env):
+        yield env.timeout(1)
+        (b2,), _, _ = m.probe(1, [2])
+        b2.make_ready()
+        b2.refbit = False
+        got["run"] = m.probe(1, [0, 1, 2, 3])
+        got["rest"] = m.probe(1, [0, 1, 2, 3], 3)
+        got["b2"] = b2
+
+    env.process(proc(env))
+    env.run()
+    fresh, block, resident = got["run"]
+    assert [b.key for b in fresh] == [(1, 0), (1, 1)]
+    assert all(b.state is BlockState.PENDING for b in fresh)
+    assert block is got["b2"] and resident is True
+    assert block.refbit  # one table probe, and it touched the policy
+    (b3,), none, resident = got["rest"]
+    assert b3.key == (1, 3) and none is None and resident is False
+    # one allocation bump per block, one in-place turn per frame
+    assert m.metrics.count("cache.allocations") == 4
+    assert env.sched_stats()["turns_in_place"] == 4
+
+
+def test_probe_run_ends_on_a_pending_block():
+    env, m = _manager(16)
+    got = {}
+
+    def proc(env):
+        yield env.timeout(1)
+        m.probe(1, [5])
+        got["run"] = m.probe(1, [4, 5, 6])
+
+    env.process(proc(env))
+    env.run()
+    fresh, block, resident = got["run"]
+    assert [b.key for b in fresh] == [(1, 4)]
+    assert block.key == (1, 5) and block.state is BlockState.PENDING
+    assert resident is True
+
+
+def test_evict_checks_the_whole_batch_before_touching_any():
+    env, m = _manager()
+
+    def proc(env):
+        blocks = []
+        for i in range(3):
+            block, _ = yield from m.get_or_allocate((1, i))
+            block.make_ready()
+            blocks.append(block)
+        blocks[2].pin()
+        with pytest.raises(ValueError, match="pinned"):
+            m.evict(blocks)
+        assert m.n_resident == 3 and m.n_free == 5
+        blocks[2].unpin()
+        m.evict(blocks)
+        assert m.n_resident == 0 and m.n_free == 8
+        assert len(m.policy) == 0
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.ok, p.value
+    assert m.metrics.count("cache.evictions") == 3
 
 
 def _footprint(cluster):
@@ -389,10 +458,14 @@ def _sync_write_chain():
     return cluster
 
 
-def _dry_free_list():
-    from tests.conftest import make_cluster
+def _dry_free_list(replacement="clock"):
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.config import ClusterConfig
 
-    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=16)
+    cache = CacheConfig(size_bytes=16 * 4096, replacement=replacement)
+    cluster = Cluster(
+        ClusterConfig(compute_nodes=1, iod_nodes=1, caching=True, cache=cache)
+    )
     client = cluster.client("node0")
 
     def app(env):
@@ -439,3 +512,168 @@ def test_turns_in_place_share_of_the_fig4_64k_read_point():
     StoreGet steps taken in place."""
     stats = _fig4_read_point(64 * 1024).env.sched_stats()
     assert stats["turns_in_place"] >= 0.2 * stats["events_processed"]
+
+
+# -- runs, not blocks: the run probe and the batch eviction -----------------
+
+
+def _cluster(cache_blocks=16, compute_nodes=1, **cache_kwargs):
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.config import ClusterConfig
+
+    cache = CacheConfig(size_bytes=cache_blocks * 4096, **cache_kwargs)
+    return Cluster(
+        ClusterConfig(
+            compute_nodes=compute_nodes, iod_nodes=2, caching=True, cache=cache
+        )
+    )
+
+
+def _run_apps(cluster, *apps):
+    env = cluster.env
+    client = cluster.client("node0")
+    procs = [env.process(app(env, client)) for app in apps]
+    env.run(until=env.all_of(procs))
+    return cluster
+
+
+def _crossing_low_blocks():
+    """A 16-block segment into a 16-block cache: the run takes frames
+    until the next take would fall to low_blocks, and the rest of the
+    segment allocates through the harvester."""
+    cluster = _cluster(16, segment_blocks=16)
+
+    def app(env, client):
+        f = yield from client.open("/low")
+        for rep in range(3):
+            yield from client.read(f, rep * 64 * 1024, 64 * 1024)
+
+    return _run_apps(cluster, app)
+
+
+def _cut_runs(**cache_kwargs):
+    """Runs cut short by a resident block, by a PENDING block (a
+    neighbour's fetch in flight) and by a rival's reservation (held
+    while the rival waits on a free list that a whole-cache read pinned
+    dry)."""
+    cluster = _cluster(32, segment_blocks=16, **cache_kwargs)
+    kb4 = 4096
+
+    def app(env, client):
+        files = []
+        for path in ("/a", "/b", "/c", "/d"):
+            files.append((yield from client.open(path)))
+        a, b, c, d = files
+
+        def read_at(t, f, first, n):
+            yield env.timeout(t - env.now)
+            yield from client.read(f, first * kb4, n * kb4)
+
+        def resident():
+            yield from client.read(a, 4 * kb4, kb4)
+            yield from client.read(a, 0, 8 * kb4)
+
+        yield env.all_of(
+            [
+                env.process(resident()),
+                env.process(read_at(1.0, b, 12, 4)),
+                env.process(read_at(1.0002, b, 8, 8)),  # 12.. in flight
+                env.process(read_at(2.0, c, 0, 32)),  # pins every frame
+                env.process(read_at(2.004, d, 0, 1)),  # reserves (d, 0)
+                env.process(read_at(2.005, d, 0, 4)),
+            ]
+        )
+
+    return _run_apps(cluster, app)
+
+
+def _record_run_ends(monkeypatch, probe):
+    """Wrap ``probe`` (behaviour unchanged) to record why each run that
+    took at least one frame ended, and each run cut at its first
+    block by a rival's reservation."""
+    ends = []
+
+    def recording(self, file_id, block_nos, i=0):
+        fresh, block, resident = probe(self, file_id, block_nos, i)
+        end = i + len(fresh)
+        if end == len(block_nos):
+            return fresh, block, resident
+        if block is not None:
+            reason = (
+                "pending" if block.state is BlockState.PENDING else "resident"
+            )
+        elif (file_id, block_nos[end]) in self._inflight:
+            reason = "reservation"
+        else:
+            reason = "no-frame"
+        if fresh or reason == "reservation":
+            ends.append(reason)
+        return fresh, block, resident
+
+    monkeypatch.setattr(BufferManager, "probe", recording)
+    return ends
+
+
+def _runs_of_one(monkeypatch):
+    """Patch the run calls so every call handles one block."""
+    probe = BufferManager.probe
+    evict = BufferManager.evict
+
+    def probe_one(self, file_id, block_nos, i=0):
+        fresh, block, resident = probe(self, file_id, block_nos[: i + 1], i)
+        if not fresh or i + 1 == len(block_nos):
+            return fresh, block, resident
+        more, block, resident = probe_one(self, file_id, block_nos, i + 1)
+        return [*fresh, *more], block, resident
+
+    def evict_one(self, blocks, force=False):
+        for block in list(blocks):
+            evict(self, (block,), force)
+
+    monkeypatch.setattr(BufferManager, "evict", evict_one)
+    return probe_one
+
+
+@pytest.mark.parametrize(
+    "scenario, must_end_on",
+    [
+        (lambda: _fig4_read_point(4096), ()),
+        (_sync_write_chain, ()),
+        (_dry_free_list, ("no-frame",)),
+        (lambda: _dry_free_list(replacement="exact-lru"), ("no-frame",)),
+        (_crossing_low_blocks, ("no-frame",)),
+        (_cut_runs, ("resident", "pending", "reservation")),
+        (
+            lambda: _cut_runs(split_on_cached_block=False),
+            ("resident", "pending", "reservation"),
+        ),
+    ],
+    ids=[
+        "fig4-read",
+        "write-sync-write-remote-reader",
+        "dry-free-list",
+        "exact-lru",
+        "run-crosses-low-blocks",
+        "runs-cut-by-resident-pending-reservation",
+        "no-split-on-cached-block",
+    ],
+)
+def test_runs_are_schedule_neutral(scenario, must_end_on, monkeypatch):
+    """The same run with every probe and eviction a run of one: same
+    schedule hash, event count, in-place turns, depth high-water mark
+    and Metrics, counter by counter."""
+    from repro.analysis.reset import reset_all
+
+    monkeypatch.setenv("REPRO_TRACE_HASH", "1")
+    ends = _record_run_ends(monkeypatch, BufferManager.probe)
+    runs = scenario()
+    for reason in must_end_on:
+        assert reason in ends, (reason, ends)
+    turns = runs.env.sched_stats()["turns_in_place"]
+    monkeypatch.undo()
+    monkeypatch.setenv("REPRO_TRACE_HASH", "1")
+    _record_run_ends(monkeypatch, _runs_of_one(monkeypatch))
+    reset_all()  # message and connection ids restart, as in a new process
+    blocks = scenario()
+    assert blocks.env.sched_stats()["turns_in_place"] == turns
+    assert _footprint(runs) == _footprint(blocks)

@@ -82,7 +82,7 @@ def test_manager_invariants_under_random_ops(ops):
                     m.note_cleaned(block, block.dirty_epoch)
             elif op == "evict" and block is not None:
                 if block.state is BlockState.CLEAN and block.pins == 0:
-                    m.evict(block)
+                    m.evict([block])
             elif op == "invalidate":
                 m.invalidate(key)
             elif op == "lookup":
@@ -96,7 +96,7 @@ def test_manager_invariants_under_random_ops(ops):
             if block.state is BlockState.DIRTY:
                 m.note_cleaned(block, block.dirty_epoch)
             if block.state is BlockState.CLEAN:
-                m.evict(block)
+                m.evict([block])
             _check_invariants(m)
 
     proc = env.process(driver(env))

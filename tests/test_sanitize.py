@@ -99,7 +99,7 @@ def test_atomic_section_reports_both_processes(monkeypatch):
         # net no-op mutation: the structure ends consistent, but the
         # interleaving itself is the bug the section must report
         manager.policy.admit(block)
-        manager.policy.forget(block)
+        manager.policy.forget_run([block])
 
     proc = env.process(victim(env), name="victim")
     env.process(attacker(env), name="attacker")
@@ -123,7 +123,7 @@ def test_atomic_section_allows_own_mutations(monkeypatch):
     def worker(env):
         with atomic_section(manager.policy, label="self-mutation"):
             manager.policy.admit(block)
-            manager.policy.forget(block)
+            manager.policy.forget_run([block])
             yield env.timeout(1.0)
 
     proc = env.process(worker(env), name="worker")
@@ -170,7 +170,7 @@ def test_freelist_release_without_put_event_is_still_tracked(monkeypatch):
     def attacker(env):
         yield env.timeout(0.5)
         before = env.sched_stats()["queue_depth"]
-        manager.evict(block)  # FreeList.release -> Store.put_nowait
+        manager.evict([block])  # FreeList.release -> Store.put_nowait
         assert env.sched_stats()["queue_depth"] == before  # no StorePut
 
     proc = env.process(victim(env), name="victim")
@@ -205,3 +205,73 @@ def test_step_hooks_see_every_in_place_turn(monkeypatch):
     sanitizer = _manager(cluster).sanitizer
     assert sanitizer.checks_run == stats["events_processed"]
     sanitizer.check()
+
+
+def test_step_hooks_see_every_turn_of_a_run(monkeypatch):
+    """Runs take several frames per probe and the harvester evicts in
+    batches; the sanitizer still sees one step per processed event and
+    every check (one per step) passes."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setenv("REPRO_SANITIZE_EVERY", "1")
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=64)
+    env = cluster.env
+    calls = []
+    env.add_step_hook(lambda e: calls.append(None))
+    client = cluster.client("node0")
+    manager = _manager(cluster)
+    probes = []
+    probe = manager.probe
+
+    def counting_probe(*args):
+        probes.append(None)
+        return probe(*args)
+
+    manager.probe = counting_probe
+
+    def app(env):
+        f = yield from client.open("/runs")
+        for i in range(24):
+            yield from client.read(f, i * 64 * 1024, 64 * 1024)
+
+    run_app(cluster, app(env))
+    stats = env.sched_stats()
+    assert stats["turns_in_place"] > 2 * len(probes)  # multi-frame runs
+    counters = cluster.metrics.counters
+    assert counters["harvester.freed"] > 2 * counters["harvester.activations"]
+    assert len(calls) == stats["events_processed"]
+    sanitizer = manager.sanitizer
+    assert sanitizer.checks_run == stats["events_processed"]
+    sanitizer.check()
+
+
+def test_atomic_section_catches_a_foreign_batch_eviction(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setenv("REPRO_SANITIZE_EVERY", "1000000")
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=16)
+    env = cluster.env
+    manager = _manager(cluster)
+    client = cluster.client("node0")
+
+    def app(env):
+        f = yield from client.open("/batch")
+        yield from client.read(f, 0, 3 * 4096)
+
+    run_app(cluster, app(env))
+    blocks = list(manager.table.blocks())
+    assert len(blocks) == 3
+
+    def victim(env):
+        with atomic_section(manager.policy, label="crit"):
+            yield env.timeout(1.0)
+
+    def attacker(env):
+        yield env.timeout(0.5)
+        manager.evict(blocks)  # one forget_run for the whole batch
+
+    proc = env.process(victim(env), name="victim")
+    env.process(attacker(env), name="attacker")
+    with pytest.raises(RaceDiagnostic) as excinfo:
+        env.run(until=proc)
+    assert excinfo.value.holder == "victim"
+    assert excinfo.value.mutator == "attacker"
+    assert excinfo.value.structure.endswith(".policy")

@@ -5,7 +5,7 @@ import pytest
 from repro.metrics import DaemonMonitor, Metrics, daemon_table
 from repro.net import Message, Network, SocketAPI
 from repro.sim import Environment
-from repro.svc import Service, ServiceState, get_bus, handles
+from repro.svc import Service, ServiceCrashed, ServiceState, get_bus, handles
 
 from tests.conftest import make_cluster, run_app
 
@@ -92,13 +92,58 @@ def test_dispatch_rejects_unknown_kind():
         endpoint.send(Message(kind="bogus", size_bytes=16))
 
     env.process(app(env))
-    env.run()
-    # The failure lands on the connection-loop process event (loudly,
-    # as the engine does for any crashed process), not on env.run().
+    # A crashed daemon loop fails the run: nobody waits on the loop's
+    # own process event, so that alone would let the failure pass.
+    with pytest.raises(ServiceCrashed, match="-conn1") as excinfo:
+        env.run()
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, ValueError)
+    assert "unexpected message 'bogus'" in str(cause)
     (conn,) = [p for p in service._procs if "-conn" in p.name]
-    assert not conn.ok
-    assert isinstance(conn.value, ValueError)
-    assert "unexpected message 'bogus'" in str(conn.value)
+    assert not conn.ok and conn.value is cause
+
+
+def test_crashed_daemon_loop_fails_the_run_instead_of_hanging_it(
+    monkeypatch,
+):
+    """A harvester that dies on its first pass leaves the free list dry
+    for good; the flusher's period keeps the queue non-empty, so before
+    ServiceCrashed this run never returned."""
+    from repro.cache.manager import BufferManager
+
+    def broken(self, n):
+        raise RuntimeError("select_victims broke")
+
+    monkeypatch.setattr(BufferManager, "select_victims", broken)
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=16)
+    client = cluster.client("node0")
+
+    def app(env):
+        f = yield from client.open("/crash")
+        for i in range(100):
+            yield from client.read(f, i * 4096, 4096)
+
+    env = cluster.env
+    app_proc = env.process(app(env))
+    # A bound in simulated seconds: a regression fails here, not hangs.
+    with pytest.raises(ServiceCrashed, match="harvester-node0") as excinfo:
+        env.run(until=5.0)
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    assert "select_victims broke" in str(excinfo.value.__cause__)
+    assert app_proc.is_alive
+
+
+def test_stopped_daemon_loops_do_not_crash_the_run():
+    env, service, client = _echo_world()
+
+    def app(env):
+        yield env.process(client.sockets.connect("srv", EchoService.PORT))
+
+    env.run(until=env.process(app(env)))
+    assert len(service._procs) == 2  # accept loop + one connection
+    report = service.stop()
+    assert report.total_dropped == 0
+    env.run()  # the killed loops end with ProcessKilled: not a crash
 
 
 def test_handler_inheritance_subclass_wins():
