@@ -9,27 +9,21 @@ This package holds the tooling that keeps that concurrency honest:
   hazards (yielding helpers called without ``yield from``, mutable
   defaults, unregistered module-level state, swallowed
   ``GeneratorExit``).  Run as ``python -m repro.analysis lint``.
-* :mod:`repro.analysis.flow` — the interprocedural may-yield race
-  analyzer: project-wide call graph, fixed-point may-yield
-  classification, shared-state effect propagation (RPL100/RPL101)
-  and the determinism dataflow pass (RPL110).  Shared structures are
-  declared with :func:`repro.analysis.shared.shared_state`.  Run as
-  ``python -m repro.analysis flow``.
 * :mod:`repro.analysis.sanitize` — an opt-in (``REPRO_SANITIZE=1``)
   runtime checker validating the block-accounting invariant of every
   :class:`~repro.cache.manager.BufferManager` at scheduler-step
   granularity, plus :func:`~repro.analysis.sanitize.atomic_section`,
   a yield-interleaving race detector for declared critical sections.
 * :mod:`repro.analysis.determinism` — schedule trace hashes proving
-  same-seed runs identical, serial or through the parallel sweep.
+  same-seed runs identical, serial or through the parallel sweep
+  (tier-1 also runs one scenario under several ``PYTHONHASHSEED``
+  values: iterating a set into the schedule shows up there).
 * :mod:`repro.analysis.reset` — the registry of test-reset hooks for
   module-level mutable state (enforced by lint rule RPL004).
 """
 
-from repro.analysis.flow import FlowFinding, FlowReport, analyze_paths
 from repro.analysis.lint import Finding, lint_paths
 from repro.analysis.reset import register_reset, reset_all
-from repro.analysis.shared import declared_shared, shared_state
 from repro.analysis.sanitize import (
     CacheSanitizer,
     InvariantViolation,
@@ -40,15 +34,10 @@ from repro.analysis.sanitize import (
 __all__ = [
     "CacheSanitizer",
     "Finding",
-    "FlowFinding",
-    "FlowReport",
     "InvariantViolation",
     "RaceDiagnostic",
-    "analyze_paths",
     "atomic_section",
-    "declared_shared",
     "lint_paths",
     "register_reset",
     "reset_all",
-    "shared_state",
 ]

@@ -1,25 +1,22 @@
-"""CLI: ``python -m repro.analysis {lint,flow} [paths...]``.
+"""CLI: ``python -m repro.analysis lint [paths...]``.
 
-With no paths, both subcommands scan the source tree the installed
-``repro`` package lives in.  Exits non-zero when any finding survives
-its ``noqa``/baseline filters, so the commands slot directly into CI.
+With no paths, the lint scans the source tree the installed ``repro``
+package lives in.  Exits non-zero when any finding survives its
+``noqa`` filter, so the command slots directly into CI.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.analysis import flow, lint
+from repro.analysis import lint
 
 USAGE = """\
-usage: python -m repro.analysis {lint,flow} [paths...]
+usage: python -m repro.analysis lint [paths...]
 
 subcommands:
   lint    run the sim-aware AST lint (RPL001-RPL006) over the given
           files/directories (default: the repro source tree)
-  flow    run the interprocedural may-yield race analyzer and the
-          determinism dataflow pass (RPL100/RPL101/RPL110); see
-          --write-baseline and --runtime-coverage
 """
 
 
@@ -30,8 +27,6 @@ def main(argv: list[str]) -> int:
     command, *rest = argv
     if command == "lint":
         return lint.main(rest)
-    if command == "flow":
-        return flow.main(rest)
     sys.stderr.write(f"unknown subcommand {command!r}\n\n{USAGE}")
     return 2
 

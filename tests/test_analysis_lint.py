@@ -1,6 +1,9 @@
 """The custom sim lint: every rule fires on the seeded fixture, the
 real source tree stays clean, and ``noqa`` suppression works."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis.lint import lint_paths, main
@@ -90,3 +93,17 @@ def test_rpl006_exempts_the_engine_package(tmp_path):
     engine = simdir / "engine.py"
     engine.write_text("import heapq\nheapq.heapify([])\n")
     assert lint_paths([engine]) == []
+
+
+def test_removed_flow_subcommand_fails_loudly():
+    """The static flow analyzer was deleted (DESIGN.md appendix A.6):
+    its subcommand is an error, not a silent no-op."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "flow", str(SRC_TREE)],
+        env=dict(os.environ, PYTHONPATH=str(SRC_TREE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "unknown subcommand 'flow'" in done.stderr

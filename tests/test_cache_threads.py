@@ -193,3 +193,49 @@ def test_harvester_wake_is_idempotent():
         yield env.timeout(0.01)
 
     run_app(cluster, app(cluster.env))
+
+
+def test_harvester_rechecks_clean_victims_after_the_flush_hand_off():
+    """Handing dirty victims to the flusher yields, and while the
+    harvester is suspended an application may pin one of its clean
+    victims.  The clean batch must be chosen after that yield: a batch
+    built before it would evict a pinned block, which ``evict``
+    refuses with an error that crashes the harvester."""
+    cluster = make_cluster(cache_blocks=16, iod_nodes=1, compute_nodes=1)
+    client = cluster.client("node0")
+    module = cluster.cache_modules["node0"]
+    manager, flusher = module.manager, module.flusher
+    victims, pinned = [], []
+
+    select_victims = manager.select_victims
+    initiate_flush = flusher.initiate_flush
+
+    def spy_select_victims(n):
+        victims[:] = select_victims(n)
+        return victims
+
+    def pin_inside_flush(blocks):
+        if not pinned:
+            clean = [b for b in victims if b.state is BlockState.CLEAN]
+            if clean:
+                clean[0].pin()
+                pinned.append((clean[0], clean[0].key))
+        return (yield from initiate_flush(blocks))
+
+    manager.select_victims = spy_select_victims
+    flusher.initiate_flush = pin_inside_flush
+
+    def app(env):
+        f = yield from client.open("/f")
+        # 2 clean blocks, then dirty ones until the free list runs dry:
+        # the harvester's victims are the clean pair plus dirty blocks.
+        yield from client.read(f, 0, 2 * 4096)
+        yield from client.write(f, 2 * 4096, 14 * 4096, None)
+        yield env.timeout(0.05)
+
+    run_app(cluster, app(cluster.env))
+    assert pinned, "the harvester never handed a mixed batch to the flusher"
+    block, key = pinned[0]
+    assert block.key == key and manager.table.get(key) is block
+    assert block.state is BlockState.CLEAN and block.pins == 1
+    assert cluster.metrics.count("harvester.dirty_flushes") > 0

@@ -1,4 +1,4 @@
-"""Regression tests for two races the flow analyzer surfaced.
+"""Regression tests for two coherence races found during development.
 
 1. A ``sync_write`` invalidation arriving while the target block is
    PENDING (fetch in flight) used to be skipped entirely, leaving the
@@ -6,7 +6,9 @@
    fix dooms the PENDING block so the fetch path discards it.
 2. The iod's ``_invalidate_sharers`` used to iterate the raw sharer
    set, tying the invalidation packet order (and every downstream
-   event) to the string hash seed.
+   event) to the string hash seed.  The unit test here pins the
+   order; ``tests/test_determinism.py`` runs a whole coherent
+   scenario under several ``PYTHONHASHSEED`` values.
 
 And, pinned as expected failures until the coherence PR (ROADMAP item
 1(a)): the iod registers a sharer only on a cache-originated *read*,

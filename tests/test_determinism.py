@@ -5,12 +5,20 @@ timestamp, event identity) into a BLAKE2b digest, so two runs agree on
 the hash iff they executed the same schedule.  This must hold in one
 process, across repeated runs, and through the parallel sweep's worker
 processes — otherwise parallel figure sweeps would not be trustworthy
-reproductions of serial ones.
+reproductions of serial ones.  Nor may it depend on the string hash
+seed, which the interpreter draws per process (``PYTHONHASHSEED``).
 """
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from repro.analysis.determinism import fig4_point_trace_hash, traced_run
 from repro.experiments import parallel
 from repro.sim import Environment
+from tests.test_iod_directory import PINNED_SCENARIO
 
 
 def test_engine_trace_hash_is_deterministic():
@@ -47,3 +55,43 @@ def test_parallel_sweep_reproduces_serial_schedule(monkeypatch):
         [point, point], fig4_point_trace_hash, max_workers=2
     )
     assert hashes == [serial, serial]
+
+
+#: Prints ``_coherent_scenario()`` as one JSON line.
+_COHERENT_SCENARIO = (
+    "import json\n"
+    "from tests.test_iod_directory import _coherent_scenario\n"
+    "print(json.dumps(_coherent_scenario()))\n"
+)
+
+
+def test_coherent_scenario_is_independent_of_the_hash_seed():
+    """The iod's invalidation fan-out once iterated a raw set of node
+    names, so its packet order, and every event after it, followed the
+    string hash seed.  An in-process test sees only the seed it runs
+    under, which may happen to match sorted order.  So the scenario runs
+    here under four fixed seeds, concurrently, and each must reproduce
+    the pinned schedule."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [str(root), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    runs = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", _COHERENT_SCENARIO],
+            cwd=root,
+            env=dict(env, PYTHONHASHSEED=str(seed)),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in range(4)
+    }
+    observed = {}
+    try:
+        for seed, run in runs.items():
+            out, _ = run.communicate(timeout=300)
+            assert run.returncode == 0, f"PYTHONHASHSEED={seed} crashed"
+            observed[seed] = json.loads(out.splitlines()[-1])
+    finally:
+        for run in runs.values():
+            run.kill()
+    assert observed == {seed: PINNED_SCENARIO for seed in runs}

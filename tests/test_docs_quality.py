@@ -120,7 +120,12 @@ KNOB_DOCS = ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml")
 #: Environment variables whose readers were deleted (DESIGN.md appendix
 #: A).  A doc that still offers one is stale, and so is source that
 #: still spells one.
-REMOVED = {"REPRO_DISK_MODEL", "REPRO_ENGINE_MACRO", "REPRO_NET_MODEL"}
+REMOVED = {
+    "REPRO_ATOMIC_COVERAGE_FILE",
+    "REPRO_DISK_MODEL",
+    "REPRO_ENGINE_MACRO",
+    "REPRO_NET_MODEL",
+}
 
 
 def test_docs_name_only_env_vars_the_program_reads():

@@ -12,17 +12,13 @@ counts and as bytes, and a pinned schedule hash taken on the per-block
 implementation holds end to end.
 """
 
-import textwrap
 import tracemalloc
 import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.flow import analyze_paths
-from repro.analysis.shared import declared_shared
 from repro.pvfs.directory import SharerDirectory
-from repro.pvfs.iod import Iod
 from tests.conftest import bare_iod, make_cluster, run_app
 
 BLOCK = 4096
@@ -349,32 +345,3 @@ def _coherent_scenario():
 
 def test_coherent_scenario_schedule_is_pinned():
     assert _coherent_scenario() == PINNED_SCENARIO
-
-
-# -- analyzer coverage --------------------------------------------------------
-
-
-def test_flow_analyzer_still_guards_the_directory(tmp_path):
-    """``Iod`` declares the new attribute, and a sharer lookup that is
-    acted on after a yield is an RPL100 finding, as it was for the
-    ``directories`` tables."""
-    assert declared_shared(Iod) == frozenset({"directory"})
-    module = tmp_path / "stale_sharers.py"
-    module.write_text(
-        textwrap.dedent(
-            '''
-            from repro.analysis.shared import shared_state
-
-
-            @shared_state("directory")
-            class Daemon:
-                def handle(self, env, file_id, block, node):
-                    known = self.directory.sharers(file_id, block)
-                    yield env.timeout(1)
-                    if node not in known:
-                        self.directory.note(file_id, block, block + 1, node)
-            '''
-        )
-    )
-    findings = analyze_paths([module]).findings
-    assert [(f.code, f.detail) for f in findings] == [("RPL100", "directory")]
