@@ -27,7 +27,7 @@ This lint walks the source tree and flags exactly those hazards:
     re-raise — swallowing ``GeneratorExit`` breaks ``Process.kill``.
 ``RPL006``
     Direct ``heapq`` import outside ``repro.sim``: the event queue is
-    a seam (timer wheel + far heap, DESIGN.md §14), and code that
+    a seam (due deques + one heap, DESIGN.md §14), and code that
     heap-manages simulation timestamps itself bypasses the engine's
     ordering and stats.  Schedule through ``Environment`` instead.
 

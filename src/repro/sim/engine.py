@@ -1,22 +1,16 @@
 """The simulation environment: clock, event queue, and run loop.
 
-The pending-event queue is split by *where in time* an entry lands
-(DESIGN.md §14).  Zero-delay pushes — event ``succeed``/``fail``,
-resource grants, process starts — are by far the most common scheduling
-operation and always carry the current timestamp, so they go to plain
-FIFO deques (one per priority) that stay sorted for free: timestamps
-are non-decreasing push to push and the sequence counter is monotone.
-Future entries (timeouts) go to a 256-bucket calendar wheel of
-~244 µs buckets covering a 62.5 ms horizon — wide enough for
-every latency constant in :class:`~repro.cluster.config.CostModel`,
-from the 5 µs block lookup to the 30 ms flush period — with a binary
-heap fallback for entries beyond the horizon.  A one-entry buffer
-always holds the earliest future entry, so the hot pop only compares
-three component heads.
+The pending-event queue has two parts (DESIGN.md §14).  Zero-delay
+pushes — event ``succeed``/``fail``, resource grants, process starts —
+are by far the most common scheduling operation and always carry the
+current timestamp, so they go to plain FIFO deques (one per priority)
+that stay sorted for free: timestamps are non-decreasing push to push
+and the sequence counter is monotone.  Everything else (timeouts, and
+the rare non-standard priority) goes to one binary heap.
 
-Every entry is ``(time, priority, seq, event)`` and pops follow that
-exact tuple order, which keeps the BLAKE2b schedule trace hash
-bit-identical to the single-heap implementation this replaced.
+Every entry is ``(time, priority, seq, event)`` and pops take the
+smallest of the three heads in that exact tuple order, which keeps the
+BLAKE2b schedule trace hash bit-identical to a single global heap.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import os
 import typing as _t
-from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
 
@@ -34,13 +27,6 @@ from repro.sim.process import Process
 #: Environment variable: when truthy, every new :class:`Environment`
 #: starts with trace hashing enabled (see :meth:`Environment.enable_trace_hash`).
 TRACE_HASH_ENV_VAR = "REPRO_TRACE_HASH"
-
-#: Calendar wheel geometry.  4096 buckets per second (2**12, so the
-#: time-to-bucket mapping is an exact binary scaling) and 256 slots
-#: give ~244 µs buckets over a 62.5 ms horizon.
-_BUCKETS_PER_S = 4096.0
-_WHEEL_SLOTS = 256
-_WHEEL_MASK = _WHEEL_SLOTS - 1
 
 _QueueEntry = _t.Tuple[float, int, int, Event]
 
@@ -78,13 +64,7 @@ class Environment:
         # -- queue components ---------------------------------------
         "_due",
         "_due_urgent",
-        "_nf",
-        "_cur",
-        "_cur_pos",
-        "_ring",
-        "_ring_count",
-        "_cursor_abs",
-        "_far",
+        "_future",
         # -- scheduler statistics (see sched_stats) -----------------
         "_depth",
         "_depth_hw",
@@ -113,27 +93,9 @@ class Environment:
         # normal ones at the same instant.
         self._due: deque[_QueueEntry] = deque()
         self._due_urgent: deque[_QueueEntry] = deque()
-        #: The earliest future entry, buffered out of the wheel/heap so
-        #: the pop path compares at most three heads.  ``None`` when no
-        #: future entries exist.
-        self._nf: _QueueEntry | None = None
-        #: Sorted entries of the wheel bucket the cursor last drained,
-        #: consumed from ``_cur_pos``; the consumed prefix is trimmed
-        #: once it outgrows the remainder (see ``_refill_nf``).
-        self._cur: list[_QueueEntry] = []
-        self._cur_pos = 0
-        self._ring: list[list[_QueueEntry]] = [
-            [] for _ in range(_WHEEL_SLOTS)
-        ]
-        self._ring_count = 0
-        #: Absolute bucket number (time * 4096) of the cursor; buckets
-        #: at or before it have been drained into ``_cur``.
-        self._cursor_abs = int(self._now * _BUCKETS_PER_S)
-        #: Entries beyond the wheel horizon, plus conservative
-        #: spill-over (a lagging cursor or a bucket collision may park
-        #: a near entry here; ordering never depends on which
-        #: component holds an entry).
-        self._far: list[_QueueEntry] = []
+        #: Every other entry (``heapq`` order): timeouts, and
+        #: zero-delay pushes at a non-standard priority.
+        self._future: list[_QueueEntry] = []
         self._depth = 0
         self._depth_hw = 0
         self._events_processed = 0
@@ -190,6 +152,8 @@ class Environment:
         queued — and draws the sequence number that breaks ties among
         same-instant events — only when ``after`` is processed, as if
         whoever waits on it had been handed over to at that moment.
+        ``when`` must not precede that moment either: the deferred push
+        raises :class:`ValueError` out of :meth:`run` if it does.
         """
         if when < self._now:
             raise ValueError(f"when={when} is in the past (now={self._now})")
@@ -206,14 +170,19 @@ class Environment:
         return event
 
     def _queue_at(self, when: float, event: Event) -> None:
+        if when < self._now:
+            # Only reachable through ``after``: it fired later than
+            # ``when``, and queueing anyway would turn the clock back.
+            raise ValueError(
+                f"timeout_at(when={when}) deferred past its instant "
+                f"(now={self._now})"
+            )
         self._seq += 1
         entry = (when, 1, self._seq, event)
         if when == self._now:
             self._due.append(entry)
-        elif self._nf is None:
-            self._nf = entry
         else:
-            self._push_future(entry)
+            heappush(self._future, entry)
         d = self._depth + 1
         self._depth = d
         if d > self._depth_hw:
@@ -241,17 +210,14 @@ class Environment:
         """Queue ``event`` to be processed ``delay`` from now."""
         self._seq += 1
         entry = (self._now + delay, priority, self._seq, event)
-        if delay == 0.0:
-            if priority == 1:
-                self._due.append(entry)
-            elif priority == 0:
-                self._due_urgent.append(entry)
-            else:
-                # Nonstandard priority: the deques' sortedness only
-                # holds for the two canonical levels.
-                self._push_future(entry)
+        if delay == 0.0 and priority == 1:
+            self._due.append(entry)
+        elif delay == 0.0 and priority == 0:
+            self._due_urgent.append(entry)
         else:
-            self._push_future(entry)
+            # Future, or a nonstandard priority: the deques'
+            # sortedness only holds for the two canonical levels.
+            heappush(self._future, entry)
         d = self._depth + 1
         self._depth = d
         if d > self._depth_hw:
@@ -271,8 +237,8 @@ class Environment:
 
         * a process is running, resumed as the *only* callback of the
           current event (a later callback would run before the pop);
-        * no same-instant entry is due, and the earliest future entry
-          lies after ``now``;
+        * no same-instant entry is due, and the heap head lies after
+          ``now``;
         * :meth:`run` owns the loop (not :meth:`step`), and its stop
           event has not just been processed.
         """
@@ -284,8 +250,8 @@ class Environment:
             or self._due_urgent
         ):
             return False
-        nf = self._nf
-        if nf is not None and nf[0] <= self._now:
+        future = self._future
+        if future and future[0][0] <= self._now:
             return False
         stop = self._stop_event
         if stop is not None and stop.callbacks is None:
@@ -305,155 +271,42 @@ class Environment:
         self._events_processed += 1
         return True
 
-    def _push_future(self, entry: _QueueEntry) -> None:
-        """Insert a future-time entry (``entry[0] >= now``).
-
-        The one-entry ``_nf`` buffer always holds the minimum; a
-        smaller arrival displaces the buffered entry back into the
-        wheel/heap.  Which component stores an entry is purely a speed
-        decision — pops re-compare heads — so a conservative fall-back
-        to the far heap is always safe.
-
-        Depth accounting is the *caller's* job.
-        """
-        nf = self._nf
-        if nf is None:
-            self._nf = entry
-            return
-        if entry < nf:
-            self._nf = entry
-            entry = nf
-        abs_b = int(entry[0] * _BUCKETS_PER_S)
-        cursor = self._cursor_abs
-        if abs_b <= cursor:
-            # Lands in (or before) the already-drained bucket: insert
-            # into the sorted remainder of the current bucket.
-            insort(self._cur, entry, self._cur_pos)
-        elif abs_b - cursor < _WHEEL_SLOTS:
-            self._ring[abs_b & _WHEEL_MASK].append(entry)
-            self._ring_count += 1
-        else:
-            heappush(self._far, entry)
-
-    def _refill_nf(self) -> None:
-        """Re-fill the future-min buffer after its entry was consumed."""
-        cur = self._cur
-        pos = self._cur_pos
-        n = len(cur)
-        while pos >= n and self._ring_count:
-            self._advance_ring()
-            cur = self._cur
-            pos = self._cur_pos
-            n = len(cur)
-        far = self._far
-        if pos < n:
-            head = cur[pos]
-            if far and far[0] < head:
-                self._nf = heappop(far)
-                return
-            pos += 1
-            if pos > 32 and pos * 2 > n:
-                del cur[:pos]
-                pos = 0
-            self._cur_pos = pos
-            self._nf = head
-            return
-        if far:
-            self._nf = heappop(far)
-            return
-        self._nf = None
-
-    def _advance_ring(self) -> None:
-        """Move the cursor to the next non-empty wheel bucket and drain
-        it into ``_cur`` (sorted).
-
-        Entries from a *later lap* (same slot, absolute bucket ≥ one
-        full wheel revolution ahead) spill to the far heap.  The scan
-        may start at the current clock's bucket: every queued future
-        entry is at or after the last consumed minimum, so earlier
-        buckets cannot hold live entries.
-        """
-        ring = self._ring
-        far = self._far
-        b = self._cursor_abs + 1
-        j = int(self._now * _BUCKETS_PER_S)
-        if j > b:
-            b = j
-        while self._ring_count:
-            bucket = ring[b & _WHEEL_MASK]
-            if bucket:
-                self._ring_count -= len(bucket)
-                live: list[_QueueEntry] | None = None
-                for entry in bucket:
-                    if int(entry[0] * _BUCKETS_PER_S) == b:
-                        if live is None:
-                            live = []
-                        live.append(entry)
-                    else:
-                        heappush(far, entry)
-                del bucket[:]
-                if live is not None:
-                    live.sort()
-                    self._cur = live
-                    self._cur_pos = 0
-                    self._cursor_abs = b
-                    return
-            b += 1
-        self._cursor_abs = b
-        self._cur = []
-        self._cur_pos = 0
-
     def _peek_entry(self) -> _QueueEntry | None:
         """The next entry in (time, priority, seq) order, not removed."""
-        best = self._nf
+        future = self._future
+        best = future[0] if future else None
         due = self._due
-        if due:
-            head = due[0]
-            if best is None or head < best:
-                best = head
+        if due and (best is None or due[0] < best):
+            best = due[0]
         urgent = self._due_urgent
-        if urgent:
-            head = urgent[0]
-            if best is None or head < best:
-                best = head
+        if urgent and (best is None or urgent[0] < best):
+            best = urgent[0]
         return best
 
     def _pop_entry(self) -> _QueueEntry | None:
         """Remove and return the next entry, or ``None`` when empty."""
         due = self._due
         urgent = self._due_urgent
-        nf = self._nf
+        future = self._future
         if urgent:
-            head = urgent[0]
             src = urgent
-            if due and due[0] < head:
-                head = due[0]
+            if due and due[0] < urgent[0]:
                 src = due
-            if nf is None or head < nf:
-                src.popleft()
-                self._depth -= 1
-                return head
+            if future and future[0] < src[0]:
+                head = heappop(future)
+            else:
+                head = src.popleft()
         elif due:
-            head = due[0]
-            if nf is None or head < nf:
-                due.popleft()
-                self._depth -= 1
-                return head
-        elif nf is None:
-            return None
-        # Consume the buffered future minimum.  The common case — no
-        # other future entries pending — is inlined; _refill_nf scans
-        # the wheel otherwise.
-        self._depth -= 1
-        if (
-            not self._ring_count
-            and not self._far
-            and self._cur_pos >= len(self._cur)
-        ):
-            self._nf = None
+            if future and future[0] < due[0]:
+                head = heappop(future)
+            else:
+                head = due.popleft()
+        elif future:
+            head = heappop(future)
         else:
-            self._refill_nf()
-        return nf
+            return None
+        self._depth -= 1
+        return head
 
     # -- statistics -------------------------------------------------------
     def sched_stats(self) -> dict[str, int]:
@@ -579,14 +432,14 @@ class Environment:
         # The processed-event count is kept in a loop-local int and
         # flushed once on exit: a local increment is several times
         # cheaper than a per-event attribute read-modify-write.  The
-        # two hottest variants additionally inline _pop_entry's
-        # due-head and buffered-future cases; the urgent deque (process
-        # starts/interrupts, comparatively rare) falls back to the
-        # method, which re-derives the full three-way minimum.
+        # two hottest variants additionally inline _pop_entry's due and
+        # heap cases; the urgent deque (process starts/interrupts,
+        # comparatively rare) falls back to the method, which derives
+        # the full three-way minimum.
         pop = self._pop_entry
         due = self._due
         urgent = self._due_urgent
-        refill = self._refill_nf
+        future = self._future
         n = 0
         if stop_event is not None:
             try:
@@ -595,35 +448,15 @@ class Environment:
                 while stop_event.callbacks is not None:
                     if urgent:
                         entry = pop()
-                        if entry is None:  # pragma: no cover - defensive
-                            raise RuntimeError(
-                                "simulation ran out of events before the "
-                                f"requested stop event fired: {stop_event!r}"
-                            )
                     else:
-                        entry = self._nf
                         if due:
-                            head = due[0]
-                            if entry is None or head < entry:
+                            entry = due[0]
+                            if future and future[0] < entry:
+                                entry = heappop(future)
+                            else:
                                 due.popleft()
-                                entry = head
-                            elif (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
-                        elif entry is not None:
-                            if (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
+                        elif future:
+                            entry = heappop(future)
                         else:
                             raise RuntimeError(
                                 "simulation ran out of events before the "
@@ -643,32 +476,15 @@ class Environment:
                 while True:
                     if urgent:
                         entry = pop()
-                        if entry is None:  # pragma: no cover - defensive
-                            return None
                     else:
-                        entry = self._nf
                         if due:
-                            head = due[0]
-                            if entry is None or head < entry:
+                            entry = due[0]
+                            if future and future[0] < entry:
+                                entry = heappop(future)
+                            else:
                                 due.popleft()
-                                entry = head
-                            elif (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
-                        elif entry is not None:
-                            if (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
+                        elif future:
+                            entry = heappop(future)
                         else:
                             return None
                         self._depth -= 1

@@ -11,6 +11,7 @@ it, which is how errors propagate through simulated daemons.
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappush
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -171,12 +172,8 @@ class Timeout(Event):
         env._seq += 1
         if delay == 0.0:
             env._due.append((env._now, 1, env._seq, self))
-        elif env._nf is None:
-            # Fast path: no other future entry pending, so this one is
-            # trivially the minimum (common at low multiprogramming).
-            env._nf = (env._now + delay, 1, env._seq, self)
         else:
-            env._push_future((env._now + delay, 1, env._seq, self))
+            heappush(env._future, (env._now + delay, 1, env._seq, self))
         d = env._depth + 1
         env._depth = d
         if d > env._depth_hw:

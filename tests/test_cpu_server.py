@@ -228,3 +228,24 @@ def test_timeout_at_after_is_queued_when_its_predecessor_is_processed():
     # a processed predecessor means "queue now"
     assert env.timeout_at(4.0, after=first) is not None
     assert env.sched_stats()["queue_depth"] == 1
+
+
+def test_timeout_at_after_a_later_predecessor_fails_loudly():
+    # ``when`` is checked again when the deferred push runs: queueing
+    # 5.0 once the clock reads 10 would resume its waiter in the past.
+    env = Environment()
+    seen = []
+
+    def waiter():
+        yield env.timeout_at(5.0, after=env.timeout(10))
+        seen.append(env.now)  # pragma: no cover - must not resume
+
+    env.process(waiter())
+    with pytest.raises(ValueError, match="deferred past its instant"):
+        env.run()
+    assert seen == [] and env.now == 10
+    # ``when`` equal to the predecessor's instant is legal
+    env = Environment()
+    on_time = env.timeout_at(10.0, after=env.timeout(10))
+    env.run()
+    assert on_time.processed and env.now == 10

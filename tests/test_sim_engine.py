@@ -492,50 +492,124 @@ def test_deterministic_replay():
 
 
 # ---------------------------------------------------------------------------
-# Event-queue fast path (calendar wheel + far heap, DESIGN.md §14)
+# Event queue: due deques + one heap (DESIGN.md §14), on every run loop
 # ---------------------------------------------------------------------------
 
 
-def test_randomized_timeout_storm_fires_in_order():
-    """Differential check of the wheel/deque/heap queue against a
-    plain sorted reference: same-priority events must fire in exact
-    (time, creation-order) sequence no matter which structure each
-    entry landed in (due deque, current bucket, calendar ring, or far
-    heap)."""
+def _storm(env):
+    """Seed ``env`` with a storm of timeouts, same-instant ``succeed``s,
+    urgent interrupts and deferred ``timeout_at`` chains.
+
+    Returns ``(created, fired)``: ``created`` gets ``(time, priority,
+    tag)`` the moment each logged entry is pushed, ``fired`` the same
+    triple when it is processed.  Tags rise with engine sequence
+    numbers (each is drawn right beside its push), so ``sorted(created)``
+    is exactly the order a correct queue must pop.
+    """
+    import itertools
     import random
 
     rng = random.Random(0xC0FFEE)
-    env = Environment()
-    fired = []
+    tags = itertools.count()
     created = []
+    fired = []
 
-    def spawn(env):
-        tag = 0
+    def book(when, priority=1):
+        entry = (when, priority, next(tags))
+        created.append(entry)
+        return entry
+
+    def watch(ev, entry):
+        ev.callbacks.append(lambda _e: fired.append(entry))
+
+    def sleeper(env):
+        # Waits on events nobody fires, so only interrupts resume it.
+        while True:
+            try:
+                yield env.event()
+            except Interrupt as intr:
+                fired.append(intr.cause)
+
+    def spawn(env, victim):
         for _ in range(40):
             for _ in range(rng.randrange(1, 40)):
                 delay = rng.choice(
                     (
                         0.0,  # due deque
-                        rng.random() * 0.01,  # calendar ring
-                        rng.random() * 5.0,  # far heap
+                        rng.random() * 0.01,  # near future
+                        rng.random() * 5.0,  # far future
                         round(rng.random(), 2),  # deliberate ties
                     )
                 )
                 ev = env.timeout(delay)
-                when = env.now + delay
-                created.append((when, tag))
-                ev.callbacks.append(
-                    lambda _e, when=when, tag=tag: fired.append((when, tag))
+                watch(ev, book(env.now + delay))
+            # Two timeouts for one instant; the first one's callback
+            # succeeds a third event while the second is still queued
+            # for that instant, so it must come after the second.
+            delay = rng.random() * 0.01
+            first = env.timeout(delay)
+            watch(first, book(env.now + delay))
+            second = env.timeout(delay)
+            watch(second, book(env.now + delay))
+            late = env.event()
+            first.callbacks.append(
+                lambda _e, late=late: watch(
+                    late.succeed(), book(env.now)
                 )
-                tag += 1
+            )
+            # A chain queued link by link: each timeout_at draws its
+            # sequence number only when the one before it fires.
+            when = env.now + rng.random() * 0.01
+            link = env.timeout_at(when)
+            watch(link, book(when))
+            for _ in range(rng.randrange(1, 4)):
+                when += rng.choice((0.0, rng.random() * 0.01))
+                nxt = env.timeout_at(when, after=link)
+                link.callbacks.append(
+                    lambda _e, nxt=nxt, when=when: watch(nxt, book(when))
+                )
+                link = nxt
+            # An urgent resume, ahead of everything else at this instant.
+            victim.interrupt(book(env.now, env.PRIORITY_URGENT))
             yield env.timeout(rng.random() * 0.05)
 
-    env.process(spawn(env))
+    env.process(spawn(env, env.process(sleeper(env))))
+    return created, fired
+
+
+def _step_all(env):
+    try:
+        while True:
+            env.step()
+    except EmptySchedule:
+        pass
+
+
+def _run_hooked(env):
+    env.add_step_hook(lambda _env: None)
     env.run()
-    assert len(fired) == len(created)
-    # Tags rise with engine sequence numbers, so a stable sort of the
-    # creation log is exactly the order a correct queue must pop.
-    assert fired == sorted(created)
+
+
+def test_randomized_timeout_storm_fires_in_order():
+    """Differential check of the deque/heap queue against a plain
+    sorted reference, on each of the run loops: the two inlined fast
+    loops (``run()`` and ``run(until=<event>)``), the peek/pop loop of
+    ``run(until=<time>)``, ``step()``, and the instrumented loop a step
+    hook selects.  Every loop must pop in exact (time, priority, seq)
+    order, whichever structure each entry sat in."""
+    loops = {
+        "run()": lambda env: env.run(),
+        "run(until=<event>)": lambda env: env.run(until=env.timeout(100.0)),
+        "run(until=<t>)": lambda env: env.run(until=100.0),
+        "step()": _step_all,
+        "run() + hook": _run_hooked,
+    }
+    for name, drive in loops.items():
+        env = Environment()
+        created, fired = _storm(env)
+        drive(env)
+        assert len(fired) == len(created) > 1000, name
+        assert fired == sorted(created), name
 
 
 # -- in-place turns (DESIGN.md §14) -----------------------------------------
