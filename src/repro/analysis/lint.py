@@ -40,9 +40,10 @@ rather than guessed).
 
 Every rule is local: it looks at one call site, function or module
 at a time.  Hazards that span a yield, where a process acts on state
-another process changed meanwhile, are left to the runtime race
-detector (:func:`repro.analysis.sanitize.atomic_section`) and to
-tests that pin each such guarantee.
+another process changed meanwhile, are left to tests that pin each
+such guarantee, and to
+:meth:`~repro.cache.manager.BufferManager.check_invariants`, which
+tier-1 runs from a step hook.
 
 Suppression: append ``# noqa: RPL00x`` (or a blanket ``# noqa``) to
 the flagged line, with a comment saying why.

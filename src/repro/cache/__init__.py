@@ -26,7 +26,7 @@ Components map one-to-one onto the paper's Section 3.2:
 
 from repro.cache.block import BlockState, CacheBlock
 from repro.cache.global_cache import GlobalCacheClient, GlobalCacheDirectory
-from repro.cache.manager import BufferManager
+from repro.cache.manager import BufferManager, InvariantViolation
 from repro.cache.module import CacheModule
 from repro.cache.prefetch import ReadAhead
 from repro.cache.ranges import ByteRanges
@@ -39,5 +39,6 @@ __all__ = [
     "CacheModule",
     "GlobalCacheClient",
     "GlobalCacheDirectory",
+    "InvariantViolation",
     "ReadAhead",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.analysis.sanitize import atomic_section
 from repro.cache.block import BlockState, CacheBlock
 from repro.cache.manager import BufferManager
 from repro.cluster.node import Node
@@ -117,33 +116,30 @@ class Flusher(Service):
         # this loop would let a racing write (or the harvester) change
         # the dirty set between the epoch capture and the in-flight
         # registration, double-shipping or losing a block.
-        with atomic_section(
-            self.manager.dirtylist, label="initiate_flush.register"
-        ):
-            for block in blocks:
-                if (
-                    block.state is not BlockState.DIRTY
-                    or block.key is None
-                    or block in self._inflight
-                ):
-                    continue
-                file_id, block_no = block.key
-                base = block_no * block.block_size
-                iod_node = self.iod_nodes[self.layout.iod_index(base)]
-                frags = per_iod_frags.setdefault(iod_node, [])
-                for start, end in block.dirty.intervals:
-                    frags.append(
-                        (
-                            file_id,
-                            base + start,
-                            end - start,
-                            block.read_slice(start, end),
-                        )
+        for block in blocks:
+            if (
+                block.state is not BlockState.DIRTY
+                or block.key is None
+                or block in self._inflight
+            ):
+                continue
+            file_id, block_no = block.key
+            base = block_no * block.block_size
+            iod_node = self.iod_nodes[self.layout.iod_index(base)]
+            frags = per_iod_frags.setdefault(iod_node, [])
+            for start, end in block.dirty.intervals:
+                frags.append(
+                    (
+                        file_id,
+                        base + start,
+                        end - start,
+                        block.read_slice(start, end),
                     )
-                per_iod_caps.setdefault(iod_node, []).append(
-                    (block, block.dirty_epoch)
                 )
-                self._inflight.add(block)
+            per_iod_caps.setdefault(iod_node, []).append(
+                (block, block.dirty_epoch)
+            )
+            self._inflight.add(block)
         if not per_iod_frags:
             return []
         waiters = []

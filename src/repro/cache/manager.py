@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.analysis.sanitize import atomic_section, maybe_install
 from repro.cache.block import BlockKey, BlockState, CacheBlock
 from repro.cache.clock import ClockPolicy, ExactLRUPolicy
 from repro.cache.dirtylist import DirtyList
@@ -18,6 +17,10 @@ from repro.sim import Environment, Event
 
 #: The ``fresh`` of a :meth:`BufferManager.probe` that took no frame.
 _NO_BLOCKS: tuple[CacheBlock, ...] = ()
+
+
+class InvariantViolation(AssertionError):
+    """The cache structures disagree about a block's state."""
 
 
 class BufferManager:
@@ -67,11 +70,6 @@ class BufferManager:
         #: Keys being allocated -> the event rivals wait on, or None
         #: while no rival has shown up.
         self._inflight: dict[BlockKey, Event | None] = {}
-        #: Opt-in runtime checker (REPRO_SANITIZE=1): validates the
-        #: block-accounting invariant at scheduler-step granularity
-        #: and arms the atomic_section race detector.  None in
-        #: normal runs — the structures run their unwrapped methods.
-        self.sanitizer = maybe_install(self)
 
     # -- residency -------------------------------------------------------------
     @property
@@ -139,26 +137,25 @@ class BufferManager:
         # probing between insert and admit would see half-committed
         # state.  A run's keys hold no reservation (one would have
         # ended the run), so there is none to resolve.
-        with atomic_section(table, policy, label="get_or_allocate.commit"):
-            while True:
-                frame.assign(key)
-                table.insert(frame)
-                policy.admit(frame)
-                fresh.append(frame)
-                i += 1
-                if i == n:
-                    break
-                key = (file_id, block_nos[i])
-                block = table.get(key)
-                if block is not None:
-                    policy.touch(block)
-                    break
-                if key in inflight:
-                    break
-                # One booked turn per frame, before its commit.
-                frame = freelist.acquire_now()
-                if frame is None:
-                    break
+        while True:
+            frame.assign(key)
+            table.insert(frame)
+            policy.admit(frame)
+            fresh.append(frame)
+            i += 1
+            if i == n:
+                break
+            key = (file_id, block_nos[i])
+            block = table.get(key)
+            if block is not None:
+                policy.touch(block)
+                break
+            if key in inflight:
+                break
+            # One booked turn per frame, before its commit.
+            frame = freelist.acquire_now()
+            if frame is None:
+                break
         self.metrics.inc(self._k_allocations, len(fresh))
         return fresh, block, block is not None
 
@@ -208,13 +205,10 @@ class BufferManager:
         between insert and the reservation hand-off would see
         half-committed state.
         """
-        with atomic_section(
-            self.table, self.policy, label="get_or_allocate.commit"
-        ):
-            block.assign(key)
-            self.table.insert(block)
-            self.policy.admit(block)
-            self._resolve_reservation(key, block)
+        block.assign(key)
+        self.table.insert(block)
+        self.policy.admit(block)
+        self._resolve_reservation(key, block)
         self.metrics.inc(self._k_allocations)
 
     def _resolve_reservation(
@@ -264,15 +258,12 @@ class BufferManager:
         freelist = self.freelist
         # Eviction walks four structures; a yield between them would
         # leave a frame visible in none (or two) of them.
-        with atomic_section(
-            table, freelist, dirtylist, self.policy, label="evict"
-        ):
-            self.policy.forget_run(blocks)
-            for block in blocks:
-                table.remove(block)
-                dirtylist.discard(block)
-                block.reset()
-                freelist.release(block)
+        self.policy.forget_run(blocks)
+        for block in blocks:
+            table.remove(block)
+            dirtylist.discard(block)
+            block.reset()
+            freelist.release(block)
         self.metrics.inc(self._k_evictions, len(blocks))
 
     def invalidate(self, key: BlockKey) -> bool:
@@ -324,3 +315,159 @@ class BufferManager:
     def resident_keys(self) -> set[BlockKey]:
         """Snapshot of resident keys (test/inspection helper)."""
         return {b.key for b in self.table.blocks() if b.key is not None}
+
+    # -- the invariant -------------------------------------------------------------
+    def _fail(self, message: str) -> _t.NoReturn:
+        raise InvariantViolation(
+            f"[{self.name} @ t={self.env.now:.9f}] {message}"
+        )
+
+    def check_invariants(self) -> None:
+        """Validate the global block-accounting invariant once.
+
+        Stated against the paper's structures:
+
+        * every frame is in exactly one of the *free* and *hashed*
+          states (FREE frames carry no identity and never sit in the
+          hash table; PENDING/CLEAN/DIRTY frames are keyed and chained
+          exactly once);
+        * a frame is DIRTY if and only if it is on the dirty list;
+        * pin counts ("refcounts" held by in-progress copies) are never
+          negative, FREE frames are never pinned, and a doomed block
+          does not outlive its last unpin;
+        * the clock hand stays inside the ring, and the replacement
+          policy tracks exactly the resident frames;
+        * in-flight allocation reservations resolve: a reserved key is
+          not yet resident and its reservation event has not fired;
+        * free-list accounting never exceeds the number of FREE frames.
+
+        Raises :class:`InvariantViolation` naming the node and the
+        simulated time.  Tests call it from a step hook
+        (``tests/conftest.py``'s ``check_invariants_every``).
+        """
+        table = self.table
+        resident: dict[int, CacheBlock] = {}
+        for block in table.blocks():
+            if id(block) in resident:
+                self._fail(f"{block!r} chained twice in the hash table")
+            resident[id(block)] = block
+            if block.key is None:
+                self._fail(f"{block!r} is in the hash table without a key")
+            if table.get(block.key) is not block:
+                self._fail(
+                    f"{block!r} is chained under a bucket its key does "
+                    "not hash to (or its key is duplicated)"
+                )
+            if block.state is BlockState.FREE:
+                self._fail(f"FREE block {block!r} is in the hash table")
+        if len(table) != len(resident):
+            self._fail(
+                f"hash table size {len(table)} != chained blocks "
+                f"{len(resident)}"
+            )
+
+        freelist = self.freelist
+        store_items = list(freelist._store._items)
+        store_ids = {id(b) for b in store_items}
+        if len(store_ids) != len(store_items):
+            self._fail("free list stores the same block twice")
+        n_free_state = 0
+        for block in self.blocks:
+            if block.pins < 0:
+                self._fail(f"negative pin count on {block!r}")
+            in_table = id(block) in resident
+            if block.state is BlockState.FREE:
+                n_free_state += 1
+                if in_table:
+                    self._fail(f"FREE block {block!r} is also resident")
+                if block.pins:
+                    self._fail(f"FREE block {block!r} is pinned")
+                if block.key is not None:
+                    self._fail(f"FREE block {block!r} still has a key")
+            else:
+                if not in_table:
+                    self._fail(
+                        f"{block.state.value} block {block!r} is not in "
+                        "the hash table"
+                    )
+                if id(block) in store_ids:
+                    self._fail(
+                        f"resident block {block!r} is also on the free list"
+                    )
+            is_dirty = block.state is BlockState.DIRTY
+            on_dirty = block in self.dirtylist
+            if is_dirty and not on_dirty:
+                self._fail(f"DIRTY block {block!r} is not on the dirty list")
+            if on_dirty and not is_dirty:
+                self._fail(
+                    f"{block.state.value} block {block!r} is on the "
+                    "dirty list"
+                )
+            if (
+                block.doomed
+                and block.pins == 0
+                and block.state is not BlockState.PENDING
+            ):
+                # PENDING is exempt: a coherence invalidation that
+                # races an in-flight fetch dooms the block and lets
+                # the fetch finish; the drop happens at make_ready
+                # (unpinned prefetches) or at the last unpin.
+                self._fail(
+                    f"doomed block {block!r} survived its last unpin"
+                )
+        if n_free_state + len(resident) != len(self.blocks):
+            self._fail(
+                f"frames leak: {n_free_state} free + {len(resident)} "
+                f"resident != {len(self.blocks)} total"
+            )
+        if len(store_items) > n_free_state:
+            self._fail(
+                f"free list holds {len(store_items)} blocks but only "
+                f"{n_free_state} frames are FREE"
+            )
+        if max(0, freelist._count) > n_free_state:
+            self._fail(
+                f"free list count {freelist._count} exceeds FREE frames "
+                f"{n_free_state}"
+            )
+
+        self._check_policy(resident)
+
+        for key, reservation in self._inflight.items():
+            if table.get(key) is not None:
+                self._fail(
+                    f"in-flight reservation for {key} but the key is "
+                    "already resident"
+                )
+            # ``None``: no rival has asked to wait yet (the first
+            # waiter materialises the event).
+            if reservation is not None and reservation.triggered:
+                self._fail(
+                    f"in-flight reservation for {key} already fired but "
+                    "was not removed"
+                )
+
+    def _check_policy(self, resident: dict[int, CacheBlock]) -> None:
+        policy = self.policy
+        ring = getattr(policy, "_ring", None)
+        if ring is not None:  # ClockPolicy
+            hand = policy._hand
+            if ring:
+                if not 0 <= hand < len(ring):
+                    self._fail(
+                        f"clock hand {hand} outside ring of {len(ring)}"
+                    )
+            elif hand != 0:
+                self._fail(f"clock hand {hand} nonzero on an empty ring")
+            tracked = {id(b) for b in ring}
+            if len(tracked) != len(ring):
+                self._fail("clock ring tracks a block twice")
+        else:  # ExactLRUPolicy
+            tracked = {id(b) for b in policy._order}
+        if tracked != set(resident):
+            missing = len(set(resident) - tracked)
+            extra = len(tracked - set(resident))
+            self._fail(
+                "replacement policy out of sync with the hash table "
+                f"({missing} resident untracked, {extra} stale entries)"
+            )

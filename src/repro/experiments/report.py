@@ -26,6 +26,7 @@ from repro.experiments.sensitivity import (
     run_cache_size_sweep,
     run_multiprogramming_sweep,
 )
+from repro.workload.trace import TraceFormatError, load_path
 
 RUNNERS: dict[str, _t.Callable[[bool], list[ExperimentResult]]] = {
     "overhead": lambda quick: [run_overhead()],
@@ -232,13 +233,21 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         os.environ[MGR_SHARDS_ENV_VAR] = str(args.mgr_shards)
     if args.trace:
         os.environ[TRACE_ENV_VAR] = args.trace
-    # A bad environment value fails here, naming the variable, not as
-    # a traceback from the first sweep or cluster build.
+    # A bad environment value or trace file fails here, naming it, not
+    # as a traceback from the first sweep or cluster build.
     try:
         resolve_workers()
-        ClusterConfig().resolved_mgr_shards
+        config = ClusterConfig()
+        config.resolved_mgr_shards
     except ValueError as exc:
         parser.error(str(exc))
+    trace = config.resolved_trace_source
+    if trace is not None:
+        try:
+            load_path(trace)
+        except (TraceFormatError, OSError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            parser.error(f"{trace}: {reason}")
     if args.profile:
         import cProfile
         import pstats

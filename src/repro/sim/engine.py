@@ -326,16 +326,12 @@ class Environment:
 
         Installing any hook switches :meth:`run` from the flattened
         fast loops to the instrumented loop, so hooks cost nothing
-        until the first one is registered.  Used by the runtime
-        sanitizer (:mod:`repro.analysis.sanitize`).
+        until the first one is registered; :meth:`take_turn` runs them
+        on in-place turns too.  Tier-1 checks
+        :meth:`~repro.cache.manager.BufferManager.check_invariants`
+        from one (``check_invariants_every`` in ``tests/conftest.py``).
         """
         self._step_hooks.append(hook)
-
-    def remove_step_hook(
-        self, hook: _t.Callable[["Environment"], None]
-    ) -> None:
-        """Unregister a hook added with :meth:`add_step_hook`."""
-        self._step_hooks.remove(hook)
 
     def enable_trace_hash(self) -> None:
         """Start accumulating a deterministic digest of the schedule.

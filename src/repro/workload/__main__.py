@@ -118,12 +118,21 @@ def _build_instances(
     ]
 
 
-def _load_trace_arg(path: str):
-    from repro.workload.trace import load, load_path
+def _load_trace_arg(path: str, what: str = "error"):
+    """Load ``--trace`` (``-`` = stdin).  A file that cannot be opened
+    or parsed prints one ``<what>: <path>: <reason>`` line to stderr
+    and returns ``None``: the caller exits non-zero, with no traceback.
+    """
+    from repro.workload.trace import TraceFormatError, load, load_path
 
-    if path == "-":
-        return load(sys.stdin)
-    return load_path(path)
+    try:
+        if path == "-":
+            return load(sys.stdin)
+        return load_path(path)
+    except (TraceFormatError, OSError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"{what}: {path}: {reason}", file=sys.stderr)
+        return None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -184,6 +193,8 @@ def _cmd_replay(argv: _t.Sequence[str]) -> int:
     from repro.workload.replay import TraceReplayer
 
     trace = _load_trace_arg(args.trace)
+    if trace is None:
+        return 2
     cluster = Cluster(_build_config(args))
     if args.hash:
         cluster.env.enable_trace_hash()
@@ -256,7 +267,10 @@ def _cmd_transform(argv: _t.Sequence[str]) -> int:
     if not passes:
         print("error: no transform given (see --help)", file=sys.stderr)
         return 2
-    trace = tr.compose(*passes)(_load_trace_arg(args.trace))
+    trace = _load_trace_arg(args.trace)
+    if trace is None:
+        return 2
+    trace = tr.compose(*passes)(trace)
     _write_text(args.out, trace.dumps())
     applied = trace.meta.get("transforms", [])
     print(
@@ -281,12 +295,10 @@ def _cmd_validate(argv: _t.Sequence[str]) -> int:
 
     from repro.workload.classify import classify_trace
     from repro.workload.openloop import is_open_loop, offered_load_stats
-    from repro.workload.trace import TraceFormatError, validate_trace
+    from repro.workload.trace import validate_trace
 
-    try:
-        trace = _load_trace_arg(args.trace)
-    except TraceFormatError as exc:
-        print(f"invalid trace: {exc}", file=sys.stderr)
+    trace = _load_trace_arg(args.trace, "invalid trace")
+    if trace is None:
         return 1
     ops = trace.op_counts()
     span = (

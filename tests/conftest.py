@@ -98,6 +98,29 @@ def bare_iod() -> Iod:
     return iod
 
 
+def check_invariants_every(cluster: Cluster, n: int) -> list[None]:
+    """Check every cache manager's block-accounting invariant on each
+    ``n``-th event ``cluster.env`` processes, in-place turns included.
+
+    Returns a list that grows by one entry per sweep over the managers.
+    """
+    managers = [module.manager for module in cluster.cache_modules.values()]
+    sweeps: list[None] = []
+    countdown = n
+
+    def hook(env) -> None:
+        nonlocal countdown
+        countdown -= 1
+        if countdown == 0:
+            countdown = n
+            for manager in managers:
+                manager.check_invariants()
+            sweeps.append(None)
+
+    cluster.env.add_step_hook(hook)
+    return sweeps
+
+
 def run_app(cluster: Cluster, generator) -> _t.Any:
     """Run one application generator to completion; returns its value."""
     proc = cluster.env.process(generator)

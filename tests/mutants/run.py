@@ -1,12 +1,11 @@
-"""Mutation scoreboard: which test layer kills each mutant here.
+"""Mutation scoreboard: does tier-1 kill each mutant here.
 
-Each ``M*.diff`` is a bug one of the correctness layers ought to catch,
-as a unified diff against the tree.  This script applies each (``git
-apply``) to a temporary copy of the repository and runs there tier-1
-(``pytest -x -q``) and the sanitizer shard (the cache tests under
-``REPRO_SANITIZE=1``, as in CI).  A layer *kills* a mutant when it
-fails or times out (a hung run fails CI's job limit); memory is capped,
-as M2's hang allocates without bound.  Not collected by pytest or CI:
+Each ``M*.diff`` is a bug the test suite ought to catch, as a unified
+diff against the tree.  This script applies each (``git apply``) to a
+temporary copy of the repository and runs tier-1 (``pytest -x -q``)
+there.  Tier-1 *kills* a mutant when it fails or times out (a hung
+run fails CI's job limit); memory is capped, as M2's hang allocates
+without bound.  Not collected by pytest or CI:
 
     python tests/mutants/run.py [M1 M3 ...]
 """
@@ -23,52 +22,54 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 TIMEOUT_S = 300
 MEMORY_CAP = 2 << 30
-SANITIZER_SHARD = [f"tests/test_{name}.py" for name in (
-    "cache_manager", "cache_module", "cache_threads", "cache_manager_model",
-    "sanitize", "sanitize_fuzz", "coherence_race", "iod_directory")]
-LAYERS = {"tier-1": ([], False), "sanitizer": (SANITIZER_SHARD, True)}
 
 
 def cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_layer(tree: pathlib.Path, paths: list[str], sanitize: bool) -> str:
-    env = dict(os.environ, PYTHONPATH="src", HYPOTHESIS_PROFILE="ci")
-    env.pop("REPRO_SANITIZE", None)
-    if sanitize:
-        env["REPRO_SANITIZE"] = "1"
+def run_tier1(tree: pathlib.Path) -> str:
+    # COLUMNS: pytest cuts the failure summary to the terminal width, and
+    # at 80 a long test id leaves no room for the exception.
+    env = dict(os.environ, PYTHONPATH="src", HYPOTHESIS_PROFILE="ci", COLUMNS="240")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     try:
-        done = subprocess.run(cmd + paths, cwd=tree, env=env, timeout=TIMEOUT_S,
+        done = subprocess.run(cmd, cwd=tree, env=env, timeout=TIMEOUT_S,
                               preexec_fn=cap_memory, capture_output=True, text=True)
     except subprocess.TimeoutExpired:
         return f"killed (timeout after {TIMEOUT_S} s)"
     if done.returncode == 0:
         return "survived"
-    lines = done.stdout.splitlines()
-    failed = [ln.split(" - ")[0] for ln in lines if ln.startswith(("FAILED", "ERROR"))]
+    failed = []
+    for line in done.stdout.splitlines():
+        if line.startswith(("FAILED", "ERROR")):
+            test, _, reason = line.partition(" - ")
+            # "<module>.<Exception>: <message>", or "assert <expression>"
+            if reason.startswith("assert "):
+                reason = "AssertionError"
+            error = reason.split(":")[0].rsplit(".", 1)[-1]
+            failed.append(f"{test} by {error}" if error else test)
     return f"killed ({(failed or [f'exit {done.returncode}'])[0]})"
 
 
-def score(diff: pathlib.Path | None) -> dict[str, str]:
+def score(diff: pathlib.Path | None) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         tree = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".*cache", ".hypothesis", "out"))
         if diff is not None:
             subprocess.run(["git", "apply", str(diff)], cwd=tree, check=True)
-        return {layer: run_layer(tree, *args) for layer, args in LAYERS.items()}
+        return run_tier1(tree)
 
 
 def main(names: list[str]) -> int:
     diffs = [d for d in sorted(HERE.glob("M*.diff")) if not names or d.stem in names]
     survivors = 0
-    # The unmutated copy must pass every layer, or no kill means anything.
+    # The unmutated copy must pass, or no kill means anything.
     for name, diff in [("control", None)] + [(d.stem, d) for d in diffs]:
-        verdicts = score(diff)
-        print(name, "  ".join(f"{k}: {v}" for k, v in verdicts.items()), flush=True)
-        survived = all(v == "survived" for v in verdicts.values())
+        verdict = score(diff)
+        print(name, f"tier-1: {verdict}", flush=True)
+        survived = verdict == "survived"
         if diff is None and not survived:
             return 2
         survivors += survived and diff is not None

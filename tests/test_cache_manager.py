@@ -9,7 +9,7 @@ from repro.metrics import Metrics
 from repro.sim import Environment
 
 
-def _manager(n_blocks=8, replacement="clock"):
+def _manager(n_blocks=8, replacement="clock", **cache_kwargs):
     env = Environment()
     config = CacheConfig(
         size_bytes=n_blocks * 4096,
@@ -17,6 +17,7 @@ def _manager(n_blocks=8, replacement="clock"):
         replacement=replacement,
         low_watermark=0.25,
         high_watermark=0.5,
+        **cache_kwargs,
     )
     return env, BufferManager(env, config, Metrics())
 
@@ -131,7 +132,10 @@ def test_evict_clean_returns_to_freelist():
     def proc(env):
         block, _ = yield from m.get_or_allocate((1, 0))
         block.make_ready()
+        before = env.sched_stats()["queue_depth"]
         m.evict([block])
+        # FreeList.release hands the frame back in place: no StorePut
+        assert env.sched_stats()["queue_depth"] == before
         assert m.n_free == 8
         assert m.lookup((1, 0)) is None
         assert block.state is BlockState.FREE
@@ -262,6 +266,36 @@ def test_select_victims_passthrough():
     env.run()
     victims = m.select_victims(2)
     assert len(victims) == 2
+
+
+@pytest.mark.parametrize("replacement", ["clock", "exact-lru"])
+@pytest.mark.parametrize(
+    "cache_kwargs, victim",
+    [({}, "clean"), ({"prefer_clean_eviction": False}, "dirty")],
+    ids=["default", "no-preference"],
+)
+def test_select_victims_honours_prefer_clean_eviction(
+    replacement, cache_kwargs, victim
+):
+    """By default the CLEAN block goes first although the DIRTY one
+    leads the sweep; without the preference the sweep order decides."""
+    env, m = _manager(replacement=replacement, **cache_kwargs)
+
+    def proc(env):
+        blocks = []
+        for i in range(2):
+            block, _ = yield from m.get_or_allocate((1, i))
+            block.make_ready()
+            blocks.append(block)
+        return blocks
+
+    dirty, clean = env.run(until=env.process(proc(env)))
+    dirty.write(0, 100, None)
+    m.note_write(dirty)
+    for block in (dirty, clean):
+        block.refbit = False
+    assert (dirty.state, clean.state) == (BlockState.DIRTY, BlockState.CLEAN)
+    assert m.select_victims(1) == [{"clean": clean, "dirty": dirty}[victim]]
 
 
 # -- in-place turns: the probe's synchronous allocation ----------------------

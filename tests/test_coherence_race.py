@@ -21,13 +21,17 @@ import types
 import pytest
 
 from repro.cache.block import BlockState
-from tests.conftest import bare_iod, make_cluster, run_app
+from tests.conftest import (
+    bare_iod,
+    check_invariants_every,
+    make_cluster,
+    run_app,
+)
 
 
-def test_pending_invalidate_discards_in_flight_fetch(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    monkeypatch.setenv("REPRO_SANITIZE_EVERY", "1")
+def test_pending_invalidate_discards_in_flight_fetch():
     cluster = make_cluster()
+    check_invariants_every(cluster, 1)
     client = cluster.client("node0")
     manager = cluster.cache_modules["node0"].manager
     metrics = cluster.metrics
@@ -62,7 +66,7 @@ def test_pending_invalidate_discards_in_flight_fetch(monkeypatch):
         assert metrics.count("cache.misses") == misses + 1
 
     run_app(cluster, app(cluster.env))
-    manager.sanitizer.check()
+    manager.check_invariants()
 
 
 def test_invalidation_fanout_order_is_hash_independent():

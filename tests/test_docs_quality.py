@@ -125,6 +125,8 @@ REMOVED = {
     "REPRO_DISK_MODEL",
     "REPRO_ENGINE_MACRO",
     "REPRO_NET_MODEL",
+    "REPRO_SANITIZE",
+    "REPRO_SANITIZE_EVERY",
 }
 
 

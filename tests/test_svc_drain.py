@@ -6,7 +6,7 @@ from repro.disk.model import DiskModel
 from repro.disk.writeback import WritebackDaemon, WritebackItem
 from repro.sim import Environment
 
-from tests.conftest import make_cluster, run_app
+from tests.conftest import check_invariants_every, make_cluster, run_app
 
 DATA = bytes(range(256)) * 64  # 16 KiB of recognisable bytes
 
@@ -111,10 +111,11 @@ def test_writeback_stop_without_drain_reports_backlog():
 
 
 @pytest.mark.usefixtures("_reset_module_counters")
-def test_drain_semantics_under_sanitizer(monkeypatch):
-    """The drain/stop paths hold up with REPRO_SANITIZE=1 checking."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
+def test_drain_semantics_hold_the_cache_invariant():
+    """The drain/stop paths keep every cache's block accounting
+    consistent, checked on every 32nd processed event."""
     cluster = make_cluster(compute_nodes=2, iod_nodes=2)
+    check_invariants_every(cluster, 32)
     _dirty_up(cluster)
     run_app(cluster, cluster.drain_node("node0"))
     assert cluster.cache_modules["node0"].manager.n_dirty == 0

@@ -1,5 +1,10 @@
 """End-to-end tests for the record/replay/transform/validate CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.config import TRACE_ENV_VAR
@@ -80,6 +85,38 @@ def test_validate_rejects_malformed_trace(tmp_path, capsys):
     bad.write_text('{"format": "repro-trace", "version": 99, "events": 0}\n')
     assert main(["validate", "--trace", str(bad)]) == 1
     assert "invalid trace" in capsys.readouterr().err
+
+
+BAD_TRACE_COMMANDS = {
+    "replay": ["repro.workload", "replay"],
+    "transform": ["repro.workload", "transform", "--time-scale", "2"],
+    "validate": ["repro.workload", "validate"],
+    "experiments": ["repro.experiments", "--quick", "--only", "fig5"],
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+@pytest.mark.parametrize("command", sorted(BAD_TRACE_COMMANDS))
+def test_a_bad_trace_file_is_one_error_line(tmp_path, command, damage):
+    """A trace that is cut short or absent ends the command with a
+    non-zero exit and a one-line reason naming the file, not a
+    traceback."""
+    trace = tmp_path / "bad.jsonl"
+    if damage == "truncated":
+        text = _record(tmp_path).read_text()
+        trace.write_text(text[: len(text) // 2])
+    module, *args = BAD_TRACE_COMMANDS[command]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", module, *args, "--trace", str(trace)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == (1 if command == "validate" else 2)
+    assert "Traceback" not in done.stderr
+    assert f"{trace}: " in done.stderr
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
