@@ -15,16 +15,11 @@ This lint walks the source tree and flags exactly those hazards:
     ``yield helper(...)`` where ``helper`` is a generator function:
     the process yields a raw generator instead of an Event (use
     ``yield from helper(...)`` or wrap it in ``env.process(...)``).
-``RPL003``
-    Mutable default argument (shared across calls).
-``RPL004``
-    Module-level mutable state with no reset hook registered via
-    :func:`repro.analysis.reset.register_reset` — such state leaks
-    between tests and across sweep points.
 ``RPL005``
-    Bare ``except:`` anywhere; or ``except BaseException`` /
-    ``except GeneratorExit`` inside a generator function without a
-    re-raise — swallowing ``GeneratorExit`` breaks ``Process.kill``.
+    ``except BaseException`` / ``except GeneratorExit`` inside a
+    generator function without a re-raise — swallowing
+    ``GeneratorExit`` breaks ``Process.kill``.  (Bare ``except:`` and
+    mutable defaults are ruff's ``E722`` and ``B006``.)
 ``RPL006``
     Direct ``heapq`` import outside ``repro.sim``: the event queue is
     a seam (due deques + one heap, DESIGN.md §14), and code that
@@ -58,31 +53,6 @@ import dataclasses
 import re
 import typing as _t
 from pathlib import Path
-
-#: Calls producing a fresh mutable object when seen in a default or a
-#: module-level assignment.
-_MUTABLE_CALL_NAMES = frozenset(
-    {
-        "list",
-        "dict",
-        "set",
-        "bytearray",
-        "deque",
-        "defaultdict",
-        "OrderedDict",
-        "Counter",
-        "count",
-    }
-)
-
-_MUTABLE_LITERALS = (
-    ast.List,
-    ast.Dict,
-    ast.Set,
-    ast.ListComp,
-    ast.DictComp,
-    ast.SetComp,
-)
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9,\s]+))?", re.I)
 
@@ -247,65 +217,6 @@ def _suppressed(lines: list[str], finding: Finding) -> bool:
     return finding.code in wanted
 
 
-def _is_mutable_value(node: ast.AST) -> bool:
-    """Does evaluating ``node`` build a fresh mutable container?"""
-    if isinstance(node, _MUTABLE_LITERALS):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        return name in _MUTABLE_CALL_NAMES
-    return False
-
-
-def _registered_reset_names(tree: ast.Module) -> set[str]:
-    """Names whose reset is registered via ``register_reset``.
-
-    Covers both direct arguments (``register_reset(fn)`` /
-    decorator form) and the globals those hook functions rebind.
-    """
-    def _callable_name(node: ast.expr) -> str | None:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return None
-
-    hook_fn_names: set[str] = set()
-    direct: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if _callable_name(node.func) == "register_reset":
-                for arg in node.args:
-                    for name_node in ast.walk(arg):
-                        if isinstance(name_node, ast.Name):
-                            direct.add(name_node.id)
-                            hook_fn_names.add(name_node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for deco in node.decorator_list:
-                if _callable_name(deco) == "register_reset":
-                    hook_fn_names.add(node.name)
-    # Globals rebound by the registered hook functions.
-    rebound: set[str] = set()
-    for node in tree.body:
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name in hook_fn_names
-        ):
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Global):
-                    rebound.update(inner.names)
-                elif isinstance(inner, ast.Assign):
-                    for target in inner.targets:
-                        if isinstance(target, ast.Name):
-                            rebound.add(target.id)
-    return direct | rebound
-
-
 class _ModuleLinter(ast.NodeVisitor):
     """Pass 2: walk one module and emit findings."""
 
@@ -351,7 +262,6 @@ class _ModuleLinter(ast.NodeVisitor):
     def _visit_function(
         self, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
-        self._check_mutable_defaults(node)
         self._function_stack.append(_is_generator_fn(node))
         self.generic_visit(node)
         self._function_stack.pop()
@@ -386,32 +296,9 @@ class _ModuleLinter(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
-    # -- RPL003 ----------------------------------------------------------
-    def _check_mutable_defaults(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if _is_mutable_value(default):
-                self._emit(
-                    default,
-                    "RPL003",
-                    f"mutable default argument in {node.name}() is "
-                    "shared across calls",
-                )
-
     # -- RPL005 ----------------------------------------------------------
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._emit(
-                node,
-                "RPL005",
-                "bare 'except:' catches GeneratorExit and breaks "
-                "Process.kill (name the exceptions)",
-            )
-        elif self._function_stack and self._function_stack[-1]:
+        if node.type is not None and self._function_stack[-1:] == [True]:
             caught = self._caught_names(node.type)
             if caught & {"BaseException", "GeneratorExit"}:
                 if not any(
@@ -458,40 +345,6 @@ class _ModuleLinter(ast.NodeVisitor):
         "schedule via Environment instead"
     )
 
-    # -- RPL004 ----------------------------------------------------------
-    def check_module_state(self) -> None:
-        registered = _registered_reset_names(self.info.tree)
-        for node in self.info.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.AST | None = None
-            annotation: ast.AST | None = None
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-                value = node.value
-                annotation = node.annotation
-            if value is None or not _is_mutable_value(value):
-                continue
-            if annotation is not None and "Final" in ast.dump(annotation):
-                continue
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                name = target.id
-                if name.startswith("__") or name.isupper():
-                    continue  # dunder / constant-by-convention
-                if name in registered:
-                    continue
-                self._emit(
-                    node,
-                    "RPL004",
-                    f"module-level mutable state {name!r} has no "
-                    "registered test-reset hook (see "
-                    "repro.analysis.reset.register_reset)",
-                )
-
 
 def _iter_py_files(paths: _t.Sequence[Path]) -> list[Path]:
     files: list[Path] = []
@@ -525,7 +378,6 @@ def lint_paths(paths: _t.Sequence[Path]) -> list[Finding]:
     for _key, info in infos:
         linter = _ModuleLinter(index, info)
         linter.visit(info.tree)
-        linter.check_module_state()
         linter.check_heapq_imports()
         findings.extend(
             f

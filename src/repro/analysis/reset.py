@@ -1,53 +1,13 @@
-"""Registry of test-reset hooks for module-level mutable state.
+"""A no-op left for the benchmark harness.
 
-The simulator is deterministic *per environment*, but a handful of
-module-global counters (message ids, connection ids) survive across
-environments, which makes observed ids depend on what ran earlier in
-the host process.  Any module that keeps such state registers a reset
-hook here; the test suite calls :func:`reset_all` between tests, and
-the custom lint (:mod:`repro.analysis.lint`, rule RPL004) flags
-module-level mutable state that is *not* registered.
-
-Usage, in the module owning the state::
-
-    from repro.analysis.reset import register_reset
-
-    _msg_ids = itertools.count(1)
-
-    def _reset_ids() -> None:
-        global _msg_ids
-        _msg_ids = itertools.count(1)
-
-    register_reset(_reset_ids)
+Message ids, the one per-run identity the simulator issues, are drawn
+from the run's :class:`~repro.sim.Environment`
+(:meth:`~repro.sim.Environment.next_msg_id`), so no module-level state
+outlives a run and nothing needs resetting between runs.
+``bench/passes.py`` still imports and calls :func:`reset_all`; delete
+this module together with those calls.
 """
-
-from __future__ import annotations
-
-import typing as _t
-
-#: Registered hooks, in registration order.  Registration order is
-#: import order, which is deterministic for a fixed test selection.
-#: (The registry itself is the reset root, hence the lint whitelist.)
-_hooks: list[_t.Callable[[], None]] = []  # noqa: RPL004
-
-
-def register_reset(hook: _t.Callable[[], None]) -> _t.Callable[[], None]:
-    """Register ``hook`` to run on :func:`reset_all`.
-
-    Returns the hook so it can be used as a decorator.  Registering
-    the same function object twice is a no-op.
-    """
-    if hook not in _hooks:
-        _hooks.append(hook)
-    return hook
 
 
 def reset_all() -> None:
-    """Run every registered reset hook (test isolation point)."""
-    for hook in _hooks:
-        hook()
-
-
-def registered_hooks() -> tuple[_t.Callable[[], None], ...]:
-    """Snapshot of the registered hooks (inspection helper)."""
-    return tuple(_hooks)
+    """Do nothing: there is no module-level run state to reset."""

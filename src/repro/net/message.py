@@ -3,21 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing as _t
 
-from repro.analysis.reset import register_reset
-
-_msg_ids = itertools.count(1)
-
-
-def _reset_msg_ids() -> None:
-    """Test-reset hook: message ids restart at 1 (see RPL004)."""
-    global _msg_ids
-    _msg_ids = itertools.count(1)
-
-
-register_reset(_reset_msg_ids)
+if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim import Environment
 
 
 @dataclasses.dataclass
@@ -36,8 +25,9 @@ class Message:
     src: str = ""
     dst: str = ""
     payload: _t.Any = None
-    #: Correlation id for request/response matching.
-    msg_id: int = dataclasses.field(default_factory=lambda: next(_msg_ids))
+    #: Correlation id for request/response matching; 0 until the
+    #: first sender draws one from its run (:meth:`stamp`).
+    msg_id: int = 0
     reply_to: int | None = None
 
     #: Fixed protocol header charged on every message (TCP/IP + PVFS
@@ -48,6 +38,12 @@ class Message:
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
             raise ValueError(f"negative message size {self.size_bytes}")
+
+    def stamp(self, env: "Environment") -> int:
+        """This message's id, drawn from ``env`` on the first call."""
+        if not self.msg_id:
+            self.msg_id = env.next_msg_id()
+        return self.msg_id
 
     @property
     def wire_bytes(self) -> int:

@@ -88,6 +88,7 @@ class Network:
         enqueued at the receiver; yield it for a blocking send.
         """
         inbox = self.endpoint(message.dst, dst_port)  # fail fast
+        message.stamp(self.env)
         return self.deliver(message, inbox)
 
     def deliver(self, message: Message, inbox: Store) -> Event:

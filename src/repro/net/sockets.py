@@ -16,24 +16,11 @@ iod daemon on the very same node (loopback).
 
 from __future__ import annotations
 
-import itertools
 import typing as _t
 
-from repro.analysis.reset import register_reset
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim import Environment, Event, Lock, Process, Store
-
-_conn_ids = itertools.count(1)
-
-
-def _reset_conn_ids() -> None:
-    """Test-reset hook: connection ids restart at 1 (see RPL004)."""
-    global _conn_ids
-    _conn_ids = itertools.count(1)
-
-
-register_reset(_reset_conn_ids)
 
 CLIENT = "client"
 SERVER = "server"
@@ -85,7 +72,7 @@ class Endpoint:
         return len(self.conn._inbox[self.role])
 
     def __repr__(self) -> str:
-        return f"<Endpoint {self.role}@{self.node} of conn #{self.conn.conn_id}>"
+        return f"<Endpoint {self.role}@{self.node} to {self.peer_node}>"
 
 
 class Connection:
@@ -98,7 +85,6 @@ class Connection:
         self.env: Environment = network.env
         self.client_node = client_node
         self.server_node = server_node
-        self.conn_id = next(_conn_ids)
         self._inbox: dict[str, Store] = {
             CLIENT: Store(self.env),
             SERVER: Store(self.env),
@@ -115,6 +101,7 @@ class Connection:
         if self.closed:
             raise RuntimeError("send on closed connection")
         to_role = SERVER if from_role == CLIENT else CLIENT
+        message.stamp(self.env)
         message.src = self.client_node if from_role == CLIENT else self.server_node
         message.dst = self.client_node if to_role == CLIENT else self.server_node
         inbox = self._inbox[to_role]
@@ -146,8 +133,7 @@ class Connection:
 
     def __repr__(self) -> str:
         return (
-            f"<Connection #{self.conn_id} "
-            f"{self.client_node}<->{self.server_node}>"
+            f"<Connection {self.client_node}<->{self.server_node}>"
         )
 
 

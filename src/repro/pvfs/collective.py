@@ -99,6 +99,7 @@ class CollectiveGroup:
         message = Message(
             kind=SHUFFLE_MSG, size_bytes=nbytes, src=src, dst=dst
         )
+        message.stamp(self.cluster.env)
         yield self.cluster.env.process(
             self.cluster.network._transmit(message, self._mailboxes[receiver])
         )

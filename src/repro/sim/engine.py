@@ -61,6 +61,7 @@ class Environment:
         "_step_hooks",
         "_trace",
         "svc_bus",
+        "_msg_ids",
         # -- queue components ---------------------------------------
         "_due",
         "_due_urgent",
@@ -83,6 +84,8 @@ class Environment:
         #: Lives on the environment so every service sharing a clock
         #: also shares one bus, without global registries.
         self.svc_bus: _t.Any = None
+        #: Last message id issued (see :meth:`next_msg_id`).
+        self._msg_ids = 0
         #: Monotone tiebreaker, bumped inline on every push (an int
         #: increment is measurably cheaper than itertools.count on the
         #: hot scheduling path).
@@ -127,6 +130,15 @@ class Environment:
     def active_process(self) -> Process | None:
         """The process currently executing, if any."""
         return self._active_process
+
+    def next_msg_id(self) -> int:
+        """A message id unique within this run; the first is 1.
+
+        Ids belong to the run, not the process: two runs of one
+        (config, seed) name their messages alike, whatever ran before.
+        """
+        self._msg_ids += 1
+        return self._msg_ids
 
     # -- factories -------------------------------------------------------
     def event(self) -> Event:

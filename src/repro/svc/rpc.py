@@ -18,27 +18,14 @@ an answer that will never come.
 
 from __future__ import annotations
 
-import itertools
 import typing as _t
 
-from repro.analysis.reset import register_reset
 from repro.net.message import Message
 from repro.net.sockets import Endpoint
 from repro.sim import Store
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
-
-_channel_ids = itertools.count(1)
-
-
-def _reset_channel_ids() -> None:
-    """Test-reset hook: channel ids restart at 1 (see RPL004)."""
-    global _channel_ids
-    _channel_ids = itertools.count(1)
-
-
-register_reset(_reset_channel_ids)
 
 
 class PendingCallLeak(RuntimeError):
@@ -97,10 +84,10 @@ class Call:
 class RpcChannel:
     """Correlates responses on a shared connection endpoint."""
 
-    def __init__(self, endpoint: Endpoint, label: str | None = None) -> None:
+    def __init__(self, endpoint: Endpoint, label: str) -> None:
         self.endpoint = endpoint
         self.env = endpoint.env
-        self.label = label if label is not None else f"ch{next(_channel_ids)}"
+        self.label = label
         self._calls: dict[int, Call] = {}
         #: Responses that matched no registered call (protocol bugs
         #: surface here instead of hanging the simulation).
@@ -124,8 +111,9 @@ class RpcChannel:
         ``timeout_s`` set, ``on_timeout`` (if any) runs when the
         deadline passes before the first response.
         """
-        call = Call(self, message.msg_id, message.kind)
-        self._calls[message.msg_id] = call
+        msg_id = message.stamp(self.env)
+        call = Call(self, msg_id, message.kind)
+        self._calls[msg_id] = call
         self.endpoint.send(message)
         if timeout_s is not None:
             call._arm_timeout(timeout_s, on_timeout)

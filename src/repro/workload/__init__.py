@@ -24,6 +24,7 @@ from repro.workload.pattern import AccessPattern
 from repro.workload.record import TraceRecorder
 from repro.workload.replay import (
     TraceReplayer,
+    fig4_point_trace_hash,
     record_microbench_trace,
     replay_trace_hash,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "TraceRecorder",
     "TraceReplayer",
     "classify_trace",
+    "fig4_point_trace_hash",
     "record_microbench_trace",
     "replay_trace_hash",
     "run_instances",

@@ -25,6 +25,7 @@ Timing modes:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import typing as _t
 
@@ -135,23 +136,27 @@ class TraceReplayer:
 
 
 # -- picklable sweep/CLI entry points --------------------------------------
-def record_microbench_trace(
-    d: int = 4096,
-    mode: str = "read",
-    p: int = 2,
-    iterations: int = 8,
-    seed: int = 1234,
-) -> str:
-    """Record one fig4-style microbench run; returns JSONL trace text.
+@contextlib.contextmanager
+def _trace_hashing() -> _t.Iterator[None]:
+    """Environments built inside the block hash their schedules."""
+    from repro.sim.engine import TRACE_HASH_ENV_VAR
 
-    Mirrors :func:`repro.analysis.determinism.fig4_point_trace_hash`'s
-    cluster/benchmark shape so the recorded trace corresponds to the
-    determinism suite's reference point.  Top-level and
-    string-in/string-out, so it is picklable for the parallel sweep.
-    """
+    previous = os.environ.get(TRACE_HASH_ENV_VAR)
+    os.environ[TRACE_HASH_ENV_VAR] = "1"
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(TRACE_HASH_ENV_VAR, None)
+        else:
+            os.environ[TRACE_HASH_ENV_VAR] = previous
+
+
+def _fig4_point(d: int, mode: str, p: int, iterations: int, seed: int):
+    """The cluster and micro-benchmark one quick fig4 point runs
+    (caching on, locality 0): ``(config, [params])``."""
     from repro.cluster.config import ClusterConfig
     from repro.workload.microbench import MicroBenchParams
-    from repro.workload.runner import run_instances
 
     config = ClusterConfig(compute_nodes=p, iod_nodes=p, caching=True)
     params = MicroBenchParams(
@@ -163,7 +168,45 @@ def record_microbench_trace(
         partition_bytes=2 * 2**20,
         seed=seed,
     )
-    outcome = run_instances(config, [params], record=True)
+    return config, [params]
+
+
+def fig4_point_trace_hash(
+    d: int = 4096,
+    mode: str = "read",
+    p: int = 2,
+    iterations: int = 8,
+    seed: int = 1234,
+) -> str:
+    """BLAKE2b schedule hash of one quick fig4 point.
+
+    Identical arguments must produce identical digests — in this
+    process, across processes, and through the parallel sweep runner.
+    Top-level so it is picklable.
+    """
+    from repro.workload.runner import run_instances
+
+    with _trace_hashing():
+        outcome = run_instances(*_fig4_point(d, mode, p, iterations, seed))
+    return outcome.cluster.env.trace_hash()
+
+
+def record_microbench_trace(
+    d: int = 4096,
+    mode: str = "read",
+    p: int = 2,
+    iterations: int = 8,
+    seed: int = 1234,
+) -> str:
+    """Record the run :func:`fig4_point_trace_hash` hashes; returns
+    JSONL trace text.  Top-level and string-in/string-out, so it is
+    picklable for the parallel sweep.
+    """
+    from repro.workload.runner import run_instances
+
+    outcome = run_instances(
+        *_fig4_point(d, mode, p, iterations, seed), record=True
+    )
     assert outcome.trace is not None
     return outcome.trace.dumps()
 
@@ -183,13 +226,10 @@ def replay_trace_hash(
     """
     from repro.cluster.cluster import Cluster
     from repro.cluster.config import ClusterConfig
-    from repro.sim.engine import TRACE_HASH_ENV_VAR
     from repro.workload.trace import loads
 
     trace = loads(trace_text)
-    previous = os.environ.get(TRACE_HASH_ENV_VAR)
-    os.environ[TRACE_HASH_ENV_VAR] = "1"
-    try:
+    with _trace_hashing():
         cluster = Cluster(
             ClusterConfig(
                 compute_nodes=compute_nodes,
@@ -200,9 +240,4 @@ def replay_trace_hash(
         TraceReplayer(
             cluster, trace, preserve_timing=preserve_timing
         ).run()
-    finally:
-        if previous is None:
-            os.environ.pop(TRACE_HASH_ENV_VAR, None)
-        else:
-            os.environ[TRACE_HASH_ENV_VAR] = previous
     return cluster.env.trace_hash()

@@ -9,9 +9,6 @@ import typing as _t
 import hypothesis
 import pytest
 
-import repro.net.message  # noqa: F401  (registers its reset hook)
-import repro.net.sockets  # noqa: F401  (registers its reset hook)
-from repro.analysis.reset import reset_all
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
 from repro.pvfs.directory import SharerDirectory
@@ -22,22 +19,6 @@ from repro.pvfs.iod import Iod
 # shared runner to miss.
 hypothesis.settings.register_profile("ci", derandomize=True, deadline=None)
 hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
-
-
-@pytest.fixture(autouse=True)
-def _reset_module_counters():
-    """Reset registered module-level state between tests.
-
-    Message and connection ids are drawn from module-global
-    ``itertools.count`` objects, so without this a test's observed ids
-    depend on which tests ran before it — assertions on ids (and
-    golden outputs embedding them) would be order-dependent.  Every
-    module owning such state registers a hook with
-    :mod:`repro.analysis.reset` (enforced by lint rule RPL004), so one
-    ``reset_all()`` covers them all.
-    """
-    reset_all()
-    yield
 
 
 def make_cluster(

@@ -7,10 +7,6 @@ suppression works).  Keep the hazards, they are the point.
 
 import heapq  # RPL006: timestamp heap outside repro.sim
 
-shared_registry = {}  # RPL004: mutable module state, no reset hook
-
-suppressed_registry = []  # noqa: RPL004 -- proves suppression works
-
 
 def helper_steps(env):
     """A yielding helper (generator function)."""
@@ -18,20 +14,11 @@ def helper_steps(env):
     return 42
 
 
-def mutable_default(values=[]):  # RPL003: shared across calls
-    """Classic mutable-default hazard."""
-    values.append(1)
-    return values
-
-
 def run(env):
-    """Misuses of the yielding helper plus a bare except."""
+    """Misuses of the yielding helper."""
     helper_steps(env)  # RPL001: generator built and discarded
+    helper_steps(env)  # noqa: RPL001 -- proves suppression works
     yield helper_steps(env)  # RPL002: yields a raw generator
-    try:
-        yield env.timeout(1.0)
-    except:  # RPL005: bare except swallows GeneratorExit
-        pass
 
 
 def swallows_kill(env):

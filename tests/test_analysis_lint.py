@@ -11,7 +11,7 @@ from repro.analysis.lint import lint_paths, main
 FIXTURE = Path(__file__).parent / "data" / "lint_fixture.py"
 SRC_TREE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-ALL_CODES = {"RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006"}
+ALL_CODES = {"RPL001", "RPL002", "RPL005", "RPL006"}
 
 
 def test_fixture_trips_every_rule():
@@ -36,34 +36,15 @@ def test_findings_point_at_the_hazard_lines():
 
 
 def test_noqa_suppresses():
-    findings = [f for f in lint_paths([FIXTURE]) if f.code == "RPL004"]
-    # 'shared_registry' is flagged; 'suppressed_registry' carries a noqa
+    findings = [f for f in lint_paths([FIXTURE]) if f.code == "RPL001"]
+    # 'helper_steps(env)' is flagged once; the second carries a noqa
     assert len(findings) == 1
-    assert "shared_registry" in findings[0].message
+    assert "helper_steps" in findings[0].message
 
 
 def test_source_tree_is_clean(capsys):
     assert main([str(SRC_TREE)]) == 0
     assert "clean" in capsys.readouterr().out
-
-
-def test_registered_reset_hook_satisfies_rpl004(tmp_path):
-    good = tmp_path / "good.py"
-    good.write_text(
-        "import itertools\n"
-        "from repro.analysis.reset import register_reset\n"
-        "\n"
-        "_ids = itertools.count(1)\n"
-        "\n"
-        "\n"
-        "def _reset_ids():\n"
-        "    global _ids\n"
-        "    _ids = itertools.count(1)\n"
-        "\n"
-        "\n"
-        "register_reset(_reset_ids)\n"
-    )
-    assert lint_paths([good]) == []
 
 
 def test_plain_helper_statement_not_flagged(tmp_path):

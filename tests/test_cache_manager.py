@@ -528,13 +528,10 @@ def test_in_place_turns_are_schedule_neutral(scenario, monkeypatch):
     """The same run with every in-place turn refused: same schedule
     hash, event count, depth high-water mark and Metrics, counter by
     counter."""
-    from repro.analysis.reset import reset_all
-
     monkeypatch.setenv("REPRO_TRACE_HASH", "1")
     with_turns = scenario()
     assert with_turns.env.sched_stats()["turns_in_place"] > 0
     monkeypatch.setattr(Environment, "take_turn", lambda self, kind: False)
-    reset_all()  # message and connection ids restart, as in a new process
     without = scenario()
     assert without.env.sched_stats()["turns_in_place"] == 0
     assert _footprint(with_turns) == _footprint(without)
@@ -696,8 +693,6 @@ def test_runs_are_schedule_neutral(scenario, must_end_on, monkeypatch):
     """The same run with every probe and eviction a run of one: same
     schedule hash, event count, in-place turns, depth high-water mark
     and Metrics, counter by counter."""
-    from repro.analysis.reset import reset_all
-
     monkeypatch.setenv("REPRO_TRACE_HASH", "1")
     ends = _record_run_ends(monkeypatch, BufferManager.probe)
     runs = scenario()
@@ -707,7 +702,6 @@ def test_runs_are_schedule_neutral(scenario, must_end_on, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setenv("REPRO_TRACE_HASH", "1")
     _record_run_ends(monkeypatch, _runs_of_one(monkeypatch))
-    reset_all()  # message and connection ids restart, as in a new process
     blocks = scenario()
     assert blocks.env.sched_stats()["turns_in_place"] == turns
     assert _footprint(runs) == _footprint(blocks)

@@ -15,24 +15,25 @@ import pathlib
 import subprocess
 import sys
 
-from repro.analysis.determinism import fig4_point_trace_hash, traced_run
 from repro.experiments import parallel
 from repro.sim import Environment
+from repro.workload.replay import fig4_point_trace_hash, replay_trace_hash
 from tests.test_iod_directory import PINNED_SCENARIO
+from tests.test_mgr_shards import make_trace
 
 
 def test_engine_trace_hash_is_deterministic():
-    def run(env):
+    def run():
         def ticker(env):
             for _ in range(10):
                 yield env.timeout(0.5)
 
-        proc = env.process(ticker(env), name="ticker")
-        return env.run(until=proc)
+        env = Environment()
+        env.enable_trace_hash()
+        env.run(until=env.process(ticker(env), name="ticker"))
+        return env.trace_hash()
 
-    _, first = traced_run(run, Environment())
-    _, second = traced_run(run, Environment())
-    assert first == second
+    assert run() == run()
 
 
 def test_quick_fig4_point_same_seed_same_hash():
@@ -55,6 +56,26 @@ def test_parallel_sweep_reproduces_serial_schedule(monkeypatch):
         [point, point], fig4_point_trace_hash, max_workers=2
     )
     assert hashes == [serial, serial]
+
+
+#: A 4-process replay point on 4 x 4 nodes: message ids reach process
+#: names, so its schedule shows whether they belong to the run.
+REPLAY_POINT = (make_trace().dumps(), 4, 4)
+
+
+def test_replay_hash_repeats_in_one_process():
+    """Nothing a run issues outlives it: the same replay, twice in one
+    process with nothing reset between, has one schedule."""
+    assert replay_trace_hash(*REPLAY_POINT) == replay_trace_hash(*REPLAY_POINT)
+
+
+def test_parallel_replay_sweep_matches_serial_at_every_point(monkeypatch):
+    """Two workers, two points each: a worker's second point must not
+    see what its first one issued."""
+    serial = replay_trace_hash(*REPLAY_POINT)
+    monkeypatch.delenv(parallel.WORKERS_ENV_VAR, raising=False)
+    hashes = parallel.sweep([REPLAY_POINT] * 4, replay_trace_hash, max_workers=2)
+    assert hashes == [serial] * 4
 
 
 #: Prints ``_coherent_scenario()`` as one JSON line.

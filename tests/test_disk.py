@@ -3,7 +3,7 @@ schedule pins through the full cluster stack."""
 
 import pytest
 
-from repro.analysis.determinism import fig4_point_trace_hash
+from repro.workload.replay import fig4_point_trace_hash
 from repro.disk import DiskModel, LocalFileStore, PageCache
 from repro.disk.filesystem import blocks_spanned, slice_for_block
 from repro.sim import Environment

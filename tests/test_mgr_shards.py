@@ -9,7 +9,6 @@ sequence, bit-identical schedule hashes.
 
 import pytest
 
-from repro.analysis.reset import reset_all
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import (
     MGR_SHARDS_ENV_VAR,
@@ -67,7 +66,6 @@ def small_config(**overrides) -> ClusterConfig:
 
 def replay_hash(config: ClusterConfig, trace: Trace) -> str:
     """Schedule hash of a serial closed-loop replay of ``trace``."""
-    reset_all()  # message/connection ids reach process names
     env = Environment()
     env.enable_trace_hash()
     TraceReplayer(Cluster(config, env=env), trace).run()

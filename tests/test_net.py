@@ -26,14 +26,44 @@ def test_message_negative_size_rejected():
         Message(kind="x", size_bytes=-1)
 
 
-def test_message_ids_unique():
-    a = Message(kind="x", size_bytes=0)
-    b = Message(kind="x", size_bytes=0)
-    assert a.msg_id != b.msg_id
+def test_message_ids_belong_to_the_run():
+    """Messages sent in one run get distinct ids from 1 up, in send
+    order (the first sender draws it, replies included); a fresh
+    Environment starts again at 1, whatever ran before it."""
+
+    def run():
+        env = Environment()
+        client, server = _connected_pair(env, Network(env))
+        sent = []
+
+        def cli(env):
+            for kind in ("a", "b", "c"):
+                msg = Message(kind=kind, size_bytes=1)
+                assert msg.msg_id == 0  # not drawn until sent
+                sent.append(msg)
+                yield client.send(msg)
+                yield client.recv()
+
+        def srv(env):
+            while True:
+                msg = yield server.recv()
+                reply = msg.reply("ack", 1)
+                sent.append(reply)
+                yield server.send(reply)
+
+        env.process(srv(env))
+        env.run(until=env.process(cli(env)))
+        return [msg.msg_id for msg in sent], [msg.reply_to for msg in sent]
+
+    ids, reply_to = run()
+    assert ids == list(range(1, 7))
+    assert [i for i in reply_to if i is not None] == [1, 3, 5]
+    assert run() == (ids, reply_to)
 
 
 def test_message_reply_correlates():
     req = Message(kind="read", size_bytes=10, src="n1", dst="n2")
+    req.stamp(Environment())
     resp = req.reply("data", 4096, payload=b"abc")
     assert resp.reply_to == req.msg_id
     assert resp.src == "n2" and resp.dst == "n1"

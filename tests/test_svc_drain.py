@@ -1,7 +1,5 @@
 """Drain semantics: drain() then kill loses nothing; bare stop() reports it."""
 
-import pytest
-
 from repro.disk.model import DiskModel
 from repro.disk.writeback import WritebackDaemon, WritebackItem
 from repro.sim import Environment
@@ -110,7 +108,6 @@ def test_writeback_stop_without_drain_reports_backlog():
     assert report.total_dropped > 0
 
 
-@pytest.mark.usefixtures("_reset_module_counters")
 def test_drain_semantics_hold_the_cache_invariant():
     """The drain/stop paths keep every cache's block accounting
     consistent, checked on every 32nd processed event."""

@@ -86,7 +86,7 @@ def test_out_of_order_responses_with_timeouts_armed():
     env = Environment()
     net = Network(env)
     client, server = _pair(env, net)
-    channel = RpcChannel(client)
+    channel = RpcChannel(client, label="test")
     got = {}
 
     def cli(env):
@@ -119,7 +119,7 @@ def test_timeout_hook_fires_for_silent_server():
     env = Environment()
     net = Network(env)
     client, _server = _pair(env, net)
-    channel = RpcChannel(client)
+    channel = RpcChannel(client, label="test")
     fired = []
 
     call = channel.call(
@@ -139,7 +139,7 @@ def test_timeout_hook_suppressed_after_first_response():
     env = Environment()
     net = Network(env)
     client, server = _pair(env, net)
-    channel = RpcChannel(client)
+    channel = RpcChannel(client, label="test")
     fired = []
 
     def srv(env):
@@ -184,7 +184,7 @@ def test_lenient_close_discards_pending_calls():
     env = Environment()
     net = Network(env)
     client, _server = _pair(env, net)
-    channel = RpcChannel(client)
+    channel = RpcChannel(client, label="test")
     channel.call(Message(kind="dropped", size_bytes=10))
     env.run()
     channel.close()  # strict=False: no raise

@@ -294,7 +294,7 @@ def test_run_instances_record_returns_trace():
 def test_recording_does_not_perturb_the_schedule():
     """The bus tap must be schedule-neutral: a recorded run keeps the
     unrecorded run's exact BLAKE2b schedule hash."""
-    from repro.analysis.determinism import fig4_point_trace_hash
+    from repro.workload.replay import fig4_point_trace_hash
     from repro.sim.engine import TRACE_HASH_ENV_VAR
     from repro.workload.microbench import MicroBenchParams
 

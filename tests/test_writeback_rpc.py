@@ -195,7 +195,7 @@ def test_rpc_correlates_out_of_order_responses():
     env = Environment()
     net = Network(env)
     client, server = _pair(env, net)
-    channel = RpcChannel(client)
+    channel = RpcChannel(client, label="test")
     got = {}
 
     def cli(env):
@@ -225,7 +225,7 @@ def test_rpc_multiple_responses_per_call():
     env = Environment()
     net = Network(env)
     client, server = _pair(env, net)
-    channel = RpcChannel(client)
+    channel = RpcChannel(client, label="test")
     kinds = []
 
     def cli(env):
@@ -250,7 +250,7 @@ def test_rpc_orphan_responses_counted():
     env = Environment()
     net = Network(env)
     client, server = _pair(env, net)
-    channel = RpcChannel(client)
+    channel = RpcChannel(client, label="test")
 
     def srv(env):
         # unsolicited response correlated to nothing
