@@ -15,7 +15,7 @@ USAGE = """\
 usage: python -m repro.analysis lint [paths...]
 
 subcommands:
-  lint    run the sim-aware AST lint (RPL001-RPL006) over the given
+  lint    run the sim-aware AST lint (RPL005) over the given
           files/directories (default: the repro source tree)
 """
 

@@ -61,7 +61,7 @@ class Environment:
         "_step_hooks",
         "_trace",
         "svc_bus",
-        "_msg_ids",
+        "_last_msg_id",
         # -- queue components ---------------------------------------
         "_due",
         "_due_urgent",
@@ -85,7 +85,7 @@ class Environment:
         #: also shares one bus, without global registries.
         self.svc_bus: _t.Any = None
         #: Last message id issued (see :meth:`next_msg_id`).
-        self._msg_ids = 0
+        self._last_msg_id = 0
         #: Monotone tiebreaker, bumped inline on every push (an int
         #: increment is measurably cheaper than itertools.count on the
         #: hot scheduling path).
@@ -137,8 +137,8 @@ class Environment:
         Ids belong to the run, not the process: two runs of one
         (config, seed) name their messages alike, whatever ran before.
         """
-        self._msg_ids += 1
-        return self._msg_ids
+        self._last_msg_id += 1
+        return self._last_msg_id
 
     # -- factories -------------------------------------------------------
     def event(self) -> Event:

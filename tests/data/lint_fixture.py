@@ -1,24 +1,10 @@
 """Seeded lint fixture: every RPL rule must fire on this file.
 
 Never imported at runtime — :mod:`tests.test_analysis_lint` parses it
-to prove the custom lint catches each hazard class (and that ``noqa``
-suppression works).  Keep the hazards, they are the point.
+to prove the custom lint catches each hazard (and that ``noqa``
+suppression works).  Keep the hazards, they are the point.  Lines that
+must *not* be flagged carry no code: any finding there fails the test.
 """
-
-import heapq  # RPL006: timestamp heap outside repro.sim
-
-
-def helper_steps(env):
-    """A yielding helper (generator function)."""
-    yield env.timeout(1.0)
-    return 42
-
-
-def run(env):
-    """Misuses of the yielding helper."""
-    helper_steps(env)  # RPL001: generator built and discarded
-    helper_steps(env)  # noqa: RPL001 -- proves suppression works
-    yield helper_steps(env)  # RPL002: yields a raw generator
 
 
 def swallows_kill(env):
@@ -27,3 +13,25 @@ def swallows_kill(env):
         yield env.timeout(1.0)
     except GeneratorExit:  # RPL005: no re-raise
         pass
+
+
+def swallows_kill_knowingly(env):
+    try:
+        yield env.timeout(1.0)
+    except BaseException:  # noqa: RPL005 -- proves suppression works
+        pass
+
+
+def cleans_up_and_reraises(env, log):
+    try:
+        yield env.timeout(1.0)
+    except (GeneratorExit, ValueError):
+        log.append("killed")
+        raise
+
+
+def plain_function(log):
+    try:
+        log.append(1)
+    except BaseException:
+        log.append("no generator, no kill")

@@ -26,7 +26,7 @@ def test_message_negative_size_rejected():
         Message(kind="x", size_bytes=-1)
 
 
-def test_message_ids_belong_to_the_run():
+def test_message_ids_unique():
     """Messages sent in one run get distinct ids from 1 up, in send
     order (the first sender draws it, replies included); a fresh
     Environment starts again at 1, whatever ran before it."""
