@@ -20,6 +20,7 @@ from repro.net import Message
 from repro.pvfs import protocol
 from repro.pvfs.protocol import FlushBatch, FlushEntry
 from repro.pvfs.striping import StripeLayout
+from repro.sim import Event
 from repro.svc import Service
 
 
@@ -50,9 +51,12 @@ class Flusher(Service):
         self.period_s = period_s
         self.flush_port = flush_port
         self._flush_pool = self.pool(flush_port, label=self.name)
-        #: Blocks whose dirty data is on the wire right now; a second
-        #: flush request for them is skipped (no duplicate shipping).
-        self._inflight: set[CacheBlock] = set()
+        #: Blocks whose dirty data is on the wire right now, each to
+        #: its batch's done event: a second flush request for them is
+        #: skipped (no duplicate shipping), and a ``sync_write`` waits
+        #: for the event before it writes through, so the batch's
+        #: older bytes cannot land at the iod after its own.
+        self._inflight: dict[CacheBlock, Event] = {}
         #: Hook: called whenever blocks become clean (the harvester
         #: wires its wake() here so evictions pipeline with flushing).
         self.on_clean: _t.Callable[[], None] | None = None
@@ -112,6 +116,7 @@ class Flusher(Service):
         """
         per_iod_frags: dict[str, list[tuple[int, int, int, bytes | None]]] = {}
         per_iod_caps: dict[str, list[tuple[CacheBlock, int]]] = {}
+        per_iod_done: dict[str, Event] = {}
         # Snapshot-and-register must not be interleaved: a yield in
         # this loop would let a racing write (or the harvester) change
         # the dirty set between the epoch capture and the in-flight
@@ -139,7 +144,10 @@ class Flusher(Service):
             per_iod_caps.setdefault(iod_node, []).append(
                 (block, block.dirty_epoch)
             )
-            self._inflight.add(block)
+            done = per_iod_done.get(iod_node)
+            if done is None:
+                done = per_iod_done[iod_node] = self.env.event()
+            self._inflight[block] = done
         if not per_iod_frags:
             return []
         waiters = []
@@ -164,14 +172,16 @@ class Flusher(Service):
             )
             waiters.append(
                 self.env.process(
-                    self._await_batch(call, per_iod_caps[iod_node]),
+                    self._await_batch(
+                        call, per_iod_caps[iod_node], per_iod_done[iod_node]
+                    ),
                     name=f"flush-ack-{self.node.name}-{iod_node}",
                 )
             )
         return waiters
 
     def _await_batch(
-        self, call, captured: list[tuple[CacheBlock, int]]
+        self, call, captured: list[tuple[CacheBlock, int]], done: Event
     ) -> _t.Generator:
         ack = yield call.response()
         if ack.kind != protocol.FLUSH_ACK:
@@ -179,9 +189,13 @@ class Flusher(Service):
         call.close()
         cleaned = 0
         for block, epoch in captured:
-            self._inflight.discard(block)
+            del self._inflight[block]
             if self.manager.note_cleaned(block, epoch):
                 cleaned += 1
+        if done.callbacks:
+            # Only a waiting sync_write schedules it: an unwaited
+            # event would add one to every flush's schedule.
+            done.succeed()
         if cleaned and self.on_clean is not None:
             self.on_clean()
         return cleaned

@@ -636,6 +636,17 @@ class CacheModule(Service):
             self.node.costs.cache_copy_block_s * len(block_nos)
         )
         if sync:
+            # A flush batch still carrying older bytes of these blocks
+            # must land at the iods first.  Re-scan after each wait: an
+            # unwaited batch's event is never fired once it is acked.
+            inflight = self.flusher._inflight
+            while True:
+                done = next(
+                    (inflight[b] for b, _ in touched if b in inflight), None
+                )
+                if done is None:
+                    break
+                yield done
             yield from self._propagate_sync(handle, offset, nbytes, data, request_base)
             for block, epoch in touched:
                 self.manager.note_cleaned(block, epoch)

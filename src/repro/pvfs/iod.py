@@ -146,6 +146,11 @@ class Iod(Service):
                 [(entry.offset, entry.nbytes)],
                 [entry.data],
             )
+            # The flushing cache still holds what it shipped.
+            spanned = blocks_spanned(entry.offset, entry.nbytes, self.block_size)
+            self.directory.note(
+                entry.file_id, spanned.start, spanned.stop, msg.src
+            )
         self.metrics.inc("iod.flush_batches")
         self.metrics.inc("iod.flushed_bytes", batch.total_bytes)
         self._emit("flush_batch", entries=len(batch.entries),
@@ -248,6 +253,11 @@ class Iod(Service):
             held = self.directory.invalidate(
                 req.file_id, spanned.start, spanned.stop, req.requester_node
             )
+            if req.from_cache:
+                # ... and the writer's cache now holds the new bytes.
+                self.directory.note(
+                    req.file_id, spanned.start, spanned.stop, req.requester_node
+                )
             for node_name, blocks in held.items():
                 victims.setdefault(node_name, []).extend(blocks)
         mgr_shard = protocol.owning_mgr_shard(req.file_id, self.mgr_shards)

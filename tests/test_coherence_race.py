@@ -9,16 +9,16 @@
    event) to the string hash seed.  The unit test here pins the
    order; ``tests/test_determinism.py`` runs a whole coherent
    scenario under several ``PYTHONHASHSEED`` values.
-
-And, pinned as expected failures until the coherence PR (ROADMAP item
-1(a)): the iod registers a sharer only on a cache-originated *read*,
-so a node whose copy came from its own write is invisible to the
-next ``sync_write``.
+3. The iod registered a sharer only on a cache-originated *read*, so
+   a node whose copy came from its own flushed write or its own
+   ``sync_write`` was invisible to the next ``sync_write``.
+4. A ``sync_write`` could complete while an older flush batch still
+   carried the block's previous bytes; the batch's late entry then
+   overwrote the new bytes at the iod.  A ``sync_write`` now waits
+   for the in-flight batches of the blocks it wrote.
 """
 
 import types
-
-import pytest
 
 from repro.cache.block import BlockState
 from tests.conftest import (
@@ -78,7 +78,7 @@ def test_invalidation_fanout_order_is_hash_independent():
     for name in ["node-m", "writer", *sharers]:
         iod.directory.note(7, 0, 1, name)
     req = types.SimpleNamespace(
-        file_id=7, ranges=[(0, 4096)], requester_node="writer"
+        file_id=7, ranges=[(0, 4096)], requester_node="writer", from_cache=True
     )
     for _ in iod._invalidate_sharers(req):
         pass
@@ -87,18 +87,13 @@ def test_invalidation_fanout_order_is_hash_independent():
     assert iod.directory.sharers(7, 0) == {"writer"}
 
 
-# -- a copy that came from a write is not in the directory ----------------
+# -- a copy that came from a write is in the directory ---------------------
 
 
 def _block(byte):
     return byte * 4096
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="iod never registers the node of a flushed write as a sharer "
-    "(ROADMAP 1(a): SharerDirectory.note in Iod._handle_flush)",
-)
 def test_sync_write_invalidates_a_copy_made_by_a_buffered_write():
     cluster = make_cluster()
     writer, syncer = cluster.client("node0"), cluster.client("node1")
@@ -114,11 +109,6 @@ def test_sync_write_invalidates_a_copy_made_by_a_buffered_write():
     assert run_app(cluster, app(cluster.env)) == _block(b"B")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="iod never registers a sync_write's own node as a sharer "
-    "(ROADMAP 1(a): SharerDirectory.note in Iod._invalidate_sharers)",
-)
 def test_sync_write_invalidates_a_copy_made_by_an_earlier_sync_write():
     cluster = make_cluster()
     first, second = cluster.client("node1"), cluster.client("node0")
@@ -131,3 +121,36 @@ def test_sync_write_invalidates_a_copy_made_by_an_earlier_sync_write():
         return (yield from first.read(f, 0, 4096, want_data=True))
 
     assert run_app(cluster, app(cluster.env)) == _block(b"B")
+
+
+# -- a flush batch in flight must not outlive a sync_write ----------------
+
+
+def _sync_after_buffered_writes(delay_s):
+    """node0 dirties blocks 0, 2, ..., 30, waits ``delay_s``, then
+    ``sync_write``s block 30; node1 then reads block 30."""
+    cluster = make_cluster(cache_blocks=64)
+    writer, reader = cluster.client("node0"), cluster.client("node1")
+
+    def app(env):
+        f = yield from writer.open("/f")
+        for block in range(0, 32, 2):
+            yield from writer.write(f, block * 4096, 4096, _block(b"A"))
+        yield env.timeout(delay_s)
+        yield from writer.sync_write(f, 30 * 4096, 4096, _block(b"B"))
+        g = yield from reader.open("/f")
+        return (yield from reader.read(g, 30 * 4096, 4096, want_data=True))
+
+    return run_app(cluster, app(cluster.env))
+
+
+def test_sync_write_waits_for_the_flush_batch_in_flight():
+    """Scanned across the flusher's period: at some delays a batch
+    holding block 30's old bytes is on the wire when the sync_write
+    starts (28 ms returned the old bytes before the fix)."""
+    stale = [
+        step / 2
+        for step in range(120)
+        if _sync_after_buffered_writes(step / 2 * 1e-3) != _block(b"B")
+    ]
+    assert stale == []

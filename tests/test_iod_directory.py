@@ -31,8 +31,10 @@ N_BLOCKS = 64
 
 
 class _PerBlockDirectory:
-    """The implementation this PR replaced: one set of sharers per
-    (file, block), walked block by block."""
+    """The per-block table the run-based directory replaced: one set of
+    sharers per (file, block), walked block by block.  A cached
+    ``sync_write`` leaves the writer the sharer of every block it
+    wrote (its cache holds the new bytes)."""
 
     def __init__(self):
         self.table = {}
@@ -50,9 +52,7 @@ class _PerBlockDirectory:
                 for sharer in sorted(self.table.get(key, ())):
                     if sharer != writer:
                         victims.setdefault(sharer, []).append(block)
-                if key in self.table:
-                    keep = {writer} if writer in self.table[key] else set()
-                    self.table[key] = keep
+                self.table[key] = {writer}
         return list(victims.items())
 
     def forget(self, file_id):
@@ -75,6 +75,7 @@ def _invalidate(iod, file_id, ranges, writer):
         file_id=file_id,
         ranges=[(first * BLOCK, (end - first) * BLOCK) for first, end in ranges],
         requester_node=writer,
+        from_cache=True,
     )
     for _ in iod._invalidate_sharers(req):
         pass
