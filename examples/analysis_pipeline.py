@@ -37,7 +37,7 @@ def build_pipeline(caching: bool) -> float:
         f = yield from client.open("/results/run-042")
         for step in range(N_STEPS):
             # "compute" the step, then write it out
-            yield from cluster.node("node0").compute(2e-3)
+            yield cluster.node("node0").compute(2e-3)
             yield from client.write(
                 f, step * STEP_BYTES, STEP_BYTES, None
             )
@@ -49,7 +49,7 @@ def build_pipeline(caching: bool) -> float:
         for step in range(N_STEPS):
             yield step_ready[step]
             yield from client.read(f, step * STEP_BYTES, STEP_BYTES)
-            yield from cluster.node(node).compute(1e-3)  # render
+            yield cluster.node(node).compute(1e-3)  # render
 
     def analyzer(env, node):
         client = cluster.client(node)
@@ -58,7 +58,7 @@ def build_pipeline(caching: bool) -> float:
             yield step_ready[step]
             for _pass in range(2):  # mean pass + variance pass
                 yield from client.read(f, step * STEP_BYTES, STEP_BYTES)
-                yield from cluster.node(node).compute(5e-4)
+                yield cluster.node(node).compute(5e-4)
 
     procs = [
         env.process(simulation(env)),

@@ -57,7 +57,7 @@ def run(coherent: bool) -> tuple[int, int]:
             )
             if data != bytes([epoch + 1]) * CHECKPOINT_BYTES:
                 stale[0] += 1
-            yield from cluster.node(node).compute(1e-3)
+            yield cluster.node(node).compute(1e-3)
 
     procs = [env.process(coordinator(env))]
     for node in ("node1", "node2"):

@@ -115,7 +115,7 @@ class GlobalCacheClient(Service):
         metrics = self.module.metrics
         costs = self.module.node.costs
         req: PeerLookupRequest = msg.payload
-        yield from self.module.node.compute(
+        yield self.module.node.compute(
             costs.cache_lookup_s * max(1, len(req.block_nos))
         )
         hits: dict[int, bytes | None] = {}
@@ -132,7 +132,7 @@ class GlobalCacheClient(Service):
                     else None
                 )
         if hits:
-            yield from self.module.node.compute(
+            yield self.module.node.compute(
                 costs.cache_copy_block_s * len(hits)
             )
         metrics.inc("gcache.peer_lookups_served", len(req.block_nos))

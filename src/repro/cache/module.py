@@ -112,7 +112,7 @@ class CacheModule(Service):
     @handles(protocol.INVALIDATE)
     def _handle_invalidate(self, msg: Message, endpoint) -> _t.Generator:
         req: InvalidateRequest = msg.payload
-        yield from self.node.compute(
+        yield self.node.compute(
             self.node.costs.cache_lookup_s * max(1, len(req.block_nos))
         )
         for block_no in req.block_nos:
@@ -190,7 +190,7 @@ class CacheModule(Service):
         yield from self._pipeline_segments(
             offset, nbytes, self._read_segment, handle, buf, offset
         )
-        self.metrics.inc("cache.read_requests")
+        self.metrics.counters["cache.read_requests"] += 1
         if self.readahead is not None:
             blocks = blocks_spanned(offset, nbytes, self.block_size)
             self.readahead.observe_read(handle, blocks[0], len(blocks))
@@ -259,10 +259,9 @@ class CacheModule(Service):
         buf: bytearray | None,
         request_base: int,
     ) -> _t.Generator:
-        fsm = RequestFSM(self.env)
-        fsm.to(FSMState.LOOKUP)
-        block_nos = list(blocks_spanned(offset, nbytes, self.block_size))
-        yield from self.node.compute(
+        counters = self.metrics.counters
+        block_nos = blocks_spanned(offset, nbytes, self.block_size)
+        yield self.node.compute(
             self.node.costs.cache_lookup_s * len(block_nos)
         )
         pinned: list[CacheBlock] = []
@@ -289,7 +288,7 @@ class CacheModule(Service):
                         frame.pin()
                         owned[block_no] = resolved[block_no] = frame
                     pinned += fresh
-                    self.metrics.inc("cache.misses", len(fresh))
+                    counters["cache.misses"] += len(fresh)
                     i += len(fresh)
                     if i == n:
                         break
@@ -312,19 +311,25 @@ class CacheModule(Service):
                     resolved[block_no] = block
                     self._classify_valid(block_no, start, end, block, gappy)
                 i += 1
+            # A fully hit segment walks LOOKUP -> COPY -> DONE, which
+            # no transition check can refuse, so only a segment that
+            # goes to the iods carries a RequestFSM (from here on).
+            fsm = None
             if owned or gappy:
+                fsm = RequestFSM(self.env)
+                fsm.to(FSMState.LOOKUP)
                 yield from self._fetch(
                     handle, fsm, owned, gappy, buf is not None
                 )
+                fsm.to(FSMState.COPY)
             else:
-                self.metrics.inc("cache.fully_hit_segments")
-            fsm.to(FSMState.COPY)
+                counters["cache.fully_hit_segments"] += 1
             # The kernel->user copy is an *extra* cost only for blocks
             # served from the cache; for fetched blocks it replaces the
             # socket-receive copy that the no-cache path performs
             # inside its network transfer.
             served_from_cache = len(block_nos) - len(owned)
-            yield from self.node.compute(
+            yield self.node.compute(
                 self.node.costs.cache_copy_block_s * served_from_cache
             )
             if buf is not None:
@@ -337,12 +342,13 @@ class CacheModule(Service):
                     if piece is not None:
                         dst = block_no * self.block_size + start - request_base
                         buf[dst : dst + (end - start)] = piece
-            fsm.to(FSMState.DONE)
+            if fsm is not None:
+                fsm.to(FSMState.DONE)
         finally:
             unpin = self.manager.unpin
             for block in pinned:
                 unpin(block)
-        self.metrics.inc("cache.read_segments")
+        counters["cache.read_segments"] += 1
 
     def _classify_valid(
         self,
@@ -354,10 +360,10 @@ class CacheModule(Service):
     ) -> None:
         """Hit or partial hit on a pinned resident block with data."""
         if block.valid.covers(start, end):
-            self.metrics.inc("cache.hits")
+            self.metrics.counters["cache.hits"] += 1
             return
         gappy[block_no] = (block, block.valid.gaps(start, end))
-        self.metrics.inc("cache.partial_hits")
+        self.metrics.counters["cache.partial_hits"] += 1
 
     def _classify_block(
         self,
@@ -491,7 +497,7 @@ class CacheModule(Service):
         fsm.to(FSMState.ACK_FAKED)
         fsm.fake_ack(len(calls))
         self.metrics.inc("cache.faked_acks", len(calls))
-        yield from self.node.compute(self.node.costs.cache_fsm_s)
+        yield self.node.compute(self.node.costs.cache_fsm_s)
         fsm.to(FSMState.AWAIT_DATA)
         for call in calls:
             ack = yield call.response()
@@ -566,7 +572,7 @@ class CacheModule(Service):
         yield from self._pipeline_segments(
             offset, nbytes, self._write_segment, handle, data, offset, False
         )
-        self.metrics.inc("cache.write_requests")
+        self.metrics.counters["cache.write_requests"] += 1
 
     def sync_write(
         self,
@@ -581,7 +587,7 @@ class CacheModule(Service):
         yield from self._pipeline_segments(
             offset, nbytes, self._write_segment, handle, data, offset, True
         )
-        self.metrics.inc("cache.sync_write_requests")
+        self.metrics.counters["cache.sync_write_requests"] += 1
 
     def _write_segment(
         self,
@@ -592,10 +598,10 @@ class CacheModule(Service):
         request_base: int,
         sync: bool,
     ) -> _t.Generator:
-        fsm = RequestFSM(self.env)
-        fsm.to(FSMState.LOOKUP)
-        block_nos = list(blocks_spanned(offset, nbytes, self.block_size))
-        yield from self.node.compute(
+        # A write segment walks LOOKUP -> COPY -> DONE, like a fully
+        # hit read segment, so it carries no RequestFSM either.
+        block_nos = blocks_spanned(offset, nbytes, self.block_size)
+        yield self.node.compute(
             self.node.costs.cache_lookup_s * len(block_nos)
         )
         touched: list[tuple[CacheBlock, int]] = []  # (block, epoch)
@@ -631,8 +637,7 @@ class CacheModule(Service):
             )
             i += 1
         # Copy user -> kernel.
-        fsm.to(FSMState.COPY)
-        yield from self.node.compute(
+        yield self.node.compute(
             self.node.costs.cache_copy_block_s * len(block_nos)
         )
         if sync:
@@ -650,8 +655,7 @@ class CacheModule(Service):
             yield from self._propagate_sync(handle, offset, nbytes, data, request_base)
             for block, epoch in touched:
                 self.manager.note_cleaned(block, epoch)
-        fsm.to(FSMState.DONE)
-        self.metrics.inc("cache.write_segments")
+        self.metrics.counters["cache.write_segments"] += 1
 
     def _write_block(
         self,
@@ -677,9 +681,9 @@ class CacheModule(Service):
             # Write-allocate: no fetch needed, the block is born
             # dirty; wake any waiters immediately.
             block.make_ready()
-            self.metrics.inc("cache.write_allocates")
+            self.metrics.counters["cache.write_allocates"] += 1
         else:
-            self.metrics.inc("cache.write_hits")
+            self.metrics.counters["cache.write_hits"] += 1
         return block, block.dirty_epoch
 
     def _propagate_sync(

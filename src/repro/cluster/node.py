@@ -8,7 +8,7 @@ from repro.cluster.config import ClusterConfig, CostModel
 from repro.disk import DiskModel, LocalFileStore, PageCache
 from repro.disk.writeback import WritebackDaemon
 from repro.net import Network, SocketAPI
-from repro.sim import Environment, Timeout
+from repro.sim import Environment, Event, Timeout
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.cache.module import CacheModule
@@ -43,6 +43,11 @@ class Node:
         #: Completion event of the last slice granted.  Busy means it
         #: has not been processed yet.
         self._cpu_tail: Timeout | None = None
+        #: What ``compute(0)`` returns: processed, so it queues nothing.
+        self._no_hold = Event(env)
+        self._no_hold.callbacks = None
+        self._no_hold._ok = True
+        self._no_hold._value = None
         self.sockets = SocketAPI(network, name)
         self.disk: DiskModel | None = None
         self.filestore: LocalFileStore | None = None
@@ -71,18 +76,24 @@ class Node:
         self.writeback = WritebackDaemon(self.env, self.disk, node=self)
         self.writeback.start()
 
-    def compute(self, seconds: float) -> _t.Generator:
-        """Process body: occupy this node's CPU for ``seconds``.
+    def compute(self, seconds: float) -> Event:
+        """Occupy this node's CPU for ``seconds``; returns the event
+        that fires when the slice completes, for the caller to yield::
+
+            yield node.compute(seconds)
 
         Queueing behind other runnable work on the node is how CPU
-        time-sharing costs appear.  The slice is reserved at call time:
-        a process killed while it waits leaves its slice on the CPU
-        (nothing in the tree preempts a hold, so nothing reclaims one).
+        time-sharing costs appear.  The slice is reserved at call time,
+        not when the event is yielded: a process killed while it waits
+        leaves its slice on the CPU (nothing in the tree preempts a
+        hold, so nothing reclaims one).  ``compute(0)`` reserves
+        nothing and returns an event that is already processed, so
+        yielding it resumes the caller at once.
         """
         if seconds < 0:
             raise ValueError(f"negative compute time {seconds}")
         if seconds == 0:
-            return
+            return self._no_hold
         env = self.env
         tail = self._cpu_tail
         # Inlined cpu_idle: this runs for every cache lookup and copy.
@@ -95,7 +106,7 @@ class Node:
         # event queue when that slice completes, which is when a
         # hand-over would have drawn its tie-break sequence number.
         self._cpu_tail = event = env.timeout_at(done, after=tail)
-        yield event
+        return event
 
     @property
     def cpu_idle(self) -> bool:

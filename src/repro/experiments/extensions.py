@@ -243,7 +243,7 @@ def _readahead_point(
         for i in range(chunks):
             yield from client.read(f, i * chunk_bytes, chunk_bytes)
             if think_s:
-                yield from cluster.node("node0").compute(think_s)
+                yield cluster.node("node0").compute(think_s)
         return env.now - t0
 
     proc = cluster.env.process(app(cluster.env))

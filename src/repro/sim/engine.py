@@ -19,6 +19,7 @@ import hashlib
 import os
 import typing as _t
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -167,21 +168,35 @@ class Environment:
         ``when`` must not precede that moment either: the deferred push
         raises :class:`ValueError` out of :meth:`run` if it does.
         """
-        if when < self._now:
-            raise ValueError(f"when={when} is in the past (now={self._now})")
+        now = self._now
+        if when < now:
+            raise ValueError(f"when={when} is in the past (now={now})")
         event = Timeout.__new__(Timeout)
         event.env = self
         event.callbacks = []
-        event.delay = when - self._now
+        event.delay = when - now
         event._ok = True
         event._value = value
         if after is None or after.callbacks is None:
-            self._queue_at(when, event)
+            # _queue_at inlined (every idle-CPU slice comes through
+            # here); the guard above is its re-check.
+            self._seq += 1
+            entry = (when, 1, self._seq, event)
+            if when == now:
+                self._due.append(entry)
+            else:
+                heappush(self._future, entry)
+            d = self._depth + 1
+            self._depth = d
+            if d > self._depth_hw:
+                self._depth_hw = d
         else:
-            after.callbacks.append(lambda _ev: self._queue_at(when, event))
+            # A partial, not a closure: a closure would turn every local
+            # above into a cell, for every call.
+            after.callbacks.append(partial(self._queue_at, when, event))
         return event
 
-    def _queue_at(self, when: float, event: Event) -> None:
+    def _queue_at(self, when: float, event: Event, _after: Event) -> None:
         if when < self._now:
             # Only reachable through ``after``: it fired later than
             # ``when``, and queueing anyway would turn the clock back.
@@ -444,6 +459,9 @@ class Environment:
         # heap cases; the urgent deque (process starts/interrupts,
         # comparatively rare) falls back to the method, which derives
         # the full three-way minimum.
+        # Every variant runs an event's callbacks inline, exactly as
+        # Event._process does: several run under ``_multi`` (see
+        # take_turn).
         pop = self._pop_entry
         due = self._due
         urgent = self._due_urgent
@@ -473,7 +491,18 @@ class Environment:
                         self._depth -= 1
                     n += 1
                     self._now = entry[0]
-                    entry[3]._process()
+                    event = entry[3]
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if len(callbacks) == 1:  # type: ignore[arg-type]
+                        callbacks[0](event)
+                    elif callbacks:
+                        self._multi = True
+                        try:
+                            for callback in callbacks:
+                                callback(event)
+                        finally:
+                            self._multi = False
             finally:
                 self._events_processed += n
             if stop_event._ok:
@@ -498,7 +527,18 @@ class Environment:
                         self._depth -= 1
                     n += 1
                     self._now = entry[0]
-                    entry[3]._process()
+                    event = entry[3]
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if len(callbacks) == 1:  # type: ignore[arg-type]
+                        callbacks[0](event)
+                    elif callbacks:
+                        self._multi = True
+                        try:
+                            for callback in callbacks:
+                                callback(event)
+                        finally:
+                            self._multi = False
             finally:
                 self._events_processed += n
         peek = self._peek_entry
@@ -513,7 +553,18 @@ class Environment:
                 pop()
                 n += 1
                 self._now = entry[0]
-                entry[3]._process()
+                event = entry[3]
+                callbacks = event.callbacks
+                event.callbacks = None
+                if len(callbacks) == 1:  # type: ignore[arg-type]
+                    callbacks[0](event)
+                elif callbacks:
+                    self._multi = True
+                    try:
+                        for callback in callbacks:
+                            callback(event)
+                    finally:
+                        self._multi = False
         finally:
             self._events_processed += n
 

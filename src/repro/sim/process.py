@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import PENDING, Event, Interrupt
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -108,7 +108,10 @@ class Process(Event):
 
     # -- resume machinery --------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        # ``triggered`` without the property call: _resume runs once
+        # per generator round-trip, the hottest path outside the run
+        # loop itself.
+        if self._value is not PENDING:
             # Already finished — e.g. killed between its spawn and the
             # start event firing.  A late resume must not re-enter the
             # closed generator.
@@ -116,19 +119,15 @@ class Process(Event):
         self._waiting_on = None
         env = self.env
         env._active_process = self
-        # Hoisted bound methods: _resume runs once per generator
-        # round-trip, the hottest path outside the run loop itself.
         generator = self._generator
-        send = generator.send
-        throw = generator.throw
         try:
             while True:
                 try:
                     if event._ok:
-                        target = send(event._value)
+                        target = generator.send(event._value)
                     else:
                         exc = _t.cast(BaseException, event._value)
-                        target = throw(exc)
+                        target = generator.throw(exc)
                 except StopIteration as stop:
                     self._resume_cb = None
                     self.succeed(stop.value)
@@ -166,7 +165,7 @@ class Process(Event):
             # so waiters see it; re-raise if nobody is waiting would be
             # nice but we cannot know yet, so we always fail loudly via
             # the event. Tests assert on this.
-            if not self.triggered:
+            if self._value is PENDING:
                 self._resume_cb = None
                 self.fail(exc)
             else:  # pragma: no cover - double fault

@@ -347,7 +347,7 @@ class Service:
                 stats.service, "dispatch", node=stats.node, msg=kind
             )
         if self.request_cpu_s and self.node is not None:
-            yield from self.node.compute(self.request_cpu_s)
+            yield self.node.compute(self.request_cpu_s)
         started_at = self.env.now
         yield from handler(body, endpoint)
         stats.busy_s += self.env.now - started_at

@@ -84,7 +84,7 @@ class BaseApp:
         yield from self.client.write(handle, offset, nbytes, None)
 
     def _compute(self, seconds: float) -> _t.Generator:
-        yield from self.cluster.node(self.node).compute(seconds)
+        yield self.cluster.node(self.node).compute(seconds)
 
 
 class OutOfCoreMatrixMultiply(BaseApp):

@@ -140,7 +140,7 @@ def test_node_compute_validation():
     node = cluster.node("node0")
 
     def bad(env):
-        yield from node.compute(-1)
+        yield node.compute(-1)
 
     proc = cluster.env.process(bad(cluster.env))
     # bounded run: cluster daemons (flusher) reschedule forever
@@ -153,7 +153,7 @@ def test_node_compute_zero_is_free():
     node = cluster.node("node0")
 
     def app(env):
-        yield from node.compute(0)
+        yield node.compute(0)
         return env.now
 
     assert run_app(cluster, app(cluster.env)) == 0.0

@@ -68,7 +68,12 @@ def _run(scripts, compute_factory, initial_time):
 
 
 def _new(env):
-    return _node(env).compute
+    node = _node(env)
+
+    def compute(seconds):
+        yield node.compute(seconds)
+
+    return compute
 
 
 def _old(env):
@@ -126,7 +131,7 @@ def test_same_instant_arrivals_are_served_in_call_order():
     order = []
 
     def proc(pid):
-        yield from node.compute(1e-3)
+        yield node.compute(1e-3)
         order.append((pid, env.now))
 
     for pid in range(5):
@@ -146,9 +151,9 @@ def test_idle_cpu_starts_at_now_not_at_the_stale_free_time():
     node = _node(env)
 
     def proc():
-        yield from node.compute(1e-3)
+        yield node.compute(1e-3)
         yield env.timeout(1.0)
-        yield from node.compute(2e-3)
+        yield node.compute(2e-3)
 
     env.run(until=env.process(proc()))
     assert env.now == (1e-3 + 1.0) + 2e-3
@@ -159,10 +164,33 @@ def test_idle_cpu_starts_at_now_not_at_the_stale_free_time():
 def test_zero_and_negative_holds():
     env = Environment()
     node = _node(env)
-    assert list(node.compute(0)) == []  # no event, no reservation
-    assert node.cpu_free_at == 0.0
+    done = node.compute(0)
+    # already processed: nothing queued, nothing reserved
+    assert done.processed and done.ok and done.value is None
+    assert node.cpu_free_at == 0.0 and node._cpu_tail is None
+    assert env.sched_stats()["queue_depth"] == 0
     with pytest.raises(ValueError):
-        list(node.compute(-1e-6))
+        node.compute(-1e-6)
+
+
+def test_zero_hold_on_a_busy_cpu_moves_nothing():
+    env = Environment()
+    node = _node(env)
+    seen = []
+
+    def proc():
+        busy = node.compute(1e-3)
+        tail, free_at = node._cpu_tail, node.cpu_free_at
+        yield node.compute(0)  # resumes at once, behind nothing
+        seen.append(env.now)
+        assert (node._cpu_tail, node.cpu_free_at) == (tail, free_at)
+        yield busy
+        seen.append(env.now)
+
+    env.run(until=env.process(proc()))
+    assert seen == [0.0, 1e-3]
+    # start, slice, exit: the zero hold was no event
+    assert env.sched_stats()["events_processed"] == 3
 
 
 def test_killed_while_queued_keeps_its_slice_reserved():
@@ -175,7 +203,7 @@ def test_killed_while_queued_keeps_its_slice_reserved():
     finished = {}
 
     def proc(pid, hold):
-        yield from node.compute(hold)
+        yield node.compute(hold)
         finished[pid] = env.now
 
     env.process(proc("a", 1e-3), name="a")

@@ -504,7 +504,9 @@ def _storm(env):
     tag)`` the moment each logged entry is pushed, ``fired`` the same
     triple when it is processed.  Tags rise with engine sequence
     numbers (each is drawn right beside its push), so ``sorted(created)``
-    is exactly the order a correct queue must pop.
+    is exactly the order a correct queue must pop.  An event's second
+    and third callbacks log ``(time, priority, tag, k)``, which sorts
+    right after its first.
     """
     import itertools
     import random
@@ -557,6 +559,16 @@ def _storm(env):
                     late.succeed(), book(env.now)
                 )
             )
+            # Two or three callbacks on one event: the fast loops run a
+            # lone callback inline and hand these to Event._process.
+            for _ in range(rng.randrange(1, 4)):
+                delay = rng.choice((0.0, rng.random() * 0.01))
+                ev = env.timeout(delay)
+                entry = book(env.now + delay)
+                watch(ev, entry)
+                for k in range(1, rng.randrange(2, 4)):
+                    created.append(entry + (k,))
+                    watch(ev, entry + (k,))
             # A chain queued link by link: each timeout_at draws its
             # sequence number only when the one before it fires.
             when = env.now + rng.random() * 0.01
@@ -718,13 +730,16 @@ def test_take_turn_refuses_with_a_same_instant_entry_due():
     assert log == [False, False]
 
 
-def test_take_turn_refuses_inside_a_multi_callback_event():
+@pytest.mark.parametrize(
+    "until", [None, "event", 10.0], ids=["run()", "until=<event>", "until=<t>"]
+)
+def test_take_turn_refuses_inside_a_multi_callback_event(until):
     env = Environment()
     log = []
     ev = env.timeout(1)
     env.process(_turn_taker(env, log, wait_on=ev))
     env.process(_turn_taker(env, log, wait_on=ev))
-    env.run()
+    env.run(until=env.timeout(5) if until == "event" else until)
     # the first waiter would run ahead of the second; the second is
     # refused by the same flag (it cannot see that it is the last)
     assert log == [False, False]
