@@ -58,8 +58,8 @@ class WritebackDaemon(Service):
         self.disk = disk
         self.max_dirty_bytes = max_dirty_bytes
         self.dirty_bytes = 0
-        #: Fires (and is replaced) whenever dirty_bytes drops; writers
-        #: blocked on the throttle wait on it.
+        #: Fires (and is replaced) whenever dirty_bytes drops while
+        #: anyone waits on it: writers blocked on the throttle, drain().
         self._drained = env.event()
         self.items_written = 0
         self.bytes_written = 0
@@ -94,8 +94,11 @@ class WritebackDaemon(Service):
         self.dirty_bytes -= item.nbytes
         self.items_written += 1
         self.bytes_written += item.nbytes
-        drained, self._drained = self._drained, self.env.event()
-        if not drained.triggered:
+        drained = self._drained
+        if drained.callbacks:
+            # Without a waiter the event is kept for the next one: an
+            # event nobody waits on would be processed for nothing.
+            self._drained = self.env.event()
             drained.succeed()
 
     def _drain(self) -> _t.Generator:

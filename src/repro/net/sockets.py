@@ -106,13 +106,14 @@ class Connection:
         message.dst = self.client_node if to_role == CLIENT else self.server_node
         inbox = self._inbox[to_role]
         lock = self._send_lock[from_role]
-        if not lock._holders and not lock._waiting:
+        req = lock.acquire_now()
+        if req is not None:
             # Uncontended direction (the overwhelmingly common case):
-            # take the lock synchronously and hand the message straight
-            # to the network's callback-driven delivery — no ordering
-            # process needed, FIFO is trivially preserved because the
-            # lock is held until delivery completes.
-            req = lock.request()
+            # take the lock synchronously, with no grant event nobody
+            # waits on, and hand the message straight to the network's
+            # callback-driven delivery — no ordering process needed,
+            # FIFO is trivially preserved because the lock is held
+            # until delivery completes.
             done = self.network.deliver(message, inbox)
             done.add_callback(lambda _ev: lock.release(req))
             return done

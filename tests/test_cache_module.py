@@ -338,8 +338,8 @@ def test_resident_read_costs_three_events():
     events_before = env.sched_stats()["events_processed"]
     run_app(cluster, reader(env))
     events = env.sched_stats()["events_processed"] - events_before
-    # 3 x 400 reads + 31 for the reader process and the flusher.
-    assert events == 1231
+    # 3 x 400 reads + 29 for the reader process and the flusher.
+    assert events == 1229
     assert env.now == 0.04345000000000072
     m = cluster.metrics
     assert m.count("cache.hits") == m.count("cache.read_requests") == n_reads
