@@ -70,10 +70,11 @@ class SharerDirectory:
         }
 
     def invalidate(
-        self, file_id: int, first: int, end: int, writer: str
+        self, file_id: int, first: int, end: int, writer: str | None
     ) -> dict[str, list[int]]:
         """Forget every node's copy of blocks ``[first, end)`` except
-        ``writer``'s (its cache took the write itself).
+        ``writer``'s (its cache took the write itself; ``None`` when no
+        cache did).
 
         Returns the ascending blocks each other node held.  Nodes are
         ordered by (first block held, name) — the order a block-by-block

@@ -243,7 +243,10 @@ class Iod(Service):
     # -- sync_write invalidations ---------------------------------------------
     def _invalidate_sharers(self, req: WriteRequest) -> _t.Generator:
         """Invalidate every cache holding a written block, except the
-        writer's own node (its cache was updated by the write itself)."""
+        writer's own node when the write went through its cache (which
+        the write itself updated).  A raw write passed that cache by,
+        so the writer's node is invalidated like any other."""
+        writer = req.requester_node if req.from_cache else None
         # First-seen order over (range, block ascending, sharer name):
         # the order nodes enter ``victims`` is the order their channels
         # are set up and their invalidations hit the wire.
@@ -251,7 +254,7 @@ class Iod(Service):
         for off, n in req.ranges:
             spanned = blocks_spanned(off, n, self.block_size)
             held = self.directory.invalidate(
-                req.file_id, spanned.start, spanned.stop, req.requester_node
+                req.file_id, spanned.start, spanned.stop, writer
             )
             if req.from_cache:
                 # ... and the writer's cache now holds the new bytes.

@@ -16,6 +16,9 @@
    carried the block's previous bytes; the batch's late entry then
    overwrote the new bytes at the iod.  A ``sync_write`` now waits
    for the in-flight batches of the blocks it wrote.
+5. The iod spared the writer's node from a ``sync_write``'s
+   invalidations even when the write came from a no-cache client, so
+   that node's cached copy kept the old bytes.
 """
 
 import types
@@ -154,3 +157,52 @@ def test_sync_write_waits_for_the_flush_batch_in_flight():
         if _sync_after_buffered_writes(step / 2 * 1e-3) != _block(b"B")
     ]
     assert stale == []
+
+
+# -- a raw sync_write passes its own node's cache by ------------------------
+
+
+def test_raw_sync_write_invalidates_its_own_nodes_cached_copy():
+    """node0's cached client writes A through and reads it back; a
+    no-cache client on node0 (the shell's kind) then ``sync_write``s B.
+    The iod used to spare the requester's node whatever the path, so
+    the cached read kept returning A."""
+    cluster = make_cluster()
+    cached = cluster.client("node0")
+    raw = cluster.client("node0", use_cache=False)
+
+    def app(env):
+        f = yield from cached.open("/f")
+        yield from cached.sync_write(f, 0, 4096, _block(b"A"))
+        assert (yield from cached.read(f, 0, 4096, want_data=True)) == _block(b"A")
+        g = yield from raw.open("/f")
+        yield from raw.sync_write(g, 0, 4096, _block(b"B"))
+        got = yield from cached.read(f, 0, 4096, want_data=True)
+        return got, (yield from raw.read(g, 0, 4096, want_data=True))
+
+    assert run_app(cluster, app(cluster.env)) == (_block(b"B"), _block(b"B"))
+
+
+def test_raw_sync_write_leaves_its_own_nodes_dirty_copy():
+    """A buffered write is not coherent: until node0 flushes its dirty
+    block the iod does not know node0 holds it, so the raw sync_write
+    invalidates nothing there.  The cached read keeps returning A, and
+    the flush that follows writes A over B at the iod."""
+    cluster = make_cluster()
+    cached = cluster.client("node0")
+    raw = cluster.client("node0", use_cache=False)
+
+    def app(env):
+        f = yield from cached.open("/f")
+        yield from cached.write(f, 0, 4096, _block(b"A"))
+        g = yield from raw.open("/f")
+        yield from raw.sync_write(g, 0, 4096, _block(b"B"))
+        before = yield from cached.read(f, 0, 4096, want_data=True)
+        before_raw = yield from raw.read(g, 0, 4096, want_data=True)
+        yield from cluster.drain_caches()
+        after_raw = yield from raw.read(g, 0, 4096, want_data=True)
+        return before, before_raw, after_raw
+
+    assert run_app(cluster, app(cluster.env)) == (
+        _block(b"A"), _block(b"B"), _block(b"A"),
+    )
