@@ -313,7 +313,7 @@ class CacheModule(Service):
                 i += 1
             # A fully hit segment walks LOOKUP -> COPY -> DONE, which
             # no transition check can refuse, so only a segment that
-            # goes to the iods carries a RequestFSM (from here on).
+            # goes to the iods carries a RequestFSM, from its fetch on.
             fsm = None
             if owned or gappy:
                 fsm = RequestFSM(self.env)

@@ -730,19 +730,18 @@ def test_take_turn_refuses_with_a_same_instant_entry_due():
     assert log == [False, False]
 
 
-@pytest.mark.parametrize(
-    "until", [None, "event", 10.0], ids=["run()", "until=<event>", "until=<t>"]
-)
-def test_take_turn_refuses_inside_a_multi_callback_event(until):
-    env = Environment()
-    log = []
-    ev = env.timeout(1)
-    env.process(_turn_taker(env, log, wait_on=ev))
-    env.process(_turn_taker(env, log, wait_on=ev))
-    env.run(until=env.timeout(5) if until == "event" else until)
-    # the first waiter would run ahead of the second; the second is
-    # refused by the same flag (it cannot see that it is the last)
-    assert log == [False, False]
+def test_take_turn_refuses_inside_a_multi_callback_event():
+    # under each run loop: run(), run(until=<event>), run(until=<t>)
+    for until in (None, "event", 10.0):
+        env = Environment()
+        log = []
+        ev = env.timeout(1)
+        env.process(_turn_taker(env, log, wait_on=ev))
+        env.process(_turn_taker(env, log, wait_on=ev))
+        env.run(until=env.timeout(5) if until == "event" else until)
+        # the first waiter would run ahead of the second; the second is
+        # refused by the same flag (it cannot see that it is the last)
+        assert log == [False, False], until
 
 
 def test_take_turn_refuses_without_an_active_process():
