@@ -459,9 +459,10 @@ class Environment:
         # heap cases; the urgent deque (process starts/interrupts,
         # comparatively rare) falls back to the method, which derives
         # the full three-way minimum.
-        # Every variant runs an event's callbacks inline, exactly as
+        # The run(until=<event>) variant, which every workload drives,
+        # also runs an event's callbacks inline, exactly as
         # Event._process does: several run under ``_multi`` (see
-        # take_turn).
+        # take_turn).  The other two call Event._process.
         pop = self._pop_entry
         due = self._due
         urgent = self._due_urgent
@@ -527,18 +528,7 @@ class Environment:
                         self._depth -= 1
                     n += 1
                     self._now = entry[0]
-                    event = entry[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1:  # type: ignore[arg-type]
-                        callbacks[0](event)
-                    elif callbacks:
-                        self._multi = True
-                        try:
-                            for callback in callbacks:
-                                callback(event)
-                        finally:
-                            self._multi = False
+                    entry[3]._process()
             finally:
                 self._events_processed += n
         peek = self._peek_entry
@@ -553,18 +543,7 @@ class Environment:
                 pop()
                 n += 1
                 self._now = entry[0]
-                event = entry[3]
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:  # type: ignore[arg-type]
-                    callbacks[0](event)
-                elif callbacks:
-                    self._multi = True
-                    try:
-                        for callback in callbacks:
-                            callback(event)
-                    finally:
-                        self._multi = False
+                entry[3]._process()
         finally:
             self._events_processed += n
 

@@ -147,11 +147,6 @@ class InstrumentationBus:
         return record
 
     # -- subscription ----------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True when at least one subscriber wants event records."""
-        return bool(self.subscribers)
-
     def subscribe(
         self, fn: _t.Callable[[ServiceEvent], None]
     ) -> _t.Callable[[], None]:
@@ -180,8 +175,8 @@ class InstrumentationBus:
     ) -> None:
         """Deliver one record to every subscriber.
 
-        Callers should guard with :attr:`active` so the record dict is
-        never built on hot paths when nobody is listening.
+        Callers should guard with ``if bus.subscribers:`` so the record
+        dict is never built on hot paths when nobody is listening.
         """
         record = ServiceEvent(
             time=self.env.now,

@@ -18,10 +18,13 @@
    for the in-flight batches of the blocks it wrote.
 5. The iod spared the writer's node from a ``sync_write``'s
    invalidations even when the write came from a no-cache client, so
-   that node's cached copy kept the old bytes.
+   that node's cached copy kept the old bytes.  A copy that node holds
+   dirty still loses the raw write to its later flush (strict xfail).
 """
 
 import types
+
+import pytest
 
 from repro.cache.block import BlockState
 from tests.conftest import (
@@ -183,12 +186,10 @@ def test_raw_sync_write_invalidates_its_own_nodes_cached_copy():
     assert run_app(cluster, app(cluster.env)) == (_block(b"B"), _block(b"B"))
 
 
-def test_raw_sync_write_leaves_its_own_nodes_dirty_copy():
-    """A buffered write is not coherent: until node0 flushes its dirty
-    block the iod does not know node0 holds it, so the raw sync_write
-    invalidates nothing there.  The cached read keeps returning A, and
-    the flush that follows writes A over B at the iod."""
-    cluster = make_cluster()
+def _dirty_then_raw_sync_write(cluster, drain):
+    """node0's cached client buffers A; a no-cache client on node0 then
+    ``sync_write``s B.  Returns the cached and the raw read, and, if
+    ``drain``, the raw read after node0's caches are flushed."""
     cached = cluster.client("node0")
     raw = cluster.client("node0", use_cache=False)
 
@@ -197,12 +198,36 @@ def test_raw_sync_write_leaves_its_own_nodes_dirty_copy():
         yield from cached.write(f, 0, 4096, _block(b"A"))
         g = yield from raw.open("/f")
         yield from raw.sync_write(g, 0, 4096, _block(b"B"))
-        before = yield from cached.read(f, 0, 4096, want_data=True)
-        before_raw = yield from raw.read(g, 0, 4096, want_data=True)
-        yield from cluster.drain_caches()
-        after_raw = yield from raw.read(g, 0, 4096, want_data=True)
-        return before, before_raw, after_raw
+        got = [
+            (yield from cached.read(f, 0, 4096, want_data=True)),
+            (yield from raw.read(g, 0, 4096, want_data=True)),
+        ]
+        if drain:
+            yield from cluster.drain_caches()
+            got.append((yield from raw.read(g, 0, 4096, want_data=True)))
+        return tuple(got)
 
-    assert run_app(cluster, app(cluster.env)) == (
-        _block(b"A"), _block(b"B"), _block(b"A"),
+    return run_app(cluster, app(cluster.env))
+
+
+def test_raw_sync_write_leaves_its_own_nodes_dirty_copy():
+    """A buffered write is not coherent: until node0 flushes its dirty
+    block the iod does not know node0 holds it, so the raw sync_write
+    invalidates nothing there.  The cached read keeps returning A while
+    the iod holds B."""
+    assert _dirty_then_raw_sync_write(make_cluster(), drain=False) == (
+        _block(b"A"), _block(b"B"),
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="lost update: node0's later flush of its older buffered A "
+    "overwrites the raw sync_write's B at the iod",
+)
+def test_raw_sync_write_survives_its_own_nodes_later_flush():
+    """Once node0 flushes, the iod should still hold B, the newer
+    write.  It holds A: the flush carries the dirty block written
+    before the sync_write and nothing orders the two."""
+    got = _dirty_then_raw_sync_write(make_cluster(), drain=True)
+    assert got[2] == _block(b"B")

@@ -559,8 +559,9 @@ def _storm(env):
                     late.succeed(), book(env.now)
                 )
             )
-            # Two or three callbacks on one event: the fast loops run a
-            # lone callback inline and hand these to Event._process.
+            # Two or three callbacks on one event: run(until=<event>)
+            # runs these inline under _multi; run(), run(until=<t>),
+            # step() and the instrumented loop use Event._process.
             for _ in range(rng.randrange(1, 4)):
                 delay = rng.choice((0.0, rng.random() * 0.01))
                 ev = env.timeout(delay)

@@ -174,10 +174,10 @@ def test_handler_inheritance_subclass_wins():
 def test_bus_records_only_reach_subscribers():
     env, service, client = _echo_world()
     bus = get_bus(env)
-    assert not bus.active
+    assert not bus.subscribers
     records = []
     detach = bus.subscribe(records.append)
-    assert bus.active
+    assert bus.subscribers
 
     def app(env):
         endpoint = yield env.process(
@@ -191,7 +191,7 @@ def test_bus_records_only_reach_subscribers():
     kinds = [r.kind for r in records]
     assert "msg_received" in kinds and "dispatch" in kinds
     detach()
-    assert not bus.active
+    assert not bus.subscribers
 
 
 def test_metrics_attach_bus_mirrors_events():
