@@ -88,11 +88,7 @@ class CacheBlock:
     # -- state transitions ---------------------------------------------------
     def assign(self, key: BlockKey) -> None:
         """FREE -> PENDING under ``key``."""
-        if self.state is not BlockState.FREE:
-            raise RuntimeError(f"assign on non-free block {self!r}")
-        self.key = key
-        self.state = BlockState.PENDING
-        self.refbit = True
+        assign_run((self,), (key,))
 
     def ready(self, env: "Environment") -> "Event":
         """The event a waiter yields while the block is PENDING.
@@ -117,25 +113,6 @@ class CacheBlock:
             buf[lo:hi] = data[lo - start : hi - start]
         self.valid.add(start, end)
 
-    def fill(self, data: bytes | None) -> bool:
-        """Take a whole fetched block into a frame holding no bytes yet.
-
-        :meth:`merge_fetch` of ``[0, block_size)`` for a fresh miss, as
-        one assignment: there is nothing to keep, so nothing to merge.
-        False, with nothing changed, when the frame holds valid bytes
-        (its dirty bytes are among them): merge instead.
-        """
-        if not self.valid.fill(0, self.block_size):
-            return False
-        if data is not None:
-            if len(data) != self.block_size:
-                raise ValueError(
-                    f"fill of {len(data)} bytes into a block of "
-                    f"{self.block_size}"
-                )
-            self.data = bytearray(data)
-        return True
-
     def write(self, start: int, end: int, data: bytes | None) -> None:
         """Record locally written bytes; block becomes DIRTY."""
         self._check_bounds(start, end)
@@ -158,30 +135,19 @@ class CacheBlock:
         return False
 
     def make_ready(self) -> None:
-        """PENDING -> CLEAN (or stays DIRTY if written while pending)."""
+        """PENDING -> CLEAN (or stays DIRTY if written while pending).
+
+        The reverse transition, any state -> FREE, is part of returning
+        the frame to the pool (:meth:`FreeList.release_run`).
+        """
         if self.state is BlockState.PENDING:
-            self.state = BlockState.CLEAN if self.dirty.is_empty() else (
-                BlockState.DIRTY
+            # ``dirty.is_empty()``, without the call: once per fetched block.
+            self.state = BlockState.DIRTY if self.dirty._bounds else (
+                BlockState.CLEAN
             )
         event, self.ready_event = self.ready_event, None
         if event is not None and not event.triggered:
             event.succeed(self)
-
-    def reset(self) -> None:
-        """Any state -> FREE (eviction)."""
-        if self.pins:
-            raise RuntimeError(f"reset of pinned block {self!r}")
-        event, self.ready_event = self.ready_event, None
-        if event is not None and not event.triggered:
-            event.fail(RuntimeError(f"block {self.index} evicted while pending"))
-        self.state = BlockState.FREE
-        self.key = None
-        self.data = None
-        self.valid.clear()
-        self.dirty.clear()
-        self.refbit = False
-        self.dirty_epoch = 0
-        self.doomed = False
 
     # -- helpers -----------------------------------------------------------------
     def read_slice(self, start: int, end: int) -> bytes | None:
@@ -197,9 +163,7 @@ class CacheBlock:
 
     def unpin(self) -> None:
         """Release one pin."""
-        if self.pins <= 0:
-            raise RuntimeError(f"unpin of unpinned block {self!r}")
-        self.pins -= 1
+        unpin_run((self,))
 
     @property
     def is_evictable(self) -> bool:
@@ -225,3 +189,31 @@ class CacheBlock:
             f"<CacheBlock #{self.index} {self.state.value} key={self.key} "
             f"pins={self.pins}{' ref' if self.refbit else ''}>"
         )
+
+
+# -- run forms ---------------------------------------------------------------
+# The miss path moves blocks a run at a time (DESIGN.md §14, "The miss
+# path: runs and callback stages"); each transition below is defined
+# once, for a run, and the per-block method above is a one-line call.
+
+
+def assign_run(
+    frames: _t.Iterable[CacheBlock], keys: _t.Iterable[BlockKey]
+) -> None:
+    """FREE -> PENDING for each frame under its key."""
+    free = BlockState.FREE
+    pending = BlockState.PENDING
+    for frame, key in zip(frames, keys):
+        if frame.state is not free:
+            raise RuntimeError(f"assign on non-free block {frame!r}")
+        frame.key = key
+        frame.state = pending
+        frame.refbit = True
+
+
+def unpin_run(blocks: _t.Iterable[CacheBlock]) -> None:
+    """Release one pin of each block."""
+    for block in blocks:
+        if block.pins <= 0:
+            raise RuntimeError(f"unpin of unpinned block {block!r}")
+        block.pins -= 1

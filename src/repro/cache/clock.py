@@ -22,6 +22,12 @@ class ReplacementPolicy:
         """Record a reference to a resident block."""
         raise NotImplementedError
 
+    def admit_run(
+        self, blocks: _t.Sequence[CacheBlock]
+    ) -> None:  # pragma: no cover
+        """Start tracking a run of newly resident blocks, in order."""
+        raise NotImplementedError
+
     def forget_run(
         self, blocks: _t.Iterable[CacheBlock]
     ) -> None:  # pragma: no cover
@@ -57,8 +63,13 @@ class ClockPolicy(ReplacementPolicy):
 
     def admit(self, block: CacheBlock) -> None:
         """Register a newly resident block with the sweep ring."""
-        self._ring.append(block)
-        block.refbit = True
+        self.admit_run((block,))
+
+    def admit_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
+        """Register a run of newly resident blocks, in order."""
+        self._ring += blocks
+        for block in blocks:
+            block.refbit = True
 
     def forget_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
         """Remove a batch of blocks from the ring in one pass.
@@ -181,7 +192,14 @@ class ExactLRUPolicy(ReplacementPolicy):
 
     def admit(self, block: CacheBlock) -> None:
         """Register a newly resident block."""
-        self.touch(block)
+        self.admit_run((block,))
+
+    def admit_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
+        """Register a run of newly resident blocks, oldest first."""
+        order = self._order
+        for block in blocks:
+            order.pop(block, None)
+            order[block] = None
 
     def forget_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
         """Drop a batch of blocks from the recency order."""

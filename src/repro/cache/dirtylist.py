@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import typing as _t
+
 from repro.cache.block import BlockState, CacheBlock
 
 
@@ -30,7 +32,13 @@ class DirtyList:
 
     def discard(self, block: CacheBlock) -> None:
         """Stop tracking a block (no-op if untracked)."""
-        self._blocks.pop(block, None)
+        self.discard_run((block,))
+
+    def discard_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
+        """Stop tracking each block (untracked ones are ignored)."""
+        pop = self._blocks.pop
+        for block in blocks:
+            pop(block, None)
 
     def snapshot(self) -> list[CacheBlock]:
         """Current dirty blocks, oldest-first (for one flush round)."""

@@ -70,26 +70,77 @@ class FreeList:
         block = yield self._store.get()
         return block
 
-    def acquire_now(self) -> CacheBlock | None:
-        """Take a FREE block in place of :meth:`acquire`, or ``None``.
-
-        Succeeds only when :meth:`acquire` could not wait and would not
-        signal the harvester — a block is free and the take stays at or
-        above the low watermark — and the engine books the satisfied
-        get's scheduler step here (``Environment.take_turn``).  On
-        ``None`` nothing changed: drive :meth:`acquire` instead.
-        """
+    @property
+    def takeable(self) -> int:
+        """How many blocks :meth:`take_run` may take: as many as
+        :meth:`acquire` calls could in a row without waiting or
+        signalling the harvester (a take that keeps the list at or above
+        the low watermark, when a harvester listens)."""
         count = self._count
-        if count <= 0 or (count <= self.low_blocks and self.on_low is not None):
+        if self.on_low is not None:
+            count -= self.low_blocks
+        return count if count > 0 else 0
+
+    def take_run(self, n: int) -> list[CacheBlock] | None:
+        """Take ``n`` FREE blocks in place of ``n`` :meth:`acquire`
+        calls, or ``None``.
+
+        ``n`` must not exceed :attr:`takeable`.  The engine books the
+        ``n`` satisfied gets' scheduler steps here
+        (``Environment.take_turn``); on ``None`` it refused, nothing
+        changed, and :meth:`acquire` must wait instead.
+        """
+        if not self.env.take_turn(StoreGet, n):
             return None
-        if not self.env.take_turn(StoreGet):
-            return None
-        self._count = count - 1
-        return self._store.get_nowait()
+        self._count -= n
+        # Store.get_nowait, n times: items are queued (count > 0), so
+        # nobody waits.
+        popleft = self._store._items.popleft
+        frames = []
+        for _ in range(n):
+            frames.append(popleft())
+        return frames
 
     def release(self, block: CacheBlock) -> None:
-        """Return a reset block to the pool."""
-        if block.state is not BlockState.FREE:
-            raise ValueError(f"release of non-free block {block!r}")
-        self._store.put_nowait(block)
-        self._count += 1
+        """Return one block to the pool (see :meth:`release_run`)."""
+        self.release_run((block,))
+
+    def release_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
+        """Return evicted blocks to the pool, one at a time.
+
+        Each block is reset to FREE — it loses its key, bytes and
+        flags, and a pending fetch's waiters see their ``ready_event``
+        fail — and is then handed to the oldest waiting allocator, or
+        pooled.  Block by block, not reset-all-then-release-all: a
+        failed ``ready_event`` is queued before the same frame's
+        release can wake a waiter, which fixes the order of the two
+        events in the schedule.
+        """
+        free = BlockState.FREE
+        store = self._store
+        getters = store._getters
+        items = store._items
+        for block in blocks:
+            if block.pins:
+                raise RuntimeError(f"reset of pinned block {block!r}")
+            event, block.ready_event = block.ready_event, None
+            if event is not None and not event.triggered:
+                event.fail(
+                    RuntimeError(f"block {block.index} evicted while pending")
+                )
+            block.state = free
+            block.key = None
+            block.data = None
+            # ByteRanges.clear of both sets, without the calls.
+            block.valid._bounds.clear()
+            block.dirty._bounds.clear()
+            block.refbit = False
+            block.dirty_epoch = 0
+            block.doomed = False
+            # Store.put_nowait (the store is unbounded): getters only
+            # queue on an empty pool, so the oldest takes this block.
+            if getters:
+                getters.popleft().succeed(block)
+            else:
+                items.append(block)
+            self._count += 1

@@ -70,7 +70,7 @@ class RequestFSM:
         self.env = env
         self.state = FSMState.IDLE
         #: (state, simulated time) history, for tests and debugging.
-        self.trace: list[tuple[FSMState, float]] = [(FSMState.IDLE, env.now)]
+        self.trace: list[tuple[FSMState, float]] = [(FSMState.IDLE, env._now)]
         #: How many iod acknowledgements were faked locally.
         self.faked_acks = 0
         #: How many extra requests were issued because a cached block
@@ -84,7 +84,7 @@ class RequestFSM:
                 f"illegal transition {self.state.value} -> {state.value}"
             )
         self.state = state
-        self.trace.append((state, self.env.now))
+        self.trace.append((state, self.env._now))
 
     def fake_ack(self, n: int = 1) -> None:
         """Record locally faked iod acknowledgements."""

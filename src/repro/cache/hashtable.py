@@ -67,30 +67,61 @@ class BlockHashTable:
                 return block
         return None
 
+    def first_resident(
+        self, file_id: int, block_nos: _t.Sequence[int], start: int, stop: int
+    ) -> tuple[int, CacheBlock | None]:
+        """The first ``j`` in ``[start, stop)`` whose block of
+        ``file_id`` is resident, and that block; ``(stop, None)`` when
+        none is.  :meth:`get` over a run, in one call."""
+        buckets = self._buckets
+        n_buckets = self.n_buckets
+        base = file_id * _MIX
+        for j in range(start, stop):
+            block_no = block_nos[j]
+            for block in buckets[(base + block_no) % n_buckets]:
+                if block.key == (file_id, block_no):
+                    return j, block
+        return stop, None
+
     def insert(self, block: CacheBlock) -> None:
         """Chain a keyed block (KeyError on duplicates)."""
-        if block.key is None:
-            raise ValueError("cannot insert a block without a key")
-        key = block.key
-        file_id, block_no = key
-        chain = self._buckets[(file_id * _MIX + block_no) % self.n_buckets]
-        for other in chain:
-            if other.key == key:
-                raise KeyError(f"duplicate insert for {key}")
-        chain.append(block)
-        self._size += 1
+        self.insert_run((block,))
+
+    def insert_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
+        """Chain each keyed block in turn (KeyError on a duplicate)."""
+        buckets = self._buckets
+        n_buckets = self.n_buckets
+        for block in blocks:
+            key = block.key
+            if key is None:
+                raise ValueError("cannot insert a block without a key")
+            file_id, block_no = key
+            chain = buckets[(file_id * _MIX + block_no) % n_buckets]
+            for other in chain:
+                if other.key == key:
+                    raise KeyError(f"duplicate insert for {key}")
+            chain.append(block)
+            self._size += 1
 
     def remove(self, block: CacheBlock) -> None:
         """Unchain a block (KeyError if absent)."""
-        if block.key is None:
-            raise ValueError("cannot remove a block without a key")
-        file_id, block_no = block.key
-        chain = self._buckets[(file_id * _MIX + block_no) % self.n_buckets]
-        try:
-            chain.remove(block)
-        except ValueError:
-            raise KeyError(f"{block.key} not in table") from None
-        self._size -= 1
+        self.remove_run((block,))
+
+    def remove_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
+        """Unchain each block in turn (KeyError on an absent one)."""
+        buckets = self._buckets
+        n_buckets = self.n_buckets
+        for block in blocks:
+            key = block.key
+            if key is None:
+                raise ValueError("cannot remove a block without a key")
+            file_id, block_no = key
+            chain = buckets[(file_id * _MIX + block_no) % n_buckets]
+            try:
+                chain.remove(block)
+            except ValueError:
+                raise KeyError(f"{key} not in table") from None
+            self._size -= 1
 
     def blocks(self) -> _t.Iterator[CacheBlock]:
         """All resident blocks (bucket order; used by the clock sweep)."""

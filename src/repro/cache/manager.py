@@ -6,7 +6,13 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.cache.block import BlockKey, BlockState, CacheBlock
+from repro.cache.block import (
+    BlockKey,
+    BlockState,
+    CacheBlock,
+    assign_run,
+    unpin_run,
+)
 from repro.cache.clock import ClockPolicy, ExactLRUPolicy
 from repro.cache.dirtylist import DirtyList
 from repro.cache.freelist import FreeList
@@ -100,10 +106,11 @@ class BufferManager:
         """Every case of :meth:`get_or_allocate` that needs no wait, for
         the run of blocks ``block_nos[i:]`` of ``file_id``.
 
-        Walks the run in order, one table probe per block, and makes
-        each absent block a fresh PENDING block, its free frame taken
-        in place (DESIGN.md §14, "In-place turns" and "Runs, not
-        blocks"), until a block cannot be.  Returns ``(fresh, block,
+        Measures the run first — absent keys no rival has reserved, at
+        most as many as the free list can give up in place — then takes
+        that many frames in one booking and commits them as fresh
+        PENDING blocks (DESIGN.md §14, "In-place turns" and "The miss
+        path: runs and callback stages").  Returns ``(fresh, block,
         resident)``: ``fresh`` holds the new PENDING blocks of
         ``block_nos[i : i + len(fresh)]``, and ``(block, resident)`` is
         the probe result of the block that ended the run,
@@ -117,46 +124,38 @@ class BufferManager:
           signal the harvester, or it is not this process's turn — and
           when the run took every block up to the end of ``block_nos``.
         """
+        table = self.table
         key = (file_id, block_nos[i])
-        block = self.table.get(key)
+        block = table.get(key)
         if block is not None:
             self.policy.touch(block)
             return _NO_BLOCKS, block, True
-        table = self.table
         inflight = self._inflight
         if key in inflight:
             return _NO_BLOCKS, None, False
         freelist = self.freelist
-        frame = freelist.acquire_now()
-        if frame is None:
+        cap = freelist.takeable
+        if not cap:
             return _NO_BLOCKS, None, False
-        policy = self.policy
-        fresh: list[CacheBlock] = []
-        n = len(block_nos)
-        # The commits stay atomic (no yields): a second requester
-        # probing between insert and admit would see half-committed
-        # state.  A run's keys hold no reservation (one would have
-        # ended the run), so there is none to resolve.
-        while True:
-            frame.assign(key)
-            table.insert(frame)
-            policy.admit(frame)
-            fresh.append(frame)
-            i += 1
-            if i == n:
-                break
-            key = (file_id, block_nos[i])
-            block = table.get(key)
-            if block is not None:
-                policy.touch(block)
-                break
+        # The run ends at the first resident key, reserved key or key
+        # past ``cap`` frames: the block after the run is probed too.
+        stop = min(len(block_nos), i + cap + 1)
+        j, block = table.first_resident(file_id, block_nos, i + 1, stop)
+        keys = [key]
+        for k in range(i + 1, j):
+            key = (file_id, block_nos[k])
             if key in inflight:
+                block = None
                 break
-            # One booked turn per frame, before its commit.
-            frame = freelist.acquire_now()
-            if frame is None:
-                break
-        self.metrics.inc(self._k_allocations, len(fresh))
+            keys.append(key)
+        if len(keys) > cap:
+            del keys[cap:]
+        fresh = freelist.take_run(len(keys))
+        if fresh is None:
+            return _NO_BLOCKS, None, False
+        self._commit_run(fresh, keys)
+        if block is not None:
+            self.policy.touch(block)
         return fresh, block, block is not None
 
     def get_or_allocate(self, key: BlockKey) -> _t.Generator:
@@ -205,11 +204,19 @@ class BufferManager:
         between insert and the reservation hand-off would see
         half-committed state.
         """
-        block.assign(key)
-        self.table.insert(block)
-        self.policy.admit(block)
+        self._commit_run((block,), (key,))
         self._resolve_reservation(key, block)
-        self.metrics.inc(self._k_allocations)
+
+    def _commit_run(
+        self, frames: _t.Sequence[CacheBlock], keys: _t.Sequence[BlockKey]
+    ) -> None:
+        """Make each FREE frame the PENDING block of its key: assigned,
+        chained, then admitted to the policy, as one run.  Atomic (no
+        yields), like every commit."""
+        assign_run(frames, keys)
+        self.table.insert_run(frames)
+        self.policy.admit_run(frames)
+        self.metrics.counters[self._k_allocations] += len(frames)
 
     def _resolve_reservation(
         self, key: BlockKey, block: CacheBlock | None
@@ -253,18 +260,16 @@ class BufferManager:
                 raise ValueError(
                     f"evict of dirty block {block!r} without force"
                 )
-        table = self.table
-        dirtylist = self.dirtylist
-        freelist = self.freelist
         # Eviction walks four structures; a yield between them would
-        # leave a frame visible in none (or two) of them.
+        # leave a frame visible in none (or two) of them.  Forgetting,
+        # unchaining and discarding schedule nothing, so each is one
+        # pass over the run; resetting and releasing are fused block by
+        # block (FreeList.release_run).
         self.policy.forget_run(blocks)
-        for block in blocks:
-            table.remove(block)
-            dirtylist.discard(block)
-            block.reset()
-            freelist.release(block)
-        self.metrics.inc(self._k_evictions, len(blocks))
+        self.table.remove_run(blocks)
+        self.dirtylist.discard_run(blocks)
+        self.freelist.release_run(blocks)
+        self.metrics.counters[self._k_evictions] += len(blocks)
 
     def invalidate(self, key: BlockKey) -> bool:
         """Coherence: drop ``key`` if resident (even dirty — the remote
@@ -298,13 +303,21 @@ class BufferManager:
 
     def unpin(self, block: CacheBlock) -> None:
         """Release a pin, completing any deferred invalidation."""
-        block.unpin()
-        if block.doomed and block.pins == 0 and block.state in (
-            BlockState.CLEAN,
-            BlockState.DIRTY,
-        ):
-            self.evict((block,), force=True)
-            self.metrics.inc(self._k_invalidated)
+        self.unpin_run((block,))
+
+    def unpin_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
+        """Release one pin of each block, then complete the deferred
+        invalidation of each doomed block that is now unpinned with
+        data, in run order.  Unpinning schedules nothing, so this is
+        the order unpinning and dropping block by block would give."""
+        unpin_run(blocks)
+        for block in blocks:
+            if block.doomed and block.pins == 0 and block.state in (
+                BlockState.CLEAN,
+                BlockState.DIRTY,
+            ):
+                self.evict((block,), force=True)
+                self.metrics.inc(self._k_invalidated)
 
     def select_victims(self, n: int) -> list[CacheBlock]:
         """Policy passthrough honouring clean preference."""

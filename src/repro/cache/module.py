@@ -140,10 +140,6 @@ class CacheModule(Service):
             "readahead": self.readahead is not None,
         }
 
-    def _channel(self, iod_node: str) -> _t.Generator:
-        channel = yield from self._iod_pool.channel(iod_node)
-        return channel
-
     # -- geometry helpers ------------------------------------------------------
     def _segments(
         self, offset: int, nbytes: int
@@ -285,7 +281,7 @@ class CacheModule(Service):
                 if fresh:
                     # Misses, fetched whole by this segment.
                     for block_no, frame in zip(block_nos[i:], fresh):
-                        frame.pin()
+                        frame.pins += 1
                         owned[block_no] = resolved[block_no] = frame
                     pinned += fresh
                     counters["cache.misses"] += len(fresh)
@@ -306,7 +302,7 @@ class CacheModule(Service):
                     )
                 else:
                     # Resident with data: a hit or a partial hit.
-                    block.pin()
+                    block.pins += 1
                     pinned.append(block)
                     resolved[block_no] = block
                     self._classify_valid(block_no, start, end, block, gappy)
@@ -345,9 +341,7 @@ class CacheModule(Service):
             if fsm is not None:
                 fsm.to(FSMState.DONE)
         finally:
-            unpin = self.manager.unpin
-            for block in pinned:
-                unpin(block)
+            self.manager.unpin_run(pinned)
         counters["cache.read_segments"] += 1
 
     def _classify_valid(
@@ -426,6 +420,7 @@ class CacheModule(Service):
     ) -> _t.Generator:
         """Issue the miss requests and merge the arriving data."""
         bs = self.block_size
+        counters = self.metrics.counters
         if self.gcache is not None and owned:
             # Cooperative global cache: ask each missing block's home
             # node before touching the iods.
@@ -473,9 +468,9 @@ class CacheModule(Service):
                 iod_ranges = [(lo, hi - lo)]
             else:
                 fsm.split_requests += len(iod_ranges) - 1
-                self.metrics.inc("cache.split_requests", len(iod_ranges) - 1)
+                counters["cache.split_requests"] += len(iod_ranges) - 1
             requested_bytes += sum(n for _, n in iod_ranges)
-            channel = yield from self._channel(iod_node)
+            channel = yield from self._iod_pool.channel(iod_node)
             req = ReadRequest(
                 file_id=handle.file_id,
                 ranges=iod_ranges,
@@ -496,7 +491,7 @@ class CacheModule(Service):
         # module acknowledges libpvfs locally right away.
         fsm.to(FSMState.ACK_FAKED)
         fsm.fake_ack(len(calls))
-        self.metrics.inc("cache.faked_acks", len(calls))
+        counters["cache.faked_acks"] += len(calls)
         yield self.node.compute(self.node.costs.cache_fsm_s)
         fsm.to(FSMState.AWAIT_DATA)
         for call in calls:
@@ -522,7 +517,7 @@ class CacheModule(Service):
                 self.metrics.inc(self._k_invalidated)
         # Count what actually crossed the wire (hull mode re-fetches
         # cached middle blocks, so this can exceed the needed ranges).
-        self.metrics.inc("cache.fetched_bytes", requested_bytes)
+        counters["cache.fetched_bytes"] += requested_bytes
 
     def _merge_range(
         self,
@@ -548,7 +543,16 @@ class CacheModule(Service):
             piece = (
                 chunk[lo - roff : hi - roff] if chunk is not None else None
             )
-            if hi - lo == bs and block.fill(piece):
+            if hi - lo == bs and not block.valid._bounds:
+                # A whole block into a frame holding no bytes yet (a
+                # fresh miss): nothing to keep, so nothing to merge.
+                block.valid._bounds = [0, bs]
+                if piece is not None:
+                    if len(piece) != bs:
+                        raise ValueError(
+                            f"fill of {len(piece)} bytes into a block of {bs}"
+                        )
+                    block.data = bytearray(piece)
                 continue
             block.merge_fetch(lo - base, hi - base, piece)
 
@@ -706,7 +710,7 @@ class CacheModule(Service):
                 else None
                 for roff, rlen in ranges
             ]
-            channel = yield from self._channel(handle.iod_nodes[idx])
+            channel = yield from self._iod_pool.channel(handle.iod_nodes[idx])
             req = WriteRequest(
                 file_id=handle.file_id,
                 ranges=ranges,

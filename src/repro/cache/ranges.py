@@ -60,16 +60,6 @@ class ByteRanges:
             edge.append(end)
         bounds[lo:hi] = edge
 
-    def fill(self, start: int, end: int) -> bool:
-        """Make an empty set exactly [start, end) in one assignment;
-        False, with nothing changed, when the set is not empty."""
-        if start >= end:
-            raise ValueError(f"empty or inverted interval [{start}, {end})")
-        if self._bounds:
-            return False
-        self._bounds = [start, end]
-        return True
-
     def clear(self) -> None:
         """Remove every interval."""
         if self._bounds:

@@ -19,10 +19,11 @@ fairly rather than one message monopolising a channel.
 
 from __future__ import annotations
 
-import math
 import typing as _t
 
-from repro.sim import Environment, Resource, Timeout
+from repro.sim import Environment, Event, Resource, Timeout
+from repro.sim.events import PENDING, NamedEvent
+from repro.sim.resources import Request
 
 
 class Fabric:
@@ -68,7 +69,7 @@ class Fabric:
     def transfer_time_unloaded(self, size_bytes: int) -> float:
         """Transfer time on an idle fabric.
 
-        Matches what :meth:`transmit` charges frame by frame: each
+        Matches what :class:`Transfer` charges frame by frame: each
         acquisition of a channel carries at least one minimum-size
         frame, so even a zero-byte message pays one byte of framing on
         the wire.  (Partial final frames charge their actual bytes, so
@@ -92,31 +93,189 @@ class Fabric:
             "wire_busy_s": self.wire_busy_s,
         }
 
-    def fast_transmit(
-        self,
-        src: str,
-        dst: str,
-        size_bytes: int,
-        deliver: _t.Callable[[], None],
-    ) -> bool:
-        """Try a callback-driven transfer that spawns no process.
+    def channels(self, src: str, dst: str) -> tuple[Resource, ...]:
+        """The channels a frame from ``src`` to ``dst`` holds, in the
+        order it claims them (and releases them in reverse)."""
+        raise NotImplementedError  # pragma: no cover - interface
 
-        Returns False when the caller must run :meth:`transmit`
-        instead, which is always the case on a fabric without such a
-        path.
-        """
-        return False
-
-    def transmit(
+    def claim_idle(
         self, src: str, dst: str, size_bytes: int
-    ) -> _t.Generator:  # pragma: no cover - interface
-        """Process body: carry ``size_bytes`` from ``src`` to ``dst``.
+    ) -> tuple[Request, ...] | None:
+        """Claim every channel of a one-frame transfer in place, or
+        ``None``.
 
-        Yields frame by frame so concurrent transmissions interleave.
-        Completion of the generator means the last bit has left the
-        wire; the caller then delivers the message.
+        A fabric that can tell up front that a transfer will never
+        wait returns its channels' grants, taken with
+        :meth:`~repro.sim.resources.Resource.acquire_now` (no grant
+        events); :class:`Transfer` then holds them for the frame's wire
+        time and releases them in claim order.  Never, by default.
         """
-        raise NotImplementedError
+        return None
+
+    def transfer(self, src: str, dst: str, size_bytes: int) -> "Transfer":
+        """Carry ``size_bytes`` from ``src`` to ``dst`` frame by frame.
+
+        Returns the :class:`Transfer`, an event firing once the last
+        frame has left the wire and the base latency is paid.
+        """
+        return Transfer(self, src, dst, size_bytes).start()
+
+
+class Transfer(NamedEvent):
+    """One message's trip across a fabric, as a chain of callbacks.
+
+    This is the fabric's only transfer path.  Each step is a callback
+    on the event the step before scheduled, so a message costs no
+    generator and no process, yet schedules the very events a process
+    looping over the frames would (DESIGN.md §14, "The miss path: runs
+    and callback stages"):
+
+    * :meth:`start` queues the urgent start event a process queues;
+    * per frame, a grant of each channel in :meth:`Fabric.channels`
+      order, then the wire :class:`~repro.sim.events.Timeout`, then
+      the releases in reverse order;
+    * the base-latency timeout;
+    * :meth:`_arrive`, which fires this event (a subclass first hands
+      the message to its receiver).
+
+    A transfer that :meth:`Fabric.claim_idle` admits skips the start
+    event and the grants instead (:meth:`start_idle`).
+    """
+
+    __slots__ = (
+        "fabric", "src", "dst", "_frames", "_left", "_chunk", "_wire_s",
+        "_chans", "_held",
+    )
+
+    name = "transfer"
+
+    def __init__(
+        self, fabric: Fabric, src: str, dst: str, size_bytes: int
+    ) -> None:
+        if size_bytes < 0:
+            raise ValueError(f"negative transfer size {size_bytes}")
+        super().__init__(fabric.env)
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        # Even a zero-byte message occupies the wire for its framing.
+        self._frames = max(1, -(-size_bytes // fabric.frame_bytes))
+        self._left = size_bytes
+        self._chunk = 0
+        self._wire_s = 0.0
+        self._chans: tuple[Resource, ...] = ()
+        self._held: list[Request] = []
+
+    # -- the framed path -------------------------------------------------
+    def start(self) -> "Transfer":
+        """Run the framed path from an urgent start event."""
+        env = self.env
+        begin = Event(env)
+        begin._ok = True
+        begin._value = None
+        begin.callbacks.append(self._begin)  # type: ignore[union-attr]
+        env.schedule(begin, priority=env.PRIORITY_URGENT)
+        return self
+
+    def _begin(self, _event: Event) -> None:
+        self._chans = self.fabric.channels(self.src, self.dst)
+        self._frame()
+
+    def _frame(self) -> None:
+        """Size the next frame and claim its first channel."""
+        fabric = self.fabric
+        left = self._left
+        chunk = fabric.frame_bytes if left > fabric.frame_bytes else left
+        self._left = left - chunk
+        self._chunk = chunk
+        self._wire_s = (chunk or 1) * 8.0 / fabric.bandwidth_bps
+        self._held = []
+        self._claim(self._chans[0])
+
+    def _claim(self, res: Resource) -> None:
+        """``res.request()`` without its two method calls: a grant
+        event, queued now when ``res`` is free, else on its release."""
+        req = Request.__new__(Request)
+        req.env = self.env
+        req.callbacks = [self._granted]
+        req._value = PENDING
+        req._ok = None
+        req.resource = res
+        self._held.append(req)
+        # A waiter only queues behind a full resource, so a free one
+        # has nobody to grant first.
+        if len(res._holders) < res.capacity:
+            res._holders.add(req)
+            req.succeed(res)
+        else:
+            res._waiting.append(req)
+
+    def _granted(self, _event: Event) -> None:
+        k = len(self._held)
+        if k < len(self._chans):
+            self._claim(self._chans[k])
+        else:
+            Timeout(self.env, self._wire_s).callbacks.append(self._sent)
+
+    def _sent(self, _event: Event) -> None:
+        _release(reversed(self._held))
+        self._account()
+        self._frames -= 1
+        if self._frames:
+            self._frame()
+        else:
+            Timeout(self.env, self.fabric.base_latency_s).callbacks.append(
+                self._arrive
+            )
+
+    def _account(self) -> None:
+        fabric = self.fabric
+        fabric.bytes_transferred += self._chunk
+        fabric.frames_transferred += 1
+        fabric.wire_busy_s += self._wire_s
+
+    # -- the idle path ---------------------------------------------------
+    def start_idle(self) -> bool:
+        """Send the one frame at once on channels claimed in place.
+
+        False, with nothing claimed, unless :meth:`Fabric.claim_idle`
+        admits the transfer; run :meth:`start` then.
+        """
+        held = self.fabric.claim_idle(self.src, self.dst, self._left)
+        if held is None:
+            return False
+        self._held = list(held)
+        self._chunk = self._left
+        self._wire_s = (self._left or 1) * 8.0 / self.fabric.bandwidth_bps
+        Timeout(self.env, self._wire_s).callbacks.append(self._idle_sent)
+        return True
+
+    def _idle_sent(self, _event: Event) -> None:
+        # Released in claim order, unlike the framed path.
+        _release(self._held)
+        self._account()
+        Timeout(self.env, self.fabric.base_latency_s).callbacks.append(
+            self._arrive
+        )
+
+    # -- arrival ---------------------------------------------------------
+    def _arrive(self, _event: Event) -> None:
+        """The last bit is in: fire."""
+        self.succeed()
+
+
+def _release(held: _t.Iterable[Request]) -> None:
+    """:meth:`Resource.release` of each held grant, in the given order,
+    inlined: each may grant the channel to its next waiter."""
+    for req in held:
+        res = req.resource
+        holders = res._holders
+        holders.remove(req)
+        waiting = res._waiting
+        while waiting and len(holders) < res.capacity:
+            nxt = waiting.popleft()
+            holders.add(nxt)
+            nxt.succeed(res)
 
 
 class SharedHubFabric(Fabric):
@@ -133,30 +292,16 @@ class SharedHubFabric(Fabric):
     ) -> None:
         super().__init__(env, bandwidth_bps, frame_bytes, base_latency_s)
         self._medium = Resource(env, capacity=1)
+        self._medium_only = (self._medium,)
 
     @property
     def utilization_queue(self) -> int:
         """Frames currently waiting for the medium."""
         return self._medium.queue_length
 
-    def transmit(self, src: str, dst: str, size_bytes: int) -> _t.Generator:
-        """Occupy the single shared medium, whoever the endpoints are."""
-        if size_bytes < 0:
-            raise ValueError(f"negative transfer size {size_bytes}")
-        remaining = size_bytes
-        # Even a zero-byte message occupies the wire for its framing.
-        nframes = max(1, math.ceil(size_bytes / self.frame_bytes))
-        for _ in range(nframes):
-            chunk = min(self.frame_bytes, remaining) if remaining else 0
-            remaining -= chunk
-            wire_s = self.frame_time(max(chunk, 1))
-            with self._medium.request() as req:
-                yield req
-                yield self.env.timeout(wire_s)
-            self.bytes_transferred += chunk
-            self.frames_transferred += 1
-            self.wire_busy_s += wire_s
-        yield self.env.timeout(self.base_latency_s)
+    def channels(self, src: str, dst: str) -> tuple[Resource, ...]:
+        """The single shared medium, whoever the endpoints are."""
+        return self._medium_only
 
 
 class SwitchedFabric(Fabric):
@@ -195,69 +340,33 @@ class SwitchedFabric(Fabric):
             for ch in table.values()
         )
 
-    def fast_transmit(
-        self,
-        src: str,
-        dst: str,
-        size_bytes: int,
-        deliver: _t.Callable[[], None],
-    ) -> bool:
-        """Callback-driven single-frame transfer on idle ports.
+    def channels(self, src: str, dst: str) -> tuple[Resource, ...]:
+        """The sender's TX port, then the receiver's RX port: a frame
+        holds TX while it waits for RX (head-of-line blocking)."""
+        return (
+            self._tx.get(src) or self._channel(self._tx, src),
+            self._rx.get(dst) or self._channel(self._rx, dst),
+        )
+
+    def claim_idle(
+        self, src: str, dst: str, size_bytes: int
+    ) -> tuple[Request, ...] | None:
+        """A one-frame transfer between idle ports claims both at once.
 
         When the message fits one frame and neither the sender's TX nor
         the receiver's RX channel has holders or waiters, the transfer
         outcome is fully determined up front: hold both channels for
-        the frame's wire time, then pay the base latency and call
-        ``deliver``.  Returns False (caller must use :meth:`transmit`)
-        whenever contention or fragmentation makes the generator path
-        necessary.  Timing is identical to :meth:`transmit` for the
-        covered case — this only removes per-message Process overhead.
+        the frame's wire time, then pay the base latency.  Timing is
+        identical to the framed path for the covered case; only the
+        start and grant events go.
         """
-        if not (0 <= size_bytes <= self.frame_bytes):
-            return False
-        tx = self._channel(self._tx, src)
-        rx = self._channel(self._rx, dst)
+        if size_bytes > self.frame_bytes:
+            return None
+        tx, rx = self.channels(src, dst)
         if tx._holders or tx._waiting or rx._holders or rx._waiting:
-            return False
+            return None
         # Idle channels: claim both without grant events nobody yields.
         tx_req = tx.acquire_now()
         rx_req = rx.acquire_now()
         assert tx_req is not None and rx_req is not None
-        env = self.env
-
-        wire_s = self.frame_time(max(size_bytes, 1))
-
-        def _frame_done(_ev: object) -> None:
-            tx.release(tx_req)
-            rx.release(rx_req)
-            self.bytes_transferred += size_bytes
-            self.frames_transferred += 1
-            self.wire_busy_s += wire_s
-            Timeout(env, self.base_latency_s).callbacks.append(
-                lambda _e: deliver()
-            )
-
-        Timeout(env, wire_s).callbacks.append(_frame_done)
-        return True
-
-    def transmit(self, src: str, dst: str, size_bytes: int) -> _t.Generator:
-        """Occupy the sender's TX and receiver's RX ports."""
-        if size_bytes < 0:
-            raise ValueError(f"negative transfer size {size_bytes}")
-        tx = self._channel(self._tx, src)
-        rx = self._channel(self._rx, dst)
-        remaining = size_bytes
-        nframes = max(1, math.ceil(size_bytes / self.frame_bytes))
-        for _ in range(nframes):
-            chunk = min(self.frame_bytes, remaining) if remaining else 0
-            remaining -= chunk
-            wire_s = self.frame_time(max(chunk, 1))
-            with tx.request() as tx_req:
-                yield tx_req
-                with rx.request() as rx_req:
-                    yield rx_req
-                    yield self.env.timeout(wire_s)
-            self.bytes_transferred += chunk
-            self.frames_transferred += 1
-            self.wire_busy_s += wire_s
-        yield self.env.timeout(self.base_latency_s)
+        return tx_req, rx_req

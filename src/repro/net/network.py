@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.net.fabric import Fabric, SwitchedFabric
+from repro.net.fabric import Fabric, SwitchedFabric, Transfer
 from repro.net.message import Message
-from repro.sim import Environment, Event, Process, Store, Timeout
+from repro.sim import Environment, Event, Store, Timeout
 
 
 class Network:
@@ -47,14 +47,6 @@ class Network:
         stats.messages_handled = self.messages_delivered
         self._svc_stats = stats
 
-    def _note_delivery(self) -> None:
-        """Per-delivery bookkeeping (bus row, when attached)."""
-        self.messages_delivered += 1
-        stats = self._svc_stats
-        if stats is not None:
-            stats.messages_handled = self.messages_delivered
-            stats.busy_s = self.fabric.wire_busy_s
-
     def stats_snapshot(self) -> dict[str, _t.Any]:
         """Fabric contention counters plus delivery totals."""
         snap = dict(self.fabric.stats_snapshot())
@@ -91,22 +83,23 @@ class Network:
         message.stamp(self.env)
         return self.deliver(message, inbox)
 
-    def deliver(self, message: Message, inbox: Store) -> Event:
+    def deliver(self, message: Message, inbox: Store) -> "Delivery":
         """Transmit ``message`` into ``inbox``; returns the done event.
 
-        The common cases — loopback, and a single-frame transfer over
-        idle switched-fabric ports — are driven entirely by scheduled
-        callbacks instead of spawning a transmission :class:`Process`
-        per message, which is the simulator's per-message hot path.
-        Contended or multi-frame transfers fall back to the process.
+        A :class:`Delivery` stage carries every message: loopback pays
+        :attr:`loopback_latency_s` and never touches the fabric, a
+        one-frame transfer between idle switch ports goes at once
+        (:meth:`Transfer.start_idle`), and everything else takes the
+        framed path a transmission process used to.
         """
         env = self.env
+        stage = Delivery(self, message, inbox)
         if message.src == message.dst:
-            done = Event(env)
+            stage._ident = "Event"
             Timeout(env, self.loopback_latency_s).callbacks.append(
-                lambda _ev: self._finish_delivery(message, inbox, done)
+                stage._arrive
             )
-            return done
+            return stage
         stats = self._svc_stats
         if stats is not None:
             # Sample contention as the message joins the wire — by
@@ -114,38 +107,67 @@ class Network:
             depth = self.fabric.utilization_queue
             if depth > stats.queue_high_water:
                 stats.queue_high_water = depth
-        done = Event(env)
-        if self.fabric.fast_transmit(
-            message.src,
-            message.dst,
-            message.wire_bytes,
-            lambda: self._finish_delivery(message, inbox, done),
-        ):
-            return done
-        return env.process(
-            self._transmit(message, inbox),
-            name=f"xmit-{message.kind}-{message.msg_id}",
+        if stage.start_idle():
+            stage._ident = "Event"
+            return stage
+        return stage.start()
+
+
+class Delivery(Transfer):
+    """A :class:`Transfer` that ends in the receiver's inbox.
+
+    After the wire it puts the message into ``inbox`` and, once the
+    put is admitted, counts the delivery and fires with the message.
+    Its schedule-trace identity is the one the code it replaced gave
+    the done event: the transmission process's name on the framed path
+    (``xmit-<kind>-<id>``, built only when a digest asks), a bare
+    ``Event`` on the loopback and idle paths.
+    """
+
+    __slots__ = ("network", "message", "inbox", "_ident")
+
+    def __init__(
+        self,
+        network: Network,
+        message: Message,
+        inbox: Store,
+        ident: str | None = None,
+    ) -> None:
+        super().__init__(
+            network.fabric, message.src, message.dst, message.wire_bytes
+        )
+        self.network = network
+        self.message = message
+        self.inbox = inbox
+        self._ident = ident
+
+    @property  # type: ignore[override]
+    def name(self) -> str:
+        """This stage's identity in the schedule trace."""
+        if self._ident is not None:
+            return self._ident
+        return f"xmit-{self.message.kind}-{self.message.msg_id}"
+
+    def _begin(self, event: Event) -> None:
+        if self.src == self.dst:
+            # Only a stage started by hand gets here (the shuffle of
+            # two ranks on one node): loopback after the start event.
+            Timeout(self.env, self.network.loopback_latency_s).callbacks.append(
+                self._arrive
+            )
+        else:
+            super()._begin(event)
+
+    def _arrive(self, _event: Event) -> None:
+        self.inbox.put(self.message).callbacks.append(  # type: ignore[union-attr]
+            self._admitted
         )
 
-    def _finish_delivery(
-        self, message: Message, inbox: Store, done: Event
-    ) -> None:
-        """Enqueue at the receiver, then fire ``done`` (waiting for the
-        inbox to admit the message if it is at capacity)."""
-
-        def _admitted(_ev: Event) -> None:
-            self._note_delivery()
-            done.succeed(message)
-
-        inbox.put(message).add_callback(_admitted)
-
-    def _transmit(self, message: Message, inbox: Store) -> _t.Generator:
-        if message.src == message.dst:
-            yield self.env.timeout(self.loopback_latency_s)
-        else:
-            yield from self.fabric.transmit(
-                message.src, message.dst, message.wire_bytes
-            )
-        yield inbox.put(message)
-        self._note_delivery()
-        return message
+    def _admitted(self, _event: Event) -> None:
+        network = self.network
+        network.messages_delivered += 1
+        stats = network._svc_stats
+        if stats is not None:
+            stats.messages_handled = network.messages_delivered
+            stats.busy_s = network.fabric.wire_busy_s
+        self.succeed(self.message)

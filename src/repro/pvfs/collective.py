@@ -27,6 +27,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
 
 from repro.net import Message
+from repro.net.network import Delivery
 from repro.pvfs.protocol import FileHandle
 from repro.sim import Process, Store
 
@@ -100,9 +101,12 @@ class CollectiveGroup:
             kind=SHUFFLE_MSG, size_bytes=nbytes, src=src, dst=dst
         )
         message.stamp(self.cluster.env)
-        yield self.cluster.env.process(
-            self.cluster.network._transmit(message, self._mailboxes[receiver])
-        )
+        # Started like the process it replaced, under that process's
+        # name: the framed path even on idle ports.
+        yield Delivery(
+            self.cluster.network, message, self._mailboxes[receiver],
+            ident="_transmit",
+        ).start()
 
     def _collect(self, rank: int, n_messages: int) -> _t.Generator:
         """Receive ``n_messages`` shuffle messages at ``rank``."""

@@ -10,6 +10,7 @@ the *directory* of caching nodes used by ``sync_write`` invalidations.
 from __future__ import annotations
 
 import typing as _t
+from itertools import chain
 
 from repro.cluster.node import Node
 from repro.disk.filesystem import blocks_spanned
@@ -104,10 +105,11 @@ class Iod(Service):
             for off, n in req.ranges
         ]
         data = ReadData(file_id=req.file_id, ranges=list(req.ranges), chunks=chunks)
-        self.metrics.inc("iod.reads")
+        counters = self.metrics.counters
+        counters["iod.reads"] += 1
         if len(req.ranges) > 1:
-            self.metrics.inc("iod.list_requests")
-        self.metrics.inc("iod.read_bytes", req.total_bytes)
+            counters["iod.list_requests"] += 1
+        counters["iod.read_bytes"] += req.total_bytes
         yield endpoint.send(
             msg.reply(protocol.IOD_DATA, data.total_bytes, payload=data)
         )
@@ -167,7 +169,8 @@ class Iod(Service):
         reading coalesced runs of missing blocks from disk.
 
         One :meth:`PageCache.lookup_many` pass probes the whole
-        request and hands back coalesced missing-block runs; one
+        request, range by range (no per-block list is built), and hands
+        back coalesced missing-block runs; one
         :meth:`DiskModel.io_batch` call services them.  Runs become
         resident as they land (``on_run_complete``), so concurrent
         requests observe the same residency evolution as the old
@@ -177,17 +180,14 @@ class Iod(Service):
         disk = self.node.disk
         assert pagecache is not None and disk is not None
         block_size = self.block_size
-        blocks = [
-            block
-            for off, n in ranges
-            for block in blocks_spanned(off, n, block_size)
-        ]
-        hits, runs = pagecache.lookup_many(file_id, blocks)
-        misses = len(blocks) - hits
+        spans = [blocks_spanned(off, n, block_size) for off, n in ranges]
+        hits, runs = pagecache.lookup_many(file_id, chain.from_iterable(spans))
+        misses = sum(map(len, spans)) - hits
+        counters = self.metrics.counters
         if hits:
-            self.metrics.inc("iod.pagecache_hits", hits)
+            counters["iod.pagecache_hits"] += hits
         if misses:
-            self.metrics.inc("iod.pagecache_misses", misses)
+            counters["iod.pagecache_misses"] += misses
         if not runs:
             return
         yield from disk.io_batch(

@@ -22,7 +22,7 @@ from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, NamedEvent, Timeout
 from repro.sim.process import Process
 
 #: Environment variable: when truthy, every new :class:`Environment`
@@ -250,17 +250,20 @@ class Environment:
         if d > self._depth_hw:
             self._depth_hw = d
 
-    def take_turn(self, kind: type) -> bool:
-        """Book an in-place turn (DESIGN.md §14, "In-place turns").
+    def take_turn(self, kind: type, n: int = 1) -> bool:
+        """Book ``n`` in-place turns (DESIGN.md §14, "In-place turns").
 
         The running process is about to yield a zero-delay ``kind``
-        event that is already satisfied and that it alone waits on.
-        When that event would provably be the run loop's very next pop,
-        this books the step exactly as the loop would — sequence
-        number, processed-event count, depth high-water mark, step
-        hooks, trace-hash line — and returns True: the caller then
-        carries on as if resumed by the event, without queueing it.
-        Returns False (booking nothing) unless
+        event that is already satisfied and that it alone waits on,
+        ``n`` times in a row with nothing scheduled in between.  When
+        each would provably be the run loop's very next pop, this books
+        the steps exactly as the loop would — sequence numbers,
+        processed-event count, depth high-water mark, step hooks,
+        trace-hash lines — and returns True: the caller then carries
+        on as if resumed by the events, without queueing them.  The
+        conditions below hold for all ``n`` turns or for none, so the
+        booking is all or nothing.  Returns False (booking nothing)
+        unless
 
         * a process is running, resumed as the *only* callback of the
           current event (a later callback would run before the pop);
@@ -283,19 +286,24 @@ class Environment:
         stop = self._stop_event
         if stop is not None and stop.callbacks is None:
             return False
-        self._seq += 1
         if self._depth >= self._depth_hw:
             self._depth_hw = self._depth + 1
-        self._turns_in_place += 1
         if self._step_hooks or self._trace is not None:
-            # The step that resumed this process ends here.
-            for hook in self._step_hooks:
-                hook(self)
-            if self._trace is not None:
-                self._trace.update(
-                    f"{self._seq}|{self._now!r}|{kind.__name__}\n".encode()
-                )
-        self._events_processed += 1
+            for _ in range(n):
+                self._seq += 1
+                self._turns_in_place += 1
+                # The step that resumed this process ends here.
+                for hook in self._step_hooks:
+                    hook(self)
+                if self._trace is not None:
+                    self._trace.update(
+                        f"{self._seq}|{self._now!r}|{kind.__name__}\n".encode()
+                    )
+                self._events_processed += 1
+            return True
+        self._seq += n
+        self._turns_in_place += n
+        self._events_processed += n
         return True
 
     def _peek_entry(self) -> _QueueEntry | None:
@@ -367,8 +375,9 @@ class Environment:
         into a BLAKE2b accumulator; two runs of the same seeded
         simulation must produce identical digests, whether they run in
         this process or in a parallel sweep worker.  Event identity is
-        the process name for :class:`Process` events and the class name
-        otherwise — no ``id()``/``hash()`` values, so the digest is
+        the ``name`` of a :class:`~repro.sim.events.NamedEvent` (a
+        process, or a callback stage standing in for one) and the class
+        name otherwise — no ``id()``/``hash()`` values, so the digest is
         stable across interpreter instances.
         """
         if self._trace is None:
@@ -388,7 +397,7 @@ class Environment:
         self._now = when
         if self._trace is not None:
             ident = (
-                event.name if isinstance(event, Process)
+                event.name if isinstance(event, NamedEvent)
                 else type(event).__name__
             )
             self._trace.update(f"{seq}|{when!r}|{ident}\n".encode())

@@ -152,6 +152,21 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+class NamedEvent(Event):
+    """An event whose schedule-trace identity is its ``name``.
+
+    :meth:`Environment.enable_trace_hash` folds a plain event in by its
+    class name; a :class:`~repro.sim.process.Process`, or a callback
+    stage that stands in for one, by the name it carries instead, so
+    replacing a process with a stage leaves the digest unchanged.
+    Subclasses provide ``name``.
+    """
+
+    __slots__ = ()
+
+    name: str
+
+
 class Timeout(Event):
     """An event that fires ``delay`` simulated time units in the future."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.sim.events import PENDING, Event, Interrupt
+from repro.sim.events import PENDING, Event, Interrupt, NamedEvent
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -14,7 +14,7 @@ class ProcessKilled(Exception):
     """Injected into a process by :meth:`Process.kill`."""
 
 
-class Process(Event):
+class Process(NamedEvent):
     """A running coroutine in the simulation.
 
     The wrapped generator yields :class:`Event` objects to suspend; the

@@ -79,7 +79,7 @@ class Resource:
     def acquire_now(self) -> Request | None:
         """Claim one unit synchronously, or ``None`` if it would queue.
 
-        The switched fabric's single-frame fast path (DESIGN.md §14)
+        The switched fabric's idle path (DESIGN.md §14)
         uses this to take idle ports without a grant event nobody
         yields.  The returned request is born granted and processed —
         nothing is scheduled, so the grant leaves no trace-visible
@@ -188,8 +188,17 @@ class Store:
     def put(self, item: _t.Any) -> StorePut:
         """Queue an item; the event fires when admitted."""
         event = StorePut(self.env)
-        self._putters.append((event, item))
-        self._dispatch()
+        if self._putters or len(self._items) >= self.capacity:
+            self._putters.append((event, item))
+            self._dispatch()
+            return event
+        # What _dispatch does with room to spare: admit, then hand the
+        # head item to a waiting getter (getters only queue on an empty
+        # store, so that is this item).
+        self._items.append(item)
+        event.succeed()
+        if self._getters:
+            self._getters.popleft().succeed(self._items.popleft())
         return event
 
     def put_nowait(self, item: _t.Any) -> None:
@@ -228,7 +237,8 @@ class Store:
             event.succeed(self._items.popleft())
             return event
         self._getters.append(event)
-        self._dispatch()
+        if self._items or self._putters:
+            self._dispatch()
         return event
 
     def _dispatch(self) -> None:

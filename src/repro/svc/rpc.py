@@ -3,7 +3,7 @@
 A private libpvfs connection can match responses FIFO, but the cache
 module *shares* one connection per iod across every process on the
 node, so responses must be correlated by message id.  :class:`RpcChannel`
-runs a dispatcher process that routes each inbound message to the
+runs a dispatcher loop that routes each inbound message to the
 :class:`Call` whose request it answers.  A call may receive several
 responses (the PVFS read protocol answers with an ACK message followed
 by a DATA message).
@@ -22,7 +22,9 @@ import typing as _t
 
 from repro.net.message import Message
 from repro.net.sockets import Endpoint
-from repro.sim import Store
+from repro.sim import Event, ProcessKilled, Store
+from repro.sim.events import PENDING, NamedEvent
+from repro.sim.resources import StoreGet
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
@@ -94,9 +96,7 @@ class RpcChannel:
         self.orphans = 0
         #: Calls whose deadline passed with no response seen.
         self.timed_out = 0
-        self._dispatcher = self.env.process(
-            self._dispatch_loop(), name=f"rpc-dispatch-{self.label}"
-        )
+        self._dispatcher = _Dispatcher(self)
 
     def call(
         self,
@@ -124,14 +124,18 @@ class RpcChannel:
         """Calls still awaiting responses."""
         return len(self._calls)
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has stopped the dispatcher."""
+        return self._dispatcher.triggered
+
     def close(self, strict: bool = False) -> None:
-        """Kill the dispatcher; with ``strict``, leaks raise.
+        """Stop the dispatcher; with ``strict``, leaks raise.
 
         Always stops the dispatcher first so even a raising close never
         leaves a live receive loop behind.
         """
-        if self._dispatcher.is_alive:
-            self._dispatcher.kill()
+        self._dispatcher.stop()
         if strict and self._calls:
             pending = ", ".join(
                 f"#{call.msg_id}({call.kind})"
@@ -143,15 +147,65 @@ class RpcChannel:
             )
         self._calls.clear()
 
-    def _dispatch_loop(self) -> _t.Generator:
-        while True:
-            msg: Message = yield self.endpoint.recv()
-            call = self._calls.get(msg.reply_to) if msg.reply_to else None
+
+
+class _Dispatcher(NamedEvent):
+    """An :class:`RpcChannel`'s receive loop, as callbacks.
+
+    Schedules what a process looping over ``recv()`` would: an urgent
+    start event, then one ``StoreGet`` per inbound message and one
+    ``StorePut`` per routed response, each step a callback on the event
+    before.  It is itself the event such a process was, under the same
+    name: it fails with :class:`~repro.sim.ProcessKilled` when
+    :meth:`stop` ends the loop, and never fires otherwise.
+    """
+
+    __slots__ = ("channel", "name", "_waiting_on")
+
+    def __init__(self, channel: RpcChannel) -> None:
+        super().__init__(channel.env)
+        self.channel = channel
+        self.name = f"rpc-dispatch-{channel.label}"
+        #: The get or put the loop is suspended on.
+        self._waiting_on: Event | None = None
+        env = self.env
+        begin = Event(env)
+        begin._ok = True
+        begin._value = None
+        begin.callbacks.append(self._step)  # type: ignore[union-attr]
+        env.schedule(begin, priority=env.PRIORITY_URGENT)
+
+    def _step(self, event: Event) -> None:
+        if self._value is not PENDING:
+            return  # stopped before its start event ran
+        channel = self.channel
+        if type(event) is StoreGet:
+            msg: Message = event._value
+            call = channel._calls.get(msg.reply_to) if msg.reply_to else None
             if call is None:
-                self.orphans += 1
-                continue
-            call.responses_seen += 1
-            yield call._responses.put(msg)
+                channel.orphans += 1
+            else:
+                call.responses_seen += 1
+                self._wait(call._responses.put(msg))
+                return
+        self._wait(channel.endpoint.recv())
+
+    def _wait(self, event: Event) -> None:
+        self._waiting_on = event
+        event.callbacks.append(self._step)  # type: ignore[union-attr]
+
+    def stop(self) -> None:
+        """End the loop as :meth:`~repro.sim.Process.kill` ends a
+        process: detach from the awaited event, then fail."""
+        if self._value is not PENDING:
+            return
+        waited = self._waiting_on
+        self._waiting_on = None
+        if waited is not None and waited.callbacks is not None:
+            step = self._step
+            if step in waited.callbacks:
+                waited.callbacks.remove(step)
+        self.fail(ProcessKilled(f"{self.name} was killed"))
 
 
 class ChannelPool:

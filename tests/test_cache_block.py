@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.block import BlockState, CacheBlock
+from repro.cache.freelist import FreeList
 from repro.sim import Environment
 
 
@@ -145,13 +146,18 @@ def test_mark_clean_on_clean_is_false():
     assert b.mark_clean(0) is False
 
 
+def _reset(env, block):
+    """Any state -> FREE: returning a frame to the pool resets it."""
+    FreeList(env, [], low_blocks=0, high_blocks=0).release(block)
+
+
 def test_reset_clears_everything():
     env = Environment()
     b = _block()
     b.assign((1, 0))
     b.write(0, 10, b"z" * 10)
     b.make_ready()
-    b.reset()
+    _reset(env, b)
     assert b.state is BlockState.FREE
     assert b.key is None
     assert b.data is None
@@ -164,7 +170,7 @@ def test_reset_pending_fails_waiters():
     b = _block()
     b.assign((1, 0))
     ev = b.ready(env)
-    b.reset()
+    _reset(env, b)
     assert ev.triggered and not ev.ok
 
 
@@ -174,7 +180,7 @@ def test_reset_pinned_raises():
     b.assign((1, 0))
     b.pin()
     with pytest.raises(RuntimeError):
-        b.reset()
+        _reset(env, b)
 
 
 def test_pin_unpin():

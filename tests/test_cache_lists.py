@@ -41,7 +41,6 @@ def test_freelist_acquire_release_cycle():
         got.append(blk)
         blk.assign((1, 0))
         blk.make_ready()
-        blk.reset()
         fl.release(blk)
 
     env.process(proc(env))
@@ -50,13 +49,21 @@ def test_freelist_acquire_release_cycle():
     assert len(fl) == 3
 
 
-def test_freelist_release_nonfree_rejected():
+def test_freelist_release_resets_but_refuses_a_pinned_block():
+    """Returning a frame resets it, so a keyed block is a valid input;
+    one still pinned by a copy in progress is not."""
     env = Environment()
     fl = FreeList(env, _blocks(env, 1), low_blocks=1, high_blocks=1)
     b = CacheBlock(9, 4096)
     b.assign((1, 0))
-    with pytest.raises(ValueError):
+    b.pin()
+    with pytest.raises(RuntimeError, match="pinned"):
         fl.release(b)
+    assert len(fl) == 1
+    b.unpin()
+    fl.release(b)
+    assert b.state is BlockState.FREE and b.key is None
+    assert len(fl) == 2
 
 
 def test_freelist_acquire_blocks_when_dry():
@@ -70,7 +77,6 @@ def test_freelist_acquire_blocks_when_dry():
         order.append((tag, env.now))
         if tag == "first":
             yield env.timeout(5)
-            blk.reset() if blk.state is not BlockState.FREE else None
             fl.release(blk)
 
     env.process(taker(env, "first"))

@@ -531,7 +531,7 @@ def test_in_place_turns_are_schedule_neutral(scenario, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_HASH", "1")
     with_turns = scenario()
     assert with_turns.env.sched_stats()["turns_in_place"] > 0
-    monkeypatch.setattr(Environment, "take_turn", lambda self, kind: False)
+    monkeypatch.setattr(Environment, "take_turn", lambda self, kind, n=1: False)
     without = scenario()
     assert without.env.sched_stats()["turns_in_place"] == 0
     assert _footprint(with_turns) == _footprint(without)

@@ -89,7 +89,7 @@ def test_hub_single_transfer_time():
     done = []
 
     def proc(env):
-        yield from hub.transmit("a", "b", 65536)
+        yield hub.transfer("a", "b", 65536)
         done.append(env.now)
 
     env.process(proc(env))
@@ -107,7 +107,7 @@ def test_hub_concurrent_transfers_share_medium():
     finish = {}
 
     def proc(env, tag):
-        yield from hub.transmit(tag, "sink-" + tag, 2**20)
+        yield hub.transfer(tag, "sink-" + tag, 2**20)
         finish[tag] = env.now
 
     env.process(proc(env, "a"))
@@ -128,7 +128,7 @@ def test_hub_small_transfer_not_starved_by_large():
     finish = {}
 
     def proc(env, tag, size):
-        yield from hub.transmit(tag, "sink-" + tag, size)
+        yield hub.transfer(tag, "sink-" + tag, size)
         finish[tag] = env.now
 
     env.process(proc(env, "big", 2**20))
@@ -143,7 +143,7 @@ def test_hub_zero_byte_message_still_costs():
     done = []
 
     def proc(env):
-        yield from hub.transmit("a", "b", 0)
+        yield hub.transfer("a", "b", 0)
         done.append(env.now)
 
     env.process(proc(env))
@@ -156,7 +156,7 @@ def test_hub_accounting():
     hub = SharedHubFabric(env, frame_bytes=1000)
 
     def proc(env):
-        yield from hub.transmit("a", "b", 2500)
+        yield hub.transfer("a", "b", 2500)
 
     env.process(proc(env))
     env.run()
@@ -169,7 +169,7 @@ def test_hub_negative_size_rejected():
     hub = SharedHubFabric(env)
 
     def proc(env):
-        yield from hub.transmit("a", "b", -5)
+        yield hub.transfer("a", "b", -5)
 
     p = env.process(proc(env))
     env.run()
@@ -196,7 +196,7 @@ def _run_flows(fabric, flows):
     def one(i, start, src, dst, size):
         if start:
             yield env.timeout(start)
-        yield from fabric.transmit(src, dst, size)
+        yield fabric.transfer(src, dst, size)
         finish[i] = env.now
 
     for i, flow in enumerate(flows):
@@ -230,7 +230,7 @@ def test_hub_fair_share(n):
 @pytest.mark.parametrize("fabric_cls", [SharedHubFabric, SwitchedFabric])
 @pytest.mark.parametrize("size", [0, 1, 65536, 4 * 65536, MB + 1])
 def test_unloaded_formula_matches_actual_idle_transfer(fabric_cls, size):
-    """``transfer_time_unloaded`` is exact for what transmit charges,
+    """``transfer_time_unloaded`` is exact for what a transfer charges,
     per-frame framing included: a zero-byte message still pays one
     minimum-size frame on the wire."""
     fab = fabric_cls(Environment())

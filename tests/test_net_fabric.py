@@ -8,7 +8,7 @@ from repro.sim import Environment
 
 def _timed_transfer(env, fabric, src, dst, size, finish, tag):
     def proc(env):
-        yield from fabric.transmit(src, dst, size)
+        yield fabric.transfer(src, dst, size)
         finish[tag] = env.now
 
     env.process(proc(env))
@@ -27,7 +27,7 @@ def test_switched_negative_size_rejected():
     fab = SwitchedFabric(env)
 
     def proc(env):
-        yield from fab.transmit("a", "b", -1)
+        yield fab.transfer("a", "b", -1)
 
     p = env.process(proc(env))
     env.run()
@@ -111,7 +111,7 @@ def test_switched_accounting():
     fab = SwitchedFabric(env, frame_bytes=1000)
 
     def proc(env):
-        yield from fab.transmit("a", "b", 2500)
+        yield fab.transfer("a", "b", 2500)
 
     env.process(proc(env))
     env.run()

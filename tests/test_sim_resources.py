@@ -234,7 +234,7 @@ def test_store_many_getters_fifo():
 
 
 # ---------------------------------------------------------------------------
-# Resource.acquire_now (SwitchedFabric.fast_transmit, DESIGN.md §14)
+# Resource.acquire_now (SwitchedFabric.claim_idle, DESIGN.md §14)
 # ---------------------------------------------------------------------------
 
 

@@ -176,7 +176,7 @@ def test_unanswered_call_surfaces_pending_call_leak():
     with pytest.raises(PendingCallLeak, match=r"orphaned-read"):
         channel.close(strict=True)
     # The dispatcher really died even though close() raised.
-    assert not channel._dispatcher.is_alive
+    assert channel.closed
     assert channel.outstanding == 0
 
 
