@@ -140,14 +140,7 @@ class CacheBlock:
         The reverse transition, any state -> FREE, is part of returning
         the frame to the pool (:meth:`FreeList.release_run`).
         """
-        if self.state is BlockState.PENDING:
-            # ``dirty.is_empty()``, without the call: once per fetched block.
-            self.state = BlockState.DIRTY if self.dirty._bounds else (
-                BlockState.CLEAN
-            )
-        event, self.ready_event = self.ready_event, None
-        if event is not None and not event.triggered:
-            event.succeed(self)
+        ready_run((self,))
 
     # -- helpers -----------------------------------------------------------------
     def read_slice(self, start: int, end: int) -> bytes | None:
@@ -209,6 +202,27 @@ def assign_run(
         frame.key = key
         frame.state = pending
         frame.refbit = True
+
+
+def ready_run(
+    blocks: _t.Iterable[CacheBlock],
+    doomed: _t.Callable[[CacheBlock], None] | None = None,
+) -> None:
+    """PENDING -> CLEAN (DIRTY if written while pending) for each block,
+    waking its waiters.  ``doomed(block)``, if given, runs for each
+    doomed block right after its transition, before the next block's."""
+    pending = BlockState.PENDING
+    for block in blocks:
+        if block.state is pending:
+            # ``dirty.is_empty()``, without the call.
+            block.state = BlockState.DIRTY if block.dirty._bounds else (
+                BlockState.CLEAN
+            )
+        event, block.ready_event = block.ready_event, None
+        if event is not None and not event.triggered:
+            event.succeed(block)
+        if block.doomed and doomed is not None:
+            doomed(block)
 
 
 def unpin_run(blocks: _t.Iterable[CacheBlock]) -> None:

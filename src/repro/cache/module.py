@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.cache.block import BlockState, CacheBlock
+from repro.cache.block import BlockState, CacheBlock, ready_run
 from repro.cache.fsm import FSMState, RequestFSM
 from repro.cache.harvester import Harvester
 from repro.cache.flusher import Flusher
@@ -505,19 +505,20 @@ class CacheModule(Service):
             payload: ReadData = data_msg.payload
             for (roff, rlen), chunk in zip(payload.ranges, payload.chunks):
                 self._merge_range(handle.file_id, roff, rlen, chunk, owned, gappy)
-        for block in owned.values():
-            block.make_ready()
-            if block.doomed and block.pins == 0:
-                # A coherence invalidation raced this fetch: the iod
-                # snapshot may predate the remote sync_write, so the
-                # bytes just merged can be stale.  Unpinned here means
-                # nobody is mid-copy (a prefetch), so drop the block
-                # now; pinned blocks are dropped by the last unpin.
-                self.manager.evict((block,), force=True)
-                self.metrics.inc(self._k_invalidated)
+        ready_run(owned.values(), self._drop_if_unpinned)
         # Count what actually crossed the wire (hull mode re-fetches
         # cached middle blocks, so this can exceed the needed ranges).
         counters["cache.fetched_bytes"] += requested_bytes
+
+    def _drop_if_unpinned(self, block: CacheBlock) -> None:
+        """A fetch readied the doomed ``block``: a coherence
+        invalidation raced the fetch, so the iod snapshot may predate
+        the remote sync_write and the bytes just merged can be stale.
+        Unpinned here means nobody is mid-copy (a prefetch), so drop
+        the block now; pinned blocks are dropped by the last unpin."""
+        if block.pins == 0:
+            self.manager.evict((block,), force=True)
+            self.metrics.inc(self._k_invalidated)
 
     def _merge_range(
         self,
@@ -684,11 +685,45 @@ class CacheModule(Service):
         if not resident:
             # Write-allocate: no fetch needed, the block is born
             # dirty; wake any waiters immediately.
-            block.make_ready()
+            ready_run((block,))
             self.metrics.counters["cache.write_allocates"] += 1
         else:
             self.metrics.counters["cache.write_hits"] += 1
         return block, block.dirty_epoch
+
+    def write_back(
+        self, file_id: int, ranges: _t.Sequence[tuple[int, int]]
+    ) -> _t.Generator:
+        """Process body: ship this node's dirty copies of the blocks
+        under ``ranges`` and wait until no flush batch carrying them is
+        on the wire.
+
+        A raw (uncached) ``sync_write`` on this node calls it before it
+        writes through: the iod then takes the older buffered bytes
+        first, and the raw write's invalidation, which spares no node,
+        drops this node's now-clean copy.  Otherwise the later flush
+        would write the older bytes over the newer ones at the iod.
+        Schedules nothing when no such block is dirty or in flight.
+        """
+        table = self.manager.table
+        bs = self.block_size
+        held = [
+            block
+            for off, n in ranges
+            for block_no in blocks_spanned(off, n, bs)
+            if (block := table.get((file_id, block_no))) is not None
+        ]
+        dirty = [b for b in held if b.state is BlockState.DIRTY]
+        if dirty:
+            yield from self.flusher.initiate_flush(dirty)
+        # Re-scan after each wait, as a cached sync_write does: an
+        # unwaited batch's event is never fired once it is acked.
+        inflight = self.flusher._inflight
+        while True:
+            done = next((inflight[b] for b in held if b in inflight), None)
+            if done is None:
+                break
+            yield done
 
     def _propagate_sync(
         self,

@@ -154,7 +154,11 @@ class Transfer(NamedEvent):
     ) -> None:
         if size_bytes < 0:
             raise ValueError(f"negative transfer size {size_bytes}")
-        super().__init__(fabric.env)
+        # Event.__init__, inlined: one stage per message.
+        self.env = fabric.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
         self.fabric = fabric
         self.src = src
         self.dst = dst

@@ -115,7 +115,8 @@ class Connection:
             # FIFO is trivially preserved because the lock is held
             # until delivery completes.
             done = self.network.deliver(message, inbox)
-            done.add_callback(lambda _ev: lock.release(req))
+            # Not yet processed (deliver schedules it): append directly.
+            done.callbacks.append(lambda _ev: lock.release(req))
             return done
 
         def _ordered_send() -> _t.Generator:

@@ -484,6 +484,8 @@ class PVFSClient:
     ) -> _t.Generator:
         layout = self._layout(handle)
         per_iod = layout.split(offset, nbytes)
+        if sync:
+            yield from self._write_back_local(handle, [(offset, nbytes)])
         kind = protocol.IOD_SYNC_WRITE if sync else protocol.IOD_WRITE
         ack_kind = protocol.IOD_SYNC_ACK if sync else protocol.IOD_WRITE_ACK
         endpoints = []
@@ -512,6 +514,17 @@ class PVFSClient:
             ack = yield endpoint.recv()
             if ack.kind != ack_kind:
                 raise ValueError(f"expected {ack_kind!r}, got {ack.kind!r}")
+
+    def _write_back_local(
+        self, handle: FileHandle, ranges: _t.Sequence[tuple[int, int]]
+    ) -> _t.Generator:
+        """Before a raw ``sync_write`` writes through, this node's cache
+        module (if any) writes back its dirty copies of those bytes
+        (:meth:`~repro.cache.module.CacheModule.write_back`), so the
+        newer raw bytes land at the iod last."""
+        module = self.node.cache_module
+        if module is not None:
+            yield from module.write_back(handle.file_id, ranges)
 
     def _raw_readv(
         self,
@@ -596,6 +609,8 @@ class PVFSClient:
                         else None
                     )
                     per_iod.setdefault(idx, []).append(((roff, rlen), piece))
+        if sync:
+            yield from self._write_back_local(handle, ranges)
         kind = protocol.IOD_SYNC_WRITE if sync else protocol.IOD_WRITE
         ack_kind = protocol.IOD_SYNC_ACK if sync else protocol.IOD_WRITE_ACK
         endpoints = []

@@ -186,13 +186,11 @@ class _Dispatcher(NamedEvent):
                 channel.orphans += 1
             else:
                 call.responses_seen += 1
-                self._wait(call._responses.put(msg))
+                wait = self._waiting_on = call._responses.put(msg)
+                wait.callbacks.append(self._step)  # type: ignore[union-attr]
                 return
-        self._wait(channel.endpoint.recv())
-
-    def _wait(self, event: Event) -> None:
-        self._waiting_on = event
-        event.callbacks.append(self._step)  # type: ignore[union-attr]
+        wait = self._waiting_on = channel.endpoint.recv()
+        wait.callbacks.append(self._step)  # type: ignore[union-attr]
 
     def stop(self) -> None:
         """End the loop as :meth:`~repro.sim.Process.kill` ends a

@@ -1,5 +1,7 @@
 """Unit tests for the BufferManager."""
 
+import sys
+
 import pytest
 
 from repro.cache.block import BlockState
@@ -143,6 +145,36 @@ def test_evict_clean_returns_to_freelist():
     p = env.process(proc(env))
     env.run()
     assert p.ok
+
+
+def test_evict_fails_a_pending_waiter_before_releasing_its_frame():
+    """Block by block: evicting a PENDING block fails its waiters'
+    ``ready_event`` before the frame's release wakes an allocator
+    waiting on the dry free list, so the waiter resumes first."""
+    env, m = _manager(n_blocks=1)
+    order = []
+
+    def owner(env):
+        block, _ = yield from m.get_or_allocate((1, 0))  # the only frame
+        yield env.timeout(5)
+        m.evict([block])
+
+    def reader(env):
+        yield env.timeout(1)
+        try:
+            yield m.lookup((1, 0)).ready(env)
+        except RuntimeError:
+            order.append(("ready failed", env.now))
+
+    def allocator(env):
+        yield env.timeout(2)
+        yield from m.get_or_allocate((1, 1))
+        order.append(("allocated", env.now))
+
+    for proc in (owner, reader, allocator):
+        env.process(proc(env))
+    env.run()
+    assert order == [("ready failed", 5.0), ("allocated", 5.0)]
 
 
 def test_evict_guards():
@@ -543,6 +575,37 @@ def test_turns_in_place_share_of_the_fig4_64k_read_point():
     StoreGet steps taken in place."""
     stats = _fig4_read_point(64 * 1024).env.sched_stats()
     assert stats["turns_in_place"] >= 0.2 * stats["events_processed"]
+
+
+#: Python calls per read of the fig4 d = 64 KB read point, set-up
+#: included, measured when the miss path became runs and callback
+#: stages (940.5 before), and the point's scheduler events.
+FIG4_64K_CALLS_PER_READ = 689.1
+FIG4_64K_EVENTS = 1017
+
+
+def test_python_calls_of_the_fig4_64k_read_point():
+    """A host-independent guard on the miss path's cost: the Python
+    calls (``sys.setprofile`` ``call`` events, generator resumes
+    included) per read stay within 10 % of the figure above, with the
+    schedule's event count exactly as it was."""
+    _fig4_read_point(64 * 1024)  # imports and caches warmed: count steady state
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        cluster = _fig4_read_point(64 * 1024)
+    finally:
+        sys.setprofile(None)
+    reads = cluster.metrics.counters["client.reads"]
+    assert reads == 16
+    assert calls / reads <= FIG4_64K_CALLS_PER_READ * 1.10
+    assert cluster.env.sched_stats()["events_processed"] == FIG4_64K_EVENTS
 
 
 # -- runs, not blocks: the run probe and the batch eviction -----------------

@@ -210,24 +210,18 @@ def _dirty_then_raw_sync_write(cluster, drain):
     return run_app(cluster, app(cluster.env))
 
 
-def test_raw_sync_write_leaves_its_own_nodes_dirty_copy():
-    """A buffered write is not coherent: until node0 flushes its dirty
-    block the iod does not know node0 holds it, so the raw sync_write
-    invalidates nothing there.  The cached read keeps returning A while
-    the iod holds B."""
+def test_raw_sync_write_flushes_its_own_nodes_dirty_copy_first():
+    """The iod cannot know of a dirty copy it was never sent, so node0's
+    cache module writes its buffered A back before the raw sync_write
+    goes through.  The raw write's invalidation then drops node0's
+    now-clean copy: both reads return B."""
     assert _dirty_then_raw_sync_write(make_cluster(), drain=False) == (
-        _block(b"A"), _block(b"B"),
+        _block(b"B"), _block(b"B"),
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="lost update: node0's later flush of its older buffered A "
-    "overwrites the raw sync_write's B at the iod",
-)
 def test_raw_sync_write_survives_its_own_nodes_later_flush():
-    """Once node0 flushes, the iod should still hold B, the newer
-    write.  It holds A: the flush carries the dirty block written
-    before the sync_write and nothing orders the two."""
+    """After node0 drains, the iod still holds B, the newer write: the
+    older buffered A reached it first."""
     got = _dirty_then_raw_sync_write(make_cluster(), drain=True)
     assert got[2] == _block(b"B")

@@ -297,9 +297,13 @@ def test_directory_costs_bytes_per_stripe_unit_not_per_block():
 #: when a raw sync_write stopped sparing the writer's node: node3's raw
 #: list write now invalidates the 18 blocks its cached sync_write left
 #: there, 81 -> 99 invalidations, 1592 -> 1632 events (was
-#: f0587acb7575c4cf9ac428ce4ee18342).
+#: f0587acb7575c4cf9ac428ce4ee18342).  And again when a raw sync_write
+#: began to wait for its node's flush batches in flight: node3's raw
+#: write waits 43 us for a batch holding two of its blocks' older bytes,
+#: whose done event now fires, 1632 -> 1633 events, counters unchanged
+#: (was 9c323028450efc5c5a0691f931f45a5e).
 PINNED_SCENARIO = {
-    "trace_hash": "9c323028450efc5c5a0691f931f45a5e",
+    "trace_hash": "586b0310e1aa93d74e834456ada14bbb",
     "iod.invalidations_sent": 99,
     "cache.invalidations_received": 99,
     "cache.invalidated_blocks": 99,
