@@ -325,9 +325,12 @@ class CacheModule(Service):
             # socket-receive copy that the no-cache path performs
             # inside its network transfer.
             served_from_cache = len(block_nos) - len(owned)
-            yield self.node.compute(
-                self.node.costs.cache_copy_block_s * served_from_cache
-            )
+            if served_from_cache:
+                # (compute(0) holds nothing and resumes at once, so an
+                # all-miss segment skips the round trip.)
+                yield self.node.compute(
+                    self.node.costs.cache_copy_block_s * served_from_cache
+                )
             if buf is not None:
                 for block_no in block_nos:
                     block = resolved.get(block_no)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.sim import Environment, Event, Resource, Timeout
-from repro.sim.events import PENDING, NamedEvent
+from repro.sim.events import PENDING, NamedEvent, call_soon
 from repro.sim.resources import Request
 
 
@@ -173,12 +173,7 @@ class Transfer(NamedEvent):
     # -- the framed path -------------------------------------------------
     def start(self) -> "Transfer":
         """Run the framed path from an urgent start event."""
-        env = self.env
-        begin = Event(env)
-        begin._ok = True
-        begin._value = None
-        begin.callbacks.append(self._begin)  # type: ignore[union-attr]
-        env.schedule(begin, priority=env.PRIORITY_URGENT)
+        call_soon(self.env, self._begin)
         return self
 
     def _begin(self, _event: Event) -> None:

@@ -152,6 +152,25 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+def call_soon(env: "Environment", callback: _t.Callable[[Event], None]) -> Event:
+    """Queue an urgent, already-succeeded event whose one callback is
+    ``callback``: it runs at the current instant, after the caller
+    returns and ahead of normal-priority events.  This is how a
+    :class:`~repro.sim.process.Process`, or a callback stage standing
+    in for one, starts."""
+    start = Event(env)
+    start._ok = True
+    start._value = None
+    start.callbacks.append(callback)  # type: ignore[union-attr]
+    env._seq += 1
+    env._due_urgent.append((env._now, 0, env._seq, start))
+    d = env._depth + 1
+    env._depth = d
+    if d > env._depth_hw:
+        env._depth_hw = d
+    return start
+
+
 class NamedEvent(Event):
     """An event whose schedule-trace identity is its ``name``.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.sim.events import PENDING, Event, Interrupt, NamedEvent
+from repro.sim.events import PENDING, Event, Interrupt, NamedEvent, call_soon
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -48,16 +48,7 @@ class Process(NamedEvent):
         self._resume_cb: _t.Callable[[Event], None] | None = self._resume
         # Kick off on a fresh urgent event so the first body statement
         # runs at the current simulation time, after the caller returns.
-        start = Event(env)
-        start._ok = True
-        start._value = None
-        start.callbacks.append(self._resume_cb)
-        env._seq += 1
-        env._due_urgent.append((env._now, 0, env._seq, start))
-        d = env._depth + 1
-        env._depth = d
-        if d > env._depth_hw:
-            env._depth_hw = d
+        call_soon(env, self._resume_cb)
 
     @property
     def is_alive(self) -> bool:

@@ -23,7 +23,7 @@ import typing as _t
 from repro.net.message import Message
 from repro.net.sockets import Endpoint
 from repro.sim import Event, ProcessKilled, Store
-from repro.sim.events import PENDING, NamedEvent
+from repro.sim.events import PENDING, NamedEvent, call_soon
 from repro.sim.resources import StoreGet
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -168,12 +168,7 @@ class _Dispatcher(NamedEvent):
         self.name = f"rpc-dispatch-{channel.label}"
         #: The get or put the loop is suspended on.
         self._waiting_on: Event | None = None
-        env = self.env
-        begin = Event(env)
-        begin._ok = True
-        begin._value = None
-        begin.callbacks.append(self._step)  # type: ignore[union-attr]
-        env.schedule(begin, priority=env.PRIORITY_URGENT)
+        call_soon(self.env, self._step)
 
     def _step(self, event: Event) -> None:
         if self._value is not PENDING:

@@ -348,9 +348,10 @@ class Service:
             )
         if self.request_cpu_s and self.node is not None:
             yield self.node.compute(self.request_cpu_s)
-        started_at = self.env.now
+        env = self.env
+        started_at = env._now
         yield from handler(body, endpoint)
-        stats.busy_s += self.env.now - started_at
+        stats.busy_s += env._now - started_at
 
     def _emit(self, kind: str, **detail: _t.Any) -> None:
         """Record a notable event (always counted, emitted if heard)."""

@@ -580,7 +580,7 @@ def test_turns_in_place_share_of_the_fig4_64k_read_point():
 #: Python calls per read of the fig4 d = 64 KB read point, set-up
 #: included, measured when the miss path became runs and callback
 #: stages (940.5 before), and the point's scheduler events.
-FIG4_64K_CALLS_PER_READ = 689.1
+FIG4_64K_CALLS_PER_READ = 655.8
 FIG4_64K_EVENTS = 1017
 
 
