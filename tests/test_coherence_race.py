@@ -18,13 +18,12 @@
    for the in-flight batches of the blocks it wrote.
 5. The iod spared the writer's node from a ``sync_write``'s
    invalidations even when the write came from a no-cache client, so
-   that node's cached copy kept the old bytes.  A copy that node holds
-   dirty still loses the raw write to its later flush (strict xfail).
+   that node's cached copy kept the old bytes.  A copy that node held
+   dirty was not invalidated, and its later flush overwrote the raw
+   write at the iod; the node now writes it back first.
 """
 
 import types
-
-import pytest
 
 from repro.cache.block import BlockState
 from tests.conftest import (
