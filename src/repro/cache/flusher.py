@@ -21,7 +21,9 @@ from repro.pvfs import protocol
 from repro.pvfs.protocol import FlushBatch, FlushEntry
 from repro.pvfs.striping import StripeLayout
 from repro.sim import Event
+from repro.sim.events import NamedEvent, call_soon
 from repro.svc import Service
+from repro.svc.rpc import Call
 
 
 class Flusher(Service):
@@ -112,7 +114,7 @@ class Flusher(Service):
         acknowledged independently: blocks become clean (and
         evictable) as soon as *their* iod acks, so eviction pipelines
         with the rest of the flush instead of waiting for the slowest
-        server.  Returns the per-batch waiter processes.
+        server.  Returns the per-batch ack stages (:class:`_FlushAck`).
         """
         per_iod_frags: dict[str, list[tuple[int, int, int, bytes | None]]] = {}
         per_iod_caps: dict[str, list[tuple[CacheBlock, int]]] = {}
@@ -150,10 +152,14 @@ class Flusher(Service):
             self._inflight[block] = done
         if not per_iod_frags:
             return []
+        counters = self.metrics.counters
+        pool = self._flush_pool
         waiters = []
         for iod_node in sorted(per_iod_frags):
             entries = self._coalesce(per_iod_frags[iod_node])
-            channel = yield from self._flush_pool.channel(iod_node)
+            channel = pool.connected(iod_node)
+            if channel is None:
+                channel = yield from pool.channel(iod_node)
             batch = FlushBatch(entries=entries)
             call = channel.call(
                 Message(
@@ -162,43 +168,22 @@ class Flusher(Service):
                     payload=batch,
                 )
             )
-            self.metrics.inc("flusher.batches")
-            self.metrics.inc("flusher.bytes", batch.total_bytes)
+            nbytes = batch.total_bytes
+            counters["flusher.batches"] += 1
+            counters["flusher.bytes"] += nbytes
             self._emit(
                 "flush_batch",
                 iod=iod_node,
                 entries=len(entries),
-                bytes=batch.total_bytes,
+                bytes=nbytes,
             )
             waiters.append(
-                self.env.process(
-                    self._await_batch(
-                        call, per_iod_caps[iod_node], per_iod_done[iod_node]
-                    ),
-                    name=f"flush-ack-{self.node.name}-{iod_node}",
+                _FlushAck(
+                    self, call, per_iod_caps[iod_node], per_iod_done[iod_node],
+                    f"flush-ack-{self.node.name}-{iod_node}",
                 )
             )
         return waiters
-
-    def _await_batch(
-        self, call, captured: list[tuple[CacheBlock, int]], done: Event
-    ) -> _t.Generator:
-        ack = yield call.response()
-        if ack.kind != protocol.FLUSH_ACK:
-            raise ValueError(f"expected flush ack, got {ack.kind!r}")
-        call.close()
-        cleaned = 0
-        for block, epoch in captured:
-            del self._inflight[block]
-            if self.manager.note_cleaned(block, epoch):
-                cleaned += 1
-        if done.callbacks:
-            # Only a waiting sync_write schedules it: an unwaited
-            # event would add one to every flush's schedule.
-            done.succeed()
-        if cleaned and self.on_clean is not None:
-            self.on_clean()
-        return cleaned
 
     def _coalesce(
         self, fragments: list[tuple[int, int, int, bytes | None]]
@@ -207,7 +192,8 @@ class Flusher(Service):
         writes dirty long runs of blocks; shipping them as single
         ranges keeps both the wire and the iods' writeback efficient).
         """
-        fragments = sorted(fragments, key=lambda f: (f[0], f[1]))
+        if len(fragments) > 1:
+            fragments = sorted(fragments, key=lambda f: (f[0], f[1]))
         # Payloads accumulate as chunk lists and are joined once per
         # entry: concatenating bytes in place would recopy the merged
         # prefix on every fragment (quadratic in run length).
@@ -247,3 +233,62 @@ class Flusher(Service):
 
     def _dropped(self) -> dict[str, int]:
         return {"dirty_blocks": self.manager.n_dirty}
+
+
+class _FlushAck(NamedEvent):
+    """One flush batch's ack, as a callback stage.
+
+    Schedules what the process that waited for the ack scheduled, under
+    its name (``flush-ack-<node>-<iod>``): an urgent start event, then
+    the response ``StoreGet``.  On the ack it marks the batch's blocks
+    clean, fires the batch's done event for a waiting ``sync_write``,
+    calls ``on_clean``, and then fires itself with the number of blocks
+    cleaned, as the process returned it.  A response of any other kind
+    fails it with :class:`ValueError`, as it failed the process.
+    """
+
+    __slots__ = ("flusher", "call", "captured", "done", "name")
+
+    def __init__(
+        self,
+        flusher: Flusher,
+        call: Call,
+        captured: list[tuple[CacheBlock, int]],
+        done: Event,
+        name: str,
+    ) -> None:
+        super().__init__(flusher.env)
+        self.flusher = flusher
+        self.call = call
+        self.captured = captured
+        self.done = done
+        self.name = name
+        call_soon(self.env, self._start)
+
+    def _start(self, _event: Event) -> None:
+        self.call.response().callbacks.append(  # type: ignore[union-attr]
+            self._acked
+        )
+
+    def _acked(self, event: Event) -> None:
+        ack = event._value
+        if ack.kind != protocol.FLUSH_ACK:
+            self.fail(ValueError(f"expected flush ack, got {ack.kind!r}"))
+            return
+        self.call.close()
+        flusher = self.flusher
+        inflight = flusher._inflight
+        note_cleaned = flusher.manager.note_cleaned
+        cleaned = 0
+        for block, epoch in self.captured:
+            del inflight[block]
+            if note_cleaned(block, epoch):
+                cleaned += 1
+        done = self.done
+        if done.callbacks:
+            # Only a waiting sync_write schedules it: an unwaited
+            # event would add one to every flush's schedule.
+            done.succeed()
+        if cleaned and flusher.on_clean is not None:
+            flusher.on_clean()
+        self.succeed(cleaned)

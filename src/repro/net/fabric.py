@@ -99,16 +99,17 @@ class Fabric:
         raise NotImplementedError  # pragma: no cover - interface
 
     def claim_idle(
-        self, src: str, dst: str, size_bytes: int
-    ) -> tuple[Request, ...] | None:
-        """Claim every channel of a one-frame transfer in place, or
-        ``None``.
+        self, src: str, dst: str, size_bytes: int, holder: "Transfer"
+    ) -> tuple[Resource, ...] | None:
+        """Claim every channel of a one-frame transfer in place for
+        ``holder``, or ``None``.
 
         A fabric that can tell up front that a transfer will never
-        wait returns its channels' grants, taken with
-        :meth:`~repro.sim.resources.Resource.acquire_now` (no grant
-        events); :class:`Transfer` then holds them for the frame's wire
-        time and releases them in claim order.  Never, by default.
+        wait registers ``holder`` itself as the holder of each channel
+        (as :meth:`~repro.sim.resources.Resource.claim` does: no grant
+        objects, no grant events) and returns the channels; the
+        :class:`Transfer` then holds them for the frame's wire time and
+        releases them in claim order.  Never, by default.
         """
         return None
 
@@ -240,20 +241,33 @@ class Transfer(NamedEvent):
         False, with nothing claimed, unless :meth:`Fabric.claim_idle`
         admits the transfer; run :meth:`start` then.
         """
-        held = self.fabric.claim_idle(self.src, self.dst, self._left)
-        if held is None:
+        fabric = self.fabric
+        left = self._left
+        chans = fabric.claim_idle(self.src, self.dst, left, self)
+        if chans is None:
             return False
-        self._held = list(held)
-        self._chunk = self._left
-        self._wire_s = (self._left or 1) * 8.0 / self.fabric.bandwidth_bps
-        Timeout(self.env, self._wire_s).callbacks.append(self._idle_sent)
+        self._chans = chans
+        self._chunk = left
+        wire_s = self._wire_s = (left or 1) * 8.0 / fabric.bandwidth_bps
+        Timeout(self.env, wire_s).callbacks.append(self._idle_sent)
         return True
 
     def _idle_sent(self, _event: Event) -> None:
-        # Released in claim order, unlike the framed path.
-        _release(self._held)
-        self._account()
-        Timeout(self.env, self.fabric.base_latency_s).callbacks.append(
+        # Released in claim order, unlike the framed path: this stage
+        # is the holder of each channel (Resource.release, inlined).
+        for res in self._chans:
+            holders = res._holders
+            holders.remove(self)
+            waiting = res._waiting
+            while waiting and len(holders) < res.capacity:
+                nxt = waiting.popleft()
+                holders.add(nxt)
+                nxt.succeed(res)
+        fabric = self.fabric
+        fabric.bytes_transferred += self._chunk
+        fabric.frames_transferred += 1
+        fabric.wire_busy_s += self._wire_s
+        Timeout(self.env, fabric.base_latency_s).callbacks.append(
             self._arrive
         )
 
@@ -348,24 +362,24 @@ class SwitchedFabric(Fabric):
         )
 
     def claim_idle(
-        self, src: str, dst: str, size_bytes: int
-    ) -> tuple[Request, ...] | None:
+        self, src: str, dst: str, size_bytes: int, holder: Transfer
+    ) -> tuple[Resource, ...] | None:
         """A one-frame transfer between idle ports claims both at once.
 
         When the message fits one frame and neither the sender's TX nor
         the receiver's RX channel has holders or waiters, the transfer
-        outcome is fully determined up front: hold both channels for
-        the frame's wire time, then pay the base latency.  Timing is
-        identical to the framed path for the covered case; only the
-        start and grant events go.
+        outcome is fully determined up front: ``holder`` holds both
+        channels for the frame's wire time, then pays the base latency.
+        Timing is identical to the framed path for the covered case;
+        only the start and grant events go.
         """
         if size_bytes > self.frame_bytes:
             return None
-        tx, rx = self.channels(src, dst)
+        tx = self._tx.get(src) or self._channel(self._tx, src)
+        rx = self._rx.get(dst) or self._channel(self._rx, dst)
         if tx._holders or tx._waiting or rx._holders or rx._waiting:
             return None
-        # Idle channels: claim both without grant events nobody yields.
-        tx_req = tx.acquire_now()
-        rx_req = rx.acquire_now()
-        assert tx_req is not None and rx_req is not None
-        return tx_req, rx_req
+        # Idle channels: what Resource.claim does, its checks made.
+        tx._holders.add(holder)
+        rx._holders.add(holder)
+        return tx, rx

@@ -7,6 +7,7 @@ import typing as _t
 from repro.net.fabric import Fabric, SwitchedFabric, Transfer
 from repro.net.message import Message
 from repro.sim import Environment, Event, Store, Timeout
+from repro.sim.events import PENDING
 
 
 class Network:
@@ -84,33 +85,9 @@ class Network:
         return self.deliver(message, inbox)
 
     def deliver(self, message: Message, inbox: Store) -> "Delivery":
-        """Transmit ``message`` into ``inbox``; returns the done event.
-
-        A :class:`Delivery` stage carries every message: loopback pays
-        :attr:`loopback_latency_s` and never touches the fabric, a
-        one-frame transfer between idle switch ports goes at once
-        (:meth:`Transfer.start_idle`), and everything else takes the
-        framed path a transmission process used to.
-        """
-        env = self.env
-        stage = Delivery(self, message, inbox)
-        if message.src == message.dst:
-            stage._ident = "Event"
-            Timeout(env, self.loopback_latency_s).callbacks.append(
-                stage._arrive
-            )
-            return stage
-        stats = self._svc_stats
-        if stats is not None:
-            # Sample contention as the message joins the wire — by
-            # delivery time its own share of the queue has drained.
-            depth = self.fabric.utilization_queue
-            if depth > stats.queue_high_water:
-                stats.queue_high_water = depth
-        if stage.start_idle():
-            stage._ident = "Event"
-            return stage
-        return stage.start()
+        """Transmit ``message`` into ``inbox``; returns the done event
+        (see :meth:`Delivery.launch`)."""
+        return Delivery(self, message, inbox).launch()
 
 
 class Delivery(Transfer):
@@ -118,8 +95,10 @@ class Delivery(Transfer):
 
     After the wire it puts the message into ``inbox`` and, once the
     put is admitted, counts the delivery and fires with the message.
-    Its schedule-trace identity is the one the code it replaced gave
-    the done event: the transmission process's name on the framed path
+    The put's turn is taken in place when it would be the run loop's
+    next pop (:meth:`~repro.sim.resources.Store.put_in_place`).  Its
+    schedule-trace identity is the one the code it replaced gave the
+    done event: the transmission process's name on the framed path
     (``xmit-<kind>-<id>``, built only when a digest asks), a bare
     ``Event`` on the loopback and idle paths.
     """
@@ -133,9 +112,20 @@ class Delivery(Transfer):
         inbox: Store,
         ident: str | None = None,
     ) -> None:
-        super().__init__(
-            network.fabric, message.src, message.dst, message.wire_bytes
-        )
+        # Event.__init__ and Transfer.__init__, inlined: one stage per
+        # message, and the message has checked its size already.
+        fabric = network.fabric
+        self.env = network.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self.fabric = fabric
+        self.src = message.src
+        self.dst = message.dst
+        size_bytes = message.size_bytes + message.HEADER_BYTES
+        # Even a zero-byte message occupies the wire for its framing.
+        self._frames = -(-size_bytes // fabric.frame_bytes)
+        self._left = size_bytes
         self.network = network
         self.message = message
         self.inbox = inbox
@@ -148,6 +138,34 @@ class Delivery(Transfer):
             return self._ident
         return f"xmit-{self.message.kind}-{self.message.msg_id}"
 
+    def launch(self) -> "Delivery":
+        """Send the message; returns this stage, the done event.
+
+        Loopback pays :attr:`Network.loopback_latency_s` and never
+        touches the fabric, a one-frame transfer between idle switch
+        ports goes at once (:meth:`Transfer.start_idle`), and
+        everything else takes the framed path a transmission process
+        used to.
+        """
+        network = self.network
+        if self.src == self.dst:
+            self._ident = "Event"
+            Timeout(self.env, network.loopback_latency_s).callbacks.append(
+                self._arrive
+            )
+            return self
+        stats = network._svc_stats
+        if stats is not None:
+            # Sample contention as the message joins the wire — by
+            # delivery time its own share of the queue has drained.
+            depth = self.fabric.utilization_queue
+            if depth > stats.queue_high_water:
+                stats.queue_high_water = depth
+        if self.start_idle():
+            self._ident = "Event"
+            return self
+        return self.start()
+
     def _begin(self, event: Event) -> None:
         if self.src == self.dst:
             # Only a stage started by hand gets here (the shuffle of
@@ -159,9 +177,13 @@ class Delivery(Transfer):
             super()._begin(event)
 
     def _arrive(self, _event: Event) -> None:
-        self.inbox.put(self.message).callbacks.append(  # type: ignore[union-attr]
-            self._admitted
-        )
+        inbox = self.inbox
+        if inbox.put_in_place(self.message):
+            self._admitted(_event)
+        else:
+            inbox.put(self.message).callbacks.append(  # type: ignore[union-attr]
+                self._admitted
+            )
 
     def _admitted(self, _event: Event) -> None:
         network = self.network

@@ -19,7 +19,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import Delivery, Network
 from repro.sim import Environment, Event, Lock, Process, Store
 
 CLIENT = "client"
@@ -27,27 +27,24 @@ SERVER = "server"
 
 
 class Endpoint:
-    """One side of a :class:`Connection`."""
+    """One side of a :class:`Connection`: its inbox, and the send lock
+    of the direction it sends in."""
 
-    __slots__ = ("conn", "role")
+    __slots__ = ("conn", "role", "node", "peer_node", "_inbox", "_lock", "peer")
 
-    def __init__(self, conn: "Connection", role: str) -> None:
+    def __init__(
+        self, conn: "Connection", role: str, node: str, peer_node: str
+    ) -> None:
         self.conn = conn
         self.role = role
-
-    @property
-    def node(self) -> str:
-        """This endpoint's node name."""
-        return (
-            self.conn.client_node if self.role == CLIENT else self.conn.server_node
-        )
-
-    @property
-    def peer_node(self) -> str:
-        """The other endpoint's node name."""
-        return (
-            self.conn.server_node if self.role == CLIENT else self.conn.client_node
-        )
+        #: This endpoint's node name.
+        self.node = node
+        #: The other endpoint's node name.
+        self.peer_node = peer_node
+        self._inbox = Store(conn.env)
+        self._lock = Lock(conn.env)
+        #: The other endpoint (set by the :class:`Connection`).
+        self.peer: Endpoint = self
 
     @property
     def env(self) -> Environment:
@@ -61,15 +58,41 @@ class Endpoint:
         ``yield`` it to block, or fire-and-forget — FIFO order is
         preserved either way by the per-direction lock.
         """
-        return self.conn._send(self.role, message)
+        conn = self.conn
+        if conn.closed:
+            raise RuntimeError("send on closed connection")
+        message.stamp(conn.env)
+        message.src = self.node
+        message.dst = self.peer_node
+        stage = Delivery(conn.network, message, self.peer._inbox)
+        lock = self._lock
+        if lock.claim(stage):
+            # Uncontended direction (the overwhelmingly common case):
+            # the delivery stage itself holds the lock, with no grant
+            # event nobody waits on and no ordering process, until its
+            # done event is processed — FIFO is trivially preserved.
+            # The release is that event's first callback, and it is
+            # called with the stage, the holder.
+            stage.callbacks.append(lock.release)  # type: ignore[union-attr]
+            return stage.launch()
+
+        def _ordered_send() -> _t.Generator:
+            with lock.request() as req:
+                yield req
+                yield stage.launch()
+            return message
+
+        return conn.env.process(
+            _ordered_send(), name=f"send-{message.kind}-{message.msg_id}"
+        )
 
     def recv(self):
         """Event yielding the next message queued for this endpoint."""
-        return self.conn._inbox[self.role].get()
+        return self._inbox.get()
 
     def pending(self) -> int:
         """Messages already queued here (non-blocking probe)."""
-        return len(self.conn._inbox[self.role])
+        return len(self._inbox)
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.role}@{self.node} to {self.peer_node}>"
@@ -85,49 +108,11 @@ class Connection:
         self.env: Environment = network.env
         self.client_node = client_node
         self.server_node = server_node
-        self._inbox: dict[str, Store] = {
-            CLIENT: Store(self.env),
-            SERVER: Store(self.env),
-        }
-        self._send_lock: dict[str, Lock] = {
-            CLIENT: Lock(self.env),
-            SERVER: Lock(self.env),
-        }
-        self.client = Endpoint(self, CLIENT)
-        self.server = Endpoint(self, SERVER)
+        self.client = Endpoint(self, CLIENT, client_node, server_node)
+        self.server = Endpoint(self, SERVER, server_node, client_node)
+        self.client.peer = self.server
+        self.server.peer = self.client
         self.closed = False
-
-    def _send(self, from_role: str, message: Message) -> Event:
-        if self.closed:
-            raise RuntimeError("send on closed connection")
-        to_role = SERVER if from_role == CLIENT else CLIENT
-        message.stamp(self.env)
-        message.src = self.client_node if from_role == CLIENT else self.server_node
-        message.dst = self.client_node if to_role == CLIENT else self.server_node
-        inbox = self._inbox[to_role]
-        lock = self._send_lock[from_role]
-        req = lock.acquire_now()
-        if req is not None:
-            # Uncontended direction (the overwhelmingly common case):
-            # take the lock synchronously, with no grant event nobody
-            # waits on, and hand the message straight to the network's
-            # callback-driven delivery — no ordering process needed,
-            # FIFO is trivially preserved because the lock is held
-            # until delivery completes.
-            done = self.network.deliver(message, inbox)
-            # Not yet processed (deliver schedules it): append directly.
-            done.callbacks.append(lambda _ev: lock.release(req))
-            return done
-
-        def _ordered_send() -> _t.Generator:
-            with lock.request() as req:
-                yield req
-                yield self.network.deliver(message, inbox)
-            return message
-
-        return self.env.process(
-            _ordered_send(), name=f"send-{message.kind}-{message.msg_id}"
-        )
 
     def close(self) -> None:
         """Mark the connection closed (sends then fail)."""

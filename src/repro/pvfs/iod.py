@@ -153,10 +153,11 @@ class Iod(Service):
             self.directory.note(
                 entry.file_id, spanned.start, spanned.stop, msg.src
             )
-        self.metrics.inc("iod.flush_batches")
-        self.metrics.inc("iod.flushed_bytes", batch.total_bytes)
-        self._emit("flush_batch", entries=len(batch.entries),
-                   bytes=batch.total_bytes)
+        nbytes = batch.total_bytes
+        counters = self.metrics.counters
+        counters["iod.flush_batches"] += 1
+        counters["iod.flushed_bytes"] += nbytes
+        self._emit("flush_batch", entries=len(batch.entries), bytes=nbytes)
         yield endpoint.send(
             msg.reply(protocol.FLUSH_ACK, protocol.ACK_BYTES)
         )

@@ -150,7 +150,7 @@ class ReadRequest:
     @property
     def total_bytes(self) -> int:
         """Payload bytes requested."""
-        return sum(n for _, n in self.ranges)
+        return sum([n for _, n in self.ranges])
 
     def wire_size(self) -> int:
         """Bytes this request occupies on the wire."""
@@ -168,7 +168,7 @@ class ReadData:
     @property
     def total_bytes(self) -> int:
         """Payload bytes carried."""
-        return sum(n for _, n in self.ranges)
+        return sum([n for _, n in self.ranges])
 
 
 @dataclasses.dataclass
@@ -185,7 +185,7 @@ class WriteRequest:
     @property
     def total_bytes(self) -> int:
         """Payload bytes written."""
-        return sum(n for _, n in self.ranges)
+        return sum([n for _, n in self.ranges])
 
     def wire_size(self) -> int:
         """Bytes this request occupies on the wire."""
@@ -209,7 +209,7 @@ class FlushBatch:
     @property
     def total_bytes(self) -> int:
         """Payload bytes in the batch."""
-        return sum(e.nbytes for e in self.entries)
+        return sum([e.nbytes for e in self.entries])
 
     def wire_size(self) -> int:
         """Bytes this batch occupies on the wire."""

@@ -108,8 +108,10 @@ class Environment:
         self._in_run = False
         #: run(until=<Event>)'s stop event, else None.
         self._stop_event: Event | None = None
-        #: True while an event with more than one callback is being
-        #: processed (set by Event._process).
+        #: True while more of the current step runs after the callback
+        #: now running: an event with more than one callback is being
+        #: processed (set by Event._process and the run loop), or a
+        #: callback runs nested (set by Event.add_callback).
         self._multi = False
         self._active_process: Process | None = None
         #: Callables invoked (with this env) after every processed
@@ -253,28 +255,29 @@ class Environment:
     def take_turn(self, kind: type, n: int = 1) -> bool:
         """Book ``n`` in-place turns (DESIGN.md §14, "In-place turns").
 
-        The running process is about to yield a zero-delay ``kind``
-        event that is already satisfied and that it alone waits on,
-        ``n`` times in a row with nothing scheduled in between.  When
-        each would provably be the run loop's very next pop, this books
-        the steps exactly as the loop would — sequence numbers,
-        processed-event count, depth high-water mark, step hooks,
-        trace-hash lines — and returns True: the caller then carries
-        on as if resumed by the events, without queueing them.  The
-        conditions below hold for all ``n`` turns or for none, so the
-        booking is all or nothing.  Returns False (booking nothing)
-        unless
+        The running step — a process, or a callback stage standing in
+        for one — is about to wait on a zero-delay ``kind`` event that
+        is already satisfied and that it alone waits on, ``n`` times in
+        a row with nothing scheduled in between.  When each would
+        provably be the run loop's very next pop, this books the steps
+        exactly as the loop would — sequence numbers, processed-event
+        count, depth high-water mark, step hooks, trace-hash lines —
+        and returns True: the caller then carries on as if resumed by
+        the events, without queueing them.  The conditions below hold
+        for all ``n`` turns or for none, so the booking is all or
+        nothing.  Returns False (booking nothing) unless
 
-        * a process is running, resumed as the *only* callback of the
-          current event (a later callback would run before the pop);
+        * the caller runs as the *only* callback of the current event,
+          and not nested inside another step (a callback that
+          ``add_callback`` runs at once on a processed event): either
+          way the rest of the step would run before the pop;
         * no same-instant entry is due, and the heap head lies after
           ``now``;
         * :meth:`run` owns the loop (not :meth:`step`), and its stop
           event has not just been processed.
         """
         if (
-            self._active_process is None
-            or self._multi
+            self._multi
             or not self._in_run
             or self._due
             or self._due_urgent
@@ -464,10 +467,10 @@ class Environment:
         # The processed-event count is kept in a loop-local int and
         # flushed once on exit: a local increment is several times
         # cheaper than a per-event attribute read-modify-write.  The
-        # two hottest variants additionally inline _pop_entry's due and
-        # heap cases; the urgent deque (process starts/interrupts,
-        # comparatively rare) falls back to the method, which derives
-        # the full three-way minimum.
+        # two hottest variants additionally inline _pop_entry: the
+        # run(until=<event>) loop all of it, the run() loop its due and
+        # heap cases (an urgent head, a process or stage start or an
+        # interrupt, falls back to the method there).
         # The run(until=<event>) variant, which every workload drives,
         # also runs an event's callbacks inline, exactly as
         # Event._process does: several run under ``_multi`` (see
@@ -483,22 +486,29 @@ class Environment:
                 # property call; re-check before every event.
                 while stop_event.callbacks is not None:
                     if urgent:
-                        entry = pop()
-                    else:
-                        if due:
+                        entry = urgent[0]
+                        src = urgent
+                        if due and due[0] < entry:
                             entry = due[0]
-                            if future and future[0] < entry:
-                                entry = heappop(future)
-                            else:
-                                due.popleft()
-                        elif future:
+                            src = due
+                        if future and future[0] < entry:
                             entry = heappop(future)
                         else:
-                            raise RuntimeError(
-                                "simulation ran out of events before the "
-                                f"requested stop event fired: {stop_event!r}"
-                            )
-                        self._depth -= 1
+                            src.popleft()
+                    elif due:
+                        entry = due[0]
+                        if future and future[0] < entry:
+                            entry = heappop(future)
+                        else:
+                            due.popleft()
+                    elif future:
+                        entry = heappop(future)
+                    else:
+                        raise RuntimeError(
+                            "simulation ran out of events before the "
+                            f"requested stop event fired: {stop_event!r}"
+                        )
+                    self._depth -= 1
                     n += 1
                     self._now = entry[0]
                     event = entry[3]

@@ -118,10 +118,19 @@ class Event:
 
         If the event already ran its callbacks, the callback executes
         immediately; this keeps late waiters (a process yielding an
-        already-fired event) correct.
+        already-fired event) correct.  It runs nested inside the step
+        that added it, under ``_multi``: the rest of that step comes
+        after it, so it may not take the next turn in place
+        (:meth:`~repro.sim.engine.Environment.take_turn`).
         """
         if self.callbacks is None:
-            callback(self)
+            env = self.env
+            outer = env._multi
+            env._multi = True
+            try:
+                callback(self)
+            finally:
+                env._multi = outer
         else:
             self.callbacks.append(callback)
 
@@ -158,10 +167,11 @@ def call_soon(env: "Environment", callback: _t.Callable[[Event], None]) -> Event
     returns and ahead of normal-priority events.  This is how a
     :class:`~repro.sim.process.Process`, or a callback stage standing
     in for one, starts."""
-    start = Event(env)
+    start = Event.__new__(Event)
+    start.env = env
+    start.callbacks = [callback]
     start._ok = True
     start._value = None
-    start.callbacks.append(callback)  # type: ignore[union-attr]
     env._seq += 1
     env._due_urgent.append((env._now, 0, env._seq, start))
     d = env._depth + 1

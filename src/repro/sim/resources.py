@@ -11,7 +11,7 @@ from __future__ import annotations
 import typing as _t
 from collections import deque
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -59,7 +59,8 @@ class Resource:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._holders: set[Request] = set()
+        #: Granted requests, and holders :meth:`claim` registered.
+        self._holders: set[_t.Hashable] = set()
         self._waiting: deque[Request] = deque()
 
     @property
@@ -76,30 +77,41 @@ class Resource:
         """Claim one unit; the returned event fires when granted."""
         return Request(self)
 
-    def acquire_now(self) -> Request | None:
-        """Claim one unit synchronously, or ``None`` if it would queue.
+    def claim(self, holder: _t.Hashable) -> bool:
+        """Claim one unit for ``holder`` synchronously, or refuse.
 
-        The switched fabric's idle path (DESIGN.md §14)
-        uses this to take idle ports without a grant event nobody
-        yields.  The returned request is born granted and processed —
-        nothing is scheduled, so the grant leaves no trace-visible
-        events — and is released via :meth:`release` (or ``with``)
-        exactly like an ordinary request.  Refused whenever anyone is
-        waiting, so FIFO fairness against queued requests is preserved.
+        For a caller that would take an idle unit and wait on nothing:
+        no grant event is built or scheduled, so the claim leaves no
+        trace-visible events, and ``release(holder)`` returns the unit
+        exactly as it returns a granted request.  A message's delivery
+        stage holds its connection's send lock this way (DESIGN.md
+        §14).  Refused whenever anyone is waiting, so FIFO fairness
+        against queued requests is preserved.
         """
         if self._waiting or len(self._holders) >= self.capacity:
-            return None
+            return False
+        self._holders.add(holder)
+        return True
+
+    def acquire_now(self) -> Request | None:
+        """:meth:`claim` for a :class:`Request` born granted, or
+        ``None`` if it would queue.
+
+        The request is processed from birth (nothing is scheduled) and
+        is released via :meth:`release` (or ``with``) exactly like an
+        ordinary request.
+        """
         req = Request.__new__(Request)
         req.env = self.env
         req.callbacks = None  # processed from birth: no event fires
         req._value = self
         req._ok = True
         req.resource = self
-        self._holders.add(req)
-        return req
+        return req if self.claim(req) else None
 
-    def release(self, request: Request) -> None:
-        """Return a unit claimed by ``request``.
+    def release(self, request: _t.Hashable) -> None:
+        """Return a unit claimed by ``request`` (or by a holder that
+        :meth:`claim` registered).
 
         Safe to call for a request that was never granted (it is
         removed from the wait queue) and idempotent for an
@@ -107,10 +119,11 @@ class Resource:
         """
         if request in self._holders:
             self._holders.remove(request)
-            self._grant_next()
+            if self._waiting:
+                self._grant_next()
         else:
             try:
-                self._waiting.remove(request)
+                self._waiting.remove(request)  # type: ignore[arg-type]
             except ValueError:
                 pass  # already released / never queued: idempotent
 
@@ -187,19 +200,41 @@ class Store:
 
     def put(self, item: _t.Any) -> StorePut:
         """Queue an item; the event fires when admitted."""
-        event = StorePut(self.env)
+        # Event.__init__, inlined: a put or get per message and more.
+        event = StorePut.__new__(StorePut)
+        event.env = self.env
+        event.callbacks = []
+        event._value = PENDING
+        event._ok = None
         if self._putters or len(self._items) >= self.capacity:
             self._putters.append((event, item))
             self._dispatch()
             return event
-        # What _dispatch does with room to spare: admit, then hand the
-        # head item to a waiting getter (getters only queue on an empty
-        # store, so that is this item).
-        self._items.append(item)
+        # What _dispatch does with room to spare.
         event.succeed()
-        if self._getters:
-            self._getters.popleft().succeed(self._items.popleft())
+        self._admit(item)
         return event
+
+    def put_in_place(self, item: _t.Any) -> bool:
+        """:meth:`put` for a step that would wait on the put at once,
+        with the :class:`StorePut`'s turn taken in place.
+
+        When the store has room and
+        :meth:`~repro.sim.engine.Environment.take_turn` books the put's
+        step, the item is admitted as :meth:`put` admits it, after the
+        booked turn, so a getter it wakes is queued behind the put's
+        sequence number, as before.  The caller then carries on as the
+        put's callback would.  False, with nothing done, otherwise: run
+        :meth:`put` then.
+        """
+        if (
+            self._putters
+            or len(self._items) >= self.capacity
+            or not self.env.take_turn(StorePut)
+        ):
+            return False
+        self._admit(item)
+        return True
 
     def put_nowait(self, item: _t.Any) -> None:
         """Queue an item without an admission event.
@@ -211,9 +246,15 @@ class Store:
         """
         if self._putters or len(self._items) >= self.capacity:
             raise RuntimeError("put_nowait on a full store")
-        if self._getters:
-            # Getters only queue on an empty store, so FIFO order holds.
-            self._getters.popleft().succeed(item)
+        self._admit(item)
+
+    def _admit(self, item: _t.Any) -> None:
+        """Admission with room to spare: hand ``item`` to the first
+        waiting getter, or queue it.  Getters only queue on an empty
+        store, so FIFO order holds."""
+        getters = self._getters
+        if getters:
+            getters.popleft().succeed(item)
         else:
             self._items.append(item)
 
@@ -231,7 +272,11 @@ class Store:
 
     def get(self) -> StoreGet:
         """Request an item; the event fires with it."""
-        event = StoreGet(self.env)
+        event = StoreGet.__new__(StoreGet)
+        event.env = self.env
+        event.callbacks = []
+        event._value = PENDING
+        event._ok = None
         if self._items and not self._getters and not self._putters:
             # What _dispatch would do: hand over the head item.
             event.succeed(self._items.popleft())

@@ -155,7 +155,8 @@ class _Dispatcher(NamedEvent):
     Schedules what a process looping over ``recv()`` would: an urgent
     start event, then one ``StoreGet`` per inbound message and one
     ``StorePut`` per routed response, each step a callback on the event
-    before.  It is itself the event such a process was, under the same
+    before; a put whose turn can be taken in place
+    (:meth:`~repro.sim.resources.Store.put_in_place`) is not queued.  It is itself the event such a process was, under the same
     name: it fails with :class:`~repro.sim.ProcessKilled` when
     :meth:`stop` ends the loop, and never fires otherwise.
     """
@@ -181,9 +182,12 @@ class _Dispatcher(NamedEvent):
                 channel.orphans += 1
             else:
                 call.responses_seen += 1
-                wait = self._waiting_on = call._responses.put(msg)
-                wait.callbacks.append(self._step)  # type: ignore[union-attr]
-                return
+                responses = call._responses
+                if not responses.put_in_place(msg):
+                    wait = self._waiting_on = responses.put(msg)
+                    wait.callbacks.append(self._step)  # type: ignore[union-attr]
+                    return
+                # The put's turn is taken: carry on as its callback.
         wait = self._waiting_on = channel.endpoint.recv()
         wait.callbacks.append(self._step)  # type: ignore[union-attr]
 
@@ -227,6 +231,11 @@ class ChannelPool:
             chan = RpcChannel(endpoint, label=f"{self.label}-{peer}")
             self._channels[peer] = chan
         return chan
+
+    def connected(self, peer: str) -> RpcChannel | None:
+        """The channel to ``peer`` if one is open, else ``None`` (then
+        :meth:`channel` connects)."""
+        return self._channels.get(peer)
 
     @property
     def outstanding(self) -> int:

@@ -314,6 +314,8 @@ class Service:
     def _connection_loop(self, endpoint: "Endpoint") -> _t.Generator:
         stats = self.svc_stats
         bus = self.bus
+        env = self.env
+        node = self.node
         while True:
             msg = yield endpoint.recv()
             # The one being handled plus those already queued behind it.
@@ -327,12 +329,28 @@ class Service:
                     node=stats.node,
                     msg=msg.kind,
                 )
-            yield from self.dispatch(msg, endpoint)
+            # dispatch(), without a generator frame per message.
+            handler = self._route(msg)
+            if self.request_cpu_s and node is not None:
+                yield node.compute(self.request_cpu_s)
+            started_at = env._now
+            yield from handler(msg, endpoint)
+            stats.busy_s += env._now - started_at
 
     def dispatch(
         self, body: _t.Any, endpoint: "Endpoint | None" = None
     ) -> _t.Generator:
         """Process body: route ``body`` to its kind's handler."""
+        handler = self._route(body)
+        if self.request_cpu_s and self.node is not None:
+            yield self.node.compute(self.request_cpu_s)
+        env = self.env
+        started_at = env._now
+        yield from handler(body, endpoint)
+        self.svc_stats.busy_s += env._now - started_at
+
+    def _route(self, body: _t.Any) -> _t.Callable:
+        """The handler of ``body``'s kind, with the dispatch counted."""
         kind = body.kind
         handler = self._handlers.get(kind)
         if handler is None:
@@ -346,12 +364,7 @@ class Service:
             self.bus.emit(
                 stats.service, "dispatch", node=stats.node, msg=kind
             )
-        if self.request_cpu_s and self.node is not None:
-            yield self.node.compute(self.request_cpu_s)
-        env = self.env
-        started_at = env._now
-        yield from handler(body, endpoint)
-        stats.busy_s += env._now - started_at
+        return handler
 
     def _emit(self, kind: str, **detail: _t.Any) -> None:
         """Record a notable event (always counted, emitted if heard)."""

@@ -6,7 +6,9 @@ reference model: the per-message transmission process, the two
 generator loops over frames (the hub's medium; the switch's TX then
 RX port) and the switch's closure-driven path for one frame between
 idle ports.  A seeded storm of transfers must give the same delivery
-time per message and the same schedule hash either way.
+time per message and the same schedule hash either way; the stage
+takes an inbox put's turn in place where it can, which only
+``turns_in_place`` tells apart.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 
 from repro.net import Message, Network, SharedHubFabric, SwitchedFabric
 from repro.net.network import Delivery
-from repro.sim import Environment, Event, Timeout
+from repro.sim import Environment, Event, Store, Timeout
 
 NODES = ("n0", "n1", "n2", "n3")
 PORT = 1
@@ -167,7 +169,8 @@ def _plan(seed, n=200, frame_bytes=1500):
         size = rng.randrange(0, 3 * frame_bytes - Message.HEADER_BYTES + 1)
         plan.append(
             (
-                rng.uniform(0.0, 0.08),
+                # a 1 ms grid: some arrivals share an instant
+                round(rng.uniform(0.0, 0.08), 3),
                 rng.choice(NODES),
                 rng.choice(NODES),
                 size,
@@ -233,13 +236,31 @@ def _storm(network_cls, fabric_cls, seed, n=200, frame_bytes=1500):
 
 @pytest.mark.parametrize("fabric_cls", [SharedHubFabric, SwitchedFabric])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_stage_matches_the_replaced_processes(fabric_cls, seed):
+def test_stage_matches_the_replaced_processes(fabric_cls, seed, monkeypatch):
+    """Same delivery and receipt times, counters, events, depth
+    high-water mark and digest; the stage books one more in-place turn
+    per inbox put it admitted in place, and nothing else differs."""
+    taken = []
+    put_in_place = Store.put_in_place
+
+    def counting(self, item):
+        admitted = put_in_place(self, item)
+        taken.append(admitted)
+        return admitted
+
+    monkeypatch.setattr(Store, "put_in_place", counting)
     stage = _storm(Network, fabric_cls, seed)
+    in_place = sum(taken)
     reference = _storm(ReferenceNetwork, fabric_cls, seed)
+    assert len(taken) == len(_plan(seed))  # the reference never asks
     assert stage["delivered"] == reference["delivered"]
     assert stage["received"] == reference["received"]
     assert stage["counters"] == reference["counters"]
+    stage_turns = stage["events"].pop("turns_in_place")
+    reference_turns = reference["events"].pop("turns_in_place")
     assert stage["events"] == reference["events"]
+    assert stage_turns - reference_turns == in_place
+    assert 0 < in_place < len(taken)  # taken in place, and refused
     assert stage["hash"] == reference["hash"]
 
 
