@@ -93,22 +93,6 @@ class Resource:
         self._holders.add(holder)
         return True
 
-    def acquire_now(self) -> Request | None:
-        """:meth:`claim` for a :class:`Request` born granted, or
-        ``None`` if it would queue.
-
-        The request is processed from birth (nothing is scheduled) and
-        is released via :meth:`release` (or ``with``) exactly like an
-        ordinary request.
-        """
-        req = Request.__new__(Request)
-        req.env = self.env
-        req.callbacks = None  # processed from birth: no event fires
-        req._value = self
-        req._ok = True
-        req.resource = self
-        return req if self.claim(req) else None
-
     def release(self, request: _t.Hashable) -> None:
         """Return a unit claimed by ``request`` (or by a holder that
         :meth:`claim` registered).

@@ -234,26 +234,28 @@ def test_store_many_getters_fifo():
 
 
 # ---------------------------------------------------------------------------
-# Resource.acquire_now (SwitchedFabric.claim_idle, DESIGN.md §14)
+# Resource.claim (the delivery stage's ports and send lock, DESIGN.md §14)
 # ---------------------------------------------------------------------------
 
 
-def test_acquire_now_grants_idle_capacity_without_events():
+def test_claim_grants_idle_capacity_without_events():
     env = Environment()
     res = Resource(env, capacity=1)
     depth_before = env.sched_stats()["queue_depth"]
-    grant = res.acquire_now()
-    assert grant is not None
+    holder = object()
+    assert res.claim(holder)
     # Synchronous grant: nothing was scheduled.
     assert env.sched_stats()["queue_depth"] == depth_before
-    assert res.acquire_now() is None  # at capacity
-    res.release(grant)
-    again = res.acquire_now()
-    assert again is not None
+    assert res.count == 1
+    assert not res.claim(object())  # at capacity
+    res.release(holder)
+    again = object()
+    assert res.claim(again)
     res.release(again)
+    assert res.count == 0
 
 
-def test_acquire_now_refuses_while_requests_wait():
+def test_claim_refuses_while_requests_wait():
     """FIFO fairness: a synchronous grant must never jump the queue."""
     env = Environment()
     res = Resource(env, capacity=1)
@@ -277,9 +279,9 @@ def test_acquire_now_refuses_while_requests_wait():
 
     def prober(env):
         yield env.timeout(0.5)
-        order.append(("probe-held", res.acquire_now() is None))
+        order.append(("probe-held", not res.claim("probe")))
         yield env.timeout(1.0)  # after release: the waiter must win
-        order.append(("probe-after", res.acquire_now() is not None))
+        order.append(("probe-after", res.claim("probe")))
 
     env.process(prober(env))
     env.run()
@@ -288,15 +290,14 @@ def test_acquire_now_refuses_while_requests_wait():
     assert ("probe-after", True) in order
 
 
-def test_acquire_now_respects_multi_capacity():
+def test_claim_respects_multi_capacity():
     env = Environment()
     res = Resource(env, capacity=2)
-    first = res.acquire_now()
-    second = res.acquire_now()
-    assert first is not None and second is not None
-    assert res.acquire_now() is None
+    first, second = object(), object()
+    assert res.claim(first) and res.claim(second)
+    assert not res.claim(object())
     res.release(first)
-    assert res.acquire_now() is not None
+    assert res.claim(object())
 
 
 def test_store_get_nowait_takes_the_head_item():
