@@ -1,5 +1,6 @@
 """Unit tests for the BufferManager."""
 
+import contextlib
 import sys
 
 import pytest
@@ -547,19 +548,61 @@ def _dry_free_list(replacement="clock"):
     return cluster
 
 
+def _open_loop_write_point(region=None):
+    """Open-loop write-behind on a small cluster with separate iods:
+    every op opens a fresh file at the mgr and writes 4 KB through its
+    node's cache, and the flusher ships the dirty blocks in batches
+    (the message path of ``meta_openloop``: connection set-up, mgr
+    dispatch, inbox puts, routed responses and flush acks).  ``region``
+    is entered around the replay and the drain, not the set-up."""
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.config import ClusterConfig
+    from repro.workload.openloop import OpenLoopParams, generate
+    from repro.workload.replay import TraceReplayer
+
+    params = OpenLoopParams(
+        processes=4,
+        duration_s=0.1,
+        rate_ops_s=400.0,
+        churn=1.0,
+        read_fraction=0.0,
+        write_fraction=1.0,
+        seed=7,
+    )
+    cluster = Cluster(
+        ClusterConfig(compute_nodes=4, iod_nodes=2, separate_iod_nodes=True)
+    )
+    trace = generate(params)
+    env = cluster.env
+    with region if region is not None else contextlib.nullcontext():
+        TraceReplayer(cluster, trace).run()
+        env.run(until=env.process(cluster.drain_caches()))
+    counters = cluster.metrics.counters
+    assert counters["mgr.opens"] == counters["client.writes"] > 0
+    assert counters["flusher.batches"] > 0
+    return cluster
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
         lambda: _fig4_read_point(4096),
         _sync_write_chain,
         _dry_free_list,
+        _open_loop_write_point,
     ],
-    ids=["fig4-read", "write-sync-write-remote-reader", "dry-free-list"],
+    ids=[
+        "fig4-read",
+        "write-sync-write-remote-reader",
+        "dry-free-list",
+        "open-loop-write-behind",
+    ],
 )
 def test_in_place_turns_are_schedule_neutral(scenario, monkeypatch):
-    """The same run with every in-place turn refused: same schedule
-    hash, event count, depth high-water mark and Metrics, counter by
-    counter."""
+    """The same run with every in-place turn refused (the free list's
+    gets, and the inbox and routed-response puts of message stages):
+    same schedule hash, event count, depth high-water mark and
+    Metrics, counter by counter."""
     monkeypatch.setenv("REPRO_TRACE_HASH", "1")
     with_turns = scenario()
     assert with_turns.env.sched_stats()["turns_in_place"] > 0
@@ -606,6 +649,45 @@ def test_python_calls_of_the_fig4_64k_read_point():
     assert reads == 16
     assert calls / reads <= FIG4_64K_CALLS_PER_READ * 1.10
     assert cluster.env.sched_stats()["events_processed"] == FIG4_64K_EVENTS
+
+
+#: Python calls per op of the open-loop write point's replay and drain,
+#: measured when a message's inbox relay was taken in place and the
+#: flush ack became a callback stage (290.2 before), and the point's
+#: scheduler events.
+OPEN_LOOP_WRITE_CALLS_PER_OP = 242.2
+OPEN_LOOP_WRITE_EVENTS = 1209
+
+
+class _CountCalls:
+    """Counts ``sys.setprofile`` ``call`` events (generator resumes
+    included) while entered."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def _count(self, _frame, event, _arg):
+        if event == "call":
+            self.calls += 1
+
+    def __enter__(self):
+        sys.setprofile(self._count)
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+
+
+def test_python_calls_of_an_open_loop_write_point():
+    """A host-independent guard on the message path's cost, as the
+    fig4 guard above is on the miss path's: the Python calls per op of
+    the open-loop write point stay within 10 % of the figure above,
+    with the schedule's event count exactly as it was."""
+    _open_loop_write_point()  # imports and caches warmed
+    counter = _CountCalls()
+    cluster = _open_loop_write_point(region=counter)
+    ops = cluster.metrics.counters["client.writes"]
+    assert counter.calls / ops <= OPEN_LOOP_WRITE_CALLS_PER_OP * 1.10
+    assert cluster.env.sched_stats()["events_processed"] == OPEN_LOOP_WRITE_EVENTS
 
 
 # -- runs, not blocks: the run probe and the batch eviction -----------------

@@ -21,11 +21,17 @@
    that node's cached copy kept the old bytes.  A copy that node held
    dirty was not invalidated, and its later flush overwrote the raw
    write at the iod; the node now writes it back first.
+6. Open: a cached ``sync_write`` leaves its blocks DIRTY on the dirty
+   list while its write-through is on the wire, so a flush round in
+   that window ships the same bytes again (strict xfail below).
 """
 
 import types
 
+import pytest
+
 from repro.cache.block import BlockState
+from repro.disk.filesystem import blocks_spanned
 from tests.conftest import (
     bare_iod,
     check_invariants_every,
@@ -224,3 +230,69 @@ def test_raw_sync_write_survives_its_own_nodes_later_flush():
     older buffered A reached it first."""
     got = _dirty_then_raw_sync_write(make_cluster(), drain=True)
     assert got[2] == _block(b"B")
+
+
+# -- a block's write-through is not shipped again by the flusher ----------
+
+
+def _flushed_during_write_through(start_s):
+    """node0 ``sync_write``s block 0 at ``start_s``; the flusher's first
+    round comes due at 30 ms.  Returns the simulated window in which
+    the write-through was on the wire, and the blocks a flush batch
+    shipped inside it."""
+    cluster = make_cluster()
+    module = cluster.cache_modules["node0"]
+    flusher = module.flusher
+    writer = cluster.client("node0")
+    env = cluster.env
+    bs = module.block_size
+    on_wire: set[tuple[int, int]] = set()
+    window = []
+    shipped = []
+    propagate = module._propagate_sync
+    coalesce = flusher._coalesce
+
+    def watched_propagate(handle, offset, nbytes, data, request_base):
+        keys = {(handle.file_id, b) for b in blocks_spanned(offset, nbytes, bs)}
+        on_wire.update(keys)
+        window.append(env.now)
+        yield from propagate(handle, offset, nbytes, data, request_base)
+        window.append(env.now)
+        on_wire.difference_update(keys)
+
+    def watched_coalesce(fragments):
+        for file_id, off, n, _data in fragments:
+            for b in blocks_spanned(off, n, bs):
+                if (file_id, b) in on_wire:
+                    shipped.append((file_id, b))
+        return coalesce(fragments)
+
+    module._propagate_sync = watched_propagate
+    flusher._coalesce = watched_coalesce
+
+    def app(env):
+        f = yield from writer.open("/f")
+        yield env.timeout(start_s - env.now)
+        yield from writer.sync_write(f, 0, 4096, _block(b"B"))
+        yield env.timeout(0.01)
+
+    run_app(cluster, app(env))
+    return tuple(window), shipped
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a cached sync_write's blocks stay DIRTY on the dirty list "
+    "while its write-through is on the wire (ROADMAP item 2)",
+)
+def test_no_flush_batch_ships_a_block_whose_sync_write_is_in_flight():
+    """The flusher's round comes due while node0's write-through of
+    block 0 is on the wire.  The block is DIRTY, not in a flush batch,
+    so the round ships its bytes a second time; with a sync_write from
+    another node landing in between, that batch would overwrite the
+    newer bytes at the iod."""
+    runs = [_flushed_during_write_through(t * 1e-4) for t in range(285, 300)]
+    if not any(start < 0.030 < end for (start, end), _ in runs):
+        raise RuntimeError("no write-through spans the flusher's round")
+    assert [shipped for _, shipped in runs if shipped] == []

@@ -11,6 +11,7 @@ from repro.sim import (
     StoreGet,
 )
 from repro.sim.engine import EmptySchedule
+from repro.sim.resources import StorePut
 
 
 def test_clock_starts_at_zero():
@@ -746,5 +747,85 @@ def test_take_turn_refuses_inside_a_multi_callback_event():
 
 
 def test_take_turn_refuses_without_an_active_process():
+    """Outside run() nothing may book a turn, process or not.  A
+    callback stage may book one inside run() (below), so what this
+    checks now is the run-owns-the-loop guard."""
     env = Environment()
     assert env.take_turn(StoreGet) is False
+
+
+def _relay_run(in_place, hooks):
+    """A getter waits on a store; callback stages put an item at t = 1,
+    2 and 3 (the last with a same-instant timeout due, so its turn is
+    refused), each firing its own step as the put's callback would.
+    Returns the schedule's observable footprint and the turns taken."""
+    env = Environment()
+    env.enable_trace_hash()
+    calls = []
+    if hooks:
+        env.add_step_hook(lambda e: calls.append(e._events_processed))
+    store = Store(env)
+    got = []
+    admitted = []
+
+    def getter(env):
+        for _ in range(3):
+            got.append(((yield store.get()), env.now))
+
+    def stage(item):
+        def on_admitted(_event):
+            # the sequence number it sees, and one event of its own
+            admitted.append((item, env.now, env._seq))
+            env.timeout(0.5)
+
+        def arrive(_event):
+            if in_place and store.put_in_place(item):
+                on_admitted(None)
+            else:
+                store.put(item).callbacks.append(on_admitted)
+
+        return arrive
+
+    env.process(getter(env))
+    for t, item in ((1, "a"), (2, "b"), (3, "c")):
+        env.timeout(t).callbacks.append(stage(item))
+    env.timeout(3)
+    env.run()
+    stats = env.sched_stats()
+    turns = stats.pop("turns_in_place")
+    return (env.trace_hash(), stats, got, admitted, len(calls)), turns
+
+
+@pytest.mark.parametrize("hooks", [False, True])
+def test_a_callback_stages_turn_is_booked_as_the_popped_event(hooks):
+    """A stage that takes its put's turn in place books the step the
+    loop would have popped: the same seq (and so the same trace-hash
+    line and the getter's later seq), count, depth high-water mark and
+    step-hook calls."""
+    queued, no_turns = _relay_run(False, hooks)
+    in_place, turns = _relay_run(True, hooks)
+    assert (no_turns, turns) == (0, 2)
+    assert in_place == queued
+    assert [item for item, _t in in_place[2]] == ["a", "b", "c"]
+    if hooks:
+        assert in_place[4] == in_place[1]["events_processed"]
+
+
+def test_take_turn_refuses_a_nested_callback():
+    """A late callback runs at once, inside the step that added it: the
+    rest of that step would run after its booked turn, so it is
+    refused, and the enclosing stage may still take its own turn."""
+    env = Environment()
+    log = []
+    fired = env.event()
+    fired.succeed()
+
+    def top(_event):
+        fired.add_callback(
+            lambda _e: log.append(("nested", env.take_turn(StorePut)))
+        )
+        log.append(("top", env.take_turn(StorePut)))
+
+    env.timeout(1).callbacks.append(top)
+    env.run()
+    assert log == [("nested", False), ("top", True)]
