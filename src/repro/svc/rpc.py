@@ -156,9 +156,10 @@ class _Dispatcher(NamedEvent):
     start event, then one ``StoreGet`` per inbound message and one
     ``StorePut`` per routed response, each step a callback on the event
     before; a put whose turn can be taken in place
-    (:meth:`~repro.sim.resources.Store.put_in_place`) is not queued.  It is itself the event such a process was, under the same
-    name: it fails with :class:`~repro.sim.ProcessKilled` when
-    :meth:`stop` ends the loop, and never fires otherwise.
+    (:meth:`~repro.sim.resources.Store.put_in_place`) is not queued.
+    It is itself the event such a process was, under the same name: it
+    fails with :class:`~repro.sim.ProcessKilled` when :meth:`stop` ends
+    the loop, and never fires otherwise.
     """
 
     __slots__ = ("channel", "name", "_waiting_on")
