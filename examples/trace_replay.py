@@ -10,7 +10,7 @@ and replay that too:
 
 * original PVFS (no caching),
 * the paper's kernel cache module,
-* the cache module + the global-cache and readahead extensions.
+* the cache module + the readahead extension.
 
 Run:  python examples/trace_replay.py
 """
@@ -92,18 +92,19 @@ def main() -> None:
     )
     replay(
         trace_text,
-        "cache module + global cache",
+        "cache module + readahead",
         ClusterConfig(
             compute_nodes=2,
             iod_nodes=2,
             caching=True,
             pagecache_blocks=0,
-            cache=CacheConfig(global_cache=True),
+            cache=CacheConfig(readahead=True),
         ),
     )
     print("\nSame byte-for-byte request stream each time — the policy")
-    print("differences are the whole story.  (The global cache's extra")
-    print("win comes from peer hits replacing disk seeks at the iods.)")
+    print("differences are the whole story.  (Readahead loses here: its")
+    print("window runs past the end of the dataset, so the cold iod disks")
+    print("also read blocks that no scanner asks for.)")
 
     doubled = scale_out(2)(trace)
     print(f"\nscale_out(2) transform: {len(doubled)} requests from "

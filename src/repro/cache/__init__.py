@@ -25,7 +25,6 @@ Components map one-to-one onto the paper's Section 3.2:
 """
 
 from repro.cache.block import BlockState, CacheBlock
-from repro.cache.global_cache import GlobalCacheClient, GlobalCacheDirectory
 from repro.cache.manager import BufferManager, InvariantViolation
 from repro.cache.module import CacheModule
 from repro.cache.prefetch import ReadAhead
@@ -37,8 +36,6 @@ __all__ = [
     "ByteRanges",
     "CacheBlock",
     "CacheModule",
-    "GlobalCacheClient",
-    "GlobalCacheDirectory",
     "InvariantViolation",
     "ReadAhead",
 ]

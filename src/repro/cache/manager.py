@@ -275,49 +275,59 @@ class BufferManager:
         """Coherence: drop ``key`` if resident (even dirty — the remote
         sync_write wins).  True when a copy was (or will be) dropped.
 
-        A PENDING block is marked *doomed*: the iod snapshots the
-        bytes for the in-flight fetch when the read *request* is
-        handled, which can be before the racing sync_write lands
-        there, so the data the fetch brings back may already be
-        stale.  The fetch completes normally (its waiters still need
-        an answer for this access) and the block is dropped the
-        moment it is READY and unpinned.  A pinned block (mid-copy in
-        some reader) is likewise doomed and dropped when the last pin
-        releases — a kernel cannot rip a page out from under an
-        in-progress copy either.
+        A PENDING block is *doomed*: the iod snapshots the bytes for
+        the in-flight fetch when the read *request* is handled, which
+        can be before the racing sync_write lands there, so the data
+        the fetch brings back may already be stale.  The fetch
+        completes normally (its waiters still need an answer for this
+        access).  A pinned block (mid-copy in some reader) is likewise
+        doomed — a kernel cannot rip a page out from under an
+        in-progress copy either.  A doomed block leaves the hash
+        table, the policy and the dirty list at once, so no later
+        access finds its bytes, and its frame is freed by
+        :meth:`release_doomed` once it is READY and unpinned.
         """
         block = self.table.get(key)
         if block is None:
             return False
-        if block.state is BlockState.PENDING:
+        if block.pins or block.state is BlockState.PENDING:
             block.doomed = True
-            self.metrics.inc(self._k_deferred)
-            return True
-        if block.pins:
-            block.doomed = True
+            doomed = (block,)
+            self.policy.forget_run(doomed)
+            self.table.remove_run(doomed)
+            self.dirtylist.discard_run(doomed)
             self.metrics.inc(self._k_deferred)
             return True
         self.evict((block,), force=True)
         self.metrics.inc(self._k_invalidated)
         return True
 
+    def release_doomed(self, block: CacheBlock) -> None:
+        """Free the frame of a doomed block nothing holds any more (a
+        pinned writer may have put it back on the dirty list)."""
+        doomed = (block,)
+        self.dirtylist.discard_run(doomed)
+        self.freelist.release_run(doomed)
+        counters = self.metrics.counters
+        counters[self._k_evictions] += 1
+        counters[self._k_invalidated] += 1
+
     def unpin(self, block: CacheBlock) -> None:
         """Release a pin, completing any deferred invalidation."""
         self.unpin_run((block,))
 
     def unpin_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
-        """Release one pin of each block, then complete the deferred
-        invalidation of each doomed block that is now unpinned with
-        data, in run order.  Unpinning schedules nothing, so this is
-        the order unpinning and dropping block by block would give."""
+        """Release one pin of each block, then free each doomed block
+        that is now unpinned with data, in run order.  Unpinning
+        schedules nothing, so this is the order unpinning and freeing
+        block by block would give."""
         unpin_run(blocks)
         for block in blocks:
             if block.doomed and block.pins == 0 and block.state in (
                 BlockState.CLEAN,
                 BlockState.DIRTY,
             ):
-                self.evict((block,), force=True)
-                self.metrics.inc(self._k_invalidated)
+                self.release_doomed(block)
 
     def select_victims(self, n: int) -> list[CacheBlock]:
         """Policy passthrough honouring clean preference."""
@@ -340,11 +350,13 @@ class BufferManager:
 
         Stated against the paper's structures:
 
-        * every frame is in exactly one of the *free* and *hashed*
-          states (FREE frames carry no identity and never sit in the
-          hash table; PENDING/CLEAN/DIRTY frames are keyed and chained
-          exactly once);
-        * a frame is DIRTY if and only if it is on the dirty list;
+        * every frame is in exactly one of the *free*, *hashed* and
+          *doomed* states (FREE frames carry no identity and never sit
+          in the hash table; PENDING/CLEAN/DIRTY frames are keyed and
+          chained exactly once, unless doomed, and doomed frames are
+          chained nowhere);
+        * a hashed frame is DIRTY if and only if it is on the dirty
+          list;
         * pin counts ("refcounts" held by in-progress copies) are never
           negative, FREE frames are never pinned, and a doomed block
           does not outlive its last unpin;
@@ -373,6 +385,8 @@ class BufferManager:
                 )
             if block.state is BlockState.FREE:
                 self._fail(f"FREE block {block!r} is in the hash table")
+            if block.doomed:
+                self._fail(f"doomed block {block!r} is in the hash table")
         if len(table) != len(resident):
             self._fail(
                 f"hash table size {len(table)} != chained blocks "
@@ -385,6 +399,7 @@ class BufferManager:
         if len(store_ids) != len(store_items):
             self._fail("free list stores the same block twice")
         n_free_state = 0
+        n_doomed = 0
         for block in self.blocks:
             if block.pins < 0:
                 self._fail(f"negative pin count on {block!r}")
@@ -398,7 +413,9 @@ class BufferManager:
                 if block.key is not None:
                     self._fail(f"FREE block {block!r} still has a key")
             else:
-                if not in_table:
+                if block.doomed:
+                    n_doomed += 1
+                elif not in_table:
                     self._fail(
                         f"{block.state.value} block {block!r} is not in "
                         "the hash table"
@@ -409,7 +426,7 @@ class BufferManager:
                     )
             is_dirty = block.state is BlockState.DIRTY
             on_dirty = block in self.dirtylist
-            if is_dirty and not on_dirty:
+            if is_dirty and not on_dirty and not block.doomed:
                 self._fail(f"DIRTY block {block!r} is not on the dirty list")
             if on_dirty and not is_dirty:
                 self._fail(
@@ -428,10 +445,10 @@ class BufferManager:
                 self._fail(
                     f"doomed block {block!r} survived its last unpin"
                 )
-        if n_free_state + len(resident) != len(self.blocks):
+        if n_free_state + len(resident) + n_doomed != len(self.blocks):
             self._fail(
                 f"frames leak: {n_free_state} free + {len(resident)} "
-                f"resident != {len(self.blocks)} total"
+                f"resident + {n_doomed} doomed != {len(self.blocks)} total"
             )
         if len(store_items) > n_free_state:
             self._fail(

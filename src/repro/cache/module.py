@@ -66,7 +66,6 @@ class CacheModule(Service):
         #: Bytes per request segment (see :meth:`_segments`).
         self._seg_bytes = config.effective_segment_blocks * config.block_size
         self.manager = BufferManager(node.env, config, metrics)
-        self._k_invalidated = f"{self.manager.name}.invalidated_blocks"
         self.flusher = self.adopt(
             Flusher(
                 node,
@@ -85,9 +84,6 @@ class CacheModule(Service):
         # blocks immediately re-arms the harvester.
         self.flusher.on_clean = self.harvester.wake
         self._iod_pool = self.pool(iod_port, label=self.name)
-        #: Cooperative cluster-wide cache extension (attached by the
-        #: cluster builder when ``CacheConfig.global_cache`` is set).
-        self.gcache = None
         self.readahead = None
         if config.readahead:
             from repro.cache.prefetch import ReadAhead
@@ -99,10 +95,6 @@ class CacheModule(Service):
         """Load the module: kernel threads + invalidation listener."""
         self.flusher.start()
         self.harvester.start()
-        if self.gcache is not None:
-            if self.gcache not in self._children:
-                self.adopt(self.gcache)
-            self.gcache.start()
         self.serve(self.invalidate_port, label="inval")
 
     def _drain(self) -> _t.Generator:
@@ -136,7 +128,6 @@ class CacheModule(Service):
             "dirty": self.manager.n_dirty,
             "states": states,
             "flush_inflight": len(self.flusher._inflight),
-            "gcache": self.gcache is not None,
             "readahead": self.readahead is not None,
         }
 
@@ -424,21 +415,6 @@ class CacheModule(Service):
         """Issue the miss requests and merge the arriving data."""
         bs = self.block_size
         counters = self.metrics.counters
-        if self.gcache is not None and owned:
-            # Cooperative global cache: ask each missing block's home
-            # node before touching the iods.
-            remote_hits = yield from self.gcache.lookup_remote(
-                handle.file_id, list(owned), want_data
-            )
-            for block_no, data in remote_hits.items():
-                block = owned.pop(block_no)
-                block.merge_fetch(0, bs, data)
-                block.make_ready()
-            if not owned and not gappy:
-                fsm.to(FSMState.REQUESTS_ISSUED)
-                fsm.to(FSMState.ACK_FAKED)
-                fsm.to(FSMState.AWAIT_DATA)
-                return
         # Absolute byte ranges to request: one per run of consecutive
         # owned blocks that start in one stripe unit (so on one iod).
         ranges: list[tuple[int, int]] = []
@@ -517,11 +493,10 @@ class CacheModule(Service):
         """A fetch readied the doomed ``block``: a coherence
         invalidation raced the fetch, so the iod snapshot may predate
         the remote sync_write and the bytes just merged can be stale.
-        Unpinned here means nobody is mid-copy (a prefetch), so drop
-        the block now; pinned blocks are dropped by the last unpin."""
+        Unpinned here means nobody is mid-copy (a prefetch), so free
+        the frame now; pinned blocks are freed by the last unpin."""
         if block.pins == 0:
-            self.manager.evict((block,), force=True)
-            self.metrics.inc(self._k_invalidated)
+            self.manager.release_doomed(block)
 
     def _merge_range(
         self,

@@ -123,11 +123,6 @@ class Cluster:
 
         self.cache_modules: dict[str, CacheModule] = {}
         if self.config.caching:
-            gcache_directory = None
-            if self.config.cache.global_cache:
-                from repro.cache.global_cache import GlobalCacheDirectory
-
-                gcache_directory = GlobalCacheDirectory(compute_names)
             for name in compute_names:
                 module = CacheModule(
                     self.nodes[name],
@@ -139,16 +134,12 @@ class Cluster:
                     flush_port=self.config.FLUSH_PORT,
                     invalidate_port=self.INVALIDATE_PORT,
                 )
-                if gcache_directory is not None:
-                    from repro.cache.global_cache import GlobalCacheClient
-
-                    module.gcache = GlobalCacheClient(module, gcache_directory)
                 module.start()
                 self.nodes[name].cache_module = module
                 self.cache_modules[name] = module
 
         #: Every top-level service in start order (children — flusher,
-        #: harvester, gcache — are reached through their parents).
+        #: harvester — are reached through their parents).
         self.services: list[Service] = [
             *self.mgr_servers,
             *self.iods,

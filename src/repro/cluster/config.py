@@ -115,10 +115,6 @@ class CacheConfig:
     #: in segments of this many blocks so concurrent requests cannot
     #: pin the whole cache (None = n_blocks // 8, min 8).
     segment_blocks: int | None = None
-    #: Cooperative cluster-wide cache (the paper's "ongoing work"
-    #: extension): on a local miss, ask the block's home cache node
-    #: before going to the iod.
-    global_cache: bool = False
     #: Sequential readahead (the paper's "prefetching" future-work
     #: item): detect per-file sequential runs and prefetch ahead into
     #: the shared cache.

@@ -4,9 +4,6 @@
   coherent (``sync_write``) writes grows from 0 to 1, quantifying the
   paper's implicit trade-off between the non-coherent default and the
   consistency-preserving path.
-* :func:`run_global_cache_experiment` — local-only vs cooperative
-  global cache across iod page-cache sizes: peer hits pay off exactly
-  when the servers would have gone to disk.
 * :func:`run_readahead_experiment` — sequential-scan time vs per-chunk
   compute (think time): prefetching converts compute time into overlap.
 """
@@ -89,67 +86,6 @@ def run_coherence_sweep(
         series.add(fraction, blended)
         inval_series.add(fraction, invalidations)
     result.notes = "coherence costs a round trip per covered write"
-    return result
-
-
-def _global_cache_point(
-    global_cache: bool, pagecache: int, blocks: tuple[int, ...]
-) -> float:
-    """Second-node re-read time for one (global_cache, pagecache) point."""
-    config = ClusterConfig(
-        compute_nodes=2,
-        iod_nodes=2,
-        caching=True,
-        cache=CacheConfig(global_cache=global_cache),
-        pagecache_blocks=pagecache,
-    )
-    cluster = Cluster(config)
-    a = cluster.client("node0")
-    b = cluster.client("node1")
-
-    def app(env):
-        f = yield from a.open("/g")
-        for blk in blocks:
-            yield from a.read(f, blk * 4096, 4096)
-        t0 = env.now
-        for blk in blocks:
-            yield from b.read(f, blk * 4096, 4096)
-        return env.now - t0
-
-    proc = cluster.env.process(app(cluster.env))
-    return cluster.env.run(until=proc)
-
-
-def run_global_cache_experiment(
-    pagecache_blocks: tuple[int, ...] = (0, 64, 16384),
-    n_blocks_touched: int = 24,
-) -> ExperimentResult:
-    """Random 4 KB re-reads from a second node: peer cache vs iod,
-    across iod page-cache sizes (0 = always disk)."""
-    result = ExperimentResult(
-        experiment_id="ext-global-cache",
-        title="Second-node random 4 KB reads: local-only vs global cache",
-        x_label="iod page-cache blocks",
-        y_label="total read time (seconds)",
-    )
-    local_series = result.new_series("local cache only")
-    global_series = result.new_series("with global cache")
-    blocks = tuple(
-        [7, 91, 23, 55, 3, 78, 41, 66, 12, 99, 30, 84][:n_blocks_touched]
-    )
-
-    points = []
-    for pagecache in pagecache_blocks:
-        points.append((False, pagecache, blocks))
-        points.append((True, pagecache, blocks))
-    values = iter(sweep(points, _global_cache_point))
-    for pagecache in pagecache_blocks:
-        local_series.add(pagecache, next(values))
-        global_series.add(pagecache, next(values))
-    result.notes = (
-        "peer hits replace disk seeks; with warm iod memory the two "
-        "paths cost about the same"
-    )
     return result
 
 

@@ -56,14 +56,12 @@ def _run_scaling(quick: bool) -> "list[ExperimentResult]":
 def _run_extensions(quick: bool) -> "list[ExperimentResult]":
     from repro.experiments.extensions import (
         run_coherence_sweep,
-        run_global_cache_experiment,
         run_readahead_experiment,
         run_straggler_experiment,
     )
 
     return [
         run_coherence_sweep((0.0, 0.5, 1.0) if quick else (0.0, 0.25, 0.5, 0.75, 1.0)),
-        run_global_cache_experiment((0, 16384) if quick else (0, 64, 16384)),
         run_readahead_experiment((0.0, 2e-3) if quick else (0.0, 1e-3, 2e-3, 4e-3)),
         run_straggler_experiment((1.0, 8.0) if quick else (1.0, 4.0, 16.0)),
     ]

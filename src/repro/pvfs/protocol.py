@@ -34,9 +34,6 @@ FLUSH_ACK = "cache.flush.ack"
 INVALIDATE = "cache.invalidate"
 INVALIDATE_ACK = "cache.invalidate.ack"
 
-GCACHE_LOOKUP = "gcache.lookup"
-GCACHE_REPLY = "gcache.reply"
-
 #: Header bytes charged per (offset, nbytes) range in a request.
 RANGE_DESC_BYTES = 32
 #: Bytes charged per block id in an invalidation.

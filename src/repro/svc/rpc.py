@@ -8,12 +8,12 @@ runs a dispatcher loop that routes each inbound message to the
 responses (the PVFS read protocol answers with an ACK message followed
 by a DATA message).
 
-This module is the single home of that logic — the mgr/iod/cache/
-global-cache daemons all reuse it through :class:`ChannelPool`, which
-adds lazy connection establishment and strict teardown: closing a pool
-with ``strict=True`` surfaces any request still awaiting a response as
-a :class:`PendingCallLeak` instead of letting the simulation hang on
-an answer that will never come.
+This module is the single home of that logic — the mgr, iod and cache
+daemons all reuse it through :class:`ChannelPool`, which adds lazy
+connection establishment and strict teardown: closing a pool with
+``strict=True`` surfaces any request still awaiting a response as a
+:class:`PendingCallLeak` instead of letting the simulation hang on an
+answer that will never come.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ class ChannelPool:
     """Lazily-connected :class:`RpcChannel` per peer node.
 
     Every daemon that talks RPC (cache module -> iods, flusher -> iod
-    flush ports, iod -> cache invalidation listeners, global cache ->
-    peer caches) keeps one pool per remote port instead of hand-rolling
+    flush ports, iod -> cache invalidation listeners) keeps one pool
+    per remote port instead of hand-rolling
     the connect-once-and-cache pattern.
     """
 

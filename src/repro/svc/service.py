@@ -2,9 +2,8 @@
 
 Every long-running daemon in the simulated cluster — the PVFS mgr, the
 iods, the client-side flusher and harvester kernel threads, the cache
-module's invalidation listener, the global-cache peer server, and the
-per-disk writeback daemon — subclasses :class:`Service`.  The base
-owns the shapes they all share:
+module's invalidation listener, and the per-disk writeback daemon —
+subclasses :class:`Service`.  The base owns the shapes they all share:
 
 * **Typed dispatch** — handler methods declare the message kind they
   serve with the :func:`handles` decorator; :meth:`Service.dispatch`

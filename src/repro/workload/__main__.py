@@ -40,8 +40,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
                         help="per-node cache size in bytes")
     parser.add_argument("--fabric", choices=("switch", "hub"),
                         default="switch")
-    parser.add_argument("--global-cache", action="store_true",
-                        help="enable the cooperative global cache")
     parser.add_argument("--readahead", action="store_true",
                         help="enable sequential prefetching")
     parser.add_argument("--config", type=str, default=None, metavar="FILE",
@@ -92,7 +90,6 @@ def _build_config(args: argparse.Namespace) -> ClusterConfig:
         caching=not args.no_caching,
         cache=CacheConfig(
             size_bytes=args.cache_size,
-            global_cache=args.global_cache,
             readahead=args.readahead,
         ),
         costs=CostModel(fabric=args.fabric),
@@ -383,9 +380,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         print(f"  faked iod acks       : {outcome.counter('cache.faked_acks')}")
         print(f"  blocks flushed       : "
               f"{outcome.counter('flusher.blocks_cleaned')}")
-        if args.global_cache:
-            print(f"  peer-cache hits      : "
-                  f"{outcome.counter('gcache.remote_hits')}")
         if args.readahead:
             print(f"  blocks prefetched    : "
                   f"{outcome.counter('prefetch.completed')}")

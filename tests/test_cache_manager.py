@@ -209,18 +209,25 @@ def test_invalidate_semantics():
     def proc(env):
         assert m.invalidate((9, 9)) is False  # absent
         block, _ = yield from m.get_or_allocate((1, 0))
-        # PENDING: doomed, so the fetch path discards the in-flight
-        # fill instead of publishing possibly-stale bytes.
+        # PENDING: doomed and unhashed at once, so no later access
+        # finds the in-flight fill's possibly-stale bytes; the fetch
+        # path frees the frame once it is ready.
         assert m.invalidate((1, 0)) is True
         assert block.doomed
+        assert m.lookup((1, 0)) is None
         block.make_ready()
-        # pinned: deferred
+        m.release_doomed(block)
+        assert block.state is BlockState.FREE
+        # pinned: unhashed at once, freed at the last unpin
+        block, _ = yield from m.get_or_allocate((1, 0))
+        block.make_ready()
         block.pin()
         assert m.invalidate((1, 0)) is True
         assert block.doomed
-        assert m.lookup((1, 0)) is block  # still resident while pinned
+        assert m.lookup((1, 0)) is None
+        assert block.state is BlockState.CLEAN  # the copy still holds it
         m.unpin(block)
-        assert m.lookup((1, 0)) is None  # dropped at unpin
+        assert block.state is BlockState.FREE
         # plain resident: immediate
         block2, _ = yield from m.get_or_allocate((1, 1))
         block2.make_ready()

@@ -30,10 +30,12 @@ op_strategy = st.lists(
 
 
 def _check_invariants(m: BufferManager) -> None:
-    # Frame conservation: every frame is either free or resident
-    # (allocation waiters may make the freelist counter negative, but
-    # this single-process driver never leaves waiters behind).
-    assert m.n_free + m.n_resident == N_BLOCKS
+    # Frame conservation: every frame is free, resident or doomed (an
+    # invalidated in-flight fill, freed when it lands); allocation
+    # waiters may make the freelist counter negative, but this
+    # single-process driver never leaves waiters behind.
+    doomed = [b for b in m.blocks if b.doomed]
+    assert m.n_free + m.n_resident + len(doomed) == N_BLOCKS
     resident = list(m.table.blocks())
     # no table block is FREE; keys unique
     keys = [b.key for b in resident]
@@ -48,8 +50,23 @@ def _check_invariants(m: BufferManager) -> None:
     # every DIRTY resident block that was noted is tracked; and no
     # CLEAN/PENDING block lingers on the dirty list (checked above)
     # free frames really are FREE
-    free_states = [b.state for b in m.blocks if b not in resident]
+    free_states = [
+        b.state for b in m.blocks if b not in resident and not b.doomed
+    ]
     assert all(s is BlockState.FREE for s in free_states)
+    # a doomed frame is an in-flight fill nobody can find
+    for block in doomed:
+        assert block.state is BlockState.PENDING
+        assert block not in resident
+
+
+def _land_doomed(m: BufferManager, key=None) -> None:
+    """The fetches of doomed blocks (of ``key``, or all) land: each
+    frame is freed, as ``CacheModule._drop_if_unpinned`` does."""
+    for block in m.blocks:
+        if block.doomed and key in (None, block.key):
+            block.make_ready()
+            m.release_doomed(block)
 
 
 @settings(max_examples=120, deadline=None)
@@ -74,9 +91,10 @@ def test_manager_invariants_under_random_ops(ops):
             elif op == "write" and block is not None:
                 block.write(0, 100, None)
                 m.note_write(block)
-            elif op == "make_ready" and block is not None:
-                if block.state is BlockState.PENDING:
+            elif op == "make_ready":
+                if block is not None and block.state is BlockState.PENDING:
                     block.make_ready()
+                _land_doomed(m, key)
             elif op == "clean" and block is not None:
                 if block.state is BlockState.DIRTY:
                     m.note_cleaned(block, block.dirty_epoch)
@@ -90,6 +108,7 @@ def test_manager_invariants_under_random_ops(ops):
                 assert (found is not None) == (key in m.resident_keys())
             _check_invariants(m)
         # Drain: make everything evictable and evict it.
+        _land_doomed(m)
         for block in list(m.table.blocks()):
             if block.state is BlockState.PENDING:
                 block.make_ready()

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cache.block import BlockState
-from tests.conftest import make_cluster, run_app
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import CacheConfig, ClusterConfig
+from tests.conftest import check_invariants_every, make_cluster, run_app
 
 
 def test_read_miss_then_hit_counters():
@@ -202,20 +204,57 @@ def test_sync_write_propagates_and_cleans():
     run_app(cluster, app(cluster.env))
 
 
-def test_sync_write_invalidates_remote_cache():
-    cluster = make_cluster()
-    a = cluster.client("node0")
-    b = cluster.client("node1")
+@pytest.mark.parametrize("copy", ["plain", "readahead", "list-io"])
+def test_sync_write_invalidates_remote_cache(copy):
+    """The paper's coherence contract, for each way a copy gets into a
+    cache: node0 writes the old bytes, node1 takes a copy, node2
+    ``sync_write``s, and node1's next read returns node2's bytes.
+
+    The readahead and list-I/O copies span several blocks per iod
+    request, and node2 overwrites a block that is not the first of
+    one, so the iod must note every block it serves as shared.
+    """
+    bs = 4096
+    cluster = Cluster(
+        ClusterConfig(
+            compute_nodes=3,
+            iod_nodes=2,
+            cache=CacheConfig(readahead=copy == "readahead"),
+        )
+    )
+    check_invariants_every(cluster, 1)
+    seeder, holder, writer = (cluster.client(f"node{i}") for i in range(3))
+    m = cluster.metrics
 
     def app(env):
-        f = yield from a.open("/f")
-        yield from a.sync_write(f, 0, 4096, b"1" * 4096)
-        d1 = yield from b.read(f, 0, 4096, want_data=True)  # node1 caches
-        assert d1 == b"1" * 4096
-        yield from a.sync_write(f, 0, 4096, b"2" * 4096)
-        assert cluster.metrics.count("cache.invalidations_received") >= 1
-        d2 = yield from b.read(f, 0, 4096, want_data=True)
-        assert d2 == b"2" * 4096
+        f = yield from seeder.open("/f")
+        yield from seeder.sync_write(f, 0, 8 * bs, b"1" * 8 * bs)
+        if copy == "list-io":
+            parts = yield from holder.readv(
+                f, [(0, 2 * bs), (4 * bs, 2 * bs)], want_data=True
+            )
+            assert parts == [b"1" * 2 * bs] * 2
+            written = [(bs, bs), (5 * bs, bs)]
+            yield from writer.writev(f, written, [b"2" * bs] * 2, sync=True)
+            parts = yield from holder.readv(f, written, want_data=True)
+        else:
+            if copy == "plain":
+                yield from holder.read(f, 4 * bs, bs)
+            else:
+                # Two sequential reads open a four-block window, so
+                # blocks 2-5 come in by one prefetch alone.
+                yield from holder.read(f, 0, bs)
+                yield from holder.read(f, bs, bs)
+                yield env.timeout(20e-3)
+                assert m.count("prefetch.completed") == 4
+            resident = cluster.cache_modules["node1"].manager.resident_keys()
+            assert (f.file_id, 4) in resident
+            written = [(4 * bs, bs)]
+            yield from writer.sync_write(f, 4 * bs, bs, b"2" * bs)
+            part = yield from holder.read(f, 4 * bs, bs, want_data=True)
+            parts = [part]
+        assert m.count("cache.invalidations_received") >= 1
+        assert parts == [b"2" * bs] * len(written)
 
     run_app(cluster, app(cluster.env))
 
@@ -417,7 +456,7 @@ def test_module_stats_snapshot():
         assert stats["resident"] == 2
         assert stats["free"] == stats["n_blocks"] - 2
         assert stats["states"]["dirty"] == 2
-        assert stats["gcache"] is False
+        assert stats["readahead"] is False
 
     run_app(cluster, app(cluster.env))
 

@@ -66,10 +66,9 @@ def test_cli_two_instances(capsys):
 
 def test_cli_extensions(capsys):
     rc = main(["--d", "16384", "--p", "2", "--iterations", "4",
-               "--global-cache", "--readahead"])
+               "--readahead"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "peer-cache hits" in out
     assert "blocks prefetched" in out
 
 

@@ -7,7 +7,7 @@ from repro.pvfs.collective import (
     InterleavedAccess,
     run_interleaved_read,
 )
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, run_app
 
 
 def test_interleaved_access_geometry():
@@ -140,3 +140,36 @@ def test_single_rank_collective_degenerates():
         collective=True,
     )
     assert t > 0  # no peers to shuffle with; still completes
+
+
+def test_remote_sync_write_reaches_a_collective_readers_cache():
+    """Collective I/O on a caching cluster keeps the coherence
+    contract: each rank's file domain is read through its node's cache,
+    so a remote ``sync_write`` into rank 1's domain makes rank 1's next
+    collective read fetch that block from the iod again."""
+    cluster = make_cluster(compute_nodes=3, iod_nodes=2)
+    env = cluster.env
+    ranks = ["node0", "node1"]
+    writer = cluster.client("node2")
+    accesses = [
+        InterleavedAccess(rank=r, n_ranks=2, item_bytes=4096, items=8)
+        for r in range(2)
+    ]
+
+    def collective_read(handle):
+        group = CollectiveGroup(cluster, ranks)
+        yield env.all_of(group.spawn_all(handle, accesses, collective=True))
+
+    def app(env):
+        f = yield from writer.open("/collective/coherent")
+        yield from collective_read(f)  # fills both ranks' caches
+        reads = cluster.metrics.count("iod.reads")
+        yield from collective_read(f)
+        assert cluster.metrics.count("iod.reads") == reads  # all hits
+        # Rank 1's file domain is the second half: blocks 8-15.
+        yield from writer.sync_write(f, 12 * 4096, 4096, b"w" * 4096)
+        reads = cluster.metrics.count("iod.reads")
+        yield from collective_read(f)
+        assert cluster.metrics.count("iod.reads") == reads + 1
+
+    run_app(cluster, app(cluster.env))

@@ -36,11 +36,11 @@ def test_full_roundtrip():
 def test_nested_sections():
     config = loads_config(
         '{"compute_nodes": 2, "iod_nodes": 2,'
-        ' "cache": {"flush_period_s": 0.01, "global_cache": true},'
+        ' "cache": {"flush_period_s": 0.01, "readahead": true},'
         ' "costs": {"fabric": "hub"}}'
     )
     assert config.cache.flush_period_s == 0.01
-    assert config.cache.global_cache is True
+    assert config.cache.readahead is True
     assert config.costs.fabric == "hub"
 
 
@@ -85,6 +85,18 @@ def test_removed_disk_model_knob_is_rejected():
         ValueError, match=r"unknown cluster keys: \['disk_model'\]"
     ):
         loads_config('{"disk_model": "queued"}')
+
+
+def test_removed_global_cache_knob_is_rejected():
+    """The global cache broke the ``sync_write`` contract and is gone
+    (DESIGN.md appendix A): a config that turns it on must fail, not
+    run the local-only cache while saying otherwise."""
+    with pytest.raises(TypeError, match="global_cache"):
+        CacheConfig(global_cache=True)  # type: ignore[call-arg]
+    with pytest.raises(
+        ValueError, match=r"unknown cache keys: \['global_cache'\]"
+    ):
+        loads_config('{"cache": {"global_cache": true}}')
 
 
 def test_validation_still_applies():

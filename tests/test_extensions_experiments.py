@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.experiments.extensions import (
     run_coherence_sweep,
-    run_global_cache_experiment,
     run_readahead_experiment,
 )
 from repro.workload import MicroBenchParams, run_instances
@@ -58,16 +57,6 @@ def test_coherence_sweep_monotone_cost():
     invals = result.get("invalidations (count)")
     assert invals.y_at(1.0) > 0
     assert invals.y_at(0.0) == 0
-
-
-def test_global_cache_experiment_disk_regime():
-    result = run_global_cache_experiment(pagecache_blocks=(0, 16384))
-    local = result.get("local cache only")
-    cooperative = result.get("with global cache")
-    # disk-bound iods: peer hits win
-    assert cooperative.y_at(0) < local.y_at(0)
-    # warm iods: both paths are cheap and comparable
-    assert cooperative.y_at(16384) < local.y_at(0)
 
 
 def test_straggler_experiment_masking():

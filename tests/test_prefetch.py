@@ -5,6 +5,7 @@ import pytest
 from repro.cache.prefetch import ReadAhead
 from repro.cluster.config import CacheConfig, ClusterConfig
 from repro.cluster.cluster import Cluster
+from tests.conftest import check_invariants_every
 
 
 def make_ra_cluster(**cache_kw):
@@ -190,6 +191,48 @@ def test_shared_stream_feeds_sibling_process():
         misses_before = m.count("cache.misses")
         yield from b.read(fb, 16384, 8192)  # B rides A's readahead
         assert m.count("cache.misses") == misses_before
+
+    proc = cluster.env.process(app(cluster.env))
+    cluster.env.run(until=proc)
+
+
+def test_invalidation_of_an_in_flight_prefetch_is_not_undone():
+    """Can an in-flight readahead put back a block that an invalidation
+    just dropped?  node1's sequential reads of blocks 12 and 13 start a
+    prefetch of blocks 14-17.  Blocks 14-15 sit on iod0, whose page
+    cache holds them; blocks 16-17 sit on iod1, which reads them off
+    its cold disk, so block 14 stays PENDING for about 15 ms.  node2's
+    ``sync_write`` of block 14 reaches iod0 after iod0 has served the
+    prefetch, so its invalidation reaches node1 while block 14 is
+    still PENDING.  node1's reads issued after the ``sync_write`` has
+    returned must see node2's bytes, before the prefetch lands and
+    after."""
+    bs = 4096
+    cluster = Cluster(
+        ClusterConfig(
+            compute_nodes=3,
+            iod_nodes=2,
+            cache=CacheConfig(readahead=True),
+        )
+    )
+    check_invariants_every(cluster, 1)
+    seeder, holder, writer = (cluster.client(f"node{i}") for i in range(3))
+    m = cluster.metrics
+
+    def app(env):
+        f = yield from seeder.open("/ra-race")
+        yield from seeder.sync_write(f, 0, 16 * bs, b"1" * 16 * bs)
+        yield from holder.read(f, 12 * bs, bs)
+        yield from holder.read(f, 13 * bs, bs)  # prefetch of 14-17
+        yield from writer.sync_write(f, 14 * bs, bs, b"2" * bs)
+        assert m.count("cache.deferred_invalidations") >= 1
+        data = yield from holder.read(f, 14 * bs, bs, want_data=True)
+        assert data == b"2" * bs
+        assert m.count("prefetch.completed") == 0
+        yield env.timeout(30e-3)
+        assert m.count("prefetch.completed") >= 4
+        data = yield from holder.read(f, 14 * bs, bs, want_data=True)
+        assert data == b"2" * bs
 
     proc = cluster.env.process(app(cluster.env))
     cluster.env.run(until=proc)
