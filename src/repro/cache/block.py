@@ -78,8 +78,9 @@ class CacheBlock:
         #: (:meth:`ready`), so a PENDING block nobody waits on costs
         #: no event; ``None`` otherwise.
         self.ready_event: "Event | None" = None
-        #: Invalidated while pinned: dropped as soon as the last pin
-        #: releases (deferred coherence eviction).
+        #: Invalidated while PENDING or pinned: out of the hash table,
+        #: and freed once its fetch lands and its last pin releases
+        #: (deferred coherence eviction).
         self.doomed = False
         #: Clock-sweep generation that last handled this block; lets
         #: the policy skip already-selected blocks without id() sets.
