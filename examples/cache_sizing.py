@@ -17,7 +17,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
 from repro.workload.analysis import analyze_trace
 from repro.workload.apps import AssociationMiningScan, ArchiveMaintainer, run_app_mix
-from repro.workload.trace import TraceRecorder, TraceReplayer
+from repro.workload import TraceRecorder, TraceReplayer
 
 CANDIDATE_BLOCKS = [32, 75, 150, 300, 600]  # 128 KB .. 2.4 MB
 
@@ -26,12 +26,13 @@ def record_trace():
     """A miner re-scanning a dataset while an archiver appends."""
     cluster = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=2))
     recorder = TraceRecorder(cluster)
+    recorder.tap()
     miner = AssociationMiningScan(
         cluster, "node0", dataset_bytes=600 * 1024, passes=3, name="miner"
     )
     archiver = ArchiveMaintainer(cluster, "node0", batches=12, name="arch")
-    recorder.attach(miner.client, "miner")
-    recorder.attach(archiver.client, "archiver")
+    miner.client.process_name = "miner"
+    archiver.client.process_name = "archiver"
     run_app_mix(cluster, [miner, archiver])
     return recorder.events
 

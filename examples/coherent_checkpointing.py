@@ -6,15 +6,16 @@ default (non-coherent) write path, workers can read *stale*
 checkpoints from their node's cache; ``sync_write`` invalidates the
 remote copies so every worker sees the newest epoch.
 
-The example also feeds the access trace into the sharing-pattern
-classifier (the paper's future-work item) and prints its
-per-file diagnosis + recommendation.
+The example also records the run's client I/O from the svc bus, feeds
+it to the sharing-pattern classifier (the paper's future-work item)
+and prints its per-file diagnosis + recommendation.
 
 Run:  python examples/coherent_checkpointing.py
 """
 
 from repro import Cluster, ClusterConfig
-from repro.workload.classify import SharingClassifier, TraceCollector
+from repro.workload import TraceRecorder, classify_trace
+from repro.workload.classify import RECOMMENDATIONS
 
 CHECKPOINT_BYTES = 64 * 1024
 EPOCHS = 5
@@ -24,14 +25,13 @@ def run(coherent: bool) -> tuple[int, int]:
     """Returns (stale_reads, invalidations)."""
     cluster = Cluster(ClusterConfig(compute_nodes=3, iod_nodes=3))
     env = cluster.env
-    classifier = SharingClassifier()
-    collector = TraceCollector(classifier)
+    recorder = TraceRecorder(cluster)
+    recorder.tap()
     epoch_written = [env.event() for _ in range(EPOCHS)]
     stale = [0]
 
     def coordinator(env):
         client = cluster.client("node0")
-        client.trace_sink = collector
         client.process_name = "coordinator"
         f = yield from client.open("/ckpt/state")
         for epoch in range(EPOCHS):
@@ -47,7 +47,6 @@ def run(coherent: bool) -> tuple[int, int]:
 
     def worker(env, node):
         client = cluster.client(node)
-        client.trace_sink = collector
         client.process_name = f"worker-{node}"
         f = yield from client.open("/ckpt/state")
         for epoch in range(EPOCHS):
@@ -65,9 +64,9 @@ def run(coherent: bool) -> tuple[int, int]:
     env.run(until=env.all_of(procs))
 
     if coherent:
-        f_id = cluster.mgr.lookup("/ckpt/state").file_id
-        print("  classifier says:", classifier.classify(f_id))
-        print("  recommendation:", classifier.recommendation(f_id))
+        pattern = classify_trace(recorder.trace())["/ckpt/state"]
+        print("  classifier says:", pattern)
+        print("  recommendation:", RECOMMENDATIONS[pattern])
     return stale[0], cluster.metrics.count("cache.invalidations_received")
 
 

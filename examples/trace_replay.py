@@ -17,7 +17,8 @@ Run:  python examples/trace_replay.py
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
-from repro.workload.trace import TraceRecorder, TraceReplayer, loads
+from repro.workload import TraceRecorder, TraceReplayer
+from repro.workload.trace import loads
 from repro.workload.transform import scale_out
 
 STEP = 32 * 1024
@@ -28,9 +29,13 @@ def record_workload() -> str:
     """Run a two-app producer/consumer + scanning mix; return its JSONL."""
     cluster = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=2))
     recorder = TraceRecorder(cluster)
-    producer = recorder.attach(cluster.client("node0"), "producer")
-    scanner = recorder.attach(cluster.client("node0"), "scanner")
-    scanner2 = recorder.attach(cluster.client("node1"), "scanner-2")
+    recorder.tap()
+    producer = cluster.client("node0")
+    scanner = cluster.client("node0")
+    scanner2 = cluster.client("node1")
+    producer.process_name = "producer"
+    scanner.process_name = "scanner"
+    scanner2.process_name = "scanner-2"
 
     def produce(env):
         f = yield from producer.open("/dataset")

@@ -8,7 +8,7 @@ system as a deterministic discrete-event simulation: the PVFS substrate
 (mgr, iods, libpvfs), the cluster hardware (CPUs, disks, a 100 Mbps
 network), and -- as the core contribution -- the cache module with its
 buffer manager, flusher and harvester kernel threads, approximate-LRU
-replacement, request-splitting FSM, and sync-write coherence.
+replacement, request-splitting FSM, and sync_write coherence.
 
 Quick start::
 

@@ -55,6 +55,9 @@ class Node:
         self.writeback: WritebackDaemon | None = None
         #: Installed by the cluster builder when caching is enabled.
         self.cache_module: "CacheModule | None" = None
+        #: libpvfs clients created on this node; numbers the next
+        #: one's default process name.
+        self.client_count = 0
         if with_disk:
             self.attach_disk()
 

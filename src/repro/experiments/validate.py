@@ -379,7 +379,7 @@ CLAIMS: list[Claim] = [
           lt, lambda split, hull: f"{split} vs {hull} bytes fetched"),
     Claim("ablation-sync-write-cost", "DESIGN §5: sync_write pays a round trip",
           lambda pt: (
-              single_point(16384, "sync-write", True, 0.0, 2,
+              single_point(16384, "sync_write", True, 0.0, 2,
                            measure=_sync_write_latency),
               pt.single_point(16384, "write", True, 0.0, 2)),
           gt, lambda coherent, buffered:

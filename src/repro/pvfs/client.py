@@ -59,12 +59,11 @@ class PVFSClient:
         #: Warmup clients disable recording so steady-state latency
         #: series are not polluted by cold passes.
         self.record_metrics = record_metrics
-        #: Optional access-trace hook for the sharing-pattern
-        #: classifier: called as ``sink(time, process, file_id,
-        #: offset, nbytes, op)`` on every data call.
-        self.trace_sink: _t.Callable[..., None] | None = None
-        #: Identity reported to the trace sink.
-        self.process_name = f"{node.name}/pid{id(self) % 100000}"
+        #: Identity carried by this client's ``client_io`` records:
+        #: ``node0/pid0``, ``node0/pid1``, ... in creation order, so a
+        #: rerun records the same names.
+        self.process_name = f"{node.name}/pid{node.client_count}"
+        node.client_count += 1
         #: Workload tags carried into recorded trace IR events.
         self.app = ""
         self.instance = 0
@@ -80,26 +79,14 @@ class PVFSClient:
         stride: int = 0,
         count: int = 1,
     ) -> None:
-        """Report one data call to the trace sink and, when anyone is
-        listening, to the instrumentation bus.
+        """Report one data call to the instrumentation bus as a
+        ``client_io`` record, when anyone is listening.
 
-        ``count > 1`` is a regular strided request: one ``client_io``
-        bus record carries the whole shape, while the legacy per-range
-        sink sees each range separately.  Both reporting paths are
-        synchronous Python off the event schedule, and the bus path is
-        gated on ``record_metrics`` so warmup clients stay out of
-        recorded traces.
+        ``count > 1`` is a regular strided request: one record carries
+        the whole shape.  Reporting is synchronous Python off the event
+        schedule, and it is gated on ``record_metrics`` so warmup
+        clients stay out of recorded traces.
         """
-        if self.trace_sink is not None:
-            for i in range(count):
-                self.trace_sink(
-                    self.env.now,
-                    self.process_name,
-                    file_id,
-                    offset + i * stride,
-                    nbytes,
-                    op,
-                )
         bus = self.env.svc_bus
         if bus is not None and bus.subscribers and self.record_metrics:
             bus.emit(

@@ -30,8 +30,10 @@ import typing as _t
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-#: Record kinds emitted by the stock services.  Services may emit
-#: additional kinds; this tuple documents the core schema.
+#: Record kinds emitted by the stock services, plus libpvfs's
+#: ``client_io`` (one per data call, the record every consumer of
+#: client I/O subscribes to).  Services may emit additional kinds;
+#: this tuple documents the core schema.
 CORE_EVENT_KINDS = (
     "start",
     "drain",
@@ -43,6 +45,7 @@ CORE_EVENT_KINDS = (
     "eviction",
     "invalidation",
     "rpc_timeout",
+    "client_io",
 )
 
 

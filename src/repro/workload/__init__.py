@@ -14,11 +14,7 @@ Two ways to drive the simulated cluster:
   sharing classification on ingest.
 """
 
-from repro.workload.classify import (
-    SharingClassifier,
-    TraceCollector,
-    classify_trace,
-)
+from repro.workload.classify import SharingClassifier, classify_trace
 from repro.workload.microbench import MicroBenchmark, MicroBenchParams
 from repro.workload.pattern import AccessPattern
 from repro.workload.record import TraceRecorder
@@ -44,7 +40,6 @@ __all__ = [
     "RunOutcome",
     "SharingClassifier",
     "Trace",
-    "TraceCollector",
     "TraceEvent",
     "TraceFormatError",
     "TraceRecorder",

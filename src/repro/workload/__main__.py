@@ -51,7 +51,7 @@ def _add_micro_args(parser: argparse.ArgumentParser) -> None:
     """Flags describing the micro-benchmark workload itself."""
     parser.add_argument("--d", "--request-size", dest="d", type=int,
                         default=65536, help="request size in bytes")
-    parser.add_argument("--mode", choices=("read", "write", "sync-write"),
+    parser.add_argument("--mode", choices=("read", "write", "sync_write"),
                         default="read")
     parser.add_argument("--iterations", type=int, default=32,
                         help="I/O requests per process")

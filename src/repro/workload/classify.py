@@ -170,58 +170,15 @@ def _any_overlap(block_sets: _t.Sequence[frozenset[int]]) -> bool:
     return False
 
 
-class TraceCollector:
-    """Adapter: tee client operations into a classifier.
-
-    Attach to a :class:`~repro.pvfs.client.PVFSClient` via its
-    ``trace_sink`` attribute; the client reports each data call and the
-    collector expands it to block-level records.
-    """
-
-    def __init__(
-        self, classifier: SharingClassifier, block_size: int = 4096
-    ) -> None:
-        self.classifier = classifier
-        self.block_size = block_size
-
-    def __call__(
-        self,
-        time: float,
-        process: str,
-        file_id: int,
-        offset: int,
-        nbytes: int,
-        op: str,
-    ) -> None:
-        if nbytes <= 0:
-            return
-        # Coherent writes are still writes to the classifier; accept
-        # the canonical IR spelling and the deprecated legacy one.
-        if op in ("sync_write", "sync-write"):
-            op = "write"
-        first = offset // self.block_size
-        last = (offset + nbytes - 1) // self.block_size
-        for block_no in range(first, last + 1):
-            self.classifier.record(
-                AccessRecord(
-                    time=time,
-                    process=process,
-                    file_id=file_id,
-                    block_no=block_no,
-                    op=op,
-                )
-            )
-
-
 def classify_trace(
     trace: _t.Any, block_size: int = 4096
 ) -> dict[str, str]:
     """Classify every path of a trace IR; returns path -> pattern.
 
-    The importer's ingest check: feed a parsed
-    :class:`~repro.workload.trace.Trace` (or any iterable of
-    :class:`~repro.workload.trace.TraceEvent`) through the
-    streaming classifier, expanding strided events range by range.
+    Feeds a :class:`~repro.workload.trace.Trace` (or any iterable of
+    :class:`~repro.workload.trace.TraceEvent`) through the streaming
+    classifier, expanding strided events range by range: a recorded
+    run (``TraceRecorder.trace()``) or an imported trace alike.
     """
     classifier = SharingClassifier()
     events = sorted(trace, key=lambda e: e.time)

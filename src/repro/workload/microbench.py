@@ -22,7 +22,7 @@ class MicroBenchParams:
     nodes: list[str]
     request_size: int
     iterations: int
-    mode: str = "read"  # "read" | "write" | "sync-write"
+    mode: str = "read"  # "read" | "write" | "sync_write"
     locality: float = 0.0
     sharing: float = 0.0
     instance: int = 0
@@ -57,7 +57,7 @@ class MicroBenchParams:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("instance needs at least one node")
-        if self.mode not in ("read", "write", "sync-write"):
+        if self.mode not in ("read", "write", "sync_write"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")

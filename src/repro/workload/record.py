@@ -1,22 +1,17 @@
 """Recording workload traces from live simulated runs.
 
-Two attachment styles produce the same IR
-(:class:`~repro.workload.trace.Trace`):
+:meth:`TraceRecorder.tap` subscribes to the cluster's svc
+instrumentation bus and collects the ``client_io`` records every
+:class:`~repro.pvfs.client.PVFSClient` emits when the bus has
+subscribers, as trace IR (:class:`~repro.workload.trace.Trace`).  It
+taps *any* run (microbench, app mixes, the experiment drivers) without
+touching its code, and it is the path ``run_instances(record=True)``
+uses.  A client's events carry its ``process_name``, ``app`` and
+``instance``; set those on the client to name what it records.
 
-* **Per-client**: :meth:`TraceRecorder.attach` installs itself as a
-  client's ``trace_sink`` — precise control over which processes are
-  recorded, and the style the classifier tests use.
-
-* **Bus tap**: :meth:`TraceRecorder.tap` subscribes to the cluster's
-  svc instrumentation bus and collects the ``client_io`` records every
-  :class:`~repro.pvfs.client.PVFSClient` emits when the bus has
-  subscribers.  This taps *any* run — microbench, app mixes, the
-  experiment drivers — without touching its code, and it is the path
-  ``run_instances(record=True)`` uses.
-
-Either way, recording is synchronous Python off the simulation's event
-schedule: no simulated time passes and no events are (de)scheduled, so
-a recorded run keeps the exact BLAKE2b schedule hash of an unrecorded
+Recording is synchronous Python off the simulation's event schedule:
+no simulated time passes and no events are (de)scheduled, so a
+recorded run keeps the exact BLAKE2b schedule hash of an unrecorded
 one.
 """
 
@@ -29,7 +24,6 @@ from repro.workload.trace import Trace, TraceEvent
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
-    from repro.pvfs.client import PVFSClient
 
 
 class TraceRecorder:
@@ -40,45 +34,6 @@ class TraceRecorder:
         self.events: list[TraceEvent] = []
         self._paths: dict[int, str] = {}
         self._detach: _t.Callable[[], None] | None = None
-
-    # -- per-client attachment -------------------------------------------
-    def attach(
-        self,
-        client: "PVFSClient",
-        process_name: str,
-        app: str = "",
-        instance: int = 0,
-    ) -> "PVFSClient":
-        """Record ``client``'s data calls under ``process_name``;
-        returns the client for chaining."""
-        client.process_name = process_name
-        if app:
-            client.app = app
-        client.instance = instance
-
-        def sink(
-            time: float,
-            process: str,
-            file_id: int,
-            offset: int,
-            nbytes: int,
-            op: str,
-        ) -> None:
-            self.events.append(
-                TraceEvent(
-                    time,
-                    process,
-                    self._path_of(file_id),
-                    op,
-                    offset,
-                    nbytes,
-                    client.app,
-                    client.instance,
-                )
-            )
-
-        client.trace_sink = sink
-        return client
 
     # -- bus tap ----------------------------------------------------------
     def tap(self) -> _t.Callable[[], None]:
@@ -134,7 +89,3 @@ class TraceRecorder:
     def dumps(self) -> str:
         """The recording serialized as JSONL."""
         return self.trace().dumps()
-
-    def to_csv(self, fp: _t.TextIO) -> int:
-        """The recording in the legacy CSV dialect."""
-        return self.trace().dump_csv(fp)

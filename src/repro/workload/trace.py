@@ -22,10 +22,9 @@ of parallel applications (cf. arXiv:cs/0207096): a request with
 ``stride`` bytes apart.  ``count == 1`` is the ordinary contiguous
 request.
 
-The canonical op spelling is ``sync_write`` — the spelling the metrics
-(``client.sync_writes``), classifier, and docs already use.  The
-legacy trace spelling ``sync-write`` is accepted on import as a
-deprecated alias and canonicalized.
+The op is one of ``read``, ``write`` and ``sync_write`` (the spelling
+the metrics, ``client.sync_writes``, and the classifier use); any
+other spelling is a :class:`TraceFormatError`.
 
 Serialization
 -------------
@@ -41,8 +40,8 @@ JSON object per event::
 
 Event fields at their defaults are omitted.  The header's ``events``
 count makes truncation detectable.  The older CSV schema
-(``time,process,path,op,offset,nbytes``) is retained as the *version-1
-import dialect*; it cannot carry tags or strided shapes.
+(``time,process,path,op,offset,nbytes``) is read as the *version-1
+import dialect*; nothing writes it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import json
 import math
 import sys
 import typing as _t
-import warnings
 
 #: Format marker in the JSONL header line.
 TRACE_FORMAT = "repro-trace"
@@ -66,9 +64,6 @@ TRACE_VERSION = 2
 #: Canonical operation names of the IR.
 CANONICAL_OPS = ("read", "write", "sync_write")
 
-#: Deprecated spellings accepted on import and canonicalized.
-LEGACY_OP_ALIASES = {"sync-write": "sync_write"}
-
 #: CSV dialect column order (the version-1 schema); the same six are
 #: the fields a JSONL event must carry.
 CSV_COLUMNS = ("time", "process", "path", "op", "offset", "nbytes")
@@ -76,19 +71,6 @@ CSV_COLUMNS = ("time", "process", "path", "op", "offset", "nbytes")
 
 class TraceFormatError(ValueError):
     """A trace file or event failed validation."""
-
-
-def canonical_op(op: str) -> str:
-    """Canonicalize an op spelling (legacy aliases map to canonical).
-
-    Raises :class:`TraceFormatError` for unknown ops.
-    """
-    op = LEGACY_OP_ALIASES.get(op, op)
-    if op not in CANONICAL_OPS:
-        raise TraceFormatError(
-            f"unknown op {op!r}; canonical ops are {CANONICAL_OPS}"
-        )
-    return op
 
 
 _INF = math.inf
@@ -105,7 +87,7 @@ class TraceEvent:
     time: float
     process: str
     path: str
-    op: str  # one of CANONICAL_OPS ("sync-write" canonicalized)
+    op: str  # one of CANONICAL_OPS
     offset: int
     nbytes: int
     #: Application tag (e.g. "microbench", "miner") — which program
@@ -162,10 +144,11 @@ class TraceEvent:
         self._validate()
 
     def _validate(self) -> None:
-        """The checks one at a time, for the precise message (and the
-        legacy op spelling, which is valid once canonicalized)."""
-        if self.op not in CANONICAL_OPS:  # legacy alias, or unknown (raises)
-            object.__setattr__(self, "op", canonical_op(self.op))
+        """The checks one at a time, for the precise message."""
+        if self.op not in CANONICAL_OPS:
+            raise TraceFormatError(
+                f"unknown op {self.op!r}; canonical ops are {CANONICAL_OPS}"
+            )
         if not math.isfinite(self.time):
             raise TraceFormatError(f"non-finite event time {self.time!r}")
         if self.offset < 0 or self.nbytes < 0:
@@ -442,37 +425,8 @@ class Trace:
         """The trace as a JSONL string."""
         return "".join(self._jsonl_lines())
 
-    # -- CSV export (legacy dialect) -------------------------------------
-    def dump_csv(self, fp: _t.TextIO) -> int:
-        """Write the version-1 CSV dialect; returns event count.
-
-        CSV cannot carry tags or strided shapes — strided events are
-        rejected rather than silently flattened.
-        """
-        writer = csv.writer(fp)
-        writer.writerow(CSV_COLUMNS)
-        for e in self.events:
-            if e.is_list:
-                raise TraceFormatError(
-                    "the CSV dialect cannot express strided/list events; "
-                    "serialize as JSONL instead"
-                )
-            writer.writerow(
-                [f"{e.time:.9f}", e.process, e.path, e.op, e.offset, e.nbytes]
-            )
-        return len(self.events)
-
 
 # -- loading ---------------------------------------------------------------
-def _warn_legacy_ops(n: int) -> None:
-    warnings.warn(
-        f"trace uses the deprecated op spelling 'sync-write' ({n} "
-        "events); the canonical IR spelling is 'sync_write'",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _iter_lines(text: str) -> _t.Iterator[str]:
     """The lines of ``text`` as a file would yield them, ``\\n`` kept,
     one at a time (a long trace's ``splitlines()`` list is as big as
@@ -513,7 +467,6 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
             f"versions 1 and {TRACE_VERSION}"
         )
     events: list[TraceEvent] = []
-    legacy_ops = 0
     for line_no, line in enumerate(lines, start=2):
         # One value, from the first character of the line to its last:
         # exactly what ``json.loads(line)`` accepts, less padding.
@@ -526,16 +479,12 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
                 continue
             obj = _decode_line(line, line_no)
         events.append(TraceEvent.from_json(obj, line_no))
-        if obj["op"] in LEGACY_OP_ALIASES:  # a str: from_json took it as an op
-            legacy_ops += 1
     declared = header.get("events")
     if isinstance(declared, int) and declared != len(events):
         raise TraceFormatError(
             f"trace truncated or padded: header declares {declared} "
             f"events, found {len(events)}"
         )
-    if legacy_ops:
-        _warn_legacy_ops(legacy_ops)
     meta = header.get("meta") or {}
     if not isinstance(meta, dict):
         raise TraceFormatError(f"trace meta is not an object: {meta!r}")
@@ -551,10 +500,7 @@ def _load_csv(lines: _t.Iterable[str]) -> Trace:
             f"got {reader.fieldnames}"
         )
     events: list[TraceEvent] = []
-    legacy_ops = 0
     for line_no, row in enumerate(reader, start=2):
-        if row.get("op") in LEGACY_OP_ALIASES:
-            legacy_ops += 1
         try:
             events.append(
                 TraceEvent(
@@ -579,8 +525,6 @@ def _load_csv(lines: _t.Iterable[str]) -> Trace:
             raise TraceFormatError(
                 f"malformed CSV event (line {line_no}): {exc}"
             ) from exc
-    if legacy_ops:
-        _warn_legacy_ops(legacy_ops)
     return Trace(events=events, meta={"dialect": "csv"})
 
 
@@ -667,34 +611,14 @@ def validate_trace(trace: Trace) -> list[str]:
     return issues
 
 
-# Recorder/replayer re-exports keep the historical import surface
-# (``repro.workload.trace.TraceRecorder`` / ``TraceReplayer``)
-# working; the implementations live in their own modules now.  Lazy
-# (PEP 562) because those modules import this one at load time.
-def __getattr__(name: str) -> _t.Any:
-    if name == "TraceRecorder":
-        from repro.workload.record import TraceRecorder
-
-        return TraceRecorder
-    if name == "TraceReplayer":
-        from repro.workload.replay import TraceReplayer
-
-        return TraceReplayer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CANONICAL_OPS",
     "CSV_COLUMNS",
-    "LEGACY_OP_ALIASES",
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "Trace",
     "TraceEvent",
     "TraceFormatError",
-    "TraceRecorder",
-    "TraceReplayer",
-    "canonical_op",
     "load",
     "load_path",
     "loads",

@@ -116,7 +116,7 @@ def test_prediction_matches_simulated_exact_lru_cache():
 
     from repro.cluster.cluster import Cluster
     from repro.cluster.config import CacheConfig, ClusterConfig
-    from repro.workload.trace import TraceRecorder
+    from repro.workload import TraceRecorder
 
     n_cache_blocks = 16
     config = ClusterConfig(
@@ -135,7 +135,8 @@ def test_prediction_matches_simulated_exact_lru_cache():
     )
     cluster = Cluster(config)
     recorder = TraceRecorder(cluster)
-    client = recorder.attach(cluster.client("node0"), "probe")
+    recorder.tap()
+    client = cluster.client("node0")
     rng = np.random.default_rng(5)
 
     def app(env):

@@ -11,7 +11,7 @@ from repro.workload.apps import (
     analysis_cycle_mix,
     run_app_mix,
 )
-from repro.workload.classify import SharingClassifier, TraceCollector
+from repro.workload import TraceRecorder, classify_trace
 from tests.conftest import make_cluster
 
 
@@ -68,18 +68,17 @@ def test_video_extractor_stride_coverage():
 def test_two_video_extractors_interleave_disjointly():
     """Stride-2 extractors with offsets 0/1 touch disjoint frames."""
     cluster = make_cluster(compute_nodes=2, iod_nodes=2)
-    classifier = SharingClassifier()
+    recorder = TraceRecorder(cluster)
+    recorder.tap()
     apps = []
     for i, node in enumerate(("node0", "node1")):
         app = VideoFrameExtractor(
             cluster, node, frames=6, stride=2, offset_frames=i,
             name=f"vx-{i}",
         )
-        app.client.trace_sink = TraceCollector(classifier)
         apps.append(app)
     run_app_mix(cluster, apps)
-    handle = cluster.mgr.lookup("/video/stream")
-    assert classifier.classify(handle.file_id) == "disjoint"
+    assert classify_trace(recorder.trace())["/video/stream"] == "disjoint"
 
 
 def test_archive_maintainer_producer_consumer_on_itself():
@@ -92,18 +91,18 @@ def test_archive_maintainer_producer_consumer_on_itself():
 
 def test_shared_miners_classify_read_shared():
     cluster = make_cluster(compute_nodes=2, iod_nodes=2)
-    classifier = SharingClassifier()
+    recorder = TraceRecorder(cluster)
+    recorder.tap()
     apps = []
     for i, node in enumerate(("node0", "node1")):
         app = AssociationMiningScan(
             cluster, node, dataset_bytes=128 * 1024, passes=1,
             name=f"miner-{i}",
         )
-        app.client.trace_sink = TraceCollector(classifier)
         apps.append(app)
     run_app_mix(cluster, apps)
-    handle = cluster.mgr.lookup("/mining/transactions")
-    assert classifier.classify(handle.file_id) == "read-shared"
+    report = classify_trace(recorder.trace())
+    assert report["/mining/transactions"] == "read-shared"
 
 
 def test_analysis_cycle_mix_builds_and_runs():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workload import Trace, TraceEvent, TraceRecorder
 from repro.workload.classify import (
     PATTERNS,
     RECOMMENDATIONS,
     AccessRecord,
     SharingClassifier,
-    TraceCollector,
+    classify_trace,
 )
 from tests.conftest import make_cluster
 
@@ -118,26 +119,30 @@ def test_property_classification_total_and_stable(records):
         assert c1.classify(f) == c2.classify(f)
 
 
-# -- TraceCollector + client hook ----------------------------------------------
+# -- classify_trace over recorded client I/O --------------------------------
 
 
-def test_trace_collector_block_expansion():
-    c = SharingClassifier()
-    tc = TraceCollector(c, block_size=4096)
-    tc(0.0, "p1", 7, 1000, 8000, "read")  # blocks 0..2
-    assert c.records_seen == 3
-    tc(0.0, "p1", 7, 0, 0, "read")  # zero bytes: no records
-    assert c.records_seen == 3
+def test_classify_trace_block_expansion():
+    """A request covers every 4 KB block it touches; a zero-byte one
+    touches none."""
+    trace = Trace(events=[
+        TraceEvent(0.0, "p1", "/f", "read", 1000, 8000),  # blocks 0..2
+        TraceEvent(1.0, "p2", "/f", "write", 8192, 1),  # block 2
+        TraceEvent(1.0, "p2", "/g", "write", 8191, 1),  # block 1
+        TraceEvent(2.0, "p1", "/g", "read", 8192, 4096),  # block 2
+        TraceEvent(0.0, "p1", "/empty", "read", 0, 0),
+    ])
+    assert classify_trace(trace) == {
+        "/f": "read-write-shared", "/g": "disjoint", "/empty": "unused",
+    }
 
 
 def test_client_trace_hook_end_to_end():
     cluster = make_cluster(compute_nodes=2, iod_nodes=2)
-    classifier = SharingClassifier()
-    collector = TraceCollector(classifier)
+    recorder = TraceRecorder(cluster)
+    recorder.tap()
     writer = cluster.client("node0")
     reader = cluster.client("node1")
-    writer.trace_sink = collector
-    reader.trace_sink = collector
     writer.process_name = "writer"
     reader.process_name = "reader"
 
@@ -146,8 +151,6 @@ def test_client_trace_hook_end_to_end():
         yield from writer.write(f, 0, 16384, None)
         yield from cluster.drain_caches()
         yield from reader.read(f, 0, 16384)
-        return f.file_id
 
-    proc = cluster.env.process(app(cluster.env))
-    file_id = cluster.env.run(until=proc)
-    assert classifier.classify(file_id) == "producer-consumer"
+    cluster.env.run(until=cluster.env.process(app(cluster.env)))
+    assert classify_trace(recorder.trace()) == {"/produced": "producer-consumer"}

@@ -50,9 +50,11 @@ def test_cli_write_mode(capsys):
 
 def test_cli_sync_write_mode(capsys):
     rc = main(["--d", "8192", "--p", "1", "--iterations", "2",
-               "--mode", "sync-write"])
+               "--mode", "sync_write"])
     assert rc == 0
-    assert "sync-write" in capsys.readouterr().out
+    assert "mean time per sync_write" in capsys.readouterr().out
+    with pytest.raises(SystemExit):  # the retired spelling
+        main(["--mode", "sync-write"])
 
 
 def test_cli_two_instances(capsys):

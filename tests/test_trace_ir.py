@@ -2,9 +2,7 @@
 transforms, the strided/list request shape, and replay determinism."""
 
 import dataclasses
-import io
 import json
-import os
 
 import pytest
 
@@ -41,11 +39,14 @@ def _event(**kw):
 
 
 # -- event model -----------------------------------------------------------
-def test_legacy_op_spelling_is_canonicalized():
-    assert _event(op="sync-write").op == "sync_write"
+def test_legacy_op_spelling_is_rejected():
     assert _event(op="sync_write").op == "sync_write"
-    with pytest.raises(TraceFormatError):
-        _event(op="append")
+    for op in ("sync-write", "append"):
+        with pytest.raises(TraceFormatError, match="unknown op"):
+            _event(op=op)
+    legacy = _sample_trace().dumps().replace('"sync_write"', '"sync-write"')
+    with pytest.raises(TraceFormatError, match=r"'sync-write'.*\(line 3\)"):
+        loads(legacy)
 
 
 def test_strided_shape_validation_and_ranges():
@@ -128,9 +129,11 @@ def test_trace_event_is_a_slotted_frozen_record():
     assert not hasattr(event, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         event.offset = 1
-    moved = dataclasses.replace(event, offset=8192, op="sync-write")
+    moved = dataclasses.replace(event, offset=8192, op="sync_write")
     assert (moved.offset, moved.op, moved.app) == (8192, "sync_write", "gen")
     assert event.offset == 0
+    with pytest.raises(TraceFormatError, match="unknown op"):
+        dataclasses.replace(event, op="sync-write")
     with pytest.raises(TraceFormatError, match="geometry"):
         dataclasses.replace(event, offset=-1)  # replace re-validates
     assert event == _event(app="gen") and hash(event) == hash(_event(app="gen"))
@@ -180,22 +183,18 @@ def test_malformed_event_errors_carry_the_line_number():
         loads(header + good + "{not json\n")
 
 
-def test_csv_dialect_import_and_deprecation_note():
+def test_csv_dialect_import_rejects_the_legacy_spelling():
     csv_text = (
         "time,process,path,op,offset,nbytes\n"
         "0.0,p0,/f,read,0,4096\n"
-        "0.001,p0,/f,sync-write,4096,4096\n"
+        "0.001,p0,/f,sync_write,4096,4096\n"
     )
-    with pytest.warns(DeprecationWarning, match="sync-write"):
-        trace = loads(csv_text)
+    trace = loads(csv_text)
     assert [e.op for e in trace.events] == ["read", "sync_write"]
     assert trace.meta["dialect"] == "csv"
-
-
-def test_csv_export_rejects_strided_events():
-    trace = _sample_trace()
-    with pytest.raises(TraceFormatError, match="strided"):
-        trace.dump_csv(io.StringIO())
+    legacy = csv_text.replace("sync_write", "sync-write")
+    with pytest.raises(TraceFormatError, match=r"'sync-write'.*\(line 3\)"):
+        loads(legacy)
 
 
 @pytest.mark.parametrize(
@@ -291,9 +290,37 @@ def test_run_instances_record_returns_trace():
     ]
 
 
-def test_recording_does_not_perturb_the_schedule():
+def test_default_process_names_make_recordings_reproducible():
+    """Unnamed clients are named by a per-node counter, so two
+    identical recorded runs serialize to the same bytes."""
+
+    def record():
+        cluster = make_cluster()
+        recorder = TraceRecorder(cluster)
+        recorder.tap()
+        clients = [cluster.client(n) for n in ("node0", "node0", "node1")]
+
+        def worker(env, client, offset):
+            f = yield from client.open("/shared")
+            yield from client.write(f, offset, 4096)
+            yield from client.read(f, 0, 8192)
+
+        env = cluster.env
+        env.run(until=env.all_of([
+            env.process(worker(env, client, i * 4096))
+            for i, client in enumerate(clients)
+        ]))
+        return recorder
+
+    first, second = record(), record()  # both alive: distinct clients
+    assert first.dumps() == second.dumps()
+    assert first.trace().processes == ["node0/pid0", "node0/pid1", "node1/pid0"]
+
+
+def test_recording_does_not_perturb_the_schedule(monkeypatch):
     """The bus tap must be schedule-neutral: a recorded run keeps the
-    unrecorded run's exact BLAKE2b schedule hash."""
+    unrecorded run's exact BLAKE2b schedule hash, on a fig4 point and
+    on a cached run of a write, a sync_write and a strided readv."""
     from repro.workload.replay import fig4_point_trace_hash
     from repro.sim.engine import TRACE_HASH_ENV_VAR
     from repro.workload.microbench import MicroBenchParams
@@ -308,17 +335,37 @@ def test_recording_does_not_perturb_the_schedule():
         partition_bytes=2 * 2**20,
         seed=1234,
     )
-    previous = os.environ.get(TRACE_HASH_ENV_VAR)
-    os.environ[TRACE_HASH_ENV_VAR] = "1"
-    try:
-        outcome = run_instances(config, [params], record=True)
-    finally:
-        if previous is None:
-            os.environ.pop(TRACE_HASH_ENV_VAR, None)
-        else:
-            os.environ[TRACE_HASH_ENV_VAR] = previous
+    monkeypatch.setenv(TRACE_HASH_ENV_VAR, "1")
+    outcome = run_instances(config, [params], record=True)
     recorded_hash = outcome.cluster.env.trace_hash()
     assert recorded_hash == fig4_point_trace_hash()
+
+    def mixed_run(record):
+        cluster = make_cluster(caching=True)
+        recorder = TraceRecorder(cluster)
+        if record:
+            recorder.tap()
+        writer, reader = cluster.client("node0"), cluster.client("node1")
+
+        def worker(env):
+            f = yield from writer.open("/mixed")
+            yield from writer.write(f, 0, 8192)
+            yield from writer.sync_write(f, 4096, 4096)
+            g = yield from reader.open("/mixed")
+            yield from reader.readv(
+                g, [(0, 4096), (16384, 4096), (32768, 4096)]
+            )
+
+        env = cluster.env
+        env.run(until=env.process(worker(env)))
+        return env.trace_hash(), recorder.trace()
+
+    unrecorded_hash, nothing = mixed_run(record=False)
+    recorded_hash, trace = mixed_run(record=True)
+    assert recorded_hash == unrecorded_hash
+    assert len(nothing) == 0
+    assert trace.op_counts() == {"write": 1, "sync_write": 1, "read": 1}
+    assert [e.count for e in trace.events if e.op == "read"] == [3]
 
 
 # -- replay determinism (the tentpole acceptance) --------------------------

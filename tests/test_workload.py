@@ -203,7 +203,7 @@ def test_run_instances_write_and_sync_modes():
     config = ClusterConfig(compute_nodes=1, iod_nodes=1, caching=True)
     for mode, counter in (
         ("write", "client.writes"),
-        ("sync-write", "client.sync_writes"),
+        ("sync_write", "client.sync_writes"),
     ):
         params = MicroBenchParams(
             nodes=["node0"], request_size=8192, iterations=3, mode=mode,
@@ -211,6 +211,11 @@ def test_run_instances_write_and_sync_modes():
         )
         out = run_instances(config, [params])
         assert out.counter(counter) == 3
+    with pytest.raises(ValueError, match="unknown mode"):
+        MicroBenchParams(
+            nodes=["node0"], request_size=8192, iterations=3,
+            mode="sync-write",
+        )
 
 
 def test_two_instances_sharing_produces_cross_hits():
