@@ -80,7 +80,7 @@ class PVFSClient:
         count: int = 1,
     ) -> None:
         """Report one data call to the instrumentation bus as a
-        ``client_io`` record, when anyone is listening.
+        ``client_io`` record, when a subscriber takes that kind.
 
         ``count > 1`` is a regular strided request: one record carries
         the whole shape.  Reporting is synchronous Python off the event
@@ -88,7 +88,7 @@ class PVFSClient:
         clients stay out of recorded traces.
         """
         bus = self.env.svc_bus
-        if bus is not None and bus.subscribers and self.record_metrics:
+        if bus is not None and "client_io" in bus.heard and self.record_metrics:
             bus.emit(
                 "libpvfs",
                 "client_io",

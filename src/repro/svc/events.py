@@ -9,12 +9,13 @@ two complementary forms:
   cheap enough to maintain on the simulator's hot paths and are what
   the per-daemon summary tables render.
 
-* **Opt-in event records** — when at least one subscriber is attached
-  to the :class:`InstrumentationBus`, each notable action additionally
-  emits a typed :class:`ServiceEvent` (``msg_received``, ``dispatch``,
-  ``flush_batch``, ``eviction``, ``invalidation``, lifecycle
-  transitions, ...).  With no subscribers the record is never built,
-  so the bus costs one attribute probe per emission site.
+* **Opt-in event records** — when a subscriber attached to the
+  :class:`InstrumentationBus` takes its kind, a notable action
+  additionally emits a typed :class:`ServiceEvent` (``msg_received``,
+  ``dispatch``, ``flush_batch``, ``eviction``, ``invalidation``,
+  lifecycle transitions, ...).  A subscriber names the kinds it takes
+  (or takes them all); a record no subscriber takes is never built,
+  so the bus costs one set probe per emission site.
 
 The bus is per-:class:`~repro.sim.Environment` (one simulated cluster
 == one bus), obtained with :func:`get_bus` — there is deliberately no
@@ -45,8 +46,19 @@ CORE_EVENT_KINDS = (
     "eviction",
     "invalidation",
     "rpc_timeout",
+    "metadata_op",
     "client_io",
 )
+
+
+class _EveryKind:
+    """The :attr:`InstrumentationBus.heard` of a bus with a subscriber
+    that takes every kind."""
+
+    __slots__ = ()
+
+    def __contains__(self, kind: object) -> bool:
+        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,8 +141,14 @@ class InstrumentationBus:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        #: Subscriber callables, invoked with each ServiceEvent.
-        self.subscribers: list[_t.Callable[[ServiceEvent], None]] = []
+        #: ``(callable, kinds)`` per subscriber; ``kinds`` is ``None``
+        #: for one that takes every kind.
+        self.subscribers: list[
+            tuple[_t.Callable[[ServiceEvent], None], frozenset[str] | None]
+        ] = []
+        #: The kinds some subscriber takes: emission sites build a
+        #: record only ``if kind in bus.heard``.
+        self.heard: _t.Container[str] = frozenset()
         #: service name -> its always-on stats record.
         self.stats: dict[str, ServiceStats] = {}
 
@@ -151,10 +169,14 @@ class InstrumentationBus:
 
     # -- subscription ----------------------------------------------------
     def subscribe(
-        self, fn: _t.Callable[[ServiceEvent], None]
+        self,
+        fn: _t.Callable[[ServiceEvent], None],
+        kinds: _t.Iterable[str] | None = None,
     ) -> _t.Callable[[], None]:
-        """Attach ``fn``; returns a detach callable."""
-        self.subscribers.append(fn)
+        """Attach ``fn`` for the record ``kinds`` it takes (every kind
+        when ``None``); returns a detach callable."""
+        self.subscribers.append((fn, None if kinds is None else frozenset(kinds)))
+        self._hear()
 
         def detach() -> None:
             self.unsubscribe(fn)
@@ -163,10 +185,18 @@ class InstrumentationBus:
 
     def unsubscribe(self, fn: _t.Callable[[ServiceEvent], None]) -> None:
         """Detach ``fn`` (no-op if already detached)."""
-        try:
-            self.subscribers.remove(fn)
-        except ValueError:
-            pass
+        for i, (subscriber, _) in enumerate(self.subscribers):
+            if subscriber == fn:
+                del self.subscribers[i]
+                self._hear()
+                return
+
+    def _hear(self) -> None:
+        taken = [kinds for _, kinds in self.subscribers]
+        if None in taken:
+            self.heard = _EveryKind()
+        else:
+            self.heard = frozenset().union(*taken)
 
     # -- emission --------------------------------------------------------
     def emit(
@@ -176,10 +206,10 @@ class InstrumentationBus:
         node: str = "",
         **detail: _t.Any,
     ) -> None:
-        """Deliver one record to every subscriber.
+        """Deliver one record to every subscriber that takes ``kind``.
 
-        Callers should guard with ``if bus.subscribers:`` so the record
-        dict is never built on hot paths when nobody is listening.
+        Callers guard with ``if kind in bus.heard:`` so the record is
+        never built on hot paths when nobody takes it.
         """
         record = ServiceEvent(
             time=self.env.now,
@@ -188,8 +218,9 @@ class InstrumentationBus:
             kind=kind,
             detail=detail,
         )
-        for fn in self.subscribers:
-            fn(record)
+        for fn, kinds in self.subscribers:
+            if kinds is None or kind in kinds:
+                fn(record)
 
     # -- summaries -------------------------------------------------------
     def summary(self) -> list[dict[str, _t.Any]]:

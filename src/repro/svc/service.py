@@ -321,7 +321,7 @@ class Service:
             depth = endpoint.pending() + 1
             if depth > stats.queue_high_water:
                 stats.queue_high_water = depth
-            if bus.subscribers:
+            if "msg_received" in bus.heard:
                 bus.emit(
                     stats.service,
                     "msg_received",
@@ -359,7 +359,7 @@ class Service:
         stats = self.svc_stats
         stats.messages_handled += 1
         stats.dispatched[kind] = stats.dispatched.get(kind, 0) + 1
-        if self.bus.subscribers:
+        if "dispatch" in self.bus.heard:
             self.bus.emit(
                 stats.service, "dispatch", node=stats.node, msg=kind
             )
@@ -369,7 +369,7 @@ class Service:
         """Record a notable event (always counted, emitted if heard)."""
         stats = self.svc_stats
         stats.events[kind] = stats.events.get(kind, 0) + 1
-        if self.bus.subscribers:
+        if kind in self.bus.heard:
             self.bus.emit(stats.service, kind, node=stats.node, **detail)
 
     def __repr__(self) -> str:

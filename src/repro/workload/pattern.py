@@ -86,22 +86,32 @@ class AccessPattern:
         #: How many requests fit in the partition before wrapping.
         self.requests_per_pass = partition_bytes // request_size
 
-    def _fresh_offset(self, target: str) -> int:
-        slot = self._cursor[target] % self.requests_per_pass
-        self._cursor[target] += 1
-        return self.partition_start + slot * self.request_size
-
     def next(self) -> AccessDescriptor:
         """Generate the next request descriptor."""
-        target = "shared" if self._uniform() < self.sharing else "private"
-        last = self._last[target]
-        if last is not None and self._uniform() < self.locality:
-            return AccessDescriptor(target, last, self.request_size, False)
-        offset = self._fresh_offset(target)
-        self._last[target] = offset
-        return AccessDescriptor(target, offset, self.request_size, True)
+        (desc,) = self.stream(1)
+        return desc
 
     def stream(self, n: int) -> _t.Iterator[AccessDescriptor]:
-        """Yield the next ``n`` request descriptors."""
+        """Yield the next ``n`` request descriptors.
+
+        Each request draws its target, then (when the target was
+        visited before) whether it re-visits the last offset; a fresh
+        request takes the target's next slot, wrapping at the end of
+        the partition.  The cursors live on the pattern, so streams
+        and single requests continue one another.
+        """
+        uniform = self._uniform
+        sharing, locality = self.sharing, self.locality
+        size, start = self.request_size, self.partition_start
+        per_pass = self.requests_per_pass
+        cursor, last = self._cursor, self._last
         for _ in range(n):
-            yield self.next()
+            target = "shared" if uniform() < sharing else "private"
+            offset = last[target]
+            if offset is not None and uniform() < locality:
+                yield AccessDescriptor(target, offset, size, False)
+                continue
+            slot = cursor[target]
+            cursor[target] = slot + 1
+            last[target] = offset = start + slot % per_pass * size
+            yield AccessDescriptor(target, offset, size, True)

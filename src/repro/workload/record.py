@@ -1,12 +1,13 @@
 """Recording workload traces from live simulated runs.
 
 :meth:`TraceRecorder.tap` subscribes to the cluster's svc
-instrumentation bus and collects the ``client_io`` records every
-:class:`~repro.pvfs.client.PVFSClient` emits when the bus has
-subscribers, as trace IR (:class:`~repro.workload.trace.Trace`).  It
-taps *any* run (microbench, app mixes, the experiment drivers) without
-touching its code, and it is the path ``run_instances(record=True)``
-uses.  A client's events carry its ``process_name``, ``app`` and
+instrumentation bus for the ``client_io`` records every
+:class:`~repro.pvfs.client.PVFSClient` emits while a subscriber takes
+that kind, and collects them as trace IR
+(:class:`~repro.workload.trace.Trace`).  It taps *any* run
+(microbench, app mixes, the experiment drivers) without touching its
+code, and it is the path ``run_instances(record=True)`` uses.  A
+client's events carry its ``process_name``, ``app`` and
 ``instance``; set those on the client to name what it records.
 
 Recording is synchronous Python off the simulation's event schedule:
@@ -39,7 +40,9 @@ class TraceRecorder:
     def tap(self) -> _t.Callable[[], None]:
         """Record every client on the cluster via the instrumentation
         bus; returns a detach callable (also kept for :meth:`close`)."""
-        self._detach = get_bus(self.cluster.env).subscribe(self._on_bus_event)
+        self._detach = get_bus(self.cluster.env).subscribe(
+            self._on_bus_event, kinds=("client_io",)
+        )
         return self._detach
 
     def close(self) -> None:
@@ -49,8 +52,6 @@ class TraceRecorder:
             self._detach = None
 
     def _on_bus_event(self, record: ServiceEvent) -> None:
-        if record.kind != "client_io":
-            return
         d = record.detail
         self.events.append(
             TraceEvent(

@@ -119,19 +119,19 @@ class TraceEvent:
         count: int = 1,
     ) -> None:
         # Hand-written: the generated one pays a second frame, for
-        # ``__post_init__``, on every request generated or loaded.
-        put = object.__setattr__
-        put(self, "time", time)
-        put(self, "process", process)
-        put(self, "path", path)
-        put(self, "op", op)
-        put(self, "offset", offset)
-        put(self, "nbytes", nbytes)
-        put(self, "app", app)
-        put(self, "instance", instance)
-        put(self, "think_s", think_s)
-        put(self, "stride", stride)
-        put(self, "count", count)
+        # ``__post_init__``, on every request generated or loaded.  The
+        # ``_put_*`` setters are bound below the class.
+        _put_time(self, time)
+        _put_process(self, process)
+        _put_path(self, path)
+        _put_op(self, op)
+        _put_offset(self, offset)
+        _put_nbytes(self, nbytes)
+        _put_app(self, app)
+        _put_instance(self, instance)
+        _put_think_s(self, think_s)
+        _put_stride(self, stride)
+        _put_count(self, count)
         if (
             op in CANONICAL_OPS
             and -_INF < time < _INF
@@ -220,16 +220,24 @@ class TraceEvent:
         return obj
 
     @classmethod
-    def from_json(cls, obj: _t.Any, line_no: int | None = None) -> "TraceEvent":
+    def from_json(
+        cls,
+        obj: _t.Any,
+        line_no: int | None = None,
+        numbers: "_Numbers | None" = None,
+    ) -> "TraceEvent":
         """Parse one event object (strict on required fields/types).
 
         Integer fields take an ``int`` or an integral-valued ``float``
         (``4096.0``); a ``bool``, a fractional float or a string is an
         error, never a silent truncation.  Strings are interned: a
         decoded trace would otherwise carry a private copy of every
-        process, path, op and app name per event.
+        process, path, op and app name per event.  So are the
+        ``time``, ``offset``, ``nbytes`` and ``stride`` numbers when a
+        loader passes its ``numbers`` memo (see :class:`_Numbers`).
         """
         intern = sys.intern
+        floats, ints = numbers or _Numbers({}, {})
         try:
             time = obj["time"]
             process = obj["process"]
@@ -243,19 +251,34 @@ class TraceEvent:
             think_s = get("think_s", 0.0)
             stride = get("stride", 0)
             count = get("count", 1)
-            # Convert only what the scanner did not already make of its type.
+            # Convert only what the scanner did not already make of its
+            # type, in field order (the first bad field names the error).
+            if type(time) is not float:
+                time = float(time)
+            if type(offset) is not int:
+                offset = _int("offset", offset)
+            if type(nbytes) is not int:
+                nbytes = _int("nbytes", nbytes)
+            if type(instance) is not int:
+                instance = _int("instance", instance)
+            if type(think_s) is not float:
+                think_s = float(think_s)
+            if type(stride) is not int:
+                stride = _int("stride", stride)
+            if type(count) is not int:
+                count = _int("count", count)
             return cls(
-                time if type(time) is float else float(time),
+                floats.setdefault(time, time) if time else time,
                 intern(process if type(process) is str else str(process)),
                 intern(path if type(path) is str else str(path)),
                 intern(op if type(op) is str else str(op)),
-                offset if type(offset) is int else _int("offset", offset),
-                nbytes if type(nbytes) is int else _int("nbytes", nbytes),
+                ints.setdefault(offset, offset),
+                ints.setdefault(nbytes, nbytes),
                 intern(app if type(app) is str else str(app)),
-                instance if type(instance) is int else _int("instance", instance),
-                think_s if type(think_s) is float else float(think_s),
-                stride if type(stride) is int else _int("stride", stride),
-                count if type(count) is int else _int("count", count),
+                instance,
+                think_s,
+                ints.setdefault(stride, stride),
+                count,
             )
         except (TypeError, ValueError, KeyError) as exc:
             where = f" (line {line_no})" if line_no is not None else ""
@@ -268,6 +291,39 @@ class TraceEvent:
             else:
                 what = f"malformed event{where}: {exc}"
             raise TraceFormatError(what) from exc
+
+
+# The slots' own setters, bound once: ``TraceEvent.__init__`` calls
+# these instead of looking each field up through ``object.__setattr__``.
+(
+    _put_time,
+    _put_process,
+    _put_path,
+    _put_op,
+    _put_offset,
+    _put_nbytes,
+    _put_app,
+    _put_instance,
+    _put_think_s,
+    _put_stride,
+    _put_count,
+) = (getattr(TraceEvent, f.name).__set__ for f in dataclasses.fields(TraceEvent))
+
+
+class _Numbers(_t.NamedTuple):
+    """One load call's memo of the numbers its events repeat.
+
+    A loaded trace holds each repeated ``time``, ``offset``, ``nbytes``
+    and ``stride`` value once instead of once per event.  The memo is
+    exact in type and sign: ints and floats have a dict each, since
+    ``1 == 1.0`` and they hash alike (a shared dict would hand an int
+    field a float), and a zero float is never shared, since ``0.0 ==
+    -0.0``.  The callers look a value up only after it has its field's
+    exact type, so no ``bool`` ever reaches the int dict.
+    """
+
+    floats: dict[float, float]
+    ints: dict[int, int]
 
 
 def _int(name: str, value: _t.Any) -> int:
@@ -467,6 +523,7 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
             f"versions 1 and {TRACE_VERSION}"
         )
     events: list[TraceEvent] = []
+    numbers = _Numbers({}, {})
     for line_no, line in enumerate(lines, start=2):
         # One value, from the first character of the line to its last:
         # exactly what ``json.loads(line)`` accepts, less padding.
@@ -478,7 +535,7 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
             if not line.strip():
                 continue
             obj = _decode_line(line, line_no)
-        events.append(TraceEvent.from_json(obj, line_no))
+        events.append(TraceEvent.from_json(obj, line_no, numbers))
     declared = header.get("events")
     if isinstance(declared, int) and declared != len(events):
         raise TraceFormatError(
@@ -500,20 +557,27 @@ def _load_csv(lines: _t.Iterable[str]) -> Trace:
             f"got {reader.fieldnames}"
         )
     events: list[TraceEvent] = []
+    floats, ints = _Numbers({}, {})
     for line_no, row in enumerate(reader, start=2):
         try:
+            time = float(row["time"])
+            offset = int(row["offset"])
+            nbytes = int(row["nbytes"])
+            instance = int(row.get("instance") or 0)
+            think_s = float(row.get("think_s") or 0.0)
+            stride = int(row.get("stride") or 0)
             events.append(
                 TraceEvent(
-                    time=float(row["time"]),
+                    time=floats.setdefault(time, time) if time else time,
                     process=row["process"],
                     path=row["path"],
                     op=row["op"],
-                    offset=int(row["offset"]),
-                    nbytes=int(row["nbytes"]),
+                    offset=ints.setdefault(offset, offset),
+                    nbytes=ints.setdefault(nbytes, nbytes),
                     app=row.get("app", "") or "",
-                    instance=int(row.get("instance") or 0),
-                    think_s=float(row.get("think_s") or 0.0),
-                    stride=int(row.get("stride") or 0),
+                    instance=instance,
+                    think_s=think_s,
+                    stride=ints.setdefault(stride, stride),
                     count=int(row.get("count") or 1),
                 )
             )

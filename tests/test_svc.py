@@ -6,6 +6,7 @@ from repro.metrics import DaemonMonitor, Metrics, daemon_table
 from repro.net import Message, Network, SocketAPI
 from repro.sim import Environment
 from repro.svc import Service, ServiceCrashed, ServiceState, get_bus, handles
+from repro.svc.events import CORE_EVENT_KINDS
 
 from tests.conftest import make_cluster, run_app
 
@@ -269,3 +270,47 @@ def test_cluster_bus_sees_traffic():
     iod_stats = bus.stats["iod-node0"]
     assert iod_stats.messages_handled >= 1
     assert iod_stats.busy_s > 0.0
+
+
+def test_every_kind_the_stock_services_emit_is_a_core_kind():
+    cluster = make_cluster(compute_nodes=2, iod_nodes=2, caching=True)
+    seen = set()
+    get_bus(cluster.env).subscribe(lambda record: seen.add(record.kind))
+    writer, reader = cluster.client("node0"), cluster.client("node1")
+
+    def app(env):
+        f = yield from writer.open("/f")
+        g = yield from reader.open("/f")
+        yield from writer.write(f, 0, 8192)
+        yield from reader.read(g, 0, 8192)
+        yield from writer.sync_write(f, 0, 4096)  # invalidates node1's copy
+        yield from reader.stat("/f")
+
+    run_app(cluster, app(cluster.env))
+    run_app(cluster, cluster.drain_caches())
+    assert {"metadata_op", "client_io", "dispatch", "invalidation"} <= seen
+    assert seen <= set(CORE_EVENT_KINDS)
+
+
+def test_a_subscriber_receives_only_the_kinds_it_names():
+    env, service, client = _echo_world()
+    bus = get_bus(env)
+    dispatches, everything = [], []
+    bus.subscribe(dispatches.append, kinds=("dispatch",))
+    assert "dispatch" in bus.heard and "msg_received" not in bus.heard
+    detach = bus.subscribe(everything.append)
+    assert "msg_received" in bus.heard
+
+    def app(env):
+        endpoint = yield env.process(
+            client.sockets.connect("srv", EchoService.PORT)
+        )
+        endpoint.send(Message(kind="ping", size_bytes=16))
+        yield endpoint.recv()
+
+    env.process(app(env))
+    env.run()
+    assert [r.kind for r in dispatches] == ["dispatch"]
+    assert {r.kind for r in everything} == {"msg_received", "dispatch"}
+    detach()
+    assert "msg_received" not in bus.heard

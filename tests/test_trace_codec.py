@@ -7,12 +7,19 @@ it was before the scanner, kept below as the reference), and
 ``json.dumps(event.to_json())`` for the encoder.
 """
 
+import dataclasses
+import gc
 import hashlib
 import io
 import json
+import math
+import os
+import random
+import tempfile
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workload.trace import (
@@ -22,6 +29,7 @@ from repro.workload.trace import (
     TraceEvent,
     TraceFormatError,
     load,
+    load_path,
     loads,
 )
 
@@ -397,3 +405,130 @@ def test_canonical_trace_round_trip_barely_touches_the_json_module(monkeypatch):
     assert text.splitlines(keepends=True)[1:] == [
         json.dumps(e.to_json()) + "\n" for e in trace.events
     ]
+
+
+# -- a loaded trace shares its repeated numbers -------------------------------
+def _exact(event: TraceEvent) -> list:
+    """Every field as (type, value, sign): ``==`` alone calls ``1`` and
+    ``1.0``, or ``0.0`` and ``-0.0``, the same."""
+    return [
+        (type(v), v, math.copysign(1.0, v) if type(v) is float else None)
+        for v in dataclasses.astuple(event)
+    ]
+
+
+def _both_ways(text: str, suffix: str) -> list:
+    """What ``loads(text)`` and ``load_path`` of a real file holding
+    ``text`` return, or the ``TraceFormatError`` each raises."""
+    fd, path = tempfile.mkstemp(suffix=suffix)
+    try:
+        with os.fdopen(fd, "w") as fp:
+            fp.write(text)
+        out = []
+        for load_one in (lambda: loads(text), lambda: load_path(path)):
+            try:
+                out.append(load_one())
+            except TraceFormatError as exc:
+                out.append(exc)
+        return out
+    finally:
+        os.unlink(path)
+
+
+_SHARED_INTS = st.sampled_from([0, 1, 4096]) | st.integers(0, 2**40)
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, -0.0, 1.0, 4096.0, 2.5]) | st.floats(-1e6, 1e6),
+        _SHARED_INTS,  # offset
+        _SHARED_INTS,  # nbytes
+        st.sampled_from([0.0, 1.0, 5e-5]),  # think_s
+        st.sampled_from([1, 2]),  # count; a strided row's stride is nbytes
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=_ROWS,
+    bad_field=st.sampled_from(["offset", "nbytes", "instance", "stride", "count"]),
+)
+@example(rows=[(0.0, 0, 1, 0.0, 1), (-0.0, 1, 4096, 0.0, 1)], bad_field="nbytes")
+@example(rows=[(1.0, 1, 4096, 1.0, 2), (4096.0, 1, 1, 0.0, 1)], bad_field="offset")
+def test_a_reloaded_trace_keeps_each_numbers_type_and_sign(rows, bad_field):
+    events = [
+        TraceEvent(
+            time, f"p{i % 2}", "/f", "read", offset, nbytes, "", i % 2, think_s,
+            nbytes if count > 1 else 0, count,
+        )
+        for i, (time, offset, nbytes, think_s, count) in enumerate(rows)
+    ]
+    trace = Trace(events)
+    want = [_exact(e) for e in trace.events]
+    for reloaded in _both_ways(trace.dumps(), ".jsonl"):
+        assert [_exact(e) for e in reloaded.events] == want
+    # The import dialect shares its numbers by the same rules.
+    csv_text = "time,process,path,op,offset,nbytes,instance,think_s,stride,count\n"
+    csv_text += "".join(
+        f"{e.time!r},{e.process},{e.path},{e.op},{e.offset},{e.nbytes},"
+        f"{e.instance},{e.think_s!r},{e.stride},{e.count}\n"
+        for e in trace.events
+    )
+    for reloaded in _both_ways(csv_text, ".csv"):
+        assert [_exact(e) for e in reloaded.events] == want
+    # A bool after every value of the trace has been seen is still no int.
+    obj = trace.events[-1].to_json() | {bad_field: True}
+    header, body = trace.dumps().split("\n", 1)
+    header = header.replace(f'"events": {len(events)}', f'"events": {len(events) + 1}')
+    text = f"{header}\n{body}{json.dumps(obj)}\n"
+    for outcome in _both_ways(text, ".jsonl"):
+        assert isinstance(outcome, TraceFormatError)
+        assert f"(line {len(events) + 2}): {bad_field} must be an integer" in str(
+            outcome
+        )
+
+
+def _closed_loop_text(n: int = 20_000) -> str:
+    """A closed-loop trace shaped like the benchmark's: per-process op
+    indices for times, a few hundred block offsets, one request size,
+    random think times."""
+    rng = random.Random(7)
+    events = []
+    for process in range(8):
+        instance, rank = process % 2, process // 2
+        for index in range(n // 8):
+            shared = rng.random() < 0.5
+            events.append(
+                TraceEvent(
+                    float(index), f"i{instance}r{rank}",
+                    "/shared" if shared else f"/private/{instance}", "read",
+                    (rank * 128 + rng.randrange(128)) * 4096, 4096,
+                    "closed", instance, rng.expovariate(1e4),
+                )
+            )
+    return Trace(events).dumps()
+
+
+def _retained(build) -> int:
+    """Bytes still allocated, once ``build()`` has returned, by it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return size
+
+
+def test_a_loaded_trace_holds_each_repeated_number_once():
+    text = _closed_loop_text()
+    lines = text.splitlines()[1:]
+    private = _retained(
+        lambda: [TraceEvent.from_json(json.loads(line)) for line in lines]
+    )
+    shared = _retained(lambda: loads(text))
+    assert shared <= 0.75 * private, (shared / len(lines), private / len(lines))

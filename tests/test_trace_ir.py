@@ -368,6 +368,34 @@ def test_recording_does_not_perturb_the_schedule(monkeypatch):
     assert [e.count for e in trace.events if e.op == "read"] == [3]
 
 
+def test_recording_builds_only_the_records_it_keeps(monkeypatch):
+    """The tap takes ``client_io`` alone, so on a fig4 read point (p = 2,
+    d = 4 KB, 64 iterations) the services build no other record; before
+    kinds were named, the tap received 396 records and dropped 268.  The
+    recording and the schedule hash are the ones pinned before."""
+    import collections
+
+    from repro.svc import events
+    from repro.workload.replay import _fig4_point, _trace_hashing
+
+    built = collections.Counter()
+    real = events.ServiceEvent
+
+    def counting(**fields):
+        built[fields["kind"]] += 1
+        return real(**fields)
+
+    monkeypatch.setattr(events, "ServiceEvent", counting)
+    with _trace_hashing():
+        outcome = run_instances(
+            *_fig4_point(4096, "read", 2, 64, 1234), record=True
+        )
+    assert built == {"client_io": 128}
+    assert len(outcome.trace) == 128
+    assert outcome.trace.content_hash() == "3acfa1bc53aea20a77b1a0525173d028"
+    assert outcome.cluster.env.trace_hash() == "2bcff8c8374b897619c0b43c7d9ba8ac"
+
+
 # -- replay determinism (the tentpole acceptance) --------------------------
 def test_recorded_run_serialize_reload_replay_is_bit_identical():
     """record -> serialize -> reload -> replay: identical schedule hash

@@ -67,6 +67,49 @@ def test_wrapping_at_partition_end():
     assert offsets == [0, 4096, 8192, 0, 4096, 8192]
 
 
+def _per_request_reference(p: AccessPattern, n: int):
+    """``n`` requests drawn one call at a time, as ``next()`` once did."""
+    cursor, last, out = p._cursor, p._last, []
+    for _ in range(n):
+        target = "shared" if p._uniform() < p.sharing else "private"
+        if last[target] is not None and p._uniform() < p.locality:
+            out.append((target, last[target], p.request_size, False))
+            continue
+        slot = cursor[target] % p.requests_per_pass
+        cursor[target] += 1
+        last[target] = p.partition_start + slot * p.request_size
+        out.append((target, last[target], p.request_size, True))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    locality=st.floats(0, 1) | st.sampled_from([0.0, 0.5, 1.0]),
+    sharing=st.floats(0, 1) | st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    start_slot=st.integers(0, 40),
+    lengths=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+)
+def test_stream_draws_what_per_request_calls_drew(
+    locality, sharing, seed, start_slot, lengths
+):
+    kw = dict(
+        partition_start=1 << 20, partition_bytes=7 * 4096,
+        locality=locality, sharing=sharing, seed=seed,
+        shared_start_slot=start_slot,
+    )
+    got, want = _pattern(**kw), _pattern(**kw)
+    for n in lengths:  # successive streams and single requests continue
+        drawn = [
+            (d.target, d.offset, d.nbytes, d.fresh) for d in got.stream(n)
+        ]
+        assert drawn == _per_request_reference(want, n)
+        d = got.next()
+        assert [(d.target, d.offset, d.nbytes, d.fresh)] == (
+            _per_request_reference(want, 1)
+        )
+
+
 def test_sharing_zero_all_private():
     p = _pattern(sharing=0.0)
     assert all(d.target == "private" for d in p.stream(20))
