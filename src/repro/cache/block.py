@@ -11,6 +11,14 @@ A block is one 4 KB cache frame.  States:
 * ``CLEAN``   — valid data, identical to the iod's copy.
 * ``DIRTY``   — locally written bytes not yet flushed.
 
+Beside its state a block carries a *write-back mark* (Linux's
+``PG_writeback`` beside ``PG_dirty``): :attr:`CacheBlock.writeback`
+counts the writes carrying its bytes to the iod right now — a flush
+batch, or a cached ``sync_write``'s write-through.  The flusher and the
+harvester skip a marked block, so no flush ships bytes that are already
+on the wire, and a marked block is never freed: a coherence
+invalidation dooms it instead, and the last holder's ack frees it.
+
 ``valid``/``dirty`` are byte-interval sets within the block because
 sub-block writes (the micro-benchmark's 1 KB and 2 KB request sizes)
 populate blocks partially.
@@ -56,6 +64,9 @@ class CacheBlock:
         "ready_event",
         "doomed",
         "sweep_mark",
+        "writeback",
+        "flushing",
+        "flushed_event",
     )
 
     def __init__(self, index: int, block_size: int) -> None:
@@ -85,6 +96,19 @@ class CacheBlock:
         #: Clock-sweep generation that last handled this block; lets
         #: the policy skip already-selected blocks without id() sets.
         self.sweep_mark = 0
+        #: Holders of the write-back mark: a flush batch and cached
+        #: ``sync_write``s whose bytes are on the wire.  A count, as
+        #: two ``sync_write``s of one block from one node may both be
+        #: in flight (their shared connection keeps them in order).
+        self.writeback = 0
+        #: One of the holders is a flush batch (at most one is).  A
+        #: ``sync_write`` waits for it: the batch and the write-through
+        #: travel on different connections, and the batch's older
+        #: bytes must not land at the iod after the newer ones.
+        self.flushing = False
+        #: Fires when the flush batch's ack lands.  Created by the
+        #: first waiter (:meth:`flushed`), as :attr:`ready_event` is.
+        self.flushed_event: "Event | None" = None
 
     # -- state transitions ---------------------------------------------------
     def assign(self, key: BlockKey) -> None:
@@ -101,6 +125,14 @@ class CacheBlock:
         event = self.ready_event
         if event is None:
             event = self.ready_event = env.event()
+        return event
+
+    def flushed(self, env: "Environment") -> "Event":
+        """The event a ``sync_write`` yields while a flush batch holds
+        this block's mark; the batch's ack fires it."""
+        event = self.flushed_event
+        if event is None:
+            event = self.flushed_event = env.event()
         return event
 
     def merge_fetch(self, start: int, end: int, data: bytes | None) -> None:
@@ -181,7 +213,8 @@ class CacheBlock:
     def __repr__(self) -> str:
         return (
             f"<CacheBlock #{self.index} {self.state.value} key={self.key} "
-            f"pins={self.pins}{' ref' if self.refbit else ''}>"
+            f"pins={self.pins}{' ref' if self.refbit else ''}"
+            f"{f' wb={self.writeback}' if self.writeback else ''}>"
         )
 
 

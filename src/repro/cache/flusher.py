@@ -53,12 +53,6 @@ class Flusher(Service):
         self.period_s = period_s
         self.flush_port = flush_port
         self._flush_pool = self.pool(flush_port, label=self.name)
-        #: Blocks whose dirty data is on the wire right now, each to
-        #: its batch's done event: a second flush request for them is
-        #: skipped (no duplicate shipping), and a ``sync_write`` waits
-        #: for the event before it writes through, so the batch's
-        #: older bytes cannot land at the iod after its own.
-        self._inflight: dict[CacheBlock, Event] = {}
         #: Hook: called whenever blocks become clean (the harvester
         #: wires its wake() here so evictions pipeline with flushing).
         self.on_clean: _t.Callable[[], None] | None = None
@@ -108,9 +102,12 @@ class Flusher(Service):
     ) -> _t.Generator:
         """Ship batches without waiting for acks.
 
-        Blocks are registered in-flight *before* any yield, so a
-        caller probing ``_inflight`` right after initiating (the
-        harvester's loop) never double-ships.  One batch per iod,
+        Each shipped block takes the write-back mark (and
+        ``flushing``) *before* any yield, and a marked block is
+        skipped, whoever holds its mark: a caller initiating again
+        right after (the harvester's loop) never double-ships, and
+        neither does a round that comes due while a cached
+        ``sync_write`` writes the block through.  One batch per iod,
         acknowledged independently: blocks become clean (and
         evictable) as soon as *their* iod acks, so eviction pipelines
         with the rest of the flush instead of waiting for the slowest
@@ -118,16 +115,15 @@ class Flusher(Service):
         """
         per_iod_frags: dict[str, list[tuple[int, int, int, bytes | None]]] = {}
         per_iod_caps: dict[str, list[tuple[CacheBlock, int]]] = {}
-        per_iod_done: dict[str, Event] = {}
-        # Snapshot-and-register must not be interleaved: a yield in
-        # this loop would let a racing write (or the harvester) change
-        # the dirty set between the epoch capture and the in-flight
-        # registration, double-shipping or losing a block.
+        # Snapshot-and-mark must not be interleaved: a yield in this
+        # loop would let a racing write (or the harvester) change the
+        # dirty set between the epoch capture and the mark,
+        # double-shipping or losing a block.
         for block in blocks:
             if (
                 block.state is not BlockState.DIRTY
                 or block.key is None
-                or block in self._inflight
+                or block.writeback
             ):
                 continue
             file_id, block_no = block.key
@@ -146,10 +142,8 @@ class Flusher(Service):
             per_iod_caps.setdefault(iod_node, []).append(
                 (block, block.dirty_epoch)
             )
-            done = per_iod_done.get(iod_node)
-            if done is None:
-                done = per_iod_done[iod_node] = self.env.event()
-            self._inflight[block] = done
+            block.writeback += 1
+            block.flushing = True
         if not per_iod_frags:
             return []
         counters = self.metrics.counters
@@ -179,7 +173,7 @@ class Flusher(Service):
             )
             waiters.append(
                 _FlushAck(
-                    self, call, per_iod_caps[iod_node], per_iod_done[iod_node],
+                    self, call, per_iod_caps[iod_node],
                     f"flush-ack-{self.node.name}-{iod_node}",
                 )
             )
@@ -241,27 +235,26 @@ class _FlushAck(NamedEvent):
     Schedules what the process that waited for the ack scheduled, under
     its name (``flush-ack-<node>-<iod>``): an urgent start event, then
     the response ``StoreGet``.  On the ack it marks the batch's blocks
-    clean, fires the batch's done event for a waiting ``sync_write``,
-    calls ``on_clean``, and then fires itself with the number of blocks
-    cleaned, as the process returned it.  A response of any other kind
-    fails it with :class:`ValueError`, as it failed the process.
+    clean and drops their write-back marks, wakes a ``sync_write``
+    waiting on any of them, calls ``on_clean``, and then fires itself
+    with the number of blocks cleaned, as the process returned it.  A
+    response of any other kind fails it with :class:`ValueError`, as it
+    failed the process.
     """
 
-    __slots__ = ("flusher", "call", "captured", "done", "name")
+    __slots__ = ("flusher", "call", "captured", "name")
 
     def __init__(
         self,
         flusher: Flusher,
         call: Call,
         captured: list[tuple[CacheBlock, int]],
-        done: Event,
         name: str,
     ) -> None:
         super().__init__(flusher.env)
         self.flusher = flusher
         self.call = call
         self.captured = captured
-        self.done = done
         self.name = name
         call_soon(self.env, self._start)
 
@@ -277,18 +270,19 @@ class _FlushAck(NamedEvent):
             return
         self.call.close()
         flusher = self.flusher
-        inflight = flusher._inflight
-        note_cleaned = flusher.manager.note_cleaned
+        manager = flusher.manager
+        note_cleaned = manager.note_cleaned
+        end_writeback = manager.end_writeback
         cleaned = 0
         for block, epoch in self.captured:
-            del inflight[block]
+            block.flushing = False
             if note_cleaned(block, epoch):
                 cleaned += 1
-        done = self.done
-        if done.callbacks:
-            # Only a waiting sync_write schedules it: an unwaited
-            # event would add one to every flush's schedule.
-            done.succeed()
+            # Only a sync_write that waited made this event.
+            event, block.flushed_event = block.flushed_event, None
+            if event is not None:
+                event.succeed()
+            end_writeback(block)
         if cleaned and flusher.on_clean is not None:
             flusher.on_clean()
         self.succeed(cleaned)

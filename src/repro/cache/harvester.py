@@ -92,19 +92,17 @@ class Harvester(Service):
         """One pass: evict clean victims, start flushes for dirty ones.
 
         Dirty victims are handed to the flusher without waiting for
-        acks (they are registered in-flight immediately, so the next
-        pass never double-ships); they get evicted on a later pass
-        once the flusher's on_clean hook re-arms us.  Returns a
-        progress score (evictions + newly initiated flushes).
+        acks (they take the write-back mark at once, and a marked
+        victim is skipped, so no pass double-ships); they get evicted
+        on a later pass once the flusher's on_clean hook re-arms us.
+        Returns a progress score (evictions + newly initiated flushes).
         """
         shortfall = self.manager.config.high_blocks - len(self.manager.freelist)
         if shortfall <= 0:
             return 0
         victims = self.manager.select_victims(shortfall)
         dirty_victims = [
-            b
-            for b in victims
-            if b.state is BlockState.DIRTY and b not in self.flusher._inflight
+            b for b in victims if b.state is BlockState.DIRTY and not b.writeback
         ]
         if dirty_victims:
             # Clean-preferred policy may still surface dirty victims
@@ -114,8 +112,13 @@ class Harvester(Service):
         # Evicting one victim cannot change another synchronously, so
         # filtering first and evicting the batch in victim order is
         # the same as checking each victim just before evicting it.
+        # A CLEAN block can still be marked: a later sync_write of it
+        # is acked first while an earlier one, which spans more iods,
+        # still waits for another iod's ack.
         clean = [
-            b for b in victims if b.state is BlockState.CLEAN and b.pins == 0
+            b
+            for b in victims
+            if b.state is BlockState.CLEAN and b.pins == 0 and not b.writeback
         ]
         if clean:
             self.manager.evict(clean)

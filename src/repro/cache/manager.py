@@ -256,6 +256,8 @@ class BufferManager:
                 raise ValueError(f"evict of free block {block!r}")
             if block.pins:
                 raise ValueError(f"evict of pinned block {block!r}")
+            if block.writeback:
+                raise ValueError(f"evict of block under write-back {block!r}")
             if block.state is BlockState.DIRTY and not force:
                 raise ValueError(
                     f"evict of dirty block {block!r} without force"
@@ -282,15 +284,17 @@ class BufferManager:
         completes normally (its waiters still need an answer for this
         access).  A pinned block (mid-copy in some reader) is likewise
         doomed — a kernel cannot rip a page out from under an
-        in-progress copy either.  A doomed block leaves the hash
+        in-progress copy either — and so is a block under write-back,
+        whose ack still has to find it.  A doomed block leaves the hash
         table, the policy and the dirty list at once, so no later
         access finds its bytes, and its frame is freed by
-        :meth:`release_doomed` once it is READY and unpinned.
+        :meth:`release_doomed` once it is READY, unpinned and unmarked
+        (:meth:`release_if_unheld`).
         """
         block = self.table.get(key)
         if block is None:
             return False
-        if block.pins or block.state is BlockState.PENDING:
+        if block.pins or block.writeback or block.state is BlockState.PENDING:
             block.doomed = True
             doomed = (block,)
             self.policy.forget_run(doomed)
@@ -312,22 +316,36 @@ class BufferManager:
         counters[self._k_evictions] += 1
         counters[self._k_invalidated] += 1
 
+    def release_if_unheld(self, block: CacheBlock) -> None:
+        """Free the doomed ``block`` once nothing holds it: no fetch in
+        flight, no pin and no write-back mark."""
+        if (
+            not block.pins
+            and not block.writeback
+            and block.state is not BlockState.PENDING
+        ):
+            self.release_doomed(block)
+
+    def end_writeback(self, block: CacheBlock) -> None:
+        """Drop one hold of ``block``'s write-back mark (its write was
+        acked), freeing it if it was doomed meanwhile."""
+        block.writeback -= 1
+        if block.doomed:
+            self.release_if_unheld(block)
+
     def unpin(self, block: CacheBlock) -> None:
         """Release a pin, completing any deferred invalidation."""
         self.unpin_run((block,))
 
     def unpin_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
         """Release one pin of each block, then free each doomed block
-        that is now unpinned with data, in run order.  Unpinning
+        that nothing holds any more, in run order.  Unpinning
         schedules nothing, so this is the order unpinning and freeing
         block by block would give."""
         unpin_run(blocks)
         for block in blocks:
-            if block.doomed and block.pins == 0 and block.state in (
-                BlockState.CLEAN,
-                BlockState.DIRTY,
-            ):
-                self.release_doomed(block)
+            if block.doomed:
+                self.release_if_unheld(block)
 
     def select_victims(self, n: int) -> list[CacheBlock]:
         """Policy passthrough honouring clean preference."""
@@ -360,6 +378,10 @@ class BufferManager:
         * pin counts ("refcounts" held by in-progress copies) are never
           negative, FREE frames are never pinned, and a doomed block
           does not outlive its last unpin;
+        * write-back marks are never negative, a marked frame is never
+          FREE (so a doomed block is not freed while its mark is held),
+          a flush batch's hold is one of the mark's holders, and a
+          doomed block does not outlive its mark's last holder either;
         * the clock hand stays inside the ring, and the replacement
           policy tracks exactly the resident frames;
         * in-flight allocation reservations resolve: a reserved key is
@@ -403,6 +425,10 @@ class BufferManager:
         for block in self.blocks:
             if block.pins < 0:
                 self._fail(f"negative pin count on {block!r}")
+            if block.writeback < 0:
+                self._fail(f"negative write-back mark on {block!r}")
+            if block.flushing and not block.writeback:
+                self._fail(f"{block!r} is in a flush batch but unmarked")
             in_table = id(block) in resident
             if block.state is BlockState.FREE:
                 n_free_state += 1
@@ -410,6 +436,8 @@ class BufferManager:
                     self._fail(f"FREE block {block!r} is also resident")
                 if block.pins:
                     self._fail(f"FREE block {block!r} is pinned")
+                if block.writeback:
+                    self._fail(f"FREE block {block!r} is under write-back")
                 if block.key is not None:
                     self._fail(f"FREE block {block!r} still has a key")
             else:
@@ -436,14 +464,17 @@ class BufferManager:
             if (
                 block.doomed
                 and block.pins == 0
+                and block.writeback == 0
                 and block.state is not BlockState.PENDING
             ):
                 # PENDING is exempt: a coherence invalidation that
                 # races an in-flight fetch dooms the block and lets
                 # the fetch finish; the drop happens at make_ready
-                # (unpinned prefetches) or at the last unpin.
+                # (unpinned prefetches), at the last unpin or at the
+                # last write-back ack.
                 self._fail(
-                    f"doomed block {block!r} survived its last unpin"
+                    f"doomed block {block!r} survived its last unpin "
+                    "or write-back ack"
                 )
         if n_free_state + len(resident) + n_doomed != len(self.blocks):
             self._fail(

@@ -127,7 +127,9 @@ class CacheModule(Service):
             "free": self.manager.n_free,
             "dirty": self.manager.n_dirty,
             "states": states,
-            "flush_inflight": len(self.flusher._inflight),
+            "flush_inflight": sum(
+                1 for block in self.manager.blocks if block.writeback
+            ),
             "readahead": self.readahead is not None,
         }
 
@@ -484,19 +486,14 @@ class CacheModule(Service):
             payload: ReadData = data_msg.payload
             for (roff, rlen), chunk in zip(payload.ranges, payload.chunks):
                 self._merge_range(handle.file_id, roff, rlen, chunk, owned, gappy)
-        ready_run(owned.values(), self._drop_if_unpinned)
+        # A doomed block's fetch raced a coherence invalidation: the
+        # iod's snapshot may predate the remote sync_write, so its
+        # frame goes as soon as nothing holds it (a reader's pin or a
+        # write-back mark).
+        ready_run(owned.values(), self.manager.release_if_unheld)
         # Count what actually crossed the wire (hull mode re-fetches
         # cached middle blocks, so this can exceed the needed ranges).
         counters["cache.fetched_bytes"] += requested_bytes
-
-    def _drop_if_unpinned(self, block: CacheBlock) -> None:
-        """A fetch readied the doomed ``block``: a coherence
-        invalidation raced the fetch, so the iod snapshot may predate
-        the remote sync_write and the bytes just merged can be stale.
-        Unpinned here means nobody is mid-copy (a prefetch), so free
-        the frame now; pinned blocks are freed by the last unpin."""
-        if block.pins == 0:
-            self.manager.release_doomed(block)
 
     def _merge_range(
         self,
@@ -625,20 +622,43 @@ class CacheModule(Service):
         )
         if sync:
             # A flush batch still carrying older bytes of these blocks
-            # must land at the iods first.  Re-scan after each wait: an
-            # unwaited batch's event is never fired once it is acked.
-            inflight = self.flusher._inflight
-            while True:
-                done = next(
-                    (inflight[b] for b, _ in touched if b in inflight), None
-                )
-                if done is None:
-                    break
-                yield done
+            # must land at the iods first.
+            yield from self._await_flush_batches([b for b, _ in touched])
+            # From here until the ack, the blocks still DIRTY under
+            # their keys hold the write-back mark: no flush round ships
+            # them again, and no invalidation frees them before the ack
+            # finds them.  The rest need no mark and no cleaning: a
+            # batch already cleaned them, or they were dropped and
+            # their frames refetched (PENDING or CLEAN again).
+            table = manager.table
+            dirty = BlockState.DIRTY
+            marked = [
+                (block, epoch)
+                for (block, epoch), block_no in zip(touched, block_nos)
+                if block.state is dirty
+                and table.get((file_id, block_no)) is block
+            ]
+            for block, _ in marked:
+                block.writeback += 1
             yield from self._propagate_sync(handle, offset, nbytes, data, request_base)
-            for block, epoch in touched:
-                self.manager.note_cleaned(block, epoch)
+            for block, epoch in marked:
+                manager.note_cleaned(block, epoch)
+                manager.end_writeback(block)
         self.metrics.counters["cache.write_segments"] += 1
+
+    def _await_flush_batches(
+        self, blocks: _t.Sequence[CacheBlock]
+    ) -> _t.Generator:
+        """Process body: return once no flush batch carries any of
+        ``blocks``.  Re-scans after each wait: the blocks may sit in
+        several batches, and an unmarked one may go into a new batch
+        meanwhile."""
+        env = self.env
+        while True:
+            block = next((b for b in blocks if b.flushing), None)
+            if block is None:
+                return
+            yield block.flushed(env)
 
     def _write_block(
         self,
@@ -681,7 +701,10 @@ class CacheModule(Service):
         first, and the raw write's invalidation, which spares no node,
         drops this node's now-clean copy.  Otherwise the later flush
         would write the older bytes over the newer ones at the iod.
-        Schedules nothing when no such block is dirty or in flight.
+        A block under a cached ``sync_write`` of this node is neither
+        shipped nor waited for: the two writes are concurrent, and its
+        write-through is the one on the wire.  Schedules nothing when
+        no such block is dirty or in a flush batch.
         """
         table = self.manager.table
         bs = self.block_size
@@ -694,14 +717,7 @@ class CacheModule(Service):
         dirty = [b for b in held if b.state is BlockState.DIRTY]
         if dirty:
             yield from self.flusher.initiate_flush(dirty)
-        # Re-scan after each wait, as a cached sync_write does: an
-        # unwaited batch's event is never fired once it is acked.
-        inflight = self.flusher._inflight
-        while True:
-            done = next((inflight[b] for b in held if b in inflight), None)
-            if done is None:
-                break
-            yield done
+        yield from self._await_flush_batches(held)
 
     def _propagate_sync(
         self,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cache import InvariantViolation
+from repro.cache.block import BlockState
 from tests.conftest import check_invariants_every, make_cluster, run_app
 
 #: 2 nodes x 3 seeds x OPS_PER_CLIENT = 5400 operations >= the 5k floor.
@@ -69,6 +70,55 @@ def test_invariant_catches_dirty_list_drift():
     # corrupt: a DIRTY block silently leaves the dirty list
     manager.dirtylist.discard(dirty[0])
     with pytest.raises(InvariantViolation, match="not on the dirty list"):
+        manager.check_invariants()
+
+
+def _doomed_under_write_back():
+    """A cluster whose node0 holds block 0 DIRTY, marked by one write
+    in flight and then doomed by an invalidation."""
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=8)
+    client = cluster.client("node0")
+
+    def app(env):
+        f = yield from client.open("/wb")
+        yield from client.write(f, 0, 4096)
+        return f.file_id
+
+    file_id = run_app(cluster, app(cluster.env))
+    manager = _manager(cluster)
+    block = manager.table.get((file_id, 0))
+    block.writeback += 1
+    assert manager.invalidate((file_id, 0))
+    assert block.doomed and block.state is not BlockState.FREE
+    manager.check_invariants()
+    return manager, block
+
+
+def test_invariant_catches_a_block_freed_under_write_back():
+    manager, block = _doomed_under_write_back()
+    # corrupt: the frame is freed before its write's ack
+    manager.release_doomed(block)
+    with pytest.raises(InvariantViolation, match="FREE block .* write-back"):
+        manager.check_invariants()
+
+
+def test_invariant_catches_a_doomed_block_outliving_its_write_back():
+    manager, block = _doomed_under_write_back()
+    # corrupt: the ack drops the mark but leaves the doomed frame
+    block.writeback -= 1
+    with pytest.raises(InvariantViolation, match="write-back ack"):
+        manager.check_invariants()
+    block.writeback += 1
+    manager.end_writeback(block)  # the real ack frees it
+    assert block.state is BlockState.FREE
+    manager.check_invariants()
+
+
+def test_invariant_catches_a_flush_batch_holding_no_mark():
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1)
+    manager = _manager(cluster)
+    manager.blocks[0].flushing = True
+    with pytest.raises(InvariantViolation, match="flush batch but unmarked"):
         manager.check_invariants()
 
 

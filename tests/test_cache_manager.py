@@ -255,6 +255,35 @@ def test_invalidate_dirty_forces_drop():
     assert p.ok, p.value
 
 
+def test_invalidate_dooms_a_block_under_write_back():
+    """A block whose bytes are on the wire keeps its frame until the
+    last holder of its write-back mark drops it: that write's ack must
+    still find the block it captured."""
+    env, m = _manager()
+
+    def proc(env):
+        block, _ = yield from m.get_or_allocate((1, 0))
+        block.write(0, 10, None)
+        m.note_write(block)
+        block.writeback += 2  # two sync_writes of the block in flight
+        with pytest.raises(ValueError, match="under write-back"):
+            m.evict([block], force=True)
+        assert m.invalidate((1, 0)) is True
+        assert block.doomed and m.lookup((1, 0)) is None
+        assert m.n_dirty == 0
+        m.check_invariants()
+        m.end_writeback(block)
+        assert block.state is BlockState.DIRTY  # one write still out
+        m.check_invariants()
+        m.end_writeback(block)
+        assert block.state is BlockState.FREE
+        m.check_invariants()
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.ok, p.value
+
+
 def test_allocation_exhaustion_waits_for_eviction():
     env, m = _manager(n_blocks=2)
     log = []

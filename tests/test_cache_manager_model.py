@@ -62,7 +62,7 @@ def _check_invariants(m: BufferManager) -> None:
 
 def _land_doomed(m: BufferManager, key=None) -> None:
     """The fetches of doomed blocks (of ``key``, or all) land: each
-    frame is freed, as ``CacheModule._drop_if_unpinned`` does."""
+    frame is freed, as the fetch path's ``release_if_unheld`` does."""
     for block in m.blocks:
         if block.doomed and key in (None, block.key):
             block.make_ready()

@@ -457,6 +457,12 @@ def test_module_stats_snapshot():
         assert stats["free"] == stats["n_blocks"] - 2
         assert stats["states"]["dirty"] == 2
         assert stats["readahead"] is False
+        assert stats["flush_inflight"] == 0
+        module = cluster.cache_modules["node0"]
+        yield from module.flusher.initiate_flush(
+            module.manager.dirtylist.snapshot()
+        )
+        assert module.stats()["flush_inflight"] == 2  # both marked
 
     run_app(cluster, app(cluster.env))
 

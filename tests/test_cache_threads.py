@@ -239,3 +239,31 @@ def test_harvester_rechecks_clean_victims_after_the_flush_hand_off():
     assert block.key == key and manager.table.get(key) is block
     assert block.state is BlockState.CLEAN and block.pins == 1
     assert cluster.metrics.count("harvester.dirty_flushes") > 0
+
+
+def test_harvester_leaves_a_clean_block_under_write_back():
+    """A later ``sync_write`` of a block can be acked before an earlier
+    one that spans more iods, which leaves the block CLEAN but still
+    marked.  The harvester must leave such a victim alone: ``evict``
+    refuses it, and the crash would take the harvester down."""
+    cluster = make_cluster(cache_blocks=32, iod_nodes=1, compute_nodes=1)
+    client = cluster.client("node0")
+    manager = cluster.cache_modules["node0"].manager
+
+    def app(env):
+        f = yield from client.open("/f")
+        yield from client.read(f, 0, 8 * 4096)
+        marked = [manager.table.get((f.file_id, b)) for b in range(8)]
+        for block in marked:
+            assert block.state is BlockState.CLEAN
+            block.writeback += 1  # an earlier sync_write's ack is out
+        # Reading on dries the free list: the harvester evicts around
+        # the marked blocks.
+        for b in range(8, 64):
+            yield from client.read(f, b * 4096, 4096)
+        assert [manager.table.get((f.file_id, b)) for b in range(8)] == marked
+        for block in marked:
+            manager.end_writeback(block)
+        return cluster.metrics.count("harvester.freed")
+
+    assert run_app(cluster, app(cluster.env)) > 0

@@ -1,4 +1,4 @@
-"""Regression tests for two coherence races found during development.
+"""Regression tests for coherence races found during development.
 
 1. A ``sync_write`` invalidation arriving while the target block is
    PENDING (fetch in flight) used to be skipped entirely, leaving the
@@ -21,14 +21,14 @@
    that node's cached copy kept the old bytes.  A copy that node held
    dirty was not invalidated, and its later flush overwrote the raw
    write at the iod; the node now writes it back first.
-6. Open: a cached ``sync_write`` leaves its blocks DIRTY on the dirty
-   list while its write-through is on the wire, so a flush round in
-   that window ships the same bytes again (strict xfail below).
+6. A cached ``sync_write`` left its blocks DIRTY and unmarked on the
+   dirty list while its write-through was on the wire, so a flush
+   round in that window shipped the same bytes again.  The
+   write-through now holds the blocks' write-back mark, which the
+   flusher skips.
 """
 
 import types
-
-import pytest
 
 from repro.cache.block import BlockState
 from repro.disk.filesystem import blocks_spanned
@@ -280,19 +280,63 @@ def _flushed_during_write_through(start_s):
     return tuple(window), shipped
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="a cached sync_write's blocks stay DIRTY on the dirty list "
-    "while its write-through is on the wire (ROADMAP item 2)",
-)
 def test_no_flush_batch_ships_a_block_whose_sync_write_is_in_flight():
     """The flusher's round comes due while node0's write-through of
-    block 0 is on the wire.  The block is DIRTY, not in a flush batch,
-    so the round ships its bytes a second time; with a sync_write from
-    another node landing in between, that batch would overwrite the
-    newer bytes at the iod."""
+    block 0 is on the wire.  The block is DIRTY but marked, so the
+    round skips it; shipped again, its bytes would be a second copy on
+    the wire, and with a sync_write from another node landing in
+    between, that batch would overwrite the newer bytes at the iod."""
     runs = [_flushed_during_write_through(t * 1e-4) for t in range(285, 300)]
     if not any(start < 0.030 < end for (start, end), _ in runs):
         raise RuntimeError("no write-through spans the flusher's round")
     assert [shipped for _, shipped in runs if shipped] == []
+
+
+# -- a re-write while the block's flush batch is in flight ----------------
+
+
+def _rewrite_during_flush(delay_s):
+    """node0 buffers A in block 0 and ships it in a flush batch; while
+    that batch is on the wire it buffers B over it, waits ``delay_s``
+    and ``sync_write``s C.  Returns what a cached reader on node1 then
+    reads, what a raw reader reads once node0 has drained (the iod's
+    bytes), and whether the batch was still in flight at the buffered
+    and at the synchronous re-write."""
+    cluster = make_cluster()
+    check_invariants_every(cluster, 1)
+    module = cluster.cache_modules["node0"]
+    writer, reader = cluster.client("node0"), cluster.client("node1")
+    raw = cluster.client("node1", use_cache=False)
+
+    def app(env):
+        f = yield from writer.open("/f")
+        yield from writer.write(f, 0, 4096, _block(b"A"))
+        block = module.manager.table.get((f.file_id, 0))
+        yield from module.flusher.initiate_flush([block])
+        in_flight = [block.flushing]
+        yield from writer.write(f, 0, 4096, _block(b"B"))
+        yield env.timeout(delay_s)
+        in_flight.append(block.flushing)
+        yield from writer.sync_write(f, 0, 4096, _block(b"C"))
+        g = yield from reader.open("/f")
+        remote = yield from reader.read(g, 0, 4096, want_data=True)
+        yield from cluster.drain_caches()
+        h = yield from raw.open("/f")
+        at_iod = yield from raw.read(h, 0, 4096, want_data=True)
+        return remote, at_iod, tuple(in_flight)
+
+    return run_app(cluster, app(cluster.env))
+
+
+def test_a_rewrite_during_its_flush_batch_reaches_reader_and_iod():
+    """The shape the benchmark's coherent workload keeps its writer off
+    (writer locality 0).  Scanned across the batch's ack, so that the
+    sync_write starts both while A's batch is on the wire and after:
+    the newest bytes, C, reach the remote reader and the iod."""
+    runs = [_rewrite_during_flush(step * 10e-6) for step in range(12)]
+    assert {in_flight for _, _, in_flight in runs} == {
+        (True, True), (True, False),
+    }
+    assert {(remote, at_iod) for remote, at_iod, _ in runs} == {
+        (_block(b"C"), _block(b"C"))
+    }
