@@ -183,38 +183,6 @@ class Cluster:
         """Convenience passthrough to ``env.run``."""
         return self.env.run(until=until)
 
-    def record_network_metrics(self) -> dict[str, _t.Any]:
-        """Fold the fabric's contention snapshot into :class:`Metrics`.
-
-        Integer counters become ``net.*`` counters and the wire-busy
-        time a ``net.wire_busy_s`` sample, so experiment harnesses (and
-        ``RunOutcome.counters``) can report network saturation next to
-        cache statistics.  Returns the raw snapshot.
-        """
-        snap = self.network.stats_snapshot()
-        for key, value in snap.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if isinstance(value, int):
-                self.metrics.inc(f"net.{key}", value)
-            else:
-                self.metrics.record(f"net.{key}", value)
-        return snap
-
-    def record_scheduler_metrics(self) -> dict[str, _t.Any]:
-        """Fold the engine's scheduler counters into :class:`Metrics`.
-
-        Mirrors :meth:`record_network_metrics`: every counter from
-        ``Environment.sched_stats`` lands as a ``sim.*`` metric so
-        experiment harnesses can report event-loop behaviour (events
-        processed, timer garbage collected, queue depth high-water)
-        next to cache statistics.  Returns the raw snapshot.
-        """
-        snap = self.env.sched_stats()
-        for key, value in snap.items():
-            self.metrics.inc(f"sim.{key}", value)
-        return snap
-
     def drain_caches(self) -> _t.Generator:
         """Process body: flush every node's dirty blocks (tests)."""
         for module in self.cache_modules.values():

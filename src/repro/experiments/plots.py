@@ -17,7 +17,6 @@ Usage::
 from __future__ import annotations
 
 import math
-import typing as _t
 
 from repro.experiments.common import ExperimentResult
 
@@ -81,36 +80,3 @@ def render_chart(
         f"{GLYPHS[i % len(GLYPHS)]}={s.label}" for i, s in enumerate(series)
     ))
     return "\n".join(lines)
-
-
-def render_bar_chart(
-    labels_values: _t.Sequence[tuple[str, float]],
-    title: str = "",
-    width: int = 48,
-    unit: str = "s",
-) -> str:
-    """Horizontal bar chart for categorical comparisons (e.g. the
-    Figure 8 placement variants at one x)."""
-    if not labels_values:
-        return f"== {title} ==\n(no data)"
-    peak = max(v for _, v in labels_values) or 1.0
-    label_width = max(len(label) for label, _ in labels_values)
-    lines = [f"== {title} =="] if title else []
-    for label, value in labels_values:
-        bar = "█" * max(1, int(value / peak * width))
-        lines.append(
-            f"  {label.rjust(label_width)} {bar} {value:.4g}{unit}"
-        )
-    return "\n".join(lines)
-
-
-def sparkline(values: _t.Sequence[float]) -> str:
-    """One-line trend of a series (e.g. latency over the sweep)."""
-    if not values:
-        return ""
-    blocks = "▁▂▃▄▅▆▇█"
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    return "".join(
-        blocks[int((v - lo) / span * (len(blocks) - 1))] for v in values
-    )

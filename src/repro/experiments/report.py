@@ -76,18 +76,26 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
 
     Exercises every service in the runtime — mgr opens, iod reads and
     writes, flusher batches, invalidations (via a sync_write), and the
-    writeback daemons — then renders the per-daemon stats table fed by
-    the instrumentation bus.
+    writeback daemons — then renders each daemon's always-on stats,
+    the fabric's and the scheduler's counters.
     """
     from repro.cluster.cluster import Cluster
-    from repro.metrics import DaemonMonitor, daemon_table
-    from repro.svc import get_bus
+    from repro.metrics import daemon_table, mgr_shard_table
+    from repro.svc import ServiceEvent, get_bus
 
     cluster = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=2))
     bus = get_bus(cluster.env)
-    monitor = DaemonMonitor(bus)
-    cluster.metrics.attach_bus(bus)
-    cluster.network.attach_bus(bus)
+    # The one count no ServiceStats holds: invalidation notices an iod
+    # fans out, charged to the mgr shard owning the file.  The cache
+    # module's receive-side records carry no shard and stay out.
+    fanout: dict[int, int] = {}
+
+    def count_fanout(record: ServiceEvent) -> None:
+        if "mgr_shard" in record.detail:
+            shard = record.detail["mgr_shard"]
+            fanout[shard] = fanout.get(shard, 0) + 1
+
+    detach = bus.subscribe(count_fanout, kinds=("invalidation",))
 
     def app(node: str, path: str) -> _t.Generator:
         client = cluster.client(node)
@@ -102,18 +110,17 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
     ]
     cluster.env.run(until=cluster.env.all_of(procs))
     cluster.env.run(until=cluster.env.process(cluster.drain_caches()))
+    detach()
 
     table = daemon_table(bus)
     dispatches = sum(
-        count
-        for (_svc, kind), count in monitor.event_counts.items()
-        if kind == "dispatch"
+        sum(stats.dispatched.values()) for stats in bus.stats.values()
     )
-    net = cluster.record_network_metrics()
-    sched = cluster.record_scheduler_metrics()
+    net = cluster.network.stats_snapshot()
+    sched = cluster.env.sched_stats()
     print(table, file=stream)
     print("\nmetadata shards:", file=stream)
-    print(monitor.mgr_shard_table(duration_s=cluster.env.now), file=stream)
+    print(mgr_shard_table(bus, cluster.env.now, fanout), file=stream)
     print(f"\n[{dispatches} dispatches observed on the bus]", file=stream)
     print(
         "[network: {model}, {messages_delivered} messages, "
@@ -127,7 +134,6 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
         "in place), depth hw {queue_depth_hw}]".format(**sched),
         file=stream,
     )
-    monitor.close()
     return table
 
 

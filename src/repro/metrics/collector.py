@@ -8,7 +8,6 @@ rows of each reproduced figure.
 from __future__ import annotations
 
 import math
-import typing as _t
 from collections import defaultdict
 
 
@@ -33,69 +32,9 @@ class Metrics:
         """Append one sample to a named series."""
         self.series[name].append(float(value))
 
-    def samples(self, name: str) -> list[float]:
-        """The raw samples of a series ([] if absent)."""
-        return self.series.get(name, [])
-
     def mean(self, name: str) -> float:
         """Mean of a series (NaN when empty)."""
         data = self.series.get(name)
         if not data:
             return math.nan
         return sum(data) / len(data)
-
-    def total(self, name: str) -> float:
-        """Sum of a series (0 when empty)."""
-        return sum(self.series.get(name, ()))
-
-    def percentile(self, name: str, q: float) -> float:
-        """Nearest-rank percentile, q in [0, 100]."""
-        data = sorted(self.series.get(name, ()))
-        if not data:
-            return math.nan
-        if not (0 <= q <= 100):
-            raise ValueError(f"percentile out of range: {q}")
-        rank = max(1, math.ceil(q / 100.0 * len(data)))
-        return data[rank - 1]
-
-    def summary(self, name: str) -> dict[str, float]:
-        """n/mean/p50/p95/min/max of a series."""
-        data = self.series.get(name, [])
-        if not data:
-            return {"n": 0, "mean": math.nan, "p50": math.nan,
-                    "p95": math.nan, "min": math.nan, "max": math.nan}
-        return {
-            "n": len(data),
-            "mean": self.mean(name),
-            "p50": self.percentile(name, 50),
-            "p95": self.percentile(name, 95),
-            "min": min(data),
-            "max": max(data),
-        }
-
-    def ratio(self, hit_counter: str, miss_counter: str) -> float:
-        """hits / (hits + misses), 0.0 when no events."""
-        hits = self.count(hit_counter)
-        total = hits + self.count(miss_counter)
-        return hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, _t.Any]:
-        """Plain-dict dump (counters + per-series summaries)."""
-        return {
-            "counters": dict(self.counters),
-            "series": {k: self.summary(k) for k in self.series},
-        }
-
-    # -- service instrumentation -------------------------------------------
-    def attach_bus(self, bus: _t.Any) -> _t.Callable[[], None]:
-        """Mirror a service-runtime instrumentation bus into counters.
-
-        Every :class:`~repro.svc.events.ServiceEvent` becomes a bump of
-        ``svc.<service>.<kind>``.  Returns the detach callable; leave
-        detached (the default) for counter-free hot paths.
-        """
-
-        def on_event(record: _t.Any) -> None:
-            self.inc(f"svc.{record.service}.{record.kind}")
-
-        return bus.subscribe(on_event)

@@ -1,256 +1,27 @@
-"""Monitoring of simulated resources and daemons.
+"""Per-daemon tables over the svc bus's always-on stats.
 
-Two complementary tools live here:
-
-* :class:`ResourceMonitor` samples arbitrary probes at a fixed
-  simulated-time interval (time-series questions: *when* was the wire
-  saturated, how full was the cache over time?).
-
-* :class:`DaemonMonitor` subscribes to the service runtime's
-  instrumentation bus (:mod:`repro.svc.events`) — no polling — and
-  aggregates the typed event records each daemon emits.  The
-  per-daemon summary table (messages handled, queue-depth high-water
-  mark, busy time) comes from :func:`daemon_table`.
+Every :class:`~repro.svc.service.Service` keeps a
+:class:`~repro.svc.events.ServiceStats` record on its environment's
+instrumentation bus; these functions render those records, and read
+nothing else.
 
 Example::
 
-    monitor = ResourceMonitor(cluster.env, interval_s=0.01)
-    module = cluster.cache_modules["node0"]
-    monitor.track("dirty_blocks", lambda: module.manager.n_dirty)
-    monitor.track("free_blocks", lambda: module.manager.n_free)
-    monitor.start()
-    ... run the workload ...
-    print(monitor.table())
-
     from repro.svc import get_bus
-    print(daemon_table(get_bus(cluster.env)))
+    bus = get_bus(cluster.env)
+    print(daemon_table(bus))
+    print(mgr_shard_table(bus, duration_s=cluster.env.now))
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.sim import Environment, Process
-
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.svc.events import InstrumentationBus, ServiceEvent
+    from repro.svc.events import InstrumentationBus
 
 
-class ResourceMonitor:
-    """Samples named probes every ``interval_s`` of simulated time."""
-
-    def __init__(self, env: Environment, interval_s: float = 0.01) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
-        self.env = env
-        self.interval_s = interval_s
-        self._probes: dict[str, _t.Callable[[], float]] = {}
-        self.times: list[float] = []
-        self.samples: dict[str, list[float]] = {}
-        self._proc: Process | None = None
-        self._stopped = False
-
-    def track(self, name: str, probe: _t.Callable[[], float]) -> None:
-        """Register a probe (may be added before or after start)."""
-        if name in self._probes:
-            raise ValueError(f"probe {name!r} already registered")
-        self._probes[name] = probe
-        # Back-fill so every series has one value per sample tick.
-        self.samples[name] = [float("nan")] * len(self.times)
-
-    def start(self) -> None:
-        """Spawn the sampling process."""
-        if self._proc is not None:
-            raise RuntimeError("monitor already started")
-        self._proc = self.env.process(self._loop(), name="resource-monitor")
-
-    def stop(self) -> None:
-        """Stop sampling (the monitor process exits at its next tick)."""
-        self._stopped = True
-
-    def _loop(self) -> _t.Generator:
-        while not self._stopped:
-            self.times.append(self.env.now)
-            for name, probe in self._probes.items():
-                self.samples[name].append(float(probe()))
-            yield self.env.timeout(self.interval_s)
-
-    # -- analysis -------------------------------------------------------------
-    def series(self, name: str) -> list[float]:
-        """The sampled values of one probe."""
-        return self.samples[name]
-
-    def peak(self, name: str) -> float:
-        """Maximum sampled value (NaN-safe)."""
-        data = [v for v in self.samples[name] if v == v]  # drop NaN
-        return max(data) if data else float("nan")
-
-    def mean(self, name: str) -> float:
-        """Mean sampled value (NaN-safe)."""
-        data = [v for v in self.samples[name] if v == v]
-        return sum(data) / len(data) if data else float("nan")
-
-    def time_above(self, name: str, threshold: float) -> float:
-        """Simulated seconds the probe spent above ``threshold``."""
-        return self.interval_s * sum(
-            1 for v in self.samples[name] if v == v and v > threshold
-        )
-
-    def table(self, max_rows: int = 20) -> str:
-        """Aligned text table of the sampled series (subsampled)."""
-        if not self.times:
-            return "(no samples)"
-        names = list(self._probes)
-        step = max(1, len(self.times) // max_rows)
-        header = ["t(s)"] + names
-        rows = []
-        for i in range(0, len(self.times), step):
-            rows.append(
-                [f"{self.times[i]:.4f}"]
-                + [f"{self.samples[n][i]:g}" for n in names]
-            )
-        widths = [
-            max(len(header[c]), *(len(r[c]) for r in rows))
-            for c in range(len(header))
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
-
-    def sparkline(self, name: str) -> str:
-        """One-line trend of a series (via the experiments plotter)."""
-        from repro.experiments.plots import sparkline
-
-        return sparkline([v for v in self.samples[name] if v == v])
-
-
-class DaemonMonitor:
-    """Event-driven view of the cluster's daemons.
-
-    Subscribes to the instrumentation bus (push, not poll): every
-    record a service emits lands here the moment it happens, so the
-    monitor sees short-lived spikes that interval sampling would miss.
-    """
-
-    def __init__(self, bus: "InstrumentationBus", keep_records: int = 0) -> None:
-        self.bus = bus
-        #: (service, kind) -> count of observed event records.
-        self.event_counts: dict[tuple[str, str], int] = {}
-        #: mgr shard -> count of ``metadata_op`` records it served.
-        self.metadata_ops: dict[int, int] = {}
-        #: mgr shard -> invalidation notices the iods fanned out for
-        #: files that shard owns (its slice of coherence traffic).
-        self.invalidation_fanout: dict[int, int] = {}
-        #: Ring of the most recent records (0 == counting only).
-        self.keep_records = keep_records
-        self.records: list["ServiceEvent"] = []
-        self._detach = bus.subscribe(self._on_event)
-
-    def _on_event(self, record: "ServiceEvent") -> None:
-        key = (record.service, record.kind)
-        self.event_counts[key] = self.event_counts.get(key, 0) + 1
-        # Per-mgr-shard aggregation: the shard number rides in the
-        # record detail because always-on ServiceStats only count by
-        # kind (mgr.py tags metadata_op, iod.py tags invalidation).
-        if record.kind == "metadata_op":
-            shard = int(record.detail.get("shard", 0))
-            self.metadata_ops[shard] = self.metadata_ops.get(shard, 0) + 1
-        elif record.kind == "invalidation" and "mgr_shard" in record.detail:
-            # Only the iod's fan-out records carry the owning shard;
-            # the cache module's receive-side records do not and must
-            # not be double-counted here.
-            shard = int(record.detail["mgr_shard"])
-            self.invalidation_fanout[shard] = (
-                self.invalidation_fanout.get(shard, 0) + 1
-            )
-        if self.keep_records:
-            self.records.append(record)
-            if len(self.records) > self.keep_records:
-                del self.records[: -self.keep_records]
-
-    def close(self) -> None:
-        """Unsubscribe from the bus."""
-        self._detach()
-
-    def count(self, service: str, kind: str) -> int:
-        """Observed records of ``kind`` from ``service``."""
-        return self.event_counts.get((service, kind), 0)
-
-    def table(self) -> str:
-        """The per-daemon summary table (see :func:`daemon_table`)."""
-        return daemon_table(self.bus)
-
-    def mgr_shard_table(self, duration_s: float | None = None) -> str:
-        """Per-metadata-shard summary (one row per mgr shard).
-
-        Columns: shard, node, metadata ops served, ops/sec of
-        simulated time (when ``duration_s`` is given), queue-depth
-        high-water mark, and the invalidation fan-out charged to the
-        files that shard owns.  Shard 0 of a single-shard cluster is
-        the plain ``mgr`` daemon.
-        """
-        shards: dict[int, _t.Any] = {}
-        for stats in self.bus.stats.values():
-            name = stats.service
-            if name == "mgr":
-                shards[0] = stats
-            elif name.startswith("mgr") and name[3:].isdigit():
-                shards[int(name[3:])] = stats
-        if not shards:
-            return "(no mgr shards registered)"
-        header = ["shard", "node", "meta-ops", "ops/s", "q-high", "inval-out"]
-        rows = []
-        for shard in sorted(shards):
-            stats = shards[shard]
-            ops = self.metadata_ops.get(shard, 0)
-            rate = (
-                f"{ops / duration_s:.1f}"
-                if duration_s and duration_s > 0
-                else "-"
-            )
-            rows.append(
-                [
-                    str(shard),
-                    stats.node or "-",
-                    str(ops),
-                    rate,
-                    str(stats.queue_high_water),
-                    str(self.invalidation_fanout.get(shard, 0)),
-                ]
-            )
-        widths = [
-            max(len(header[c]), *(len(r[c]) for r in rows))
-            for c in range(len(header))
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
-
-
-def daemon_table(bus: "InstrumentationBus") -> str:
-    """Render every registered daemon's always-on stats as a table.
-
-    Columns: daemon, node, lifecycle state, messages handled, queue
-    depth high-water mark, simulated busy time, and dropped work.
-    """
-    header = ["daemon", "node", "state", "handled", "q-high", "busy(s)", "dropped"]
-    rows = []
-    for stats in bus.stats.values():
-        rows.append(
-            [
-                stats.service,
-                stats.node or "-",
-                stats.state,
-                str(stats.messages_handled),
-                str(stats.queue_high_water),
-                f"{stats.busy_s:.4f}",
-                str(stats.total_dropped),
-            ]
-        )
-    if not rows:
-        return "(no services registered)"
+def _render(header: list[str], rows: list[list[str]]) -> str:
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows))
         for c in range(len(header))
@@ -259,3 +30,69 @@ def daemon_table(bus: "InstrumentationBus") -> str:
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def daemon_table(bus: "InstrumentationBus") -> str:
+    """Render every registered daemon's always-on stats as a table.
+
+    Columns: daemon, node, lifecycle state, messages handled, queue
+    depth high-water mark, simulated busy time, and dropped work.
+    """
+    rows = [
+        [
+            stats.service,
+            stats.node or "-",
+            stats.state,
+            str(stats.messages_handled),
+            str(stats.queue_high_water),
+            f"{stats.busy_s:.4f}",
+            str(stats.total_dropped),
+        ]
+        for stats in bus.stats.values()
+    ]
+    if not rows:
+        return "(no services registered)"
+    header = ["daemon", "node", "state", "handled", "q-high", "busy(s)", "dropped"]
+    return _render(header, rows)
+
+
+def mgr_shard_table(
+    bus: "InstrumentationBus",
+    duration_s: float | None = None,
+    fanout: _t.Mapping[int, int] | None = None,
+) -> str:
+    """Per-metadata-shard summary (one row per mgr shard).
+
+    Columns: shard, node, metadata ops served (the shard's
+    ``metadata_op`` count), ops/sec of simulated time (when
+    ``duration_s`` is given), queue-depth high-water mark, and
+    ``fanout[shard]``: the invalidation notices the iods sent for
+    files that shard owns.  Shard 0 of a single-shard cluster is the
+    plain ``mgr`` daemon.
+    """
+    shards = {}
+    for name, stats in bus.stats.items():
+        if name == "mgr":
+            shards[0] = stats
+        elif name.startswith("mgr") and name[3:].isdigit():
+            shards[int(name[3:])] = stats
+    if not shards:
+        return "(no mgr shards registered)"
+    fanout = fanout or {}
+    rows = []
+    for shard in sorted(shards):
+        stats = shards[shard]
+        ops = stats.events.get("metadata_op", 0)
+        rate = f"{ops / duration_s:.1f}" if duration_s and duration_s > 0 else "-"
+        rows.append(
+            [
+                str(shard),
+                stats.node or "-",
+                str(ops),
+                rate,
+                str(stats.queue_high_water),
+                str(fanout.get(shard, 0)),
+            ]
+        )
+    header = ["shard", "node", "meta-ops", "ops/s", "q-high", "inval-out"]
+    return _render(header, rows)

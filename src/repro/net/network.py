@@ -29,25 +29,8 @@ class Network:
         #: Loopback messages never touch the fabric but still pay a
         #: small local protocol cost (localhost TCP is not free).
         self.loopback_latency_s = 20e-6
-        #: ServiceStats row on the svc instrumentation bus, when a
-        #: monitor attached one (see :meth:`attach_bus`).
-        self._svc_stats: _t.Any = None
 
     # -- instrumentation -----------------------------------------------------
-    def attach_bus(self, bus: _t.Any) -> None:
-        """Register a ``network`` row on a svc instrumentation bus.
-
-        The wire is not a :class:`~repro.svc.service.Service`, but its
-        saturation belongs in the same per-daemon report: the row's
-        ``handled`` is messages delivered, ``q-high`` the most frames
-        the fabric ever had waiting for a channel, and ``busy(s)`` the
-        fabric's cumulative wire-busy time.
-        """
-        stats = bus.register("network")
-        stats.state = "running"
-        stats.messages_handled = self.messages_delivered
-        self._svc_stats = stats
-
     def stats_snapshot(self) -> dict[str, _t.Any]:
         """Fabric contention counters plus delivery totals."""
         snap = dict(self.fabric.stats_snapshot())
@@ -147,20 +130,12 @@ class Delivery(Transfer):
         everything else takes the framed path a transmission process
         used to.
         """
-        network = self.network
         if self.src == self.dst:
             self._ident = "Event"
-            Timeout(self.env, network.loopback_latency_s).callbacks.append(
+            Timeout(self.env, self.network.loopback_latency_s).callbacks.append(
                 self._arrive
             )
             return self
-        stats = network._svc_stats
-        if stats is not None:
-            # Sample contention as the message joins the wire — by
-            # delivery time its own share of the queue has drained.
-            depth = self.fabric.utilization_queue
-            if depth > stats.queue_high_water:
-                stats.queue_high_water = depth
         if self.start_idle():
             self._ident = "Event"
             return self
@@ -186,10 +161,5 @@ class Delivery(Transfer):
             )
 
     def _admitted(self, _event: Event) -> None:
-        network = self.network
-        network.messages_delivered += 1
-        stats = network._svc_stats
-        if stats is not None:
-            stats.messages_handled = network.messages_delivered
-            stats.busy_s = network.fabric.wire_busy_s
+        self.network.messages_delivered += 1
         self.succeed(self.message)

@@ -11,9 +11,9 @@ two complementary forms:
 
 * **Opt-in event records** — when a subscriber attached to the
   :class:`InstrumentationBus` takes its kind, a notable action
-  additionally emits a typed :class:`ServiceEvent` (``msg_received``,
-  ``dispatch``, ``flush_batch``, ``eviction``, ``invalidation``,
-  lifecycle transitions, ...).  A subscriber names the kinds it takes
+  additionally emits a typed :class:`ServiceEvent` (``flush_batch``,
+  ``eviction``, ``invalidation``, ``metadata_op``, lifecycle
+  transitions, ...).  A subscriber names the kinds it takes
   (or takes them all); a record no subscriber takes is never built,
   so the bus costs one set probe per emission site.
 
@@ -40,8 +40,6 @@ CORE_EVENT_KINDS = (
     "drain",
     "drained",
     "stop",
-    "msg_received",
-    "dispatch",
     "flush_batch",
     "eviction",
     "invalidation",
@@ -120,20 +118,6 @@ class ServiceStats:
     def total_dropped(self) -> int:
         """Sum of all dropped-work counts."""
         return sum(self.dropped.values())
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        """Plain-dict snapshot (for metrics export and tests)."""
-        return {
-            "service": self.service,
-            "node": self.node,
-            "state": self.state,
-            "messages_handled": self.messages_handled,
-            "dispatched": dict(self.dispatched),
-            "events": dict(self.events),
-            "queue_high_water": self.queue_high_water,
-            "busy_s": self.busy_s,
-            "dropped": dict(self.dropped),
-        }
 
 
 class InstrumentationBus:
@@ -221,11 +205,6 @@ class InstrumentationBus:
         for fn, kinds in self.subscribers:
             if kinds is None or kind in kinds:
                 fn(record)
-
-    # -- summaries -------------------------------------------------------
-    def summary(self) -> list[dict[str, _t.Any]]:
-        """Per-daemon stats snapshots, in registration order."""
-        return [stats.as_dict() for stats in self.stats.values()]
 
 
 def get_bus(env: "Environment") -> InstrumentationBus:

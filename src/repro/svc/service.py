@@ -312,7 +312,6 @@ class Service:
 
     def _connection_loop(self, endpoint: "Endpoint") -> _t.Generator:
         stats = self.svc_stats
-        bus = self.bus
         env = self.env
         node = self.node
         while True:
@@ -321,13 +320,6 @@ class Service:
             depth = endpoint.pending() + 1
             if depth > stats.queue_high_water:
                 stats.queue_high_water = depth
-            if "msg_received" in bus.heard:
-                bus.emit(
-                    stats.service,
-                    "msg_received",
-                    node=stats.node,
-                    msg=msg.kind,
-                )
             # dispatch(), without a generator frame per message.
             handler = self._route(msg)
             if self.request_cpu_s and node is not None:
@@ -359,10 +351,6 @@ class Service:
         stats = self.svc_stats
         stats.messages_handled += 1
         stats.dispatched[kind] = stats.dispatched.get(kind, 0) + 1
-        if "dispatch" in self.bus.heard:
-            self.bus.emit(
-                stats.service, "dispatch", node=stats.node, msg=kind
-            )
         return handler
 
     def _emit(self, kind: str, **detail: _t.Any) -> None:

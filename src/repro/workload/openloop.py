@@ -473,8 +473,8 @@ _LATENCY_SERIES = (
 
 
 def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (matching
-    ``Metrics.percentile``)."""
+    """Nearest-rank percentile of an ascending list: the smallest
+    value with at least ``q`` % of the list at or below it."""
     if not ordered:
         return math.nan
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))

@@ -90,8 +90,6 @@ def run_instances(
     start = env.now
     env.run(until=done)
     total = env.now - start
-    cluster.record_network_metrics()  # net.* saturation counters
-    cluster.record_scheduler_metrics()  # sim.* event-loop counters
     metrics = cluster.metrics
     return RunOutcome(
         instances=[
@@ -149,8 +147,6 @@ def _run_replay(
     recorder = _tap(cluster) if record else None
     replayer = TraceReplayer(cluster, trace, preserve_timing=False)
     total = replayer.run()
-    cluster.record_network_metrics()
-    cluster.record_scheduler_metrics()
     metrics = cluster.metrics
     return RunOutcome(
         instances=_replay_instances(trace, replayer.completion),

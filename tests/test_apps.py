@@ -132,4 +132,4 @@ def test_app_results_recorded_in_metrics():
     cluster = make_cluster()
     app = VideoFrameExtractor(cluster, "node0", frames=3, name="vid")
     run_app_mix(cluster, [app])
-    assert cluster.metrics.samples("app.vid.elapsed")
+    assert cluster.metrics.series["app.vid.elapsed"]

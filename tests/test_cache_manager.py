@@ -509,12 +509,7 @@ def _footprint(cluster):
         env.trace_hash(),
         stats["events_processed"],
         stats["queue_depth_hw"],
-        # every counter but the one that tells the two runs apart
-        {
-            k: v
-            for k, v in cluster.metrics.counters.items()
-            if k != "sim.turns_in_place"
-        },
+        dict(cluster.metrics.counters),
         {k: list(v) for k, v in cluster.metrics.series.items()},
     )
 

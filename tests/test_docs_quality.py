@@ -145,6 +145,37 @@ def test_docs_name_only_env_vars_the_program_reads():
     assert not revived, f"removed variables still spelled in src/repro: {revived}"
 
 
+#: Observation paths folded into the four homes of a number (DESIGN.md
+#: appendix A.11): ``Metrics``, the svc bus's ``ServiceStats``,
+#: ``Environment.sched_stats()`` and ``Network.stats_snapshot()``.
+REMOVED_NAMES = {
+    "DaemonMonitor",
+    "ResourceMonitor",
+    "attach_bus",
+    "record_network_metrics",
+    "record_scheduler_metrics",
+}
+
+
+def test_no_removed_name_is_spelled_in_source_or_docs():
+    texts = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    }
+    for doc in DOCS:
+        if (ROOT / doc).exists():
+            text = (ROOT / doc).read_text()
+            # Appendix A tells what went and why, by name.
+            texts[doc] = text.split("\n## Appendix A.")[0]
+    stale = sorted(
+        f"{where}: {name}"
+        for where, text in texts.items()
+        for name in REMOVED_NAMES
+        if name in text
+    )
+    assert not stale, "removed names still spelled:\n" + "\n".join(stale)
+
+
 def test_docs_name_only_cli_flags_the_parser_has(capsys):
     from repro.experiments.report import main
 

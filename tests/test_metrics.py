@@ -1,10 +1,9 @@
-"""Unit tests for the metrics collector."""
+"""Unit tests for the metrics collector and the nearest-rank percentile."""
 
 import math
 
-import pytest
-
 from repro.metrics import Metrics
+from repro.workload.openloop import _percentile
 
 
 def test_counters():
@@ -19,54 +18,20 @@ def test_series_basic():
     m = Metrics()
     for v in (1.0, 2.0, 3.0):
         m.record("lat", v)
-    assert m.samples("lat") == [1.0, 2.0, 3.0]
+    assert m.series["lat"] == [1.0, 2.0, 3.0]
     assert m.mean("lat") == 2.0
-    assert m.total("lat") == 6.0
 
 
 def test_empty_series_stats():
     m = Metrics()
     assert math.isnan(m.mean("ghost"))
-    assert m.total("ghost") == 0
-    assert math.isnan(m.percentile("ghost", 50))
-    assert m.summary("ghost")["n"] == 0
+    assert "ghost" not in m.series
+    assert math.isnan(_percentile([], 50))
 
 
 def test_percentiles():
-    m = Metrics()
-    for v in range(1, 101):
-        m.record("lat", float(v))
-    assert m.percentile("lat", 50) == 50.0
-    assert m.percentile("lat", 95) == 95.0
-    assert m.percentile("lat", 100) == 100.0
-    assert m.percentile("lat", 0) == 1.0
-    with pytest.raises(ValueError):
-        m.percentile("lat", 101)
-
-
-def test_summary():
-    m = Metrics()
-    for v in (5.0, 1.0, 3.0):
-        m.record("lat", v)
-    s = m.summary("lat")
-    assert s["n"] == 3
-    assert s["min"] == 1.0
-    assert s["max"] == 5.0
-    assert s["mean"] == 3.0
-
-
-def test_ratio():
-    m = Metrics()
-    assert m.ratio("h", "m") == 0.0
-    m.inc("h", 3)
-    m.inc("m", 1)
-    assert m.ratio("h", "m") == 0.75
-
-
-def test_snapshot():
-    m = Metrics()
-    m.inc("c", 2)
-    m.record("s", 1.5)
-    snap = m.snapshot()
-    assert snap["counters"] == {"c": 2}
-    assert snap["series"]["s"]["n"] == 1
+    ordered = [float(v) for v in range(1, 101)]
+    assert _percentile(ordered, 50) == 50.0
+    assert _percentile(ordered, 95) == 95.0
+    assert _percentile(ordered, 100) == 100.0
+    assert _percentile(ordered, 0) == 1.0

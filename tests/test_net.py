@@ -257,13 +257,10 @@ def test_hub_stats_snapshot_and_busy_time():
     assert snap["wire_busy_s"] == pytest.approx(_wire_s(65536))
 
 
-def test_network_saturation_reaches_metrics_and_bus():
-    from repro.svc.events import get_bus
+def test_network_stats_snapshot_counts_a_write_run():
     from repro.workload import MicroBenchmark, MicroBenchParams
 
     cluster = make_cluster()
-    bus = get_bus(cluster.env)
-    cluster.network.attach_bus(bus)
     params = MicroBenchParams(
         nodes=cluster.config.compute_node_names(),
         request_size=65536,
@@ -274,15 +271,10 @@ def test_network_saturation_reaches_metrics_and_bus():
     )
     procs = MicroBenchmark(params).spawn(cluster)
     cluster.env.run(until=cluster.env.all_of(procs))
-    snap = cluster.record_network_metrics()
-    assert snap["messages_delivered"] > 0
-    # record_network_metrics folded the snapshot into net.* counters.
-    assert cluster.metrics.counters["net.messages_delivered"] > 0
-    assert cluster.metrics.counters["net.bytes_transferred"] > 0
-    # The bus row mirrors delivery totals and wire-busy time.
-    stats = bus.stats["network"]
-    assert stats.messages_handled == snap["messages_delivered"]
-    assert stats.busy_s == pytest.approx(snap["wire_busy_s"])
+    snap = cluster.network.stats_snapshot()
+    assert snap["messages_delivered"] == cluster.network.messages_delivered > 0
+    assert snap["bytes_transferred"] > 0
+    assert snap["wire_busy_s"] == pytest.approx(cluster.network.fabric.wire_busy_s)
 
 
 # -- Network endpoints ---------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.common import ExperimentResult
-from repro.experiments.plots import render_bar_chart, render_chart, sparkline
+from repro.experiments.plots import render_chart
 
 
 def _result():
@@ -58,25 +58,3 @@ def test_render_chart_single_point():
     r.new_series("only").add(5, 0.5)
     out = render_chart(r, log_x=False)
     assert "o" in out
-
-
-def test_bar_chart():
-    out = render_bar_chart(
-        [("cache-coloc", 0.2), ("nocache-spread", 0.3)], title="fig8 @64KB"
-    )
-    assert "fig8 @64KB" in out
-    assert "cache-coloc" in out
-    assert "█" in out
-    assert "0.3" in out
-
-
-def test_bar_chart_empty():
-    assert "(no data)" in render_bar_chart([], title="t")
-
-
-def test_sparkline():
-    assert sparkline([]) == ""
-    line = sparkline([1, 2, 3, 4])
-    assert len(line) == 4
-    assert line[0] == "▁" and line[-1] == "█"
-    assert sparkline([5, 5, 5]) == "▁▁▁"

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.metrics import DaemonMonitor, Metrics, daemon_table
+from repro.metrics import daemon_table
 from repro.net import Message, Network, SocketAPI
+from repro.pvfs import protocol
 from repro.sim import Environment
 from repro.svc import Service, ServiceCrashed, ServiceState, get_bus, handles
 from repro.svc.events import CORE_EVENT_KINDS
@@ -189,34 +190,17 @@ def test_bus_records_only_reach_subscribers():
 
     env.process(app(env))
     env.run()
-    kinds = [r.kind for r in records]
-    assert "msg_received" in kinds and "dispatch" in kinds
+    env.run(until=env.process(service.drain()))
+    service.stop()
+    # A message is counted in ServiceStats, never recorded on the bus.
+    assert service.svc_stats.dispatched == {"ping": 1}
+    assert [r.kind for r in records] == ["drain", "drained", "stop"]
     detach()
     assert not bus.subscribers
 
 
-def test_metrics_attach_bus_mirrors_events():
-    env, service, client = _echo_world()
-    metrics = Metrics()
-    detach = metrics.attach_bus(get_bus(env))
-
-    def app(env):
-        endpoint = yield env.process(
-            client.sockets.connect("srv", EchoService.PORT)
-        )
-        endpoint.send(Message(kind="ping", size_bytes=16))
-        yield endpoint.recv()
-
-    env.process(app(env))
-    env.run()
-    assert metrics.count("svc.echo-srv.dispatch") == 1
-    assert metrics.count("svc.echo-srv.msg_received") == 1
-    detach()
-
-
 def test_daemon_monitor_and_table():
     env, service, client = _echo_world()
-    monitor = DaemonMonitor(get_bus(env), keep_records=8)
 
     def app(env):
         endpoint = yield env.process(
@@ -228,12 +212,13 @@ def test_daemon_monitor_and_table():
 
     env.process(app(env))
     env.run()
-    assert monitor.count("echo-srv", "dispatch") == 3
-    assert monitor.records  # ring buffer kept some
+    assert service.svc_stats.dispatched == {"ping": 3}
     table = daemon_table(get_bus(env))
-    assert "echo-srv" in table and "running" in table
-    monitor.close()
-    assert monitor.bus.subscribers == []
+    header, row = table.splitlines()
+    assert header.split() == [
+        "daemon", "node", "state", "handled", "q-high", "busy(s)", "dropped"
+    ]
+    assert row.split()[:4] == ["echo-srv", "srv", "running", "3"]
 
 
 def test_cluster_daemons_all_subclass_service():
@@ -253,7 +238,6 @@ def test_cluster_daemons_all_subclass_service():
 def test_cluster_bus_sees_traffic():
     cluster = make_cluster(compute_nodes=1, iod_nodes=1)
     bus = get_bus(cluster.env)
-    monitor = DaemonMonitor(bus)
     client = cluster.client("node0")
 
     def app(env):
@@ -262,7 +246,7 @@ def test_cluster_bus_sees_traffic():
         yield from client.read(handle, 0, 8192)
 
     run_app(cluster, app(cluster.env))
-    assert monitor.count("mgr", "dispatch") == 1
+    assert bus.stats["mgr"].dispatched == {protocol.MGR_OPEN: 1}
     assert bus.stats["mgr"].messages_handled == 1
     # The 8 KiB write was absorbed by the cache; flushing it produces
     # the iod traffic (FLUSH batches) the bus should have seen.
@@ -288,29 +272,22 @@ def test_every_kind_the_stock_services_emit_is_a_core_kind():
 
     run_app(cluster, app(cluster.env))
     run_app(cluster, cluster.drain_caches())
-    assert {"metadata_op", "client_io", "dispatch", "invalidation"} <= seen
+    assert {"metadata_op", "client_io", "invalidation"} <= seen
     assert seen <= set(CORE_EVENT_KINDS)
 
 
 def test_a_subscriber_receives_only_the_kinds_it_names():
     env, service, client = _echo_world()
     bus = get_bus(env)
-    dispatches, everything = [], []
-    bus.subscribe(dispatches.append, kinds=("dispatch",))
-    assert "dispatch" in bus.heard and "msg_received" not in bus.heard
+    stops, everything = [], []
+    bus.subscribe(stops.append, kinds=("stop",))
+    assert "stop" in bus.heard and "drain" not in bus.heard
     detach = bus.subscribe(everything.append)
-    assert "msg_received" in bus.heard
+    assert "drain" in bus.heard
 
-    def app(env):
-        endpoint = yield env.process(
-            client.sockets.connect("srv", EchoService.PORT)
-        )
-        endpoint.send(Message(kind="ping", size_bytes=16))
-        yield endpoint.recv()
-
-    env.process(app(env))
-    env.run()
-    assert [r.kind for r in dispatches] == ["dispatch"]
-    assert {r.kind for r in everything} == {"msg_received", "dispatch"}
+    env.run(until=env.process(service.drain()))
+    service.stop()
+    assert [r.kind for r in stops] == ["stop"]
+    assert [r.kind for r in everything] == ["drain", "drained", "stop"]
     detach()
-    assert "msg_received" not in bus.heard
+    assert "drain" not in bus.heard
