@@ -17,11 +17,11 @@ Components map one-to-one onto the paper's Section 3.2:
   with a server peer on each iod;
 * :class:`~repro.cache.harvester.Harvester` — frees blocks ahead of
   demand between a low and a high watermark;
-* :class:`~repro.cache.fsm.RequestFSM` — the per-socket finite state
-  machine that fakes acknowledgements and splices cached blocks into
-  partially-hit requests;
 * :class:`~repro.cache.module.CacheModule` — the interception layer
-  (read / write / sync_write) plus the invalidation listener.
+  (read / write / sync_write) plus the invalidation listener.  Its
+  control flow is the paper's per-socket finite state machine: lookup,
+  split requests around cached blocks, fake the iods' acknowledgements,
+  await data, copy out.
 """
 
 from repro.cache.block import BlockState, CacheBlock

@@ -12,6 +12,12 @@ Requests are processed in bounded *segments* (at most
 that concurrent large requests cannot pin the entire cache — the
 equivalent of the real module's progressive copy-out as socket data
 arrives.
+
+The paper's per-socket finite state machine is the control flow of
+``_read_segment`` and ``_fetch``: look up, split the miss requests
+around cached blocks, fake the iods' acknowledgements, await the
+data, copy out.  The ``cache.split_requests`` and ``cache.faked_acks``
+counters record its two visible effects.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cache.block import BlockState, CacheBlock, ready_run
-from repro.cache.fsm import FSMState, RequestFSM
 from repro.cache.harvester import Harvester
 from repro.cache.flusher import Flusher
 from repro.cache.manager import BufferManager
@@ -300,17 +305,8 @@ class CacheModule(Service):
                     resolved[block_no] = block
                     self._classify_valid(block_no, start, end, block, gappy)
                 i += 1
-            # A fully hit segment walks LOOKUP -> COPY -> DONE, which
-            # no transition check can refuse, so only a segment that
-            # goes to the iods carries a RequestFSM, from its fetch on.
-            fsm = None
             if owned or gappy:
-                fsm = RequestFSM(self.env)
-                fsm.to(FSMState.LOOKUP)
-                yield from self._fetch(
-                    handle, fsm, owned, gappy, buf is not None
-                )
-                fsm.to(FSMState.COPY)
+                yield from self._fetch(handle, owned, gappy, buf is not None)
             else:
                 counters["cache.fully_hit_segments"] += 1
             # The kernel->user copy is an *extra* cost only for blocks
@@ -334,8 +330,6 @@ class CacheModule(Service):
                     if piece is not None:
                         dst = block_no * self.block_size + start - request_base
                         buf[dst : dst + (end - start)] = piece
-            if fsm is not None:
-                fsm.to(FSMState.DONE)
         finally:
             self.manager.unpin_run(pinned)
         counters["cache.read_segments"] += 1
@@ -409,7 +403,6 @@ class CacheModule(Service):
     def _fetch(
         self,
         handle: FileHandle,
-        fsm: RequestFSM,
         owned: dict[int, CacheBlock],
         gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
         want_data: bool,
@@ -436,7 +429,6 @@ class CacheModule(Service):
         for off, n in ranges:
             iod = self.iod_nodes[self.layout.iod_index(off)]
             per_iod.setdefault(iod, []).append((off, n))
-        fsm.to(FSMState.REQUESTS_ISSUED)
         calls = []
         requested_bytes = 0
         for iod_node in sorted(per_iod):
@@ -448,7 +440,6 @@ class CacheModule(Service):
                 hi = max(r[0] + r[1] for r in iod_ranges)
                 iod_ranges = [(lo, hi - lo)]
             else:
-                fsm.split_requests += len(iod_ranges) - 1
                 counters["cache.split_requests"] += len(iod_ranges) - 1
             requested_bytes += sum(n for _, n in iod_ranges)
             channel = yield from self._iod_pool.channel(iod_node)
@@ -470,11 +461,8 @@ class CacheModule(Service):
             )
         # The real iod acks arrive later on the shared socket; the
         # module acknowledges libpvfs locally right away.
-        fsm.to(FSMState.ACK_FAKED)
-        fsm.fake_ack(len(calls))
         counters["cache.faked_acks"] += len(calls)
         yield self.node.compute(self.node.costs.cache_fsm_s)
-        fsm.to(FSMState.AWAIT_DATA)
         for call in calls:
             ack = yield call.response()
             if ack.kind != protocol.IOD_READ_ACK:
@@ -578,8 +566,6 @@ class CacheModule(Service):
         request_base: int,
         sync: bool,
     ) -> _t.Generator:
-        # A write segment walks LOOKUP -> COPY -> DONE, like a fully
-        # hit read segment, so it carries no RequestFSM either.
         block_nos = blocks_spanned(offset, nbytes, self.block_size)
         yield self.node.compute(
             self.node.costs.cache_lookup_s * len(block_nos)

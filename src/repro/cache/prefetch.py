@@ -133,13 +133,7 @@ class ReadAhead:
                         owned[block_nos[i]] = block
                     i += 1
             if owned:
-                from repro.cache.fsm import FSMState, RequestFSM
-
-                fsm = RequestFSM(self.env)
-                fsm.to(FSMState.LOOKUP)
-                yield from self.module._fetch(
-                    handle, fsm, owned, {}, want_data=True
-                )
+                yield from self.module._fetch(handle, owned, {}, want_data=True)
                 self.module.metrics.inc("prefetch.completed", len(owned))
         finally:
             for block_no in block_nos:

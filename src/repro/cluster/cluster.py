@@ -57,10 +57,8 @@ class Cluster:
 
         compute_names = self.config.compute_node_names()
         iod_names = self.config.iod_node_names()
-        #: How many hash-partitioned metadata shards run (DESIGN.md
-        #: §17).  Resolved once here, so a mid-run env-var change cannot
-        #: split a cluster's namespace across shard counts.
-        self.mgr_shards = self.config.resolved_mgr_shards
+        #: How many hash-partitioned metadata shards run (DESIGN.md §17).
+        self.mgr_shards = self.config.mgr_shards
         #: Where each mgr shard lives: shard ``k`` on iod node
         #: ``k % n_iods``, on port ``MGR_PORT + k // n_iods`` so shards
         #: beyond the node count stack onto fresh ports instead of

@@ -13,23 +13,6 @@ benchmarks.
 from __future__ import annotations
 
 import dataclasses
-import os
-
-#: Environment variable naming a workload trace file (JSONL or CSV
-#: dialect) to replay *instead of* the synthetic micro-benchmark, for
-#: configs whose ``trace_source`` is unset.  This is how ``--trace``
-#: reaches every ``run_instances`` call, including inside parallel
-#: sweep workers — so the fig4-8 drivers can all be pointed at one
-#: recorded workload.
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-#: Environment variable selecting how many hash-partitioned metadata
-#: server shards a cluster runs, for configs whose ``mgr_shards`` is
-#: unset.  ``1`` (or unset) keeps the paper's single mgr — and the
-#: schedule bit-identical to it; like ``REPRO_TRACE``, this is how
-#: ``--mgr-shards`` reaches clusters built inside parallel sweep
-#: workers.
-MGR_SHARDS_ENV_VAR = "REPRO_MGR_SHARDS"
 
 
 @dataclasses.dataclass
@@ -176,23 +159,17 @@ class ClusterConfig:
     pagecache_blocks: int = 16384
     #: Whether compute nodes run the kernel cache module.
     caching: bool = True
-    #: Path of a workload trace (JSONL or CSV dialect) to replay
-    #: instead of the synthetic benchmark the driver would generate,
-    #: or ``None`` to defer to ``REPRO_TRACE`` falling back to the
-    #: synthetic workload.  See ``repro.workload.runner``.
-    trace_source: str | None = None
     #: Hash-partitioned metadata server shards (DESIGN.md §17): how
-    #: many mgr daemons the file namespace is split across, or
-    #: ``None`` to defer to ``REPRO_MGR_SHARDS`` falling back to 1
-    #: (the paper's single mgr, bit-identical schedules).
-    mgr_shards: int | None = None
+    #: many mgr daemons the file namespace is split across.  1 is the
+    #: paper's single mgr.
+    mgr_shards: int = 1
     cache: CacheConfig = dataclasses.field(default_factory=CacheConfig)
     costs: CostModel = dataclasses.field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         if self.compute_nodes < 1 or self.iod_nodes < 1:
             raise ValueError("need at least one compute and one iod node")
-        if self.mgr_shards is not None and self.mgr_shards < 1:
+        if self.mgr_shards < 1:
             raise ValueError(
                 f"mgr_shards must be >= 1, got {self.mgr_shards}"
             )
@@ -203,39 +180,6 @@ class ClusterConfig:
                 "stripe size must be a multiple of the cache block size "
                 f"({self.stripe_size} % {self.cache.block_size} != 0)"
             )
-
-    @property
-    def resolved_trace_source(self) -> str | None:
-        """The trace file to replay, or ``None`` for synthetic runs.
-
-        An explicit ``trace_source`` wins; otherwise a non-empty
-        ``REPRO_TRACE`` chooses, and with neither set drivers generate
-        their synthetic workloads as usual.
-        """
-        return self.trace_source or os.environ.get(TRACE_ENV_VAR) or None
-
-    @property
-    def resolved_mgr_shards(self) -> int:
-        """How many metadata server shards this config asks for.
-
-        An explicit ``mgr_shards`` wins; otherwise a non-empty
-        ``REPRO_MGR_SHARDS`` chooses, and with neither set the
-        paper's single mgr runs.
-        """
-        if self.mgr_shards is not None:
-            return self.mgr_shards
-        raw = os.environ.get(MGR_SHARDS_ENV_VAR, "")
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{MGR_SHARDS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
-        if shards < 1:
-            raise ValueError(f"{MGR_SHARDS_ENV_VAR}={raw!r} must be >= 1")
-        return shards
 
     def compute_node_names(self) -> list[str]:
         """Names of the compute nodes."""
@@ -252,12 +196,18 @@ class ClusterConfig:
 
     #: Read only by the frozen ``bench/workloads.py`` provenance block;
     #: there is one engine, one read path, one network model and one
-    #: disk model (DESIGN.md appendix A).  The next benchmark PR should
-    #: drop these constants and that reader together.
+    #: disk model (DESIGN.md appendix A), and ``mgr_shards`` is read
+    #: as it is.  The next benchmark PR should drop these and that
+    #: reader together.
     resolved_engine_shards = 1
     resolved_engine_macro = False
     resolved_net_model = "frames"
     resolved_disk_model = "mech"
+
+    @property
+    def resolved_mgr_shards(self) -> int:
+        """``mgr_shards``, under the name the provenance block reads."""
+        return self.mgr_shards
 
     #: Well-known ports.
     MGR_PORT = 3000

@@ -8,12 +8,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 import typing as _t
 
-from repro.cluster.config import MGR_SHARDS_ENV_VAR, TRACE_ENV_VAR, ClusterConfig
+from repro.cluster.config import ClusterConfig
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
@@ -26,7 +25,6 @@ from repro.experiments.sensitivity import (
     run_cache_size_sweep,
     run_multiprogramming_sweep,
 )
-from repro.workload.trace import TraceFormatError, load_path
 
 RUNNERS: dict[str, _t.Callable[[bool], list[ExperimentResult]]] = {
     "overhead": lambda quick: [run_overhead()],
@@ -71,19 +69,22 @@ def _run_extensions(quick: bool) -> "list[ExperimentResult]":
 DEFAULT_SET = ["overhead", "fig4", "fig5", "fig6", "fig7", "fig8"]
 
 
-def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
+def daemon_summary(stream: _t.TextIO = sys.stdout, mgr_shards: int = 1) -> str:
     """Run a small shared-read workload and print what each daemon did.
 
     Exercises every service in the runtime — mgr opens, iod reads and
     writes, flusher batches, invalidations (via a sync_write), and the
-    writeback daemons — then renders each daemon's always-on stats,
-    the fabric's and the scheduler's counters.
+    writeback daemons — on a cluster of ``mgr_shards`` metadata
+    shards, then renders each daemon's always-on stats, the fabric's
+    and the scheduler's counters.
     """
     from repro.cluster.cluster import Cluster
     from repro.metrics import daemon_table, mgr_shard_table
     from repro.svc import ServiceEvent, get_bus
 
-    cluster = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=2))
+    cluster = Cluster(
+        ClusterConfig(compute_nodes=2, iod_nodes=2, mgr_shards=mgr_shards)
+    )
     bus = get_bus(cluster.env)
     # The one count no ServiceStats holds: invalidation notices an iod
     # fans out, charged to the mgr shard owning the file.  The cache
@@ -121,7 +122,7 @@ def daemon_summary(stream: _t.TextIO = sys.stdout) -> str:
     print(table, file=stream)
     print("\nmetadata shards:", file=stream)
     print(mgr_shard_table(bus, cluster.env.now, fanout), file=stream)
-    print(f"\n[{dispatches} dispatches observed on the bus]", file=stream)
+    print(f"\n[{dispatches} dispatches counted by ServiceStats]", file=stream)
     print(
         "[network: {model}, {messages_delivered} messages, "
         "{bytes_transferred} bytes, wire busy {wire_busy_s:.4f}s]".format(
@@ -198,22 +199,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "hash-partition the PVFS metadata namespace across N mgr "
-            "shards (DESIGN.md §17); 1 (the default) is the paper's "
-            "single mgr, bit-identical to before"
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help=(
-            "replay this workload trace (JSONL/CSV, see "
-            "'python -m repro.workload record') instead of each "
-            "experiment's synthetic benchmark — every run_instances "
-            "call, including in sweep workers, replays it closed-loop "
-            "on that point's cluster configuration"
+            "with --daemons: hash-partition the PVFS metadata namespace "
+            "across N mgr shards (DESIGN.md §17); 1 (the default) is the "
+            "paper's single mgr"
         ),
     )
     parser.add_argument(
@@ -232,50 +220,39 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     if args.mgr_shards is not None:
         if args.mgr_shards < 1:
             parser.error(f"--mgr-shards must be >= 1, got {args.mgr_shards}")
-        # Via the environment so parallel sweep workers inherit it —
-        # every ClusterConfig built anywhere in this run resolves it.
-        os.environ[MGR_SHARDS_ENV_VAR] = str(args.mgr_shards)
-    if args.trace:
-        os.environ[TRACE_ENV_VAR] = args.trace
-    # A bad environment value or trace file fails here, naming it, not
-    # as a traceback from the first sweep or cluster build.
+        if not args.daemons:
+            # Each figure sets its own clusters' shard count.
+            parser.error("--mgr-shards applies only to --daemons")
+    # A bad environment value fails here, naming it, not as a traceback
+    # from the first sweep.
     try:
         resolve_workers()
-        config = ClusterConfig()
-        config.resolved_mgr_shards
     except ValueError as exc:
         parser.error(str(exc))
-    trace = config.resolved_trace_source
-    if trace is not None:
-        try:
-            load_path(trace)
-        except (TraceFormatError, OSError) as exc:
-            reason = exc.strerror if isinstance(exc, OSError) else exc
-            parser.error(f"{trace}: {reason}")
-    if args.profile:
-        import cProfile
-        import pstats
 
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            if args.daemons:
-                daemon_summary()
-            else:
-                only = args.only.split(",") if args.only else None
-                run_all(quick=args.quick, only=only, charts=args.charts)
-        finally:
-            profiler.disable()
-            stats = pstats.Stats(profiler, stream=sys.stdout)
-            stats.strip_dirs().sort_stats("cumulative")
-            print(f"\n=== cProfile: top {args.profile} by cumulative time ===")
-            stats.print_stats(args.profile)
+    def run() -> None:
+        if args.daemons:
+            daemon_summary(mgr_shards=args.mgr_shards or 1)
+        else:
+            only = args.only.split(",") if args.only else None
+            run_all(quick=args.quick, only=only, charts=args.charts)
+
+    if not args.profile:
+        run()
         return 0
-    if args.daemons:
-        daemon_summary()
-        return 0
-    only = args.only.split(",") if args.only else None
-    run_all(quick=args.quick, only=only, charts=args.charts)
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        run()
+    finally:
+        profiler.disable()
+        stats = pstats.Stats(profiler, stream=sys.stdout)
+        stats.strip_dirs().sort_stats("cumulative")
+        print(f"\n=== cProfile: top {args.profile} by cumulative time ===")
+        stats.print_stats(args.profile)
     return 0
 
 

@@ -108,8 +108,8 @@ def _knee_ops_s(mgr_shards: int) -> float:
 class Points:
     """The measurements rows share, each simulated once per instance.
 
-    A point is a pure function of its arguments and of the models the
-    environment resolves, so one ``Points`` serves one run of the table.
+    A point is a pure function of its arguments, so one ``Points``
+    serves one run of the table.
     The memos key on the call as written: rows that want one side of a
     point call ``single_point(d, mode, caching, locality, p)`` /
     ``pair_point(d, locality, sharing, caching, p)`` with exactly these

@@ -20,7 +20,7 @@ Timing modes:
 * ``preserve_timing=False`` (closed loop): requests are issued
   back-to-back, honoring only each event's explicit ``think_s`` —
   this is how "replay the workload against a different config" should
-  run, and what the ``REPRO_TRACE`` seam uses.
+  run, and what ``python -m repro.workload replay`` does by default.
 """
 
 from __future__ import annotations

@@ -172,3 +172,28 @@ def test_drain_caches_helper():
         )
 
     run_app(cluster, app(cluster.env))
+
+
+def test_the_environment_configures_no_cluster(tmp_path, monkeypatch):
+    """``REPRO_TRACE`` and ``REPRO_MGR_SHARDS`` are read by nothing
+    (DESIGN.md appendix A.12): with both set, a fig4 point still runs
+    its synthetic benchmark on the paper's single mgr, schedule and
+    all."""
+    from repro.workload.replay import (
+        _fig4_point,
+        fig4_point_trace_hash,
+        record_microbench_trace,
+    )
+    from repro.workload.runner import run_instances
+
+    unset = fig4_point_trace_hash()
+    other = tmp_path / "other.jsonl"
+    other.write_text(record_microbench_trace(iterations=2))
+    monkeypatch.setenv("REPRO_TRACE", str(other))
+    monkeypatch.setenv("REPRO_MGR_SHARDS", "3")
+    outcome = run_instances(*_fig4_point(4096, "read", 2, 8, 1234))
+    assert outcome.cluster.mgr_shards == 1
+    # Two ranks of eight synthetic reads, not the four-read recording.
+    assert [len(i.per_rank) for i in outcome.instances] == [2]
+    assert outcome.counter("client.reads") == 2 * 8
+    assert fig4_point_trace_hash() == unset

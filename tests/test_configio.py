@@ -99,6 +99,18 @@ def test_removed_global_cache_knob_is_rejected():
         loads_config('{"cache": {"global_cache": true}}')
 
 
+def test_removed_trace_source_knob_is_rejected():
+    """A config replays no trace (DESIGN.md appendix A.12): one that
+    names a trace must fail, not run the synthetic benchmark while
+    saying otherwise."""
+    with pytest.raises(TypeError, match="trace_source"):
+        ClusterConfig(trace_source="run.jsonl")  # type: ignore[call-arg]
+    with pytest.raises(
+        ValueError, match=r"unknown cluster keys: \['trace_source'\]"
+    ):
+        config_from_dict({"trace_source": "run.jsonl"})
+
+
 def test_validation_still_applies():
     with pytest.raises(ValueError):
         loads_config('{"compute_nodes": 0}')

@@ -4,7 +4,6 @@ import io
 
 import pytest
 
-from repro.cluster.config import MGR_SHARDS_ENV_VAR
 from repro.experiments.common import (
     QUICK_SIZES,
     ExperimentResult,
@@ -169,6 +168,10 @@ def test_run_all_with_charts():
             ["--disk-model", "queued"],
             "unrecognized arguments: --disk-model queued",
         ),
+        # Removed with the REPRO_TRACE seam (DESIGN.md appendix A.12).
+        (["--trace", "x"], "unrecognized arguments: --trace x"),
+        # Figures set their own clusters' shard count.
+        (["--mgr-shards", "2"], "--mgr-shards applies only to --daemons"),
     ],
 )
 def test_cli_rejects_bad_flags_at_parse_time(argv, message, capsys):
@@ -182,8 +185,6 @@ def test_cli_rejects_bad_flags_at_parse_time(argv, message, capsys):
     "var, value, message",
     [
         (WORKERS_ENV_VAR, "abc", "REPRO_SWEEP_WORKERS='abc' is not an integer"),
-        (MGR_SHARDS_ENV_VAR, "abc", "REPRO_MGR_SHARDS='abc' is not an integer"),
-        (MGR_SHARDS_ENV_VAR, "0", "REPRO_MGR_SHARDS='0' must be >= 1"),
     ],
 )
 def test_cli_rejects_bad_env_values_at_parse_time(

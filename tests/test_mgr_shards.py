@@ -10,11 +10,7 @@ sequence, bit-identical schedule hashes.
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import (
-    MGR_SHARDS_ENV_VAR,
-    CacheConfig,
-    ClusterConfig,
-)
+from repro.cluster.config import CacheConfig, ClusterConfig
 from repro.pvfs import protocol
 from repro.sim import Environment
 from repro.workload.replay import TraceReplayer
@@ -123,17 +119,7 @@ def test_owning_mgr_shard_inverts_id_allocation():
 
 
 def test_mgr_shards_default_is_one():
-    assert ClusterConfig().resolved_mgr_shards == 1
-
-
-def test_mgr_shards_explicit_wins_over_env(monkeypatch):
-    monkeypatch.setenv(MGR_SHARDS_ENV_VAR, "8")
-    assert ClusterConfig(mgr_shards=2).resolved_mgr_shards == 2
-
-
-def test_mgr_shards_env_var(monkeypatch):
-    monkeypatch.setenv(MGR_SHARDS_ENV_VAR, "4")
-    assert ClusterConfig().resolved_mgr_shards == 4
+    assert ClusterConfig().mgr_shards == 1
 
 
 def test_mgr_shards_validation():

@@ -4,7 +4,6 @@ import io
 
 import pytest
 
-from repro.cluster.config import MGR_SHARDS_ENV_VAR
 from repro.experiments.report import daemon_summary
 from repro.metrics import daemon_table, mgr_shard_table
 from repro.pvfs import protocol
@@ -13,10 +12,9 @@ from repro.svc import get_bus
 from tests.conftest import make_cluster
 
 
-def _summary(monkeypatch, shards):
-    monkeypatch.setenv(MGR_SHARDS_ENV_VAR, str(shards))
+def _summary(shards):
     stream = io.StringIO()
-    daemon_summary(stream=stream)
+    daemon_summary(stream=stream, mgr_shards=shards)
     return stream.getvalue()
 
 
@@ -44,7 +42,7 @@ metadata shards:
 shard  node   meta-ops  ops/s  q-high  inval-out
 0      node0  2         53.3   1       1
 
-[12 dispatches observed on the bus]
+[12 dispatches counted by ServiceStats]
 [network: frames-switch, 18 messages, 263264 bytes, wire busy 0.0211s]
 [scheduler: 421 events (142 taken in place), depth hw 15]
 """
@@ -71,7 +69,7 @@ shard  node   meta-ops  ops/s  q-high  inval-out
 1      node1  0         0.0    0       0
 2      node0  2         53.3   1       1
 
-[12 dispatches observed on the bus]
+[12 dispatches counted by ServiceStats]
 [network: frames-switch, 18 messages, 263264 bytes, wire busy 0.0211s]
 [scheduler: 423 events (142 taken in place), depth hw 17]
 """
@@ -81,14 +79,14 @@ PINNED = {1: DAEMONS_ONE_SHARD, 3: DAEMONS_THREE_SHARDS}
 
 
 @pytest.mark.parametrize("shards", sorted(PINNED))
-def test_daemon_summary_prints_the_pinned_report(monkeypatch, shards):
-    out = _summary(monkeypatch, shards)
+def test_daemon_summary_prints_the_pinned_report(shards):
+    out = _summary(shards)
     assert [line.rstrip() for line in out.splitlines()] == PINNED[shards].splitlines()
 
 
-def test_daemon_summary_scheduler_line_fields(monkeypatch):
+def test_daemon_summary_scheduler_line_fields():
     line = next(
-        ln for ln in _summary(monkeypatch, 1).splitlines()
+        ln for ln in _summary(1).splitlines()
         if ln.startswith("[scheduler:")
     )
     for field in ("events", "taken in place", "depth hw"):
@@ -96,8 +94,8 @@ def test_daemon_summary_scheduler_line_fields(monkeypatch):
     assert "timers" not in line
 
 
-def test_daemon_summary_prints_mgr_shard_rows(monkeypatch):
-    out = _summary(monkeypatch, 1)
+def test_daemon_summary_prints_mgr_shard_rows():
+    out = _summary(1)
     assert "metadata shards:" in out
     assert "inval-out" in out
 
@@ -138,21 +136,21 @@ def test_daemon_monitor_tracks_metadata_ops_per_shard():
     }
 
 
-def test_daemon_monitor_attributes_invalidation_fanout_to_owner(monkeypatch):
+def test_daemon_monitor_attributes_invalidation_fanout_to_owner():
     # daemon_summary's workload opens /data/shared, owned by shard 2 of
     # 3.  The sync_write invalidates the other node's cached copy; the
     # fan-out is charged to the owning shard only.
     assert protocol.mgr_shard_of("/data/shared", 3) == 2
-    out = _summary(monkeypatch, 3)
+    out = _summary(3)
     table = out.split("metadata shards:\n")[1].split("\n\n")[0]
     fanout = {shard: int(row[-1]) for shard, row in _rows(table).items()}
     assert fanout == {0: 0, 1: 0, 2: 1}
 
 
-def test_receive_side_invalidations_never_reach_shard_zero(monkeypatch):
+def test_receive_side_invalidations_never_reach_shard_zero():
     # On one shard the owner is shard 0 itself: the cache module's
     # receive-side record (no mgr_shard) would make its count 2.
-    out = _summary(monkeypatch, 1)
+    out = _summary(1)
     table = out.split("metadata shards:\n")[1].split("\n\n")[0]
     assert _rows(table)[0][-1] == "1"
 

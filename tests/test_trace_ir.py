@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.cluster.config import TRACE_ENV_VAR, ClusterConfig
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig
 from repro.experiments.parallel import sweep
 from repro.workload import transform as tr
 from repro.workload.classify import classify_trace
@@ -564,11 +565,12 @@ def test_classify_trace_on_ir():
     assert report == {"/pc": "producer-consumer", "/mine": "private"}
 
 
-# -- the REPRO_TRACE / trace_source seam -----------------------------------
+# -- replaying a transformed recording end to end ---------------------------
 def test_trace_source_seam_replays_instead_of_synthetic(tmp_path):
     """The acceptance scenario: a recorded microbench trace, 2x
-    node-scaled and sharing-remixed, replayed end-to-end through
-    run_instances via the trace-source seam."""
+    node-scaled and sharing-remixed, written to disk and replayed
+    end-to-end, closed-loop, by the TraceReplayer, the one replay
+    path since the config's trace source went (DESIGN.md A.12)."""
     text = record_microbench_trace(iterations=4)
     transformed = tr.compose(
         tr.scale_out(2), tr.remix_sharing(0.5, seed=5)
@@ -576,25 +578,14 @@ def test_trace_source_seam_replays_instead_of_synthetic(tmp_path):
     path = tmp_path / "scaled.jsonl"
     path.write_text(transformed.dumps())
 
-    config = ClusterConfig(
-        compute_nodes=2, iod_nodes=2, trace_source=str(path)
-    )
-    outcome = run_instances(config, [])  # synthetic params ignored
-    assert outcome.total_time > 0
+    trace = load_path(str(path))
+    assert trace.content_hash() == transformed.content_hash()
+    cluster = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=2))
+    replayer = TraceReplayer(cluster, trace, preserve_timing=False)
+    assert replayer.run() > 0
     # 2 ranks x 2 replicas replayed
-    assert sum(len(i.per_rank) for i in outcome.instances) == 4
-    assert outcome.counter("client.reads") == len(transformed)
-    assert load_path(str(path)).content_hash() == transformed.content_hash()
-
-
-def test_trace_env_var_reaches_run_instances(tmp_path, monkeypatch):
-    text = record_microbench_trace(iterations=2)
-    path = tmp_path / "run.jsonl"
-    path.write_text(text)
-    monkeypatch.setenv(TRACE_ENV_VAR, str(path))
-    outcome = run_instances(ClusterConfig(compute_nodes=2, iod_nodes=2), [])
-    assert outcome.total_time > 0
-    assert outcome.counter("client.reads") == len(loads(text))
+    assert len(replayer.completion) == 4
+    assert cluster.metrics.counters["client.reads"] == len(transformed)
 
 
 def test_replay_event_budget_is_deterministic_and_bounded():

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.config import TRACE_ENV_VAR
 from repro.workload.__main__ import SUBCOMMANDS, main
 from repro.workload.trace import load_path
 
@@ -91,7 +90,6 @@ BAD_TRACE_COMMANDS = {
     "replay": ["repro.workload", "replay"],
     "transform": ["repro.workload", "transform", "--time-scale", "2"],
     "validate": ["repro.workload", "validate"],
-    "experiments": ["repro.experiments", "--quick", "--only", "fig5"],
 }
 
 
@@ -133,12 +131,3 @@ def test_legacy_invocation_unchanged(capsys):
     assert main(["--d", "4096", "--p", "2", "--iterations", "2"]) == 0
     assert "micro-benchmark (caching version)" in capsys.readouterr().out
 
-
-def test_legacy_invocation_replays_under_repro_trace(
-    tmp_path, capsys, monkeypatch
-):
-    out = _record(tmp_path)
-    capsys.readouterr()
-    monkeypatch.setenv(TRACE_ENV_VAR, str(out))
-    assert main(RECORD_ARGS) == 0
-    assert "bytes over the wire" in capsys.readouterr().out
