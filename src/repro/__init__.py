@@ -23,8 +23,8 @@ Quick start::
         back = yield from client.read(f, 0, 65536, want_data=True)
         assert back == b"a" * 65536
 
-    cluster.env.process(app(cluster.env))
-    cluster.env.run()
+    proc = cluster.env.process(app(cluster.env))
+    cluster.env.run(until=proc)
 """
 
 from repro.cluster import CacheConfig, Cluster, ClusterConfig, CostModel

@@ -35,10 +35,9 @@ class ReplacementPolicy:
         it does not track are ignored)."""
         raise NotImplementedError
 
-    def select_victims(
-        self, n: int, prefer_clean: bool = True
-    ) -> list[CacheBlock]:  # pragma: no cover
-        """Pick up to ``n`` eviction victims."""
+    def select_victims(self, n: int) -> list[CacheBlock]:  # pragma: no cover
+        """Pick up to ``n`` eviction victims, clean blocks before dirty
+        ones (the paper's policy)."""
         raise NotImplementedError
 
 
@@ -90,13 +89,11 @@ class ClockPolicy(ReplacementPolicy):
         head += tail
         self._ring = head
 
-    def select_victims(
-        self, n: int, prefer_clean: bool = True
-    ) -> list[CacheBlock]:
+    def select_victims(self, n: int) -> list[CacheBlock]:
         """Sweep the ring, giving referenced blocks a second chance.
 
-        With ``prefer_clean``, dirty blocks get an extra pass of grace:
-        they are only chosen once no clean candidate remains.
+        Dirty blocks get an extra pass of grace: they are only chosen
+        once no clean candidate remains.
         """
         if n <= 0 or not self._ring:
             return []
@@ -146,7 +143,7 @@ class ClockPolicy(ReplacementPolicy):
                 if block.sweep_mark == gen:
                     continue
                 block.sweep_mark = gen
-                if prefer_clean and state is dirty:
+                if state is dirty:
                     useful_in_revolution += 1
                     n_fallback += 1
                     if n_fallback <= n:
@@ -207,9 +204,7 @@ class ExactLRUPolicy(ReplacementPolicy):
         for block in blocks:
             pop(block, None)
 
-    def select_victims(
-        self, n: int, prefer_clean: bool = True
-    ) -> list[CacheBlock]:
+    def select_victims(self, n: int) -> list[CacheBlock]:
         """Oldest-first victims, clean preferred."""
         victims: list[CacheBlock] = []
         dirty_fallback: list[CacheBlock] = []
@@ -218,7 +213,7 @@ class ExactLRUPolicy(ReplacementPolicy):
                 break
             if not block.is_evictable:
                 continue
-            if prefer_clean and block.state is BlockState.DIRTY:
+            if block.state is BlockState.DIRTY:
                 dirty_fallback.append(block)
                 continue
             victims.append(block)

@@ -348,10 +348,8 @@ class BufferManager:
                 self.release_if_unheld(block)
 
     def select_victims(self, n: int) -> list[CacheBlock]:
-        """Policy passthrough honouring clean preference."""
-        return self.policy.select_victims(
-            n, prefer_clean=self.config.prefer_clean_eviction
-        )
+        """Policy passthrough (clean blocks before dirty ones)."""
+        return self.policy.select_victims(n)
 
     def resident_keys(self) -> set[BlockKey]:
         """Snapshot of resident keys (test/inspection helper)."""

@@ -732,7 +732,6 @@ class CacheModule(Service):
                 chunks=chunks,
                 from_cache=True,
                 requester_node=self.node.name,
-                sync=True,
             )
             calls.append(
                 channel.call(

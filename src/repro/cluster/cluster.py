@@ -12,8 +12,8 @@ This is the main entry point of the library::
         yield from client.write(handle, 0, 4096, b"x" * 4096)
         data = yield from client.read(handle, 0, 4096, want_data=True)
 
-    cluster.env.process(app(cluster.env))
-    cluster.env.run()
+    proc = cluster.env.process(app(cluster.env))
+    cluster.env.run(until=proc)
 """
 
 from __future__ import annotations

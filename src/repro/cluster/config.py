@@ -92,8 +92,6 @@ class CacheConfig:
     #: the miss request (paper's behaviour).  Ablation: off treats the
     #: whole run as a miss.
     split_on_cached_block: bool = True
-    #: Prefer evicting clean blocks over dirty ones (paper's policy).
-    prefer_clean_eviction: bool = True
     #: Blocks pinned at once per request; large requests are processed
     #: in segments of this many blocks so concurrent requests cannot
     #: pin the whole cache (None = n_blocks // 8, min 8).

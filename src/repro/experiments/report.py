@@ -223,6 +223,15 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         if not args.daemons:
             # Each figure sets its own clusters' shard count.
             parser.error("--mgr-shards applies only to --daemons")
+    if args.daemons:
+        # --daemons runs no figure.
+        for flag, given in (
+            ("--only", args.only is not None),
+            ("--quick", args.quick),
+            ("--charts", args.charts),
+        ):
+            if given:
+                parser.error(f"{flag} does not apply to --daemons")
     # A bad environment value fails here, naming it, not as a traceback
     # from the first sweep.
     try:

@@ -1,4 +1,4 @@
-"""Network: wiring node endpoints together through a fabric."""
+"""Network: carrying messages between nodes through a fabric."""
 
 from __future__ import annotations
 
@@ -9,14 +9,19 @@ from repro.net.message import Message
 from repro.sim import Environment, Event, Store, Timeout
 from repro.sim.events import PENDING
 
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.net.sockets import ListenQueue
+
 
 class Network:
     """Delivers :class:`Message` objects between named nodes.
 
-    Endpoints are ``(node, port)`` pairs, each backed by a FIFO
-    :class:`~repro.sim.resources.Store`.  Transmission occupies the
-    fabric; local (same-node) delivery bypasses the wire entirely,
-    which matters when a compute node doubles as an iod node.
+    Sockets (:mod:`repro.net.sockets`) are the only transport: every
+    daemon listens on a ``(node, port)`` and every peer connects to
+    it; a connection's endpoints hand each message to
+    :meth:`deliver`.  Transmission occupies the fabric; local
+    (same-node) delivery bypasses the wire entirely, which matters
+    when a compute node doubles as an iod node.
     """
 
     def __init__(self, env: Environment, fabric: Fabric | None = None) -> None:
@@ -24,7 +29,8 @@ class Network:
         self.fabric: Fabric = (
             fabric if fabric is not None else SwitchedFabric(env)
         )
-        self._endpoints: dict[tuple[str, int], Store] = {}
+        #: The accept queue of every listening ``(node, port)``.
+        self.listeners: dict[tuple[str, int], "ListenQueue"] = {}
         self.messages_delivered = 0
         #: Loopback messages never touch the fabric but still pay a
         #: small local protocol cost (localhost TCP is not free).
@@ -37,36 +43,7 @@ class Network:
         snap["messages_delivered"] = self.messages_delivered
         return snap
 
-    # -- endpoints ---------------------------------------------------------
-    def register(self, node: str, port: int) -> Store:
-        """Create the inbox for ``(node, port)``; idempotent."""
-        key = (node, port)
-        if key not in self._endpoints:
-            self._endpoints[key] = Store(self.env)
-        return self._endpoints[key]
-
-    def endpoint(self, node: str, port: int) -> Store:
-        """The inbox Store of ``(node, port)`` (KeyError if absent)."""
-        try:
-            return self._endpoints[(node, port)]
-        except KeyError:
-            raise KeyError(f"no endpoint registered at {node}:{port}") from None
-
-    def has_endpoint(self, node: str, port: int) -> bool:
-        """True if ``(node, port)`` is registered."""
-        return (node, port) in self._endpoints
-
     # -- transport ---------------------------------------------------------
-    def send(self, message: Message, dst_port: int) -> Event:
-        """Asynchronously transmit ``message`` to ``(message.dst, port)``.
-
-        Returns an event firing with the message once it has been
-        enqueued at the receiver; yield it for a blocking send.
-        """
-        inbox = self.endpoint(message.dst, dst_port)  # fail fast
-        message.stamp(self.env)
-        return self.deliver(message, inbox)
-
     def deliver(self, message: Message, inbox: Store) -> "Delivery":
         """Transmit ``message`` into ``inbox``; returns the done event
         (see :meth:`Delivery.launch`)."""

@@ -153,19 +153,15 @@ class SocketAPI:
         self.network = network
         self.env = network.env
         self.node = node
-        self._listeners: dict[int, ListenQueue] = {}
 
     def listen(self, port: int) -> ListenQueue:
         """Open an accept queue on ``port``."""
-        if port in self._listeners:
+        listeners = self.network.listeners
+        if (self.node, port) in listeners:
             raise ValueError(f"{self.node}:{port} is already listening")
-        queue = ListenQueue(self.env, self.node, port)
-        self._listeners[port] = queue
-        registry = getattr(self.network, "_listeners", None)
-        if registry is None:
-            registry = {}
-            self.network._listeners = registry  # type: ignore[attr-defined]
-        registry[(self.node, port)] = queue
+        queue = listeners[(self.node, port)] = ListenQueue(
+            self.env, self.node, port
+        )
         return queue
 
     def connect(self, server_node: str, port: int) -> _t.Generator:
@@ -174,9 +170,8 @@ class SocketAPI:
         Yields until the handshake completes; returns the *client*
         :class:`Endpoint` of the new connection.
         """
-        registry = getattr(self.network, "_listeners", {})
         try:
-            queue: ListenQueue = registry[(server_node, port)]
+            queue = self.network.listeners[(server_node, port)]
         except KeyError:
             raise ConnectionRefusedError(
                 f"nothing listening at {server_node}:{port}"

@@ -10,6 +10,7 @@ socket interception: application code is identical in both modes.
 from __future__ import annotations
 
 import typing as _t
+from operator import itemgetter
 
 from repro.cluster.node import Node
 from repro.metrics import Metrics
@@ -143,10 +144,6 @@ class PVFSClient:
             self._iod_eps[iod_node] = endpoint
         return endpoint
 
-    @property
-    def _cache(self):
-        return self.node.cache_module if self.use_cache else None
-
     # -- API -------------------------------------------------------------------
     def open(self, path: str) -> _t.Generator:
         """Process body: open (or create) ``path``; returns FileHandle.
@@ -239,7 +236,7 @@ class PVFSClient:
 
         Routed through the cache module when the node has one.
         """
-        cache = self._cache
+        cache = self.node.cache_module if self.use_cache else None
         env = self.env
         start = env._now
         self._trace(handle.file_id, offset, nbytes, "read")
@@ -247,7 +244,10 @@ class PVFSClient:
         if cache is not None:
             result = yield from cache.read(handle, offset, nbytes, want_data)
         else:
-            result = yield from self._raw_read(handle, offset, nbytes, want_data)
+            parts = yield from self._raw_read(
+                handle, [(offset, nbytes)], want_data
+            )
+            result = parts[0]
         if self.record_metrics:
             # Metrics.record/inc inlined: every read ends here.
             metrics = self.metrics
@@ -265,23 +265,7 @@ class PVFSClient:
         data: bytes | None = None,
     ) -> _t.Generator:
         """Process body: buffered write (default, non-coherent path)."""
-        if data is not None and len(data) != nbytes:
-            raise ValueError(f"data length {len(data)} != nbytes {nbytes}")
-        cache = self._cache
-        env = self.env
-        start = env._now
-        self._trace(handle.file_id, offset, nbytes, "write")
-        yield self.node.compute(self.node.costs.syscall_s)
-        if cache is not None:
-            yield from cache.write(handle, offset, nbytes, data)
-        else:
-            yield from self._raw_write(handle, offset, nbytes, data, sync=False)
-        if self.record_metrics:
-            metrics = self.metrics
-            metrics.series["client.write_latency"].append(env._now - start)
-            counters = metrics.counters
-            counters["client.writes"] += 1
-            counters["client.write_bytes"] += nbytes
+        return self._write(handle, offset, nbytes, data, False)
 
     def sync_write(
         self,
@@ -292,21 +276,49 @@ class PVFSClient:
     ) -> _t.Generator:
         """Process body: coherent write — propagates to the iod and
         invalidates every remote cache holding a written block."""
+        return self._write(handle, offset, nbytes, data, True)
+
+    def _write(
+        self,
+        handle: FileHandle,
+        offset: int,
+        nbytes: int,
+        data: bytes | None,
+        sync: bool,
+    ) -> _t.Generator:
+        """The body of :meth:`write` and (``sync``) :meth:`sync_write`."""
         if data is not None and len(data) != nbytes:
             raise ValueError(f"data length {len(data)} != nbytes {nbytes}")
-        cache = self._cache
+        cache = self.node.cache_module if self.use_cache else None
         env = self.env
         start = env._now
-        self._trace(handle.file_id, offset, nbytes, "sync_write")
+        self._trace(
+            handle.file_id, offset, nbytes, "sync_write" if sync else "write"
+        )
         yield self.node.compute(self.node.costs.syscall_s)
-        if cache is not None:
+        if cache is None:
+            yield from self._raw_write(
+                handle,
+                [(offset, nbytes)],
+                None if data is None else [data],
+                sync,
+            )
+        elif sync:
             yield from cache.sync_write(handle, offset, nbytes, data)
         else:
-            yield from self._raw_write(handle, offset, nbytes, data, sync=True)
+            yield from cache.write(handle, offset, nbytes, data)
         if self.record_metrics:
             metrics = self.metrics
-            metrics.series["client.sync_write_latency"].append(env._now - start)
-            metrics.counters["client.sync_writes"] += 1
+            counters = metrics.counters
+            if sync:
+                metrics.series["client.sync_write_latency"].append(
+                    env._now - start
+                )
+                counters["client.sync_writes"] += 1
+            else:
+                metrics.series["client.write_latency"].append(env._now - start)
+                counters["client.writes"] += 1
+                counters["client.write_bytes"] += nbytes
 
     # -- list (noncontiguous) I/O ---------------------------------------------
     def readv(
@@ -325,7 +337,7 @@ class PVFSClient:
         ``want_data``.
         """
         ranges = self._check_ranges(ranges)
-        cache = self._cache
+        cache = self.node.cache_module if self.use_cache else None
         start = self.env.now
         self._trace_ranges(handle.file_id, ranges, "read")
         yield self.node.compute(self.node.costs.syscall_s)
@@ -336,7 +348,7 @@ class PVFSClient:
                 part = yield from cache.read(handle, offset, nbytes, want_data)
                 parts.append(part)
         else:
-            parts = yield from self._raw_readv(handle, ranges, want_data)
+            parts = yield from self._raw_read(handle, ranges, want_data)
         if self.record_metrics:
             self.metrics.record("client.read_latency", self.env.now - start)
             self.metrics.inc("client.reads")
@@ -369,7 +381,7 @@ class PVFSClient:
                     raise ValueError(
                         f"chunk length {len(chunk)} != nbytes {nbytes}"
                     )
-        cache = self._cache
+        cache = self.node.cache_module if self.use_cache else None
         start = self.env.now
         self._trace_ranges(
             handle.file_id, ranges, "sync_write" if sync else "write"
@@ -383,7 +395,7 @@ class PVFSClient:
                 else:
                     yield from cache.write(handle, offset, nbytes, chunk)
         else:
-            yield from self._raw_writev(handle, ranges, data, sync)
+            yield from self._raw_write(handle, ranges, data, sync)
         if self.record_metrics:
             total = sum(n for _, n in ranges)
             self.metrics.inc("client.list_writes")
@@ -418,110 +430,17 @@ class PVFSClient:
     def _raw_read(
         self,
         handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        want_data: bool,
-    ) -> _t.Generator:
-        layout = self._layout(handle)
-        per_iod = layout.split(offset, nbytes)
-        # Phase 1: issue every request before waiting on any response
-        # (libpvfs aggregates per iod, then blasts all requests out).
-        endpoints: list[tuple[_t.Any, list[protocol.Range]]] = []
-        for idx, ranges in sorted(per_iod.items()):
-            ranges = coalesce_ranges(ranges)
-            endpoint = yield from self._iod_endpoint(handle.iod_nodes[idx])
-            req = ReadRequest(
-                file_id=handle.file_id,
-                ranges=ranges,
-                want_data=want_data,
-                requester_node=self.node.name,
-            )
-            yield self.node.compute(self.node.costs.syscall_s)
-            endpoint.send(
-                Message(
-                    kind=protocol.IOD_READ,
-                    size_bytes=req.wire_size(),
-                    payload=req,
-                )
-            )
-            endpoints.append((endpoint, ranges))
-        # Phase 2: collect ack + data per iod (private conn => FIFO).
-        buf = bytearray(nbytes) if want_data else None
-        for endpoint, _ranges in endpoints:
-            ack = yield endpoint.recv()
-            if ack.kind != protocol.IOD_READ_ACK:
-                raise ValueError(f"expected read ack, got {ack.kind!r}")
-            data_msg = yield endpoint.recv()
-            if data_msg.kind != protocol.IOD_DATA:
-                raise ValueError(f"expected data, got {data_msg.kind!r}")
-            payload: ReadData = data_msg.payload
-            if buf is not None:
-                for (roff, rlen), chunk in zip(payload.ranges, payload.chunks):
-                    if chunk is not None:
-                        buf[roff - offset : roff - offset + rlen] = chunk
-        return bytes(buf) if buf is not None else None
-
-    def _raw_write(
-        self,
-        handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        data: bytes | None,
-        sync: bool,
-    ) -> _t.Generator:
-        layout = self._layout(handle)
-        per_iod = layout.split(offset, nbytes)
-        if sync:
-            yield from self._write_back_local(handle, [(offset, nbytes)])
-        kind = protocol.IOD_SYNC_WRITE if sync else protocol.IOD_WRITE
-        ack_kind = protocol.IOD_SYNC_ACK if sync else protocol.IOD_WRITE_ACK
-        endpoints = []
-        for idx, ranges in sorted(per_iod.items()):
-            ranges = coalesce_ranges(ranges)
-            chunks: list[bytes | None] = [
-                data[roff - offset : roff - offset + rlen]
-                if data is not None
-                else None
-                for roff, rlen in ranges
-            ]
-            endpoint = yield from self._iod_endpoint(handle.iod_nodes[idx])
-            req = WriteRequest(
-                file_id=handle.file_id,
-                ranges=ranges,
-                chunks=chunks,
-                sync=sync,
-                requester_node=self.node.name,
-            )
-            yield self.node.compute(self.node.costs.syscall_s)
-            endpoint.send(
-                Message(kind=kind, size_bytes=req.wire_size(), payload=req)
-            )
-            endpoints.append(endpoint)
-        for endpoint in endpoints:
-            ack = yield endpoint.recv()
-            if ack.kind != ack_kind:
-                raise ValueError(f"expected {ack_kind!r}, got {ack.kind!r}")
-
-    def _write_back_local(
-        self, handle: FileHandle, ranges: _t.Sequence[tuple[int, int]]
-    ) -> _t.Generator:
-        """Before a raw ``sync_write`` writes through, this node's cache
-        module (if any) writes back its dirty copies of those bytes
-        (:meth:`~repro.cache.module.CacheModule.write_back`), so the
-        newer raw bytes land at the iod last."""
-        module = self.node.cache_module
-        if module is not None:
-            yield from module.write_back(handle.file_id, ranges)
-
-    def _raw_readv(
-        self,
-        handle: FileHandle,
         ranges: _t.Sequence[tuple[int, int]],
         want_data: bool,
     ) -> _t.Generator:
-        """List read over the wire: ALL ranges aggregated into at most
-        one request per iod (the noncontiguous-I/O win: n ranges cost
-        one round trip per iod, not n)."""
+        """Read over the wire; returns one part per range (``None``
+        each unless ``want_data``).
+
+        Every range is aggregated into at most one request per iod (the
+        noncontiguous-I/O win: n ranges cost one round trip per iod,
+        not n); a contiguous read is the one-range list.  libpvfs
+        issues every request before it waits on any response.
+        """
         layout = self._layout(handle)
         per_iod: dict[int, list[protocol.Range]] = {}
         for offset, nbytes in ranges:
@@ -573,21 +492,23 @@ class PVFSClient:
             return [None] * len(ranges)
         return [bytes(b) for b in bufs]
 
-    def _raw_writev(
+    def _raw_write(
         self,
         handle: FileHandle,
         ranges: _t.Sequence[tuple[int, int]],
-        data: _t.Sequence[bytes | None] | None,
+        chunks: _t.Sequence[bytes | None] | None,
         sync: bool,
     ) -> _t.Generator:
-        """List write over the wire: one request per iod carrying
-        every range (and chunk) that lands on it."""
+        """Write over the wire (``sync`` for coherent): one request per
+        iod carrying every range, and its piece of the range's chunk,
+        that lands on it.  A contiguous write is the one-range list.
+        """
         layout = self._layout(handle)
         per_iod: dict[
             int, list[tuple[protocol.Range, bytes | None]]
         ] = {}
         for i, (offset, nbytes) in enumerate(ranges):
-            chunk = data[i] if data is not None else None
+            chunk = chunks[i] if chunks is not None else None
             for idx, rs in layout.split(offset, nbytes).items():
                 for roff, rlen in rs:
                     piece = (
@@ -596,19 +517,22 @@ class PVFSClient:
                         else None
                     )
                     per_iod.setdefault(idx, []).append(((roff, rlen), piece))
-        if sync:
-            yield from self._write_back_local(handle, ranges)
+        module = self.node.cache_module
+        if sync and module is not None:
+            # This node's cache module writes back its dirty copies of
+            # these bytes first (CacheModule.write_back), so the newer
+            # raw bytes land at the iod last.
+            yield from module.write_back(handle.file_id, ranges)
         kind = protocol.IOD_SYNC_WRITE if sync else protocol.IOD_WRITE
         ack_kind = protocol.IOD_SYNC_ACK if sync else protocol.IOD_WRITE_ACK
         endpoints = []
         for idx, entries in sorted(per_iod.items()):
-            entries.sort(key=lambda entry: entry[0])
+            entries.sort(key=itemgetter(0))
             endpoint = yield from self._iod_endpoint(handle.iod_nodes[idx])
             req = WriteRequest(
                 file_id=handle.file_id,
                 ranges=[r for r, _ in entries],
                 chunks=[c for _, c in entries],
-                sync=sync,
                 requester_node=self.node.name,
             )
             yield self.node.compute(self.node.costs.syscall_s)

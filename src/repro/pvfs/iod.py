@@ -114,29 +114,24 @@ class Iod(Service):
             msg.reply(protocol.IOD_DATA, data.total_bytes, payload=data)
         )
 
-    @handles(protocol.IOD_WRITE)
+    @handles(protocol.IOD_WRITE, protocol.IOD_SYNC_WRITE)
     def _handle_write(self, msg: Message, endpoint) -> _t.Generator:
+        """A buffered write; a ``sync_write`` also invalidates every
+        other cache holding a written block before it is acked."""
         req: WriteRequest = msg.payload
+        sync = msg.kind == protocol.IOD_SYNC_WRITE
         yield from self._write_ranges(req.file_id, req.ranges, req.chunks)
-        self.metrics.inc("iod.writes")
+        if sync:
+            yield from self._invalidate_sharers(req)
+        self.metrics.inc("iod.sync_writes" if sync else "iod.writes")
         if len(req.ranges) > 1:
             self.metrics.inc("iod.list_requests")
         self.metrics.inc("iod.write_bytes", req.total_bytes)
         yield endpoint.send(
-            msg.reply(protocol.IOD_WRITE_ACK, protocol.ACK_BYTES)
-        )
-
-    @handles(protocol.IOD_SYNC_WRITE)
-    def _handle_sync_write(self, msg: Message, endpoint) -> _t.Generator:
-        req: WriteRequest = msg.payload
-        yield from self._write_ranges(req.file_id, req.ranges, req.chunks)
-        yield from self._invalidate_sharers(req)
-        self.metrics.inc("iod.sync_writes")
-        if len(req.ranges) > 1:
-            self.metrics.inc("iod.list_requests")
-        self.metrics.inc("iod.write_bytes", req.total_bytes)
-        yield endpoint.send(
-            msg.reply(protocol.IOD_SYNC_ACK, protocol.ACK_BYTES)
+            msg.reply(
+                protocol.IOD_SYNC_ACK if sync else protocol.IOD_WRITE_ACK,
+                protocol.ACK_BYTES,
+            )
         )
 
     @handles(protocol.FLUSH)

@@ -170,14 +170,14 @@ class ReadData:
 
 @dataclasses.dataclass
 class WriteRequest:
+    """WRITE and SYNC_WRITE payload; the message kind says which."""
+
     file_id: int
     ranges: list[Range]
     #: One optional bytes chunk per range (``None`` in size-only mode).
     chunks: list[bytes | None]
     from_cache: bool = False
     requester_node: str = ""
-    #: sync_write: write through and invalidate remote caches.
-    sync: bool = False
 
     @property
     def total_bytes(self) -> int:

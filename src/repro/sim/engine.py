@@ -11,6 +11,14 @@ the rare non-standard priority) goes to one binary heap.
 Every entry is ``(time, priority, seq, event)`` and pops take the
 smallest of the three heads in that exact tuple order, which keeps the
 BLAKE2b schedule trace hash bit-identical to a single global heap.
+
+The run loop has two forms (:meth:`Environment._run`).
+``run(until=<event>)`` — what every workload and figure sweep drives —
+runs a flattened loop with the pop and the callback dispatch inlined.
+Everything else, :meth:`Environment.step` included, goes through one
+general loop that dispatches each event through
+:meth:`Environment._dispatch`, where the trace hash and the step hooks
+see it.  Both pop the same entries in the same order.
 """
 
 from __future__ import annotations
@@ -115,9 +123,9 @@ class Environment:
         self._multi = False
         self._active_process: Process | None = None
         #: Callables invoked (with this env) after every processed
-        #: event.  Empty in normal runs; the run loop only takes the
-        #: instrumented path when a hook or the trace hash is active,
-        #: so the fast loops stay branch-free.
+        #: event.  Empty in normal runs; a hook or the trace hash sends
+        #: run(until=<event>) to the general loop, so its flattened
+        #: loop stays branch-free.
         self._step_hooks: list[_t.Callable[["Environment"], None]] = []
         self._trace: "hashlib._Hash | None" = None
         if os.environ.get(TRACE_HASH_ENV_VAR, "") not in ("", "0"):
@@ -362,9 +370,9 @@ class Environment:
     ) -> None:
         """Run ``hook(env)`` after every processed event.
 
-        Installing any hook switches :meth:`run` from the flattened
-        fast loops to the instrumented loop, so hooks cost nothing
-        until the first one is registered; :meth:`take_turn` runs them
+        Installing any hook sends ``run(until=<event>)`` from its
+        flattened loop to the general one, so hooks cost nothing until
+        the first one is registered; :meth:`take_turn` runs them
         on in-place turns too.  Tier-1 checks
         :meth:`~repro.cache.manager.BufferManager.check_invariants`
         from one (``check_invariants_every`` in ``tests/conftest.py``).
@@ -396,7 +404,8 @@ class Environment:
         return self._trace.hexdigest()
 
     def _dispatch(self, when: float, seq: int, event: Event) -> None:
-        """Instrumented single-event dispatch (trace + step hooks)."""
+        """Process one event: advance the clock to it, fold it into the
+        trace hash, run the step hooks."""
         self._now = when
         if self._trace is not None:
             ident = (
@@ -420,12 +429,7 @@ class Environment:
         if entry is None:
             raise EmptySchedule()
         self._events_processed += 1
-        when, _prio, seq, event = entry
-        if self._step_hooks or self._trace is not None:
-            self._dispatch(when, seq, event)
-            return
-        self._now = when
-        event._process()
+        self._dispatch(entry[0], entry[2], entry[3])
 
     def run(self, until: float | Event | None = None) -> _t.Any:
         """Run the simulation.
@@ -456,31 +460,31 @@ class Environment:
             self._in_run, self._stop_event = outer
 
     def _run(self, stop_at: float | None, stop_event: Event | None) -> _t.Any:
-        """The loop of :meth:`run`, with its arguments resolved."""
-        if self._step_hooks or self._trace is not None:
-            return self._run_instrumented(stop_at, stop_event)
+        """The loops of :meth:`run`, with its arguments resolved.
 
-        # The loop variants below are the peek()/step() loop with the
-        # per-event method and property calls flattened out — this is
-        # the simulator's innermost loop, so every attribute load per
-        # event counts.
-        # The processed-event count is kept in a loop-local int and
-        # flushed once on exit: a local increment is several times
-        # cheaper than a per-event attribute read-modify-write.  The
-        # two hottest variants additionally inline _pop_entry: the
-        # run(until=<event>) loop all of it, the run() loop its due and
-        # heap cases (an urgent head, a process or stage start or an
-        # interrupt, falls back to the method there).
-        # The run(until=<event>) variant, which every workload drives,
-        # also runs an event's callbacks inline, exactly as
-        # Event._process does: several run under ``_multi`` (see
-        # take_turn).  The other two call Event._process.
-        pop = self._pop_entry
-        due = self._due
-        urgent = self._due_urgent
-        future = self._future
-        n = 0
-        if stop_event is not None:
+        Two loops.  ``run(until=<event>)`` without a step hook or the
+        trace hash — what every workload and figure sweep drives — is
+        the simulator's innermost loop, so it is :meth:`step` with the
+        per-event method and property calls flattened out: every
+        attribute load per event counts.  It inlines all of
+        :meth:`_pop_entry`, keeps the processed-event count in a local
+        int flushed once on exit (a local increment is several times
+        cheaper than a per-event attribute read-modify-write), and runs
+        an event's callbacks inline, exactly as ``Event._process``
+        does: several run under ``_multi`` (see :meth:`take_turn`).
+        Everything else — ``run()``, ``run(until=<time>)``, and any run
+        with a step hook or the trace hash on — takes the general loop
+        below, which dispatches through :meth:`_dispatch`.
+        """
+        if (
+            stop_event is not None
+            and not self._step_hooks
+            and self._trace is None
+        ):
+            due = self._due
+            urgent = self._due_urgent
+            future = self._future
+            n = 0
             try:
                 # ``callbacks is None`` == Event.processed without the
                 # property call; re-check before every event.
@@ -525,78 +529,23 @@ class Environment:
                             self._multi = False
             finally:
                 self._events_processed += n
-            if stop_event._ok:
-                return stop_event._value
-            raise _t.cast(BaseException, stop_event._value)
-        if stop_at is None:
-            try:
-                while True:
-                    if urgent:
-                        entry = pop()
-                    else:
-                        if due:
-                            entry = due[0]
-                            if future and future[0] < entry:
-                                entry = heappop(future)
-                            else:
-                                due.popleft()
-                        elif future:
-                            entry = heappop(future)
-                        else:
-                            return None
-                        self._depth -= 1
-                    n += 1
-                    self._now = entry[0]
-                    entry[3]._process()
-            finally:
-                self._events_processed += n
-        peek = self._peek_entry
-        try:
-            while True:
-                entry = peek()
+        else:
+            while stop_event is None or stop_event.callbacks is not None:
+                entry = self._peek_entry()
                 if entry is None:
-                    return None
-                if entry[0] > stop_at:
-                    self._now = stop_at
-                    return None
-                pop()
-                n += 1
-                self._now = entry[0]
-                entry[3]._process()
-        finally:
-            self._events_processed += n
-
-    def _run_instrumented(
-        self, stop_at: float | None, stop_event: Event | None
-    ) -> _t.Any:
-        """The run loop with per-event instrumentation enabled.
-
-        Mirrors the fast-loop variants exactly (same stop semantics,
-        same event order) but routes every event through
-        :meth:`_dispatch` so the trace hash and step hooks see it.
-        """
-        pop = self._pop_entry
-        if stop_event is not None:
-            while stop_event.callbacks is not None:
-                entry = pop()
-                if entry is None:
+                    if stop_event is None:
+                        return None
                     raise RuntimeError(
                         "simulation ran out of events before the "
                         f"requested stop event fired: {stop_event!r}"
                     )
+                if stop_at is not None and entry[0] > stop_at:
+                    self._now = stop_at
+                    return None
+                self._pop_entry()
                 self._events_processed += 1
                 self._dispatch(entry[0], entry[2], entry[3])
-            if stop_event._ok:
-                return stop_event._value
-            raise _t.cast(BaseException, stop_event._value)
-        peek = self._peek_entry
-        while True:
-            entry = peek()
-            if entry is None:
-                return None
-            if stop_at is not None and entry[0] > stop_at:
-                self._now = stop_at
-                return None
-            pop()
-            self._events_processed += 1
-            self._dispatch(entry[0], entry[2], entry[3])
+        assert stop_event is not None  # only run() and until=<time> return above
+        if stop_event._ok:
+            return stop_event._value
+        raise _t.cast(BaseException, stop_event._value)

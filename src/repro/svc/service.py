@@ -91,15 +91,15 @@ class StopReport:
             yield from child.flat()
 
 
-def handles(kind: str) -> _t.Callable:
-    """Mark a method as the handler for messages of ``kind``.
+def handles(*kinds: str) -> _t.Callable:
+    """Mark a method as the handler for messages of each of ``kinds``.
 
     The decorated method must be a generator (a process body) taking
     ``(body, endpoint)``; ``endpoint`` is ``None`` for mailbox items.
     """
 
     def mark(fn: _t.Callable) -> _t.Callable:
-        fn.__svc_handles__ = kind  # type: ignore[attr-defined]
+        fn.__svc_handles__ = kinds  # type: ignore[attr-defined]
         return fn
 
     return mark
@@ -177,9 +177,9 @@ class Service:
         self._handlers: dict[str, _t.Callable] = {}
         for klass in type(self).__mro__:
             for attr, fn in vars(klass).items():
-                kind = getattr(fn, "__svc_handles__", None)
-                if kind is not None and kind not in self._handlers:
-                    self._handlers[kind] = getattr(self, attr)
+                for kind in getattr(fn, "__svc_handles__", ()):
+                    if kind not in self._handlers:
+                        self._handlers[kind] = getattr(self, attr)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:

@@ -87,7 +87,7 @@ def test_clean_preferred_over_dirty(policy_cls):
     for b in (dirty, clean):
         p.admit(b)
         b.refbit = False
-    victims = p.select_victims(1, prefer_clean=True)
+    victims = p.select_victims(1)
     assert victims == [clean]
 
 
@@ -97,16 +97,7 @@ def test_dirty_fallback_when_no_clean(policy_cls):
     dirty = _dirty_block(env, 0)
     p.admit(dirty)
     dirty.refbit = False
-    assert p.select_victims(1, prefer_clean=True) == [dirty]
-
-
-def test_prefer_clean_false_takes_any(policy_cls):
-    env = Environment()
-    p = policy_cls()
-    dirty = _dirty_block(env, 0)
-    p.admit(dirty)
-    dirty.refbit = False
-    assert p.select_victims(1, prefer_clean=False) == [dirty]
+    assert p.select_victims(1) == [dirty]
 
 
 # -- clock specifics ------------------------------------------------------

@@ -338,16 +338,10 @@ def test_select_victims_passthrough():
 
 
 @pytest.mark.parametrize("replacement", ["clock", "exact-lru"])
-@pytest.mark.parametrize(
-    "cache_kwargs, victim",
-    [({}, "clean"), ({"prefer_clean_eviction": False}, "dirty")],
-    ids=["default", "no-preference"],
-)
-def test_select_victims_honours_prefer_clean_eviction(
-    replacement, cache_kwargs, victim
-):
-    """By default the CLEAN block goes first although the DIRTY one
-    leads the sweep; without the preference the sweep order decides."""
+@pytest.mark.parametrize("cache_kwargs", [{}], ids=["default"])
+def test_select_victims_honours_prefer_clean_eviction(replacement, cache_kwargs):
+    """The CLEAN block goes first although the DIRTY one leads the
+    sweep: clean before dirty is the paper's policy, not a knob."""
     env, m = _manager(replacement=replacement, **cache_kwargs)
 
     def proc(env):
@@ -364,7 +358,7 @@ def test_select_victims_honours_prefer_clean_eviction(
     for block in (dirty, clean):
         block.refbit = False
     assert (dirty.state, clean.state) == (BlockState.DIRTY, BlockState.CLEAN)
-    assert m.select_victims(1) == [{"clean": clean, "dirty": dirty}[victim]]
+    assert m.select_victims(1) == [clean]
 
 
 # -- in-place turns: the probe's synchronous allocation ----------------------

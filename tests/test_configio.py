@@ -99,6 +99,18 @@ def test_removed_global_cache_knob_is_rejected():
         loads_config('{"cache": {"global_cache": true}}')
 
 
+def test_removed_prefer_clean_eviction_knob_is_rejected():
+    """Clean before dirty is the eviction policy, not a knob (DESIGN.md
+    appendix A.13): a config dumped by an older revision that turns it
+    off must fail, not evict clean-first while saying otherwise."""
+    with pytest.raises(TypeError, match="prefer_clean_eviction"):
+        CacheConfig(prefer_clean_eviction=False)  # type: ignore[call-arg]
+    with pytest.raises(
+        ValueError, match=r"unknown cache keys: \['prefer_clean_eviction'\]"
+    ):
+        config_from_dict({"cache": {"prefer_clean_eviction": False}})
+
+
 def test_removed_trace_source_knob_is_rejected():
     """A config replays no trace (DESIGN.md appendix A.12): one that
     names a trace must fail, not run the synthetic benchmark while

@@ -150,11 +150,25 @@ def test_docs_name_only_env_vars_the_program_reads():
 
 #: Observation paths folded into the four homes of a number (DESIGN.md
 #: appendix A.11): ``Metrics``, the svc bus's ``ServiceStats``,
-#: ``Environment.sched_stats()`` and ``Network.stats_snapshot()``.
+#: ``Environment.sched_stats()`` and ``Network.stats_snapshot()``; and
+#: the second raw bodies, run loops, transport and knobs of appendix
+#: A.13.
 REMOVED_NAMES = {
     "DaemonMonitor",
+    "Network.endpoint",
+    "Network.register",
+    "Network.send",
     "ResourceMonitor",
+    "_endpoints",
+    "_handle_sync_write",
+    "_listeners",
+    "_raw_readv",
+    "_raw_writev",
+    "_run_instrumented",
+    "_write_back_local",
     "attach_bus",
+    "has_endpoint",
+    "prefer_clean",
     "record_network_metrics",
     "record_scheduler_metrics",
 }

@@ -5,12 +5,16 @@ reduced grid here rather than its full main().)
 """
 
 import importlib.util
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def _load(name):
@@ -26,6 +30,25 @@ def test_quickstart_runs(capsys):
     out = capsys.readouterr().out
     assert "warm read speedup" in out
     assert "hit-ratio" in out
+
+
+def test_readme_quick_start_returns():
+    """README's first Python block runs to its end: it must stop at the
+    app's process, since the flusher's periodic round keeps the queue
+    alive forever once caching is on."""
+    block = re.search(
+        r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S
+    ).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", block],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "cache.hits" in done.stdout
 
 
 def test_analysis_pipeline_runs(capsys):

@@ -172,6 +172,10 @@ def test_run_all_with_charts():
         (["--trace", "x"], "unrecognized arguments: --trace x"),
         # Figures set their own clusters' shard count.
         (["--mgr-shards", "2"], "--mgr-shards applies only to --daemons"),
+        # --daemons runs no figure.
+        (["--daemons", "--only", "fig4"], "--only does not apply to --daemons"),
+        (["--daemons", "--quick"], "--quick does not apply to --daemons"),
+        (["--daemons", "--charts"], "--charts does not apply to --daemons"),
     ],
 )
 def test_cli_rejects_bad_flags_at_parse_time(argv, message, capsys):

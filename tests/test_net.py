@@ -9,7 +9,7 @@ from repro.net import (
     SocketAPI,
     SwitchedFabric,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Store
 from tests.conftest import make_cluster
 
 
@@ -280,59 +280,23 @@ def test_network_stats_snapshot_counts_a_write_run():
 # -- Network endpoints ---------------------------------------------------------
 
 
-def test_network_register_and_send():
-    env = Environment()
-    net = Network(env)
-    inbox = net.register("n2", 7000)
-    got = []
-
-    def sender(env):
-        msg = Message(kind="ping", size_bytes=100, src="n1", dst="n2")
-        yield net.send(msg, 7000)
-
-    def receiver(env):
-        msg = yield inbox.get()
-        got.append((env.now, msg.kind))
-
-    env.process(sender(env))
-    env.process(receiver(env))
-    env.run()
-    assert got and got[0][1] == "ping"
-    assert net.messages_delivered == 1
-
-
-def test_network_send_to_unknown_endpoint_raises():
-    env = Environment()
-    net = Network(env)
-    msg = Message(kind="x", size_bytes=0, src="a", dst="ghost")
-    with pytest.raises(KeyError):
-        net.send(msg, 1234)
-
-
 def test_network_loopback_skips_fabric():
     env = Environment()
     net = Network(env)
-    net.register("n1", 7000)
+    inbox = Store(env)
 
     def proc(env):
         msg = Message(kind="local", size_bytes=2**20, src="n1", dst="n1")
-        yield net.send(msg, 7000)
+        msg.stamp(env)
+        got = yield net.deliver(msg, inbox)
+        assert got is msg and inbox.items == (msg,)
 
     env.process(proc(env))
     env.run()
     assert net.fabric.bytes_transferred == 0
+    assert net.messages_delivered == 1
     # loopback is fast: just the local protocol cost
     assert env.now == pytest.approx(net.loopback_latency_s)
-
-
-def test_network_register_idempotent():
-    env = Environment()
-    net = Network(env)
-    a = net.register("n1", 1)
-    b = net.register("n1", 1)
-    assert a is b
-    assert net.has_endpoint("n1", 1)
-    assert not net.has_endpoint("n1", 2)
 
 
 # -- Sockets -------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.net.network import Delivery
 from repro.sim import Environment, Event, Store, Timeout
 
 NODES = ("n0", "n1", "n2", "n3")
-PORT = 1
 
 
 # -- the reference model --------------------------------------------------
@@ -193,7 +192,7 @@ def _storm(network_cls, fabric_cls, seed, n=200, frame_bytes=1500):
     env.enable_trace_hash()
     fabric = fabric_cls(env, frame_bytes=frame_bytes)
     network = network_cls(env, fabric=fabric)
-    inboxes = {node: network.register(node, PORT) for node in NODES}
+    inboxes = {node: Store(env) for node in NODES}
     plan = _plan(seed, n, frame_bytes)
     delivered = {}
     received = {}

@@ -606,11 +606,11 @@ def _run_hooked(env):
 
 def test_randomized_timeout_storm_fires_in_order():
     """Differential check of the deque/heap queue against a plain
-    sorted reference, on each of the run loops: the two inlined fast
-    loops (``run()`` and ``run(until=<event>)``), the peek/pop loop of
-    ``run(until=<time>)``, ``step()``, and the instrumented loop a step
-    hook selects.  Every loop must pop in exact (time, priority, seq)
-    order, whichever structure each entry sat in."""
+    sorted reference, on both run loops by every way in: the flattened
+    ``run(until=<event>)`` loop, and the general loop that ``run()``,
+    ``run(until=<time>)``, ``step()`` and a step hook take.  Every way
+    must pop in exact (time, priority, seq) order, whichever structure
+    each entry sat in."""
     loops = {
         "run()": lambda env: env.run(),
         "run(until=<event>)": lambda env: env.run(until=env.timeout(100.0)),
