@@ -277,7 +277,7 @@ def test_network_stats_snapshot_counts_a_write_run():
     assert snap["wire_busy_s"] == pytest.approx(cluster.network.fabric.wire_busy_s)
 
 
-# -- Network endpoints ---------------------------------------------------------
+# -- Network delivery ----------------------------------------------------------
 
 
 def test_network_loopback_skips_fabric():
