@@ -21,8 +21,8 @@ from repro.svc import Service
 class Harvester(Service):
     """Refills the free list between the low and high watermarks.
 
-    The wake signal stays a bare simulation event rather than a
-    mailbox message: ``wake()`` must be callable from synchronous code
+    The wake signal is a bare simulation event rather than a queued
+    message: ``wake()`` must be callable from synchronous code
     (the free list's low-watermark hook) without scheduling anything
     when the thread is already awake.
     """

@@ -177,10 +177,6 @@ class Cluster:
             mgr_placements=self.mgr_placements,
         )
 
-    def run(self, until: _t.Any = None) -> _t.Any:
-        """Convenience passthrough to ``env.run``."""
-        return self.env.run(until=until)
-
     def drain_caches(self) -> _t.Generator:
         """Process body: flush every node's dirty blocks (tests)."""
         for module in self.cache_modules.values():

@@ -76,7 +76,9 @@ class Node:
         )
         self.filestore = LocalFileStore(block_size=block_size)
         self.pagecache = PageCache(capacity_blocks=pagecache_blocks)
-        self.writeback = WritebackDaemon(self.env, self.disk, node=self)
+        self.writeback = WritebackDaemon(
+            self.env, self.disk, node=self, page_size=block_size
+        )
         self.writeback.start()
 
     def compute(self, seconds: float) -> Event:

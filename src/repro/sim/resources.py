@@ -157,8 +157,8 @@ class Store:
     """An unbounded-or-bounded FIFO queue of Python objects.
 
     ``put`` fires immediately while below capacity, otherwise when
-    space frees up; ``get`` fires when an item is available.  Used as
-    the mailbox of every simulated daemon and kernel thread.
+    space frees up; ``get`` fires when an item is available.  Socket
+    inboxes, RPC responses and the cache's free list are Stores.
     """
 
     __slots__ = ("env", "capacity", "_items", "_getters", "_putters")

@@ -13,7 +13,6 @@ from repro.svc.events import (
 )
 from repro.svc.rpc import Call, ChannelPool, PendingCallLeak, RpcChannel
 from repro.svc.service import (
-    Mailbox,
     Service,
     ServiceCrashed,
     ServiceState,
@@ -25,7 +24,6 @@ __all__ = [
     "Call",
     "ChannelPool",
     "InstrumentationBus",
-    "Mailbox",
     "PendingCallLeak",
     "RpcChannel",
     "Service",

@@ -5,7 +5,7 @@ two complementary forms:
 
 * **Always-on stats** — a :class:`ServiceStats` record per daemon with
   plain integer/float counters (messages handled, per-kind dispatch
-  counts, mailbox/inbox queue high-water mark, busy time).  These are
+  counts, inbox queue high-water mark, busy time).  These are
   cheap enough to maintain on the simulator's hot paths and are what
   the per-daemon summary tables render.
 
@@ -106,7 +106,8 @@ class ServiceStats:
         #: Per-kind counts of emitted instrumentation events
         #: (flush_batch, eviction, invalidation, ...).
         self.events: dict[str, int] = {}
-        #: Deepest the mailbox / connection inbox ever got.
+        #: Deepest a connection inbox ever got (for the writeback
+        #: daemon: the most pages it held dirty).
         self.queue_high_water = 0
         #: Simulated seconds spent with a message in service (from
         #: dispatch to handler return, waits included).

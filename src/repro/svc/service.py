@@ -1,4 +1,4 @@
-"""The service runtime: lifecycle, typed dispatch, and mailboxes.
+"""The service runtime: lifecycle, typed dispatch, and socket serving.
 
 Every long-running daemon in the simulated cluster — the PVFS mgr, the
 iods, the client-side flusher and harvester kernel threads, the cache
@@ -35,8 +35,8 @@ import dataclasses
 import enum
 import typing as _t
 
-from repro.sim import ProcessKilled, Store
-from repro.svc.events import InstrumentationBus, ServiceStats, get_bus
+from repro.sim import ProcessKilled
+from repro.svc.events import InstrumentationBus, get_bus
 from repro.svc.rpc import ChannelPool
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -95,7 +95,7 @@ def handles(*kinds: str) -> _t.Callable:
     """Mark a method as the handler for messages of each of ``kinds``.
 
     The decorated method must be a generator (a process body) taking
-    ``(body, endpoint)``; ``endpoint`` is ``None`` for mailbox items.
+    ``(body, endpoint)``; ``endpoint`` is ``None`` for work items.
     """
 
     def mark(fn: _t.Callable) -> _t.Callable:
@@ -103,41 +103,6 @@ def handles(*kinds: str) -> _t.Callable:
         return fn
 
     return mark
-
-
-class Mailbox:
-    """A Store-backed work queue that records its high-water depth.
-
-    Items must carry a ``.kind`` attribute so :meth:`Service.dispatch`
-    can route them; the queue semantics are exactly those of
-    :class:`~repro.sim.Store` (same events, same FIFO order).
-    """
-
-    __slots__ = ("_store", "_stats")
-
-    def __init__(self, env: "Environment", stats: ServiceStats) -> None:
-        self._store = Store(env)
-        self._stats = stats
-
-    def put(self, item: _t.Any):
-        """Queue an item; returns the admit event (yield to block)."""
-        event = self._store.put(item)
-        depth = len(self._store)
-        if depth > self._stats.queue_high_water:
-            self._stats.queue_high_water = depth
-        return event
-
-    def get(self):
-        """Event yielding the next queued item."""
-        return self._store.get()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of queued items (for inspection in tests)."""
-        return self._store.items
 
 
 class Service:
@@ -160,7 +125,6 @@ class Service:
             name, node.name if node is not None else ""
         )
         self.state = ServiceState.NEW
-        self.mailbox = Mailbox(env, self.svc_stats)
         #: CPU seconds charged on the owning node before every
         #: dispatch (the per-request protocol-processing cost; the mgr
         #: and iods set this from their cost model).

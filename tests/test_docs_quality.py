@@ -152,9 +152,11 @@ def test_docs_name_only_env_vars_the_program_reads():
 #: appendix A.11): ``Metrics``, the svc bus's ``ServiceStats``,
 #: ``Environment.sched_stats()`` and ``Network.stats_snapshot()``; and
 #: the second raw bodies, run loops, transport and knobs of appendix
-#: A.13.
+#: A.13; the FIFO mailbox the writeback daemon's dirty-page set
+#: replaced.
 REMOVED_NAMES = {
     "DaemonMonitor",
+    "Mailbox",
     "Network.endpoint",
     "Network.register",
     "Network.send",

@@ -23,11 +23,12 @@ def _summary(shards):
 #: ``python -m repro.experiments --daemons`` at one and three mgr shards.
 #: Every number comes from a ServiceStats record, the fabric's
 #: ``stats_snapshot()`` or the engine's ``sched_stats()``; padding at
-#: line ends is not compared.
+#: line ends is not compared.  A writeback daemon's ``q-high`` is the
+#: most pages it ever held dirty, and ``handled`` the runs it wrote.
 DAEMONS_ONE_SHARD = """\
 daemon           node   state    handled  q-high  busy(s)  dropped
-writeback-node0  node0  running  2        2       0.0174   0
-writeback-node1  node1  running  1        3       0.0000   0
+writeback-node0  node0  running  2        32      0.0174   0
+writeback-node1  node1  running  1        32      0.0000   0
 mgr              node0  running  2        1       0.0001   0
 iod-node0        node0  running  4        1       0.0007   0
 iod-node1        node1  running  2        1       0.0044   0
@@ -44,13 +45,13 @@ shard  node   meta-ops  ops/s  q-high  inval-out
 
 [12 dispatches counted by ServiceStats]
 [network: frames-switch, 18 messages, 263264 bytes, wire busy 0.0211s]
-[scheduler: 421 events (142 taken in place), depth hw 15]
+[scheduler: 412 events (142 taken in place), depth hw 15]
 """
 
 DAEMONS_THREE_SHARDS = """\
 daemon           node   state    handled  q-high  busy(s)  dropped
-writeback-node0  node0  running  2        2       0.0174   0
-writeback-node1  node1  running  1        3       0.0000   0
+writeback-node0  node0  running  2        32      0.0174   0
+writeback-node1  node1  running  1        32      0.0000   0
 mgr0             node0  running  0        0       0.0000   0
 mgr1             node1  running  0        0       0.0000   0
 mgr2             node0  running  2        1       0.0001   0
@@ -71,7 +72,7 @@ shard  node   meta-ops  ops/s  q-high  inval-out
 
 [12 dispatches counted by ServiceStats]
 [network: frames-switch, 18 messages, 263264 bytes, wire busy 0.0211s]
-[scheduler: 423 events (142 taken in place), depth hw 17]
+[scheduler: 414 events (142 taken in place), depth hw 17]
 """
 
 

@@ -2,9 +2,12 @@
 
 A contiguous ``read``/``write``/``sync_write`` is the one-range list
 request of PVFS list I/O, so it and ``readv``/``writev`` share one raw
-body per direction.  These digests were recorded before the contiguous
-calls were folded into the list bodies; the folded code must reproduce
-every one of them, event for event.
+body per direction.  The read digests were recorded before the
+contiguous calls were folded into the list bodies; the folded code
+reproduces every one of them, event for event.  The write digests (and
+the list run's, which writes) were re-recorded when the iod's
+writeback became dirty pages written in runs: a write's schedule
+includes its iod's writeback, a read's does not.
 """
 
 from __future__ import annotations
@@ -30,25 +33,25 @@ GOLDEN_RAW_MICRO = {
         2893,
     ),
     ("write", 4 * KB): (
-        "20dba57953d2bdbeb8e4f252ee0f8629",
-        1240,
+        "538cf7e0f01eeeb951d776b1abe4ec41",
+        925,
     ),
     ("write", MB): (
-        "f624c60d8a36fc1c2f615ce83ad8f0b5",
-        3771,
+        "24d9ee5dda5f94fac654635aaf2c0147",
+        2251,
     ),
     ("sync_write", 4 * KB): (
-        "20dba57953d2bdbeb8e4f252ee0f8629",
-        1240,
+        "538cf7e0f01eeeb951d776b1abe4ec41",
+        925,
     ),
     ("sync_write", MB): (
-        "f889cb780a270556b07116ddd575d701",
-        3771,
+        "97d28ca001128d5adfdb4fbd6b105488",
+        2251,
     ),
 }
 
 #: The list run below: ``(trace hash, events processed)``.
-GOLDEN_RAW_LIST = ("4638fe42ac3a895c67ebfaf4ba3e8a40", 360)
+GOLDEN_RAW_LIST = ("9c6519c71f69bab83fa267602a2d9904", 313)
 
 
 def _raw_cluster() -> Cluster:
