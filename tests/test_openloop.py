@@ -210,6 +210,41 @@ def test_generate_is_deterministic():
     assert generate(params).content_hash() == generate(params).content_hash()
 
 
+#: ``generate(p).dumps()``'s BLAKE2b digest for the two shapes the
+#: program runs: the bench ``meta_openloop`` workload at its reference
+#: length (``bench/workloads.py`` ``open_loop_trace``, seed 1) and the
+#: mgr-scaling knee point (``repro.experiments.scaling.knee_params(64)``,
+#: its default seed).  The params are copied as literals, so a change to
+#: the generator, not to a caller, is what moves these.
+GOLDEN_GENERATE_DIGESTS = {
+    "meta_openloop": (
+        dict(
+            processes=64, duration_s=8.5, rate_ops_s=3000.0, churn=1.0,
+            read_fraction=0.0, write_fraction=1.0, request_bytes=4096,
+            access="uniform", seed=1,
+        ),
+        "d0a47520f9899a8d24d643e45df833d9",
+    ),
+    "scaling_knee": (
+        dict(
+            processes=64, duration_s=0.15, rate_ops_s=16000.0, churn=1.0,
+            read_fraction=0.0, write_fraction=1.0, access="uniform",
+            file_bytes=16 << 20, seed=11,
+        ),
+        "8ac2a37ebf73c655f0d45cb8f87c669f",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_GENERATE_DIGESTS))
+def test_generate_bytes_are_pinned_for_the_programs_shapes(shape):
+    import hashlib
+
+    kwargs, digest = GOLDEN_GENERATE_DIGESTS[shape]
+    text = generate(OpenLoopParams(**kwargs)).dumps()
+    assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
+
+
 def test_generate_different_seeds_differ():
     base = OpenLoopParams(processes=3, duration_s=0.2, rate_ops_s=600, seed=5)
     other = OpenLoopParams(processes=3, duration_s=0.2, rate_ops_s=600, seed=6)
