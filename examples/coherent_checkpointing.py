@@ -1,4 +1,4 @@
-"""Coherence with ``sync_write`` + the sharing-pattern classifier.
+"""Coherence with ``sync_write``.
 
 A coordinator process periodically checkpoints shared state that
 workers on other nodes read between their work phases.  With the
@@ -6,16 +6,10 @@ default (non-coherent) write path, workers can read *stale*
 checkpoints from their node's cache; ``sync_write`` invalidates the
 remote copies so every worker sees the newest epoch.
 
-The example also records the run's client I/O from the svc bus, feeds
-it to the sharing-pattern classifier (the paper's future-work item)
-and prints its per-file diagnosis + recommendation.
-
 Run:  python examples/coherent_checkpointing.py
 """
 
 from repro import Cluster, ClusterConfig
-from repro.workload import TraceRecorder, classify_trace
-from repro.workload.classify import RECOMMENDATIONS
 
 CHECKPOINT_BYTES = 64 * 1024
 EPOCHS = 5
@@ -25,14 +19,11 @@ def run(coherent: bool) -> tuple[int, int]:
     """Returns (stale_reads, invalidations)."""
     cluster = Cluster(ClusterConfig(compute_nodes=3, iod_nodes=3))
     env = cluster.env
-    recorder = TraceRecorder(cluster)
-    recorder.tap()
     epoch_written = [env.event() for _ in range(EPOCHS)]
     stale = [0]
 
     def coordinator(env):
         client = cluster.client("node0")
-        client.process_name = "coordinator"
         f = yield from client.open("/ckpt/state")
         for epoch in range(EPOCHS):
             payload = bytes([epoch + 1]) * CHECKPOINT_BYTES
@@ -47,7 +38,6 @@ def run(coherent: bool) -> tuple[int, int]:
 
     def worker(env, node):
         client = cluster.client(node)
-        client.process_name = f"worker-{node}"
         f = yield from client.open("/ckpt/state")
         for epoch in range(EPOCHS):
             yield epoch_written[epoch]
@@ -62,11 +52,6 @@ def run(coherent: bool) -> tuple[int, int]:
     for node in ("node1", "node2"):
         procs.append(env.process(worker(env, node)))
     env.run(until=env.all_of(procs))
-
-    if coherent:
-        pattern = classify_trace(recorder.trace())["/ckpt/state"]
-        print("  classifier says:", pattern)
-        print("  recommendation:", RECOMMENDATIONS[pattern])
     return stale[0], cluster.metrics.count("cache.invalidations_received")
 
 

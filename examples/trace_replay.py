@@ -3,10 +3,9 @@
 The paper's closing lament is the lack of benchmarks "containing groups
 of applications sharing data".  The trace IR fills that gap: this
 example records the request stream of a two-application sharing
-workload into the versioned JSONL format, replays the *identical*
+workload into the versioned JSONL format and replays the *identical*
 workload against three cluster configurations to compare policies
-apples-to-apples, then uses a transform pass to double the workload
-and replay that too:
+apples-to-apples:
 
 * original PVFS (no caching),
 * the paper's kernel cache module,
@@ -19,7 +18,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
 from repro.workload import TraceRecorder, TraceReplayer
 from repro.workload.trace import loads
-from repro.workload.transform import scale_out
 
 STEP = 32 * 1024
 STEPS = 12
@@ -110,17 +108,6 @@ def main() -> None:
     print("differences are the whole story.  (Readahead loses here: its")
     print("window runs past the end of the dataset, so the cold iod disks")
     print("also read blocks that no scanner asks for.)")
-
-    doubled = scale_out(2)(trace)
-    print(f"\nscale_out(2) transform: {len(doubled)} requests from "
-          f"{len(doubled.processes)} processes; replaying on p=4:\n")
-    replay(
-        doubled.dumps(),
-        "2x scaled, cache module",
-        ClusterConfig(
-            compute_nodes=4, iod_nodes=4, caching=True, pagecache_blocks=0
-        ),
-    )
 
 
 if __name__ == "__main__":

@@ -137,13 +137,6 @@ class LocalFileStore:
         """Sorted block numbers present for ``file_id``."""
         return sorted(b for (f, b) in self._blocks if f == file_id)
 
-    def delete_file(self, file_id: int) -> int:
-        """Drop all blocks of ``file_id``; returns how many were dropped."""
-        victims = [k for k in self._blocks if k[0] == file_id]
-        for key in victims:
-            del self._blocks[key]
-        return len(victims)
-
 
 def blocks_spanned(
     offset: int, nbytes: int, block_size: int = BLOCK_SIZE

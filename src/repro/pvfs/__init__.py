@@ -20,7 +20,6 @@ from repro.pvfs.collective import CollectiveGroup, InterleavedAccess
 from repro.pvfs.iod import Iod
 from repro.pvfs.mgr import MetadataServer
 from repro.pvfs.protocol import FileHandle
-from repro.pvfs.shell import PVFSShell
 from repro.pvfs.striping import StripeLayout
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "Iod",
     "MetadataServer",
     "PVFSClient",
-    "PVFSShell",
     "StripeLayout",
 ]

@@ -184,8 +184,7 @@ class PVFSClient:
 
     def unlink(self, path: str) -> _t.Generator:
         """Process body: drop the path from the namespace; returns
-        whether it existed.  (Stripe data reclamation is the iods'
-        concern; see PVFSShell.rm for the storage side.)"""
+        whether it existed.  The iods keep the file's stripe data."""
         yield self.node.compute(self.node.costs.syscall_s)
         endpoint = yield from self._mgr_endpoint(self._mgr_shard(path))
         yield endpoint.send(

@@ -107,10 +107,6 @@ class SharerDirectory:
             for _, node, overlap in held
         }
 
-    def forget(self, file_id: int) -> None:
-        """Drop all state of a removed file."""
-        self._files.pop(file_id, None)
-
     def stats(self) -> dict[str, int]:
         """Tracked files, runs and blocks (a block counts once per node)."""
         runs = blocks = 0

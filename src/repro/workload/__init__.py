@@ -6,15 +6,15 @@ Two ways to drive the simulated cluster:
   (Section 4.1; ``d``/``p``/``l``/``s`` knobs) and the application mixes
   of :mod:`repro.workload.apps`.
 * **The trace IR** — any run can be *recorded* into a serializable,
-  versioned :class:`Trace` (:mod:`repro.workload.record`),
-  *transformed* into scenario families
-  (:mod:`repro.workload.transform`), *replayed* deterministically
-  against any configuration (:mod:`repro.workload.replay`), and
-  external traces can be *imported* from JSONL/CSV with validation and
-  sharing classification on ingest.
+  versioned JSONL :class:`Trace` (:mod:`repro.workload.record`) and
+  *replayed* deterministically against any configuration
+  (:mod:`repro.workload.replay`); a trace file is validated as it is
+  loaded.
+* **Open-loop generation** — arrival schedules that do not slow down
+  with the system (:mod:`repro.workload.openloop`), emitted as trace
+  IR.
 """
 
-from repro.workload.classify import SharingClassifier, classify_trace
 from repro.workload.microbench import MicroBenchmark, MicroBenchParams
 from repro.workload.pattern import AccessPattern
 from repro.workload.record import TraceRecorder
@@ -38,13 +38,11 @@ __all__ = [
     "MicroBenchmark",
     "MicroBenchParams",
     "RunOutcome",
-    "SharingClassifier",
     "Trace",
     "TraceEvent",
     "TraceFormatError",
     "TraceRecorder",
     "TraceReplayer",
-    "classify_trace",
     "fig4_point_trace_hash",
     "record_microbench_trace",
     "replay_trace_hash",

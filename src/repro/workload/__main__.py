@@ -10,9 +10,7 @@ Subcommands operate on the trace IR (mirroring the
 
     python -m repro.workload record --out run.jsonl --d 4096 --p 2
     python -m repro.workload replay --trace run.jsonl --p 4 --hash
-    python -m repro.workload transform --trace run.jsonl --out big.jsonl \\
-        --scale-out 2 --remix-sharing 0.5
-    python -m repro.workload validate --trace big.jsonl
+    python -m repro.workload validate --trace run.jsonl
 
 Each subcommand has ``--help``.
 """
@@ -27,7 +25,7 @@ from repro.cluster.config import CacheConfig, ClusterConfig, CostModel
 from repro.workload.microbench import MicroBenchParams
 from repro.workload.runner import run_instances
 
-SUBCOMMANDS = ("record", "replay", "transform", "validate")
+SUBCOMMANDS = ("record", "replay", "validate")
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
@@ -70,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.workload",
         description="Run the paper's customizable micro-benchmark on a "
-        "simulated PVFS cluster (see also the record/replay/transform/"
-        "validate trace subcommands).",
+        "simulated PVFS cluster (see also the record/replay/validate "
+        "trace subcommands).",
     )
     _add_micro_args(parser)
     _add_cluster_args(parser)
@@ -175,7 +173,7 @@ def _cmd_replay(argv: _t.Sequence[str]) -> int:
         "(possibly different) cluster configuration.",
     )
     parser.add_argument("--trace", type=str, required=True, metavar="FILE",
-                        help="trace to replay (JSONL or CSV, '-' = stdin)")
+                        help="JSONL trace to replay ('-' = stdin)")
     parser.add_argument("--open-loop", action="store_true",
                         help="preserve the trace's original request "
                         "timing (default: closed loop, think times only)")
@@ -214,83 +212,15 @@ def _cmd_replay(argv: _t.Sequence[str]) -> int:
     return 0
 
 
-def _cmd_transform(argv: _t.Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.workload transform",
-        description="Apply composable trace->trace passes.  Passes run "
-        "in a fixed order: --remap, --time-scale, --scale-out, "
-        "--remix-sharing, --zipf.",
-    )
-    parser.add_argument("--trace", type=str, required=True, metavar="FILE",
-                        help="input trace (JSONL or CSV, '-' = stdin)")
-    parser.add_argument("--out", type=str, default="-", metavar="FILE",
-                        help="output trace path ('-' = stdout)")
-    parser.add_argument("--remap", action="append", default=[],
-                        metavar="OLD=NEW",
-                        help="rename process OLD to NEW (repeatable)")
-    parser.add_argument("--time-scale", type=float, default=None,
-                        metavar="F", help="scale timestamps/think times by F")
-    parser.add_argument("--scale-out", type=int, default=None, metavar="N",
-                        help="clone every process stream N-fold")
-    parser.add_argument("--remix-sharing", type=float, default=None,
-                        metavar="S",
-                        help="re-mix the degree of sharing to S in [0,1]")
-    parser.add_argument("--zipf", type=float, default=None, metavar="ALPHA",
-                        help="re-skew path popularity to Zipf(ALPHA)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized passes")
-    args = parser.parse_args(argv)
-    from repro.workload import transform as tr
-
-    passes: list[tr.Transform] = []
-    if args.remap:
-        mapping = {}
-        for spec in args.remap:
-            old, sep, new = spec.partition("=")
-            if not sep or not old or not new:
-                print(f"error: --remap wants OLD=NEW, got {spec!r}",
-                      file=sys.stderr)
-                return 2
-            mapping[old] = new
-        passes.append(tr.process_remap(mapping))
-    if args.time_scale is not None:
-        passes.append(tr.time_scale(args.time_scale))
-    if args.scale_out is not None:
-        passes.append(tr.scale_out(args.scale_out))
-    if args.remix_sharing is not None:
-        passes.append(tr.remix_sharing(args.remix_sharing, seed=args.seed))
-    if args.zipf is not None:
-        passes.append(tr.zipf_reskew(args.zipf, seed=args.seed))
-    if not passes:
-        print("error: no transform given (see --help)", file=sys.stderr)
-        return 2
-    trace = _load_trace_arg(args.trace)
-    if trace is None:
-        return 2
-    trace = tr.compose(*passes)(trace)
-    _write_text(args.out, trace.dumps())
-    applied = trace.meta.get("transforms", [])
-    print(
-        f"transformed: {len(trace)} events, "
-        f"{len(trace.processes)} processes; passes: {applied}",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_validate(argv: _t.Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.workload validate",
-        description="Validate a trace file and classify its sharing "
-        "patterns (the import ingest check).  Exit status 1 when "
-        "issues are found.",
+        description="Validate a trace file and summarize it.  Exit "
+        "status 1 when issues are found.",
     )
     parser.add_argument("--trace", type=str, required=True, metavar="FILE",
-                        help="trace to validate (JSONL or CSV, '-' = stdin)")
+                        help="JSONL trace to validate ('-' = stdin)")
     args = parser.parse_args(argv)
-    from collections import Counter
-
-    from repro.workload.classify import classify_trace
     from repro.workload.openloop import is_open_loop, offered_load_stats
     from repro.workload.trace import validate_trace
 
@@ -320,16 +250,6 @@ def _cmd_validate(argv: _t.Sequence[str]) -> int:
               f"{load['duration_s']:.6f} s schedule "
               f"= {load['offered_ops_per_s']:.1f} ops/s "
               f"({load['per_process_ops_per_s']:.1f} per process)")
-    patterns = classify_trace(trace)
-    if len(patterns) > 20:
-        # Churn-heavy (open-loop) namespaces run to thousands of
-        # single-use paths; a per-path listing would drown the report.
-        counts = Counter(patterns.values())
-        print("  sharing patterns     : " + "  ".join(
-            f"{pattern}={n}" for pattern, n in sorted(counts.items())))
-    else:
-        for path, pattern in patterns.items():
-            print(f"  {path:<20} : {pattern}")
     issues = validate_trace(trace)
     for issue in issues:
         print(f"  ISSUE: {issue}", file=sys.stderr)
@@ -342,7 +262,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         handler = {
             "record": _cmd_record,
             "replay": _cmd_replay,
-            "transform": _cmd_transform,
             "validate": _cmd_validate,
         }[argv[0]]
         return handler(argv[1:])

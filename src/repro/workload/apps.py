@@ -9,10 +9,6 @@ data analysis and mining, video processing, large archive maintenance"),
 each a generator-based program against the public API, plus a
 :func:`run_app_mix` harness that co-schedules them the way Figure 1's
 analysis cycle does.
-
-Each application declares its access *signature* (the sharing pattern a
-classifier should find), so the suite doubles as ground truth for
-:mod:`repro.workload.classify`.
 """
 
 from __future__ import annotations
@@ -34,10 +30,6 @@ class AppResult:
 
 class BaseApp:
     """A simulated application bound to one node of a cluster."""
-
-    #: Sharing pattern the app's file accesses should classify as when
-    #: co-run with its natural partners.
-    signature: str = "private"
 
     def __init__(
         self, cluster: Cluster, node: str, name: str | None = None
@@ -96,8 +88,6 @@ class OutOfCoreMatrixMultiply(BaseApp):
     a co-scheduled sibling) helps.
     """
 
-    signature = "read-shared"
-
     def __init__(
         self,
         cluster: Cluster,
@@ -133,8 +123,6 @@ class OutOfCoreMatrixMultiply(BaseApp):
 class AssociationMiningScan(BaseApp):
     """Multi-pass data mining (Apriori-style): every pass re-scans the
     whole transaction file with shrinking compute per pass."""
-
-    signature = "read-shared"
 
     def __init__(
         self,
@@ -177,8 +165,6 @@ class VideoFrameExtractor(BaseApp):
     the noncontiguous request shape that traces record as a single
     ``count > 1`` event.
     """
-
-    signature = "disjoint"
 
     def __init__(
         self,
@@ -233,8 +219,6 @@ class VideoFrameExtractor(BaseApp):
 class ArchiveMaintainer(BaseApp):
     """Large archive maintenance: appends batches to an archive file
     and periodically re-reads the recent window to build an index."""
-
-    signature = "producer-consumer"
 
     def __init__(
         self,

@@ -11,16 +11,12 @@ serialization point becomes visible as a throughput knee.
 Everything is emitted as ordinary Trace IR with absolute timestamps
 (``meta["open_loop"] = True``), so an open-loop workload composes with
 :class:`~repro.workload.replay.TraceReplayer` (``preserve_timing=True``
-holds each arrival to its stamp), the transform passes, and the
-analytic models for free.
+holds each arrival to its stamp) and the analytic models for free.
 
 Structure of a generated workload:
 
-* **Arrivals**: :class:`PoissonArrivals` (memoryless at a fixed rate)
-  or :class:`MMPPArrivals` (a two-state Markov-modulated Poisson
-  process — exponentially distributed ON bursts at ``burst_factor``
-  times the base rate, OFF lulls at a reduced rate, long-run average
-  equal to the configured rate).
+* **Arrivals**: :class:`PoissonArrivals`, memoryless at each process's
+  share of the offered rate.
 * **Popularity**: :class:`ZipfSampler` ranks the file namespace by a
   heavy-tailed Zipf(``alpha``) law, the shape CAWL-style workload
   studies report for shared storage.
@@ -28,8 +24,8 @@ Structure of a generated workload:
   (``/shared/f<rank>``) with probability ``sharing``, otherwise the
   process-private twin (``/p<i>/f<rank>``) — the inter-application
   sharing structure the paper's cache exploits.
-* **Shape**: fixed-size requests, optionally strided list-I/O
-  (``stride_count > 1``), drawn from a read/write/sync_write mix.
+* **Shape**: fixed-size contiguous requests drawn from a
+  read/write/sync_write mix.
 
 All randomness comes from ``numpy.random.default_rng`` seeded through
 one :class:`numpy.random.SeedSequence` spawn per process stream, so a
@@ -50,14 +46,9 @@ from repro.cluster.config import ClusterConfig
 from repro.workload.replay import TraceReplayer
 from repro.workload.trace import Trace, TraceEvent
 
-#: Recognised arrival processes.
-ARRIVALS = ("poisson", "mmpp")
-
 #: Recognised per-file access patterns: sequential cursors (``seq``)
 #: or uniformly random request-aligned offsets (``uniform``).
 ACCESS_PATTERNS = ("seq", "uniform")
-
-_INF = float("inf")
 
 
 # -- samplers ---------------------------------------------------------------
@@ -65,8 +56,7 @@ class ZipfSampler:
     """Zipf(``alpha``) ranks over ``n`` items, clipped to [0, n).
 
     Draw ``r`` means "the r-th most popular file".  Draws beyond the
-    namespace clip to the coldest rank, matching the
-    :func:`~repro.workload.transform.zipf_reskew` transform.
+    namespace clip to the coldest rank.
     """
 
     def __init__(self, alpha: float, n: int, seed: _t.Any) -> None:
@@ -105,83 +95,6 @@ class PoissonArrivals:
         return [self.next_gap() for _ in range(count)]
 
 
-class MMPPArrivals:
-    """Two-state Markov-modulated Poisson process (bursty arrivals).
-
-    The modulating chain alternates exponentially distributed ON and
-    OFF sojourns (means ``on_fraction * cycle_s`` and
-    ``(1 - on_fraction) * cycle_s``); arrivals are Poisson at
-    ``burst_factor * rate`` while ON and at the complementary reduced
-    rate while OFF, so the long-run average is exactly
-    ``rate_ops_s``.  ``burst_factor * on_fraction <= 1`` is required
-    (the OFF rate cannot go negative); equality makes OFF silent.
-    """
-
-    def __init__(
-        self,
-        rate_ops_s: float,
-        seed: _t.Any,
-        burst_factor: float = 4.0,
-        on_fraction: float = 0.25,
-        cycle_s: float = 0.2,
-    ) -> None:
-        if rate_ops_s <= 0:
-            raise ValueError(f"rate must be positive, got {rate_ops_s}")
-        if burst_factor < 1:
-            raise ValueError(
-                f"burst_factor must be >= 1, got {burst_factor}"
-            )
-        if not (0 < on_fraction < 1):
-            raise ValueError(
-                f"on_fraction must be in (0,1), got {on_fraction}"
-            )
-        if cycle_s <= 0:
-            raise ValueError(f"cycle_s must be positive, got {cycle_s}")
-        if burst_factor * on_fraction > 1 + 1e-12:
-            raise ValueError(
-                "burst_factor * on_fraction must be <= 1 so the OFF "
-                f"rate stays non-negative, got "
-                f"{burst_factor} * {on_fraction}"
-            )
-        self.rate_ops_s = rate_ops_s
-        self.on_rate = burst_factor * rate_ops_s
-        self.off_rate = max(
-            0.0,
-            rate_ops_s * (1.0 - burst_factor * on_fraction)
-            / (1.0 - on_fraction),
-        )
-        self.mean_on_s = on_fraction * cycle_s
-        self.mean_off_s = (1.0 - on_fraction) * cycle_s
-        self._rng = np.random.default_rng(seed)
-        self._on = True
-        self._state_left = float(self._rng.exponential(self.mean_on_s))
-
-    def _flip(self) -> None:
-        self._on = not self._on
-        mean = self.mean_on_s if self._on else self.mean_off_s
-        self._state_left = float(self._rng.exponential(mean))
-
-    def next_gap(self) -> float:
-        """Seconds until the next arrival (spanning state flips)."""
-        elapsed = 0.0
-        while True:
-            rate = self.on_rate if self._on else self.off_rate
-            wait = (
-                float(self._rng.exponential(1.0 / rate))
-                if rate > 0
-                else _INF
-            )
-            if wait <= self._state_left:
-                self._state_left -= wait
-                return elapsed + wait
-            elapsed += self._state_left
-            self._flip()
-
-    def gaps(self, count: int) -> list[float]:
-        """The next ``count`` inter-arrival gaps."""
-        return [self.next_gap() for _ in range(count)]
-
-
 # -- parameters --------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class OpenLoopParams:
@@ -193,12 +106,6 @@ class OpenLoopParams:
     duration_s: float = 1.0
     #: Aggregate offered rate across all processes, ops/second.
     rate_ops_s: float = 2000.0
-    #: Arrival process: ``"poisson"`` or ``"mmpp"``.
-    arrival: str = "poisson"
-    #: MMPP knobs (ignored for poisson); see :class:`MMPPArrivals`.
-    burst_factor: float = 4.0
-    on_fraction: float = 0.25
-    cycle_s: float = 0.2
     #: Files per namespace (shared and each private one).
     n_files: int = 64
     #: Zipf popularity skew over the namespace (> 1).
@@ -214,7 +121,7 @@ class OpenLoopParams:
     #: Op mix; the remainder after read + write is sync_write.
     read_fraction: float = 0.65
     write_fraction: float = 0.25
-    #: Bytes per request (per range when strided).
+    #: Bytes per request.
     request_bytes: int = 4096
     #: Logical file size; sequential per-file cursors wrap here.
     file_bytes: int = 1 << 20
@@ -223,11 +130,6 @@ class OpenLoopParams:
     #: offsets uniformly, spreading load over every stripe (and thus
     #: every iod) instead of pounding stripe 0.
     access: str = "seq"
-    #: Strided list-I/O shape: ``stride_count > 1`` turns each request
-    #: into a regular strided event of ``stride_count`` ranges spaced
-    #: ``stride_bytes`` apart (0 = dense, back-to-back ranges).
-    stride_bytes: int = 0
-    stride_count: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -237,10 +139,6 @@ class OpenLoopParams:
             raise ValueError(f"duration must be > 0, got {self.duration_s}")
         if self.rate_ops_s <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate_ops_s}")
-        if self.arrival not in ARRIVALS:
-            raise ValueError(
-                f"unknown arrival {self.arrival!r}; have {ARRIVALS}"
-            )
         if self.n_files < 1:
             raise ValueError(f"need >= 1 file, got {self.n_files}")
         if not (0.0 <= self.sharing <= 1.0):
@@ -269,44 +167,10 @@ class OpenLoopParams:
                 f"file of {self.file_bytes} cannot hold one request of "
                 f"{self.request_bytes}"
             )
-        if self.stride_count < 1:
-            raise ValueError(
-                f"stride_count must be >= 1, got {self.stride_count}"
-            )
-        if self.stride_bytes < 0:
-            raise ValueError(
-                f"stride_bytes must be >= 0, got {self.stride_bytes}"
-            )
-        if self.request_span > self.file_bytes:
-            raise ValueError(
-                f"strided span of {self.request_span} bytes does not "
-                f"fit in a {self.file_bytes}-byte file"
-            )
-
-    @property
-    def request_span(self) -> int:
-        """Bytes one (possibly strided) request spans in the file."""
-        stride = self.stride_bytes or self.request_bytes
-        if self.stride_count == 1:
-            return self.request_bytes
-        return (self.stride_count - 1) * stride + self.request_bytes
 
     def process_names(self) -> list[str]:
         """Client process names, in spawn (= sorted) order."""
         return [f"openloop{i:03d}" for i in range(self.processes)]
-
-    def arrivals_for(self, seed: _t.Any) -> PoissonArrivals | MMPPArrivals:
-        """One process's arrival sampler at its share of the rate."""
-        rate = self.rate_ops_s / self.processes
-        if self.arrival == "poisson":
-            return PoissonArrivals(rate, seed)
-        return MMPPArrivals(
-            rate,
-            seed,
-            burst_factor=self.burst_factor,
-            on_fraction=self.on_fraction,
-            cycle_s=self.cycle_s,
-        )
 
 
 # -- generation --------------------------------------------------------------
@@ -318,13 +182,12 @@ def generate(params: OpenLoopParams) -> Trace:
     function of ``params``.
     """
     seeds = np.random.SeedSequence(params.seed).spawn(params.processes)
-    strided = params.stride_count > 1
-    stride = (params.stride_bytes or params.request_bytes) if strided else 0
-    span = params.request_span
+    size = params.request_bytes
+    rate = params.rate_ops_s / params.processes
     events: list[TraceEvent] = []
     for i, name in enumerate(params.process_names()):
         arrival_seed, zipf_seed, mix_seed = seeds[i].spawn(3)
-        arrivals = params.arrivals_for(arrival_seed)
+        arrivals = PoissonArrivals(rate, arrival_seed)
         popularity = ZipfSampler(
             params.zipf_alpha, params.n_files, zipf_seed
         )
@@ -350,36 +213,23 @@ def generate(params: OpenLoopParams) -> Trace:
             else:
                 op = "sync_write"
             if params.access == "uniform":
-                slots = (params.file_bytes - span) // params.request_bytes
-                cursor = int(
-                    mix_rng.integers(0, slots + 1)
-                ) * params.request_bytes
+                slots = (params.file_bytes - size) // size
+                cursor = int(mix_rng.integers(0, slots + 1)) * size
             else:
                 cursor = cursors.get(path, 0)
-                if cursor + span > params.file_bytes:
+                if cursor + size > params.file_bytes:
                     cursor = 0
-                cursors[path] = cursor + span
+                cursors[path] = cursor + size
+            # think_s stays 0: arrivals are scheduled, not paced.
             events.append(
-                TraceEvent(
-                    t,
-                    name,
-                    path,
-                    op,
-                    cursor,
-                    params.request_bytes,
-                    "openloop",
-                    i,
-                    0.0,  # think_s: arrivals are scheduled, not paced
-                    stride,
-                    params.stride_count,
-                )
+                TraceEvent(t, name, path, op, cursor, size, "openloop", i)
             )
             t += arrivals.next_gap()
     trace = Trace(events)
     trace.meta.update(
         {
             "open_loop": True,
-            "arrival": params.arrival,
+            "arrival": "poisson",
             "offered_ops": len(events),
             "offered_rate_ops_s": params.rate_ops_s,
             "duration_s": params.duration_s,

@@ -4,11 +4,9 @@ The paper closes by noting "there is a lack of benchmarks containing
 groups of applications sharing data".  Traces are the practical
 substitute, and this module makes them a first-class currency for the
 whole stack: every driver can *record* its request stream
-(:mod:`repro.workload.record`), *replay* it deterministically against
-a different cluster configuration (:mod:`repro.workload.replay`),
-*transform* it into a family of scenarios
-(:mod:`repro.workload.transform`), and *import* traces measured on
-external systems.
+(:mod:`repro.workload.record`) and *replay* it deterministically
+against a different cluster configuration
+(:mod:`repro.workload.replay`).
 
 Event model
 -----------
@@ -23,8 +21,8 @@ of parallel applications (cf. arXiv:cs/0207096): a request with
 request.
 
 The op is one of ``read``, ``write`` and ``sync_write`` (the spelling
-the metrics, ``client.sync_writes``, and the classifier use); any
-other spelling is a :class:`TraceFormatError`.
+the metrics use, ``client.sync_writes``); any other spelling is a
+:class:`TraceFormatError`.
 
 Serialization
 -------------
@@ -39,14 +37,13 @@ JSON object per event::
      "offset": 65536, "nbytes": 4096, "stride": 16384, "count": 4}
 
 Event fields at their defaults are omitted.  The header's ``events``
-count makes truncation detectable.  The older CSV schema
-(``time,process,path,op,offset,nbytes``) is read as the *version-1
-import dialect*; nothing writes it.
+count makes truncation detectable.  A file that is not this format
+(a CSV table, another version) is a :class:`TraceFormatError` at its
+header line.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -58,15 +55,14 @@ import typing as _t
 #: Format marker in the JSONL header line.
 TRACE_FORMAT = "repro-trace"
 
-#: Current trace IR version.  Version 1 is the legacy CSV dialect.
+#: The trace IR version this build reads and writes.
 TRACE_VERSION = 2
 
 #: Canonical operation names of the IR.
 CANONICAL_OPS = ("read", "write", "sync_write")
 
-#: CSV dialect column order (the version-1 schema); the same six are
-#: the fields a JSONL event must carry.
-CSV_COLUMNS = ("time", "process", "path", "op", "offset", "nbytes")
+#: The fields every event must carry.
+REQUIRED_FIELDS = ("time", "process", "path", "op", "offset", "nbytes")
 
 
 class TraceFormatError(ValueError):
@@ -284,7 +280,7 @@ class TraceEvent:
             where = f" (line {line_no})" if line_no is not None else ""
             if not isinstance(obj, dict):
                 what = f"event is not an object{where}: {obj!r}"
-            elif missing := [k for k in CSV_COLUMNS if k not in obj]:
+            elif missing := [k for k in REQUIRED_FIELDS if k not in obj]:
                 what = f"event missing fields {missing}{where}"
             elif isinstance(exc, TraceFormatError):
                 what = f"{exc}{where}"
@@ -392,8 +388,7 @@ class Trace:
     """An ordered, versioned collection of trace events plus metadata.
 
     ``meta`` carries free-form provenance (source, seed, config
-    snapshot, applied transforms); it rides along through
-    serialization and transforms.
+    snapshot); it rides along through serialization.
     """
 
     events: list[TraceEvent] = dataclasses.field(default_factory=list)
@@ -452,15 +447,6 @@ class Trace:
             acc.update(line.encode())
         return acc.hexdigest()
 
-    def derive(
-        self, events: _t.Iterable[TraceEvent], note: str
-    ) -> "Trace":
-        """A new trace with ``events`` and this trace's meta + a
-        transform note appended (used by the transform passes)."""
-        meta = dict(self.meta)
-        meta["transforms"] = [*meta.get("transforms", []), note]
-        return Trace(events=list(events), meta=meta)
-
     # -- JSONL serialization ---------------------------------------------
     def _jsonl_lines(self) -> _t.Iterator[str]:
         header = {
@@ -517,10 +503,10 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
             f"not a {TRACE_FORMAT} header: {first[:80]!r}"
         )
     version = header.get("version")
-    if version not in (1, TRACE_VERSION):
+    if version != TRACE_VERSION:
         raise TraceFormatError(
             f"unsupported trace version {version!r}; this build reads "
-            f"versions 1 and {TRACE_VERSION}"
+            f"version {TRACE_VERSION}"
         )
     events: list[TraceEvent] = []
     numbers = _Numbers({}, {})
@@ -548,57 +534,12 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
     return Trace(events=events, meta=meta, version=TRACE_VERSION)
 
 
-def _load_csv(lines: _t.Iterable[str]) -> Trace:
-    reader = csv.DictReader(lines)
-    required = set(CSV_COLUMNS)
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise TraceFormatError(
-            f"trace CSV needs columns {sorted(required)}, "
-            f"got {reader.fieldnames}"
-        )
-    events: list[TraceEvent] = []
-    floats, ints = _Numbers({}, {})
-    for line_no, row in enumerate(reader, start=2):
-        try:
-            time = float(row["time"])
-            offset = int(row["offset"])
-            nbytes = int(row["nbytes"])
-            instance = int(row.get("instance") or 0)
-            think_s = float(row.get("think_s") or 0.0)
-            stride = int(row.get("stride") or 0)
-            events.append(
-                TraceEvent(
-                    time=floats.setdefault(time, time) if time else time,
-                    process=row["process"],
-                    path=row["path"],
-                    op=row["op"],
-                    offset=ints.setdefault(offset, offset),
-                    nbytes=ints.setdefault(nbytes, nbytes),
-                    app=row.get("app", "") or "",
-                    instance=instance,
-                    think_s=think_s,
-                    stride=ints.setdefault(stride, stride),
-                    count=int(row.get("count") or 1),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, TraceFormatError):
-                raise TraceFormatError(
-                    f"{exc} (line {line_no})"
-                ) from exc
-            raise TraceFormatError(
-                f"malformed CSV event (line {line_no}): {exc}"
-            ) from exc
-    return Trace(events=events, meta={"dialect": "csv"})
-
-
 def load(fp: _t.Iterable[str]) -> Trace:
-    """Parse a trace from a file object (JSONL or CSV dialect).
+    """Parse a JSONL trace from a file object.
 
     The file is streamed a line at a time (only iteration is asked of
-    ``fp``) and the dialect sniffed from its first non-blank line: a
-    leading ``{`` means the native JSONL format; anything else is
-    tried as the version-1 CSV dialect.
+    ``fp``).  A file of blank lines is an empty trace; otherwise its
+    first line must be the header.
     """
     lines = iter(fp)
     blank: list[str] = []
@@ -608,19 +549,16 @@ def load(fp: _t.Iterable[str]) -> Trace:
         blank.append(line)
     else:
         raise TraceFormatError("empty trace")
-    lines = itertools.chain(blank, (line,), lines)
-    if line.lstrip()[0] == "{":
-        return _load_jsonl(lines)
-    return _load_csv(lines)
+    return _load_jsonl(itertools.chain(blank, (line,), lines))
 
 
 def loads(text: str) -> Trace:
-    """Parse a trace from a string (JSONL or CSV dialect)."""
+    """Parse a JSONL trace from a string."""
     return load(_iter_lines(text))
 
 
 def load_path(path: str) -> Trace:
-    """Parse a trace from a file path (JSONL or CSV dialect)."""
+    """Parse a JSONL trace from a file path."""
     with open(path) as fp:
         return load(fp)
 
@@ -677,7 +615,7 @@ def validate_trace(trace: Trace) -> list[str]:
 
 __all__ = [
     "CANONICAL_OPS",
-    "CSV_COLUMNS",
+    "REQUIRED_FIELDS",
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "Trace",

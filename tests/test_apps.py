@@ -11,7 +11,7 @@ from repro.workload.apps import (
     analysis_cycle_mix,
     run_app_mix,
 )
-from repro.workload import TraceRecorder, classify_trace
+from repro.workload import TraceRecorder
 from tests.conftest import make_cluster
 
 
@@ -78,7 +78,17 @@ def test_two_video_extractors_interleave_disjointly():
         )
         apps.append(app)
     run_app_mix(cluster, apps)
-    assert classify_trace(recorder.trace())["/video/stream"] == "disjoint"
+    touched = {}
+    for event in recorder.trace():
+        assert event.path == "/video/stream" and event.op == "read"
+        touched.setdefault(event.process, []).extend(event.ranges)
+    first, second = touched.values()
+    assert not [
+        (a, b)
+        for a, a_bytes in first
+        for b, b_bytes in second
+        if a < b + b_bytes and b < a + a_bytes
+    ]
 
 
 def test_archive_maintainer_producer_consumer_on_itself():
@@ -89,7 +99,7 @@ def test_archive_maintainer_producer_consumer_on_itself():
     assert result.requests == 10
 
 
-def test_shared_miners_classify_read_shared():
+def test_shared_miners_read_the_same_file():
     cluster = make_cluster(compute_nodes=2, iod_nodes=2)
     recorder = TraceRecorder(cluster)
     recorder.tap()
@@ -101,8 +111,11 @@ def test_shared_miners_classify_read_shared():
         )
         apps.append(app)
     run_app_mix(cluster, apps)
-    report = classify_trace(recorder.trace())
-    assert report["/mining/transactions"] == "read-shared"
+    events = [
+        e for e in recorder.trace() if e.path == "/mining/transactions"
+    ]
+    assert {e.op for e in events} == {"read"}
+    assert len({e.process for e in events}) == 2
 
 
 def test_analysis_cycle_mix_builds_and_runs():

@@ -287,14 +287,13 @@ def test_store_invalid_block_size():
         LocalFileStore(block_size=0)
 
 
-def test_store_blocks_of_and_delete():
+def test_store_blocks_of():
     store = LocalFileStore()
     for b in (3, 1, 2):
         store.write_block(7, b, b"x")
     store.write_block(8, 0, b"y")
     assert store.blocks_of(7) == [1, 2, 3]
-    assert store.delete_file(7) == 3
-    assert store.blocks_of(7) == []
+    assert store.blocks_of(8) == [0]
     assert store.has_block(8, 0)
 
 

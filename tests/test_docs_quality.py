@@ -156,23 +156,31 @@ def test_docs_name_only_env_vars_the_program_reads():
 #: replaced.
 REMOVED_NAMES = {
     "DaemonMonitor",
+    "MMPPArrivals",
     "Mailbox",
     "Network.endpoint",
     "Network.register",
     "Network.send",
+    "PVFSShell",
     "ResourceMonitor",
+    "SharingClassifier",
     "_endpoints",
     "_handle_sync_write",
     "_listeners",
+    "_load_csv",
     "_raw_readv",
     "_raw_writev",
     "_run_instrumented",
     "_write_back_local",
     "attach_bus",
+    "classify_trace",
     "has_endpoint",
     "prefer_clean",
     "record_network_metrics",
     "record_scheduler_metrics",
+    "remix_sharing",
+    "scale_out",
+    "zipf_reskew",
 }
 
 
@@ -213,3 +221,39 @@ def test_docs_name_only_cli_flags_the_parser_has(capsys):
                     if flag not in known:
                         stale.append(f"{doc}:{lineno}: {flag}")
     assert not stale, "docs show flags --help does not list:\n" + "\n".join(stale)
+
+
+def test_docs_name_only_workload_subcommands_and_flags_the_cli_has(capsys):
+    """``python -m repro.workload [sub] --flags`` in the docs: each
+    subcommand named (``a|b`` alternatives too) exists, and each flag
+    is one that command's ``--help`` lists."""
+    from repro.workload.__main__ import SUBCOMMANDS, main
+
+    def flags(*argv):
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+    known = {sub: flags(sub) for sub in SUBCOMMANDS}
+    bare = flags()
+    stale = []
+    for doc in KNOB_DOCS:
+        for lineno, line in enumerate((ROOT / doc).read_text().splitlines(), 1):
+            for command in re.findall(
+                r"python -m repro\.workload(?![.\w])([^`]*)", line
+            ):
+                words = command.split()
+                allowed = bare
+                if words and not words[0].startswith("-"):
+                    subs = words[0].split("|")
+                    for sub in subs:
+                        if sub not in known:
+                            stale.append(f"{doc}:{lineno}: {sub}")
+                    allowed = set().union(*(known.get(sub, ()) for sub in subs))
+                for flag in re.findall(r"--[a-z][a-z-]*", command):
+                    if flag not in allowed:
+                        stale.append(f"{doc}:{lineno}: {flag}")
+    assert not stale, (
+        "docs show subcommands or flags the workload CLI lacks:\n"
+        + "\n".join(stale)
+    )

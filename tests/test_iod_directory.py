@@ -56,10 +56,6 @@ class _PerBlockDirectory:
                 self.table[key] = {writer} if from_cache else set()
         return list(victims.items())
 
-    def forget(self, file_id):
-        for key in [key for key in self.table if key[0] == file_id]:
-            del self.table[key]
-
     def sharers(self, file_id, block):
         return self.table.get((file_id, block), set())
 
@@ -98,7 +94,6 @@ _op = st.one_of(
         st.sampled_from(NODES),
         st.booleans(),  # from_cache: a raw sync_write spares no node
     ),
-    st.tuples(st.just("forget"), st.sampled_from(FILES)),
 )
 
 
@@ -110,14 +105,11 @@ def test_directory_matches_the_per_block_table(script):
         if op == "note":
             _note(iod, file_id, *args)
             oracle.note(file_id, *args)
-        elif op == "invalidate":
+        else:
             # same victims, same order, same ascending-per-range blocks
             assert _invalidate(iod, file_id, *args) == oracle.invalidate(
                 file_id, *args
             )
-        else:
-            iod.directory.forget(file_id)
-            oracle.forget(file_id)
     for file_id in FILES:
         for block in range(N_BLOCKS):
             assert iod.directory.sharers(file_id, block) == oracle.sharers(

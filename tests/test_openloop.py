@@ -12,7 +12,6 @@ import pytest
 
 from repro.experiments import parallel
 from repro.workload.openloop import (
-    MMPPArrivals,
     OpenLoopParams,
     PoissonArrivals,
     ZipfSampler,
@@ -46,21 +45,6 @@ GOLDEN_POISSON = {
     ],
 }
 
-GOLDEN_MMPP = {
-    0: [
-        0.000254899, 4.952e-06, 5.67e-07, 0.000137586, 0.000407485,
-        0.000168396, 0.000188825, 0.000704196, 0.001514438, 0.000821607,
-        3.22e-07, 0.000567274, 1.8124e-05, 0.00026735, 0.000212233,
-        0.000787477, 8.8503e-05, 7.6778e-05, 0.000373055, 9.251e-06,
-    ],
-    7: [
-        0.000256301, 0.000142137, 0.000223777, 5.1633e-05, 0.000845909,
-        2.438e-06, 0.000702304, 0.000143833, 7.5134e-05, 0.000135284,
-        7.8036e-05, 0.000224943, 0.000268425, 0.000471063, 5.5518e-05,
-        0.000786168, 0.000183964, 8.7093e-05, 0.000220891, 1.8765e-05,
-    ],
-}
-
 
 def zipf_first20(seed: int) -> list[int]:
     """Module-level so parallel sweep workers can pickle it."""
@@ -69,13 +53,6 @@ def zipf_first20(seed: int) -> list[int]:
 
 def poisson_first20(seed: int) -> list[float]:
     return [round(g, 9) for g in PoissonArrivals(1000.0, seed).gaps(20)]
-
-
-def mmpp_first20(seed: int) -> list[float]:
-    sampler = MMPPArrivals(
-        1000.0, seed, burst_factor=4.0, on_fraction=0.25, cycle_s=0.2
-    )
-    return [round(g, 9) for g in sampler.gaps(20)]
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_ZIPF))
@@ -88,11 +65,6 @@ def test_poisson_golden_stream(seed):
     assert poisson_first20(seed) == GOLDEN_POISSON[seed]
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_MMPP))
-def test_mmpp_golden_stream(seed):
-    assert mmpp_first20(seed) == GOLDEN_MMPP[seed]
-
-
 def test_sampler_streams_identical_in_parallel_workers(monkeypatch):
     """The same seed yields the same stream inside sweep workers."""
     monkeypatch.delenv(parallel.WORKERS_ENV_VAR, raising=False)
@@ -103,9 +75,6 @@ def test_sampler_streams_identical_in_parallel_workers(monkeypatch):
     ]
     assert parallel.sweep(points, poisson_first20, max_workers=2) == [
         GOLDEN_POISSON[s] for s in seeds
-    ]
-    assert parallel.sweep(points, mmpp_first20, max_workers=2) == [
-        GOLDEN_MMPP[s] for s in seeds
     ]
 
 
@@ -136,39 +105,6 @@ def test_poisson_mean_rate():
     assert sum(gaps) / len(gaps) == pytest.approx(1 / 500.0, rel=0.1)
 
 
-def test_mmpp_validation():
-    with pytest.raises(ValueError):
-        MMPPArrivals(0.0, 0)
-    with pytest.raises(ValueError):
-        MMPPArrivals(100.0, 0, burst_factor=0.5)
-    with pytest.raises(ValueError):
-        MMPPArrivals(100.0, 0, on_fraction=1.0)
-    with pytest.raises(ValueError):
-        MMPPArrivals(100.0, 0, cycle_s=0.0)
-    with pytest.raises(ValueError):
-        # OFF rate would go negative.
-        MMPPArrivals(100.0, 0, burst_factor=5.0, on_fraction=0.25)
-
-
-def test_mmpp_long_run_rate_matches_configured():
-    sampler = MMPPArrivals(1000.0, 9, burst_factor=4.0, on_fraction=0.25)
-    gaps = sampler.gaps(20000)
-    assert sum(gaps) / len(gaps) == pytest.approx(1e-3, rel=0.1)
-
-
-def test_mmpp_is_burstier_than_poisson():
-    """Squared coefficient of variation > 1 distinguishes MMPP."""
-
-    def scv(gaps):
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-        return var / mean**2
-
-    mmpp = MMPPArrivals(1000.0, 5, burst_factor=4.0, on_fraction=0.25)
-    poisson = PoissonArrivals(1000.0, 5)
-    assert scv(mmpp.gaps(8000)) > scv(poisson.gaps(8000))
-
-
 # -- parameter validation ------------------------------------------------------
 
 
@@ -178,7 +114,6 @@ def test_mmpp_is_burstier_than_poisson():
         {"processes": 0},
         {"duration_s": 0.0},
         {"rate_ops_s": 0.0},
-        {"arrival": "uniform"},
         {"n_files": 0},
         {"sharing": 1.5},
         {"churn": -0.1},
@@ -186,20 +121,11 @@ def test_mmpp_is_burstier_than_poisson():
         {"access": "random"},
         {"request_bytes": 0},
         {"file_bytes": 1024, "request_bytes": 4096},
-        {"stride_count": 0},
-        {"stride_bytes": -1},
-        {"stride_count": 4, "stride_bytes": 1 << 19, "file_bytes": 1 << 20},
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         OpenLoopParams(**kwargs)
-
-
-def test_request_span_strided():
-    params = OpenLoopParams(stride_count=4, stride_bytes=16384)
-    assert params.request_span == 3 * 16384 + 4096
-    assert OpenLoopParams().request_span == 4096
 
 
 # -- generation ----------------------------------------------------------------
@@ -299,15 +225,6 @@ def test_generate_churn_creates_fresh_files():
     assert all("/new" in p for p in paths)
 
 
-def test_generate_strided_shape():
-    trace = generate(
-        OpenLoopParams(processes=1, duration_s=0.2, rate_ops_s=300,
-                       stride_count=4, stride_bytes=16384, seed=5)
-    )
-    assert trace.events
-    assert all(e.is_list and e.count == 4 for e in trace.events)
-
-
 def test_generate_uniform_offsets_are_request_aligned():
     params = OpenLoopParams(
         processes=2, duration_s=0.3, rate_ops_s=500,
@@ -318,7 +235,7 @@ def test_generate_uniform_offsets_are_request_aligned():
     assert len(offsets) > 1  # actually spread
     assert all(off % params.request_bytes == 0 for off in offsets)
     assert all(
-        off + params.request_span <= params.file_bytes for off in offsets
+        off + params.request_bytes <= params.file_bytes for off in offsets
     )
 
 

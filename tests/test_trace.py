@@ -49,7 +49,7 @@ def test_recorder_captures_all_calls():
 
 
 def test_load_trace_rejects_bad_header():
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError, match="malformed trace header"):
         load(io.StringIO("a,b\n1,2\n"))
 
 

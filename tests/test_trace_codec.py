@@ -40,7 +40,6 @@ def _reference_loads(text: str) -> Trace:
     first_char = next((ch for ch in text if not ch.isspace()), "")
     if not first_char:
         raise TraceFormatError("empty trace")
-    assert first_char == "{", "the oracle covers the JSONL dialect only"
     lines = iter(text.split("\n"))
     first = next(lines)
     try:
@@ -50,10 +49,10 @@ def _reference_loads(text: str) -> Trace:
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise TraceFormatError(f"not a {TRACE_FORMAT} header: {first[:80]!r}")
     version = header.get("version")
-    if version not in (1, TRACE_VERSION):
+    if version != TRACE_VERSION:
         raise TraceFormatError(
             f"unsupported trace version {version!r}; this build reads "
-            f"versions 1 and {TRACE_VERSION}"
+            f"version {TRACE_VERSION}"
         )
     events = []
     for line_no, line in enumerate(lines, start=2):
@@ -235,7 +234,7 @@ def test_decoder_edge_cases_agree_with_the_reference(text, outcome):
 
 
 def test_byte_order_mark_is_not_a_jsonl_header():
-    with pytest.raises(TraceFormatError, match="columns"):
+    with pytest.raises(TraceFormatError, match="malformed trace header"):
         loads("﻿" + _with_header(GOOD))
 
 
@@ -260,7 +259,8 @@ def test_load_streams_the_file_line_by_line():
     with pytest.raises(TraceFormatError, match="malformed trace header"):
         load(_LinesOnly(" \n" + trace.dumps()))  # the header is line 1
     csv_text = "time,process,path,op,offset,nbytes\n\n0.5,p0,/f,read,0,4096\n"
-    assert load(_LinesOnly(csv_text)).events == loads(csv_text).events
+    with pytest.raises(TraceFormatError, match="malformed trace header"):
+        load(_LinesOnly(csv_text))
     with pytest.raises(TraceFormatError, match="empty"):
         load(_LinesOnly(" \n\n"))
     with pytest.raises(TraceFormatError, match=r"\(line 4\)"):
@@ -417,10 +417,10 @@ def _exact(event: TraceEvent) -> list:
     ]
 
 
-def _both_ways(text: str, suffix: str) -> list:
+def _both_ways(text: str) -> list:
     """What ``loads(text)`` and ``load_path`` of a real file holding
     ``text`` return, or the ``TraceFormatError`` each raises."""
-    fd, path = tempfile.mkstemp(suffix=suffix)
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
     try:
         with os.fdopen(fd, "w") as fp:
             fp.write(text)
@@ -466,23 +466,14 @@ def test_a_reloaded_trace_keeps_each_numbers_type_and_sign(rows, bad_field):
     ]
     trace = Trace(events)
     want = [_exact(e) for e in trace.events]
-    for reloaded in _both_ways(trace.dumps(), ".jsonl"):
-        assert [_exact(e) for e in reloaded.events] == want
-    # The import dialect shares its numbers by the same rules.
-    csv_text = "time,process,path,op,offset,nbytes,instance,think_s,stride,count\n"
-    csv_text += "".join(
-        f"{e.time!r},{e.process},{e.path},{e.op},{e.offset},{e.nbytes},"
-        f"{e.instance},{e.think_s!r},{e.stride},{e.count}\n"
-        for e in trace.events
-    )
-    for reloaded in _both_ways(csv_text, ".csv"):
+    for reloaded in _both_ways(trace.dumps()):
         assert [_exact(e) for e in reloaded.events] == want
     # A bool after every value of the trace has been seen is still no int.
     obj = trace.events[-1].to_json() | {bad_field: True}
     header, body = trace.dumps().split("\n", 1)
     header = header.replace(f'"events": {len(events)}', f'"events": {len(events) + 1}')
     text = f"{header}\n{body}{json.dumps(obj)}\n"
-    for outcome in _both_ways(text, ".jsonl"):
+    for outcome in _both_ways(text):
         assert isinstance(outcome, TraceFormatError)
         assert f"(line {len(events) + 2}): {bad_field} must be an integer" in str(
             outcome

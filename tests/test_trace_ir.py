@@ -1,5 +1,5 @@
-"""Tests for the versioned trace IR: serialization, import dialects,
-transforms, the strided/list request shape, and replay determinism."""
+"""Tests for the versioned trace IR: serialization, input checks, the
+strided/list request shape, and replay determinism."""
 
 import dataclasses
 import json
@@ -9,8 +9,6 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.experiments.parallel import sweep
-from repro.workload import transform as tr
-from repro.workload.classify import classify_trace
 from repro.workload.record import TraceRecorder
 from repro.workload.replay import (
     TraceReplayer,
@@ -184,20 +182,6 @@ def test_malformed_event_errors_carry_the_line_number():
         loads(header + good + "{not json\n")
 
 
-def test_csv_dialect_import_rejects_the_legacy_spelling():
-    csv_text = (
-        "time,process,path,op,offset,nbytes\n"
-        "0.0,p0,/f,read,0,4096\n"
-        "0.001,p0,/f,sync_write,4096,4096\n"
-    )
-    trace = loads(csv_text)
-    assert [e.op for e in trace.events] == ["read", "sync_write"]
-    assert trace.meta["dialect"] == "csv"
-    legacy = csv_text.replace("sync_write", "sync-write")
-    with pytest.raises(TraceFormatError, match=r"'sync-write'.*\(line 3\)"):
-        loads(legacy)
-
-
 @pytest.mark.parametrize(
     "text, match",
     [
@@ -234,6 +218,15 @@ def test_csv_dialect_import_rejects_the_legacy_spelling():
             '{"format": "repro-trace", "version": 2, "events": 1}\n'
             '{"time": 0, "process": "p"}\n',
             "missing fields",
+        ),
+        # A version-1 CSV table: not JSONL, refused at its first line.
+        (
+            "time,process,path,op,offset,nbytes\n0.0,p0,/f,read,0,4096\n",
+            r"malformed trace header: .*line 1 column 1",
+        ),
+        (
+            '{"format": "repro-trace", "version": 1, "events": 0}\n',
+            "unsupported trace version 1",
         ),
     ],
 )
@@ -488,104 +481,23 @@ def test_readv_writev_carry_real_bytes():
     assert parts == chunks
 
 
-# -- transforms ------------------------------------------------------------
-def test_time_scale_scales_times_and_think():
-    trace = _sample_trace()
-    scaled = tr.time_scale(0.5)(trace)
-    assert [e.time for e in scaled.events] == [
-        t * 0.5 for t in (0.0, 1e-3, 2e-3)
-    ]
-    assert scaled.events[-1].think_s == pytest.approx(2.5e-5)
-    assert scaled.meta["transforms"] == ["time_scale(0.5)"]
-    assert scaled.meta["source"] == "unit-test"
-
-
-def test_scale_out_clones_streams_and_keeps_sharing_structure():
-    trace = Trace(
-        events=[
-            _event(process="a", path="/shared"),
-            _event(time=1e-3, process="b", path="/shared"),
-            _event(time=2e-3, process="a", path="/priv-a", instance=1),
-        ]
-    )
-    doubled = tr.scale_out(2)(trace)
-    assert len(doubled) == 6
-    assert set(doubled.processes) == {"a", "b", "a~1", "b~1"}
-    # shared path stays shared; the private path gets a replica twin
-    assert "/shared" in doubled.paths and "/priv-a~1" in doubled.paths
-    assert max(e.instance for e in doubled.events) == 1 + 2  # offset by span
-    with pytest.raises(ValueError):
-        tr.scale_out(0)
-
-
-def test_remix_sharing_extremes():
-    trace = Trace(
-        events=[
-            _event(process="a", path="/hot"),
-            _event(time=1e-3, process="b", path="/hot"),
-            _event(time=2e-3, process="b", path="/cold"),
-        ]
-    )
-    full = tr.remix_sharing(1.0, seed=7)(trace)
-    assert full.paths == ["/hot"]
-    none = tr.remix_sharing(0.0, seed=7)(trace)
-    assert none.paths == ["/cold~b", "/hot~a", "/hot~b"]
-    # deterministic under a fixed seed
-    mid_a = tr.remix_sharing(0.5, seed=3)(trace)
-    mid_b = tr.remix_sharing(0.5, seed=3)(trace)
-    assert mid_a.content_hash() == mid_b.content_hash()
-
-
-def test_zipf_reskew_is_deterministic_and_keeps_geometry():
-    trace = _sample_trace()
-    a = tr.zipf_reskew(1.5, seed=11)(trace)
-    b = tr.zipf_reskew(1.5, seed=11)(trace)
-    assert a.content_hash() == b.content_hash()
-    assert [
-        (e.time, e.offset, e.nbytes, e.count) for e in a.events
-    ] == [(e.time, e.offset, e.nbytes, e.count) for e in trace.events]
-
-
-def test_compose_applies_in_order():
-    trace = _sample_trace()
-    out = tr.compose(tr.time_scale(2.0), tr.time_scale(0.5))(trace)
-    assert out.meta["transforms"] == ["time_scale(2.0)", "time_scale(0.5)"]
-    assert [e.time for e in out.events] == [e.time for e in trace.events]
-
-
-def test_classify_trace_on_ir():
-    trace = Trace(
-        events=[
-            _event(process="w", op="write", path="/pc"),
-            _event(time=1e-3, process="r", op="read", path="/pc"),
-            _event(time=2e-3, process="solo", path="/mine"),
-        ]
-    )
-    report = classify_trace(trace)
-    assert report == {"/pc": "producer-consumer", "/mine": "private"}
-
-
-# -- replaying a transformed recording end to end ---------------------------
+# -- replaying a recording from disk ---------------------------------------
 def test_trace_source_seam_replays_instead_of_synthetic(tmp_path):
-    """The acceptance scenario: a recorded microbench trace, 2x
-    node-scaled and sharing-remixed, written to disk and replayed
+    """A recorded microbench trace written to disk and replayed
     end-to-end, closed-loop, by the TraceReplayer, the one replay
     path since the config's trace source went (DESIGN.md A.12)."""
     text = record_microbench_trace(iterations=4)
-    transformed = tr.compose(
-        tr.scale_out(2), tr.remix_sharing(0.5, seed=5)
-    )(loads(text))
-    path = tmp_path / "scaled.jsonl"
-    path.write_text(transformed.dumps())
+    path = tmp_path / "run.jsonl"
+    path.write_text(text)
 
     trace = load_path(str(path))
-    assert trace.content_hash() == transformed.content_hash()
+    assert trace.content_hash() == loads(text).content_hash()
     cluster = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=2))
     replayer = TraceReplayer(cluster, trace, preserve_timing=False)
     assert replayer.run() > 0
-    # 2 ranks x 2 replicas replayed
-    assert len(replayer.completion) == 4
-    assert cluster.metrics.counters["client.reads"] == len(transformed)
+    # both ranks replayed
+    assert len(replayer.completion) == 2
+    assert cluster.metrics.counters["client.reads"] == len(trace)
 
 
 def test_replay_event_budget_is_deterministic_and_bounded():

@@ -1,4 +1,4 @@
-"""End-to-end tests for the record/replay/transform/validate CLI."""
+"""End-to-end tests for the record/replay/validate CLI."""
 
 import os
 import subprocess
@@ -53,32 +53,6 @@ def test_replay_hash_is_deterministic(tmp_path, capsys):
     assert hash_line() == hash_line()
 
 
-def test_transform_pipeline_then_replay(tmp_path, capsys):
-    out = _record(tmp_path)
-    big = tmp_path / "big.jsonl"
-    rc = main([
-        "transform", "--trace", str(out), "--out", str(big),
-        "--scale-out", "2", "--remix-sharing", "0.5", "--seed", "5",
-    ])
-    assert rc == 0
-    assert "passes" in capsys.readouterr().err
-    trace = load_path(str(big))
-    assert len(trace) == 16
-    assert trace.meta["transforms"] == [
-        "scale_out(2)", "remix_sharing(0.5, seed=5)"
-    ]
-    assert main(["replay", "--trace", str(big), "--p", "4"]) == 0
-    assert "replayed 16 events" in capsys.readouterr().out
-
-
-def test_transform_requires_a_pass_and_valid_remap(tmp_path, capsys):
-    out = _record(tmp_path)
-    assert main(["transform", "--trace", str(out)]) == 2
-    assert "no transform" in capsys.readouterr().err
-    assert main(["transform", "--trace", str(out), "--remap", "bogus"]) == 2
-    assert "OLD=NEW" in capsys.readouterr().err
-
-
 def test_validate_rejects_malformed_trace(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"format": "repro-trace", "version": 99, "events": 0}\n')
@@ -88,21 +62,24 @@ def test_validate_rejects_malformed_trace(tmp_path, capsys):
 
 BAD_TRACE_COMMANDS = {
     "replay": ["repro.workload", "replay"],
-    "transform": ["repro.workload", "transform", "--time-scale", "2"],
     "validate": ["repro.workload", "validate"],
 }
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing"])
+@pytest.mark.parametrize("damage", ["truncated", "missing", "csv"])
 @pytest.mark.parametrize("command", sorted(BAD_TRACE_COMMANDS))
 def test_a_bad_trace_file_is_one_error_line(tmp_path, command, damage):
-    """A trace that is cut short or absent ends the command with a
-    non-zero exit and a one-line reason naming the file, not a
-    traceback."""
+    """A trace that is cut short, absent, or a CSV table (the retired
+    version-1 dialect) ends the command with a non-zero exit and a
+    one-line reason naming the file, not a traceback."""
     trace = tmp_path / "bad.jsonl"
     if damage == "truncated":
         text = _record(tmp_path).read_text()
         trace.write_text(text[: len(text) // 2])
+    elif damage == "csv":
+        trace.write_text(
+            "time,process,path,op,offset,nbytes\n0.0,p0,/f,read,0,4096\n"
+        )
     module, *args = BAD_TRACE_COMMANDS[command]
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
@@ -114,6 +91,7 @@ def test_a_bad_trace_file_is_one_error_line(tmp_path, command, damage):
     )
     assert done.returncode == (1 if command == "validate" else 2)
     assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
     assert f"{trace}: " in done.stderr
 
 
