@@ -133,10 +133,6 @@ class LocalFileStore:
         """True if the block was ever written."""
         return (file_id, block_no) in self._blocks
 
-    def blocks_of(self, file_id: int) -> list[int]:
-        """Sorted block numbers present for ``file_id``."""
-        return sorted(b for (f, b) in self._blocks if f == file_id)
-
 
 def blocks_spanned(
     offset: int, nbytes: int, block_size: int = BLOCK_SIZE

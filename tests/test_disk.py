@@ -287,16 +287,6 @@ def test_store_invalid_block_size():
         LocalFileStore(block_size=0)
 
 
-def test_store_blocks_of():
-    store = LocalFileStore()
-    for b in (3, 1, 2):
-        store.write_block(7, b, b"x")
-    store.write_block(8, 0, b"y")
-    assert store.blocks_of(7) == [1, 2, 3]
-    assert store.blocks_of(8) == [0]
-    assert store.has_block(8, 0)
-
-
 def test_store_overwrite_replaces():
     store = LocalFileStore()
     store.write_block(1, 0, b"old")
