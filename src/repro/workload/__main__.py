@@ -130,14 +130,6 @@ def _load_trace_arg(path: str, what: str = "error"):
         return None
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fp:
-        fp.write(text)
-
-
 # -- subcommands -----------------------------------------------------------
 def _cmd_record(argv: _t.Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
@@ -156,7 +148,11 @@ def _cmd_record(argv: _t.Sequence[str]) -> int:
     config = _build_config(args)
     outcome = run_instances(config, _build_instances(args, config), record=True)
     assert outcome.trace is not None
-    _write_text(args.out, outcome.trace.dumps())
+    if args.out == "-":
+        outcome.trace.dump_jsonl(sys.stdout)
+    else:
+        with open(args.out, "w") as fp:
+            outcome.trace.dump_jsonl(fp)
     print(
         f"recorded {len(outcome.trace)} events from "
         f"{len(outcome.trace.processes)} processes "
