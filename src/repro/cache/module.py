@@ -17,7 +17,9 @@ The paper's per-socket finite state machine is the control flow of
 ``_read_segment`` and ``_fetch``: look up, split the miss requests
 around cached blocks, fake the iods' acknowledgements, await the
 data, copy out.  The ``cache.split_requests`` and ``cache.faked_acks``
-counters record its two visible effects.
+counters record its two visible effects.  Which iod gets which bytes is
+:meth:`~repro.pvfs.striping.StripeLayout.plan`'s answer, the planner
+libpvfs uses too.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.pvfs.protocol import (
     ReadData,
     ReadRequest,
     WriteRequest,
-    coalesce_ranges,
 )
 from repro.pvfs.striping import StripeLayout
 from repro.svc import Service, handles
@@ -163,11 +164,6 @@ class CacheModule(Service):
         lo = max(offset, block_no * bs)
         hi = min(offset + nbytes, (block_no + 1) * bs)
         return lo - block_no * bs, hi - block_no * bs
-
-    def _iod_for_block(self, block_no: int) -> str:
-        return self.iod_nodes[
-            self.layout.iod_index(block_no * self.block_size)
-        ]
 
     # -- read ----------------------------------------------------------------------
     def read(
@@ -411,38 +407,30 @@ class CacheModule(Service):
         bs = self.block_size
         counters = self.metrics.counters
         # Absolute byte ranges to request: one per run of consecutive
-        # owned blocks that start in one stripe unit (so on one iod).
+        # owned blocks, and one per gap of a partly valid block.
         ranges: list[tuple[int, int]] = []
-        unit = self.layout.stripe_size
         for block_no in owned:
             off = block_no * bs
-            if ranges:
-                first, length = ranges[-1]
-                if first + length == off and first // unit == off // unit:
-                    ranges[-1] = (first, length + bs)
-                    continue
-            ranges.append((off, bs))
+            if ranges and ranges[-1][0] + ranges[-1][1] == off:
+                ranges[-1] = (ranges[-1][0], ranges[-1][1] + bs)
+            else:
+                ranges.append((off, bs))
         for block_no, (_block, gaps) in gappy.items():
             for lo, hi in gaps:
                 ranges.append((block_no * bs + lo, hi - lo))
-        per_iod: dict[str, list[tuple[int, int]]] = {}
-        for off, n in ranges:
-            iod = self.iod_nodes[self.layout.iod_index(off)]
-            per_iod.setdefault(iod, []).append((off, n))
         calls = []
         requested_bytes = 0
-        for iod_node in sorted(per_iod):
-            iod_ranges = coalesce_ranges(per_iod[iod_node])
+        for idx, iod_ranges in self.layout.plan(ranges):
             if not self.config.split_on_cached_block and len(iod_ranges) > 1:
                 # Ablation: no request splitting — fetch the full hull,
                 # re-transferring the cached blocks in the middle.
-                lo = min(r[0] for r in iod_ranges)
-                hi = max(r[0] + r[1] for r in iod_ranges)
+                lo = iod_ranges[0][0]
+                hi = iod_ranges[-1][0] + iod_ranges[-1][1]
                 iod_ranges = [(lo, hi - lo)]
             else:
                 counters["cache.split_requests"] += len(iod_ranges) - 1
             requested_bytes += sum(n for _, n in iod_ranges)
-            channel = yield from self._iod_pool.channel(iod_node)
+            channel = yield from self._iod_pool.channel(self.iod_nodes[idx])
             req = ReadRequest(
                 file_id=handle.file_id,
                 ranges=iod_ranges,
@@ -522,11 +510,7 @@ class CacheModule(Service):
 
     # -- write --------------------------------------------------------------------
     def write(
-        self,
-        handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        data: bytes | None = None,
+        self, handle: FileHandle, offset: int, nbytes: int, data: bytes | None = None
     ) -> _t.Generator:
         """Process body: buffered write — cache only, flushed later.
 
@@ -535,27 +519,31 @@ class CacheModule(Service):
         block waiting for free blocks when the cache is full (the
         paper's observed behaviour for large writes).
         """
-        if nbytes == 0:
-            return
-        yield from self._pipeline_segments(
-            offset, nbytes, self._write_segment, handle, data, offset, False
-        )
-        self.metrics.counters["cache.write_requests"] += 1
+        return self._write(handle, offset, nbytes, data, False)
 
     def sync_write(
+        self, handle: FileHandle, offset: int, nbytes: int, data: bytes | None = None
+    ) -> _t.Generator:
+        """Process body: coherent write — cache + iod + invalidations."""
+        return self._write(handle, offset, nbytes, data, True)
+
+    def _write(
         self,
         handle: FileHandle,
         offset: int,
         nbytes: int,
-        data: bytes | None = None,
+        data: bytes | None,
+        sync: bool,
     ) -> _t.Generator:
-        """Process body: coherent write — cache + iod + invalidations."""
+        """The body of :meth:`write` and (``sync``) :meth:`sync_write`."""
         if nbytes == 0:
             return
         yield from self._pipeline_segments(
-            offset, nbytes, self._write_segment, handle, data, offset, True
+            offset, nbytes, self._write_segment, handle, data, offset, sync
         )
-        self.metrics.counters["cache.sync_write_requests"] += 1
+        self.metrics.counters[
+            "cache.sync_write_requests" if sync else "cache.write_requests"
+        ] += 1
 
     def _write_segment(
         self,
@@ -715,21 +703,20 @@ class CacheModule(Service):
     ) -> _t.Generator:
         """Write through to the iods and wait for their sync acks
         (which include the remote invalidations)."""
-        per_iod = self.layout.split(offset, nbytes)
+        chunks = (
+            None
+            if data is None
+            else [data[offset - request_base : offset - request_base + nbytes]]
+        )
         calls = []
-        for idx, ranges in sorted(per_iod.items()):
-            ranges = coalesce_ranges(ranges)
-            chunks: list[bytes | None] = [
-                data[roff - request_base : roff - request_base + rlen]
-                if data is not None
-                else None
-                for roff, rlen in ranges
-            ]
-            channel = yield from self._iod_pool.channel(handle.iod_nodes[idx])
+        for idx, ranges, iod_chunks in self.layout.plan_write(
+            [(offset, nbytes)], chunks
+        ):
+            channel = yield from self._iod_pool.channel(self.iod_nodes[idx])
             req = WriteRequest(
                 file_id=handle.file_id,
                 ranges=ranges,
-                chunks=chunks,
+                chunks=iod_chunks,
                 from_cache=True,
                 requester_node=self.node.name,
             )

@@ -10,7 +10,6 @@ socket interception: application code is identical in both modes.
 from __future__ import annotations
 
 import typing as _t
-from operator import itemgetter
 
 from repro.cluster.node import Node
 from repro.metrics import Metrics
@@ -22,7 +21,6 @@ from repro.pvfs.protocol import (
     ReadData,
     ReadRequest,
     WriteRequest,
-    coalesce_ranges,
 )
 from repro.pvfs.striping import StripeLayout
 
@@ -72,25 +70,21 @@ class PVFSClient:
         self._iod_eps: dict[str, _t.Any] = {}
 
     def _trace(
-        self,
-        file_id: int,
-        offset: int,
-        nbytes: int,
-        op: str,
-        stride: int = 0,
-        count: int = 1,
+        self, file_id: int, ranges: _t.Sequence[tuple[int, int]], op: str
     ) -> None:
-        """Report one data call to the instrumentation bus as a
-        ``client_io`` record, when a subscriber takes that kind.
+        """Report one data call to the instrumentation bus as
+        ``client_io`` records: one carrying the whole shape when the
+        ranges form a regular stride (``count > 1``), else one per
+        range.
 
-        ``count > 1`` is a regular strided request: one record carries
-        the whole shape.  Reporting is synchronous Python off the event
-        schedule, and it is gated on ``record_metrics`` so warmup
-        clients stay out of recorded traces.
+        Reporting is synchronous Python off the event schedule.  The
+        data bodies call this only when a subscriber takes
+        ``client_io`` and ``record_metrics`` is on, so warmup clients
+        stay out of recorded traces.
         """
-        bus = self.env.svc_bus
-        if bus is not None and "client_io" in bus.heard and self.record_metrics:
-            bus.emit(
+        stride, count = _as_strided(ranges)
+        for offset, nbytes in ranges[:1] if count else ranges:
+            self.env.svc_bus.emit(
                 "libpvfs",
                 "client_io",
                 node=self.node.name,
@@ -102,30 +96,11 @@ class PVFSClient:
                 app=self.app,
                 instance=self.instance,
                 stride=stride,
-                count=count,
+                count=count or 1,
             )
-
-    def _trace_ranges(
-        self, file_id: int, ranges: _t.Sequence[tuple[int, int]], op: str
-    ) -> None:
-        """Report a list-I/O call: one strided record when the ranges
-        form a regular stride, else one record per range."""
-        stride, count = _as_strided(ranges)
-        if count:
-            self._trace(
-                file_id, ranges[0][0], ranges[0][1], op,
-                stride=stride, count=count,
-            )
-        else:
-            for offset, nbytes in ranges:
-                self._trace(file_id, offset, nbytes, op)
 
     # -- connections ---------------------------------------------------------
-    def _mgr_shard(self, path: str) -> int:
-        """The metadata shard owning ``path``."""
-        return protocol.mgr_shard_of(path, len(self.mgr_placements))
-
-    def _mgr_endpoint(self, shard: int = 0) -> _t.Generator:
+    def _mgr_endpoint(self, shard: int) -> _t.Generator:
         endpoint = self._mgr_eps.get(shard)
         if endpoint is None:
             mgr_node, mgr_port = self.mgr_placements[shard]
@@ -144,182 +119,73 @@ class PVFSClient:
             self._iod_eps[iod_node] = endpoint
         return endpoint
 
-    # -- API -------------------------------------------------------------------
+    # -- metadata --------------------------------------------------------------
     def open(self, path: str) -> _t.Generator:
         """Process body: open (or create) ``path``; returns FileHandle.
 
         Metadata is never cached (paper, Section 3): every open talks
         to the mgr.
         """
-        yield self.node.compute(self.node.costs.syscall_s)
-        endpoint = yield from self._mgr_endpoint(self._mgr_shard(path))
-        yield endpoint.send(
-            Message(
-                kind=protocol.MGR_OPEN,
-                size_bytes=protocol.OPEN_REQ_BYTES,
-                payload=OpenRequest(path=path),
-            )
-        )
-        ack = yield endpoint.recv()
-        if ack.kind != protocol.MGR_OPEN_ACK:
-            raise ValueError(f"unexpected open reply {ack.kind!r}")
-        self.metrics.inc("client.opens")
-        return ack.payload
+        return self._mgr_call(protocol.MGR_OPEN, OpenRequest(path), path)
 
     def stat(self, path: str) -> _t.Generator:
         """Process body: metadata lookup; returns FileHandle or None."""
-        yield self.node.compute(self.node.costs.syscall_s)
-        endpoint = yield from self._mgr_endpoint(self._mgr_shard(path))
-        yield endpoint.send(
-            Message(
-                kind=protocol.MGR_STAT,
-                size_bytes=protocol.OPEN_REQ_BYTES,
-                payload=protocol.StatRequest(path=path),
-            )
-        )
-        ack = yield endpoint.recv()
-        if ack.kind != protocol.MGR_STAT_ACK:
-            raise ValueError(f"unexpected stat reply {ack.kind!r}")
-        return ack.payload.handle
+        return self._mgr_call(protocol.MGR_STAT, protocol.StatRequest(path), path)
 
     def unlink(self, path: str) -> _t.Generator:
         """Process body: drop the path from the namespace; returns
         whether it existed.  The iods keep the file's stripe data."""
-        yield self.node.compute(self.node.costs.syscall_s)
-        endpoint = yield from self._mgr_endpoint(self._mgr_shard(path))
-        yield endpoint.send(
-            Message(
-                kind=protocol.MGR_UNLINK,
-                size_bytes=protocol.OPEN_REQ_BYTES,
-                payload=protocol.UnlinkRequest(path=path),
-            )
-        )
-        ack = yield endpoint.recv()
-        if ack.kind != protocol.MGR_UNLINK_ACK:
-            raise ValueError(f"unexpected unlink reply {ack.kind!r}")
-        return ack.payload.existed
+        return self._mgr_call(protocol.MGR_UNLINK, protocol.UnlinkRequest(path), path)
 
     def listdir(self) -> _t.Generator:
-        """Process body: every path in the namespace.
+        """Process body: every path in the namespace, sorted.
 
         With a sharded mgr each shard owns a namespace partition, so
-        the listing fans out to every shard (in shard order — the
-        deterministic schedule requirement) and merges the sorted
-        partials.
+        the listing fans out to every shard and merges the partials.
         """
+        return self._mgr_call(protocol.MGR_LIST, None, None)
+
+    def _mgr_call(self, kind: str, payload: _t.Any, path: str | None) -> _t.Generator:
+        """The body of every metadata call: one syscall, then ``kind``
+        to the shard owning ``path``, or to every shard in shard order
+        (the deterministic schedule requirement) when ``path`` is None;
+        each shard answers with ``kind`` + ``.ack``."""
         yield self.node.compute(self.node.costs.syscall_s)
-        paths: list[str] = []
-        for shard in range(len(self.mgr_placements)):
+        n_shards = len(self.mgr_placements)
+        shards = (
+            range(n_shards)
+            if path is None
+            else (protocol.mgr_shard_of(path, n_shards),)
+        )
+        replies = []
+        for shard in shards:
             endpoint = yield from self._mgr_endpoint(shard)
             yield endpoint.send(
-                Message(
-                    kind=protocol.MGR_LIST,
-                    size_bytes=protocol.OPEN_REQ_BYTES,
-                    payload=None,
-                )
+                Message(kind=kind, size_bytes=protocol.OPEN_REQ_BYTES, payload=payload)
             )
             ack = yield endpoint.recv()
-            if ack.kind != protocol.MGR_LIST_ACK:
-                raise ValueError(f"unexpected list reply {ack.kind!r}")
-            paths.extend(ack.payload.paths)
-        return sorted(paths)
+            if ack.kind != f"{kind}.ack":
+                raise ValueError(f"unexpected {kind} reply {ack.kind!r}")
+            replies.append(ack.payload)
+        if kind == protocol.MGR_OPEN:
+            self.metrics.inc("client.opens")
+            return replies[0]
+        if kind == protocol.MGR_STAT:
+            return replies[0].handle
+        if kind == protocol.MGR_UNLINK:
+            return replies[0].existed
+        return sorted(p for reply in replies for p in reply.paths)
 
+    # -- data ------------------------------------------------------------------
     def read(
-        self,
-        handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        want_data: bool = False,
+        self, handle: FileHandle, offset: int, nbytes: int, want_data: bool = False
     ) -> _t.Generator:
         """Process body: read; returns bytes when ``want_data``.
 
         Routed through the cache module when the node has one.
         """
-        cache = self.node.cache_module if self.use_cache else None
-        env = self.env
-        start = env._now
-        self._trace(handle.file_id, offset, nbytes, "read")
-        yield self.node.compute(self.node.costs.syscall_s)
-        if cache is not None:
-            result = yield from cache.read(handle, offset, nbytes, want_data)
-        else:
-            parts = yield from self._raw_read(
-                handle, [(offset, nbytes)], want_data
-            )
-            result = parts[0]
-        if self.record_metrics:
-            # Metrics.record/inc inlined: every read ends here.
-            metrics = self.metrics
-            metrics.series["client.read_latency"].append(env._now - start)
-            counters = metrics.counters
-            counters["client.reads"] += 1
-            counters["client.read_bytes"] += nbytes
-        return result
+        return self._read(handle, [(offset, nbytes)], want_data, False)
 
-    def write(
-        self,
-        handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        data: bytes | None = None,
-    ) -> _t.Generator:
-        """Process body: buffered write (default, non-coherent path)."""
-        return self._write(handle, offset, nbytes, data, False)
-
-    def sync_write(
-        self,
-        handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        data: bytes | None = None,
-    ) -> _t.Generator:
-        """Process body: coherent write — propagates to the iod and
-        invalidates every remote cache holding a written block."""
-        return self._write(handle, offset, nbytes, data, True)
-
-    def _write(
-        self,
-        handle: FileHandle,
-        offset: int,
-        nbytes: int,
-        data: bytes | None,
-        sync: bool,
-    ) -> _t.Generator:
-        """The body of :meth:`write` and (``sync``) :meth:`sync_write`."""
-        if data is not None and len(data) != nbytes:
-            raise ValueError(f"data length {len(data)} != nbytes {nbytes}")
-        cache = self.node.cache_module if self.use_cache else None
-        env = self.env
-        start = env._now
-        self._trace(
-            handle.file_id, offset, nbytes, "sync_write" if sync else "write"
-        )
-        yield self.node.compute(self.node.costs.syscall_s)
-        if cache is None:
-            yield from self._raw_write(
-                handle,
-                [(offset, nbytes)],
-                None if data is None else [data],
-                sync,
-            )
-        elif sync:
-            yield from cache.sync_write(handle, offset, nbytes, data)
-        else:
-            yield from cache.write(handle, offset, nbytes, data)
-        if self.record_metrics:
-            metrics = self.metrics
-            counters = metrics.counters
-            if sync:
-                metrics.series["client.sync_write_latency"].append(
-                    env._now - start
-                )
-                counters["client.sync_writes"] += 1
-            else:
-                metrics.series["client.write_latency"].append(env._now - start)
-                counters["client.writes"] += 1
-                counters["client.write_bytes"] += nbytes
-
-    # -- list (noncontiguous) I/O ---------------------------------------------
     def readv(
         self,
         handle: FileHandle,
@@ -335,12 +201,26 @@ class PVFSClient:
         module.  Returns a list of per-range byte strings when
         ``want_data``.
         """
-        ranges = self._check_ranges(ranges)
+        return self._read(handle, ranges, want_data, True)
+
+    def _read(
+        self,
+        handle: FileHandle,
+        ranges: _t.Sequence[tuple[int, int]],
+        want_data: bool,
+        listio: bool,
+    ) -> _t.Generator:
+        """The body of :meth:`read`, which is the one-range list, and
+        (``listio``) :meth:`readv`."""
+        if listio:
+            ranges = self._check_ranges(ranges)
         cache = self.node.cache_module if self.use_cache else None
-        start = self.env.now
-        self._trace_ranges(handle.file_id, ranges, "read")
+        env = self.env
+        start = env._now
+        bus = env.svc_bus
+        if bus is not None and "client_io" in bus.heard and self.record_metrics:
+            self._trace(handle.file_id, ranges, "read")
         yield self.node.compute(self.node.costs.syscall_s)
-        parts: list[bytes | None]
         if cache is not None:
             parts = []
             for offset, nbytes in ranges:
@@ -349,13 +229,32 @@ class PVFSClient:
         else:
             parts = yield from self._raw_read(handle, ranges, want_data)
         if self.record_metrics:
-            self.metrics.record("client.read_latency", self.env.now - start)
-            self.metrics.inc("client.reads")
-            self.metrics.inc("client.list_reads")
-            self.metrics.inc(
-                "client.read_bytes", sum(n for _, n in ranges)
+            # Metrics.record/inc inlined: every read ends here.
+            metrics = self.metrics
+            metrics.series["client.read_latency"].append(env._now - start)
+            counters = metrics.counters
+            counters["client.reads"] += 1
+            if listio:
+                counters["client.list_reads"] += 1
+            counters["client.read_bytes"] += (
+                ranges[0][1] if len(ranges) == 1 else sum(n for _, n in ranges)
             )
-        return parts if want_data else None
+        if listio:
+            return parts if want_data else None
+        return parts[0]
+
+    def write(
+        self, handle: FileHandle, offset: int, nbytes: int, data: bytes | None = None
+    ) -> _t.Generator:
+        """Process body: buffered write (default, non-coherent path)."""
+        return self._write(handle, [(offset, nbytes)], data, False, False)
+
+    def sync_write(
+        self, handle: FileHandle, offset: int, nbytes: int, data: bytes | None = None
+    ) -> _t.Generator:
+        """Process body: coherent write — propagates to the iod and
+        invalidates every remote cache holding a written block."""
+        return self._write(handle, [(offset, nbytes)], data, True, False)
 
     def writev(
         self,
@@ -368,52 +267,64 @@ class PVFSClient:
 
         ``data``, when given, is one chunk per range.
         """
-        ranges = self._check_ranges(ranges)
-        if data is not None:
-            if len(data) != len(ranges):
+        return self._write(handle, ranges, data, sync, True)
+
+    def _write(
+        self,
+        handle: FileHandle,
+        ranges: _t.Sequence[tuple[int, int]],
+        data: _t.Any,
+        sync: bool,
+        listio: bool,
+    ) -> _t.Generator:
+        """The body of :meth:`write`, (``sync``) :meth:`sync_write` and
+        (``listio``) :meth:`writev`.  ``data`` is one chunk per range
+        for a list write and the one range's bytes otherwise."""
+        if listio:
+            ranges = self._check_ranges(ranges)
+            if data is not None and len(data) != len(ranges):
                 raise ValueError(
                     f"need one chunk per range, got {len(data)} chunks "
                     f"for {len(ranges)} ranges"
                 )
-            for (_, nbytes), chunk in zip(ranges, data):
-                if chunk is not None and len(chunk) != nbytes:
-                    raise ValueError(
-                        f"chunk length {len(chunk)} != nbytes {nbytes}"
-                    )
-        cache = self.node.cache_module if self.use_cache else None
-        start = self.env.now
-        self._trace_ranges(
-            handle.file_id, ranges, "sync_write" if sync else "write"
-        )
-        yield self.node.compute(self.node.costs.syscall_s)
-        if cache is not None:
-            for i, (offset, nbytes) in enumerate(ranges):
-                chunk = data[i] if data is not None else None
-                if sync:
-                    yield from cache.sync_write(handle, offset, nbytes, chunk)
-                else:
-                    yield from cache.write(handle, offset, nbytes, chunk)
+            chunks = data
         else:
-            yield from self._raw_write(handle, ranges, data, sync)
+            chunks = None if data is None else [data]
+        if chunks is not None:
+            for (_, nbytes), chunk in zip(ranges, chunks):
+                if chunk is not None and len(chunk) != nbytes:
+                    raise ValueError(f"data length {len(chunk)} != nbytes {nbytes}")
+        cache = self.node.cache_module if self.use_cache else None
+        env = self.env
+        start = env._now
+        bus = env.svc_bus
+        if bus is not None and "client_io" in bus.heard and self.record_metrics:
+            self._trace(handle.file_id, ranges, "sync_write" if sync else "write")
+        yield self.node.compute(self.node.costs.syscall_s)
+        if cache is None:
+            yield from self._raw_write(handle, ranges, chunks, sync)
+        else:
+            cache_write = cache.sync_write if sync else cache.write
+            for i, (offset, nbytes) in enumerate(ranges):
+                chunk = chunks[i] if chunks is not None else None
+                yield from cache_write(handle, offset, nbytes, chunk)
         if self.record_metrics:
-            total = sum(n for _, n in ranges)
-            self.metrics.inc("client.list_writes")
+            metrics = self.metrics
+            counters = metrics.counters
+            if listio:
+                counters["client.list_writes"] += 1
             if sync:
-                self.metrics.record(
-                    "client.sync_write_latency", self.env.now - start
-                )
-                self.metrics.inc("client.sync_writes")
+                metrics.series["client.sync_write_latency"].append(env._now - start)
+                counters["client.sync_writes"] += 1
             else:
-                self.metrics.record(
-                    "client.write_latency", self.env.now - start
+                metrics.series["client.write_latency"].append(env._now - start)
+                counters["client.writes"] += 1
+                counters["client.write_bytes"] += (
+                    ranges[0][1] if len(ranges) == 1 else sum(n for _, n in ranges)
                 )
-                self.metrics.inc("client.writes")
-                self.metrics.inc("client.write_bytes", total)
 
     @staticmethod
-    def _check_ranges(
-        ranges: _t.Sequence[tuple[int, int]],
-    ) -> list[tuple[int, int]]:
+    def _check_ranges(ranges: _t.Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
         out = [(int(offset), int(nbytes)) for offset, nbytes in ranges]
         if not out:
             raise ValueError("need at least one range")
@@ -423,9 +334,6 @@ class PVFSClient:
         return out
 
     # -- raw (no-cache) protocol -------------------------------------------------
-    def _layout(self, handle: FileHandle) -> StripeLayout:
-        return StripeLayout(handle.n_iods, handle.stripe_size)
-
     def _raw_read(
         self,
         handle: FileHandle,
@@ -435,19 +343,13 @@ class PVFSClient:
         """Read over the wire; returns one part per range (``None``
         each unless ``want_data``).
 
-        Every range is aggregated into at most one request per iod (the
-        noncontiguous-I/O win: n ranges cost one round trip per iod,
-        not n); a contiguous read is the one-range list.  libpvfs
-        issues every request before it waits on any response.
+        One request per iod as :meth:`StripeLayout.plan` aggregates
+        them.  libpvfs issues every request before it waits on any
+        response.
         """
-        layout = self._layout(handle)
-        per_iod: dict[int, list[protocol.Range]] = {}
-        for offset, nbytes in ranges:
-            for idx, rs in layout.split(offset, nbytes).items():
-                per_iod.setdefault(idx, []).extend(rs)
+        layout = StripeLayout(handle.n_iods, handle.stripe_size)
         endpoints = []
-        for idx, iod_ranges in sorted(per_iod.items()):
-            iod_ranges = coalesce_ranges(iod_ranges)
+        for idx, iod_ranges in layout.plan(ranges):
             endpoint = yield from self._iod_endpoint(handle.iod_nodes[idx])
             req = ReadRequest(
                 file_id=handle.file_id,
@@ -499,23 +401,11 @@ class PVFSClient:
         sync: bool,
     ) -> _t.Generator:
         """Write over the wire (``sync`` for coherent): one request per
-        iod carrying every range, and its piece of the range's chunk,
-        that lands on it.  A contiguous write is the one-range list.
-        """
-        layout = self._layout(handle)
-        per_iod: dict[
-            int, list[tuple[protocol.Range, bytes | None]]
-        ] = {}
-        for i, (offset, nbytes) in enumerate(ranges):
-            chunk = chunks[i] if chunks is not None else None
-            for idx, rs in layout.split(offset, nbytes).items():
-                for roff, rlen in rs:
-                    piece = (
-                        chunk[roff - offset : roff - offset + rlen]
-                        if chunk is not None
-                        else None
-                    )
-                    per_iod.setdefault(idx, []).append(((roff, rlen), piece))
+        iod as :meth:`StripeLayout.plan_write` plans them, each range's
+        pieces with their bytes."""
+        plan = StripeLayout(handle.n_iods, handle.stripe_size).plan_write(
+            ranges, chunks
+        )
         module = self.node.cache_module
         if sync and module is not None:
             # This node's cache module writes back its dirty copies of
@@ -525,13 +415,12 @@ class PVFSClient:
         kind = protocol.IOD_SYNC_WRITE if sync else protocol.IOD_WRITE
         ack_kind = protocol.IOD_SYNC_ACK if sync else protocol.IOD_WRITE_ACK
         endpoints = []
-        for idx, entries in sorted(per_iod.items()):
-            entries.sort(key=itemgetter(0))
+        for idx, iod_ranges, iod_chunks in plan:
             endpoint = yield from self._iod_endpoint(handle.iod_nodes[idx])
             req = WriteRequest(
                 file_id=handle.file_id,
-                ranges=[r for r, _ in entries],
-                chunks=[c for _, c in entries],
+                ranges=iod_ranges,
+                chunks=iod_chunks,
                 requester_node=self.node.name,
             )
             yield self.node.compute(self.node.costs.syscall_s)
@@ -545,9 +434,8 @@ class PVFSClient:
                 raise ValueError(f"expected {ack_kind!r}, got {ack.kind!r}")
 
 
-def _as_strided(
-    ranges: _t.Sequence[tuple[int, int]],
-) -> tuple[int, int]:
+
+def _as_strided(ranges: _t.Sequence[tuple[int, int]]) -> tuple[int, int]:
     """``(stride, count)`` when ``ranges`` is a regular non-overlapping
     stride of equal-size requests, else ``(0, 0)``."""
     if len(ranges) < 2:

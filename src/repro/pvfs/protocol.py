@@ -228,12 +228,14 @@ class InvalidateRequest:
 def coalesce_ranges(ranges: _t.Iterable[Range]) -> list[Range]:
     """Merge adjacent/overlapping ranges (sorted output).
 
-    The client aggregates per-iod requests; merging keeps the per-range
-    header cost honest and mirrors libpvfs's request aggregation.
+    :meth:`~repro.pvfs.striping.StripeLayout.plan` merges each iod's
+    pieces: it keeps the per-range header cost honest and mirrors
+    libpvfs's request aggregation.
     """
-    ordered = sorted((r for r in ranges if r[1] > 0), key=lambda r: r[0])
     merged: list[Range] = []
-    for off, n in ordered:
+    for off, n in sorted(ranges):
+        if n <= 0:
+            continue
         if merged and off <= merged[-1][0] + merged[-1][1]:
             last_off, last_n = merged[-1]
             merged[-1] = (last_off, max(last_off + last_n, off + n) - last_off)

@@ -385,15 +385,15 @@ def _canonical_lines(events: _t.Iterable[TraceEvent]) -> _t.Iterator[str]:
 
 @dataclasses.dataclass
 class Trace:
-    """An ordered, versioned collection of trace events plus metadata.
+    """An ordered collection of trace events plus metadata.
 
     ``meta`` carries free-form provenance (source, seed, config
-    snapshot); it rides along through serialization.
+    snapshot); it rides along through serialization, which always
+    writes version :data:`TRACE_VERSION`.
     """
 
     events: list[TraceEvent] = dataclasses.field(default_factory=list)
     meta: dict[str, _t.Any] = dataclasses.field(default_factory=dict)
-    version: int = TRACE_VERSION
 
     def __post_init__(self) -> None:
         # Always a fresh list; the sort (and its list of key tuples)
@@ -451,7 +451,7 @@ class Trace:
     def _jsonl_lines(self) -> _t.Iterator[str]:
         header = {
             "format": TRACE_FORMAT,
-            "version": self.version,
+            "version": TRACE_VERSION,
             "events": len(self.events),
             "meta": self.meta,
         }
@@ -531,7 +531,7 @@ def _load_jsonl(lines: _t.Iterator[str]) -> Trace:
     meta = header.get("meta") or {}
     if not isinstance(meta, dict):
         raise TraceFormatError(f"trace meta is not an object: {meta!r}")
-    return Trace(events=events, meta=meta, version=TRACE_VERSION)
+    return Trace(events=events, meta=meta)
 
 
 def load(fp: _t.Iterable[str]) -> Trace:

@@ -35,7 +35,10 @@ GOLDEN_CACHED = {
     "readahead": ("ab7aff3a91f087d0c6a3e45a6974e218", 1060),
     "no_split": ("602d8f27e9afac765b752c0e1f45000d", 1042),
     "metadata": ("4c1d063b7ce0a3612d7dc0a415096e94", 153),
-    "twelve_iods": ("2578f7efd39830dd82f3211ed482cf88", 1424),
+    # Re-pinned once (2578f7ef…/1424 → 6b04ac4b…/1421) when the cached
+    # fetch began issuing its per-iod calls in iod-index order, as
+    # libpvfs does, instead of node-name order (node10 before node2).
+    "twelve_iods": ("6b04ac4b0bf3345938e64296ed41a54d", 1421),
 }
 
 

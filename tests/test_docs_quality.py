@@ -166,11 +166,13 @@ REMOVED_NAMES = {
     "SharingClassifier",
     "_endpoints",
     "_handle_sync_write",
+    "_iod_for_block",
     "_listeners",
     "_load_csv",
     "_raw_readv",
     "_raw_writev",
     "_run_instrumented",
+    "_trace_ranges",
     "_write_back_local",
     "attach_bus",
     "classify_trace",

@@ -1,5 +1,7 @@
 """Unit + property tests for the stripe layout."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,3 +121,66 @@ def test_property_local_offset_monotone_per_iod(n_iods, stripe, offsets):
     for pairs in by_iod.values():
         locals_ = [loc for _, loc in pairs]
         assert locals_ == sorted(locals_)
+
+
+# -- the planners ---------------------------------------------------------------
+_RANGES = st.lists(
+    st.tuples(st.integers(0, 6000), st.integers(0, 1500)), min_size=1, max_size=8
+)
+_LAYOUTS = st.builds(
+    StripeLayout,
+    n_iods=st.integers(1, 12),
+    stripe_size=st.sampled_from([7, 64, 100, 4096]),
+)
+
+
+def _bytes_of(ranges):
+    return {b for off, n in ranges for b in range(off, off + n)}
+
+
+@settings(max_examples=200)
+@given(layout=_LAYOUTS, ranges=_RANGES)
+def test_property_plan_is_one_merged_request_per_iod(layout, ranges):
+    """``plan`` covers exactly the bytes asked for; each range it lists
+    lies on its iod; each iod's ranges are sorted, disjoint and not
+    adjacent; the iods come in index order."""
+    plan = layout.plan(ranges)
+    assert _bytes_of(r for _, rs in plan for r in rs) == _bytes_of(ranges)
+    indices = [idx for idx, _ in plan]
+    assert indices == sorted(set(indices))
+    for idx, iod_ranges in plan:
+        assert iod_ranges
+        for off, n in iod_ranges:
+            assert n > 0
+            assert {layout.iod_index(b) for b in range(off, off + n)} == {idx}
+        for (a_off, a_n), (b_off, _) in zip(iod_ranges, iod_ranges[1:]):
+            assert a_off + a_n < b_off
+
+
+@settings(max_examples=200)
+@given(layout=_LAYOUTS, ranges=_RANGES, size_only=st.booleans())
+def test_property_plan_write_ships_each_byte_once(layout, ranges, size_only):
+    """``plan_write`` returns every byte of every range once, with its
+    own value, on its own iod, each iod's pieces sorted by offset."""
+    chunks = None if size_only else [
+        bytes((i * 37 + k) % 256 for k in range(n)) for i, (_, n) in enumerate(ranges)
+    ]
+    plan = layout.plan_write(ranges, chunks)
+    want = Counter(
+        (off + k, None if chunks is None else chunks[i][k])
+        for i, (off, n) in enumerate(ranges)
+        for k in range(n)
+    )
+    got = Counter()
+    indices = [idx for idx, _, _ in plan]
+    assert indices == sorted(set(indices))
+    for idx, iod_ranges, iod_chunks in plan:
+        assert len(iod_ranges) == len(iod_chunks)
+        assert iod_ranges == sorted(iod_ranges, key=lambda r: r[0])
+        for (off, n), piece in zip(iod_ranges, iod_chunks):
+            assert {layout.iod_index(b) for b in range(off, off + n)} == {idx}
+            assert piece is None if chunks is None else len(piece) == n
+            got.update(
+                (off + k, None if piece is None else piece[k]) for k in range(n)
+            )
+    assert got == want

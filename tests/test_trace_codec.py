@@ -74,7 +74,7 @@ def _reference_loads(text: str) -> Trace:
     meta = header.get("meta") or {}
     if not isinstance(meta, dict):
         raise TraceFormatError(f"trace meta is not an object: {meta!r}")
-    return Trace(events=events, meta=meta, version=TRACE_VERSION)
+    return Trace(events=events, meta=meta)
 
 
 def _outcome(loader, text):
@@ -83,7 +83,7 @@ def _outcome(loader, text):
         trace = loader(text)
     except Exception as exc:  # noqa: BLE001 - the type is the result
         return ("rejected", type(exc), str(exc))
-    return ("accepted", trace.events, trace.meta, trace.version)
+    return ("accepted", trace.events, trace.meta)
 
 
 def _assert_loaders_agree(text):
