@@ -111,16 +111,13 @@ class CacheBlock:
         self.flushed_event: "Event | None" = None
 
     # -- state transitions ---------------------------------------------------
-    def assign(self, key: BlockKey) -> None:
-        """FREE -> PENDING under ``key``."""
-        assign_run((self,), (key,))
-
     def ready(self, env: "Environment") -> "Event":
         """The event a waiter yields while the block is PENDING.
 
-        Waiters register before :meth:`make_ready`/:meth:`reset` run
-        (both are synchronous), so an event that was never asked for
-        here is provably unobserved and need not exist.
+        Waiters register before :func:`ready_run` or
+        :meth:`FreeList.release_run` runs (both are synchronous), so an
+        event that was never asked for here is provably unobserved and
+        need not exist.
         """
         event = self.ready_event
         if event is None:
@@ -167,14 +164,6 @@ class CacheBlock:
             return True
         return False
 
-    def make_ready(self) -> None:
-        """PENDING -> CLEAN (or stays DIRTY if written while pending).
-
-        The reverse transition, any state -> FREE, is part of returning
-        the frame to the pool (:meth:`FreeList.release_run`).
-        """
-        ready_run((self,))
-
     # -- helpers -----------------------------------------------------------------
     def read_slice(self, start: int, end: int) -> bytes | None:
         """Bytes of [start, end); None when running size-only."""
@@ -182,14 +171,6 @@ class CacheBlock:
         if self.data is None:
             return None
         return bytes(self.data[start:end])
-
-    def pin(self) -> None:
-        """Prevent eviction while a copy is in progress."""
-        self.pins += 1
-
-    def unpin(self) -> None:
-        """Release one pin."""
-        unpin_run((self,))
 
     @property
     def is_evictable(self) -> bool:
@@ -221,7 +202,9 @@ class CacheBlock:
 # -- run forms ---------------------------------------------------------------
 # The miss path moves blocks a run at a time (DESIGN.md §14, "The miss
 # path: runs and callback stages"); each transition below is defined
-# once, for a run, and the per-block method above is a one-line call.
+# once, for a run, and a single block is a run of one.  The reverse
+# transition, any state -> FREE, is part of returning the frame to the
+# pool (:meth:`FreeList.release_run`).
 
 
 def assign_run(

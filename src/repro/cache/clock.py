@@ -57,12 +57,8 @@ class ClockPolicy(ReplacementPolicy):
 
     def touch(self, block: CacheBlock) -> None:
         """Set the reference bit (O(1) hot path; ring membership is
-        managed by admit()/forget_run(), called once per residency)."""
+        managed by admit_run()/forget_run(), called once per residency)."""
         block.refbit = True
-
-    def admit(self, block: CacheBlock) -> None:
-        """Register a newly resident block with the sweep ring."""
-        self.admit_run((block,))
 
     def admit_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
         """Register a run of newly resident blocks, in order."""
@@ -186,10 +182,6 @@ class ExactLRUPolicy(ReplacementPolicy):
         """Move the block to most-recently-used."""
         self._order.pop(block, None)
         self._order[block] = None
-
-    def admit(self, block: CacheBlock) -> None:
-        """Register a newly resident block."""
-        self.admit_run((block,))
 
     def admit_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
         """Register a run of newly resident blocks, oldest first."""

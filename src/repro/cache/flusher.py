@@ -77,7 +77,7 @@ class Flusher(Service):
     def flush_round(self) -> _t.Generator:
         """One write-back pass over the current dirty list.  Returns
         how many blocks were actually cleaned."""
-        blocks = self.manager.dirtylist.snapshot()
+        blocks = list(self.manager.dirtylist)
         if not blocks:
             return 0
         cleaned = yield from self.flush_blocks(blocks)

@@ -101,10 +101,6 @@ class FreeList:
             frames.append(popleft())
         return frames
 
-    def release(self, block: CacheBlock) -> None:
-        """Return one block to the pool (see :meth:`release_run`)."""
-        self.release_run((block,))
-
     def release_run(self, blocks: _t.Iterable[CacheBlock]) -> None:
         """Return evicted blocks to the pool, one at a time.
 

@@ -1,6 +1,11 @@
 """The buffer manager: the paper's "full-fledged buffer manager of
 blocks, requiring the implementation of hash tables, free list and
-dirty list"."""
+dirty list".
+
+In Python the hash table is a ``dict`` from key to block, and the dirty
+list an insertion-ordered ``dict`` of blocks (first-dirtied order); the
+free list (:class:`~repro.cache.freelist.FreeList`) is the one that
+schedules, so it keeps its own class."""
 
 from __future__ import annotations
 
@@ -14,9 +19,7 @@ from repro.cache.block import (
     unpin_run,
 )
 from repro.cache.clock import ClockPolicy, ExactLRUPolicy
-from repro.cache.dirtylist import DirtyList
 from repro.cache.freelist import FreeList
-from repro.cache.hashtable import BlockHashTable
 from repro.cluster.config import CacheConfig
 from repro.metrics import Metrics
 from repro.sim import Environment, Event
@@ -32,7 +35,7 @@ class InvariantViolation(AssertionError):
 class BufferManager:
     """Owns every cache frame of one node's cache module.
 
-    Hot-path operations (``lookup``, ``insert``) are synchronous —
+    Hot-path operations (``lookup``, ``probe``) are synchronous —
     atomic in the cooperative simulation, mirroring the short critical
     sections the paper protects with fine-grained locks.  The
     multi-step miss path yields (waiting for a free block), so
@@ -61,14 +64,17 @@ class BufferManager:
         self.blocks = [
             CacheBlock(i, config.block_size) for i in range(config.n_blocks)
         ]
-        self.table = BlockHashTable(n_buckets_hint=2 * config.n_blocks)
+        #: The hash table: resident (hashed, not doomed) blocks by key.
+        self.table: dict[BlockKey, CacheBlock] = {}
         self.freelist = FreeList(
             env,
             self.blocks,
             low_blocks=config.low_blocks,
             high_blocks=config.high_blocks,
         )
-        self.dirtylist = DirtyList()
+        #: The dirty list: DIRTY blocks in first-dirtied order, so a
+        #: flush round writes the oldest dirty data first.
+        self.dirtylist: dict[CacheBlock, None] = {}
         if config.replacement == "clock":
             self.policy: _t.Any = ClockPolicy()
         else:
@@ -140,12 +146,11 @@ class BufferManager:
         # The run ends at the first resident key, reserved key or key
         # past ``cap`` frames: the block after the run is probed too.
         stop = min(len(block_nos), i + cap + 1)
-        j, block = table.first_resident(file_id, block_nos, i + 1, stop)
         keys = [key]
-        for k in range(i + 1, j):
+        for k in range(i + 1, stop):
             key = (file_id, block_nos[k])
-            if key in inflight:
-                block = None
+            block = table.get(key)
+            if block is not None or key in inflight:
                 break
             keys.append(key)
         if len(keys) > cap:
@@ -211,10 +216,15 @@ class BufferManager:
         self, frames: _t.Sequence[CacheBlock], keys: _t.Sequence[BlockKey]
     ) -> None:
         """Make each FREE frame the PENDING block of its key: assigned,
-        chained, then admitted to the policy, as one run.  Atomic (no
+        hashed, then admitted to the policy, as one run.  Atomic (no
         yields), like every commit."""
         assign_run(frames, keys)
-        self.table.insert_run(frames)
+        table = self.table
+        for frame in frames:
+            key = frame.key
+            if key in table:
+                raise KeyError(f"duplicate insert for {key}")
+            table[key] = frame
         self.policy.admit_run(frames)
         self.metrics.counters[self._k_allocations] += len(frames)
 
@@ -228,15 +238,31 @@ class BufferManager:
 
     # -- dirty tracking ------------------------------------------------------------
     def note_write(self, block: CacheBlock) -> None:
-        """Register a block the caller just dirtied."""
-        self.dirtylist.add(block)
+        """Register a block the caller just dirtied; a block already on
+        the dirty list keeps its first-dirtied place."""
+        if block.state is not BlockState.DIRTY:
+            raise ValueError(f"{block!r} is not dirty")
+        self.dirtylist.setdefault(block, None)
 
     def note_cleaned(self, block: CacheBlock, epoch: int) -> bool:
         """Flusher callback: mark clean unless a write raced the flush."""
         if block.mark_clean(epoch):
-            self.dirtylist.discard(block)
+            self.dirtylist.pop(block, None)
             return True
         return False
+
+    def _unhash(self, blocks: _t.Sequence[CacheBlock]) -> None:
+        """Take resident blocks out of the policy, the hash table
+        (KeyError on one not in it) and the dirty list."""
+        self.policy.forget_run(blocks)
+        table = self.table
+        dirtylist = self.dirtylist
+        for block in blocks:
+            key = block.key
+            if table.get(key) is not block:
+                raise KeyError(f"{key} not in table")
+            del table[key]
+            dirtylist.pop(block, None)
 
     # -- eviction --------------------------------------------------------------------
     def evict(
@@ -264,12 +290,9 @@ class BufferManager:
                 )
         # Eviction walks four structures; a yield between them would
         # leave a frame visible in none (or two) of them.  Forgetting,
-        # unchaining and discarding schedule nothing, so each is one
-        # pass over the run; resetting and releasing are fused block by
-        # block (FreeList.release_run).
-        self.policy.forget_run(blocks)
-        self.table.remove_run(blocks)
-        self.dirtylist.discard_run(blocks)
+        # unhashing and discarding schedule nothing; resetting and
+        # releasing are fused block by block (FreeList.release_run).
+        self._unhash(blocks)
         self.freelist.release_run(blocks)
         self.metrics.counters[self._k_evictions] += len(blocks)
 
@@ -296,10 +319,7 @@ class BufferManager:
             return False
         if block.pins or block.writeback or block.state is BlockState.PENDING:
             block.doomed = True
-            doomed = (block,)
-            self.policy.forget_run(doomed)
-            self.table.remove_run(doomed)
-            self.dirtylist.discard_run(doomed)
+            self._unhash((block,))
             self.metrics.inc(self._k_deferred)
             return True
         self.evict((block,), force=True)
@@ -309,9 +329,8 @@ class BufferManager:
     def release_doomed(self, block: CacheBlock) -> None:
         """Free the frame of a doomed block nothing holds any more (a
         pinned writer may have put it back on the dirty list)."""
-        doomed = (block,)
-        self.dirtylist.discard_run(doomed)
-        self.freelist.release_run(doomed)
+        self.dirtylist.pop(block, None)
+        self.freelist.release_run((block,))
         counters = self.metrics.counters
         counters[self._k_evictions] += 1
         counters[self._k_invalidated] += 1
@@ -333,10 +352,6 @@ class BufferManager:
         if block.doomed:
             self.release_if_unheld(block)
 
-    def unpin(self, block: CacheBlock) -> None:
-        """Release a pin, completing any deferred invalidation."""
-        self.unpin_run((block,))
-
     def unpin_run(self, blocks: _t.Sequence[CacheBlock]) -> None:
         """Release one pin of each block, then free each doomed block
         that nothing holds any more, in run order.  Unpinning
@@ -350,10 +365,6 @@ class BufferManager:
     def select_victims(self, n: int) -> list[CacheBlock]:
         """Policy passthrough (clean blocks before dirty ones)."""
         return self.policy.select_victims(n)
-
-    def resident_keys(self) -> set[BlockKey]:
-        """Snapshot of resident keys (test/inspection helper)."""
-        return {b.key for b in self.table.blocks() if b.key is not None}
 
     # -- the invariant -------------------------------------------------------------
     def _fail(self, message: str) -> _t.NoReturn:
@@ -369,8 +380,8 @@ class BufferManager:
         * every frame is in exactly one of the *free*, *hashed* and
           *doomed* states (FREE frames carry no identity and never sit
           in the hash table; PENDING/CLEAN/DIRTY frames are keyed and
-          chained exactly once, unless doomed, and doomed frames are
-          chained nowhere);
+          in the table once, under their own key, unless doomed, and
+          doomed frames are in it nowhere);
         * a hashed frame is DIRTY if and only if it is on the dirty
           list;
         * pin counts ("refcounts" held by in-progress copies) are never
@@ -392,26 +403,16 @@ class BufferManager:
         """
         table = self.table
         resident: dict[int, CacheBlock] = {}
-        for block in table.blocks():
+        for key, block in table.items():
             if id(block) in resident:
-                self._fail(f"{block!r} chained twice in the hash table")
+                self._fail(f"{block!r} is in the hash table twice")
             resident[id(block)] = block
-            if block.key is None:
-                self._fail(f"{block!r} is in the hash table without a key")
-            if table.get(block.key) is not block:
-                self._fail(
-                    f"{block!r} is chained under a bucket its key does "
-                    "not hash to (or its key is duplicated)"
-                )
+            if block.key != key:
+                self._fail(f"{block!r} is in the hash table under {key}")
             if block.state is BlockState.FREE:
                 self._fail(f"FREE block {block!r} is in the hash table")
             if block.doomed:
                 self._fail(f"doomed block {block!r} is in the hash table")
-        if len(table) != len(resident):
-            self._fail(
-                f"hash table size {len(table)} != chained blocks "
-                f"{len(resident)}"
-            )
 
         freelist = self.freelist
         store_items = list(freelist._store._items)
@@ -467,7 +468,7 @@ class BufferManager:
             ):
                 # PENDING is exempt: a coherence invalidation that
                 # races an in-flight fetch dooms the block and lets
-                # the fetch finish; the drop happens at make_ready
+                # the fetch finish; the drop happens at ready_run
                 # (unpinned prefetches), at the last unpin or at the
                 # last write-back ack.
                 self._fail(

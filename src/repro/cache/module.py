@@ -370,12 +370,12 @@ class CacheModule(Service):
                     # Raced: re-examine the resident block.
                     block = manager.lookup(key)
                     continue
-                block.pin()
+                block.pins += 1
                 pinned.append(block)
                 owned[block_no] = resolved[block_no] = block
                 self.metrics.inc("cache.misses")
                 return
-            block.pin()
+            block.pins += 1
             pinned.append(block)
             resolved[block_no] = block
             if block.state is not BlockState.PENDING:
@@ -389,7 +389,7 @@ class CacheModule(Service):
                 yield block.ready(self.env)
             except RuntimeError:
                 # Fetch owner disappeared; retry from scratch.
-                manager.unpin(block)
+                manager.unpin_run((block,))
                 pinned.remove(block)
                 block = manager.lookup(key)
                 continue
@@ -569,7 +569,7 @@ class CacheModule(Service):
             # Write the run's blocks before anything can wait.
             for block_no, frame in zip(block_nos[i:], fresh):
                 touched.append(
-                    self._write_block(
+                    self._write_into(
                         frame, False, block_no, offset, nbytes, data,
                         request_base,
                     )
@@ -584,7 +584,7 @@ class CacheModule(Service):
                     (file_id, block_nos[i])
                 )
             touched.append(
-                self._write_block(
+                self._write_into(
                     block, resident, block_nos[i], offset, nbytes, data,
                     request_base,
                 )
@@ -634,7 +634,7 @@ class CacheModule(Service):
                 return
             yield block.flushed(env)
 
-    def _write_block(
+    def _write_into(
         self,
         block: CacheBlock,
         resident: bool,

@@ -138,7 +138,3 @@ class ReadAhead:
         finally:
             for block_no in block_nos:
                 self._inflight.discard((handle.file_id, block_no))
-
-    def stream_state(self, file_id: int) -> _FileStream | None:
-        """Inspection helper for tests."""
-        return self._streams.get(file_id)

@@ -26,39 +26,6 @@ class LocalFileStore:
         # and patched in place from then on (the zero-copy write path).
         self._blocks: dict[tuple[int, int], bytes | bytearray] = {}
 
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._blocks
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def write_block(self, file_id: int, block_no: int, data: bytes | None) -> None:
-        """Store one block.
-
-        ``data=None`` marks a size-only write (performance workloads
-        that do not carry payloads); it still allocates the block so
-        existence checks behave identically.
-        """
-        if data is not None:
-            if len(data) > self.block_size:
-                raise ValueError(
-                    f"block payload of {len(data)} exceeds block size "
-                    f"{self.block_size}"
-                )
-            if len(data) < self.block_size:
-                data = data + b"\x00" * (self.block_size - len(data))
-        self._blocks[(file_id, block_no)] = (
-            data if data is not None else b""
-        )
-
-    def read_block(self, file_id: int, block_no: int) -> bytes:
-        """Fetch one block; unwritten blocks read as zeros."""
-        data = self._blocks.get((file_id, block_no))
-        if not data:
-            return b"\x00" * self.block_size
-        # Never hand out the internal mutable buffer.
-        return bytes(data) if isinstance(data, bytearray) else data
-
     def read_range(self, file_id: int, offset: int, nbytes: int) -> bytes:
         """Assemble ``[offset, offset+nbytes)`` into one buffer.
 
@@ -106,8 +73,8 @@ class LocalFileStore:
                     blocks[key] = b""
             return
         if len(data) < nbytes:
-            # Short payloads (never produced by the protocol layer, but
-            # tolerated like the block-at-a-time path did) zero-fill.
+            # Short payloads (never produced by the protocol layer)
+            # zero-fill.
             data = bytes(data) + b"\x00" * (nbytes - len(data))
         src = memoryview(data)
         for block in blocks_spanned(offset, nbytes, block_size):
@@ -128,10 +95,6 @@ class LocalFileStore:
             buf[start : start + length] = piece
             blocks[key] = buf
         src.release()
-
-    def has_block(self, file_id: int, block_no: int) -> bool:
-        """True if the block was ever written."""
-        return (file_id, block_no) in self._blocks
 
 
 def blocks_spanned(

@@ -44,16 +44,6 @@ class PageCache:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def lookup(self, file_id: int, block_no: int) -> bool:
-        """Check residency and update recency; counts hit/miss."""
-        key = _key(file_id, block_no)
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
     def lookup_many(
         self, file_id: int, block_nos: _t.Iterable[int]
     ) -> tuple[int, list[tuple[int, int]]]:
@@ -61,11 +51,11 @@ class PageCache:
 
         Returns ``(hits, missing_runs)`` where ``missing_runs``
         coalesces consecutive missing block numbers into
-        ``(first_block, n_blocks)`` disk-run candidates.  Exactly like
-        per-block :meth:`lookup` calls followed by the caller
-        coalescing: recency and the hit/miss counters update per
-        block, and a non-consecutive (or repeated) missing block
-        closes the current run.
+        ``(first_block, n_blocks)`` disk-run candidates.  Recency and
+        the hit/miss counters update block by block: a resident block
+        moves to the MRU end and counts a hit, any other counts a miss,
+        and a non-consecutive (or repeated) missing block closes the
+        current run.
         """
         lru = self._lru
         move = lru.move_to_end
@@ -97,28 +87,15 @@ class PageCache:
         self.misses += misses
         return hits, runs
 
-    def insert(self, file_id: int, block_no: int) -> None:
-        """Make a block resident, evicting the LRU block if full."""
-        if self.capacity_blocks == 0:
-            return
-        key = _key(file_id, block_no)
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            return
-        while len(self._lru) >= self.capacity_blocks:
-            self._lru.popitem(last=False)
-        self._lru[key] = None
-
     def insert_many(
         self, file_id: int, first_block: int, n_blocks: int
     ) -> None:
         """Make a run of ``n_blocks`` consecutive blocks resident.
 
-        Bulk :meth:`insert`: existing blocks refresh recency, new ones
-        evict from the LRU end while the cache is full, and a
+        Block by block, in order: existing blocks refresh recency, new
+        ones evict from the LRU end while the cache is full, and a
         zero-capacity cache retains nothing (runs larger than the
-        capacity leave only the run's tail resident, matching the
-        per-block insertion order).
+        capacity leave only the run's tail resident).
         """
         if self.capacity_blocks == 0 or n_blocks <= 0:
             return
@@ -133,14 +110,6 @@ class PageCache:
             while len(lru) >= capacity:
                 lru.popitem(last=False)
             lru[key] = None
-
-    def contains(self, file_id: int, block_no: int) -> bool:
-        """Residency probe without recency update or counters."""
-        return _key(file_id, block_no) in self._lru
-
-    def invalidate(self, file_id: int, block_no: int) -> bool:
-        """Drop a block (e.g. on file deletion); True if it was present."""
-        return self._lru.pop(_key(file_id, block_no), False) is None
 
     @property
     def hit_ratio(self) -> float:

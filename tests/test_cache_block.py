@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.cache.block import BlockState, CacheBlock
+from repro.cache.block import (
+    BlockState,
+    CacheBlock,
+    assign_run,
+    ready_run,
+    unpin_run,
+)
 from repro.cache.freelist import FreeList
 from repro.sim import Environment
 
@@ -22,7 +28,7 @@ def test_new_block_is_free():
 def test_assign_makes_pending():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     assert b.state is BlockState.PENDING
     assert b.key == (1, 0)
     # Nobody waits yet, so no event exists; the first waiter makes it.
@@ -37,15 +43,15 @@ def test_assign_makes_pending():
 def test_assign_nonfree_raises():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     with pytest.raises(RuntimeError):
-        b.assign((1, 1))
+        assign_run((b,), ((1, 1),))
 
 
 def test_write_dirties():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     b.write(0, 100, b"x" * 100)
     assert b.state is BlockState.DIRTY
     assert b.dirty.covers(0, 100)
@@ -63,7 +69,7 @@ def test_write_to_free_raises():
 def test_write_sizeless_mode():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     b.write(0, 4096, None)
     assert b.state is BlockState.DIRTY
     assert b.data is None
@@ -73,7 +79,7 @@ def test_write_sizeless_mode():
 def test_bounds_checking():
     env = Environment()
     b = _block(size=4096)
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     with pytest.raises(ValueError):
         b.write(0, 4097, None)
     with pytest.raises(ValueError):
@@ -85,7 +91,7 @@ def test_bounds_checking():
 def test_merge_fetch_respects_dirty_bytes():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     b.write(100, 200, b"D" * 100)  # dirty bytes 100..200
     b.merge_fetch(0, 4096, b"F" * 4096)
     assert b.read_slice(0, 100) == b"F" * 100
@@ -97,10 +103,10 @@ def test_merge_fetch_respects_dirty_bytes():
 def test_make_ready_fires_event_and_becomes_clean():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     ev = b.ready(env)
     b.merge_fetch(0, 4096, None)
-    b.make_ready()
+    ready_run((b,))
     assert b.state is BlockState.CLEAN
     assert b.ready_event is None
     assert ev.triggered and ev.value is b
@@ -109,8 +115,8 @@ def test_make_ready_fires_event_and_becomes_clean():
 def test_make_ready_without_waiters_schedules_nothing():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
-    b.make_ready()
+    assign_run((b,), ((1, 0),))
+    ready_run((b,))
     assert b.state is BlockState.CLEAN
     assert b.ready_event is None
     assert env.peek() == float("inf")
@@ -119,18 +125,18 @@ def test_make_ready_without_waiters_schedules_nothing():
 def test_make_ready_stays_dirty_if_written_while_pending():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     b.write(0, 10, None)
     b.merge_fetch(0, 4096, None)
-    b.make_ready()
+    ready_run((b,))
     assert b.state is BlockState.DIRTY
 
 
 def test_mark_clean_epoch_guard():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
-    b.make_ready()
+    assign_run((b,), ((1, 0),))
+    ready_run((b,))
     b.write(0, 10, None)
     epoch = b.dirty_epoch
     b.write(10, 20, None)  # raced write bumps epoch
@@ -148,15 +154,15 @@ def test_mark_clean_on_clean_is_false():
 
 def _reset(env, block):
     """Any state -> FREE: returning a frame to the pool resets it."""
-    FreeList(env, [], low_blocks=0, high_blocks=0).release(block)
+    FreeList(env, [], low_blocks=0, high_blocks=0).release_run((block,))
 
 
 def test_reset_clears_everything():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     b.write(0, 10, b"z" * 10)
-    b.make_ready()
+    ready_run((b,))
     _reset(env, b)
     assert b.state is BlockState.FREE
     assert b.key is None
@@ -168,7 +174,7 @@ def test_reset_clears_everything():
 def test_reset_pending_fails_waiters():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     ev = b.ready(env)
     _reset(env, b)
     assert ev.triggered and not ev.ok
@@ -177,8 +183,8 @@ def test_reset_pending_fails_waiters():
 def test_reset_pinned_raises():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
-    b.pin()
+    assign_run((b,), ((1, 0),))
+    b.pins += 1
     with pytest.raises(RuntimeError):
         _reset(env, b)
 
@@ -186,18 +192,18 @@ def test_reset_pinned_raises():
 def test_pin_unpin():
     env = Environment()
     b = _block()
-    b.assign((1, 0))
-    b.make_ready()
+    assign_run((b,), ((1, 0),))
+    ready_run((b,))
     assert b.is_evictable
-    b.pin()
-    b.pin()
+    b.pins += 1
+    b.pins += 1
     assert not b.is_evictable
-    b.unpin()
+    unpin_run((b,))
     assert not b.is_evictable
-    b.unpin()
+    unpin_run((b,))
     assert b.is_evictable
     with pytest.raises(RuntimeError):
-        b.unpin()
+        unpin_run((b,))
 
 
 def test_repr_mentions_state():

@@ -4,22 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.block import BlockState, CacheBlock
+from repro.cache.block import BlockState, CacheBlock, assign_run, ready_run
 from repro.cache.clock import ClockPolicy, ExactLRUPolicy
 from repro.sim import Environment
 
 
 def _clean_block(env, index):
     b = CacheBlock(index, 4096)
-    b.assign((1, index))
-    b.make_ready()
+    assign_run((b,), ((1, index),))
+    ready_run((b,))
     b.refbit = False
     return b
 
 
 def _dirty_block(env, index):
     b = CacheBlock(index, 4096)
-    b.assign((1, index))
+    assign_run((b,), ((1, index),))
     b.write(0, 10, None)
     b.refbit = False
     return b
@@ -39,7 +39,7 @@ def test_empty_policy_returns_nothing(policy_cls):
 def test_select_nonpositive(policy_cls):
     env = Environment()
     p = policy_cls()
-    p.admit(_clean_block(env, 0))
+    p.admit_run((_clean_block(env, 0),))
     assert p.select_victims(0) == []
 
 
@@ -48,7 +48,7 @@ def test_admit_and_select(policy_cls):
     p = policy_cls()
     blocks = [_clean_block(env, i) for i in range(5)]
     for b in blocks:
-        p.admit(b)
+        p.admit_run((b,))
         b.refbit = False
     victims = p.select_victims(3)
     assert len(victims) == 3
@@ -59,7 +59,7 @@ def test_forget_removes(policy_cls):
     env = Environment()
     p = policy_cls()
     b = _clean_block(env, 0)
-    p.admit(b)
+    p.admit_run((b,))
     p.forget_run([b])
     assert p.select_victims(1) == []
     p.forget_run([b])  # idempotent
@@ -69,12 +69,12 @@ def test_pinned_and_pending_never_selected(policy_cls):
     env = Environment()
     p = policy_cls()
     pinned = _clean_block(env, 0)
-    pinned.pin()
+    pinned.pins += 1
     pending = CacheBlock(1, 4096)
-    pending.assign((1, 1))
+    assign_run((pending,), ((1, 1),))
     pending.refbit = False
     for b in (pinned, pending):
-        p.admit(b)
+        p.admit_run((b,))
         b.refbit = False
     assert p.select_victims(2) == []
 
@@ -85,7 +85,7 @@ def test_clean_preferred_over_dirty(policy_cls):
     dirty = _dirty_block(env, 0)
     clean = _clean_block(env, 1)
     for b in (dirty, clean):
-        p.admit(b)
+        p.admit_run((b,))
         b.refbit = False
     victims = p.select_victims(1)
     assert victims == [clean]
@@ -95,7 +95,7 @@ def test_dirty_fallback_when_no_clean(policy_cls):
     env = Environment()
     p = policy_cls()
     dirty = _dirty_block(env, 0)
-    p.admit(dirty)
+    p.admit_run((dirty,))
     dirty.refbit = False
     assert p.select_victims(1) == [dirty]
 
@@ -108,8 +108,8 @@ def test_clock_second_chance():
     p = ClockPolicy()
     a = _clean_block(env, 0)
     b = _clean_block(env, 1)
-    p.admit(a)  # admit sets refbit
-    p.admit(b)
+    p.admit_run((a,))  # admit sets refbit
+    p.admit_run((b,))
     b.refbit = False  # a referenced, b not
     victims = p.select_victims(1)
     assert victims == [b]  # a got its second chance
@@ -120,7 +120,7 @@ def test_clock_touch_sets_refbit_only():
     env = Environment()
     p = ClockPolicy()
     a = _clean_block(env, 0)
-    p.admit(a)
+    p.admit_run((a,))
     a.refbit = False
     p.touch(a)
     assert a.refbit
@@ -132,7 +132,7 @@ def test_clock_forget_adjusts_hand():
     p = ClockPolicy()
     blocks = [_clean_block(env, i) for i in range(4)]
     for b in blocks:
-        p.admit(b)
+        p.admit_run((b,))
         b.refbit = False
     p.select_victims(1)  # advances hand
     p.forget_run([blocks[0]])
@@ -146,9 +146,9 @@ def test_clock_early_exit_when_nothing_evictable():
     p = ClockPolicy()
     blocks = [_clean_block(env, i) for i in range(10)]
     for b in blocks:
-        p.admit(b)
+        p.admit_run((b,))
         b.refbit = False
-        b.pin()
+        b.pins += 1
     assert p.select_victims(5) == []
 
 
@@ -160,7 +160,7 @@ def test_exact_lru_order():
     p = ExactLRUPolicy()
     a, b, c = (_clean_block(env, i) for i in range(3))
     for blk in (a, b, c):
-        p.admit(blk)
+        p.admit_run((blk,))
     p.touch(a)  # order now: b, c, a
     assert p.select_victims(2) == [b, c]
 
@@ -170,7 +170,7 @@ def test_exact_lru_victims_in_lru_order():
     p = ExactLRUPolicy()
     blocks = [_clean_block(env, i) for i in range(5)]
     for b in blocks:
-        p.admit(b)
+        p.admit_run((b,))
     assert p.select_victims(5) == blocks
 
 
@@ -213,7 +213,7 @@ def test_exact_lru_forget_run_matches_sequential_forgets(data, n):
     gone = data.draw(st.lists(st.sampled_from(blocks), max_size=n + 3))
     p = ExactLRUPolicy()
     for block in order:
-        p.admit(block)
+        p.admit_run((block,))
     p.forget_run(gone)
     want = dict.fromkeys(order)
     for block in gone:

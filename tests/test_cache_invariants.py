@@ -50,7 +50,7 @@ def test_invariant_catches_policy_drift():
     cluster = make_cluster(compute_nodes=1, iod_nodes=1)
     manager = _manager(cluster)
     # corrupt: the policy starts tracking a frame that is not resident
-    manager.policy.admit(manager.blocks[0])
+    manager.policy.admit_run((manager.blocks[0],))
     with pytest.raises(InvariantViolation, match="policy out of sync"):
         manager.check_invariants()
 
@@ -65,10 +65,10 @@ def test_invariant_catches_dirty_list_drift():
 
     run_app(cluster, app(cluster.env))
     manager = _manager(cluster)
-    dirty = manager.dirtylist.snapshot()
+    dirty = list(manager.dirtylist)
     assert dirty, "the write should have left a dirty block"
     # corrupt: a DIRTY block silently leaves the dirty list
-    manager.dirtylist.discard(dirty[0])
+    del manager.dirtylist[dirty[0]]
     with pytest.raises(InvariantViolation, match="not on the dirty list"):
         manager.check_invariants()
 

@@ -1,18 +1,21 @@
-"""Unit tests for the free list and dirty list."""
+"""Unit tests for the free list (the dirty list is a dict of the
+buffer manager: tests/test_cache_manager.py)."""
 
 import pytest
 
-from repro.cache.block import BlockState, CacheBlock
-from repro.cache.dirtylist import DirtyList
+from repro.cache.block import (
+    BlockState,
+    CacheBlock,
+    assign_run,
+    ready_run,
+    unpin_run,
+)
 from repro.cache.freelist import FreeList
 from repro.sim import Environment
 
 
 def _blocks(env, n):
     return [CacheBlock(i, 4096) for i in range(n)]
-
-
-# -- FreeList ------------------------------------------------------------
 
 
 def test_freelist_initial_count():
@@ -26,7 +29,7 @@ def test_freelist_initial_count():
 def test_freelist_requires_free_blocks():
     env = Environment()
     b = CacheBlock(0, 4096)
-    b.assign((1, 0))
+    assign_run((b,), ((1, 0),))
     with pytest.raises(ValueError):
         FreeList(env, [b], low_blocks=1, high_blocks=2)
 
@@ -39,9 +42,9 @@ def test_freelist_acquire_release_cycle():
     def proc(env):
         blk = yield from fl.acquire()
         got.append(blk)
-        blk.assign((1, 0))
-        blk.make_ready()
-        fl.release(blk)
+        assign_run((blk,), ((1, 0),))
+        ready_run((blk,))
+        fl.release_run((blk,))
 
     env.process(proc(env))
     env.run()
@@ -55,13 +58,13 @@ def test_freelist_release_resets_but_refuses_a_pinned_block():
     env = Environment()
     fl = FreeList(env, _blocks(env, 1), low_blocks=1, high_blocks=1)
     b = CacheBlock(9, 4096)
-    b.assign((1, 0))
-    b.pin()
+    assign_run((b,), ((1, 0),))
+    b.pins += 1
     with pytest.raises(RuntimeError, match="pinned"):
-        fl.release(b)
+        fl.release_run((b,))
     assert len(fl) == 1
-    b.unpin()
-    fl.release(b)
+    unpin_run((b,))
+    fl.release_run((b,))
     assert b.state is BlockState.FREE and b.key is None
     assert len(fl) == 2
 
@@ -77,7 +80,7 @@ def test_freelist_acquire_blocks_when_dry():
         order.append((tag, env.now))
         if tag == "first":
             yield env.timeout(5)
-            fl.release(blk)
+            fl.release_run((blk,))
 
     env.process(taker(env, "first"))
     env.process(taker(env, "second"))
@@ -102,52 +105,3 @@ def test_freelist_low_watermark_callback():
     env.run()
     assert len(pokes) == 2
 
-
-# -- DirtyList -----------------------------------------------------------
-
-
-def _dirty_block(env, index):
-    b = CacheBlock(index, 4096)
-    b.assign((1, index))
-    b.write(0, 10, None)
-    return b
-
-
-def test_dirtylist_requires_dirty():
-    env = Environment()
-    dl = DirtyList()
-    with pytest.raises(ValueError):
-        dl.add(CacheBlock(0, 4096))
-
-
-def test_dirtylist_order_preserved():
-    env = Environment()
-    dl = DirtyList()
-    blocks = [_dirty_block(env, i) for i in range(5)]
-    for b in blocks:
-        dl.add(b)
-    assert dl.snapshot() == blocks
-    # re-add keeps original position
-    dl.add(blocks[0])
-    assert dl.snapshot() == blocks
-
-
-def test_dirtylist_discard_and_contains():
-    env = Environment()
-    dl = DirtyList()
-    b = _dirty_block(env, 0)
-    dl.add(b)
-    assert b in dl and len(dl) == 1
-    dl.discard(b)
-    assert b not in dl and len(dl) == 0
-    dl.discard(b)  # idempotent
-
-
-def test_dirtylist_drain():
-    env = Environment()
-    dl = DirtyList()
-    blocks = [_dirty_block(env, i) for i in range(3)]
-    for b in blocks:
-        dl.add(b)
-    assert dl.drain() == blocks
-    assert len(dl) == 0

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.cache.block import BlockState
+from repro.cache.block import BlockState, ready_run, unpin_run
 from repro.cache.manager import BufferManager
 from repro.cluster.config import CacheConfig
 from repro.metrics import Metrics
@@ -134,10 +134,10 @@ def test_evict_clean_returns_to_freelist():
 
     def proc(env):
         block, _ = yield from m.get_or_allocate((1, 0))
-        block.make_ready()
+        ready_run((block,))
         before = env.sched_stats()["queue_depth"]
         m.evict([block])
-        # FreeList.release hands the frame back in place: no StorePut
+        # FreeList.release_run hands the frame back in place: no StorePut
         assert env.sched_stats()["queue_depth"] == before
         assert m.n_free == 8
         assert m.lookup((1, 0)) is None
@@ -183,11 +183,11 @@ def test_evict_guards():
 
     def proc(env):
         block, _ = yield from m.get_or_allocate((1, 0))
-        block.make_ready()
-        block.pin()
+        ready_run((block,))
+        block.pins += 1
         with pytest.raises(ValueError):
             m.evict([block])
-        block.unpin()
+        unpin_run((block,))
         block.write(0, 10, None)
         m.note_write(block)
         with pytest.raises(ValueError):
@@ -215,22 +215,22 @@ def test_invalidate_semantics():
         assert m.invalidate((1, 0)) is True
         assert block.doomed
         assert m.lookup((1, 0)) is None
-        block.make_ready()
+        ready_run((block,))
         m.release_doomed(block)
         assert block.state is BlockState.FREE
         # pinned: unhashed at once, freed at the last unpin
         block, _ = yield from m.get_or_allocate((1, 0))
-        block.make_ready()
-        block.pin()
+        ready_run((block,))
+        block.pins += 1
         assert m.invalidate((1, 0)) is True
         assert block.doomed
         assert m.lookup((1, 0)) is None
         assert block.state is BlockState.CLEAN  # the copy still holds it
-        m.unpin(block)
+        m.unpin_run((block,))
         assert block.state is BlockState.FREE
         # plain resident: immediate
         block2, _ = yield from m.get_or_allocate((1, 1))
-        block2.make_ready()
+        ready_run((block2,))
         assert m.invalidate((1, 1)) is True
         assert m.lookup((1, 1)) is None
 
@@ -291,8 +291,7 @@ def test_allocation_exhaustion_waits_for_eviction():
     def filler(env):
         b0, _ = yield from m.get_or_allocate((1, 0))
         b1, _ = yield from m.get_or_allocate((1, 1))
-        b0.make_ready()
-        b1.make_ready()
+        ready_run((b0, b1))
         log.append(("filled", env.now))
         yield env.timeout(10)
         m.evict([b0])
@@ -315,11 +314,75 @@ def test_resident_keys_snapshot():
     def proc(env):
         for i in range(3):
             block, _ = yield from m.get_or_allocate((1, i))
-            block.make_ready()
+            ready_run((block,))
 
     env.process(proc(env))
     env.run()
-    assert m.resident_keys() == {(1, 0), (1, 1), (1, 2)}
+    assert set(m.table) == {(1, 0), (1, 1), (1, 2)}
+
+
+def test_a_duplicate_key_commit_raises_key_error():
+    """The hash table is a dict, but a second block under a resident
+    key is still a consistency error, not an overwrite."""
+    env, m = _manager()
+
+    def proc(env):
+        block, _ = yield from m.get_or_allocate((1, 0))
+        frame = next(b for b in m.blocks if b.state is BlockState.FREE)
+        with pytest.raises(KeyError, match="duplicate"):
+            m._commit_run((frame,), ((1, 0),))
+        assert m.table[(1, 0)] is block
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.ok, p.value
+
+
+def test_evicting_an_unhashed_block_raises():
+    """A keyed block that is not the table's block for its key (here: a
+    doomed one, already out of the table) cannot be evicted."""
+    env, m = _manager()
+
+    def proc(env):
+        block, _ = yield from m.get_or_allocate((1, 0))
+        assert m.invalidate((1, 0)) is True  # PENDING: doomed, unhashed
+        ready_run((block,))
+        with pytest.raises(KeyError, match="not in table"):
+            m.evict([block])
+        m.release_doomed(block)
+        assert block.state is BlockState.FREE
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.ok, p.value
+
+
+def test_the_flush_snapshot_keeps_first_dirtied_order():
+    """The dirty list is an insertion-ordered dict: a flush round takes
+    the blocks oldest-dirtied first, and a re-dirtied block keeps its
+    place; only DIRTY blocks may join it."""
+    env, m = _manager()
+
+    def proc(env):
+        blocks = []
+        for i in range(4):
+            block, _ = yield from m.get_or_allocate((1, i))
+            ready_run((block,))
+            blocks.append(block)
+        with pytest.raises(ValueError, match="not dirty"):
+            m.note_write(blocks[0])
+        for block in reversed(blocks):
+            block.write(0, 10, None)
+            m.note_write(block)
+        blocks[3].write(10, 20, None)  # re-dirtied: keeps its place
+        m.note_write(blocks[3])
+        assert list(m.dirtylist) == blocks[::-1]
+        assert m.note_cleaned(blocks[1], blocks[1].dirty_epoch)
+        assert list(m.dirtylist) == [blocks[3], blocks[2], blocks[0]]
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.ok, p.value
 
 
 def test_select_victims_passthrough():
@@ -328,7 +391,7 @@ def test_select_victims_passthrough():
     def proc(env):
         for i in range(4):
             block, _ = yield from m.get_or_allocate((1, i))
-            block.make_ready()
+            ready_run((block,))
             block.refbit = False
 
     env.process(proc(env))
@@ -348,7 +411,7 @@ def test_select_victims_honours_prefer_clean_eviction(replacement, cache_kwargs)
         blocks = []
         for i in range(2):
             block, _ = yield from m.get_or_allocate((1, i))
-            block.make_ready()
+            ready_run((block,))
             blocks.append(block)
         return blocks
 
@@ -435,7 +498,7 @@ def test_probe_run_ends_on_a_resident_block_and_touches_it():
     def proc(env):
         yield env.timeout(1)
         (b2,), _, _ = m.probe(1, [2])
-        b2.make_ready()
+        ready_run((b2,))
         b2.refbit = False
         got["run"] = m.probe(1, [0, 1, 2, 3])
         got["rest"] = m.probe(1, [0, 1, 2, 3], 3)
@@ -479,13 +542,13 @@ def test_evict_checks_the_whole_batch_before_touching_any():
         blocks = []
         for i in range(3):
             block, _ = yield from m.get_or_allocate((1, i))
-            block.make_ready()
+            ready_run((block,))
             blocks.append(block)
-        blocks[2].pin()
+        blocks[2].pins += 1
         with pytest.raises(ValueError, match="pinned"):
             m.evict(blocks)
         assert m.n_resident == 3 and m.n_free == 5
-        blocks[2].unpin()
+        unpin_run((blocks[2],))
         m.evict(blocks)
         assert m.n_resident == 0 and m.n_free == 8
         assert len(m.policy) == 0

@@ -8,7 +8,7 @@ global invariants that the rest of the system relies on are checked.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.block import BlockState
+from repro.cache.block import BlockState, ready_run
 from repro.cache.manager import BufferManager
 from repro.cluster.config import CacheConfig
 from repro.metrics import Metrics
@@ -36,7 +36,7 @@ def _check_invariants(m: BufferManager) -> None:
     # single-process driver never leaves waiters behind.
     doomed = [b for b in m.blocks if b.doomed]
     assert m.n_free + m.n_resident + len(doomed) == N_BLOCKS
-    resident = list(m.table.blocks())
+    resident = list(m.table.values())
     # no table block is FREE; keys unique
     keys = [b.key for b in resident]
     assert len(set(keys)) == len(keys)
@@ -44,7 +44,7 @@ def _check_invariants(m: BufferManager) -> None:
         assert block.state is not BlockState.FREE
         assert block.key is not None
     # the dirty list only holds DIRTY resident blocks
-    for block in m.dirtylist.snapshot():
+    for block in list(m.dirtylist):
         assert block.state is BlockState.DIRTY
         assert block in resident
     # every DIRTY resident block that was noted is tracked; and no
@@ -65,7 +65,7 @@ def _land_doomed(m: BufferManager, key=None) -> None:
     frame is freed, as the fetch path's ``release_if_unheld`` does."""
     for block in m.blocks:
         if block.doomed and key in (None, block.key):
-            block.make_ready()
+            ready_run((block,))
             m.release_doomed(block)
 
 
@@ -93,7 +93,7 @@ def test_manager_invariants_under_random_ops(ops):
                 m.note_write(block)
             elif op == "make_ready":
                 if block is not None and block.state is BlockState.PENDING:
-                    block.make_ready()
+                    ready_run((block,))
                 _land_doomed(m, key)
             elif op == "clean" and block is not None:
                 if block.state is BlockState.DIRTY:
@@ -105,13 +105,13 @@ def test_manager_invariants_under_random_ops(ops):
                 m.invalidate(key)
             elif op == "lookup":
                 found = m.lookup(key)
-                assert (found is not None) == (key in m.resident_keys())
+                assert (found is not None) == (key in m.table)
             _check_invariants(m)
         # Drain: make everything evictable and evict it.
         _land_doomed(m)
-        for block in list(m.table.blocks()):
+        for block in list(m.table.values()):
             if block.state is BlockState.PENDING:
-                block.make_ready()
+                ready_run((block,))
             if block.state is BlockState.DIRTY:
                 m.note_cleaned(block, block.dirty_epoch)
             if block.state is BlockState.CLEAN:

@@ -247,7 +247,7 @@ def test_sync_write_invalidates_remote_cache(copy):
                 yield from holder.read(f, bs, bs)
                 yield env.timeout(20e-3)
                 assert m.count("prefetch.completed") == 4
-            resident = cluster.cache_modules["node1"].manager.resident_keys()
+            resident = set(cluster.cache_modules["node1"].manager.table)
             assert (f.file_id, 4) in resident
             written = [(4 * bs, bs)]
             yield from writer.sync_write(f, 4 * bs, bs, b"2" * bs)
@@ -462,7 +462,7 @@ def test_module_stats_snapshot():
         assert stats["flush_inflight"] == 0
         module = cluster.cache_modules["node0"]
         yield from module.flusher.initiate_flush(
-            module.manager.dirtylist.snapshot()
+            list(module.manager.dirtylist)
         )
         assert module.stats()["flush_inflight"] == 2  # both marked
 

@@ -218,7 +218,7 @@ def test_harvester_rechecks_clean_victims_after_the_flush_hand_off():
         if not pinned:
             clean = [b for b in victims if b.state is BlockState.CLEAN]
             if clean:
-                clean[0].pin()
+                clean[0].pins += 1
                 pinned.append((clean[0], clean[0].key))
         return (yield from initiate_flush(blocks))
 

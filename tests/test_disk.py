@@ -223,7 +223,7 @@ def _iod_miss_path_replay() -> tuple[int, float]:
     for r in range(readers):
         base = r * requests * span
         for resident in range(base + 1, base + requests * span, 2):
-            pagecache.insert(0, resident)
+            pagecache.insert_many(0, resident, 1)
 
     def reader(r):
         base = r * requests * span
@@ -257,29 +257,23 @@ def test_iod_miss_path_event_budget():
 
 def test_store_roundtrip():
     store = LocalFileStore()
-    store.write_block(1, 0, b"hello")
-    data = store.read_block(1, 0)
-    assert data.startswith(b"hello")
-    assert len(data) == store.block_size
+    store.write_range(1, 0, 5, b"hello")
+    data = store.read_range(1, 0, store.block_size)
+    assert data == b"hello" + b"\x00" * (store.block_size - 5)
 
 
 def test_store_unwritten_reads_zeros():
     store = LocalFileStore()
-    assert store.read_block(9, 5) == b"\x00" * store.block_size
-    assert not store.has_block(9, 5)
+    bs = store.block_size
+    assert store.read_range(9, 5 * bs, bs) == b"\x00" * bs
 
 
 def test_store_sizeless_write_allocates():
     store = LocalFileStore()
-    store.write_block(1, 3, None)
-    assert store.has_block(1, 3)
-    assert store.read_block(1, 3) == b"\x00" * store.block_size
-
-
-def test_store_oversized_block_rejected():
-    store = LocalFileStore(block_size=16)
-    with pytest.raises(ValueError):
-        store.write_block(1, 0, b"x" * 17)
+    bs = store.block_size
+    store.write_range(1, 3 * bs, bs, None)
+    assert list(store._blocks) == [(1, 3)]
+    assert store.read_range(1, 3 * bs, bs) == b"\x00" * bs
 
 
 def test_store_invalid_block_size():
@@ -289,10 +283,10 @@ def test_store_invalid_block_size():
 
 def test_store_overwrite_replaces():
     store = LocalFileStore()
-    store.write_block(1, 0, b"old")
-    store.write_block(1, 0, b"new")
-    assert store.read_block(1, 0).startswith(b"new")
-    assert len(store) == 1
+    store.write_range(1, 0, 3, b"old")
+    store.write_range(1, 0, 3, b"new")
+    assert store.read_range(1, 0, 3) == b"new"
+    assert list(store._blocks) == [(1, 0)]
 
 
 # -- LocalFileStore range APIs (the zero-copy data path) --------------------
@@ -310,11 +304,12 @@ def test_store_range_roundtrip_unaligned():
 
 def test_store_read_range_matches_block_assembly():
     store = LocalFileStore(block_size=16)
-    for block in (0, 1, 3):  # leave a hole at block 2
-        store.write_block(5, block, bytes([block + 1] * 16))
+    blocks = {0: b"\x01" * 16, 1: b"\x02" * 16, 3: b"\x04" * 16}
+    for block, data in blocks.items():  # leave a hole at block 2
+        store.write_range(5, block * 16, 16, data)
     offset, nbytes = 5, 55
     expected = b"".join(
-        store.read_block(5, b)[s : s + ln]
+        blocks.get(b, b"\x00" * 16)[s : s + ln]
         for b in blocks_spanned(offset, nbytes, 16)
         for s, ln in [slice_for_block(offset, nbytes, b, 16)]
     )
@@ -333,7 +328,7 @@ def test_store_write_range_none_allocates_without_clobber():
     store = LocalFileStore(block_size=16)
     store.write_range(1, 0, 16, b"C" * 16)
     store.write_range(1, 0, 48, None)  # size-only write over it
-    assert store.has_block(1, 0) and store.has_block(1, 2)
+    assert list(store._blocks) == [(1, 0), (1, 1), (1, 2)]
     assert store.read_range(1, 0, 16) == b"C" * 16  # payload kept
     assert store.read_range(1, 16, 32) == b"\x00" * 32
 
@@ -342,25 +337,25 @@ def test_store_range_zero_bytes_is_noop():
     store = LocalFileStore()
     assert store.read_range(1, 100, 0) == b""
     store.write_range(1, 100, 0, b"")
-    assert len(store) == 0
+    assert not store._blocks
 
 
 def test_store_read_block_copies_mutable_blocks():
     """A partially patched block must not leak the internal buffer."""
     store = LocalFileStore(block_size=16)
     store.write_range(1, 4, 4, b"XXXX")  # partial -> bytearray inside
-    snapshot = store.read_block(1, 0)
+    snapshot = store.read_range(1, 0, 16)
     assert isinstance(snapshot, bytes)
     store.write_range(1, 4, 4, b"YYYY")
     assert snapshot[4:8] == b"XXXX"  # earlier read unaffected
-    assert store.read_block(1, 0)[4:8] == b"YYYY"
+    assert store.read_range(1, 4, 4) == b"YYYY"
 
 
 def test_store_write_range_full_block_replaces_patched():
     store = LocalFileStore(block_size=16)
     store.write_range(1, 4, 4, b"XXXX")  # promoted to bytearray
     store.write_range(1, 0, 16, b"Z" * 16)  # full overwrite
-    assert store.read_block(1, 0) == b"Z" * 16
+    assert store.read_range(1, 0, 16) == b"Z" * 16
 
 
 # -- block geometry helpers -----------------------------------------------
@@ -394,28 +389,24 @@ def test_slice_for_block():
 
 def test_pagecache_miss_then_hit():
     pc = PageCache(capacity_blocks=4)
-    assert pc.lookup(1, 0) is False
-    pc.insert(1, 0)
-    assert pc.lookup(1, 0) is True
+    assert pc.lookup_many(1, [0]) == (0, [(0, 1)])
+    pc.insert_many(1, 0, 1)
+    assert pc.lookup_many(1, [0]) == (1, [])
     assert pc.hits == 1 and pc.misses == 1
     assert pc.hit_ratio == 0.5
 
 
 def test_pagecache_lru_eviction():
     pc = PageCache(capacity_blocks=2)
-    pc.insert(1, 0)
-    pc.insert(1, 1)
-    pc.lookup(1, 0)  # 0 becomes MRU
-    pc.insert(1, 2)  # evicts 1
-    assert pc.contains(1, 0)
-    assert not pc.contains(1, 1)
-    assert pc.contains(1, 2)
+    pc.insert_many(1, 0, 2)
+    pc.lookup_many(1, [0])  # 0 becomes MRU
+    pc.insert_many(1, 2, 1)  # evicts 1
+    assert pc.lookup_many(1, [0, 1, 2]) == (2, [(1, 1)])
 
 
 def test_pagecache_zero_capacity_never_stores():
     pc = PageCache(capacity_blocks=0)
-    pc.insert(1, 0)
-    assert not pc.contains(1, 0)
+    pc.insert_many(1, 0, 1)
     assert len(pc) == 0
 
 
@@ -424,22 +415,12 @@ def test_pagecache_negative_capacity_rejected():
         PageCache(capacity_blocks=-1)
 
 
-def test_pagecache_invalidate():
-    pc = PageCache(capacity_blocks=4)
-    pc.insert(1, 0)
-    assert pc.invalidate(1, 0) is True
-    assert pc.invalidate(1, 0) is False
-    assert not pc.contains(1, 0)
-
-
 def test_pagecache_reinsert_updates_recency():
     pc = PageCache(capacity_blocks=2)
-    pc.insert(1, 0)
-    pc.insert(1, 1)
-    pc.insert(1, 0)  # refresh, no growth
-    pc.insert(1, 2)  # evicts 1 (LRU), not 0
-    assert pc.contains(1, 0) and pc.contains(1, 2)
-    assert not pc.contains(1, 1)
+    pc.insert_many(1, 0, 2)
+    pc.insert_many(1, 0, 1)  # refresh, no growth
+    pc.insert_many(1, 2, 1)  # evicts 1 (LRU), not 0
+    assert pc.lookup_many(1, [0, 1, 2]) == (2, [(1, 1)])
 
 
 def test_pagecache_hit_ratio_empty():
@@ -453,24 +434,21 @@ def test_pagecache_packed_keys_keep_files_apart_and_reject_overflow():
     another file is an error on every entry point."""
     top = (1 << 40) - 1
     pc = PageCache(capacity_blocks=8)
-    pc.insert(1, top)
+    pc.insert_many(1, top, 1)
     pc.insert_many(2, top - 1, 2)
-    assert pc.contains(1, top) and not pc.contains(2, 0)
+    assert pc.lookup_many(1, [top]) == (1, [])
+    assert pc.lookup_many(2, [0]) == (0, [(0, 1)])
     assert pc.lookup_many(2, [top - 1, top]) == (2, [])
-    assert pc.invalidate(1, top) and not pc.invalidate(1, top)
     for bad in (top + 1, -1):
         for call in (
-            lambda: pc.lookup(1, bad),
             lambda: pc.lookup_many(1, [0, bad]),
-            lambda: pc.insert(1, bad),
             lambda: pc.insert_many(1, bad, 1),
-            lambda: pc.insert_many(1, top, 2) if bad > 0 else pc.insert(1, bad),
-            lambda: pc.contains(1, bad),
-            lambda: pc.invalidate(1, bad),
         ):
             with pytest.raises(ValueError, match="block number"):
                 call()
-    assert len(pc) == 2
+    with pytest.raises(ValueError, match="block number"):
+        pc.insert_many(1, top, 2)  # the run's far end would alias
+    assert len(pc) == 3
 
 
 # -- PageCache bulk APIs (the batched miss path) ----------------------------
@@ -478,7 +456,7 @@ def test_pagecache_packed_keys_keep_files_apart_and_reject_overflow():
 
 def test_pagecache_lookup_many_coalesces_missing_runs():
     pc = PageCache(capacity_blocks=8)
-    pc.insert(1, 2)
+    pc.insert_many(1, 2, 1)
     hits, runs = pc.lookup_many(1, [0, 1, 2, 3, 5, 6])
     assert hits == 1
     assert runs == [(0, 2), (3, 1), (5, 2)]
@@ -492,10 +470,10 @@ def test_pagecache_lookup_many_matches_per_block_lookups():
     loop = PageCache(capacity_blocks=8)
     for cache in (bulk, loop):
         for b in resident:
-            cache.insert(1, b)
+            cache.insert_many(1, b, 1)
     hits, runs = bulk.lookup_many(1, blocks)
-    # Reference: the old per-block loop with caller-side coalescing.
-    missing = [b for b in blocks if not loop.lookup(1, b)]
+    # Reference: one probe per block, with caller-side coalescing.
+    missing = [b for b in blocks if not loop.lookup_many(1, [b])[0]]
     ref_runs, start, prev = [], None, None
     for b in missing:
         if start is None:
@@ -531,37 +509,33 @@ def test_pagecache_lookup_many_all_hits_and_empty():
 
 def test_pagecache_lookup_many_updates_recency():
     pc = PageCache(capacity_blocks=2)
-    pc.insert(1, 0)
-    pc.insert(1, 1)
+    pc.insert_many(1, 0, 2)
     pc.lookup_many(1, [0])  # 0 becomes MRU
-    pc.insert(1, 2)  # evicts 1
-    assert pc.contains(1, 0) and pc.contains(1, 2)
-    assert not pc.contains(1, 1)
+    pc.insert_many(1, 2, 1)  # evicts 1
+    assert pc.lookup_many(1, [0, 1, 2]) == (2, [(1, 1)])
 
 
 def test_pagecache_insert_many_evicts_like_per_block_inserts():
     pc = PageCache(capacity_blocks=2)
     pc.insert_many(1, 0, 5)  # run longer than the cache
     # Per-block insertion order leaves the run's tail resident.
-    assert not pc.contains(1, 2)
-    assert pc.contains(1, 3) and pc.contains(1, 4)
+    assert pc.lookup_many(1, [2, 3, 4]) == (2, [(2, 1)])
     assert len(pc) == 2
 
 
 def test_pagecache_insert_many_refreshes_recency():
     pc = PageCache(capacity_blocks=3)
-    pc.insert(1, 9)
+    pc.insert_many(1, 9, 1)
     pc.insert_many(1, 0, 2)
     pc.insert_many(1, 9, 1)  # refresh, no growth
-    pc.insert(1, 5)  # evicts block 0 (LRU), not 9
-    assert pc.contains(1, 9) and not pc.contains(1, 0)
+    pc.insert_many(1, 5, 1)  # evicts block 0 (LRU), not 9
+    assert pc.lookup_many(1, [9, 0]) == (1, [(0, 1)])
 
 
 def test_pagecache_insert_many_zero_capacity_retains_nothing():
     pc = PageCache(capacity_blocks=0)
     pc.insert_many(1, 0, 64)
     assert len(pc) == 0
-    assert not pc.contains(1, 0)
     # ...and the LRU stays usable for lookups afterwards.
     hits, runs = pc.lookup_many(1, [0, 1])
     assert hits == 0 and runs == [(0, 2)]

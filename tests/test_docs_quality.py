@@ -153,9 +153,12 @@ def test_docs_name_only_env_vars_the_program_reads():
 #: ``Environment.sched_stats()`` and ``Network.stats_snapshot()``; and
 #: the second raw bodies, run loops, transport and knobs of appendix
 #: A.13; the FIFO mailbox the writeback daemon's dirty-page set
-#: replaced.
+#: replaced; the hand-built containers and single-block twins of
+#: appendix A.15.
 REMOVED_NAMES = {
+    "BlockHashTable",
     "DaemonMonitor",
+    "DirtyList",
     "MMPPArrivals",
     "Mailbox",
     "Network.endpoint",
@@ -169,19 +172,27 @@ REMOVED_NAMES = {
     "_iod_for_block",
     "_listeners",
     "_load_csv",
+    "_next_prime",
     "_raw_readv",
     "_raw_writev",
     "_run_instrumented",
     "_trace_ranges",
     "_write_back_local",
     "attach_bus",
+    "chain_lengths",
     "classify_trace",
+    "first_resident",
+    "has_block",
     "has_endpoint",
     "prefer_clean",
+    "read_block",
     "record_network_metrics",
     "record_scheduler_metrics",
     "remix_sharing",
+    "resident_keys",
     "scale_out",
+    "stream_state",
+    "write_block",
     "zipf_reskew",
 }
 

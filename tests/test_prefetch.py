@@ -79,7 +79,7 @@ def test_window_doubles_then_resets():
         f = yield from client.open("/w")
         yield from client.read(f, 0, 4096)
         yield from client.read(f, 4096, 4096)
-        s = module.readahead.stream_state(f.file_id)
+        s = module.readahead._streams[f.file_id]
         first_window = s.window
         assert first_window >= module.readahead.initial_window
         yield from client.read(f, 8192, 4096)
@@ -101,7 +101,7 @@ def test_window_capped_at_max():
         f = yield from client.open("/cap")
         for i in range(12):
             yield from client.read(f, i * 4096, 4096)
-        s = module.readahead.stream_state(f.file_id)
+        s = module.readahead._streams[f.file_id]
         assert s.window <= module.readahead.max_window
 
     proc = cluster.env.process(app(cluster.env))
