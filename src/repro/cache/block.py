@@ -67,6 +67,7 @@ class CacheBlock:
         "writeback",
         "flushing",
         "flushed_event",
+        "hollow",
     )
 
     def __init__(self, index: int, block_size: int) -> None:
@@ -109,6 +110,10 @@ class CacheBlock:
         #: Fires when the flush batch's ack lands.  Created by the
         #: first waiter (:meth:`flushed`), as :attr:`ready_event` is.
         self.flushed_event: "Event | None" = None
+        #: A size-only fetch made bytes valid that :attr:`data` lacks
+        #: (into a block without bytes it leaves ``data`` None instead):
+        #: a read that wants bytes must fetch them again.
+        self.hollow = False
 
     # -- state transitions ---------------------------------------------------
     def ready(self, env: "Environment") -> "Event":
@@ -136,6 +141,8 @@ class CacheBlock:
         """Merge a fetched range without clobbering dirty bytes."""
         self._check_bounds(start, end)
         if data is None:
+            if self.data is not None:
+                self.hollow = True
             self.valid.add(start, end)
             return
         buf = self._buffer()

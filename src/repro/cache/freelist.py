@@ -133,6 +133,7 @@ class FreeList:
             block.refbit = False
             block.dirty_epoch = 0
             block.doomed = False
+            block.hollow = False
             # Store.put_nowait (the store is unbounded): getters only
             # queue on an empty pool, so the oldest takes this block.
             if getters:

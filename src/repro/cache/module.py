@@ -268,6 +268,7 @@ class CacheModule(Service):
             file_id = handle.file_id
             bs = self.block_size
             stop = offset + nbytes
+            want_data = buf is not None
             n = len(block_nos)
             i = 0
             while i < n:
@@ -292,17 +293,19 @@ class CacheModule(Service):
                     # across the wait: get_or_allocate re-probes.
                     yield from self._classify_block(
                         (file_id, block_no), start, end, block,
-                        pinned, owned, gappy, resolved,
+                        pinned, owned, gappy, resolved, want_data,
                     )
                 else:
                     # Resident with data: a hit or a partial hit.
                     block.pins += 1
                     pinned.append(block)
                     resolved[block_no] = block
-                    self._classify_valid(block_no, start, end, block, gappy)
+                    self._classify_valid(
+                        block_no, start, end, block, gappy, want_data
+                    )
                 i += 1
             if owned or gappy:
-                yield from self._fetch(handle, owned, gappy, buf is not None)
+                yield from self._fetch(handle, owned, gappy, want_data)
             else:
                 counters["cache.fully_hit_segments"] += 1
             # The kernel->user copy is an *extra* cost only for blocks
@@ -337,8 +340,22 @@ class CacheModule(Service):
         end: int,
         block: CacheBlock,
         gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
+        want_data: bool,
     ) -> None:
-        """Hit or partial hit on a pinned resident block with data."""
+        """Hit or partial hit on a pinned resident block with data.
+
+        A size-only fetch leaves valid bytes that the block does not
+        hold (``data`` is None, or the block is ``hollow``): a read that
+        wants bytes counts such a block a miss and fetches all of it but
+        its dirty bytes again, so no valid byte is left without its
+        bytes."""
+        if want_data and (block.data is None or block.hollow):
+            gaps = block.dirty.gaps(0, self.block_size)
+            block.hollow = False
+            if gaps:
+                gappy[block_no] = (block, gaps)
+                self.metrics.counters["cache.misses"] += 1
+                return
         if block.valid.covers(start, end):
             self.metrics.counters["cache.hits"] += 1
             return
@@ -355,6 +372,7 @@ class CacheModule(Service):
         owned: dict[int, CacheBlock],
         gappy: dict[int, tuple[CacheBlock, list[tuple[int, int]]]],
         resolved: dict[int, CacheBlock],
+        want_data: bool,
     ) -> _t.Generator:
         """The waits of classifying one block, after the probe.
 
@@ -379,7 +397,9 @@ class CacheModule(Service):
             pinned.append(block)
             resolved[block_no] = block
             if block.state is not BlockState.PENDING:
-                self._classify_valid(block_no, start, end, block, gappy)
+                self._classify_valid(
+                    block_no, start, end, block, gappy, want_data
+                )
                 return
             # Another process is fetching this block: wait for its
             # data instead of issuing a duplicate request.  This is the
@@ -393,7 +413,9 @@ class CacheModule(Service):
                 pinned.remove(block)
                 block = manager.lookup(key)
                 continue
-            self._classify_valid(block_no, start, end, block, gappy)
+            self._classify_valid(
+                block_no, start, end, block, gappy, want_data
+            )
             return
 
     def _fetch(

@@ -8,6 +8,34 @@ from repro.cluster.config import CacheConfig, ClusterConfig
 from tests.conftest import check_invariants_every, make_cluster, run_app
 
 
+def test_a_size_only_fill_is_fetched_again_by_a_data_read():
+    """Bytes a size-only read made valid are not held: a later read on
+    the same node that wants them fetches them again instead of copying
+    zeros out — from a block the fill left without bytes, and from one
+    that held a local write's bytes already."""
+    cluster = make_cluster()
+    writer = cluster.client("node1")
+    reader = cluster.client("node0")
+    data = bytes(i * 7 % 251 for i in range(300 * 1024))
+    got = {}
+
+    def app(env):
+        f = yield from writer.open("/mixed")
+        yield from writer.sync_write(f, 0, len(data), data)
+        g = yield from reader.open("/mixed")
+        yield from reader.read(g, 100 * 1024, 8 * 1024)  # size-only
+        got["fill"] = yield from reader.read(g, 0, len(data), want_data=True)
+        yield from reader.write(g, 400 * 1024, 100, b"Y" * 100)
+        yield from writer.sync_write(f, 400 * 1024, 4096, data[:4096])
+        yield from reader.read(g, 400 * 1024, 4096)  # size-only gap fill
+        got["gap"] = yield from reader.read(g, 400 * 1024, 4096, want_data=True)
+
+    check_invariants_every(cluster, 1)
+    run_app(cluster, app(cluster.env))
+    assert got["fill"] == data
+    assert got["gap"] == b"Y" * 100 + data[100:4096]
+
+
 def test_read_miss_then_hit_counters():
     cluster = make_cluster()
     client = cluster.client("node0")
