@@ -440,16 +440,18 @@ class CacheModule(Service):
         for block_no, (_block, gaps) in gappy.items():
             for lo, hi in gaps:
                 ranges.append((block_no * bs + lo, hi - lo))
+        split = self.config.split_on_cached_block
+        if not split:
+            # Ablation: no request splitting — fetch the hull of the
+            # missing ranges, re-transferring the cached blocks in its
+            # middle (each iod still gets only its own stripe units).
+            lo = min(off for off, _ in ranges)
+            hi = max(off + n for off, n in ranges)
+            ranges = [(lo, hi - lo)]
         calls = []
         requested_bytes = 0
         for idx, iod_ranges in self.layout.plan(ranges):
-            if not self.config.split_on_cached_block and len(iod_ranges) > 1:
-                # Ablation: no request splitting — fetch the full hull,
-                # re-transferring the cached blocks in the middle.
-                lo = iod_ranges[0][0]
-                hi = iod_ranges[-1][0] + iod_ranges[-1][1]
-                iod_ranges = [(lo, hi - lo)]
-            else:
+            if split:
                 counters["cache.split_requests"] += len(iod_ranges) - 1
             requested_bytes += sum(n for _, n in iod_ranges)
             channel = yield from self._iod_pool.channel(self.iod_nodes[idx])

@@ -149,6 +149,28 @@ def test_no_split_ablation_fetches_hull():
     run_app(cluster, app(cluster.env))
 
 
+def test_no_split_hull_asks_each_iod_for_its_own_stripe_units_only():
+    """The ablation takes one hull over a segment's missing ranges
+    before striping it, so on two iods a 148 KB read around one cached
+    block (block 16, the third stripe unit's first) re-fetches that
+    block but no other iod's units: at most the read's 151 552 bytes
+    (147 456 with splitting on)."""
+    cluster = make_cluster(iod_nodes=2)
+    for module in cluster.cache_modules.values():
+        module.config.split_on_cached_block = False
+    client = cluster.client("node0")
+    m = cluster.metrics
+
+    def app(env):
+        f = yield from client.open("/f")
+        yield from client.read(f, 16 * 4096, 4096)
+        fetched_before = m.count("cache.fetched_bytes")
+        yield from client.read(f, 0, 148 * 1024)
+        assert m.count("cache.fetched_bytes") - fetched_before <= 151_552
+
+    run_app(cluster, app(cluster.env))
+
+
 def test_write_is_buffered_not_propagated():
     cluster = make_cluster()
     client = cluster.client("node0")
