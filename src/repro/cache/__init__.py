@@ -9,7 +9,9 @@ Components map one-to-one onto the paper's Section 3.2:
 
 * :class:`~repro.cache.manager.BufferManager` — "a full-fledged buffer
   manager of blocks, requiring the implementation of hash tables, free
-  list and dirty list";
+  list and dirty list".  The hash table is a ``dict`` and the dirty
+  list an insertion-ordered ``dict``; the free list, which makes
+  allocators wait, is :class:`~repro.cache.freelist.FreeList`;
 * :class:`~repro.cache.clock.ClockPolicy` — "an approximate LRU
   replacement algorithm ... preference for replacement is given to
   clean blocks over dirty ones";
