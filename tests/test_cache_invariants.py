@@ -73,6 +73,24 @@ def test_invariant_catches_dirty_list_drift():
         manager.check_invariants()
 
 
+def test_invariant_catches_a_block_under_another_key():
+    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=8)
+    client = cluster.client("node0")
+
+    def app(env):
+        f = yield from client.open("/moved")
+        yield from client.read(f, 0, 4096)
+
+    run_app(cluster, app(cluster.env))
+    table = _manager(cluster).table
+    ((file_id, block_no), block), = table.items()
+    # corrupt: the hash table files the block under a key not its own
+    del table[(file_id, block_no)]
+    table[(file_id, block_no + 1)] = block
+    with pytest.raises(InvariantViolation, match="in the hash table under"):
+        _manager(cluster).check_invariants()
+
+
 def _doomed_under_write_back():
     """A cluster whose node0 holds block 0 DIRTY, marked by one write
     in flight and then doomed by an invalidation."""
